@@ -27,12 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from semiband import weyl
-from semiband.models import PhasePoint, make_model
+from semiband.models import (
+    NeutrinoMetric, PhasePoint, make_model, random_points,
+)
 from semiband.frames import Tolerances, berry_connections, classical_frame
 from semiband.energy import (
     band_energy,
-    connection_component_gradients,
     corrected_connections,
+    phase_field_gradients,
     rotation_generator,
 )
 from semiband.dynamics import band_curvature_vector, berry_curvatures, integrate_ray
@@ -90,15 +92,8 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                 for i in range(flat[0].size)]
     if "random_points" in cfg:
         section = cfg["random_points"]
-        count = int(section.get("count", 10))
         pmin, pmax = section.get("p_range", [0.3, 3.0])
-        pts = []
-        for _ in range(count):
-            R = rng.uniform(-1.0, 1.0, 3)
-            P = rng.uniform(-1.0, 1.0, 3)
-            P *= rng.uniform(pmin, pmax) / np.linalg.norm(P)
-            pts.append(PhasePoint.of(R, P))
-        return pts
+        return random_points(rng, int(section.get("count", 10)), pmin, pmax)
     raise ConfigError("config needs 'points', 'grid' or 'random_points'")
 
 
@@ -106,8 +101,8 @@ def _tolerances(cfg: dict) -> Tolerances:
     section = cfg.get("tolerances", {})
     defaults = Tolerances()
     kwargs = {}
-    for name in ("degeneracy", "gap", "block", "unitarity", "hermiticity",
-                 "fd_base", "overlap"):
+    for name in ("degeneracy", "gap", "block", "unitarity", "fd_base",
+                 "overlap"):
         kwargs[name] = float(section.get(name, getattr(defaults, name)))
     return Tolerances(**kwargs)
 
@@ -145,142 +140,131 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _map_points(fn, points, jobs: int):
-    """Apply fn to each point, preserving order; collect per-point errors."""
-    def safe(args):
-        idx, x = args
+def _point_setup(cfg: dict, args):
+    """(model, hbar, tol, seed, points) shared by the per-point subcommands."""
+    model = make_model(cfg.get("model", {}))
+    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
+    if hbar <= 0:
+        raise ConfigError("hbar must be positive")
+    tol = _tolerances(cfg)
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    points = _resolve_points(cfg, np.random.default_rng(seed))
+    return model, hbar, tol, seed, points
+
+
+def _run_points(args, stem: str, model, seed: int, points, work, header: list,
+                row, record) -> int:
+    """Apply work to every point (order kept, errors captured per point) and
+    write <stem>.csv and <stem>.json; exit 2 if any point failed."""
+    def safe(item):
+        idx, x = item
         try:
-            return idx, fn(x), None
+            return idx, work(x), None
         except Exception as exc:  # noqa: BLE001 - reported per point
             return idx, None, f"{type(exc).__name__}: {exc}"
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(safe, enumerate(points)))
     else:
         results = [safe(item) for item in enumerate(points)]
     errors = [{"index": i, "error": err} for i, _r, err in results if err]
-    values = [(i, r) for i, r, err in results if not err]
-    return values, errors
+    values = [r for _i, r, err in results if not err]
+
+    out = Path(args.out)
+    _write_csv(out / f"{stem}.csv", header, [row(v) for v in values])
+    _write_json(out / f"{stem}.json", {
+        "schema_version": SCHEMA_VERSION, "model": model.to_config(),
+        "seed": seed, "records": [record(v) for v in values], "errors": errors,
+    })
+    if errors:
+        for err in errors:
+            print(f"point {err['index']}: {err['error']}", file=sys.stderr)
+        return 2
+    print(f"wrote {len(values)} rows to {out / f'{stem}.csv'}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+_POINT_HEADER = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar"]
+
+
 def cmd_diagonalize(cfg: dict, args) -> int:
-    model = make_model(cfg.get("model", {}))
-    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    model, hbar, tol, seed, points = _point_setup(cfg, args)
     order = int(args.order if args.order is not None else cfg.get("order", 2))
     representation = cfg.get("representation", "canonical")
-    tol = _tolerances(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    points = _resolve_points(cfg, rng)
-    out = Path(args.out)
+    n = model.n
 
     def work(x: PhasePoint):
         return band_energy(model, x, hbar, order=order,
                            representation=representation, tol=tol)
 
-    values, errors = _map_points(work, points, args.jobs)
-
-    n = model.n
-    header = (["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar", "order"]
-              + [f"band{i}_{part}" for i in range(n)
-                 for part in ("total", "order0", "order1", "order2", "bracket")]
-              + ["hermiticity_defect", "offblock_norm", "bracket_unavailable"])
-    rows = []
-    records = []
-    for _i, rep in values:
-        row = [*rep.point.R, *rep.point.P, hbar, order]
+    def row(rep) -> list:
+        out = [*rep.point.R, *rep.point.P, hbar, order]
         for i in range(n):
-            row += [float(np.real(rep.eps[i, i])),
+            out += [float(np.real(rep.eps[i, i])),
                     float(np.real(rep.zeroth[i, i])),
                     float(np.real(rep.first[i, i])),
                     float(np.real(rep.second[i, i])),
                     float(np.real(rep.bracket_term[i, i]))]
-        row += [rep.diagnostics["hermiticity_defect"],
-                rep.diagnostics["offblock_norm"], int(rep.partial)]
-        rows.append(row)
-        records.append({
+        return out + [rep.diagnostics["hermiticity_defect"],
+                      rep.diagnostics["offblock_norm"], int(rep.partial)]
+
+    def record(rep) -> dict:
+        return {
             "R": list(rep.point.R), "P": list(rep.point.P),
             "hbar": hbar, "order": order, "representation": representation,
             "bands": [float(v) for v in rep.band_values()],
             "eps": _mat_json(rep.eps),
             "partial": rep.partial,
             "diagnostics": _diag_json(rep.diagnostics),
-        })
-    _write_csv(out / "energies.csv", header, rows)
-    _write_json(out / "energies.json", {
-        "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": records, "errors": errors,
-    })
-    if errors:
-        for err in errors:
-            print(f"point {err['index']}: {err['error']}", file=sys.stderr)
-        return 2
-    print(f"wrote {len(rows)} rows to {out / 'energies.csv'}")
-    return 0
+        }
+
+    header = (_POINT_HEADER + ["order"]
+              + [f"band{i}_{part}" for i in range(n)
+                 for part in ("total", "order0", "order1", "order2", "bracket")]
+              + ["hermiticity_defect", "offblock_norm", "bracket_unavailable"])
+    return _run_points(args, "energies", model, seed, points, work, header,
+                       row, record)
 
 
 def cmd_connections(cfg: dict, args) -> int:
-    model = make_model(cfg.get("model", {}))
-    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
+    model, hbar, tol, seed, points = _point_setup(cfg, args)
     order = str(cfg.get("connection_order", "corrected"))
-    tol = _tolerances(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    points = _resolve_points(cfg, rng)
-    out = Path(args.out)
 
     def work(x: PhasePoint):
         frame = classical_frame(model, x, tol)
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
         if order == "0":
             return conns0
-        grads = connection_component_gradients(model, x, hbar, frame, tol)
+        grads = phase_field_gradients(model, frame, hbar, tol)
         B = rotation_generator(model, frame, conns0, tol)
-        return corrected_connections(model, frame, conns0, B, hbar, tol, grads)
+        return corrected_connections(frame, conns0, B, hbar, grads)
 
-    values, errors = _map_points(work, points, args.jobs)
-    header = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar", "order"] + \
-        [f"norm_A_{kind}{l}" for kind in ("R", "P") for l in range(3)]
-    rows, records = [], []
-    for _i, conns in values:
-        row = [*conns.point.R, *conns.point.P, hbar, conns.order]
-        row += [float(np.linalg.norm(a)) for a in conns.A_R]
-        row += [float(np.linalg.norm(a)) for a in conns.A_P]
-        rows.append(row)
-        records.append({
+    def row(conns) -> list:
+        return ([*conns.point.R, *conns.point.P, hbar, conns.order]
+                + [float(np.linalg.norm(a)) for a in conns.A_R]
+                + [float(np.linalg.norm(a)) for a in conns.A_P])
+
+    def record(conns) -> dict:
+        return {
             "R": list(conns.point.R), "P": list(conns.point.P),
             "hbar": hbar, "order": conns.order,
             "A_R": [_mat_json(a) for a in conns.A_R],
             "A_P": [_mat_json(a) for a in conns.A_P],
-        })
-    _write_csv(out / "connections.csv", header, rows)
-    _write_json(out / "connections.json", {
-        "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": records, "errors": errors,
-    })
-    if errors:
-        for err in errors:
-            print(f"point {err['index']}: {err['error']}", file=sys.stderr)
-        return 2
-    print(f"wrote {len(rows)} rows to {out / 'connections.csv'}")
-    return 0
+        }
+
+    header = _POINT_HEADER + ["order"] + \
+        [f"norm_A_{kind}{l}" for kind in ("R", "P") for l in range(3)]
+    return _run_points(args, "connections", model, seed, points, work, header,
+                       row, record)
 
 
 def cmd_curvature(cfg: dict, args) -> int:
-    model = make_model(cfg.get("model", {}))
-    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
-    tol = _tolerances(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    points = _resolve_points(cfg, rng)
-    out = Path(args.out)
+    model, hbar, tol, seed, points = _point_setup(cfg, args)
 
     def work(x: PhasePoint):
         cset = berry_curvatures(model, x, hbar, tol)
@@ -291,20 +275,19 @@ def cmd_curvature(cfg: dict, args) -> int:
                     model, x, lam, tol).tolist()
         return cset, extra
 
-    values, errors = _map_points(work, points, args.jobs)
-    header = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar",
-              "norm_theta_rr", "norm_theta_pp", "norm_theta_pr",
-              "antisym_defect"]
-    rows, records = [], []
-    for _i, (cset, extra) in values:
+    def row(value) -> list:
+        cset, _extra = value
         anti = max(
             float(np.max(np.abs(cset.theta_rr + cset.theta_rr.transpose(1, 0, 2, 3)))),
             float(np.max(np.abs(cset.theta_pp + cset.theta_pp.transpose(1, 0, 2, 3)))),
         )
-        rows.append([*cset.point.R, *cset.point.P, hbar,
-                     float(np.linalg.norm(cset.theta_rr)),
-                     float(np.linalg.norm(cset.theta_pp)),
-                     float(np.linalg.norm(cset.theta_pr)), anti])
+        return [*cset.point.R, *cset.point.P, hbar,
+                float(np.linalg.norm(cset.theta_rr)),
+                float(np.linalg.norm(cset.theta_pp)),
+                float(np.linalg.norm(cset.theta_pr)), anti]
+
+    def record(value) -> dict:
+        cset, extra = value
         rec = {"R": list(cset.point.R), "P": list(cset.point.P), "hbar": hbar,
                "theta_rr": [[_mat_json(cset.theta_rr[i, j]) for j in range(3)]
                             for i in range(3)],
@@ -313,22 +296,18 @@ def cmd_curvature(cfg: dict, args) -> int:
                "theta_pr": [[_mat_json(cset.theta_pr[i, j]) for j in range(3)]
                             for i in range(3)]}
         rec.update(extra)
-        records.append(rec)
-    _write_csv(out / "curvature.csv", header, rows)
-    _write_json(out / "curvature.json", {
-        "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": records, "errors": errors,
-    })
-    if errors:
-        for err in errors:
-            print(f"point {err['index']}: {err['error']}", file=sys.stderr)
-        return 2
-    print(f"wrote {len(rows)} rows to {out / 'curvature.csv'}")
-    return 0
+        return rec
+
+    header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",
+                              "norm_theta_pr", "antisym_defect"]
+    return _run_points(args, "curvature", model, seed, points, work, header,
+                       row, record)
 
 
 def cmd_trajectory(cfg: dict, args) -> int:
     model = make_model(cfg.get("model", {}))
+    if not isinstance(model, NeutrinoMetric):
+        raise ConfigError("trajectory supports only the neutrino_metric model")
     section = cfg.get("trajectory", {})
     hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 1e-3))
     dt = float(section.get("dt", 1e-2))
@@ -339,16 +318,27 @@ def cmd_trajectory(cfg: dict, args) -> int:
     r0 = section.get("r0", [0.0, 0.0, 0.0])
     P0 = section.get("P0", [0.0, 0.0, 1.0])
     lams = [+1, -1] if section.get("pair_lambdas", True) else [int(section.get("lambda", 1))]
+    if method not in ("rk4", "rk45"):
+        raise ConfigError("trajectory method must be 'rk4' or 'rk45'")
+    if any(lam not in (+1, -1) for lam in lams):
+        raise ConfigError("trajectory lambda must be +1 or -1")
     out = Path(args.out)
 
     manifest = {"schema_version": SCHEMA_VERSION, "model": model.to_config(),
                 "hbar": hbar, "dt": dt, "steps": steps, "method": method,
                 "r0": list(map(float, r0)), "P0": list(map(float, P0)),
                 "lambdas": lams, "runs": []}
+    errors = []
     header = ["t", "r_x", "r_y", "r_z", "P_x", "P_y", "P_z",
               "lambda", "eps", "speed"]
     for lam in lams:
-        traj = integrate_ray(model, r0, P0, lam, hbar, dt, steps, method)
+        try:
+            traj = integrate_ray(model, r0, P0, lam, hbar, dt, steps, method)
+        except (ValueError, RuntimeError, FloatingPointError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            errors.append({"lambda": lam, "error": error})
+            print(f"lambda={lam:+d}: {error}", file=sys.stderr)
+            continue
         rows = [[s.t, *s.r, *s.P, s.lam, s.eps, s.speed] for s in traj.states]
         path = out / f"trajectory_lam{lam:+d}.csv"
         _write_csv(path, header, rows)
@@ -360,8 +350,11 @@ def cmd_trajectory(cfg: dict, args) -> int:
             "final_r": [float(v) for v in traj.final().r],
         })
         print(f"lambda={lam:+d}: {len(rows)} samples -> {path}")
+    # Only a failed run adds the key, so a clean manifest keeps its bytes.
+    if errors:
+        manifest["errors"] = errors
     _write_json(out / "trajectory_manifest.json", manifest)
-    return 0
+    return 2 if errors else 0
 
 
 def cmd_verify(cfg: dict, args) -> int:

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from semiband.models import Model, NeutrinoMetric, PhasePoint
+from semiband.models import (
+    SX, SY, SZ, Model, NeutrinoMetric, PhasePoint, p_cross_sigma,
+)
 from semiband.frames import (
     BandFrame,
     Tolerances,
@@ -43,8 +45,10 @@ from semiband.frames import (
     project,
 )
 from semiband.energy import (
-    connection_component_gradients,
+    _anticomm,
+    _comm,
     corrected_connections,
+    phase_field_gradients,
     rotation_generator,
 )
 from semiband.stencils import FDDiagnostics, derivative_along
@@ -64,14 +68,6 @@ __all__ = [
     "rk4_step",
     "integrate_fixed",
 ]
-
-
-def _comm(a, b):
-    return a @ b - b @ a
-
-
-def _anticomm(a, b):
-    return a @ b + b @ a
 
 
 @dataclass
@@ -114,17 +110,16 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
         frame = classical_frame(model, x, tol)
     conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
     diag = FDDiagnostics()
-    conn_grads = connection_component_gradients(model, x, hbar, frame, tol, diag)
+    field_grads = phase_field_gradients(model, frame, hbar, tol, diag)
     B = rotation_generator(model, frame, conns0, tol)
-    conns = corrected_connections(model, frame, conns0, B, hbar, tol,
-                                  conn_grads, diag)
+    conns = corrected_connections(frame, conns0, B, hbar, field_grads, diag)
     g = frame.groups
     A0 = [project(conns0.component(axis), g, "diag") for axis in range(6)]
     A1 = []
     for comp in range(6):
         a1 = 2.0 * project(conns.linear_part[comp], g, "diag")
         for axis in range(6):
-            grad_proj = project(conn_grads[axis][comp], g, "diag")
+            grad_proj = project(field_grads[axis][comp], g, "diag")
             a1 = a1 + 0.5 * _anticomm(A0[axis], grad_proj)
         A1.append(0.5 * (a1 + a1.conj().T))
     n = frame.n
@@ -163,12 +158,16 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     return CurvatureSet(rr, pp, pr, x, hbar, diag)
 
 
+def _helicity_matrix(P: np.ndarray) -> np.ndarray:
+    """sigma.Phat as a 2x2 matrix."""
+    phat = P / np.linalg.norm(P)
+    return np.array([[phat[2], phat[0] - 1j * phat[1]],
+                     [phat[0] + 1j * phat[1], -phat[2]]])
+
+
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
     """Normalized eigenvector of sigma.Phat with eigenvalue lam (+1 or -1)."""
-    phat = P / np.linalg.norm(P)
-    sp = np.array([[phat[2], phat[0] - 1j * phat[1]],
-                   [phat[0] + 1j * phat[1], -phat[2]]])
-    vals, vecs = np.linalg.eigh(sp)
+    vals, vecs = np.linalg.eigh(_helicity_matrix(P))
     idx = int(np.argmin(np.abs(vals - lam)))
     return vecs[:, idx]
 
@@ -366,6 +365,8 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         raise ValueError("lam must be +1 or -1")
     r0 = np.asarray(r0, dtype=float).reshape(3)
     P0 = np.asarray(P0, dtype=float).reshape(3)
+    if not np.linalg.norm(P0) > 0.0:
+        raise ValueError("|P0| must be positive")
     chi0 = _helicity_spinor(P0, lam)
 
     def pack(r, P, chi):
@@ -378,7 +379,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         r, P, chi = unpack(y)
         rdot, Pdot = ray_rhs(r, P, lam, model, hbar)
         E2 = float(P @ P)
-        pxs = _p_cross_sigma(P)
+        pxs = p_cross_sigma(P, (SX, SY, SZ))
         gen = sum(Pdot[l] * pxs[l] for l in range(3)) / (2 * E2)
         chidot = 1j * gen @ chi
         return pack(rdot, Pdot, chidot)
@@ -396,11 +397,8 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     states = []
     for t, y in samples:
         r, P, chi = unpack(y)
-        phat = P / np.linalg.norm(P)
-        sp = np.array([[phat[2], phat[0] - 1j * phat[1]],
-                       [phat[0] + 1j * phat[1], -phat[2]]])
         norm = float(np.real(chi.conj() @ chi))
-        hel = float(np.real(chi.conj() @ sp @ chi)) / norm
+        hel = float(np.real(chi.conj() @ _helicity_matrix(P) @ chi)) / norm
         eps = ray_energy(model, r, P, hbar)
         rdot, _ = ray_rhs(r, P, lam, model, hbar)
         states.append(TrajectoryState(t, r.copy(), P.copy(), lam, hel, eps,
@@ -410,16 +408,3 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     edrift = max(abs(s.eps - eps0) for s in states)
     return Trajectory(states, lam, hbar, method, drift, edrift, rejected)
 
-
-_SIG = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-
-
-def _p_cross_sigma(P: np.ndarray) -> list:
-    """(P x sigma)_l as 2x2 matrices."""
-    return [P[1] * _SIG[2] - P[2] * _SIG[1],
-            P[2] * _SIG[0] - P[0] * _SIG[2],
-            P[0] * _SIG[1] - P[1] * _SIG[0]]

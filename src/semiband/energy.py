@@ -19,6 +19,10 @@ The pipeline assembles, at a classical phase point:
   terms are absorbed into the arguments and only the commutator strings and
   the ordering bracket remain explicit.
 
+The three derivatives an order-2 point needs (grad A0, grad B and D W) come
+from one stencil pass over the stacked field [A0^R, A0^P, B, W]
+(`phase_field_gradients`).
+
 Everything is Hermitized term by term; discarded anti-Hermitian defects are
 recorded in the report diagnostics rather than silently dropped.
 """
@@ -54,7 +58,7 @@ __all__ = [
     "first_order_kernel",
     "frame_first_order",
     "apply_energy_flow_operator",
-    "connection_component_gradients",
+    "phase_field_gradients",
 ]
 
 
@@ -91,7 +95,7 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# Frame / connection fields (smooth maps used by the outer stencils)
+# The differentiated field (smooth map used by the one stencil pass)
 # ---------------------------------------------------------------------------
 
 def _light_frame(model: Model, y: PhasePoint, anchor: BandFrame,
@@ -102,31 +106,35 @@ def _light_frame(model: Model, y: PhasePoint, anchor: BandFrame,
                      np.asarray(U0, dtype=complex), anchor.groups, y)
 
 
-def _connection_stack(model: Model, y: PhasePoint, hbar: float,
-                      anchor: BandFrame, tol: Tolerances) -> np.ndarray:
-    """Order-0 connections at y stacked as (6, n, n): R components then P."""
-    if model.has_analytic_connections:
-        A_R, A_P = model.analytic_connections(y)
-    else:
-        frame = _light_frame(model, y, anchor, tol)
-        conns = berry_connections(model, y, hbar, frame=frame, tol=tol)
-        A_R, A_P = conns.A_R, conns.A_P
-    return np.stack([*A_R, *A_P])
+def _phase_field(model: Model, y: PhasePoint, hbar: float, anchor: BandFrame,
+                 tol: Tolerances) -> np.ndarray:
+    """[A0^R_1..3, A0^P_1..3, B, W] at y in the anchor gauge, as (8, n, n).
+
+    The frame, the order-0 connections and the eps0 gradients are built once
+    and shared by the generator B and the first-order kernel W.
+    """
+    frame = _light_frame(model, y, anchor, tol)
+    conns = berry_connections(model, y, hbar, frame=frame, tol=tol)
+    grads = eps0_gradients(model, frame, tol)
+    return np.stack([*conns.A_R, *conns.A_P,
+                     rotation_generator(model, frame, conns, tol, grads),
+                     first_order_kernel(model, frame, conns, tol, grads)])
 
 
-def connection_component_gradients(model: Model, x: PhasePoint, hbar: float,
-                                   anchor: BandFrame,
-                                   tol: Tolerances = DEFAULT_TOL,
-                                   diagnostics: FDDiagnostics | None = None):
-    """grad_axis of every order-0 connection component.
+def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
+                          tol: Tolerances = DEFAULT_TOL,
+                          diagnostics: FDDiagnostics | None = None) -> list:
+    """grad_axis of [A0^R_1..3, A0^P_1..3, B, W] at the frame's point.
 
-    Returns a list over the six phase axes; each entry is a (6, n, n) stack of
-    the derivatives of [A^{R_1..3}, A^{P_1..3}] along that axis.
+    Returns a list over the six phase axes; each entry is an (8, n, n) stack:
+    slices 0-5 differentiate the order-0 connections, slice 6 the rotation
+    generator B and slice 7 the first-order kernel W.  This is the single
+    stencil pass of an order-2 evaluation.
     """
     def field(y: PhasePoint) -> np.ndarray:
-        return _connection_stack(model, y, hbar, anchor, tol)
+        return _phase_field(model, y, hbar, frame, tol)
 
-    return [derivative_along(field, x, axis, tol.fd_base, diagnostics)
+    return [derivative_along(field, frame.point, axis, tol.fd_base, diagnostics)
             for axis in range(6)]
 
 
@@ -161,38 +169,16 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
     return B
 
 
-def _generator_field(model: Model, hbar: float, anchor: BandFrame,
-                     tol: Tolerances):
-    """Smooth map y -> B(y) in the anchor gauge."""
-    def at(y: PhasePoint) -> np.ndarray:
-        frame = _light_frame(model, y, anchor, tol)
-        conns = berry_connections(model, y, hbar, frame=frame, tol=tol)
-        return rotation_generator(model, frame, conns, tol)
-
-    return at
-
-
-def corrected_connections(model: Model, frame: BandFrame, conns0: ConnectionSet,
-                          B: np.ndarray, hbar: float,
-                          tol: Tolerances = DEFAULT_TOL,
-                          conn_grads: list | None = None,
+def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
+                          B: np.ndarray, hbar: float, field_grads: list,
                           diagnostics: FDDiagnostics | None = None) -> ConnectionSet:
     """Connections including the order-hbar correction.
 
     The self-gradient piece is (hbar/8){A0^{X_l}, grad_{X_l} A0^X}; the
     generator piece realizes [B, X/hbar] as -i grad_P B (position components)
-    and +i grad_R B (momentum components) plus [B, A0^X].
+    and +i grad_R B (momentum components) plus [B, A0^X].  `field_grads` is
+    the output of `phase_field_gradients` at the frame's point.
     """
-    if diagnostics is None:
-        diagnostics = FDDiagnostics()
-    if conn_grads is None:
-        conn_grads = connection_component_gradients(
-            model, frame.point, hbar, frame, tol, diagnostics)
-    b_at = _generator_field(model, hbar, frame, tol)
-    dB = [derivative_along(b_at, frame.point, axis, tol.fd_base, diagnostics)
-          for axis in range(6)]
-
-    defect = 0.0
     A_new = []
     linear = []
     for comp in range(6):
@@ -200,18 +186,17 @@ def corrected_connections(model: Model, frame: BandFrame, conns0: ConnectionSet,
         corr = np.zeros_like(A0)
         for axis in range(6):
             corr += 0.125 * _anticomm(conns0.component(axis),
-                                      conn_grads[axis][comp])
+                                      field_grads[axis][comp])
         if comp < 3:
-            corr += 0.5 * (-1j * dB[3 + comp] + _comm(B, A0))
+            corr += 0.5 * (-1j * field_grads[3 + comp][6] + _comm(B, A0))
         else:
-            corr += 0.5 * (+1j * dB[comp - 3] + _comm(B, A0))
-        corr, d0 = hermitize(corr)
-        herm, d = hermitize(A0 + hbar * corr)
-        defect = max(defect, d, d0)
+            corr += 0.5 * (+1j * field_grads[comp - 3][6] + _comm(B, A0))
+        corr = hermitize(corr)[0]
         linear.append(corr)
-        A_new.append(herm)
+        A_new.append(hermitize(A0 + hbar * corr)[0])
     diag = FDDiagnostics()
-    diag.merge(diagnostics)
+    if diagnostics is not None:
+        diag.merge(diagnostics)
     return ConnectionSet(A_new[:3], A_new[3:], "corrected", frame.point, hbar,
                          diag, linear_part=linear)
 
@@ -264,16 +249,6 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
     return project(T + _dagger(T), frame.groups, "diag")
 
 
-def _kernel_field(model: Model, hbar: float, anchor: BandFrame,
-                  tol: Tolerances):
-    def at(y: PhasePoint) -> np.ndarray:
-        fr = _light_frame(model, y, anchor, tol)
-        conns = berry_connections(model, y, hbar, frame=fr, tol=tol)
-        return first_order_kernel(model, fr, conns, tol)
-
-    return at
-
-
 def _bracket_term(model: Model, x: PhasePoint, hbar: float, frame: BandFrame):
     """-(hbar/2) <eps0> from the model's declared form; (matrix, partial?)."""
     try:
@@ -318,17 +293,16 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
     if order == 2:
         fd_diag = FDDiagnostics()
-        conn_grads = connection_component_gradients(
-            model, x, hbar, frame, tol, fd_diag)
+        field_grads = phase_field_gradients(model, frame, hbar, tol, fd_diag)
         B = rotation_generator(model, frame, conns0, tol, grads)
-        conns = corrected_connections(model, frame, conns0, B, hbar, tol,
-                                      conn_grads, fd_diag)
+        conns = corrected_connections(frame, conns0, B, hbar, field_grads,
+                                      fd_diag)
         bracket, partial, db = _bracket_term(model, x, hbar, frame)
         defects.append(db)
 
         if representation == "canonical":
-            second = _second_order_canonical(
-                model, frame, conns0, conns, grads, hbar, tol, fd_diag)
+            second = _second_order_canonical(frame, conns0, conns, grads, W,
+                                             field_grads, hbar)
         else:
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
@@ -351,17 +325,17 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
                         bracket, x, hbar, partial, diagnostics)
 
 
-def _second_order_canonical(model: Model, frame: BandFrame,
-                            conns0: ConnectionSet, conns: ConnectionSet,
-                            grads: list, hbar: float, tol: Tolerances,
-                            fd_diag: FDDiagnostics) -> np.ndarray:
+def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
+                            conns: ConnectionSet, grads: list, W0: np.ndarray,
+                            field_grads: list, hbar: float) -> np.ndarray:
     """Exact hbar^2 coefficient of the canonical-variable energy, times hbar^2.
 
     The corrected first-order term (hbar/2)[(Dhat eps0) A + H.C.] is expanded
     in the connection correction A = A0 + hbar A1 and truncated at the linear
     pieces; the quadratic cross term is order hbar^3 and not part of the
     second-order result.  The nested double-action term (hbar^2/8)[(D W) A0
-    + H.C.] is added with W the first-order kernel.
+    + H.C.] is added with W0 the first-order kernel at the point and D W
+    taken from slice 7 of `field_grads`.
     """
     eps_mat = np.diag(frame.eps0).astype(complex)
     A1 = conns.linear_part
@@ -375,11 +349,9 @@ def _second_order_canonical(model: Model, frame: BandFrame,
         S += dD_eps @ conns0.component(axis) + D0_eps @ A1[axis]
     linear = (hbar ** 2 / 2.0) * project(S + _dagger(S), frame.groups, "diag")
 
-    w_at = _kernel_field(model, hbar, frame, tol)
-    W0 = w_at(frame.point)
     N = np.zeros_like(eps_mat)
     for axis in range(6):
-        dW = derivative_along(w_at, frame.point, axis, tol.fd_base, fd_diag)
+        dW = field_grads[axis][7]
         if axis < 3:
             dW = dW + 0.5j * _comm(conns0.A_P[axis], W0)
         else:
@@ -433,21 +405,10 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
 
 def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
                       representation: str = "canonical",
-                      tol: Tolerances = DEFAULT_TOL, jobs: int = 1) -> list:
-    """Energy reports for a list of phase points (order preserved).
-
-    Every report is an independent pure evaluation, so the batch dispatches to
-    a worker pool when jobs > 1.
-    """
-    def work(x: PhasePoint) -> EnergyReport:
-        return band_energy(model, x, hbar, order, representation, tol)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, points))
-    return [work(x) for x in points]
+                      tol: Tolerances = DEFAULT_TOL) -> list:
+    """Energy reports for a list of phase points (order preserved)."""
+    return [band_energy(model, x, hbar, order, representation, tol)
+            for x in points]
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ class Tolerances:
     degeneracy: float = 1e-8        # within-group eigenvalue spread, relative
     gap: float = 1e-6               # minimum cross-group gap, relative
     block: float = 1e-10            # off-group residual of U0 H U0^+
-    unitarity: float = 1e-12
-    hermiticity: float = 1e-12
+    unitarity: float = 1e-12        # ||U0 U0^+ - 1|| of a validated frame
     fd_base: float = 1e-3
     overlap: float = 1e-6           # smallest singular value of group overlaps
 
@@ -193,7 +192,7 @@ def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
     scale = max(float(np.linalg.norm(H)), 1e-300)
     n = frame.n
     unit = frame.U0 @ frame.U0.conj().T - np.eye(n)
-    if np.linalg.norm(unit) > 1e-12:
+    if np.linalg.norm(unit) > tol.unitarity:
         raise ValueError(f"frame unitarity defect {np.linalg.norm(unit):.3e}")
     rotated = frame.U0 @ H @ frame.U0.conj().T
     off = project(rotated, frame.groups, "offdiag")

@@ -31,6 +31,8 @@ __all__ = [
     "NeutrinoMetric",
     "TwoLevel",
     "make_model",
+    "p_cross_sigma",
+    "random_points",
     "SX", "SY", "SZ", "S0", "BETA", "ALPHA", "SIGMA",
 ]
 
@@ -43,6 +45,14 @@ S0 = np.eye(2, dtype=complex)
 BETA = np.kron(SZ, S0)                       # diag(1, 1, -1, -1)
 ALPHA = [np.kron(SX, s) for s in (SX, SY, SZ)]
 SIGMA = [np.kron(S0, s) for s in (SX, SY, SZ)]
+
+
+def p_cross_sigma(P: np.ndarray, sigma) -> list:
+    """(P x sigma)_l as matrices, for a Pauli basis `sigma` (SX, SY, SZ or
+    SIGMA)."""
+    return [P[1] * sigma[2] - P[2] * sigma[1],
+            P[2] * sigma[0] - P[0] * sigma[2],
+            P[0] * sigma[1] - P[1] * sigma[0]]
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,19 @@ class PhasePoint:
 
     def coord(self, axis: int) -> float:
         return self.R[axis] if axis < 3 else self.P[axis - 3]
+
+
+def random_points(rng: np.random.Generator, count: int, pmin: float,
+                  pmax: float) -> list:
+    """`count` points with R uniform in [-1, 1]^3 and a uniformly drawn
+    direction of P rescaled to a length uniform in [pmin, pmax]."""
+    pts = []
+    for _ in range(count):
+        R = rng.uniform(-1.0, 1.0, 3)
+        P = rng.uniform(-1.0, 1.0, 3)
+        P *= rng.uniform(pmin, pmax) / np.linalg.norm(P)
+        pts.append(PhasePoint.of(R, P))
+    return pts
 
 
 class Model:
@@ -165,14 +188,11 @@ class DiracElectric(Model):
         E = self.energy_scale(x)
         m = self.m
         ap = sum(x.P[i] * ALPHA[i] for i in range(3))
+        pxs = p_cross_sigma(x.P, SIGMA)
         A_R = []
         for l in range(3):
-            pxs = sum(
-                _eps_ijk(l, j, k) * x.P[j] * SIGMA[k]
-                for j in range(3) for k in range(3)
-            )
             num = (BETA @ ap * x.P[l] - E * (E + m) * BETA @ ALPHA[l]
-                   - 1j * E * pxs)
+                   - 1j * E * pxs[l])
             A_R.append(1j * num / (2 * E ** 2 * (E + m)))
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
@@ -232,13 +252,11 @@ class NeutrinoMetric(Model):
         self.check_point(x)
         E = float(np.linalg.norm(x.P))
         ap = sum(x.P[i] * ALPHA[i] for i in range(3))
+        pxs = p_cross_sigma(x.P, SIGMA)
         A_R = []
         for l in range(3):
-            pxs = sum(
-                _eps_ijk(l, j, k) * x.P[j] * SIGMA[k]
-                for j in range(3) for k in range(3)
-            )
-            num = BETA @ ap * x.P[l] - E ** 2 * BETA @ ALPHA[l] - 1j * E * pxs
+            num = (BETA @ ap * x.P[l] - E ** 2 * BETA @ ALPHA[l]
+                   - 1j * E * pxs[l])
             A_R.append(1j * num / (2 * E ** 3))
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
@@ -405,10 +423,6 @@ class TwoLevel(Model):
                      "p_exp": list(t.p_exp), "sym": t.sym} for t in terms]
         return {"model": self.name, "h0": dump(self.h0),
                 "h": [dump(part) for part in self.h]}
-
-
-def _eps_ijk(i: int, j: int, k: int) -> float:
-    return float((i - j) * (j - k) * (k - i)) / 2.0
 
 
 def make_model(cfg: dict) -> Model:

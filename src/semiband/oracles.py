@@ -8,16 +8,14 @@ the displays at e = 1 and keeps the charge bookkeeping consistent at any e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from semiband.fields import ScalarField
-from semiband.models import BETA, SIGMA, NeutrinoMetric, PhasePoint
+from semiband.models import (
+    BETA, SIGMA, SX, SY, SZ, NeutrinoMetric, PhasePoint, p_cross_sigma,
+)
 
 __all__ = [
-    "OracleResult",
-    "evaluate_named_oracle",
     "dirac_energy_canonical_oracle",
     "dirac_energy_covariant_oracle",
     "pauli_energy_oracle",
@@ -25,34 +23,6 @@ __all__ = [
     "neutrino_energy_canonical_oracle",
     "neutrino_velocity_modulus",
 ]
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """A named closed-form value at one phase point."""
-
-    name: str
-    value: np.ndarray | float       # matrix oracles are Hermitian
-    point: PhasePoint
-    hbar: float
-
-    def hermiticity_defect(self) -> float:
-        if np.isscalar(self.value):
-            return 0.0
-        return float(np.max(np.abs(self.value - np.asarray(self.value).conj().T)))
-
-
-def _p_cross_sigma(P: np.ndarray) -> list:
-    out = []
-    for l in range(3):
-        m = np.zeros((4, 4), dtype=complex)
-        for j in range(3):
-            for k in range(3):
-                e = (l - j) * (j - k) * (k - l) / 2
-                if e:
-                    m += e * P[j] * SIGMA[k]
-        out.append(m)
-    return out
 
 
 def dirac_energy_canonical_oracle(x: PhasePoint, m: float, e: float,
@@ -71,7 +41,7 @@ def dirac_energy_canonical_oracle(x: PhasePoint, m: float, e: float,
     hW = e * field.hessian(x.R)
     W = e * field.value(x.R)
     lapW = e * field.laplacian(x.R)
-    pxs = _p_cross_sigma(P)
+    pxs = p_cross_sigma(P, SIGMA)
 
     out = BETA * E + W * np.eye(4)
     out = out + hbar * sum(gW[l] * pxs[l] for l in range(3)) / (2 * E * (E + m))
@@ -118,9 +88,7 @@ def pauli_energy_oracle(x: PhasePoint, m: float, e: float,
     W = e * field.value(x.R)
     gW = e * field.gradient(x.R)
     lapW = e * field.laplacian(x.R)
-    sig = [np.array([[0, 1], [1, 0]], dtype=complex),
-           np.array([[0, -1j], [1j, 0]], dtype=complex),
-           np.array([[1, 0], [0, -1]], dtype=complex)]
+    sig = (SX, SY, SZ)
     cross = np.cross(gW, P)
     out = (p2 / (2 * m) - p2 ** 2 / (8 * m ** 3) + W) * np.eye(2, dtype=complex)
     out = out + (hbar / (4 * m ** 2)) * sum(cross[k] * sig[k] for k in range(3))
@@ -158,7 +126,7 @@ def neutrino_energy_canonical_oracle(x: PhasePoint, model: NeutrinoMetric,
     gF = model.F.gradient(x.R)
     hF = model.F.hessian(x.R)
     lapF = float(np.trace(hF))
-    pxs = _p_cross_sigma(P)
+    pxs = p_cross_sigma(P, SIGMA)
     out = BETA * F * E
     out = out + (hbar / (2 * E)) * BETA @ sum(gF[l] * pxs[l] for l in range(3))
     out = out + (hbar ** 2 / (8 * E ** 3)) * BETA * (
@@ -166,32 +134,6 @@ def neutrino_energy_canonical_oracle(x: PhasePoint, model: NeutrinoMetric,
     )
     out = out - (hbar ** 2 / (4 * E)) * float(P @ gF) * np.eye(4)
     return out
-
-
-def evaluate_named_oracle(name: str, x: PhasePoint, hbar: float,
-                          model=None, m: float = 1.0, e: float = 1.0,
-                          field: ScalarField | None = None,
-                          lam: int = +1) -> OracleResult:
-    """Uniform access to the closed forms, wrapped with their evaluation data.
-
-    Matrix oracles take either (m, e, field) or a massless `model`; the
-    velocity modulus additionally takes the helicity lam.
-    """
-    if name == "dirac_canonical":
-        value = dirac_energy_canonical_oracle(x, m, e, field, hbar)
-    elif name == "dirac_covariant":
-        value = dirac_energy_covariant_oracle(x, m, e, field, hbar)
-    elif name == "pauli":
-        value = pauli_energy_oracle(x, m, e, field, hbar)
-    elif name == "neutrino_covariant":
-        value = neutrino_energy_oracle(x, model, hbar)
-    elif name == "neutrino_canonical":
-        value = neutrino_energy_canonical_oracle(x, model, hbar)
-    elif name == "velocity_modulus":
-        value = neutrino_velocity_modulus(x.R, x.P, model, hbar, lam)
-    else:
-        raise ValueError(f"unknown oracle {name!r}")
-    return OracleResult(name, value, x, hbar)
 
 
 def neutrino_velocity_modulus(r: np.ndarray, P: np.ndarray,

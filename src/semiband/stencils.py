@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FDDiagnostics", "fd_step", "derivative_along", "phase_gradient"]
+__all__ = ["FDDiagnostics", "fd_step", "derivative_along"]
 
 DEFAULT_FD_BASE = 1e-3
 
@@ -63,8 +63,3 @@ def derivative_along(f, x, axis: int, base: float = DEFAULT_FD_BASE,
         )
     return d4
 
-
-def phase_gradient(f, x, base: float = DEFAULT_FD_BASE,
-                   diagnostics: FDDiagnostics | None = None) -> list:
-    """All six phase-space derivatives of f at x."""
-    return [derivative_along(f, x, axis, base, diagnostics) for axis in range(6)]

@@ -16,7 +16,9 @@ import numpy as np
 
 from semiband import weyl
 from semiband.fields import GaussianField, LinearField, UniformField
-from semiband.models import DiracElectric, NeutrinoMetric, PhasePoint
+from semiband.models import (
+    DiracElectric, NeutrinoMetric, PhasePoint, random_points,
+)
 from semiband.frames import (
     ConnectionSet,
     berry_connections,
@@ -28,9 +30,9 @@ from semiband.frames import (
 from semiband.energy import (
     apply_energy_flow_operator,
     band_energy,
-    connection_component_gradients,
     corrected_connections,
     frame_first_order,
+    phase_field_gradients,
     rotation_generator,
 )
 from semiband.dynamics import (
@@ -74,17 +76,6 @@ class SuiteResult:
 def _dirac_model(amplitude: float = 0.8) -> DiracElectric:
     field = GaussianField(amplitude=amplitude, center=[0.2, -0.1, 0.3], width=1.4)
     return DiracElectric(m=1.0, e=1.0, field=field)
-
-
-def _random_points(rng: np.random.Generator, count: int, pmin: float,
-                   pmax: float):
-    pts = []
-    for _ in range(count):
-        R = rng.uniform(-1.0, 1.0, 3)
-        P = rng.uniform(-1.0, 1.0, 3)
-        P *= rng.uniform(pmin, pmax) / np.linalg.norm(P)
-        pts.append(PhasePoint.of(R, P))
-    return pts
 
 
 def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
@@ -157,7 +148,7 @@ def suite_dirac_canonical(seed: int = 10, points: int = 100,
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
-    for x in _random_points(rng, points, 0.1, 10.0):
+    for x in random_points(rng, points, 0.1, 10.0):
         rep = band_energy(model, x, hbar, order=2, representation="canonical")
         ref = dirac_energy_canonical_oracle(x, model.m, model.e, model.field, hbar)
         worst = max(worst, _rel_err(rep.eps, ref))
@@ -177,7 +168,7 @@ def suite_dirac_covariant(seed: int = 11, points: int = 100,
     model = _dirac_model()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for x in _random_points(rng, points, 0.1, 10.0):
+    for x in random_points(rng, points, 0.1, 10.0):
         rep = band_energy(model, x, hbar, order=2, representation="covariant")
         ref = dirac_energy_covariant_oracle(x, model.m, model.e, model.field, hbar)
         worst = max(worst, _rel_err(rep.eps, ref))
@@ -271,7 +262,7 @@ def suite_neutrino_energy(seed: int = 13, points: int = 100,
     rng = np.random.default_rng(seed)
     worst_cov = worst_can = 0.0
     for label, model in _neutrino_profiles().items():
-        for x in _random_points(rng, points // 2, 0.3, 5.0):
+        for x in random_points(rng, points // 2, 0.3, 5.0):
             rep = band_energy(model, x, hbar, order=2,
                               representation="covariant")
             ref = neutrino_energy_oracle(x, model, hbar)
@@ -293,7 +284,7 @@ def suite_neutrino_curvature(seed: int = 14, points: int = 50,
     model = _neutrino_profiles()["gaussian"]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for x in _random_points(rng, points, 0.3, 3.0):
+    for x in random_points(rng, points, 0.3, 3.0):
         for lam in (+1, -1):
             theta = band_curvature_vector(model, x, lam)
             ref = -lam * x.P / np.linalg.norm(x.P) ** 3
@@ -356,11 +347,9 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
                 - (eps_at(hb + 2 * dh) - eps_at(hb - 2 * dh))) / (12 * dh)
         c0 = berry_connections(model, x, hb)
         diag = FDDiagnostics()
-        grads = connection_component_gradients(model, x, hb, frame,
-                                               diagnostics=diag)
+        grads = phase_field_gradients(model, frame, hb, diagnostics=diag)
         B = rotation_generator(model, frame, c0)
-        cc = corrected_connections(model, frame, c0, B, hb,
-                                   conn_grads=grads, diagnostics=diag)
+        cc = corrected_connections(frame, c0, B, hb, grads, diag)
         # Flow operator needs the scale-hbar connections A0 + 2 hbar A1 (the
         # corrected set is the running average, with half that correction).
         A_flow = [c0.component(k) + 2 * hb * cc.linear_part[k]
@@ -390,7 +379,7 @@ def suite_free_field(seed: int = 17, points: int = 20,
               NeutrinoMetric(profile=UniformField(1.0))]
     worst = 0.0
     for model in models:
-        for x in _random_points(rng, points, 0.3, 3.0):
+        for x in random_points(rng, points, 0.3, 3.0):
             rep = band_energy(model, x, 0.1, order=2)
             corr = np.max(np.abs(rep.first)) + np.max(np.abs(rep.second)) \
                 + np.max(np.abs(rep.bracket_term))
@@ -405,7 +394,7 @@ def suite_numerical_plumbing(seed: int = 18, **_cfg) -> SuiteResult:
     models = [_dirac_model(), _neutrino_profiles()["linear"]]
     conn_err = 0.0
     for model in models:
-        for x in _random_points(rng, 5, 0.5, 3.0):
+        for x in random_points(rng, 5, 0.5, 3.0):
             an = berry_connections(model, x, 0.0)
             fd = connections_fd(model, x, 0.0)
             for l in range(3):
@@ -533,7 +522,7 @@ def suite_consistency(seed: int = 19, **_cfg) -> SuiteResult:
 
     herm = offb = 0.0
     for mdl in [model, _neutrino_profiles()["gaussian"]]:
-        for x in _random_points(rng, 25, 0.3, 3.0):
+        for x in random_points(rng, 25, 0.3, 3.0):
             rep = band_energy(mdl, x, 0.02, order=2)
             herm = max(herm, float(np.max(np.abs(rep.eps - rep.eps.conj().T))))
             offb = max(offb, rep.diagnostics["offblock_norm"])

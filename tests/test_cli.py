@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes and determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+import semiband.cli
 from semiband.cli import main
 
 
@@ -97,6 +99,13 @@ def test_connections_and_jobs_flag(tmp_path):
         (out2 / "connections.json").read_bytes()
 
 
+def test_connections_rejects_nonpositive_hbar(tmp_path):
+    cfg = write_config(tmp_path, DIRAC_CFG)
+    for hbar in ("0", "-0.01"):
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "--hbar", hbar, "connections"]) == 1
+
+
 def test_curvature_output(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"model": "neutrino_metric",
@@ -139,6 +148,53 @@ def test_trajectory_outputs_and_bad_dt(tmp_path):
         "trajectory": {"dt": -1.0, "steps": 10},
     }, name="bad.json")
     assert main(["--config", bad, "--out", str(out), "trajectory"]) == 1
+
+    dirac = write_config(tmp_path, dict(DIRAC_CFG, trajectory={"steps": 10}),
+                         name="dirac.json")
+    assert main(["--config", dirac, "--out", str(tmp_path / "d"),
+                 "trajectory"]) == 1
+    assert not (tmp_path / "d").exists()
+
+
+NEUTRINO_RAY_CFG = {
+    "model": {"model": "neutrino_metric",
+              "field": {"kind": "uniform", "value": 1.0}},
+    "hbar": 0.001,
+    "trajectory": {"r0": [0, 0, 0], "P0": [0, 0, 1.0], "dt": 0.01,
+                   "steps": 5},
+}
+
+
+def test_trajectory_zero_momentum_reported_per_run(tmp_path):
+    cfg = write_config(tmp_path, dict(
+        NEUTRINO_RAY_CFG, trajectory={"P0": [0, 0, 0], "steps": 5}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 2
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert [e["lambda"] for e in manifest["errors"]] == [1, -1]
+    assert all("|P0|" in e["error"] for e in manifest["errors"])
+
+
+def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
+    real = semiband.cli.integrate_ray
+
+    def failing_minus(model, r0, P0, lam, *args):
+        if lam == -1:
+            raise RuntimeError("rk45 step rejection overflow")
+        return real(model, r0, P0, lam, *args)
+
+    monkeypatch.setattr(semiband.cli, "integrate_ray", failing_minus)
+    cfg = write_config(tmp_path, NEUTRINO_RAY_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 2
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert [run["lambda"] for run in manifest["runs"]] == [1]
+    assert (out / "trajectory_lam+1.csv").exists()
+    assert manifest["errors"] == [
+        {"lambda": -1, "error": "RuntimeError: rk45 step rejection overflow"}]
 
 
 def test_verify_suite_filter_and_tamper(tmp_path):

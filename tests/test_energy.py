@@ -1,15 +1,21 @@
 """Energy pipeline: generator, corrected connections, order-by-order terms."""
 
+import copy
+
 import numpy as np
 import pytest
 
+import semiband.energy
 from semiband.fields import GaussianField, LinearField, UniformField
-from semiband.models import BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel
+from semiband.models import (
+    BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
+)
 from semiband.frames import berry_connections, classical_frame, project
 from semiband.energy import (
     band_energy,
     corrected_connections,
     frame_first_order,
+    phase_field_gradients,
     rotation_generator,
 )
 from semiband.verify import covariant_reexpansion
@@ -27,6 +33,22 @@ def neutrino(profile=None):
 
 
 X = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+
+GENERIC_TWO_LEVEL = {
+    "model": "two_level",
+    "h0": [{"coef": "1/10", "r_exp": [1, 0, 0], "p_exp": [0, 1, 0]}],
+    "h": [[{"coef": "1/4", "p_exp": [1, 0, 0]}],
+          [{"coef": "1/5", "r_exp": [0, 1, 0]}],
+          [{"coef": "1"}, {"coef": "1/10", "r_exp": [0, 0, 2]}]],
+}
+
+
+def corrected(model, hbar):
+    frame = classical_frame(model, X)
+    conns0 = berry_connections(model, X, hbar, frame=frame)
+    B = rotation_generator(model, frame, conns0)
+    grads = phase_field_gradients(model, frame, hbar)
+    return frame, conns0, corrected_connections(frame, conns0, B, hbar, grads)
 
 
 def test_rotation_generator_neutrino_vanishes():
@@ -61,11 +83,7 @@ def test_rotation_generator_uniform_potential_vanishes():
 
 
 def test_corrected_connections_neutrino_unchanged():
-    model = neutrino()
-    frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, 0.05, frame=frame)
-    B = rotation_generator(model, frame, conns0)
-    conns = corrected_connections(model, frame, conns0, B, 0.05)
+    _frame, conns0, conns = corrected(neutrino(), 0.05)
     for axis in range(6):
         assert np.max(np.abs(conns.component(axis)
                              - conns0.component(axis))) <= 1e-12
@@ -75,10 +93,7 @@ def test_corrected_connections_dirac_momentum_closed_form():
     # A^P_l = (i hbar e beta / 4E) (P- A0^R . grad) grad_l W
     model = dirac()
     hbar = 0.05
-    frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, hbar, frame=frame)
-    B = rotation_generator(model, frame, conns0)
-    conns = corrected_connections(model, frame, conns0, B, hbar)
+    frame, conns0, conns = corrected(model, hbar)
     E = model.energy_scale(X)
     hess = model.field.hessian(X.R)
     G = [project(conns0.A_R[l], frame.groups, "offdiag") for l in range(3)]
@@ -90,11 +105,7 @@ def test_corrected_connections_dirac_momentum_closed_form():
 
 
 def test_corrected_connections_uniform_field_unchanged():
-    model = dirac(UniformField(0.0))
-    frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, 0.1, frame=frame)
-    B = rotation_generator(model, frame, conns0)
-    conns = corrected_connections(model, frame, conns0, B, 0.1)
+    _frame, conns0, conns = corrected(dirac(UniformField(0.0)), 0.1)
     for axis in range(6):
         assert np.max(np.abs(conns.component(axis)
                              - conns0.component(axis))) <= 1e-12
@@ -256,3 +267,76 @@ def test_unsupported_hamiltonian_bracket_hook():
     model.bracket_h_vanishes = False
     with pytest.raises(NotImplementedError, match="unsupported model"):
         band_energy(model, X, 0.01)
+
+
+def test_order2_takes_one_stencil_pass(monkeypatch):
+    # Connections, B and W are differentiated together: six derivative_along
+    # calls per order-2 point, in either representation.
+    calls = []
+    real = semiband.energy.derivative_along
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semiband.energy, "derivative_along", counting)
+    for representation in ("canonical", "covariant"):
+        calls.clear()
+        band_energy(dirac(), X, 0.01, order=2, representation=representation)
+        assert sorted(calls) == list(range(6))
+
+    model = make_model(GENERIC_TWO_LEVEL)
+    frames = []
+    real_frame = model.analytic_frame
+
+    def counting_frame(x):
+        frames.append(x)
+        return real_frame(x)
+
+    monkeypatch.setattr(model, "analytic_frame", counting_frame)
+    band_energy(model, X, 0.01, order=2)
+    assert len(frames) <= 650
+
+
+def _group_rotated(model, rng):
+    """The model with its frame rotated by a constant unitary D within each
+    band group, and its connections taken from that frame numerically."""
+    D = np.zeros((model.n, model.n), dtype=complex)
+    for g in np.unique(model.groups):
+        idx = np.flatnonzero(model.groups == g)
+        z = rng.normal(size=(idx.size, idx.size)) \
+            + 1j * rng.normal(size=(idx.size, idx.size))
+        q, _r = np.linalg.qr(z)
+        D[np.ix_(idx, idx)] = q
+    rotated = copy.copy(model)
+    rotated.has_analytic_connections = False
+
+    def analytic_frame(x):
+        eps0, U0 = model.analytic_frame(x)
+        return eps0, D @ U0
+
+    rotated.analytic_frame = analytic_frame
+    return rotated
+
+
+def _block_eigenvalues(eps, groups):
+    return np.concatenate([np.linalg.eigvalsh(eps[np.ix_(idx, idx)])
+                           for idx in (np.flatnonzero(groups == g)
+                                       for g in np.unique(groups))])
+
+
+def test_energy_is_invariant_under_constant_group_rotation():
+    # A constant rotation within the band groups is a gauge change: block
+    # eigenvalues of the order-2 energy must not move.  (A position-dependent
+    # rotation moves canonical energies at O(hbar) and is not an invariant.)
+    rng = np.random.default_rng(8)
+    for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
+        rotated = _group_rotated(model, rng)
+        for x in (X, PhasePoint.of([-0.4, 0.2, 0.6], [-0.3, 0.9, 0.5])):
+            for representation in ("canonical", "covariant"):
+                ref = band_energy(model, x, 0.1, 2, representation).eps
+                got = band_energy(rotated, x, 0.1, 2, representation).eps
+                ref_vals = _block_eigenvalues(ref, model.groups)
+                got_vals = _block_eigenvalues(got, model.groups)
+                assert np.max(np.abs(got_vals - ref_vals)) \
+                    <= 1e-10 * np.max(np.abs(ref_vals))

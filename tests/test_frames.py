@@ -40,6 +40,17 @@ def test_classical_frame_dirac_free():
     assert np.allclose(rot, BETA * E, atol=1e-13)
 
 
+def test_classical_frame_unitarity_tolerance():
+    model = dirac()
+    x = PhasePoint.of([0.1, 0.2, 0.3], [0.4, -0.5, 0.6])
+    eps0, U0 = model.analytic_frame(x)
+    model.analytic_frame = lambda _x: (eps0, (1 + 5e-12) * U0)
+    with pytest.raises(ValueError, match="unitarity"):
+        classical_frame(model, x)
+    frame = classical_frame(model, x, Tolerances(unitarity=1e-9))
+    assert np.allclose(frame.U0, U0)
+
+
 def test_classical_frame_neutrino_flat():
     model = NeutrinoMetric(profile=UniformField(1.0))
     frame = classical_frame(model, PhasePoint.of([0, 0, 0], [0, 0, 1]))

@@ -7,7 +7,6 @@ from semiband.models import BETA, NeutrinoMetric, PhasePoint
 from semiband.oracles import (
     dirac_energy_canonical_oracle,
     dirac_energy_covariant_oracle,
-    evaluate_named_oracle,
     neutrino_energy_canonical_oracle,
     neutrino_energy_oracle,
     neutrino_velocity_modulus,
@@ -127,6 +126,10 @@ def test_velocity_modulus_limits():
     flat = NeutrinoMetric(profile=UniformField(1.0))
     assert neutrino_velocity_modulus(np.zeros(3), np.array([0, 0, 1.0]),
                                      flat, 0.1) == 1.0
+    uniform = NeutrinoMetric(profile=UniformField(1.25))
+    assert neutrino_velocity_modulus(np.array([0.1, 0.2, 0.3]),
+                                     np.array([0.4, 0.5, -0.6]),
+                                     uniform, 0.05) == 1.0 / 1.25
     graded = NeutrinoMetric(profile=LinearField([0.0, 0.0, 0.2], 1.5))
     r = np.array([0.0, 0.0, 0.5])
     n = 1.6
@@ -134,19 +137,3 @@ def test_velocity_modulus_limits():
     v = neutrino_velocity_modulus(r, np.array([0, 0, 0.8]), graded, 0.1)
     assert abs(v - 1.0 / n) <= 1e-15
 
-
-def test_named_oracle_wrapper():
-    x = PhasePoint.of([0.1, 0.2, 0.3], [0.4, 0.5, -0.6])
-    res = evaluate_named_oracle("dirac_canonical", x, 0.05, m=1.0, e=1.0,
-                                field=GAUSS)
-    assert res.name == "dirac_canonical"
-    assert res.hermiticity_defect() <= 1e-14
-    assert np.allclose(res.value,
-                       dirac_energy_canonical_oracle(x, 1.0, 1.0, GAUSS, 0.05))
-    model = NeutrinoMetric(profile=UniformField(1.25))
-    vres = evaluate_named_oracle("velocity_modulus", x, 0.05, model=model)
-    assert vres.value == 1.0 / 1.25
-    import pytest
-
-    with pytest.raises(ValueError):
-        evaluate_named_oracle("nope", x, 0.05)
