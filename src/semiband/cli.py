@@ -37,7 +37,9 @@ from semiband.energy import (
     phase_field_gradients,
     rotation_generator,
 )
-from semiband.dynamics import band_curvature_vector, berry_curvatures, integrate_ray
+from semiband.dynamics import (
+    band_curvature_vector, berry_curvatures, check_ray_inputs, integrate_ray,
+)
 from semiband.verify import BRACKET_SUITES, run_suites
 
 __all__ = ["main"]
@@ -310,13 +312,17 @@ def cmd_trajectory(cfg: dict, args) -> int:
         raise ConfigError("trajectory supports only the neutrino_metric model")
     section = cfg.get("trajectory", {})
     hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 1e-3))
-    dt = float(section.get("dt", 1e-2))
-    if dt <= 0:
-        raise ConfigError("trajectory dt must be positive")
-    steps = int(section.get("steps", 1000))
+    steps = section.get("steps", 1000)
+    if isinstance(steps, float) and steps.is_integer():
+        steps = int(steps)          # JSON 1e4
     method = section.get("method", "rk4")
     r0 = section.get("r0", [0.0, 0.0, 0.0])
     P0 = section.get("P0", [0.0, 0.0, 1.0])
+    try:
+        dt = float(section.get("dt", 1e-2))
+        check_ray_inputs(hbar, dt, steps, r0, P0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"trajectory: {exc}") from exc
     lams = [+1, -1] if section.get("pair_lambdas", True) else [int(section.get("lambda", 1))]
     if method not in ("rk4", "rk45"):
         raise ConfigError("trajectory method must be 'rk4' or 'rk45'")

@@ -29,12 +29,14 @@ helicity drift measures integrator error only.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from semiband.models import (
-    SX, SY, SZ, Model, NeutrinoMetric, PhasePoint, p_cross_sigma,
+    SX, SY, SZ, Model, NeutrinoMetric, PhasePoint,
 )
 from semiband.frames import (
     BandFrame,
@@ -64,6 +66,7 @@ __all__ = [
     "positive_block_connection",
     "ray_energy",
     "ray_rhs",
+    "check_ray_inputs",
     "integrate_ray",
     "rk4_step",
     "integrate_fixed",
@@ -158,16 +161,10 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     return CurvatureSet(rr, pp, pr, x, hbar, diag)
 
 
-def _helicity_matrix(P: np.ndarray) -> np.ndarray:
-    """sigma.Phat as a 2x2 matrix."""
-    phat = P / np.linalg.norm(P)
-    return np.array([[phat[2], phat[0] - 1j * phat[1]],
-                     [phat[0] + 1j * phat[1], -phat[2]]])
-
-
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
     """Normalized eigenvector of sigma.Phat with eigenvalue lam (+1 or -1)."""
-    vals, vecs = np.linalg.eigh(_helicity_matrix(P))
+    phat = P / np.linalg.norm(P)
+    vals, vecs = np.linalg.eigh(phat[0] * SX + phat[1] * SY + phat[2] * SZ)
     idx = int(np.argmin(np.abs(vals - lam)))
     return vecs[:, idx]
 
@@ -214,15 +211,44 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
 # Ray equations (positive band, fixed helicity)
 # ---------------------------------------------------------------------------
 
+def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
+    """The ray equations at y = (r, P, Re chi, Im chi), ten plain floats.
+
+    Returns (ydot, eps, |P|) with ydot = (rdot, Pdot, Re chidot, Im chidot)
+    as one 10-tuple.  One jet of F gives everything.  The spinor generator
+    sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma / 2|P|^2, so no
+    matrix is built.
+    """
+    x, y_, z, px, py, pz, ar, br, ai, bi = y
+    E2 = px * px + py * py + pz * pz
+    E = math.sqrt(E2)
+    if E < 1e-12:
+        raise ValueError("|P| underflow along the ray")
+    Fv, (gx, gy, gz), h = F.jet((x, y_, z))
+    pg = px * gx + py * gy + pz * gz
+    c, k = hbar ** 2 / 4.0, hbar ** 2 / (4 * E)
+    # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
+    dpx = k * (h[0][0] * px + h[0][1] * py + h[0][2] * pz) - E * gx
+    dpy = k * (h[1][0] * px + h[1][1] * py + h[1][2] * pz) - E * gy
+    dpz = k * (h[2][0] * px + h[2][1] * py + h[2][2] * pz) - E * gz
+    # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3; the
+    # spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
+    cx, cy, cz = dpy * pz - dpz * py, dpz * px - dpx * pz, dpx * py - dpy * px
+    a, b = Fv / E + c * pg / E ** 3, -lam * hbar / E ** 3
+    rdx, rdy, rdz = (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
+                     a * pz - k * gz + b * cz)
+    wx, wy, wz = cx / (2 * E2), cy / (2 * E2), cz / (2 * E2)
+    u_re, u_im = wz * ar + wx * br + wy * bi, wz * ai + wx * bi - wy * br
+    v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
+    ydot = (rdx, rdy, rdz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re)
+    return ydot, Fv * E - k * pg, E
+
+
 def ray_energy(model: NeutrinoMetric, r: np.ndarray, P: np.ndarray,
                hbar: float) -> float:
     """Positive-band scalar energy F(r)|P| - (hbar^2/4|P|) P.grad F."""
-    E = float(np.linalg.norm(P))
-    if E == 0.0:
-        raise ValueError("|P| underflow in ray energy")
-    F = model.F.value(r)
-    gF = model.F.gradient(r)
-    return F * E - (hbar ** 2 / (4 * E)) * float(P @ gF)
+    model = _check_ray_model(model)
+    return _ray_rates(model.F, 1, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])[1]
 
 
 def _check_ray_model(model: Model) -> NeutrinoMetric:
@@ -237,22 +263,12 @@ def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
             hbar: float):
     """(rdot, Pdot) for the fixed-helicity positive band.
 
-    Pdot carries no anomalous term and is computed first; the anomalous
-    velocity is hbar Pdot x Theta with Theta = -lam P/|P|^3.
+    Pdot carries no anomalous term; the anomalous velocity is
+    hbar Pdot x Theta with Theta = -lam P/|P|^3.
     """
     model = _check_ray_model(model)
-    E = float(np.linalg.norm(P))
-    if E < 1e-12:
-        raise ValueError("|P| underflow along the ray")
-    F = model.F.value(r)
-    gF = model.F.gradient(r)
-    hF = model.F.hessian(r)
-    grad_r = E * gF - (hbar ** 2 / (4 * E)) * (hF @ P)
-    Pdot = -grad_r
-    grad_P = F * P / E - (hbar ** 2 / 4.0) * (gF / E - float(P @ gF) * P / E ** 3)
-    theta = -lam * P / E ** 3
-    rdot = grad_P + hbar * np.cross(Pdot, theta)
-    return rdot, Pdot
+    ydot = _ray_rates(model.F, lam, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])[0]
+    return np.array(ydot[0:3]), np.array(ydot[3:6])
 
 
 @dataclass
@@ -348,6 +364,33 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
     return out, rejected
 
 
+def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0) -> tuple:
+    """(r0, P0) as float 3-vectors; ValueError unless dt > 0, hbar >= 0, r0
+    and P0 are finite and steps is an integer >= 1."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+            or steps < 1):
+        raise ValueError("steps must be an integer >= 1")
+    if not (math.isfinite(hbar) and hbar >= 0):
+        raise ValueError("hbar must be finite and >= 0")
+    r0 = np.asarray(r0, dtype=float).reshape(3)
+    P0 = np.asarray(P0, dtype=float).reshape(3)
+    if not (np.isfinite(r0).all() and np.isfinite(P0).all()):
+        raise ValueError("r0 and P0 must be finite")
+    return r0, P0
+
+
+def _ray_record(F, lam: int, hbar: float, y) -> tuple:
+    """(eps, speed, <chi|sigma.Phat|chi>/<chi|chi>) at the state y."""
+    ydot, eps, E = _ray_rates(F, lam, hbar, y)
+    px, py, pz, ar, br, ai, bi = y[3:]
+    hel = (pz * (ar * ar + ai * ai - br * br - bi * bi)
+           + 2 * px * (ar * br + ai * bi) + 2 * py * (ar * bi - ai * br)
+           ) / (E * (ar * ar + ai * ai + br * br + bi * bi))
+    return eps, math.sqrt(ydot[0] ** 2 + ydot[1] ** 2 + ydot[2] ** 2), hel
+
+
 def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
                   steps: int, method: str = "rk4",
                   rtol: float = 1e-10) -> Trajectory:
@@ -358,53 +401,40 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     expectation <sigma.Phat> is conserved in continuum time.  Its drift and
     the energy drift along the run are reported on the trajectory.
     """
-    model = _check_ray_model(model)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0)
     if lam not in (+1, -1):
         raise ValueError("lam must be +1 or -1")
-    r0 = np.asarray(r0, dtype=float).reshape(3)
-    P0 = np.asarray(P0, dtype=float).reshape(3)
+    if method not in ("rk4", "rk45"):
+        raise ValueError("method must be 'rk4' or 'rk45'")
     if not np.linalg.norm(P0) > 0.0:
         raise ValueError("|P0| must be positive")
-    chi0 = _helicity_spinor(P0, lam)
-
-    def pack(r, P, chi):
-        return np.concatenate([r, P, chi.real, chi.imag])
-
-    def unpack(y):
-        return y[0:3], y[3:6], y[6:8] + 1j * y[8:10]
 
     def rhs(_t, y):
-        r, P, chi = unpack(y)
-        rdot, Pdot = ray_rhs(r, P, lam, model, hbar)
-        E2 = float(P @ P)
-        pxs = p_cross_sigma(P, (SX, SY, SZ))
-        gen = sum(Pdot[l] * pxs[l] for l in range(3)) / (2 * E2)
-        chidot = 1j * gen @ chi
-        return pack(rdot, Pdot, chidot)
+        return np.array(_ray_rates(model.F, lam, hbar, y.tolist())[0])
 
-    y0 = pack(r0, P0, chi0)
-    if method == "rk4":
-        samples = integrate_fixed(rhs, 0.0, y0, dt, steps)
-        rejected = 0
-    elif method == "rk45":
-        samples, rejected = _integrate_rk45(rhs, 0.0, y0, dt * steps,
-                                            rtol=rtol)
-    else:
-        raise ValueError("method must be 'rk4' or 'rk45'")
-
-    states = []
-    for t, y in samples:
-        r, P, chi = unpack(y)
-        norm = float(np.real(chi.conj() @ chi))
-        hel = float(np.real(chi.conj() @ _helicity_matrix(P) @ chi)) / norm
-        eps = ray_energy(model, r, P, hbar)
-        rdot, _ = ray_rhs(r, P, lam, model, hbar)
-        states.append(TrajectoryState(t, r.copy(), P.copy(), lam, hel, eps,
-                                      float(np.linalg.norm(rdot))))
+    try:
+        # One evaluation at the start checks the model, |P0| against
+        # underflow and the profile at r0, before any step.
+        ray_rhs(r0, P0, lam, model, hbar)
+        chi0 = _helicity_spinor(P0, lam)
+        y0 = np.concatenate([r0, P0, chi0.real, chi0.imag])
+        if method == "rk4":
+            samples, rejected = integrate_fixed(rhs, 0.0, y0, dt, steps), 0
+        else:
+            samples, rejected = _integrate_rk45(rhs, 0.0, y0, dt * steps,
+                                                rtol=rtol)
+        records = [_ray_record(model.F, lam, hbar, y.tolist())
+                   for _, y in samples]
+    except OverflowError as exc:
+        raise FloatingPointError(f"ray state overflowed: {exc}") from exc
+    finite = np.isfinite(np.column_stack([[y for _, y in samples], records]))
+    if not finite.all():
+        t_bad = samples[int(np.argmin(finite.all(axis=1)))][0]
+        raise FloatingPointError(f"ray state turned non-finite at t = {t_bad:g}")
+    states = [TrajectoryState(t, y[0:3].copy(), y[3:6].copy(), lam, hel, eps,
+                              speed)
+              for (t, y), (eps, speed, hel) in zip(samples, records)]
     hel0, eps0 = states[0].helicity, states[0].eps
     drift = max(abs(s.helicity - hel0) for s in states)
     edrift = max(abs(s.eps - eps0) for s in states)
     return Trajectory(states, lam, hbar, method, drift, edrift, rejected)
-

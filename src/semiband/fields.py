@@ -1,13 +1,16 @@
 """Scalar background fields with analytic derivatives.
 
-Every field exposes value/gradient/hessian/laplacian at a 3-point; the
-analytic derivatives are validated against central finite differences in the
-test suite (1e-6 relative).  `ReciprocalField` wraps a positive profile n(R)
-as F = 1/n, which is how a refractive-index profile enters the massless
-model.
+Every field kind defines one method, `jet(r)`: value, gradient and hessian at
+a 3-point in plain floats, so each kind keeps one copy of its formulas.
+value/gradient/hessian/laplacian are views of it.  The analytic derivatives
+are validated against central finite differences in the test suite (1e-6
+relative).  `ReciprocalField` wraps a positive profile n(R) as F = 1/n, which
+is how a refractive-index profile enters the massless model.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,22 +26,36 @@ __all__ = [
 ]
 
 
+_ZERO3 = (0.0, 0.0, 0.0)
+_ZERO33 = (_ZERO3, _ZERO3, _ZERO3)
+
+
+def _xyz(r) -> tuple:
+    x, y, z = r
+    return float(x), float(y), float(z)
+
+
 class ScalarField:
-    """Contract: value, gradient (3,), hessian (3,3), laplacian at a 3-point."""
+    """Contract: `jet(r)` returns (value, (gx, gy, gz), 3x3 tuple hessian) in
+    plain floats; value/gradient/hessian/laplacian are views of it."""
 
     kind = "abstract"
 
-    def value(self, r: np.ndarray) -> float:
+    def jet(self, r) -> tuple:
         raise NotImplementedError
 
-    def gradient(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def value(self, r) -> float:
+        return self.jet(r)[0]
 
-    def hessian(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def gradient(self, r) -> np.ndarray:
+        return np.array(self.jet(r)[1])
 
-    def laplacian(self, r: np.ndarray) -> float:
-        return float(np.trace(self.hessian(r)))
+    def hessian(self, r) -> np.ndarray:
+        return np.array(self.jet(r)[2])
+
+    def laplacian(self, r) -> float:
+        h = self.jet(r)[2]
+        return h[0][0] + h[1][1] + h[2][2]
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -50,14 +67,8 @@ class UniformField(ScalarField):
     def __init__(self, value: float = 0.0):
         self.c = float(value)
 
-    def value(self, r):
-        return self.c
-
-    def gradient(self, r):
-        return np.zeros(3)
-
-    def hessian(self, r):
-        return np.zeros((3, 3))
+    def jet(self, r):
+        return self.c, _ZERO3, _ZERO33
 
     def to_config(self):
         return {"kind": "uniform", "value": self.c}
@@ -69,17 +80,13 @@ class LinearField(ScalarField):
     kind = "linear"
 
     def __init__(self, gradient, offset: float = 0.0):
-        self.g = np.asarray(gradient, dtype=float)
+        self.g = _xyz(gradient)
         self.c = float(offset)
 
-    def value(self, r):
-        return float(self.g @ np.asarray(r, dtype=float) + self.c)
-
-    def gradient(self, r):
-        return self.g.copy()
-
-    def hessian(self, r):
-        return np.zeros((3, 3))
+    def jet(self, r):
+        x, y, z = _xyz(r)
+        gx, gy, gz = self.g
+        return gx * x + gy * y + gz * z + self.c, self.g, _ZERO33
 
     def to_config(self):
         return {"kind": "linear", "gradient": list(self.g), "offset": self.c}
@@ -94,40 +101,27 @@ class PolynomialField(ScalarField):
         # terms: list of (coefficient, (a, b, c))
         self.terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
 
-    def value(self, r):
-        x, y, z = np.asarray(r, dtype=float)
-        return float(sum(c * x ** a * y ** b * z ** d for c, (a, b, d) in self.terms))
+    def jet(self, r):
+        xyz = _xyz(r)
 
-    def gradient(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(3)
-        for c, exps in self.terms:
-            for axis in range(3):
-                if exps[axis] == 0:
-                    continue
-                e = list(exps)
-                e[axis] -= 1
-                out[axis] += c * exps[axis] * np.prod(r ** np.array(e))
-        return out
+        def mono(exps):
+            return xyz[0] ** exps[0] * xyz[1] ** exps[1] * xyz[2] ** exps[2]
 
-    def hessian(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros((3, 3))
+        def lower(exps, axis):
+            return tuple(e - (k == axis) for k, e in enumerate(exps))
+
+        v, g, h = 0.0, [0.0] * 3, [[0.0] * 3 for _ in range(3)]
         for c, exps in self.terms:
+            v += c * mono(exps)
             for i in range(3):
+                if exps[i] == 0:
+                    continue
+                ci, ei = c * exps[i], lower(exps, i)
+                g[i] += ci * mono(ei)
                 for j in range(3):
-                    e = list(exps)
-                    f = c
-                    if e[i] == 0:
-                        continue
-                    f *= e[i]
-                    e[i] -= 1
-                    if e[j] == 0:
-                        continue
-                    f *= e[j]
-                    e[j] -= 1
-                    out[i, j] += f * np.prod(r ** np.array(e))
-        return out
+                    if ei[j]:
+                        h[i][j] += ci * ei[j] * mono(lower(ei, j))
+        return v, tuple(g), tuple(map(tuple, h))
 
     def to_config(self):
         return {"kind": "polynomial",
@@ -142,23 +136,21 @@ class GaussianField(ScalarField):
     def __init__(self, amplitude: float = 1.0, center=(0.0, 0.0, 0.0),
                  width: float = 1.0):
         self.A = float(amplitude)
-        self.r0 = np.asarray(center, dtype=float)
+        self.r0 = _xyz(center)
         self.s = float(width)
         if self.s <= 0:
             raise ValueError("gaussian width must be positive")
 
-    def value(self, r):
-        d = np.asarray(r, dtype=float) - self.r0
-        return float(self.A * np.exp(-(d @ d) / (2 * self.s ** 2)))
-
-    def gradient(self, r):
-        d = np.asarray(r, dtype=float) - self.r0
-        return -self.value(r) * d / self.s ** 2
-
-    def hessian(self, r):
-        d = np.asarray(r, dtype=float) - self.r0
-        v = self.value(r)
-        return v * (np.outer(d, d) / self.s ** 4 - np.eye(3) / self.s ** 2)
+    def jet(self, r):
+        x, y, z = _xyz(r)
+        dx, dy, dz = x - self.r0[0], y - self.r0[1], z - self.r0[2]
+        s2 = self.s ** 2
+        v = self.A * math.exp(-(dx * dx + dy * dy + dz * dz) / (2 * s2))
+        a, b = -v / s2, v / self.s ** 4
+        hxy, hxz, hyz = b * dx * dy, b * dx * dz, b * dy * dz
+        return v, (a * dx, a * dy, a * dz), (
+            (b * dx * dx + a, hxy, hxz), (hxy, b * dy * dy + a, hyz),
+            (hxz, hyz, b * dz * dz + a))
 
     def to_config(self):
         return {"kind": "gaussian", "amplitude": self.A,
@@ -176,21 +168,13 @@ class CoulombRegularizedField(ScalarField):
         if self.a <= 0:
             raise ValueError("softening length must be positive")
 
-    def _s(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.sqrt(r @ r + self.a ** 2)
-
-    def value(self, r):
-        return float(self.q / self._s(r))
-
-    def gradient(self, r):
-        r = np.asarray(r, dtype=float)
-        return -self.q * r / self._s(r) ** 3
-
-    def hessian(self, r):
-        r = np.asarray(r, dtype=float)
-        s = self._s(r)
-        return self.q * (3 * np.outer(r, r) / s ** 5 - np.eye(3) / s ** 3)
+    def jet(self, r):
+        r = _xyz(r)
+        s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + self.a * self.a)
+        a, b = -self.q / s ** 3, 3 * self.q / s ** 5
+        h = tuple([tuple([b * ri * rj + a * (i == j) for j, rj in enumerate(r)])
+                   for i, ri in enumerate(r)])
+        return self.q / s, (a * r[0], a * r[1], a * r[2]), h
 
     def to_config(self):
         return {"kind": "coulomb", "charge": self.q, "softening": self.a}
@@ -204,20 +188,15 @@ class ReciprocalField(ScalarField):
     def __init__(self, base: ScalarField):
         self.base = base
 
-    def value(self, r):
-        n = self.base.value(r)
+    def jet(self, r):
+        n, (gx, gy, gz), h = self.base.jet(r)
         if n <= 0:
             raise ValueError("profile must stay positive")
-        return 1.0 / n
-
-    def gradient(self, r):
-        n = self.base.value(r)
-        return -self.base.gradient(r) / n ** 2
-
-    def hessian(self, r):
-        n = self.base.value(r)
-        g = self.base.gradient(r)
-        return -self.base.hessian(r) / n ** 2 + 2 * np.outer(g, g) / n ** 3
+        a, b = -1.0 / n ** 2, 2.0 / n ** 3
+        hess = tuple([(a * hi[0] + b * gi * gx, a * hi[1] + b * gi * gy,
+                       a * hi[2] + b * gi * gz)
+                      for hi, gi in zip(h, (gx, gy, gz))])
+        return 1.0 / n, (a * gx, a * gy, a * gz), hess
 
     def to_config(self):
         return {"kind": "reciprocal", "base": self.base.to_config()}
@@ -248,24 +227,3 @@ def make_field(cfg: dict) -> ScalarField:
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     return _FIELD_KINDS[kind](cfg)
-
-
-def fd_gradient(field: ScalarField, r, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient, used to validate the analytic one."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(3)
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = h
-        out[axis] = (field.value(r + e) - field.value(r - e)) / (2 * h)
-    return out
-
-
-def fd_hessian(field: ScalarField, r, h: float = 1e-4) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    out = np.zeros((3, 3))
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = h
-        out[:, axis] = (field.gradient(r + e) - field.gradient(r - e)) / (2 * h)
-    return 0.5 * (out + out.T)

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes and determinism."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import semiband.cli
 from semiband.cli import main
@@ -195,6 +197,49 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     assert (out / "trajectory_lam+1.csv").exists()
     assert manifest["errors"] == [
         {"lambda": -1, "error": "RuntimeError: rk45 step rejection overflow"}]
+
+
+@pytest.mark.parametrize("section, top", [
+    ({"steps": -3, "dt": math.nan}, {}),
+    ({"dt": math.inf}, {}),
+    ({"steps": 0}, {}),
+    ({"steps": 2.5}, {}),
+    ({"r0": [math.nan, 0, 0]}, {}),
+    ({"P0": [0, 0, math.inf]}, {}),
+    ({"r0": [0, 0]}, {}),
+    ({"dt": None}, {}),
+    ({}, {"hbar": math.nan}),
+    ({}, {"hbar": -1e-3}),
+], ids=repr)
+def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
+    cfg = write_config(tmp_path, dict(
+        NEUTRINO_RAY_CFG, **top,
+        trajectory=dict(NEUTRINO_RAY_CFG["trajectory"], **section)))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 1
+    assert not out.exists()
+
+
+def test_trajectory_accepts_integral_float_steps(tmp_path):
+    cfg = write_config(tmp_path, dict(
+        NEUTRINO_RAY_CFG, trajectory=dict(NEUTRINO_RAY_CFG["trajectory"],
+                                          steps=5.0)))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 0
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["steps"] == 5
+
+
+def test_trajectory_non_finite_state_reported_per_run(tmp_path):
+    cfg = write_config(tmp_path, dict(
+        NEUTRINO_RAY_CFG, trajectory=dict(NEUTRINO_RAY_CFG["trajectory"],
+                                          P0=[0, 0, 1e150])))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 2
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert all(e["error"].startswith("FloatingPointError")
+               for e in manifest["errors"])
 
 
 def test_verify_suite_filter_and_tamper(tmp_path):

@@ -1,11 +1,21 @@
 """Covariant variables, curvatures and the ray integrator."""
 
+import math
+
 import numpy as np
 import pytest
 
-from semiband.fields import GaussianField, LinearField, UniformField
+from semiband.fields import (
+    CoulombRegularizedField,
+    GaussianField,
+    LinearField,
+    PolynomialField,
+    ScalarField,
+    UniformField,
+)
 from semiband.models import BETA, DiracElectric, NeutrinoMetric, PhasePoint
 from semiband.dynamics import (
+    _ray_rates,
     band_curvature_vector,
     berry_curvatures,
     covariant_variables,
@@ -231,3 +241,140 @@ def test_energy_record_matches_ray_energy():
     traj = integrate_ray(model, [0, 0, 0], [0, 0, 1.0], +1, 1e-3, 1e-2, 50)
     s = traj.states[25]
     assert s.eps == pytest.approx(ray_energy(model, s.r, s.P, 1e-3), abs=1e-14)
+
+
+def _finite_inputs(**changes):
+    args = dict(r0=[0.0, 0.0, 0.0], P0=[0.0, 0.0, 1.0], hbar=1e-3, dt=1e-2,
+                steps=10)
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize("changes", [
+    dict(dt=math.nan), dict(dt=math.inf), dict(dt=0.0),
+    dict(steps=0), dict(steps=-3), dict(steps=2.5), dict(steps=True),
+    dict(r0=[math.nan, 0.0, 0.0]), dict(P0=[0.0, 0.0, math.inf]),
+    dict(hbar=math.nan), dict(hbar=-1e-3), dict(hbar=math.inf),
+], ids=repr)
+def test_integrate_ray_rejects_bad_inputs(changes):
+    a = _finite_inputs(**changes)
+    with pytest.raises(ValueError):
+        integrate_ray(neutrino(), a["r0"], a["P0"], +1, a["hbar"], a["dt"],
+                      a["steps"])
+
+
+class _Cliff(ScalarField):
+    """n = 1 for x < 0.05 and NaN beyond: a state that turns non-finite."""
+
+    def jet(self, r):
+        zero = (0.0, 0.0, 0.0)
+        return (1.0 if r[0] < 0.05 else math.nan), zero, (zero, zero, zero)
+
+
+def test_non_finite_state_mid_run_raises():
+    model = NeutrinoMetric(profile=_Cliff())
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        integrate_ray(model, [0, 0, 0], [1.0, 0, 0], +1, 1e-3, 1e-2, 20)
+    # |P|^3 overflows a float: reported the same way, not as OverflowError.
+    with pytest.raises(FloatingPointError, match="overflow"):
+        integrate_ray(neutrino(UniformField(1.0)), [0, 0, 0], [0, 0, 1e150],
+                      +1, 1e-3, 1e-2, 5)
+
+
+HAMILTON_PROFILES = [
+    LinearField([0.05, -0.02, 0.03], 1.5),
+    GaussianField(0.4, [0.3, 0.1, -0.2], 2.0),
+    PolynomialField([(1.5, (0, 0, 0)), (0.1, (2, 0, 0)), (0.05, (1, 1, 0)),
+                     (0.02, (0, 0, 3))]),
+    CoulombRegularizedField(charge=1.0, softening=0.5),
+]
+
+
+@pytest.mark.parametrize("profile", HAMILTON_PROFILES, ids=lambda f: f.kind)
+def test_ray_equations_are_hamiltons_equations(profile):
+    # Pdot = -d eps/dr and rdot - hbar Pdot x Theta = d eps/dP, against
+    # central differences of ray_energy; needs no closed form.
+    model = neutrino(profile)
+    hbar, h = 0.1, 1e-5
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        r = rng.uniform(-1, 1, 3)
+        P = rng.uniform(-1, 1, 3)
+        P *= rng.uniform(0.4, 2.5) / np.linalg.norm(P)
+        d_r, d_P = np.zeros(3), np.zeros(3)
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = h
+            d_r[i] = (ray_energy(model, r + e, P, hbar)
+                      - ray_energy(model, r - e, P, hbar)) / (2 * h)
+            d_P[i] = (ray_energy(model, r, P + e, hbar)
+                      - ray_energy(model, r, P - e, hbar)) / (2 * h)
+        for lam in (+1, -1):
+            rdot, Pdot = ray_rhs(r, P, lam, model, hbar)
+            theta = -lam * P / np.linalg.norm(P) ** 3
+            assert np.max(np.abs(Pdot + d_r)) <= 1e-7 * np.max(np.abs(d_r))
+            normal = rdot - hbar * np.cross(Pdot, theta)
+            assert np.max(np.abs(normal - d_P)) <= 1e-7 * np.max(np.abs(d_P))
+
+
+def test_spinor_rate_is_the_p_cross_sigma_generator():
+    # sum_l Pdot_l (P x sigma)_l / 2|P|^2 equals (Pdot x P).sigma / 2|P|^2.
+    model = neutrino(GaussianField(0.4, [0.3, 0.1, -0.2], 2.0))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        y = rng.normal(size=10)
+        ydot = np.array(_ray_rates(model.F, +1, 0.1, y.tolist())[0])
+        P, chi = y[3:6], y[6:8] + 1j * y[8:10]
+        pxs = p_cross_sigma(P)
+        gen = sum(ydot[3 + l] * pxs[l][:2, :2] for l in range(3)) / (2 * P @ P)
+        ref = 1j * gen @ chi
+        assert np.max(np.abs(ydot[6:8] + 1j * ydot[8:10] - ref)) <= 1e-14
+
+
+# Final states of 200-step RK4 runs (dt = 1e-2, hbar = 1e-3) from
+# r0 = (0.1, -0.2, 0.05), P0 = (0.3, 0.1, 1.0), recorded from the numpy
+# implementation of the ray equations that the float kernel replaced.
+RAY_PROFILES = {
+    "linear": LinearField([0.05, 0.0, 0.0], 1.5),
+    "gaussian": GaussianField(1.5, [0.3, -0.2, 0.1], 3.0),
+}
+PINNED_RAYS = {
+    ("linear", +1): dict(
+        r=[0.5038831578871041, -0.07490037791527533, 1.3006012840758914],
+        P=[0.34600252458940023, 0.1, 1.0],
+        eps=0.6968829571733481, speed=0.6556542294954903,
+        helicity_drift=2.220446049250313e-16,
+        energy_drift=3.3306690738754696e-16),
+    ("linear", -1): dict(
+        r=[0.5038831578871041, -0.07497858321653382, 1.3006091046060166],
+        P=[0.34600252458940023, 0.1, 1.0],
+        eps=0.6968829571733481, speed=0.6556542294954905,
+        helicity_drift=6.661338147750939e-16,
+        energy_drift=3.3306690738754696e-16),
+    ("gaussian", +1): dict(
+        r=[0.5104656475298651, -0.07021147566937985, 1.3529151874396528],
+        P=[0.3001239589800332, 0.09001205490029406, 0.9076610548281349],
+        eps=0.7008587540608562, speed=0.7298928918133878,
+        helicity_drift=4.440892098500626e-16,
+        energy_drift=4.196643033083092e-14),
+    ("gaussian", -1): dict(
+        r=[0.5104642329584305, -0.07026381481246119, 1.3529208457253912],
+        P=[0.30012406609261844, 0.09001601806595101, 0.9076606263777932],
+        eps=0.7008587540608558, speed=0.7298928918133878,
+        helicity_drift=4.440892098500626e-16,
+        energy_drift=4.163336342344337e-14),
+}
+
+
+@pytest.mark.parametrize("profile, lam", list(PINNED_RAYS), ids=str)
+def test_pinned_reference_rays(profile, lam):
+    ref = PINNED_RAYS[profile, lam]
+    traj = integrate_ray(neutrino(RAY_PROFILES[profile]), [0.1, -0.2, 0.05],
+                         [0.3, 0.1, 1.0], lam, 1e-3, 1e-2, 200, "rk4")
+    fin = traj.final()
+    assert np.max(np.abs(fin.r - ref["r"])) <= 1e-12
+    assert np.max(np.abs(fin.P - ref["P"])) <= 1e-12
+    for key in ("eps", "speed"):
+        assert abs(getattr(fin, key) - ref[key]) <= 1e-12
+    for key in ("helicity_drift", "energy_drift"):
+        assert abs(getattr(traj, key) - ref[key]) <= 1e-12

@@ -10,10 +10,30 @@ from semiband.fields import (
     PolynomialField,
     ReciprocalField,
     UniformField,
-    fd_gradient,
-    fd_hessian,
     make_field,
 )
+
+
+def fd_gradient(field, r, h=1e-5):
+    """Central-difference gradient, used to validate the analytic one."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(3)
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = h
+        out[axis] = (field.value(r + e) - field.value(r - e)) / (2 * h)
+    return out
+
+
+def fd_hessian(field, r, h=1e-4):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros((3, 3))
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = h
+        out[:, axis] = (field.gradient(r + e) - field.gradient(r - e)) / (2 * h)
+    return 0.5 * (out + out.T)
+
 
 FIELDS = [
     UniformField(0.7),
