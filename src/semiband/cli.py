@@ -146,8 +146,8 @@ def _point_setup(cfg: dict, args):
     """(model, hbar, tol, seed, points) shared by the per-point subcommands."""
     model = make_model(cfg.get("model", {}))
     hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ConfigError("hbar must be finite and positive")
     tol = _tolerances(cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     points = _resolve_points(cfg, np.random.default_rng(seed))
@@ -197,7 +197,11 @@ _POINT_HEADER = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar"]
 def cmd_diagonalize(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
     order = int(args.order if args.order is not None else cfg.get("order", 2))
+    if order not in (0, 1, 2):
+        raise ConfigError("order must be 0, 1 or 2")
     representation = cfg.get("representation", "canonical")
+    if representation not in ("canonical", "covariant"):
+        raise ConfigError("representation must be 'canonical' or 'covariant'")
     n = model.n
 
     def work(x: PhasePoint):
@@ -236,6 +240,8 @@ def cmd_diagonalize(cfg: dict, args) -> int:
 def cmd_connections(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
     order = str(cfg.get("connection_order", "corrected"))
+    if order not in ("0", "corrected"):
+        raise ConfigError("connection_order must be '0' or 'corrected'")
 
     def work(x: PhasePoint):
         frame = classical_frame(model, x, tol)
@@ -386,6 +392,8 @@ def cmd_bracket_check(cfg: dict, args) -> int:
     if max_degree > 8:
         raise ConfigError("max_degree exceeds the symmetrization cap (8)")
     dims = cfg.get("dims", [1, 2])
+    if not isinstance(dims, list) or not dims or cases < len(dims):
+        raise ConfigError("dims must be a non-empty list, with cases >= len(dims)")
     rows = []
     exact = 0
     for dim in dims:

@@ -186,15 +186,11 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
     Helicity expectation of the curl of the band-projected connection; for
     the massless model this equals -lam P / |P|^3 at every P.
     """
-    frame = classical_frame(model, x, tol)
-    pos = frame.group_states(0)
+    classical_frame(model, x, tol)      # the stencil never visits x itself
     diag = FDDiagnostics()
 
     def proj_conn(y: PhasePoint) -> np.ndarray:
-        conns = berry_connections(model, y, 0.0, tol=tol)
-        stack = [project(conns.A_R[l], frame.groups, "diag")[np.ix_(pos, pos)]
-                 for l in range(3)]
-        return np.stack(stack)
+        return np.stack(positive_block_connection(model, y, tol))
 
     dP = [derivative_along(proj_conn, x, 3 + i, tol.fd_base, diag)
           for i in range(3)]

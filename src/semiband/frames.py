@@ -2,9 +2,9 @@
 
 The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
 declared degenerate band groups and the gauge-fixed unitary U0 with
-U0 H U0^+ block diagonal.  Connections are A^{R_l} = i U0 grad_{P_l} U0^+ and
-A^{P_l} = -i U0 grad_{R_l} U0^+, evaluated from closed forms when the model
-has them and otherwise by finite differences over a gauge-smoothed frame
+U0 H U0^+ block diagonal.  Connections are A^{R_l} = i X_{P_l} and
+A^{P_l} = -i X_{R_l}, X = U0 grad U0^+: exact for analytic frames (see
+`berry_connections`), otherwise finite differences over a gauge-smoothed frame
 field (eigenvectors at stencil points aligned to the anchor frame by the
 unitary polar factor of the per-group overlap matrix).
 """
@@ -56,6 +56,7 @@ class BandFrame:
     U0: np.ndarray                  # (n, n) unitary, U0 H U0^+ block diagonal
     groups: np.ndarray              # (n,) group index per state
     point: PhasePoint
+    dH: np.ndarray | None = dc_field(default=None, repr=False)  # cached stack, _rotated_dH
 
     @property
     def n(self) -> int:
@@ -216,9 +217,7 @@ def frame_field(model: Model, anchor: BandFrame, tol: Tolerances = DEFAULT_TOL):
     numerical path aligns each point's eigenvectors to the anchor frame.
     """
     if model.has_analytic_frame:
-        def at(y: PhasePoint):
-            return model.analytic_frame(y)
-        return at
+        return model.analytic_frame
 
     ref = anchor.U0.conj().T
 
@@ -235,8 +234,8 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     """Right inverse of V -> [V, eps0] on cross-group matrices.
 
     V_nm = M_nm / (eps_m - eps_n) across groups; within-group components are
-    set to zero (the kernel of the commutator).  Raises on a cross-group gap
-    below tolerance.
+    set to zero (the kernel of the commutator).  M may be a stack (..., n, n).
+    Raises on a cross-group gap below tolerance.
     """
     eps = frame.eps0
     scale = max(float(np.max(np.abs(eps))), 1e-300)
@@ -245,24 +244,36 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     small = cross & (np.abs(denom) <= tol.gap * scale)
     if np.any(small):
         raise ValueError("near-degenerate bands: cross-group gap below tolerance")
-    out = np.zeros_like(M, dtype=complex)
-    out[cross] = M[cross] / denom[cross]
+    out = np.zeros(np.shape(M), dtype=complex)
+    out[..., cross] = M[..., cross] / denom[cross]
     return out
+
+
+def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
+    """U0 grad_a H U0^+ over the six phase axes, (6, n, n), built once per
+    frame and shared by the connections and the eps0 gradients."""
+    if frame.dH is None:
+        U0, U0_dag = frame.U0, frame.U0.conj().T
+        frame.dH = np.stack([U0 @ model.d_hamiltonian(frame.point, axis) @ U0_dag
+                             for axis in range(6)])
+    return frame.dH
 
 
 def berry_connections(model: Model, x: PhasePoint, hbar: float,
                       frame: BandFrame | None = None,
-                      tol: Tolerances = DEFAULT_TOL,
-                      force_fd: bool = False) -> ConnectionSet:
-    """Order-0 connection set at x (analytic when available, else stencils)."""
-    if model.has_analytic_connections and not force_fd:
-        A_R, A_P = model.analytic_connections(x)
-        A_R = [hermitize(a)[0] for a in A_R]
-        A_P = [hermitize(a)[0] for a in A_P]
-        return ConnectionSet(A_R, A_P, "0", x, hbar)
+                      tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
+    """Order-0 connections; exact for an analytic frame, where U0 H U0^+ = eps0
+    gives [X, eps0] = P-(U0 grad H U0^+) for the cross-group part of X and
+    `model.analytic_connections` is the within-group part (the frame's gauge)."""
     if frame is None:
         frame = classical_frame(model, x, tol)
-    return connections_fd(model, x, hbar, frame, tol)
+    if not model.has_analytic_frame:
+        return connections_fd(model, x, hbar, frame, tol)
+    X = invert_band_commutator(_rotated_dH(model, frame), frame, tol)
+    A_R, A_P = model.analytic_connections(x)
+    A_R = [hermitize(A_R[l] + 1j * X[3 + l])[0] for l in range(3)]
+    A_P = [hermitize(A_P[l] - 1j * X[l])[0] for l in range(3)]
+    return ConnectionSet(A_R, A_P, "0", x, hbar)
 
 
 def connections_fd(model: Model, x: PhasePoint, hbar: float,
@@ -273,18 +284,11 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
         frame = classical_frame(model, x, tol)
     at = frame_field(model, frame, tol)
     diagnostics = FDDiagnostics()
-
-    def U_dag(y: PhasePoint) -> np.ndarray:
-        return at(y)[1].conj().T
-
     U0 = at(x)[1]
-    A_R, A_P = [], []
-    for axis in range(3):
-        dU_dag = derivative_along(U_dag, x, 3 + axis, tol.fd_base, diagnostics)
-        A_R.append(hermitize(1j * U0 @ dU_dag)[0])
-    for axis in range(3):
-        dU_dag = derivative_along(U_dag, x, axis, tol.fd_base, diagnostics)
-        A_P.append(hermitize(-1j * U0 @ dU_dag)[0])
+    X = [U0 @ derivative_along(lambda y: at(y)[1].conj().T, x, axis,
+                               tol.fd_base, diagnostics) for axis in range(6)]
+    A_R = [hermitize(1j * X[3 + l])[0] for l in range(3)]
+    A_P = [hermitize(-1j * X[l])[0] for l in range(3)]
     return ConnectionSet(A_R, A_P, "0", x, hbar, diagnostics)
 
 
@@ -297,19 +301,14 @@ def eps0_gradients(model: Model, frame: BandFrame,
     multiple of the identity per group (asserted), whose scalar is the common
     gradient of the group's eigenvalues.
     """
-    out = []
+    diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2)).copy()
     scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
-    for axis in range(6):
-        dH = model.d_hamiltonian(frame.point, axis)
-        rotated = frame.U0 @ dH @ frame.U0.conj().T
-        diag = np.real(np.diag(rotated)).copy()
-        for g in np.unique(frame.groups):
-            idx = frame.group_states(g)
-            mean = float(np.mean(diag[idx]))
-            if np.max(np.abs(diag[idx] - mean)) > 1e-8 * max(scale, 1.0):
-                raise ValueError(
-                    "within-group gradient is not scalar; degeneracy is not structural"
-                )
-            diag[idx] = mean
-        out.append(np.diag(diag).astype(complex))
-    return out
+    for g in np.unique(frame.groups):
+        idx = frame.group_states(g)
+        mean = np.mean(diag[:, idx], axis=1, keepdims=True)
+        if np.max(np.abs(diag[:, idx] - mean)) > 1e-8 * scale:
+            raise ValueError(
+                "within-group gradient is not scalar; degeneracy is not structural"
+            )
+        diag[:, idx] = mean
+    return [np.diag(d).astype(complex) for d in diag]

@@ -1,4 +1,4 @@
-"""Matrix-valued Hamiltonians with analytic frames and connections.
+"""Matrix-valued Hamiltonians with analytic frames and their gauge terms.
 
 Three built-in models (units c = 1, hbar is a run parameter):
 
@@ -105,7 +105,6 @@ class Model:
     groups: np.ndarray = np.array([], dtype=int)
     massless = False
     has_analytic_frame = False
-    has_analytic_connections = False
     bracket_closed_form = False
     # The applications all satisfy <H> = 0 (pure-R plus pure-P splitting or
     # scalar cross factors); the energy assembly asserts this flag.
@@ -122,6 +121,8 @@ class Model:
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
     def analytic_connections(self, x: PhasePoint):
+        """(A_R, A_P): the within-group parts of i U0 grad_P U0^+ and
+        -i U0 grad_R U0^+ in the gauge of `analytic_frame`."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
@@ -146,7 +147,6 @@ class DiracElectric(Model):
     band_groups = (2, 2)
     groups = np.array([0, 0, 1, 1])
     has_analytic_frame = True
-    has_analytic_connections = True
     bracket_closed_form = True   # eps0 = beta E(P) + e V(R) is a pure sum
 
     def __init__(self, m: float = 1.0, e: float = 1.0,
@@ -183,17 +183,10 @@ class DiracElectric(Model):
         return eps0, U0
 
     def analytic_connections(self, x: PhasePoint):
-        # i U0 grad_P U0^+ for the free-particle rotation; the block-diagonal
-        # part is (P x Sigma)/(2E(E+m)).
+        # The free-particle rotation gives (P x Sigma)/(2E(E+m)), R-free.
         E = self.energy_scale(x)
-        m = self.m
-        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
         pxs = p_cross_sigma(x.P, SIGMA)
-        A_R = []
-        for l in range(3):
-            num = (BETA @ ap * x.P[l] - E * (E + m) * BETA @ ALPHA[l]
-                   - 1j * E * pxs[l])
-            A_R.append(1j * num / (2 * E ** 2 * (E + m)))
+        A_R = [a / (2 * E * (E + self.m)) for a in pxs]
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
 
@@ -218,7 +211,6 @@ class NeutrinoMetric(Model):
     groups = np.array([0, 0, 1, 1])
     massless = True
     has_analytic_frame = True
-    has_analytic_connections = True
     bracket_closed_form = True
 
     def __init__(self, profile: ScalarField | None = None):
@@ -248,16 +240,10 @@ class NeutrinoMetric(Model):
         return eps0, U0
 
     def analytic_connections(self, x: PhasePoint):
-        # Massless limit of the free-particle rotation connection.
+        # Massless limit of the free-particle rotation: (P x Sigma)/(2|P|^2).
         self.check_point(x)
-        E = float(np.linalg.norm(x.P))
-        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
-        pxs = p_cross_sigma(x.P, SIGMA)
-        A_R = []
-        for l in range(3):
-            num = (BETA @ ap * x.P[l] - E ** 2 * BETA @ ALPHA[l]
-                   - 1j * E * pxs[l])
-            A_R.append(1j * num / (2 * E ** 3))
+        E2 = float(x.P @ x.P)
+        A_R = [a / (2 * E2) for a in p_cross_sigma(x.P, SIGMA)]
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
 
@@ -396,6 +382,21 @@ class TwoLevel(Model):
         minus = np.array([-s2 * np.conj(phase), c2])
         V = np.column_stack([plus, minus])
         return eps0, V.conj().T
+
+    def analytic_connections(self, x: PhasePoint):
+        # U0 grad U0^+ = i s^2 grad phi diag(1, -1) within the groups, with
+        # phi = arg(h1 + i h2), s^2 = (1 - h3/|h|)/2: s^2 grad phi = (h1 grad h2
+        # - h2 grad h1)/(2|h| lift), lift = |h| + h3 = hp^2/(|h| - h3) for h3 < 0.
+        h1, h2, h3 = self.h_vector(x)
+        hn = float(np.linalg.norm([h1, h2, h3]))
+        lift = hn + h3 if h3 >= 0 else (h1 ** 2 + h2 ** 2) / (hn - h3)
+        d1, d2 = (np.array([self._component_grad(self.h[k], x, a)
+                            for a in range(6)]) for k in (0, 1))
+        if lift == 0.0 and (hn == 0.0 or d1.any() or d2.any()):
+            raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
+        w = (h1 * d2 - h2 * d1) / (2 * hn * lift) if lift else np.zeros(6)
+        return ([np.diag([-w[3 + l], w[3 + l]]).astype(complex) for l in range(3)],
+                [np.diag([w[l], -w[l]]).astype(complex) for l in range(3)])
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.bracket_closed_form:

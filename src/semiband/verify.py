@@ -17,7 +17,7 @@ import numpy as np
 from semiband import weyl
 from semiband.fields import GaussianField, LinearField, UniformField
 from semiband.models import (
-    DiracElectric, NeutrinoMetric, PhasePoint, random_points,
+    SX, SY, SZ, DiracElectric, NeutrinoMetric, PhasePoint, random_points,
 )
 from semiband.frames import (
     ConnectionSet,
@@ -212,9 +212,7 @@ def suite_pauli_limit(seed: int = 12, hbar: float = 1e-3,
     model_s = DiracElectric(m=m, e=e, field=field_s)
     R0 = np.zeros(3)
     gW = e * field_s.gradient(R0)
-    sig = [np.array([[0, 1], [1, 0]], complex),
-           np.array([[0, -1j], [1j, 0]], complex),
-           np.array([[1, 0], [0, -1]], complex)]
+    sig = (SX, SY, SZ)
     so = []
     for t in ts:
         P = t * m * direction

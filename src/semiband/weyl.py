@@ -92,9 +92,6 @@ QC_I = QC.of(0, 1)
 # Constant matrices are tuples of tuples of QC.
 Mat = tuple
 
-def mat_zero(n: int) -> Mat:
-    return tuple(tuple(QC_ZERO for _ in range(n)) for _ in range(n))
-
 def mat_eye(n: int) -> Mat:
     return tuple(
         tuple(QC_ONE if i == j else QC_ZERO for j in range(n)) for i in range(n)

@@ -102,10 +102,27 @@ def test_connections_and_jobs_flag(tmp_path):
 
 
 def test_connections_rejects_nonpositive_hbar(tmp_path):
+    # Every per-point subcommand needs a finite hbar > 0 and writes nothing
+    # without one.
     cfg = write_config(tmp_path, DIRAC_CFG)
-    for hbar in ("0", "-0.01"):
-        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
-                     "--hbar", hbar, "connections"]) == 1
+    out = tmp_path / "o"
+    for command in ("diagonalize", "connections", "curvature"):
+        for hbar in ("0", "-0.01", "nan", "inf"):
+            assert main(["--config", cfg, "--out", str(out),
+                         "--hbar", hbar, command]) == 1
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv,extra", [
+    ("diagonalize", ["--order", "3"], {}),
+    ("diagonalize", [], {"representation": "covarient"}),
+    ("connections", [], {"connection_order": "1"}),
+])
+def test_invalid_choices_are_config_errors(tmp_path, command, argv, extra):
+    cfg = write_config(tmp_path, {**DIRAC_CFG, **extra})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), *argv, command]) == 1
+    assert not out.exists()
 
 
 def test_curvature_output(tmp_path):
@@ -272,3 +289,12 @@ def test_bracket_check_command(tmp_path):
 
     cfg = write_config(tmp_path, {"max_degree": 9})
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
+
+
+@pytest.mark.parametrize("payload", [{"dims": []}, {"cases": 1}, {"cases": 0}])
+def test_bracket_check_rejects_vacuous_case_lists(tmp_path, payload):
+    # Zero cases per dimension would report "0/0 cases exact" as a pass.
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
+    assert not out.exists()

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import semiband.energy
+import semiband.frames
 from semiband.fields import GaussianField, LinearField, UniformField
 from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
 )
-from semiband.frames import berry_connections, classical_frame, project
+from semiband.frames import (
+    berry_connections, classical_frame, connections_fd, project,
+)
 from semiband.energy import (
     band_energy,
     corrected_connections,
@@ -271,7 +274,8 @@ def test_unsupported_hamiltonian_bracket_hook():
 
 def test_order2_takes_one_stencil_pass(monkeypatch):
     # Connections, B and W are differentiated together: six derivative_along
-    # calls per order-2 point, in either representation.
+    # calls per order-2 point, in either representation, and no stencil
+    # inside the connections (the generic two_level model took 156).
     calls = []
     real = semiband.energy.derivative_along
 
@@ -280,27 +284,32 @@ def test_order2_takes_one_stencil_pass(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(semiband.energy, "derivative_along", counting)
-    for representation in ("canonical", "covariant"):
-        calls.clear()
-        band_energy(dirac(), X, 0.01, order=2, representation=representation)
-        assert sorted(calls) == list(range(6))
+    monkeypatch.setattr(semiband.frames, "derivative_along", counting)
+    for model in (dirac(), make_model(GENERIC_TWO_LEVEL)):
+        for representation in ("canonical", "covariant"):
+            calls.clear()
+            band_energy(model, X, 0.01, order=2,
+                        representation=representation)
+            assert sorted(calls) == list(range(6))
 
     model = make_model(GENERIC_TWO_LEVEL)
-    frames = []
-    real_frame = model.analytic_frame
+    counts = {"analytic_frame": 0, "d_hamiltonian": 0}
+    for name in counts:
+        real_method = getattr(model, name)
 
-    def counting_frame(x):
-        frames.append(x)
-        return real_frame(x)
+        def counting_method(*args, name=name, real_method=real_method):
+            counts[name] += 1
+            return real_method(*args)
 
-    monkeypatch.setattr(model, "analytic_frame", counting_frame)
+        monkeypatch.setattr(model, name, counting_method)
     band_energy(model, X, 0.01, order=2)
-    assert len(frames) <= 650
+    assert counts["analytic_frame"] <= 25
+    assert counts["d_hamiltonian"] <= 150
 
 
 def _group_rotated(model, rng):
     """The model with its frame rotated by a constant unitary D within each
-    band group, and its connections taken from that frame numerically."""
+    band group, and its declared within-group gauge term rotated with it."""
     D = np.zeros((model.n, model.n), dtype=complex)
     for g in np.unique(model.groups):
         idx = np.flatnonzero(model.groups == g)
@@ -309,14 +318,34 @@ def _group_rotated(model, rng):
         q, _r = np.linalg.qr(z)
         D[np.ix_(idx, idx)] = q
     rotated = copy.copy(model)
-    rotated.has_analytic_connections = False
 
     def analytic_frame(x):
         eps0, U0 = model.analytic_frame(x)
         return eps0, D @ U0
 
+    def analytic_connections(x):
+        # X = U0 grad U0^+ turns into D X D^+; D keeps the groups apart.
+        A_R, A_P = model.analytic_connections(x)
+        return ([D @ a @ D.conj().T for a in A_R],
+                [D @ a @ D.conj().T for a in A_P])
+
     rotated.analytic_frame = analytic_frame
+    rotated.analytic_connections = analytic_connections
     return rotated
+
+
+def test_group_rotated_connections_match_fd():
+    # The direct guard on the rotated gauge term: block eigenvalues of the
+    # energy do not notice an unrotated term, the connections do.
+    rng = np.random.default_rng(8)
+    for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
+        rotated = _group_rotated(model, rng)
+        for x in (X, PhasePoint.of([-0.4, 0.2, 0.6], [-0.3, 0.9, 0.5])):
+            exact = berry_connections(rotated, x, 0.0)
+            fd = connections_fd(rotated, x, 0.0)
+            for k in range(6):
+                assert np.max(np.abs(exact.component(k) - fd.component(k))) \
+                    <= 1e-6
 
 
 def _block_eigenvalues(eps, groups):

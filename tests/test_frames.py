@@ -12,6 +12,7 @@ from semiband.models import (
     TwoLevel,
     BETA,
     make_model,
+    random_points,
 )
 from semiband.frames import (
     BandFrame,
@@ -222,6 +223,70 @@ def test_connections_hermitian():
         conns = berry_connections(model, x, 0.0)
         for a in conns.A_R + conns.A_P:
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
+
+
+BENCHMARK_CONFIGS = {
+    "dirac_electric": {"model": "dirac_electric", "m": 1.0, "e": 1.0,
+                       "field": {"kind": "gaussian", "amplitude": 0.8,
+                                 "center": [0.2, -0.1, 0.3], "width": 1.4}},
+    "neutrino_metric": {"model": "neutrino_metric",
+                        "field": {"kind": "gaussian", "amplitude": 0.4,
+                                  "center": [0.3, 0.1, -0.2], "width": 2.0}},
+    "two_level_z": {"model": "two_level"},
+    "two_level_generic": {
+        "model": "two_level",
+        "h0": [{"coef": "1/10", "r_exp": [1, 0, 0], "p_exp": [0, 1, 0]}],
+        "h": [[{"coef": "1/4", "p_exp": [1, 0, 0]}],
+              [{"coef": "1/5", "r_exp": [0, 1, 0]}],
+              [{"coef": "1"}, {"coef": "1/10", "r_exp": [0, 0, 2]}]],
+    },
+}
+
+
+def max_connection_gap(model, x) -> float:
+    """Largest entry of the exact connections minus the stencil ones."""
+    an = berry_connections(model, x, 0.0)
+    fd = connections_fd(model, x, 0.0)
+    return max(float(np.max(np.abs(an.component(k) - fd.component(k))))
+               for k in range(6))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
+def test_berry_connections_match_fd_on_benchmark_configs(name):
+    model = make_model(BENCHMARK_CONFIGS[name])
+    rng = np.random.default_rng(31)
+    for x in random_points(rng, 4, 0.3, 3.0):
+        assert max_connection_gap(model, x) <= 1e-6
+
+
+def _two_level(h1, h2, h3):
+    return TwoLevel(h0_terms=[], h_terms=[h1, h2, h3])
+
+
+def test_two_level_gauge_term_on_the_h3_axis():
+    # h = (P_x, P_y, h3): h1 = h2 = 0 wherever P_x = P_y = 0.
+    px = [{"coef": "1", "p_exp": [1, 0, 0]}]
+    py = [{"coef": "1", "p_exp": [0, 1, 0]}]
+    on_axis = PhasePoint.of([0.1, 0.2, 0.3], [0.0, 0.0, 0.7])
+    # h3 > 0: the frame is smooth there and the gauge term is 0.
+    model = _two_level(px, py, [{"coef": "1"}])
+    A_R, A_P = model.analytic_connections(on_axis)
+    assert max(np.max(np.abs(a)) for a in A_R + A_P) == 0.0
+    assert max_connection_gap(model, on_axis) <= 1e-6
+    # h3 < 0 with grad(h1, h2) != 0: the declared gauge winds there.
+    model = _two_level(px, py, [{"coef": "-1"}])
+    with pytest.raises(ValueError, match="singular"):
+        model.analytic_connections(on_axis)
+    # h3 < 0 with grad(h1, h2) = 0: h1 = P_x^2, h2 = 0, so the term is 0.
+    model = _two_level([{"coef": "1", "p_exp": [2, 0, 0]}], [],
+                       [{"coef": "-1"}])
+    A_R, A_P = model.analytic_connections(on_axis)
+    assert max(np.max(np.abs(a)) for a in A_R + A_P) == 0.0
+    # Off the axis, with h3 of either sign, the term matches the stencil.
+    off_axis = PhasePoint.of([0.1, 0.2, 0.3], [0.3, -0.4, 0.7])
+    for h3 in ("1", "-1"):
+        model = _two_level(px, py, [{"coef": h3}])
+        assert max_connection_gap(model, off_axis) <= 1e-6
 
 
 def test_numerical_path_cross_block_content():
