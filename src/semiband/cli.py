@@ -21,7 +21,6 @@ import csv
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +102,13 @@ def _tolerances(cfg: dict) -> Tolerances:
     section = cfg.get("tolerances", {})
     defaults = Tolerances()
     kwargs = {}
-    for name in ("degeneracy", "gap", "block", "unitarity", "fd_base",
-                 "overlap"):
-        kwargs[name] = float(section.get(name, getattr(defaults, name)))
-    return Tolerances(**kwargs)
+    try:
+        for name in ("degeneracy", "gap", "block", "unitarity", "fd_base",
+                     "overlap"):
+            kwargs[name] = float(section.get(name, getattr(defaults, name)))
+        return Tolerances(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tolerances: {exc}") from exc
 
 
 def _mat_json(mat: np.ndarray) -> list:
@@ -151,6 +153,8 @@ def _point_setup(cfg: dict, args):
     tol = _tolerances(cfg)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     points = _resolve_points(cfg, np.random.default_rng(seed))
+    if not points:
+        raise ConfigError("the point list is empty")
     return model, hbar, tol, seed, points
 
 
@@ -165,11 +169,7 @@ def _run_points(args, stem: str, model, seed: int, points, work, header: list,
         except Exception as exc:  # noqa: BLE001 - reported per point
             return idx, None, f"{type(exc).__name__}: {exc}"
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(safe, enumerate(points)))
-    else:
-        results = [safe(item) for item in enumerate(points)]
+    results = [safe(item) for item in enumerate(points)]
     errors = [{"index": i, "error": err} for i, _r, err in results if err]
     values = [r for _i, r, err in results if not err]
 
@@ -254,8 +254,7 @@ def cmd_connections(cfg: dict, args) -> int:
 
     def row(conns) -> list:
         return ([*conns.point.R, *conns.point.P, hbar, conns.order]
-                + [float(np.linalg.norm(a)) for a in conns.A_R]
-                + [float(np.linalg.norm(a)) for a in conns.A_P])
+                + [float(np.linalg.norm(a)) for a in conns.A])
 
     def record(conns) -> dict:
         return {
@@ -440,7 +439,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", default="semiband_out", help="output directory")
     parser.add_argument("--suite", help="verification suite name (verify)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; points always run "
+                             "in order in one thread")
     parser.add_argument("command", choices=[
         "diagonalize", "connections", "curvature", "trajectory",
         "verify", "bracket-check",

@@ -44,6 +44,7 @@ from semiband.frames import (
     DEFAULT_TOL,
     berry_connections,
     classical_frame,
+    hermitize,
     project,
 )
 from semiband.energy import (
@@ -75,22 +76,26 @@ __all__ = [
 
 @dataclass
 class CovariantVars:
-    """Matrix-valued covariant coordinates and momenta at one point."""
+    """Matrix-valued covariant coordinates and momenta at one point, each
+    field a (6, n, n) phase-axis stack (R_1, R_2, R_3, P_1, P_2, P_3)."""
 
-    r: list                         # 3 Hermitian (n, n) matrices
-    p: list
-    A0_R: list                      # projected order-0 shifts
-    A0_P: list
-    A1_R: list                      # order-1 shift coefficients
-    A1_P: list
+    x: np.ndarray                   # Hermitian covariant variables (r, p)
+    A0: np.ndarray                  # projected order-0 shifts
+    A1: np.ndarray                  # order-1 shift coefficients
     point: PhasePoint
     hbar: float
 
-    def shift_per_hbar(self, axis: int) -> np.ndarray:
-        """a = A0 + (hbar/2) A1 along one phase axis."""
-        if axis < 3:
-            return self.A0_R[axis] + 0.5 * self.hbar * self.A1_R[axis]
-        return self.A0_P[axis - 3] + 0.5 * self.hbar * self.A1_P[axis - 3]
+    @property
+    def r(self) -> np.ndarray:
+        return self.x[:3]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.x[3:]
+
+    def shift_per_hbar(self) -> np.ndarray:
+        """a = A0 + (hbar/2) A1 on every phase axis, (6, n, n)."""
+        return self.A0 + 0.5 * self.hbar * self.A1
 
 
 @dataclass
@@ -117,47 +122,35 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     B = rotation_generator(model, frame, conns0, tol)
     conns = corrected_connections(frame, conns0, B, hbar, field_grads, diag)
     g = frame.groups
-    A0 = [project(conns0.component(axis), g, "diag") for axis in range(6)]
-    A1 = []
-    for comp in range(6):
-        a1 = 2.0 * project(conns.linear_part[comp], g, "diag")
-        for axis in range(6):
-            grad_proj = project(field_grads[axis][comp], g, "diag")
-            a1 = a1 + 0.5 * _anticomm(A0[axis], grad_proj)
-        A1.append(0.5 * (a1 + a1.conj().T))
-    n = frame.n
-    r = [x.R[i] * np.eye(n) + hbar * A0[i] + 0.5 * hbar ** 2 * A1[i]
-         for i in range(3)]
-    p = [x.P[i] * np.eye(n) + hbar * A0[3 + i] + 0.5 * hbar ** 2 * A1[3 + i]
-         for i in range(3)]
-    return CovariantVars(r, p, A0[:3], A0[3:], A1[:3], A1[3:], x, hbar)
+    A0 = project(conns0.A, g, "diag")
+    a1 = (2.0 * project(conns.linear, g, "diag")
+          + (0.5 * _anticomm(A0[:, None],
+                             project(field_grads[:, :6], g, "diag"))).sum(0))
+    A1 = hermitize(a1)[0]
+    canonical = np.concatenate([x.R, x.P])[:, None, None] * np.eye(frame.n)
+    return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
+                         x, hbar)
 
 
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
                      tol: Tolerances = DEFAULT_TOL) -> CurvatureSet:
     """Curvature set from the covariant shift field and its commutators."""
-    frame = classical_frame(model, x, tol)
+    classical_frame(model, x, tol)     # validates x before any stencil work
     diag = FDDiagnostics()
 
     def shifts(y: PhasePoint) -> np.ndarray:
-        cov = covariant_variables(model, y, hbar, tol)
-        return np.stack([cov.shift_per_hbar(axis) for axis in range(6)])
+        return covariant_variables(model, y, hbar, tol).shift_per_hbar()
 
-    a0 = shifts(x)
-    grads = [derivative_along(shifts, x, axis, tol.fd_base, diag)
-             for axis in range(6)]
-    n = frame.n
-    rr = np.zeros((3, 3, n, n), dtype=complex)
-    pp = np.zeros((3, 3, n, n), dtype=complex)
-    pr = np.zeros((3, 3, n, n), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            rr[i, j] = (grads[3 + i][j] - grads[3 + j][i]
-                        - 1j * _comm(a0[i], a0[j]))
-            pp[i, j] = (-(grads[i][3 + j] - grads[j][3 + i])
-                        - 1j * _comm(a0[3 + i], a0[3 + j]))
-            pr[i, j] = (-(grads[i][j] + grads[3 + j][3 + i])
-                        - 1j * _comm(a0[3 + i], a0[j]))
+    a = shifts(x)
+    aR, aP = a[:3], a[3:]
+    # d[axis, comp] is grad_axis a^comp.
+    d = np.stack([derivative_along(shifts, x, axis, tol.fd_base, diag)
+                  for axis in range(6)])
+    d_PR, d_RP = d[3:, :3], d[:3, 3:]   # grad_{P_i} a^R_j, grad_{R_i} a^P_j
+    rr = d_PR - d_PR.swapaxes(0, 1) - 1j * _comm(aR[:, None], aR[None])
+    pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
+    pr = (-(d[:3, :3] + d[3:, 3:].swapaxes(0, 1))
+          - 1j * _comm(aP[:, None], aR[None]))
     return CurvatureSet(rr, pp, pr, x, hbar, diag)
 
 
@@ -170,13 +163,12 @@ def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
 
 
 def positive_block_connection(model: Model, x: PhasePoint,
-                              tol: Tolerances = DEFAULT_TOL) -> list:
-    """The position connection projected to the positive-energy block (2x2)."""
+                              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The position connection on the positive-energy block, (3, 2, 2)."""
     frame = classical_frame(model, x, tol)
     conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
     pos = frame.group_states(0)
-    return [project(conns.A_R[l], frame.groups, "diag")[np.ix_(pos, pos)]
-            for l in range(3)]
+    return conns.A_R[:, pos[:, None], pos]
 
 
 def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
@@ -190,7 +182,7 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
     diag = FDDiagnostics()
 
     def proj_conn(y: PhasePoint) -> np.ndarray:
-        return np.stack(positive_block_connection(model, y, tol))
+        return positive_block_connection(model, y, tol)
 
     dP = [derivative_along(proj_conn, x, 3 + i, tol.fd_base, diag)
           for i in range(3)]

@@ -19,8 +19,11 @@ The pipeline assembles, at a classical phase point:
   terms are absorbed into the arguments and only the commutator strings and
   the ordering bracket remain explicit.
 
-The three derivatives an order-2 point needs (grad A0, grad B and D W) come
-from one stencil pass over the stacked field [A0^R, A0^P, B, W]
+Every phase-axis field is one (6, n, n) stack in axis order (R_1, R_2, R_3,
+P_1, P_2, P_3), and every contraction over the axes pairs R_l with P_l through
+`frames.conjugate`, so the assembly has no per-axis branch.  The three
+derivatives an order-2 point needs (grad A0, grad B and D W) come from one
+stencil pass over the stacked field [A0^R, A0^P, B, W]
 (`phase_field_gradients`).
 
 Everything is Hermitized term by term; discarded anti-Hermitian defects are
@@ -41,6 +44,7 @@ from semiband.frames import (
     DEFAULT_TOL,
     berry_connections,
     classical_frame,
+    conjugate,
     eps0_gradients,
     frame_field,
     hermitize,
@@ -63,7 +67,7 @@ __all__ = [
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
 def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,6 +76,26 @@ def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from their diagonals (..., n)."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
+def _covariant(grad: np.ndarray, A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """D_a M = grad_a M + (i/2)[conjugate(A)_a, M] over the six axes, i.e.
+    D_R = grad_R + (i/2)[A^P, .] and D_P = grad_P - (i/2)[A^R, .]."""
+    return grad + 0.5j * _comm(conjugate(A), M)
+
+
+def _string(E: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The commutator string sum_a [E, X_a] conjugate(Y)_a, that is
+    sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
+    return (_comm(E, X) @ conjugate(Y)).sum(0)
 
 
 @dataclass
@@ -116,26 +140,25 @@ def _phase_field(model: Model, y: PhasePoint, hbar: float, anchor: BandFrame,
     frame = _light_frame(model, y, anchor, tol)
     conns = berry_connections(model, y, hbar, frame=frame, tol=tol)
     grads = eps0_gradients(model, frame, tol)
-    return np.stack([*conns.A_R, *conns.A_P,
-                     rotation_generator(model, frame, conns, tol, grads),
-                     first_order_kernel(model, frame, conns, tol, grads)])
+    return np.concatenate([
+        conns.A, [rotation_generator(model, frame, conns, tol, grads),
+                  first_order_kernel(model, frame, conns, tol, grads)]])
 
 
 def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
                           tol: Tolerances = DEFAULT_TOL,
-                          diagnostics: FDDiagnostics | None = None) -> list:
+                          diagnostics: FDDiagnostics | None = None) -> np.ndarray:
     """grad_axis of [A0^R_1..3, A0^P_1..3, B, W] at the frame's point.
 
-    Returns a list over the six phase axes; each entry is an (8, n, n) stack:
-    slices 0-5 differentiate the order-0 connections, slice 6 the rotation
-    generator B and slice 7 the first-order kernel W.  This is the single
-    stencil pass of an order-2 evaluation.
+    Returns one (6, 8, n, n) array indexed [axis, field]: fields 0-5 are the
+    order-0 connections, 6 the rotation generator B and 7 the first-order
+    kernel W.  This is the single stencil pass of an order-2 evaluation.
     """
     def field(y: PhasePoint) -> np.ndarray:
         return _phase_field(model, y, hbar, frame, tol)
 
-    return [derivative_along(field, frame.point, axis, tol.fd_base, diagnostics)
-            for axis in range(6)]
+    return np.stack([derivative_along(field, frame.point, axis, tol.fd_base,
+                                      diagnostics) for axis in range(6)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +167,7 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
 
 def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
                        tol: Tolerances = DEFAULT_TOL,
-                       grads: list | None = None) -> np.ndarray:
+                       grads: np.ndarray | None = None) -> np.ndarray:
     """The anti-Hermitian off-group generator B of the first-order frame.
 
     B = -[. , eps0]^{-1} P-{ (1/2) A^{X_l} grad_{X_l} eps0 + H.C. }
@@ -152,53 +175,33 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
     """
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
-    n = frame.n
-    M = np.zeros((n, n), dtype=complex)
-    for axis in range(6):
-        A = conns.component(axis)
-        M += 0.5 * _anticomm(A, grads[axis])
-    M = project(M, frame.groups, "offdiag")
-    B = -invert_band_commutator(M, frame, tol)
-    for l in range(3):
-        GR = project(conns.A_R[l], frame.groups, "offdiag")
-        GP = project(conns.A_P[l], frame.groups, "offdiag")
-        DR = project(conns.A_R[l], frame.groups, "diag")
-        DP = project(conns.A_P[l], frame.groups, "diag")
-        X = GR @ DP - GP @ DR
-        B += 0.25j * (X + _dagger(X))
-    return B
+    M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(0)
+    B = -invert_band_commutator(project(M, frame.groups, "offdiag"), frame, tol)
+    X = (project(conns.A, frame.groups, "offdiag")
+         @ conjugate(project(conns.A, frame.groups, "diag"))).sum(0)
+    return B + 0.25j * (X + _dagger(X))
 
 
 def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
-                          B: np.ndarray, hbar: float, field_grads: list,
+                          B: np.ndarray, hbar: float, field_grads: np.ndarray,
                           diagnostics: FDDiagnostics | None = None) -> ConnectionSet:
     """Connections including the order-hbar correction.
 
     The self-gradient piece is (hbar/8){A0^{X_l}, grad_{X_l} A0^X}; the
     generator piece realizes [B, X/hbar] as -i grad_P B (position components)
-    and +i grad_R B (momentum components) plus [B, A0^X].  `field_grads` is
-    the output of `phase_field_gradients` at the frame's point.
+    and +i grad_R B (momentum components), i.e. -i conjugate(grad B), plus
+    [B, A0^X].  `field_grads` is the output of `phase_field_gradients` at the
+    frame's point.
     """
-    A_new = []
-    linear = []
-    for comp in range(6):
-        A0 = conns0.component(comp)
-        corr = np.zeros_like(A0)
-        for axis in range(6):
-            corr += 0.125 * _anticomm(conns0.component(axis),
-                                      field_grads[axis][comp])
-        if comp < 3:
-            corr += 0.5 * (-1j * field_grads[3 + comp][6] + _comm(B, A0))
-        else:
-            corr += 0.5 * (+1j * field_grads[comp - 3][6] + _comm(B, A0))
-        corr = hermitize(corr)[0]
-        linear.append(corr)
-        A_new.append(hermitize(A0 + hbar * corr)[0])
+    A0 = conns0.A
+    corr = (0.125 * _anticomm(A0[:, None], field_grads[:, :6])).sum(0)
+    corr += 0.5 * (-1j * conjugate(field_grads[:, 6]) + _comm(B, A0))
+    linear = hermitize(corr)[0]
     diag = FDDiagnostics()
     if diagnostics is not None:
         diag.merge(diagnostics)
-    return ConnectionSet(A_new[:3], A_new[3:], "corrected", frame.point, hbar,
-                         diag, linear_part=linear)
+    return ConnectionSet(hermitize(A0 + hbar * linear)[0], "corrected",
+                         frame.point, hbar, diag, linear=linear)
 
 
 def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
@@ -210,12 +213,9 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     part vanishes).  Returns (U, U1, B, hr).
     """
     B = rotation_generator(model, frame, conns0, tol)
-    n = frame.n
-    hr = np.zeros((n, n), dtype=complex)
-    for l in range(3):
-        hr += -0.25j * _comm(conns0.A_R[l], conns0.A_P[l])
+    hr = -0.25j * (conns0.A @ conjugate(conns0.A)).sum(0)
     U1 = B + hr
-    U = (np.eye(n) + hbar * U1) @ frame.U0
+    U = (np.eye(frame.n) + hbar * U1) @ frame.U0
     return U, U1, B, hr
 
 
@@ -223,29 +223,13 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
 # Energy assembly
 # ---------------------------------------------------------------------------
 
-def _covariant_derivative_eps(grads: list, conns: ConnectionSet, axis: int,
-                              eps_mat: np.ndarray) -> np.ndarray:
-    """D_axis eps0 with the convention D_R = grad_R + (i/2)[A^P, .],
-    D_P = grad_P - (i/2)[A^R, .]."""
-    d = grads[axis].astype(complex).copy()
-    if axis < 3:
-        d += 0.5j * _comm(conns.A_P[axis], eps_mat)
-    else:
-        d += -0.5j * _comm(conns.A_R[axis - 3], eps_mat)
-    return d
-
-
 def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
                        tol: Tolerances = DEFAULT_TOL,
-                       grads: list | None = None) -> np.ndarray:
+                       grads: np.ndarray | None = None) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
-    eps_mat = np.diag(frame.eps0).astype(complex)
-    T = np.zeros_like(eps_mat)
-    for axis in range(6):
-        T += _covariant_derivative_eps(grads, conns, axis, eps_mat) \
-            @ conns.component(axis)
+    T = (_covariant(_diag(grads), conns.A, _diag(frame.eps0)) @ conns.A).sum(0)
     return project(T + _dagger(T), frame.groups, "diag")
 
 
@@ -273,7 +257,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         )
     frame = classical_frame(model, x, tol)
     n = frame.n
-    eps0_mat = np.diag(frame.eps0).astype(complex)
+    eps0_mat = _diag(frame.eps0)
     zero = np.zeros((n, n), dtype=complex)
     diagnostics: dict = {}
 
@@ -313,6 +297,8 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         diagnostics["fd"] = fd_diag
 
     total = eps0_mat + first + second + bracket
+    if not np.isfinite(total).all():
+        raise FloatingPointError("band energy is not finite")
     off = project(total, frame.groups, "offdiag")
     diagnostics["offblock_norm"] = float(np.linalg.norm(off))
     diagnostics["hermiticity_defect"] = float(max(defects, default=0.0))
@@ -326,8 +312,9 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
 
 def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
-                            conns: ConnectionSet, grads: list, W0: np.ndarray,
-                            field_grads: list, hbar: float) -> np.ndarray:
+                            conns: ConnectionSet, grads: np.ndarray,
+                            W0: np.ndarray, field_grads: np.ndarray,
+                            hbar: float) -> np.ndarray:
     """Exact hbar^2 coefficient of the canonical-variable energy, times hbar^2.
 
     The corrected first-order term (hbar/2)[(Dhat eps0) A + H.C.] is expanded
@@ -335,28 +322,16 @@ def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
     pieces; the quadratic cross term is order hbar^3 and not part of the
     second-order result.  The nested double-action term (hbar^2/8)[(D W) A0
     + H.C.] is added with W0 the first-order kernel at the point and D W
-    taken from slice 7 of `field_grads`.
+    taken from field 7 of `field_grads`.
     """
-    eps_mat = np.diag(frame.eps0).astype(complex)
-    A1 = conns.linear_part
-    S = np.zeros_like(eps_mat)
-    for axis in range(6):
-        D0_eps = _covariant_derivative_eps(grads, conns0, axis, eps_mat)
-        if axis < 3:
-            dD_eps = 0.5j * _comm(A1[3 + axis], eps_mat)
-        else:
-            dD_eps = -0.5j * _comm(A1[axis - 3], eps_mat)
-        S += dD_eps @ conns0.component(axis) + D0_eps @ A1[axis]
+    eps_mat = _diag(frame.eps0)
+    A0, A1 = conns0.A, conns.linear
+    # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
+    S = (_covariant(0.0, A1, eps_mat) @ A0
+         + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(0)
     linear = (hbar ** 2 / 2.0) * project(S + _dagger(S), frame.groups, "diag")
 
-    N = np.zeros_like(eps_mat)
-    for axis in range(6):
-        dW = field_grads[axis][7]
-        if axis < 3:
-            dW = dW + 0.5j * _comm(conns0.A_P[axis], W0)
-        else:
-            dW = dW - 0.5j * _comm(conns0.A_R[axis - 3], W0)
-        N += dW @ conns0.component(axis)
+    N = (_covariant(field_grads[:, 7], A0, W0) @ A0).sum(0)
     nested = (hbar ** 2 / 8.0) * project(N + _dagger(N), frame.groups, "diag")
     return linear + nested
 
@@ -371,32 +346,17 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
     second-order strings built from the order-0 connections (Hermitized, as
     the sign bookkeeping of those two lines is enforced term by term).
     """
-    eps_mat = np.diag(frame.eps0).astype(complex)
-    A1 = conns.linear_part
-    A1_R, A1_P = A1[:3], A1[3:]
-    T0 = np.zeros_like(eps_mat)
-    T1 = np.zeros_like(eps_mat)
-    for l in range(3):
-        T0 += _comm(eps_mat, conns0.A_R[l]) @ conns0.A_P[l] \
-            - _comm(eps_mat, conns0.A_P[l]) @ conns0.A_R[l]
-        T0 -= _comm(eps_mat, _comm(conns0.A_R[l], conns0.A_P[l]))
-        T1 += _comm(eps_mat, A1_R[l]) @ conns0.A_P[l] \
-            + _comm(eps_mat, conns0.A_R[l]) @ A1_P[l] \
-            - _comm(eps_mat, A1_P[l]) @ conns0.A_R[l] \
-            - _comm(eps_mat, conns0.A_P[l]) @ A1_R[l]
+    eps_mat = _diag(frame.eps0)
+    A0, A1 = conns0.A, conns.linear
+    Wstr = _string(eps_mat, A0, A0)
+    T0 = Wstr - _comm(eps_mat, (A0 @ conjugate(A0)).sum(0))
+    T1 = _string(eps_mat, A1, A0) + _string(eps_mat, A0, A1)
     # (i/4) hbar {T + H.C.} with T = T0 + hbar T1, truncated at hbar^2; the
     # H.C. of (i/4)T is -(i/4)T^+.
     first = 0.25j * hbar * (T0 - _dagger(T0))
     second = 0.25j * hbar ** 2 * (T1 - _dagger(T1))
 
-    Wstr = np.zeros_like(eps_mat)
-    for l in range(3):
-        Wstr += _comm(eps_mat, conns0.A_R[l]) @ conns0.A_P[l] \
-            - _comm(eps_mat, conns0.A_P[l]) @ conns0.A_R[l]
-    S = np.zeros_like(eps_mat)
-    for k in range(3):
-        S += _comm(Wstr, conns0.A_R[k]) @ conns0.A_P[k] \
-            - _comm(Wstr, conns0.A_P[k]) @ conns0.A_R[k]
+    S = _string(Wstr, A0, A0)
     second += -(hbar ** 2 / 8.0) * 0.5 * (S + _dagger(S))
     first = project(first, frame.groups, "diag")
     second = project(second, frame.groups, "diag")
@@ -415,22 +375,17 @@ def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
 # The alpha-flow operator (used by the structural residual check)
 # ---------------------------------------------------------------------------
 
-def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: list,
+def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: np.ndarray,
                                conns: ConnectionSet,
                                groups: np.ndarray) -> np.ndarray:
     """O eps = (1/2) P+{A^{X_l} grad eps + grad eps A^{X_l}}
              + [(i/4) P+{[eps, A^{R_l}] A^{P_l} - [eps, A^{P_l}] A^{R_l}} + H.C.]
 
-    `eps_grads` are the six phase gradients of the full energy matrix field.
+    `eps_grads` is the (6, n, n) stack of phase gradients of the full energy
+    matrix field.
     """
-    out = np.zeros_like(eps_mat)
-    for axis in range(6):
-        out += 0.5 * _anticomm(conns.component(axis), eps_grads[axis])
-    X = np.zeros_like(eps_mat)
-    for l in range(3):
-        X += _comm(eps_mat, conns.A_R[l]) @ conns.A_P[l] \
-            - _comm(eps_mat, conns.A_P[l]) @ conns.A_R[l]
-    Xp = project(X, groups, "diag")
+    out = (0.5 * _anticomm(conns.A, eps_grads)).sum(0)
+    Xp = project(_string(eps_mat, conns.A, conns.A), groups, "diag")
     # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
     out = project(out, groups, "diag") + 0.25j * (Xp - _dagger(Xp))
     return out

@@ -2,8 +2,10 @@
 
 The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
 declared degenerate band groups and the gauge-fixed unitary U0 with
-U0 H U0^+ block diagonal.  Connections are A^{R_l} = i X_{P_l} and
-A^{P_l} = -i X_{R_l}, X = U0 grad U0^+: exact for analytic frames (see
+U0 H U0^+ block diagonal.  Phase-axis fields are (6, n, n) stacks in axis
+order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P
+pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
+i.e. A = conjugate(i X), X = U0 grad U0^+: exact for analytic frames (see
 `berry_connections`), otherwise finite differences over a gauge-smoothed frame
 field (eigenvectors at stencil points aligned to the anchor frame by the
 unitary polar factor of the per-group overlap matrix).
@@ -29,6 +31,7 @@ __all__ = [
     "berry_connections",
     "connections_fd",
     "hermitize",
+    "conjugate",
     "eps0_gradients",
 ]
 
@@ -43,6 +46,11 @@ class Tolerances:
     unitarity: float = 1e-12        # ||U0 U0^+ - 1|| of a validated frame
     fd_base: float = 1e-3
     overlap: float = 1e-6           # smallest singular value of group overlaps
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and > 0")
 
 
 DEFAULT_TOL = Tolerances()
@@ -68,29 +76,45 @@ class BandFrame:
 
 @dataclass
 class ConnectionSet:
-    """Six Hermitian matrices A^{R_l}, A^{P_l} at one point.
+    """The six Hermitian connections at one point, as one phase-axis stack.
 
-    For corrected sets, ``linear_part`` holds the hbar-free coefficient of the
-    order-hbar correction (A = A0 + hbar * linear_part), which the energy
-    assembly uses to truncate at an exact polynomial order.
+    ``A`` is (6, n, n) in axis order (R_1, R_2, R_3, P_1, P_2, P_3).  For
+    corrected sets, ``linear`` holds the hbar-free coefficient of the
+    order-hbar correction (A = A0 + hbar * linear), which the energy assembly
+    uses to truncate at an exact polynomial order.
     """
 
-    A_R: list                       # 3 arrays (n, n)
-    A_P: list
+    A: np.ndarray                   # (6, n, n)
     order: str                      # "0" or "corrected"
     point: PhasePoint
     hbar: float
     diagnostics: FDDiagnostics = dc_field(default_factory=FDDiagnostics)
-    linear_part: list | None = None  # 6 arrays (n, n) or None for order 0
+    linear: np.ndarray | None = None  # (6, n, n) or None for order 0
 
-    def component(self, axis: int) -> np.ndarray:
-        """Phase-axis view: axes 0-2 -> A^{R}, 3-5 -> A^{P}."""
-        return self.A_R[axis] if axis < 3 else self.A_P[axis - 3]
+    @property
+    def A_R(self) -> np.ndarray:
+        return self.A[:3]
+
+    @property
+    def A_P(self) -> np.ndarray:
+        return self.A[3:]
+
+
+def conjugate(S: np.ndarray) -> np.ndarray:
+    """The R <-> P pairing of a phase-axis stack: (S^R, S^P) -> (S^P, -S^R).
+
+    Every contraction over the six axes pairs R_l with P_l this way: the
+    covariant derivatives D_R = grad_R + (i/2)[A^P, .] and
+    D_P = grad_P - (i/2)[A^R, .] are grad + (i/2)[conjugate(A), .], and
+    sum_l (X^{R_l} Y^{P_l} - X^{P_l} Y^{R_l}) is (X @ conjugate(Y)).sum(0).
+    """
+    return np.concatenate([S[3:], -S[:3]])
 
 
 def hermitize(mat: np.ndarray):
-    """Hermitian part and the norm of the discarded anti-Hermitian part."""
-    herm = 0.5 * (mat + mat.conj().T)
+    """Hermitian part and the norm of the discarded anti-Hermitian part; mat
+    may be a stack (..., n, n)."""
+    herm = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
     defect = float(np.linalg.norm(mat - herm))
     return herm, defect
 
@@ -270,10 +294,8 @@ def berry_connections(model: Model, x: PhasePoint, hbar: float,
     if not model.has_analytic_frame:
         return connections_fd(model, x, hbar, frame, tol)
     X = invert_band_commutator(_rotated_dH(model, frame), frame, tol)
-    A_R, A_P = model.analytic_connections(x)
-    A_R = [hermitize(A_R[l] + 1j * X[3 + l])[0] for l in range(3)]
-    A_P = [hermitize(A_P[l] - 1j * X[l])[0] for l in range(3)]
-    return ConnectionSet(A_R, A_P, "0", x, hbar)
+    A = np.concatenate(model.analytic_connections(x)) + conjugate(1j * X)
+    return ConnectionSet(hermitize(A)[0], "0", x, hbar)
 
 
 def connections_fd(model: Model, x: PhasePoint, hbar: float,
@@ -285,30 +307,28 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
     at = frame_field(model, frame, tol)
     diagnostics = FDDiagnostics()
     U0 = at(x)[1]
-    X = [U0 @ derivative_along(lambda y: at(y)[1].conj().T, x, axis,
-                               tol.fd_base, diagnostics) for axis in range(6)]
-    A_R = [hermitize(1j * X[3 + l])[0] for l in range(3)]
-    A_P = [hermitize(-1j * X[l])[0] for l in range(3)]
-    return ConnectionSet(A_R, A_P, "0", x, hbar, diagnostics)
+    X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis,
+                                        tol.fd_base, diagnostics)
+                       for axis in range(6)])
+    return ConnectionSet(hermitize(conjugate(1j * X))[0], "0", x, hbar,
+                         diagnostics)
 
 
 def eps0_gradients(model: Model, frame: BandFrame,
-                   tol: Tolerances = DEFAULT_TOL) -> list:
-    """The six phase-space gradients of the band-energy field, as diagonal
-    matrices in the frame layout.
+                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The six phase-space gradients of the band energies, (6, n) real in the
+    frame layout.
 
     Uses the Hellmann-Feynman values: the within-group part of U dH U^+ is a
     multiple of the identity per group (asserted), whose scalar is the common
     gradient of the group's eigenvalues.
     """
-    diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2)).copy()
+    diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2))
+    same = frame.groups[:, None] == frame.groups[None, :]
+    mean = (diag @ same) / same.sum(0)
     scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
-    for g in np.unique(frame.groups):
-        idx = frame.group_states(g)
-        mean = np.mean(diag[:, idx], axis=1, keepdims=True)
-        if np.max(np.abs(diag[:, idx] - mean)) > 1e-8 * scale:
-            raise ValueError(
-                "within-group gradient is not scalar; degeneracy is not structural"
-            )
-        diag[:, idx] = mean
-    return [np.diag(d).astype(complex) for d in diag]
+    if np.max(np.abs(diag - mean)) > 1e-8 * scale:
+        raise ValueError(
+            "within-group gradient is not scalar; degeneracy is not structural"
+        )
+    return mean

@@ -350,14 +350,12 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
         cc = corrected_connections(frame, c0, B, hb, grads, diag)
         # Flow operator needs the scale-hbar connections A0 + 2 hbar A1 (the
         # corrected set is the running average, with half that correction).
-        A_flow = [c0.component(k) + 2 * hb * cc.linear_part[k]
-                  for k in range(6)]
-        flow = ConnectionSet(A_flow[:3], A_flow[3:], "corrected", x, hb)
+        flow = ConnectionSet(c0.A + 2 * hb * cc.linear, "corrected", x, hb)
 
         def efield(y, hb=hb):
             return band_energy(model, y, hb, order=2).eps
 
-        egrads = [derivative_along(efield, x, ax) for ax in range(6)]
+        egrads = np.stack([derivative_along(efield, x, ax) for ax in range(6)])
         Oeps = apply_energy_flow_operator(eps_at(hb), egrads, flow,
                                           frame.groups)
         residuals.append(float(np.max(np.abs(deps - Oeps))))
@@ -395,10 +393,7 @@ def suite_numerical_plumbing(seed: int = 18, **_cfg) -> SuiteResult:
         for x in random_points(rng, 5, 0.5, 3.0):
             an = berry_connections(model, x, 0.0)
             fd = connections_fd(model, x, 0.0)
-            for l in range(3):
-                conn_err = max(conn_err,
-                               float(np.max(np.abs(an.A_R[l] - fd.A_R[l]))),
-                               float(np.max(np.abs(an.A_P[l] - fd.A_P[l]))))
+            conn_err = max(conn_err, float(np.max(np.abs(an.A - fd.A))))
 
     model = _dirac_model()
     x = PhasePoint.of([0.1, 0.2, 0.3], [0.5, -0.6, 0.7])
@@ -451,36 +446,24 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     """
     from semiband.dynamics import covariant_variables
     from semiband.frames import eps0_gradients
-    from semiband.energy import _light_frame
+    from semiband.energy import _anticomm, _diag, _light_frame
 
     frame = classical_frame(model, x)
     cov = covariant_variables(model, x, hbar, frame=frame)
     rep_cov = band_energy(model, x, hbar, order=2, representation="covariant")
 
-    shifts = []
-    for axis in range(3):
-        shifts.append(hbar * cov.A0_R[axis]
-                      + 0.5 * hbar ** 2 * cov.A1_R[axis])
-    for axis in range(3):
-        shifts.append(hbar * cov.A0_P[axis]
-                      + 0.5 * hbar ** 2 * cov.A1_P[axis])
-
-    grads = eps0_gradients(model, frame)
+    S = hbar * cov.shift_per_hbar()
 
     def grad_field(y: PhasePoint) -> np.ndarray:
         fr = _light_frame(model, y, frame, DEFAULT_TOL_REF)
-        return np.stack(eps0_gradients(model, fr))
+        return eps0_gradients(model, fr)
 
-    out = rep_cov.eps.copy()
-    for a in range(6):
-        out = out + 0.5 * (grads[a] @ shifts[a] + shifts[a] @ grads[a])
-    for a in range(6):
-        hess_row = derivative_along(grad_field, x, a)
-        for b in range(6):
-            sym = 0.5 * (shifts[a] @ shifts[b] + shifts[b] @ shifts[a])
-            hval = hess_row[b]
-            out = out + 0.25 * (hval @ sym + sym @ hval)
-    return out
+    grads = _diag(eps0_gradients(model, frame))
+    hess = _diag(np.stack([derivative_along(grad_field, x, a)
+                           for a in range(6)]))
+    sym = 0.5 * _anticomm(S[:, None], S[None])
+    return (rep_cov.eps + (0.5 * _anticomm(grads, S)).sum(0)
+            + (0.25 * _anticomm(hess, sym)).sum((0, 1)))
 
 
 def suite_consistency(seed: int = 19, **_cfg) -> SuiteResult:

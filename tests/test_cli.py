@@ -117,9 +117,21 @@ def test_connections_rejects_nonpositive_hbar(tmp_path):
     ("diagonalize", ["--order", "3"], {}),
     ("diagonalize", [], {"representation": "covarient"}),
     ("connections", [], {"connection_order": "1"}),
+    ("diagonalize", [], {"tolerances": {"fd_base": math.nan}}),
+    ("diagonalize", [], {"tolerances": {"fd_base": 0}}),
+    ("diagonalize", [], {"tolerances": {"gap": -1, "degeneracy": "nan"}}),
+    ("connections", [], {"tolerances": {"overlap": math.inf}}),
+    ("diagonalize", [], {"tolerances": {"gap": None}}),
+    ("diagonalize", [], {"points": []}),
+    ("diagonalize", [], {"points": None, "random_points": {"count": 0}}),
+    ("curvature", [], {"points": None, "random_points": {"count": -2}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, command, argv, extra):
-    cfg = write_config(tmp_path, {**DIRAC_CFG, **extra})
+    # A None value drops the key, so "random_points" is not shadowed by the
+    # base config's "points".
+    cfg = write_config(tmp_path, {key: value for key, value
+                                  in {**DIRAC_CFG, **extra}.items()
+                                  if value is not None})
     out = tmp_path / "o"
     assert main(["--config", cfg, "--out", str(out), *argv, command]) == 1
     assert not out.exists()

@@ -72,7 +72,7 @@ def test_covariant_vars_classical_limit():
 
 def test_covariant_vars_hermitian():
     cov = covariant_variables(DiracElectric(m=1.0, e=1.0, field=GAUSS), X, 0.05)
-    for comp in cov.r + cov.p:
+    for comp in cov.x:
         assert np.max(np.abs(comp - comp.conj().T)) <= 1e-12
 
 
@@ -88,7 +88,7 @@ def test_curvature_antisymmetry_and_fd_consistency():
 
     def shift(y, axis):
         cov = covariant_variables(model, y, hbar)
-        return cov.shift_per_hbar(axis)
+        return cov.shift_per_hbar()[axis]
 
     for i, j in ((0, 1), (1, 2)):
         dPi_aj = (shift(X.shifted(3 + i, h), j)

@@ -1,13 +1,16 @@
 """Energy pipeline: generator, corrected connections, order-by-order terms."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
 
 import semiband.energy
 import semiband.frames
-from semiband.fields import GaussianField, LinearField, UniformField
+from semiband.fields import (
+    GaussianField, LinearField, ScalarField, UniformField,
+)
 from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
 )
@@ -88,8 +91,7 @@ def test_rotation_generator_uniform_potential_vanishes():
 def test_corrected_connections_neutrino_unchanged():
     _frame, conns0, conns = corrected(neutrino(), 0.05)
     for axis in range(6):
-        assert np.max(np.abs(conns.component(axis)
-                             - conns0.component(axis))) <= 1e-12
+        assert np.max(np.abs(conns.A[axis] - conns0.A[axis])) <= 1e-12
 
 
 def test_corrected_connections_dirac_momentum_closed_form():
@@ -110,8 +112,7 @@ def test_corrected_connections_dirac_momentum_closed_form():
 def test_corrected_connections_uniform_field_unchanged():
     _frame, conns0, conns = corrected(dirac(UniformField(0.0)), 0.1)
     for axis in range(6):
-        assert np.max(np.abs(conns.component(axis)
-                             - conns0.component(axis))) <= 1e-12
+        assert np.max(np.abs(conns.A[axis] - conns0.A[axis])) <= 1e-12
 
 
 def test_first_order_dirac_matches_closed_form():
@@ -202,6 +203,67 @@ def test_bracket_term_unavailable_flags_partial():
     rep = band_energy(model, X, 0.05, order=2)
     assert rep.partial
     assert np.max(np.abs(rep.bracket_term)) == 0.0
+
+
+# The generic two_level model at X with hbar = 0.05, recorded from the
+# per-axis implementation that the (6, n, n) stack layout replaced.  It is the
+# only built-in model with a nonzero A^P, so the only one whose order-2 result
+# depends on the signs of the R <-> P pairing (`frames.conjugate`) in hr, B
+# and the covariant commutator strings; it has no closed-form oracle.
+TWO_LEVEL_PINNED_BANDS = {
+    "canonical": ([1.0120324401425247, -1.036032315319312],
+                  [1.0045657153660195e-07, 2.43666411979888e-08]),
+    "covariant": ([1.0120317875212361, -1.0360316880575846],
+                  [4.9731825676702e-08, 4.9731825676702e-08]),
+}
+TWO_LEVEL_PINNED_CONNECTIONS = np.array([
+    [[0.006004985501906068, 0.001020435308713452 - 0.12026357984380644j],
+     [0.001020435308713452 + 0.12026357984380644j, -0.00600498550190606]],
+    [[4.040623968072453e-20, -0.0001468051170961978 - 1.2555762052954956e-06j],
+     [-0.0001468051170961978 + 1.2555762052954956e-06j, 4.0408686555418506e-20]],
+    [[0.0, -1.7209558293420704e-18 - 4.302389573355176e-19j],
+     [-1.7209558293420704e-18 + 4.302389573355176e-19j, 0.0]],
+    [[-2.6633501752816187e-20, 1.0044609642416118e-06 + 0.000118627922670529j],
+     [1.0044609642416118e-06 - 0.000118627922670529j, -2.6607725107875133e-20]],
+    [[0.008433275007892158, 0.09718521216722358 - 0.0008268767193796856j],
+     [0.09718521216722358 + 0.0008268767193796856j, -0.008433275007892161]],
+    [[5.238108610291968e-07, 0.0019028470099766634 + 0.0033402884391877316j],
+     [0.0019028470099766634 - 0.0033402884391877316j, -5.238108610293806e-07]],
+])
+
+
+def test_generic_two_level_order2_is_pinned():
+    model = make_model(GENERIC_TWO_LEVEL)
+    hbar = 0.05
+    for representation, (bands, second) in TWO_LEVEL_PINNED_BANDS.items():
+        rep = band_energy(model, X, hbar, 2, representation)
+        assert np.max(np.abs(rep.band_values() - bands)) \
+            <= 1e-12 * np.max(np.abs(bands))
+        # The order-2 part alone, relative to its own size: a sign error in
+        # the pairing moves it at the 1e-8 level.
+        assert np.max(np.abs(np.real(np.diag(rep.second)) - second)) \
+            <= 1e-10 * np.max(np.abs(second))
+    _frame, _conns0, conns = corrected(model, hbar)
+    assert np.max(np.abs(conns.A - TWO_LEVEL_PINNED_CONNECTIONS)) \
+        <= 1e-12 * np.max(np.abs(TWO_LEVEL_PINNED_CONNECTIONS))
+
+
+class _NaNGradientField(ScalarField):
+    """A finite potential whose gradient is NaN."""
+
+    def jet(self, r):
+        zero = (0.0, 0.0, 0.0)
+        return 0.3, (math.nan, 0.0, 0.0), (zero, zero, zero)
+
+
+def test_non_finite_energy_raises():
+    # NaN compares False against the block-diagonality guard, so the
+    # finiteness check is what stops a NaN energy.
+    model = dirac(_NaNGradientField())
+    with np.errstate(invalid="ignore"):
+        for order in (1, 2):
+            with pytest.raises(FloatingPointError):
+                band_energy(model, X, 0.01, order=order)
 
 
 def test_frame_first_order_gauge_and_unitarity():
@@ -344,8 +406,7 @@ def test_group_rotated_connections_match_fd():
             exact = berry_connections(rotated, x, 0.0)
             fd = connections_fd(rotated, x, 0.0)
             for k in range(6):
-                assert np.max(np.abs(exact.component(k) - fd.component(k))) \
-                    <= 1e-6
+                assert np.max(np.abs(exact.A[k] - fd.A[k])) <= 1e-6
 
 
 def _block_eigenvalues(eps, groups):

@@ -19,6 +19,7 @@ from semiband.frames import (
     Tolerances,
     berry_connections,
     classical_frame,
+    conjugate,
     connections_fd,
     invert_band_commutator,
     project,
@@ -213,7 +214,22 @@ def test_connections_constant_frame_vanish():
     model = TwoLevel()  # h along z everywhere: U0 = identity
     x = PhasePoint.of([0.2, -0.3, 0.4], [0.5, 0.6, -0.7])
     conns = connections_fd(model, x, 0.0)
-    assert max(np.max(np.abs(a)) for a in conns.A_R + conns.A_P) <= 1e-12
+    assert np.max(np.abs(conns.A)) <= 1e-12
+
+
+def test_conjugate_pairs_position_with_momentum():
+    rng = np.random.default_rng(3)
+    S = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    C = conjugate(S)
+    assert np.array_equal(C[:3], S[3:]) and np.array_equal(C[3:], -S[:3])
+    # On a connection set with A^P != 0: (A^R, A^P) -> (A^P, -A^R).
+    model = make_model(BENCHMARK_CONFIGS["two_level_generic"])
+    conns = berry_connections(model, PhasePoint.of([0.3, 0.5, -0.2],
+                                                   [0.7, -0.4, 1.1]), 0.0)
+    assert np.max(np.abs(conns.A_P)) > 0.05
+    C = conjugate(conns.A)
+    assert np.array_equal(C[:3], conns.A_P)
+    assert np.array_equal(C[3:], -conns.A_R)
 
 
 def test_connections_hermitian():
@@ -221,7 +237,7 @@ def test_connections_hermitian():
                   NeutrinoMetric(profile=LinearField([0.05, 0, 0], 1.5))):
         x = PhasePoint.of([0.3, 0.2, -0.1], [0.4, 0.5, 0.6])
         conns = berry_connections(model, x, 0.0)
-        for a in conns.A_R + conns.A_P:
+        for a in conns.A:
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
 
@@ -247,8 +263,7 @@ def max_connection_gap(model, x) -> float:
     """Largest entry of the exact connections minus the stencil ones."""
     an = berry_connections(model, x, 0.0)
     fd = connections_fd(model, x, 0.0)
-    return max(float(np.max(np.abs(an.component(k) - fd.component(k))))
-               for k in range(6))
+    return max(float(np.max(np.abs(an.A[k] - fd.A[k]))) for k in range(6))
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
