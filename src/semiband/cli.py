@@ -248,7 +248,7 @@ def cmd_connections(cfg: dict, args) -> int:
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
         if order == "0":
             return conns0
-        grads = phase_field_gradients(model, frame, hbar, tol)
+        grads = phase_field_gradients(model, frame, hbar, tol, conns0)
         B = rotation_generator(model, frame, conns0, tol)
         return corrected_connections(frame, conns0, B, hbar, grads)
 

@@ -117,10 +117,9 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     if frame is None:
         frame = classical_frame(model, x, tol)
     conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-    diag = FDDiagnostics()
-    field_grads = phase_field_gradients(model, frame, hbar, tol, diag)
+    field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
     B = rotation_generator(model, frame, conns0, tol)
-    conns = corrected_connections(frame, conns0, B, hbar, field_grads, diag)
+    conns = corrected_connections(frame, conns0, B, hbar, field_grads)
     g = frame.groups
     A0 = project(conns0.A, g, "diag")
     a1 = (2.0 * project(conns.linear, g, "diag")
@@ -135,13 +134,13 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
                      tol: Tolerances = DEFAULT_TOL) -> CurvatureSet:
     """Curvature set from the covariant shift field and its commutators."""
-    classical_frame(model, x, tol)     # validates x before any stencil work
     diag = FDDiagnostics()
 
-    def shifts(y: PhasePoint) -> np.ndarray:
-        return covariant_variables(model, y, hbar, tol).shift_per_hbar()
+    def shifts(y: PhasePoint, frame: BandFrame | None = None) -> np.ndarray:
+        return covariant_variables(model, y, hbar, tol, frame).shift_per_hbar()
 
-    a = shifts(x)
+    # The frame at x validates x before any stencil work.
+    a = shifts(x, classical_frame(model, x, tol))
     aR, aP = a[:3], a[3:]
     # d[axis, comp] is grad_axis a^comp.
     d = np.stack([derivative_along(shifts, x, axis, tol.fd_base, diag)

@@ -22,9 +22,18 @@ The pipeline assembles, at a classical phase point:
 Every phase-axis field is one (6, n, n) stack in axis order (R_1, R_2, R_3,
 P_1, P_2, P_3), and every contraction over the axes pairs R_l with P_l through
 `frames.conjugate`, so the assembly has no per-axis branch.  The three
-derivatives an order-2 point needs (grad A0, grad B and D W) come from one
-stencil pass over the stacked field [A0^R, A0^P, B, W]
-(`phase_field_gradients`).
+derivatives an order-2 point needs (grad A0, grad B and D W) are exact at the
+point (`phase_field_gradients`), with no stencil.  With M_a = U0 grad_a H U0^+,
+X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
+
+* grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b] (`Model.d2_hamiltonian`),
+  and the eps0 Hessian is the group scalar of P+ grad_b M_a;
+* P- grad_b X_a = inv(P-(grad_b M_a - [X_a, grad_b E])), inv the
+  band-commutator inversion; P+ grad_b X_a comes from the gradient of the
+  model's gauge term (`Model.d_analytic_connections`), or is
+  (1/2) P+[X_a, X_b] without an analytic frame (`frames.connection_gradients`);
+* B and W follow by the Leibniz rule, with
+  grad inv(V) = inv(grad V - [inv(V), grad E]).
 
 Everything is Hermitized term by term; discarded anti-Hermitian defects are
 recorded in the report diagnostics rather than silently dropped.
@@ -42,16 +51,17 @@ from semiband.frames import (
     ConnectionSet,
     Tolerances,
     DEFAULT_TOL,
+    _comm_diag,
     berry_connections,
     classical_frame,
     conjugate,
+    connection_gradients,
     eps0_gradients,
-    frame_field,
     hermitize,
     invert_band_commutator,
     project,
 )
-from semiband.stencils import FDDiagnostics, derivative_along
+from semiband.stencils import FDDiagnostics
 
 __all__ = [
     "EnergyReport",
@@ -119,46 +129,50 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# The differentiated field (smooth map used by the one stencil pass)
+# Exact phase-space gradients of the order-0 connections, B and W
 # ---------------------------------------------------------------------------
-
-def _light_frame(model: Model, y: PhasePoint, anchor: BandFrame,
-                 tol: Tolerances) -> BandFrame:
-    """Frame at y in the smooth gauge of the anchor, without re-validation."""
-    eps0, U0 = frame_field(model, anchor, tol)(y)
-    return BandFrame(np.asarray(eps0, dtype=float),
-                     np.asarray(U0, dtype=complex), anchor.groups, y)
-
-
-def _phase_field(model: Model, y: PhasePoint, hbar: float, anchor: BandFrame,
-                 tol: Tolerances) -> np.ndarray:
-    """[A0^R_1..3, A0^P_1..3, B, W] at y in the anchor gauge, as (8, n, n).
-
-    The frame, the order-0 connections and the eps0 gradients are built once
-    and shared by the generator B and the first-order kernel W.
-    """
-    frame = _light_frame(model, y, anchor, tol)
-    conns = berry_connections(model, y, hbar, frame=frame, tol=tol)
-    grads = eps0_gradients(model, frame, tol)
-    return np.concatenate([
-        conns.A, [rotation_generator(model, frame, conns, tol, grads),
-                  first_order_kernel(model, frame, conns, tol, grads)]])
-
 
 def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
                           tol: Tolerances = DEFAULT_TOL,
-                          diagnostics: FDDiagnostics | None = None) -> np.ndarray:
+                          conns0: ConnectionSet | None = None) -> np.ndarray:
     """grad_axis of [A0^R_1..3, A0^P_1..3, B, W] at the frame's point.
 
     Returns one (6, 8, n, n) array indexed [axis, field]: fields 0-5 are the
     order-0 connections, 6 the rotation generator B and 7 the first-order
-    kernel W.  This is the single stencil pass of an order-2 evaluation.
+    kernel W.  All of it is exact at the point: grad A0 and the eps0 Hessian
+    come from `connection_gradients`, and B and W are differentiated by the
+    Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for the
+    band-commutator inversion.
     """
-    def field(y: PhasePoint) -> np.ndarray:
-        return _phase_field(model, y, hbar, frame, tol)
+    if conns0 is None:
+        conns0 = berry_connections(model, frame.point, hbar, frame=frame,
+                                   tol=tol)
+    g, A = eps0_gradients(model, frame, tol), conns0.A
+    dA, hess = connection_gradients(model, frame, conns0, tol)
+    groups = frame.groups
 
-    return np.stack([derivative_along(field, frame.point, axis, tol.fd_base,
-                                      diagnostics) for axis in range(6)])
+    # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
+    # Y = sum_a P-A_a conjugate(P+A)_a.
+    gs = g[:, None, :] + g[:, :, None]
+    K = (0.5 * A * gs).sum(0)
+    dK = 0.5 * (dA * gs + A * (hess[..., None, :] + hess[..., :, None])).sum(1)
+    invK = invert_band_commutator(project(K, groups, "offdiag"), frame, tol)
+    dB = -invert_band_commutator(project(dK, groups, "offdiag")
+                                 - _comm_diag(invK, g), frame, tol)
+    Aoff, Adiag = project(A, groups, "offdiag"), project(A, groups, "diag")
+    dY = (project(dA, groups, "offdiag") @ conjugate(Adiag)
+          + Aoff @ conjugate(project(dA, groups, "diag"), axis=1)).sum(1)
+    dB += 0.25j * (dY + _dagger(dY))
+
+    # W = P+(T + T^+), T = sum_a (D_a E) A_a with D_a E = diag(g_a)
+    # + (i/2)[conjugate(A)_a, E].
+    DE = _covariant(_diag(g), A, _diag(frame.eps0))
+    dDE = _diag(hess) + 0.5j * (
+        _comm_diag(conjugate(dA, axis=1), frame.eps0)
+        + _comm_diag(conjugate(A)[None], g[:, None]))
+    dT = (dDE @ A + DE @ dA).sum(1)
+    dW = project(dT + _dagger(dT), groups, "diag")
+    return np.concatenate([dA, dB[:, None], dW[:, None]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +197,8 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
 
 
 def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
-                          B: np.ndarray, hbar: float, field_grads: np.ndarray,
-                          diagnostics: FDDiagnostics | None = None) -> ConnectionSet:
+                          B: np.ndarray, hbar: float,
+                          field_grads: np.ndarray) -> ConnectionSet:
     """Connections including the order-hbar correction.
 
     The self-gradient piece is (hbar/8){A0^{X_l}, grad_{X_l} A0^X}; the
@@ -197,11 +211,8 @@ def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
     corr = (0.125 * _anticomm(A0[:, None], field_grads[:, :6])).sum(0)
     corr += 0.5 * (-1j * conjugate(field_grads[:, 6]) + _comm(B, A0))
     linear = hermitize(corr)[0]
-    diag = FDDiagnostics()
-    if diagnostics is not None:
-        diag.merge(diagnostics)
     return ConnectionSet(hermitize(A0 + hbar * linear)[0], "corrected",
-                         frame.point, hbar, diag, linear=linear)
+                         frame.point, hbar, linear=linear)
 
 
 def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
@@ -276,11 +287,9 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         defects.append(d1)
 
     if order == 2:
-        fd_diag = FDDiagnostics()
-        field_grads = phase_field_gradients(model, frame, hbar, tol, fd_diag)
+        field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
         B = rotation_generator(model, frame, conns0, tol, grads)
-        conns = corrected_connections(frame, conns0, B, hbar, field_grads,
-                                      fd_diag)
+        conns = corrected_connections(frame, conns0, B, hbar, field_grads)
         bracket, partial, db = _bracket_term(model, x, hbar, frame)
         defects.append(db)
 
@@ -294,7 +303,9 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         second, d2 = hermitize(second)
         first, d1b = hermitize(first)
         defects.extend([d2, d1b])
-        diagnostics["fd"] = fd_diag
+        # An empty stencil record: no stencil runs, and readers of order-2
+        # reports still find the key.
+        diagnostics["fd"] = FDDiagnostics()
 
     total = eps0_mat + first + second + bracket
     if not np.isfinite(total).all():

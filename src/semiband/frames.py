@@ -5,10 +5,12 @@ declared degenerate band groups and the gauge-fixed unitary U0 with
 U0 H U0^+ block diagonal.  Phase-axis fields are (6, n, n) stacks in axis
 order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P
 pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
-i.e. A = conjugate(i X), X = U0 grad U0^+: exact for analytic frames (see
-`berry_connections`), otherwise finite differences over a gauge-smoothed frame
-field (eigenvectors at stencil points aligned to the anchor frame by the
-unitary polar factor of the per-group overlap matrix).
+i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
+(`berry_connections`), and so are their phase-space gradients and the eps0
+Hessian (`connection_gradients`).  The finite-difference connections over a
+gauge-smoothed frame field (`connections_fd`: eigenvectors at stencil points
+aligned to the anchor frame by the unitary polar factor of the per-group
+overlap matrix) are the independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "invert_band_commutator",
     "berry_connections",
     "connections_fd",
+    "connection_gradients",
     "hermitize",
     "conjugate",
     "eps0_gradients",
@@ -100,14 +103,17 @@ class ConnectionSet:
         return self.A[3:]
 
 
-def conjugate(S: np.ndarray) -> np.ndarray:
-    """The R <-> P pairing of a phase-axis stack: (S^R, S^P) -> (S^P, -S^R).
+def conjugate(S: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The R <-> P pairing of a phase-axis stack: (S^R, S^P) -> (S^P, -S^R),
+    along the phase axis `axis` of S.
 
     Every contraction over the six axes pairs R_l with P_l this way: the
     covariant derivatives D_R = grad_R + (i/2)[A^P, .] and
     D_P = grad_P - (i/2)[A^R, .] are grad + (i/2)[conjugate(A), .], and
     sum_l (X^{R_l} Y^{P_l} - X^{P_l} Y^{R_l}) is (X @ conjugate(Y)).sum(0).
     """
+    if axis:
+        return np.swapaxes(conjugate(np.swapaxes(S, 0, axis)), 0, axis)
     return np.concatenate([S[3:], -S[:3]])
 
 
@@ -273,6 +279,12 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     return out
 
 
+def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[V, diag(d)] for stacks, V (..., n, n) and d (..., n):
+    V_nm (d_m - d_n)."""
+    return V * (d[..., None, :] - d[..., :, None])
+
+
 def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
     """U0 grad_a H U0^+ over the six phase axes, (6, n, n), built once per
     frame and shared by the connections and the eps0 gradients."""
@@ -286,16 +298,52 @@ def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
 def berry_connections(model: Model, x: PhasePoint, hbar: float,
                       frame: BandFrame | None = None,
                       tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
-    """Order-0 connections; exact for an analytic frame, where U0 H U0^+ = eps0
-    gives [X, eps0] = P-(U0 grad H U0^+) for the cross-group part of X and
-    `model.analytic_connections` is the within-group part (the frame's gauge)."""
+    """Exact order-0 connections.  U0 H U0^+ = eps0 gives
+    [X, eps0] = P-(U0 grad H U0^+) for the cross-group part of X; the
+    within-group part is the model's gauge term `analytic_connections` for an
+    analytic frame, and 0 otherwise (the gauge parallel to the frame at x)."""
     if frame is None:
         frame = classical_frame(model, x, tol)
-    if not model.has_analytic_frame:
-        return connections_fd(model, x, hbar, frame, tol)
     X = invert_band_commutator(_rotated_dH(model, frame), frame, tol)
-    A = np.concatenate(model.analytic_connections(x)) + conjugate(1j * X)
+    A = conjugate(1j * X)
+    if model.has_analytic_frame:
+        A = np.concatenate(model.analytic_connections(x)) + A
     return ConnectionSet(hermitize(A)[0], "0", x, hbar)
+
+
+def connection_gradients(model: Model, frame: BandFrame,
+                         conns: ConnectionSet, tol: Tolerances = DEFAULT_TOL):
+    """Exact phase-space gradients at the frame's point: (dA, hess), with
+    dA[b, a] = grad_b A^a of the `berry_connections` set `conns`, (6, 6, n, n),
+    and hess[b, a] = grad_b grad_a eps0, (6, 6, n).
+
+    With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A) and
+    E = diag eps0:
+      grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b];
+      hess is the group scalar of P+ grad_b M_a (second-order
+      Hellmann-Feynman);
+      P- grad_b X_a = inv(P-(grad_b M_a - [X_a, grad_b E])), inv being
+      `invert_band_commutator`;
+      P+ grad_b X_a = i conjugate(grad_b G) for the model's gauge term G
+      (`d_analytic_connections`), and (1/2) P+[X_a, X_b] in the
+      parallel gauge of a frame-less model.
+    """
+    U0 = frame.U0
+    M = _rotated_dH(model, frame)
+    X = 1j * conjugate(conns.A)
+    dM = (U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().T
+          + M[None] @ X[:, None] - X[:, None] @ M[None])
+    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
+    g = eps0_gradients(model, frame, tol)
+    dX = invert_band_commutator(
+        dM - _comm_diag(X[None], g[:, None]), frame, tol)
+    if model.has_analytic_frame:
+        dA = conjugate(1j * dX, axis=1) + model.d_analytic_connections(frame.point)
+    else:
+        dX += 0.5 * project(X[None] @ X[:, None] - X[:, None] @ X[None],
+                            frame.groups, "diag")
+        dA = conjugate(1j * dX, axis=1)
+    return hermitize(dA)[0], hess
 
 
 def connections_fd(model: Model, x: PhasePoint, hbar: float,
@@ -314,6 +362,12 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
                          diagnostics)
 
 
+def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The per-group mean of diagonals (..., n), in the frame layout."""
+    same = groups[:, None] == groups[None, :]
+    return (diag @ same) / same.sum(0)
+
+
 def eps0_gradients(model: Model, frame: BandFrame,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The six phase-space gradients of the band energies, (6, n) real in the
@@ -324,8 +378,7 @@ def eps0_gradients(model: Model, frame: BandFrame,
     gradient of the group's eigenvalues.
     """
     diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2))
-    same = frame.groups[:, None] == frame.groups[None, :]
-    mean = (diag @ same) / same.sum(0)
+    mean = _group_scalar(diag, frame.groups)
     scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
     if np.max(np.abs(diag - mean)) > 1e-8 * scale:
         raise ValueError(

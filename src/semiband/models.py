@@ -55,6 +55,20 @@ def p_cross_sigma(P: np.ndarray, sigma) -> list:
             P[0] * sigma[1] - P[1] * sigma[0]]
 
 
+# [b, l] = (e_b x Sigma)_l, the P_b derivative of (P x Sigma)_l.
+_E_CROSS_SIGMA = np.array([p_cross_sigma(e, SIGMA) for e in np.eye(3)])
+
+
+def _pxs_gauge_gradient(P: np.ndarray, f: float, df: np.ndarray) -> np.ndarray:
+    """grad_b of the gauge stack ((P x Sigma)/f, 0) as (6 b, 6 a, 4, 4), for a
+    scalar f(R, P) with gradient df over the six axes."""
+    out = np.zeros((6, 6, 4, 4), dtype=complex)
+    out[:, :3] = -np.multiply.outer(df / f ** 2,
+                                    np.array(p_cross_sigma(P, SIGMA)))
+    out[3:, :3] += _E_CROSS_SIGMA / f
+    return out
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Classical phase-space point (R, P), both real 3-vectors."""
@@ -117,12 +131,21 @@ class Model:
         """Analytic dH along phase axis (0-2: R components, 3-5: P)."""
         raise NotImplementedError
 
+    def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        """The analytic Hessian of H over the phase axes, (6, 6, n, n)."""
+        raise NotImplementedError
+
     def analytic_frame(self, x: PhasePoint):
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
     def analytic_connections(self, x: PhasePoint):
         """(A_R, A_P): the within-group parts of i U0 grad_P U0^+ and
         -i U0 grad_R U0^+ in the gauge of `analytic_frame`."""
+        raise NotImplementedError(f"model {self.name} has no analytic connections")
+
+    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        """grad_b of the stacked gauge term (A_R, A_P) of
+        `analytic_connections`, as (6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
@@ -172,6 +195,12 @@ class DiracElectric(Model):
             return ALPHA[axis - 3].copy()
         return self.e * self.field.gradient(x.R)[axis] * np.eye(4)
 
+    def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        out = np.zeros((6, 6, 4, 4), dtype=complex)
+        out[:3, :3] = self.e * np.multiply.outer(self.field.hessian(x.R),
+                                                 np.eye(4))
+        return out
+
     def analytic_frame(self, x: PhasePoint):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
@@ -189,6 +218,11 @@ class DiracElectric(Model):
         A_R = [a / (2 * E * (E + self.m)) for a in pxs]
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
+
+    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        E = self.energy_scale(x)
+        df = np.concatenate([np.zeros(3), (4 * E + 2 * self.m) * x.P / E])
+        return _pxs_gauge_gradient(x.P, 2 * E * (E + self.m), df)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         return np.zeros((4, 4), dtype=complex)
@@ -230,6 +264,15 @@ class NeutrinoMetric(Model):
         ap = sum(x.P[i] * ALPHA[i] for i in range(3))
         return self.F.gradient(x.R)[axis] * ap
 
+    def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        _F, g, h = self.F.jet(x.R)
+        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
+        out = np.zeros((6, 6, 4, 4), dtype=complex)
+        out[:3, :3] = np.multiply.outer(np.array(h), ap)
+        out[:3, 3:] = np.multiply.outer(np.array(g), np.array(ALPHA))
+        out[3:, :3] = out[:3, 3:].swapaxes(0, 1)
+        return out
+
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
         E = float(np.linalg.norm(x.P))
@@ -246,6 +289,11 @@ class NeutrinoMetric(Model):
         A_R = [a / (2 * E2) for a in p_cross_sigma(x.P, SIGMA)]
         A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
         return A_R, A_P
+
+    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        self.check_point(x)
+        df = np.concatenate([np.zeros(3), 4 * x.P])
+        return _pxs_gauge_gradient(x.P, 2 * float(x.P @ x.P), df)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
@@ -288,6 +336,22 @@ class ComponentTerm:
             e = exps[i] - (1 if i == axis else 0)
             v *= coords[i] ** e
         return v
+
+    def hessian(self, x: PhasePoint) -> np.ndarray:
+        """The (6, 6) second derivatives over the phase axes."""
+        exps = self.r_exp + self.p_exp
+        coords = tuple(x.R) + tuple(x.P)
+        out = np.zeros((6, 6))
+        live = [a for a in range(6) if exps[a]]
+        for a in live:
+            for b in live:
+                c = exps[a] * (exps[b] - (a == b))
+                if c:
+                    v = float(self.coef) * c
+                    for i in range(6):
+                        v *= coords[i] ** (exps[i] - (i == a) - (i == b))
+                    out[a, b] = v
+        return out
 
     def factorizations(self, n: int = 1) -> list:
         """The declared ordering as weyl factorizations (sum of products)."""
@@ -346,12 +410,30 @@ class TwoLevel(Model):
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]
         self.bracket_closed_form = self.z_only
+        if self.z_only:
+            # eps0 bands are h0 +/- h3; the bracket acts on the declared
+            # forms exactly, through the symbolic module, once per model.
+            self._band_brackets = [self._band_bracket(s) for s in (1.0, -1.0)]
+
+    def _band_bracket(self, sign: float):
+        expr = weyl.WeylExpr.zero(1)
+        for term in self.h0:
+            for f in term.factorizations():
+                expr = expr + f.bracket()
+        for term in self.h[2]:
+            for f in term.factorizations():
+                b = f.bracket()
+                expr = expr + (b if sign > 0 else -b)
+        return expr
 
     def _component(self, terms, x: PhasePoint) -> float:
         return sum(t.value(x) for t in terms)
 
     def _component_grad(self, terms, x: PhasePoint, axis: int) -> float:
         return sum(t.gradient(x, axis) for t in terms)
+
+    def _component_hessian(self, terms, x: PhasePoint) -> np.ndarray:
+        return sum((t.hessian(x) for t in terms), np.zeros((6, 6)))
 
     def h_vector(self, x: PhasePoint) -> np.ndarray:
         return np.array([self._component(part, x) for part in self.h])
@@ -365,6 +447,12 @@ class TwoLevel(Model):
         dh0 = self._component_grad(self.h0, x, axis)
         dh = [self._component_grad(part, x, axis) for part in self.h]
         return dh0 * S0 + dh[0] * SX + dh[1] * SY + dh[2] * SZ
+
+    def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        out = np.multiply.outer(self._component_hessian(self.h0, x), S0)
+        for part, s in zip(self.h, (SX, SY, SZ)):
+            out = out + np.multiply.outer(self._component_hessian(part, x), s)
+        return out
 
     def analytic_frame(self, x: PhasePoint):
         h = self.h_vector(x)
@@ -383,38 +471,69 @@ class TwoLevel(Model):
         V = np.column_stack([plus, minus])
         return eps0, V.conj().T
 
+    def _grad_h(self, x: PhasePoint, parts) -> np.ndarray:
+        return np.array([[self._component_grad(part, x, a) for a in range(6)]
+                         for part in parts])
+
+    def _gauge(self, x: PhasePoint):
+        """(h, |h|, lift, grad (h1, h2) as (2, 6)) of the gauge term below;
+        raises where the declared gauge is singular."""
+        h = self.h_vector(x)
+        h1, h2, h3 = h
+        hn = float(np.linalg.norm([h1, h2, h3]))
+        lift = hn + h3 if h3 >= 0 else (h1 ** 2 + h2 ** 2) / (hn - h3)
+        d = self._grad_h(x, self.h[:2])
+        if lift == 0.0 and (hn == 0.0 or d[0].any() or d[1].any()):
+            raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
+        return h, hn, lift, d
+
+    @staticmethod
+    def _gauge_stack(w: np.ndarray) -> np.ndarray:
+        """(A_R, A_P) stacked for the within-group X = i w diag(1, -1):
+        A^{R_l} = diag(-w_{P_l}, w_{P_l}), A^{P_l} = diag(w_{R_l}, -w_{R_l});
+        w may carry leading axes, (..., 6) -> (..., 6, 2, 2)."""
+        c = np.concatenate([-w[..., 3:], w[..., :3]], axis=-1)
+        out = np.zeros(c.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = c, -c
+        return out
+
     def analytic_connections(self, x: PhasePoint):
         # U0 grad U0^+ = i s^2 grad phi diag(1, -1) within the groups, with
         # phi = arg(h1 + i h2), s^2 = (1 - h3/|h|)/2: s^2 grad phi = (h1 grad h2
         # - h2 grad h1)/(2|h| lift), lift = |h| + h3 = hp^2/(|h| - h3) for h3 < 0.
-        h1, h2, h3 = self.h_vector(x)
-        hn = float(np.linalg.norm([h1, h2, h3]))
-        lift = hn + h3 if h3 >= 0 else (h1 ** 2 + h2 ** 2) / (hn - h3)
-        d1, d2 = (np.array([self._component_grad(self.h[k], x, a)
-                            for a in range(6)]) for k in (0, 1))
-        if lift == 0.0 and (hn == 0.0 or d1.any() or d2.any()):
-            raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
-        w = (h1 * d2 - h2 * d1) / (2 * hn * lift) if lift else np.zeros(6)
-        return ([np.diag([-w[3 + l], w[3 + l]]).astype(complex) for l in range(3)],
-                [np.diag([w[l], -w[l]]).astype(complex) for l in range(3)])
+        (h1, h2, _h3), hn, lift, d = self._gauge(x)
+        w = (h1 * d[1] - h2 * d[0]) / (2 * hn * lift) if lift else np.zeros(6)
+        G = self._gauge_stack(w)
+        return list(G[:3]), list(G[3:])
+
+    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        # The quotient rule on w = N / Q, N = h1 grad h2 - h2 grad h1,
+        # Q = 2 |h| lift, on either branch of lift.
+        h, hn, lift, d = self._gauge(x)
+        if not lift:
+            return np.zeros((6, 6, 2, 2), dtype=complex)
+        h1, h2, h3 = h
+        d = np.concatenate([d, self._grad_h(x, self.h[2:])])
+        dd = [self._component_hessian(part, x) for part in self.h[:2]]
+        dn = h @ d / hn                                   # grad |h|
+        if h3 >= 0:
+            dlift = dn + d[2]
+        else:
+            dlift = (2 * (h1 * d[0] + h2 * d[1]) - lift * (dn - d[2])) / (hn - h3)
+        N = h1 * d[1] - h2 * d[0]
+        dN = (np.outer(d[0], d[1]) - np.outer(d[1], d[0])
+              + h1 * dd[1] - h2 * dd[0])
+        Q = 2 * hn * lift
+        dQ = 2 * (dn * lift + hn * dlift)
+        return self._gauge_stack(dN / Q - np.outer(dQ, N) / Q ** 2)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.bracket_closed_form:
             raise NotImplementedError(
                 "bracket term unavailable: h is not purely along sigma_z"
             )
-        # eps0 bands are h0 +/- h3; the bracket acts on the declared forms and
-        # is evaluated exactly through the symbolic module, then numerically.
         out = np.zeros((2, 2), dtype=complex)
-        for band, sign in ((0, 1.0), (1, -1.0)):
-            expr = weyl.WeylExpr.zero(1)
-            for term in self.h0:
-                for f in term.factorizations():
-                    expr = expr + f.bracket()
-            for term in self.h[2]:
-                for f in term.factorizations():
-                    b = f.bracket()
-                    expr = expr + (b if sign > 0 else -b)
+        for band, expr in enumerate(self._band_brackets):
             out[band, band] = complex(expr.evaluate(x.R, x.P, hbar)[0, 0])
         return -(hbar / 2.0) * out
 

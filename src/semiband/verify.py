@@ -48,8 +48,7 @@ from semiband.oracles import (
     neutrino_velocity_modulus,
     pauli_energy_oracle,
 )
-from semiband.stencils import FDDiagnostics, derivative_along
-from semiband.frames import DEFAULT_TOL as DEFAULT_TOL_REF
+from semiband.stencils import derivative_along
 
 __all__ = ["SuiteResult", "ALL_SUITES", "run_suites", "ACCEPTANCE_ORDER",
            "covariant_reexpansion"]
@@ -344,10 +343,9 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
         deps = (8 * (eps_at(hb + dh) - eps_at(hb - dh))
                 - (eps_at(hb + 2 * dh) - eps_at(hb - 2 * dh))) / (12 * dh)
         c0 = berry_connections(model, x, hb)
-        diag = FDDiagnostics()
-        grads = phase_field_gradients(model, frame, hb, diagnostics=diag)
+        grads = phase_field_gradients(model, frame, hb, conns0=c0)
         B = rotation_generator(model, frame, c0)
-        cc = corrected_connections(frame, c0, B, hb, grads, diag)
+        cc = corrected_connections(frame, c0, B, hb, grads)
         # Flow operator needs the scale-hbar connections A0 + 2 hbar A1 (the
         # corrected set is the running average, with half that correction).
         flow = ConnectionSet(c0.A + 2 * hb * cc.linear, "corrected", x, hb)
@@ -445,22 +443,17 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     equals the canonical-variable energy up to O(hbar^3).
     """
     from semiband.dynamics import covariant_variables
-    from semiband.frames import eps0_gradients
-    from semiband.energy import _anticomm, _diag, _light_frame
+    from semiband.frames import connection_gradients, eps0_gradients
+    from semiband.energy import _anticomm, _diag
 
     frame = classical_frame(model, x)
     cov = covariant_variables(model, x, hbar, frame=frame)
     rep_cov = band_energy(model, x, hbar, order=2, representation="covariant")
 
     S = hbar * cov.shift_per_hbar()
-
-    def grad_field(y: PhasePoint) -> np.ndarray:
-        fr = _light_frame(model, y, frame, DEFAULT_TOL_REF)
-        return eps0_gradients(model, fr)
-
     grads = _diag(eps0_gradients(model, frame))
-    hess = _diag(np.stack([derivative_along(grad_field, x, a)
-                           for a in range(6)]))
+    hess = _diag(connection_gradients(model, frame,
+                                      berry_connections(model, x, hbar, frame))[1])
     sym = 0.5 * _anticomm(S[:, None], S[None])
     return (rep_cov.eps + (0.5 * _anticomm(grads, S)).sum(0)
             + (0.25 * _anticomm(hess, sym)).sum((0, 1)))

@@ -2,12 +2,12 @@
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
 
-import semiband.energy
-import semiband.frames
+import semiband.stencils
 from semiband.fields import (
     GaussianField, LinearField, ScalarField, UniformField,
 )
@@ -15,7 +15,7 @@ from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
 )
 from semiband.frames import (
-    berry_connections, classical_frame, connections_fd, project,
+    berry_connections, classical_frame, conjugate, connections_fd, project,
 )
 from semiband.energy import (
     band_energy,
@@ -334,44 +334,81 @@ def test_unsupported_hamiltonian_bracket_hook():
         band_energy(model, X, 0.01)
 
 
-def test_order2_takes_one_stencil_pass(monkeypatch):
-    # Connections, B and W are differentiated together: six derivative_along
-    # calls per order-2 point, in either representation, and no stencil
-    # inside the connections (the generic two_level model took 156).
+def test_order2_takes_no_stencil(monkeypatch):
+    # Every derivative of an order-2 point is exact at the point: no stencil,
+    # one frame and one U0 grad H U0^+ stack (six d_hamiltonian calls), in
+    # either representation.
     calls = []
-    real = semiband.energy.derivative_along
+    real = semiband.stencils.derivative_along
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(semiband.energy, "derivative_along", counting)
-    monkeypatch.setattr(semiband.frames, "derivative_along", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semiband") and hasattr(module, "derivative_along"):
+            monkeypatch.setattr(module, "derivative_along", counting)
     for model in (dirac(), make_model(GENERIC_TWO_LEVEL)):
+        counts = {"analytic_frame": 0, "d_hamiltonian": 0}
+        for name in counts:
+            real_method = getattr(model, name)
+
+            def counting_method(*args, name=name, real_method=real_method):
+                counts[name] += 1
+                return real_method(*args)
+
+            monkeypatch.setattr(model, name, counting_method)
         for representation in ("canonical", "covariant"):
             calls.clear()
-            band_energy(model, X, 0.01, order=2,
-                        representation=representation)
-            assert sorted(calls) == list(range(6))
+            counts.update(analytic_frame=0, d_hamiltonian=0)
+            rep = band_energy(model, X, 0.01, order=2,
+                              representation=representation)
+            assert calls == []
+            assert counts["analytic_frame"] <= 1
+            assert counts["d_hamiltonian"] <= 6
+            fd = rep.diagnostics["fd"]
+            assert (fd.fallbacks, fd.discrepancy) == (0, 0.0)
 
-    model = make_model(GENERIC_TWO_LEVEL)
-    counts = {"analytic_frame": 0, "d_hamiltonian": 0}
-    for name in counts:
-        real_method = getattr(model, name)
 
-        def counting_method(*args, name=name, real_method=real_method):
-            counts[name] += 1
-            return real_method(*args)
+def rotated_model(model, D, omega):
+    """The model with its frame turned by the within-group unitary D(x), whose
+    (D grad D^+) = -omega is constant over phase space, and its declared gauge
+    term and that term's gradient turned with it.
 
-        monkeypatch.setattr(model, name, counting_method)
-    band_energy(model, X, 0.01, order=2)
-    assert counts["analytic_frame"] <= 25
-    assert counts["d_hamiltonian"] <= 150
+    X = U0 grad U0^+ becomes D X D^+ + D grad D^+, so the gauge term G becomes
+    D G D^+ + conjugate(i D grad D^+), and grad_b (D G_a D^+) is
+    [omega_b, D G_a D^+] + D grad_b G_a D^+.
+    """
+    rotated = copy.copy(model)
+    shift = conjugate(-1j * omega)
+
+    def turn(x, S):
+        Dx = D(x)
+        return Dx @ S @ Dx.conj().T
+
+    def analytic_frame(x):
+        eps0, U0 = model.analytic_frame(x)
+        return eps0, D(x) @ U0
+
+    def analytic_connections(x):
+        G = turn(x, np.concatenate(model.analytic_connections(x))) + shift
+        return list(G[:3]), list(G[3:])
+
+    def d_analytic_connections(x):
+        G = turn(x, np.concatenate(model.analytic_connections(x)))
+        return (omega[:, None] @ G[None] - G[None] @ omega[:, None]
+                + turn(x, model.d_analytic_connections(x)))
+
+    rotated.analytic_frame = analytic_frame
+    rotated.analytic_connections = analytic_connections
+    rotated.d_analytic_connections = d_analytic_connections
+    return rotated
 
 
 def _group_rotated(model, rng):
     """The model with its frame rotated by a constant unitary D within each
-    band group, and its declared within-group gauge term rotated with it."""
+    band group, and its declared within-group gauge term (and the term's
+    gradient, D grad G D^+) rotated with it."""
     D = np.zeros((model.n, model.n), dtype=complex)
     for g in np.unique(model.groups):
         idx = np.flatnonzero(model.groups == g)
@@ -379,21 +416,8 @@ def _group_rotated(model, rng):
             + 1j * rng.normal(size=(idx.size, idx.size))
         q, _r = np.linalg.qr(z)
         D[np.ix_(idx, idx)] = q
-    rotated = copy.copy(model)
-
-    def analytic_frame(x):
-        eps0, U0 = model.analytic_frame(x)
-        return eps0, D @ U0
-
-    def analytic_connections(x):
-        # X = U0 grad U0^+ turns into D X D^+; D keeps the groups apart.
-        A_R, A_P = model.analytic_connections(x)
-        return ([D @ a @ D.conj().T for a in A_R],
-                [D @ a @ D.conj().T for a in A_P])
-
-    rotated.analytic_frame = analytic_frame
-    rotated.analytic_connections = analytic_connections
-    return rotated
+    return rotated_model(model, lambda x: D,
+                         np.zeros((6, model.n, model.n), dtype=complex))
 
 
 def test_group_rotated_connections_match_fd():

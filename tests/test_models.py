@@ -237,3 +237,53 @@ def test_dirac_analytic_dh():
         fd = (model.hamiltonian(x.shifted(axis, h))
               - model.hamiltonian(x.shifted(axis, -h))) / (2 * h)
         assert np.max(np.abs(model.d_hamiltonian(x, axis) - fd)) <= 1e-7
+
+
+def _two_level_with_gauge(h3: str) -> TwoLevel:
+    """A two_level model with every component live and mixed R-P products;
+    the sign of h3 picks the branch of the gauge term's `lift`."""
+    return TwoLevel(
+        h0_terms=[{"coef": "1/10", "r_exp": [1, 0, 0], "p_exp": [0, 1, 0]}],
+        h_terms=[[{"coef": "1/4", "p_exp": [1, 0, 0]},
+                  {"coef": "1/3", "r_exp": [0, 0, 1], "p_exp": [0, 2, 0]}],
+                 [{"coef": "1/5", "r_exp": [0, 1, 0]},
+                  {"coef": "-1/2", "r_exp": [1, 0, 0], "p_exp": [0, 0, 1]}],
+                 [{"coef": h3}, {"coef": "1/10", "r_exp": [0, 0, 2]}]])
+
+
+def _second_derivative_models():
+    return all_models() + [_two_level_with_gauge("1"),
+                           _two_level_with_gauge("-1")]
+
+
+@pytest.mark.parametrize("model", _second_derivative_models(),
+                         ids=lambda m: m.name)
+def test_d2_hamiltonian_matches_fd(model):
+    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
+    d2 = model.d2_hamiltonian(x)
+    assert d2.shape == (6, 6, model.n, model.n)
+    h = 1e-6
+    for b in range(6):
+        fd = np.stack([(model.d_hamiltonian(x.shifted(b, h), a)
+                        - model.d_hamiltonian(x.shifted(b, -h), a)) / (2 * h)
+                       for a in range(6)])
+        assert np.max(np.abs(d2[b] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("model", _second_derivative_models(),
+                         ids=lambda m: m.name)
+def test_gauge_term_gradient_matches_fd(model):
+    # Both lift branches of two_level: h3 > 0 and h3 < 0 off the h3 axis.
+    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
+
+    def gauge(y):
+        return np.concatenate(model.analytic_connections(y))
+
+    h = 1e-5
+    fd = np.stack([(gauge(x.shifted(b, h)) - gauge(x.shifted(b, -h))) / (2 * h)
+                   for b in range(6)])
+    got = model.d_analytic_connections(x)
+    assert got.shape == (6, 6, model.n, model.n)
+    # Only the z-only two_level model has a vanishing gauge term.
+    assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
+    assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
