@@ -13,7 +13,11 @@ curvature set
     Theta^pp_ij = -(grad_{R_i} a^P_j - grad_{R_j} a^P_i) - i [a^P_i, a^P_j]
     Theta^pr_ij = -(grad_{R_i} a^R_j + grad_{P_j} a^P_i) - i [a^P_i, a^R_j]
 
-where a = A0 + (hbar/2) A1 is the shift per unit hbar.
+where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Its gradient is
+exact at the point: `berry_curvatures` makes one `covariant_variables` call
+and one second-order pass, which differentiates the formulas of a by the
+Leibniz rule, with grad grad A0 from `frames.connection_hessians`.  No
+stencil runs.
 
 Rays live on one band group and one helicity; the scalar band curvature that
 sources the anomalous velocity is the helicity expectation of the curl of the
@@ -40,12 +44,14 @@ from semiband.models import (
 )
 from semiband.frames import (
     BandFrame,
+    ConnectionSet,
     Tolerances,
     DEFAULT_TOL,
     berry_connections,
     classical_frame,
+    connection_gradients,
+    connection_hessians,
     hermitize,
-    project,
 )
 from semiband.energy import (
     _anticomm,
@@ -54,7 +60,6 @@ from semiband.energy import (
     phase_field_gradients,
     rotation_generator,
 )
-from semiband.stencils import FDDiagnostics, derivative_along
 
 __all__ = [
     "CovariantVars",
@@ -84,6 +89,11 @@ class CovariantVars:
     A1: np.ndarray                  # order-1 shift coefficients
     point: PhasePoint
     hbar: float
+    # What the shifts are built from, for `berry_curvatures`: the order-0
+    # set, the generator B and the `phase_field_gradients` stack.
+    conns0: ConnectionSet | None = dc_field(default=None, repr=False)
+    B: np.ndarray | None = dc_field(default=None, repr=False)
+    field_grads: np.ndarray | None = dc_field(default=None, repr=False)
 
     @property
     def r(self) -> np.ndarray:
@@ -107,7 +117,6 @@ class CurvatureSet:
     theta_pr: np.ndarray
     point: PhasePoint
     hbar: float
-    diagnostics: FDDiagnostics = dc_field(default_factory=FDDiagnostics)
 
 
 def covariant_variables(model: Model, x: PhasePoint, hbar: float,
@@ -120,37 +129,62 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
     B = rotation_generator(model, frame, conns0, tol)
     conns = corrected_connections(frame, conns0, B, hbar, field_grads)
-    g = frame.groups
-    A0 = project(conns0.A, g, "diag")
-    a1 = (2.0 * project(conns.linear, g, "diag")
+    A0 = frame.project(conns0.A, "diag")
+    a1 = (2.0 * frame.project(conns.linear, "diag")
           + (0.5 * _anticomm(A0[:, None],
-                             project(field_grads[:, :6], g, "diag"))).sum(0))
+                             frame.project(field_grads[:, :6], "diag"))).sum(0))
     A1 = hermitize(a1)[0]
     canonical = np.concatenate([x.R, x.P])[:, None, None] * np.eye(frame.n)
     return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
-                         x, hbar)
+                         x, hbar, conns0, B, field_grads)
+
+
+def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
+                     tol: Tolerances) -> np.ndarray:
+    """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (6, 6, n, n).
+
+    The Leibniz rule on the formulas of `covariant_variables`:
+    A1 = 2 P+ lin + (1/2) sum_b {P+A_b, P+ grad_b A} with the connection
+    correction lin = (1/8) sum_b {A_b, grad_b A} + (1/2)(-i conjugate(grad B)
+    + [B, A]), everything Hermitized.  B and so grad grad B are cross-group,
+    so the -i conjugate(grad B) term has no within-group part and drops out.
+    """
+    A, B = cov.conns0.A, cov.B
+    dA, dB = cov.field_grads[:, :6], cov.field_grads[:, 6]
+    ddA = connection_hessians(model, frame, cov.conns0, dA, tol)
+    dlin = (0.125 * (_anticomm(dA[:, :, None], dA[None])
+                     + _anticomm(A[None, :, None], ddA)).sum(1)
+            + 0.5 * (_comm(dB[:, None], A[None]) + _comm(B, dA)))
+    A0, dA0 = frame.project(A, "diag"), frame.project(dA, "diag")
+    dA1 = hermitize(
+        2.0 * frame.project(hermitize(dlin)[0], "diag")
+        + 0.5 * (_anticomm(dA0[:, :, None], dA0[None])
+                 + _anticomm(A0[None, :, None], frame.project(ddA, "diag"))
+                 ).sum(1))[0]
+    return dA0 + 0.5 * cov.hbar * dA1
 
 
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
                      tol: Tolerances = DEFAULT_TOL) -> CurvatureSet:
-    """Curvature set from the covariant shift field and its commutators."""
-    diag = FDDiagnostics()
+    """Curvature set from the covariant shift a and its exact gradient.
 
-    def shifts(y: PhasePoint, frame: BandFrame | None = None) -> np.ndarray:
-        return covariant_variables(model, y, hbar, tol, frame).shift_per_hbar()
-
-    # The frame at x validates x before any stencil work.
-    a = shifts(x, classical_frame(model, x, tol))
+    One `covariant_variables` call at x gives a and the first-order data it
+    is built from; one second-order pass (`_shift_gradients`) gives
+    d[c, a] = grad_c a^a.  The second derivatives of the connections need the
+    model's declared gauge term, so a model without an analytic frame raises
+    NotImplementedError.
+    """
+    frame = classical_frame(model, x, tol)
+    cov = covariant_variables(model, x, hbar, tol, frame)
+    d = _shift_gradients(model, frame, cov, tol)
+    a = cov.shift_per_hbar()
     aR, aP = a[:3], a[3:]
-    # d[axis, comp] is grad_axis a^comp.
-    d = np.stack([derivative_along(shifts, x, axis, tol.fd_base, diag)
-                  for axis in range(6)])
     d_PR, d_RP = d[3:, :3], d[:3, 3:]   # grad_{P_i} a^R_j, grad_{R_i} a^P_j
     rr = d_PR - d_PR.swapaxes(0, 1) - 1j * _comm(aR[:, None], aR[None])
     pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
     pr = (-(d[:3, :3] + d[3:, 3:].swapaxes(0, 1))
           - 1j * _comm(aP[:, None], aR[None]))
-    return CurvatureSet(rr, pp, pr, x, hbar, diag)
+    return CurvatureSet(rr, pp, pr, x, hbar)
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
@@ -174,22 +208,21 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
                           tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Scalar band curvature Theta_k on the helicity-lam positive band.
 
-    Helicity expectation of the curl of the band-projected connection; for
-    the massless model this equals -lam P / |P|^3 at every P.
+    Helicity expectation of the curl of the band-projected connection, with
+    grad_P A^R exact from `connection_gradients`; for the massless model
+    this equals -lam P / |P|^3 at every P.
     """
-    classical_frame(model, x, tol)      # the stencil never visits x itself
-    diag = FDDiagnostics()
-
-    def proj_conn(y: PhasePoint) -> np.ndarray:
-        return positive_block_connection(model, y, tol)
-
-    dP = [derivative_along(proj_conn, x, 3 + i, tol.fd_base, diag)
-          for i in range(3)]
+    frame = classical_frame(model, x, tol)
+    conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
+    pos = frame.group_states(0)
+    # dP[i, j] = grad_{P_i} A^R_j on the positive block.
+    dP = connection_gradients(model, frame, conns, tol)[0][3:, :3][
+        :, :, pos[:, None], pos]
     chi = _helicity_spinor(x.P, lam)
     theta = np.zeros(3)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        curl = dP[i][j] - dP[j][i]
+        curl = dP[i, j] - dP[j, i]
         theta[k] = float(np.real(chi.conj() @ curl @ chi))
     return theta
 

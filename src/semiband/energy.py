@@ -149,19 +149,18 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
                                    tol=tol)
     g, A = eps0_gradients(model, frame, tol), conns0.A
     dA, hess = connection_gradients(model, frame, conns0, tol)
-    groups = frame.groups
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.
     gs = g[:, None, :] + g[:, :, None]
     K = (0.5 * A * gs).sum(0)
     dK = 0.5 * (dA * gs + A * (hess[..., None, :] + hess[..., :, None])).sum(1)
-    invK = invert_band_commutator(project(K, groups, "offdiag"), frame, tol)
-    dB = -invert_band_commutator(project(dK, groups, "offdiag")
+    invK = invert_band_commutator(frame.project(K, "offdiag"), frame, tol)
+    dB = -invert_band_commutator(frame.project(dK, "offdiag")
                                  - _comm_diag(invK, g), frame, tol)
-    Aoff, Adiag = project(A, groups, "offdiag"), project(A, groups, "diag")
-    dY = (project(dA, groups, "offdiag") @ conjugate(Adiag)
-          + Aoff @ conjugate(project(dA, groups, "diag"), axis=1)).sum(1)
+    Aoff, Adiag = frame.project(A, "offdiag"), frame.project(A, "diag")
+    dY = (frame.project(dA, "offdiag") @ conjugate(Adiag)
+          + Aoff @ conjugate(frame.project(dA, "diag"), axis=1)).sum(1)
     dB += 0.25j * (dY + _dagger(dY))
 
     # W = P+(T + T^+), T = sum_a (D_a E) A_a with D_a E = diag(g_a)
@@ -171,7 +170,7 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
         _comm_diag(conjugate(dA, axis=1), frame.eps0)
         + _comm_diag(conjugate(A)[None], g[:, None]))
     dT = (dDE @ A + DE @ dA).sum(1)
-    dW = project(dT + _dagger(dT), groups, "diag")
+    dW = frame.project(dT + _dagger(dT), "diag")
     return np.concatenate([dA, dB[:, None], dW[:, None]], axis=1)
 
 
@@ -190,9 +189,9 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
     M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(0)
-    B = -invert_band_commutator(project(M, frame.groups, "offdiag"), frame, tol)
-    X = (project(conns.A, frame.groups, "offdiag")
-         @ conjugate(project(conns.A, frame.groups, "diag"))).sum(0)
+    B = -invert_band_commutator(frame.project(M, "offdiag"), frame, tol)
+    X = (frame.project(conns.A, "offdiag")
+         @ conjugate(frame.project(conns.A, "diag"))).sum(0)
     return B + 0.25j * (X + _dagger(X))
 
 
@@ -241,7 +240,7 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
     T = (_covariant(_diag(grads), conns.A, _diag(frame.eps0)) @ conns.A).sum(0)
-    return project(T + _dagger(T), frame.groups, "diag")
+    return frame.project(T + _dagger(T), "diag")
 
 
 def _bracket_term(model: Model, x: PhasePoint, hbar: float, frame: BandFrame):
@@ -250,7 +249,7 @@ def _bracket_term(model: Model, x: PhasePoint, hbar: float, frame: BandFrame):
         raw = model.ordering_bracket_term(x, hbar)
     except NotImplementedError:
         return np.zeros((frame.n, frame.n), dtype=complex), True, 0.0
-    herm, defect = hermitize(project(raw, frame.groups, "diag"))
+    herm, defect = hermitize(frame.project(raw, "diag"))
     return herm, False, defect
 
 
@@ -310,7 +309,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
     total = eps0_mat + first + second + bracket
     if not np.isfinite(total).all():
         raise FloatingPointError("band energy is not finite")
-    off = project(total, frame.groups, "offdiag")
+    off = frame.project(total, "offdiag")
     diagnostics["offblock_norm"] = float(np.linalg.norm(off))
     diagnostics["hermiticity_defect"] = float(max(defects, default=0.0))
     diagnostics["bracket_unavailable"] = partial
@@ -340,10 +339,10 @@ def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
     S = (_covariant(0.0, A1, eps_mat) @ A0
          + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(0)
-    linear = (hbar ** 2 / 2.0) * project(S + _dagger(S), frame.groups, "diag")
+    linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
     N = (_covariant(field_grads[:, 7], A0, W0) @ A0).sum(0)
-    nested = (hbar ** 2 / 8.0) * project(N + _dagger(N), frame.groups, "diag")
+    nested = (hbar ** 2 / 8.0) * frame.project(N + _dagger(N), "diag")
     return linear + nested
 
 
@@ -369,8 +368,8 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
 
     S = _string(Wstr, A0, A0)
     second += -(hbar ** 2 / 8.0) * 0.5 * (S + _dagger(S))
-    first = project(first, frame.groups, "diag")
-    second = project(second, frame.groups, "diag")
+    first = frame.project(first, "diag")
+    second = frame.project(second, "diag")
     return first, second
 
 

@@ -2,14 +2,16 @@
 
 Every field kind defines one method, `jet(r)`: value, gradient and hessian at
 a 3-point in plain floats, so each kind keeps one copy of its formulas.
-value/gradient/hessian/laplacian are views of it.  The analytic derivatives
-are validated against central finite differences in the test suite (1e-6
-relative).  `ReciprocalField` wraps a positive profile n(R) as F = 1/n, which
-is how a refractive-index profile enters the massless model.
+value/gradient/hessian/laplacian are views of it.  Next to it, `d3(r)` gives
+the 3x3x3 third derivatives, which only the exact curvature pass needs.  The
+analytic derivatives are validated against central finite differences in the
+test suite (1e-6 relative).  `ReciprocalField` wraps a positive profile n(R)
+as F = 1/n, which is how a refractive-index profile enters the massless model.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _ZERO33 = (_ZERO3, _ZERO3, _ZERO3)
+_ZERO333 = (_ZERO33, _ZERO33, _ZERO33)
 
 
 def _xyz(r) -> tuple:
@@ -35,13 +38,28 @@ def _xyz(r) -> tuple:
     return float(x), float(y), float(z)
 
 
+def _radial_d3(c: float, b: float, d: tuple) -> tuple:
+    """Third derivatives c d_i d_j d_k + b (delta_ij d_k + delta_ik d_j +
+    delta_jk d_i) of a radial profile whose hessian is b d_i d_j + a delta_ij
+    with grad a = b d and grad b = c d."""
+    return tuple(tuple(tuple(c * d[i] * d[j] * d[k]
+                             + b * ((i == j) * d[k] + (i == k) * d[j]
+                                    + (j == k) * d[i])
+                             for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
 class ScalarField:
     """Contract: `jet(r)` returns (value, (gx, gy, gz), 3x3 tuple hessian) in
-    plain floats; value/gradient/hessian/laplacian are views of it."""
+    plain floats; value/gradient/hessian/laplacian are views of it.  `d3(r)`
+    returns the third derivatives d_i d_j d_k as a 3x3x3 tuple."""
 
     kind = "abstract"
 
     def jet(self, r) -> tuple:
+        raise NotImplementedError
+
+    def d3(self, r) -> tuple:
         raise NotImplementedError
 
     def value(self, r) -> float:
@@ -70,6 +88,9 @@ class UniformField(ScalarField):
     def jet(self, r):
         return self.c, _ZERO3, _ZERO33
 
+    def d3(self, r):
+        return _ZERO333
+
     def to_config(self):
         return {"kind": "uniform", "value": self.c}
 
@@ -87,6 +108,9 @@ class LinearField(ScalarField):
         x, y, z = _xyz(r)
         gx, gy, gz = self.g
         return gx * x + gy * y + gz * z + self.c, self.g, _ZERO33
+
+    def d3(self, r):
+        return _ZERO333
 
     def to_config(self):
         return {"kind": "linear", "gradient": list(self.g), "offset": self.c}
@@ -123,6 +147,20 @@ class PolynomialField(ScalarField):
                         h[i][j] += ci * ei[j] * mono(lower(ei, j))
         return v, tuple(g), tuple(map(tuple, h))
 
+    def d3(self, r):
+        xyz = _xyz(r)
+        out = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+        for c, exps in self.terms:
+            for i, j, k in itertools.product(range(3), repeat=3):
+                e, v = list(exps), c
+                for axis in (i, j, k):
+                    v *= e[axis]
+                    e[axis] -= 1
+                if v:
+                    out[i][j][k] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
+                                     * xyz[2] ** e[2])
+        return tuple(tuple(map(tuple, m)) for m in out)
+
     def to_config(self):
         return {"kind": "polynomial",
                 "terms": [[c, list(e)] for c, e in self.terms]}
@@ -152,6 +190,13 @@ class GaussianField(ScalarField):
             (b * dx * dx + a, hxy, hxz), (hxy, b * dy * dy + a, hyz),
             (hxz, hyz, b * dz * dz + a))
 
+    def d3(self, r):
+        x, y, z = _xyz(r)
+        d = (x - self.r0[0], y - self.r0[1], z - self.r0[2])
+        s2 = self.s ** 2
+        v = self.A * math.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2 * s2))
+        return _radial_d3(-v / s2 ** 3, v / s2 ** 2, d)
+
     def to_config(self):
         return {"kind": "gaussian", "amplitude": self.A,
                 "center": list(self.r0), "width": self.s}
@@ -176,6 +221,11 @@ class CoulombRegularizedField(ScalarField):
                    for i, ri in enumerate(r)])
         return self.q / s, (a * r[0], a * r[1], a * r[2]), h
 
+    def d3(self, r):
+        r = _xyz(r)
+        s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + self.a * self.a)
+        return _radial_d3(-15 * self.q / s ** 7, 3 * self.q / s ** 5, r)
+
     def to_config(self):
         return {"kind": "coulomb", "charge": self.q, "softening": self.a}
 
@@ -197,6 +247,19 @@ class ReciprocalField(ScalarField):
                        a * hi[2] + b * gi * gz)
                       for hi, gi in zip(h, (gx, gy, gz))])
         return 1.0 / n, (a * gx, a * gy, a * gz), hess
+
+    def d3(self, r):
+        # The chain rule on 1/n: d_ijk F = -n_ijk/n^2 + 2 (n_ij n_k + n_ik n_j
+        # + n_jk n_i)/n^3 - 6 n_i n_j n_k/n^4.
+        n, g, h = self.base.jet(r)
+        if n <= 0:
+            raise ValueError("profile must stay positive")
+        t = self.base.d3(r)
+        return tuple(tuple(tuple(
+            -t[i][j][k] / n ** 2
+            + 2 * (h[i][j] * g[k] + h[i][k] * g[j] + h[j][k] * g[i]) / n ** 3
+            - 6 * g[i] * g[j] * g[k] / n ** 4
+            for k in range(3)) for j in range(3)) for i in range(3))
 
     def to_config(self):
         return {"kind": "reciprocal", "base": self.base.to_config()}

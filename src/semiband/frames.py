@@ -6,8 +6,9 @@ U0 H U0^+ block diagonal.  Phase-axis fields are (6, n, n) stacks in axis
 order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P
 pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
 i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
-(`berry_connections`), and so are their phase-space gradients and the eps0
-Hessian (`connection_gradients`).  The finite-difference connections over a
+(`berry_connections`), and so are their first and second phase-space
+derivatives and the eps0 Hessian (`connection_gradients`,
+`connection_hessians`).  The finite-difference connections over a
 gauge-smoothed frame field (`connections_fd`: eigenvectors at stencil points
 aligned to the anchor frame by the unitary polar factor of the per-group
 overlap matrix) are the independent cross-check.
@@ -16,6 +17,7 @@ overlap matrix) are the independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "berry_connections",
     "connections_fd",
     "connection_gradients",
+    "connection_hessians",
     "hermitize",
     "conjugate",
     "eps0_gradients",
@@ -61,13 +64,20 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass
 class BandFrame:
-    """Gauge-fixed classical diagonalization at one phase point."""
+    """Gauge-fixed classical diagonalization at one phase point.
+
+    The fixed per-frame data of the helpers (group masks, cross-group eps
+    differences, the gap check, U0 grad H U0^+ and the eps0 gradients) is
+    computed on first use and kept on the frame.
+    """
 
     eps0: np.ndarray                # (n,) real, ordered by group layout
     U0: np.ndarray                  # (n, n) unitary, U0 H U0^+ block diagonal
     groups: np.ndarray              # (n,) group index per state
     point: PhasePoint
     dH: np.ndarray | None = dc_field(default=None, repr=False)  # cached stack, _rotated_dH
+    grads: np.ndarray | None = dc_field(default=None, repr=False)  # cached, eps0_gradients
+    _gap_checked: float | None = dc_field(default=None, repr=False, init=False)
 
     @property
     def n(self) -> int:
@@ -75,6 +85,34 @@ class BandFrame:
 
     def group_states(self, g: int) -> np.ndarray:
         return np.flatnonzero(self.groups == g)
+
+    @cached_property
+    def same(self) -> np.ndarray:
+        """(n, n) mask of within-group entries."""
+        return self.groups[:, None] == self.groups[None, :]
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """(n, n) mask of cross-group entries."""
+        return ~self.same
+
+    @cached_property
+    def cross_gaps(self) -> np.ndarray:
+        """eps_m - eps_n on the cross-group entries (n, m), in mask order."""
+        return (self.eps0[None, :] - self.eps0[:, None])[self.cross]
+
+    def check_gap(self, tol: Tolerances) -> None:
+        """Raise on a cross-group gap below tolerance (once per tolerance)."""
+        if self._gap_checked == tol.gap:
+            return
+        scale = max(float(np.max(np.abs(self.eps0))), 1e-300)
+        if np.any(np.abs(self.cross_gaps) <= tol.gap * scale):
+            raise ValueError("near-degenerate bands: cross-group gap below tolerance")
+        self._gap_checked = tol.gap
+
+    def project(self, mat: np.ndarray, part: str = "diag") -> np.ndarray:
+        """`project` with this frame's groups."""
+        return _masked(mat, self.same, part)
 
 
 @dataclass
@@ -127,11 +165,14 @@ def hermitize(mat: np.ndarray):
 
 def project(mat: np.ndarray, groups: np.ndarray, part: str = "diag") -> np.ndarray:
     """Block projectors P+ ('diag': within-group) and P- ('offdiag')."""
-    mask = groups[:, None] == groups[None, :]
+    return _masked(mat, groups[:, None] == groups[None, :], part)
+
+
+def _masked(mat: np.ndarray, same: np.ndarray, part: str) -> np.ndarray:
     if part == "diag":
-        return np.where(mask, mat, 0.0)
+        return np.where(same, mat, 0.0)
     if part == "offdiag":
-        return np.where(mask, 0.0, mat)
+        return np.where(same, 0.0, mat)
     raise ValueError("part must be 'diag' or 'offdiag'")
 
 
@@ -226,7 +267,7 @@ def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
     if np.linalg.norm(unit) > tol.unitarity:
         raise ValueError(f"frame unitarity defect {np.linalg.norm(unit):.3e}")
     rotated = frame.U0 @ H @ frame.U0.conj().T
-    off = project(rotated, frame.groups, "offdiag")
+    off = frame.project(rotated, "offdiag")
     if np.linalg.norm(off) > tol.block * scale:
         raise ValueError(
             f"frame does not block-diagonalize H: residual {np.linalg.norm(off):.3e}"
@@ -267,15 +308,9 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     set to zero (the kernel of the commutator).  M may be a stack (..., n, n).
     Raises on a cross-group gap below tolerance.
     """
-    eps = frame.eps0
-    scale = max(float(np.max(np.abs(eps))), 1e-300)
-    denom = eps[None, :] - eps[:, None]
-    cross = frame.groups[:, None] != frame.groups[None, :]
-    small = cross & (np.abs(denom) <= tol.gap * scale)
-    if np.any(small):
-        raise ValueError("near-degenerate bands: cross-group gap below tolerance")
+    frame.check_gap(tol)
     out = np.zeros(np.shape(M), dtype=complex)
-    out[..., cross] = M[..., cross] / denom[cross]
+    out[..., frame.cross] = M[..., frame.cross] / frame.cross_gaps
     return out
 
 
@@ -328,22 +363,70 @@ def connection_gradients(model: Model, frame: BandFrame,
       (`d_analytic_connections`), and (1/2) P+[X_a, X_b] in the
       parallel gauge of a frame-less model.
     """
-    U0 = frame.U0
-    M = _rotated_dH(model, frame)
-    X = 1j * conjugate(conns.A)
-    dM = (U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().T
-          + M[None] @ X[:, None] - X[:, None] @ M[None])
-    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
+    M, X, _N, dM, hess = _first_tangents(model, frame, conns)
     g = eps0_gradients(model, frame, tol)
     dX = invert_band_commutator(
         dM - _comm_diag(X[None], g[:, None]), frame, tol)
     if model.has_analytic_frame:
         dA = conjugate(1j * dX, axis=1) + model.d_analytic_connections(frame.point)
     else:
-        dX += 0.5 * project(X[None] @ X[:, None] - X[:, None] @ X[None],
-                            frame.groups, "diag")
+        dX += 0.5 * frame.project(X[None] @ X[:, None] - X[:, None] @ X[None],
+                                  "diag")
         dA = conjugate(1j * dX, axis=1)
     return hermitize(dA)[0], hess
+
+
+def _first_tangents(model: Model, frame: BandFrame, conns: ConnectionSet):
+    """(M, X, N, dM, hess): M_a = U0 grad_a H U0^+, X = i conjugate(A),
+    N_ab = U0 grad_a grad_b H U0^+, dM[b, a] = grad_b M_a = N_ab + [M_a, X_b]
+    and the eps0 Hessian, the group scalar of P+ dM."""
+    U0 = frame.U0
+    M = _rotated_dH(model, frame)
+    X = 1j * conjugate(conns.A)
+    N = U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().T
+    dM = N + M[None] @ X[:, None] - X[:, None] @ M[None]
+    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
+    return M, X, N, dM, hess
+
+
+def connection_hessians(model: Model, frame: BandFrame, conns: ConnectionSet,
+                        dA: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Exact second phase-space derivatives at the frame's point, for a model
+    with an analytic frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n),
+    of the `berry_connections` set `conns` whose gradient `dA` came from
+    `connection_gradients`.
+
+    One order above `connection_gradients`, with N_ab = U0 grad_a grad_b H U0^+:
+      grad_c N_ab = U0 grad_a grad_b grad_c H U0^+ + [N_ab, X_c];
+      grad_c grad_b M_a = grad_c N_ab + [grad_c M_a, X_b] + [M_a, grad_c X_b];
+      P- grad_c grad_b X_a = inv(P-(grad_c grad_b M_a - [grad_b X_a, grad_c E]
+        - [grad_c X_a, grad_b E] - [X_a, grad_c grad_b E]));
+      P+ grad_c grad_b X_a = i conjugate(grad_c grad_b G) for the model's
+      gauge term G (`d2_analytic_connections`).
+    There is no parallel-gauge form: the within-group gauge enters the
+    curvature at O(hbar), so a model without an analytic frame raises
+    NotImplementedError.
+    """
+    if not model.has_analytic_frame:
+        raise NotImplementedError(
+            f"model {model.name} has no analytic frame: second derivatives "
+            "of the connections need its declared gauge term"
+        )
+    U0, U0_dag = frame.U0, frame.U0.conj().T
+    M, X, N, dM, hess = _first_tangents(model, frame, conns)
+    g = eps0_gradients(model, frame, tol)
+    dX = 1j * conjugate(dA, axis=1)
+    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ U0_dag
+           + N[None] @ X[:, None, None] - X[:, None, None] @ N[None]
+           + dM[:, None] @ X[None, :, None] - X[None, :, None] @ dM[:, None]
+           + M @ dX[:, :, None] - dX[:, :, None] @ M)
+    ddX = invert_band_commutator(
+        ddM - _comm_diag(dX[None], g[:, None, None])
+        - _comm_diag(dX[:, None], g[None, :, None])
+        - _comm_diag(X, hess[:, :, None]), frame, tol)
+    ddA = (conjugate(1j * ddX, axis=2)
+           + model.d2_analytic_connections(frame.point))
+    return hermitize(ddA)[0]
 
 
 def connections_fd(model: Model, x: PhasePoint, hbar: float,
@@ -375,13 +458,15 @@ def eps0_gradients(model: Model, frame: BandFrame,
 
     Uses the Hellmann-Feynman values: the within-group part of U dH U^+ is a
     multiple of the identity per group (asserted), whose scalar is the common
-    gradient of the group's eigenvalues.
+    gradient of the group's eigenvalues.  Computed once per frame.
     """
-    diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2))
-    mean = _group_scalar(diag, frame.groups)
-    scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
-    if np.max(np.abs(diag - mean)) > 1e-8 * scale:
-        raise ValueError(
-            "within-group gradient is not scalar; degeneracy is not structural"
-        )
-    return mean
+    if frame.grads is None:
+        diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2))
+        mean = _group_scalar(diag, frame.groups)
+        scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
+        if np.max(np.abs(diag - mean)) > 1e-8 * scale:
+            raise ValueError(
+                "within-group gradient is not scalar; degeneracy is not structural"
+            )
+        frame.grads = mean
+    return frame.grads

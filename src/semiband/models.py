@@ -16,6 +16,7 @@ off-diagonal Pauli blocks, Sigma = 1 (x) sigma.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +67,22 @@ def _pxs_gauge_gradient(P: np.ndarray, f: float, df: np.ndarray) -> np.ndarray:
     out[:, :3] = -np.multiply.outer(df / f ** 2,
                                     np.array(p_cross_sigma(P, SIGMA)))
     out[3:, :3] += _E_CROSS_SIGMA / f
+    return out
+
+
+def _pxs_gauge_hessian(P: np.ndarray, f: float, df: np.ndarray,
+                       ddf: np.ndarray) -> np.ndarray:
+    """grad_c grad_b of the gauge stack ((P x Sigma)/f, 0) as
+    (6 c, 6 b, 6 a, 4, 4), for a scalar f(R, P) with gradient df and hessian
+    ddf over the six axes."""
+    out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
+    out[:, :, :3] = np.multiply.outer(2 * np.outer(df, df) / f ** 3
+                                      - ddf / f ** 2,
+                                      np.array(p_cross_sigma(P, SIGMA)))
+    # t[b, c, a] = -(df_b / f^2) (e_c x Sigma)_a, c a momentum axis.
+    t = np.multiply.outer(-df / f ** 2, _E_CROSS_SIGMA)
+    out[:, 3:, :3] += t
+    out[3:, :, :3] += t.swapaxes(0, 1)
     return out
 
 
@@ -135,6 +152,10 @@ class Model:
         """The analytic Hessian of H over the phase axes, (6, 6, n, n)."""
         raise NotImplementedError
 
+    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        """The analytic third derivatives of H, (6, 6, 6, n, n)."""
+        raise NotImplementedError
+
     def analytic_frame(self, x: PhasePoint):
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
@@ -146,6 +167,10 @@ class Model:
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         """grad_b of the stacked gauge term (A_R, A_P) of
         `analytic_connections`, as (6 b, 6 a, n, n)."""
+        raise NotImplementedError(f"model {self.name} has no analytic connections")
+
+    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        """grad_c grad_b of the stacked gauge term, as (6 c, 6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
@@ -201,6 +226,12 @@ class DiracElectric(Model):
                                                  np.eye(4))
         return out
 
+    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
+        out[:3, :3, :3] = self.e * np.multiply.outer(np.array(self.field.d3(x.R)),
+                                                     np.eye(4))
+        return out
+
     def analytic_frame(self, x: PhasePoint):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
@@ -223,6 +254,15 @@ class DiracElectric(Model):
         E = self.energy_scale(x)
         df = np.concatenate([np.zeros(3), (4 * E + 2 * self.m) * x.P / E])
         return _pxs_gauge_gradient(x.P, 2 * E * (E + self.m), df)
+
+    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        # f = 2E(E+m): grad_P f = (4E + 2m) P/E and
+        # grad_P grad_P f = 4 + 2m (1/E - P P/E^3).
+        E, m = self.energy_scale(x), self.m
+        df = np.concatenate([np.zeros(3), (4 * E + 2 * m) * x.P / E])
+        ddf = np.zeros((6, 6))
+        ddf[3:, 3:] = (4 + 2 * m / E) * np.eye(3) - 2 * m * np.outer(x.P, x.P) / E ** 3
+        return _pxs_gauge_hessian(x.P, 2 * E * (E + m), df, ddf)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         return np.zeros((4, 4), dtype=complex)
@@ -273,6 +313,17 @@ class NeutrinoMetric(Model):
         out[3:, :3] = out[:3, 3:].swapaxes(0, 1)
         return out
 
+    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        h = np.array(self.F.jet(x.R)[2])
+        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
+        out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
+        out[:3, :3, :3] = np.multiply.outer(np.array(self.F.d3(x.R)), ap)
+        rrp = np.multiply.outer(h, np.array(ALPHA))     # [i, j, k] = F_ij alpha_k
+        out[:3, :3, 3:] = rrp
+        out[:3, 3:, :3] = rrp.transpose(0, 2, 1, 3, 4)
+        out[3:, :3, :3] = rrp.transpose(2, 0, 1, 3, 4)
+        return out
+
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
         E = float(np.linalg.norm(x.P))
@@ -294,6 +345,13 @@ class NeutrinoMetric(Model):
         self.check_point(x)
         df = np.concatenate([np.zeros(3), 4 * x.P])
         return _pxs_gauge_gradient(x.P, 2 * float(x.P @ x.P), df)
+
+    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        self.check_point(x)
+        df = np.concatenate([np.zeros(3), 4 * x.P])
+        ddf = np.zeros((6, 6))
+        ddf[3:, 3:] = 4 * np.eye(3)
+        return _pxs_gauge_hessian(x.P, 2 * float(x.P @ x.P), df, ddf)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
@@ -326,31 +384,28 @@ class ComponentTerm:
             v *= x.R[i] ** self.r_exp[i] * x.P[i] ** self.p_exp[i]
         return v
 
-    def gradient(self, x: PhasePoint, axis: int) -> float:
-        exps = list(self.r_exp) + list(self.p_exp)
-        if exps[axis] == 0:
+    def derivative(self, x: PhasePoint, axes: tuple) -> float:
+        """The partial derivative along the phase axes in `axes` (0-2: R,
+        3-5: P; repeats allowed)."""
+        exps = list(self.r_exp + self.p_exp)
+        k = 1
+        for a in axes:
+            k *= exps[a]
+            exps[a] -= 1
+        if not k:
             return 0.0
-        coords = list(x.R) + list(x.P)
-        v = float(self.coef) * exps[axis]
+        v = float(self.coef) * k
+        coords = tuple(x.R) + tuple(x.P)
         for i in range(6):
-            e = exps[i] - (1 if i == axis else 0)
-            v *= coords[i] ** e
+            v *= coords[i] ** exps[i]
         return v
 
-    def hessian(self, x: PhasePoint) -> np.ndarray:
-        """The (6, 6) second derivatives over the phase axes."""
-        exps = self.r_exp + self.p_exp
-        coords = tuple(x.R) + tuple(x.P)
-        out = np.zeros((6, 6))
-        live = [a for a in range(6) if exps[a]]
-        for a in live:
-            for b in live:
-                c = exps[a] * (exps[b] - (a == b))
-                if c:
-                    v = float(self.coef) * c
-                    for i in range(6):
-                        v *= coords[i] ** (exps[i] - (i == a) - (i == b))
-                    out[a, b] = v
+    def derivatives(self, x: PhasePoint, order: int) -> np.ndarray:
+        """Every partial derivative of the given order, (6,) * order."""
+        out = np.zeros((6,) * order)
+        live = [a for a, e in enumerate(self.r_exp + self.p_exp) if e]
+        for axes in itertools.product(live, repeat=order):
+            out[axes] = self.derivative(x, axes)
         return out
 
     def factorizations(self, n: int = 1) -> list:
@@ -430,10 +485,11 @@ class TwoLevel(Model):
         return sum(t.value(x) for t in terms)
 
     def _component_grad(self, terms, x: PhasePoint, axis: int) -> float:
-        return sum(t.gradient(x, axis) for t in terms)
+        return sum(t.derivative(x, (axis,)) for t in terms)
 
-    def _component_hessian(self, terms, x: PhasePoint) -> np.ndarray:
-        return sum((t.hessian(x) for t in terms), np.zeros((6, 6)))
+    def _component_derivs(self, terms, x: PhasePoint, order: int) -> np.ndarray:
+        return sum((t.derivatives(x, order) for t in terms),
+                   np.zeros((6,) * order))
 
     def h_vector(self, x: PhasePoint) -> np.ndarray:
         return np.array([self._component(part, x) for part in self.h])
@@ -449,9 +505,15 @@ class TwoLevel(Model):
         return dh0 * S0 + dh[0] * SX + dh[1] * SY + dh[2] * SZ
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        out = np.multiply.outer(self._component_hessian(self.h0, x), S0)
+        return self._sigma_derivs(x, 2)
+
+    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        return self._sigma_derivs(x, 3)
+
+    def _sigma_derivs(self, x: PhasePoint, order: int) -> np.ndarray:
+        out = np.multiply.outer(self._component_derivs(self.h0, x, order), S0)
         for part, s in zip(self.h, (SX, SY, SZ)):
-            out = out + np.multiply.outer(self._component_hessian(part, x), s)
+            out = out + np.multiply.outer(self._component_derivs(part, x, order), s)
         return out
 
     def analytic_frame(self, x: PhasePoint):
@@ -507,14 +569,30 @@ class TwoLevel(Model):
         return list(G[:3]), list(G[3:])
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        # The quotient rule on w = N / Q, N = h1 grad h2 - h2 grad h1,
-        # Q = 2 |h| lift, on either branch of lift.
+        dw = self._gauge_derivatives(x, second=False)[0]
+        if dw is None:
+            return np.zeros((6, 6, 2, 2), dtype=complex)
+        return self._gauge_stack(dw)
+
+    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        ddw = self._gauge_derivatives(x, second=True)[1]
+        if ddw is None:
+            return np.zeros((6, 6, 6, 2, 2), dtype=complex)
+        return self._gauge_stack(ddw)
+
+    def _gauge_derivatives(self, x: PhasePoint, second: bool):
+        """(grad w, grad grad w or None) by the quotient rule on w = N / Q,
+        N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on either branch of
+        lift: grad w = dN/Q - N dQ/Q^2 and grad grad w = ddN/Q
+        - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  (None, None)
+        where lift = 0 and the term is 0."""
         h, hn, lift, d = self._gauge(x)
         if not lift:
-            return np.zeros((6, 6, 2, 2), dtype=complex)
+            return None, None
         h1, h2, h3 = h
         d = np.concatenate([d, self._grad_h(x, self.h[2:])])
-        dd = [self._component_hessian(part, x) for part in self.h[:2]]
+        dd = [self._component_derivs(part, x, 2)
+              for part in (self.h if second else self.h[:2])]
         dn = h @ d / hn                                   # grad |h|
         if h3 >= 0:
             dlift = dn + d[2]
@@ -525,7 +603,34 @@ class TwoLevel(Model):
               + h1 * dd[1] - h2 * dd[0])
         Q = 2 * hn * lift
         dQ = 2 * (dn * lift + hn * dlift)
-        return self._gauge_stack(dN / Q - np.outer(dQ, N) / Q ** 2)
+        dw = dN / Q - np.outer(dQ, N) / Q ** 2
+        if not second:
+            return dw, None
+
+        (d0, d1, _), (dd0, dd1, dd2) = d, dd
+        ddd0, ddd1 = (self._component_derivs(part, x, 3) for part in self.h[:2])
+        ddn = (d.T @ d + np.tensordot(h, np.array(dd), 1)
+               - np.outer(dn, dn)) / hn
+        if h3 >= 0:
+            ddlift = ddn + dd2
+        else:
+            # lift (|h| - h3) = h1^2 + h2^2, differentiated twice.
+            dT = dn - d[2]
+            ddS = 2 * (np.outer(d0, d0) + h1 * dd0 + np.outer(d1, d1) + h2 * dd1)
+            ddlift = (ddS - np.outer(dlift, dT) - np.outer(dT, dlift)
+                      - lift * (ddn - dd2)) / (hn - h3)
+        # ddN[c, b, a] = d_c dN[b, a].
+        ddN = (np.einsum("cb,a->cba", dd0, d1) - np.einsum("cb,a->cba", dd1, d0)
+               + np.einsum("b,ca->cba", d0, dd1) - np.einsum("b,ca->cba", d1, dd0)
+               + np.einsum("c,ba->cba", d0, dd1) - np.einsum("c,ba->cba", d1, dd0)
+               + h1 * ddd1 - h2 * ddd0)
+        ddQ = 2 * (ddn * lift + np.outer(dn, dlift) + np.outer(dlift, dn)
+                   + hn * ddlift)
+        ddw = (ddN / Q
+               - (dN[None] * dQ[:, None, None] + dN[:, None] * dQ[None, :, None])
+               / Q ** 2
+               + np.multiply.outer(2 * np.outer(dQ, dQ) / Q ** 3 - ddQ / Q ** 2, N))
+        return dw, ddw
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.bracket_closed_form:

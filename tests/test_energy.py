@@ -373,11 +373,13 @@ def test_order2_takes_no_stencil(monkeypatch):
 def rotated_model(model, D, omega):
     """The model with its frame turned by the within-group unitary D(x), whose
     (D grad D^+) = -omega is constant over phase space, and its declared gauge
-    term and that term's gradient turned with it.
+    term and that term's first and second derivatives turned with it.
 
     X = U0 grad U0^+ becomes D X D^+ + D grad D^+, so the gauge term G becomes
-    D G D^+ + conjugate(i D grad D^+), and grad_b (D G_a D^+) is
-    [omega_b, D G_a D^+] + D grad_b G_a D^+.
+    D G D^+ + conjugate(i D grad D^+), grad_b (D G_a D^+) is
+    G'[b, a] = [omega_b, D G_a D^+] + D grad_b G_a D^+, and grad_c G'[b, a]
+    is [omega_b, G'[c, a]] + [omega_c, D grad_b G_a D^+]
+    + D grad_c grad_b G_a D^+.
     """
     rotated = copy.copy(model)
     shift = conjugate(-1j * omega)
@@ -399,9 +401,18 @@ def rotated_model(model, D, omega):
         return (omega[:, None] @ G[None] - G[None] @ omega[:, None]
                 + turn(x, model.d_analytic_connections(x)))
 
+    def d2_analytic_connections(x):
+        dG = d_analytic_connections(x)
+        tdG = turn(x, model.d_analytic_connections(x))
+        wb, wc = omega[None, :, None], omega[:, None, None]
+        return (wb @ dG[:, None] - dG[:, None] @ wb
+                + wc @ tdG[None] - tdG[None] @ wc
+                + turn(x, model.d2_analytic_connections(x)))
+
     rotated.analytic_frame = analytic_frame
     rotated.analytic_connections = analytic_connections
     rotated.d_analytic_connections = d_analytic_connections
+    rotated.d2_analytic_connections = d2_analytic_connections
     return rotated
 
 

@@ -70,6 +70,30 @@ def test_hessian_and_laplacian(field):
         assert abs(field.laplacian(r) - np.trace(h)) < 1e-12
 
 
+@pytest.mark.parametrize("field", FIELDS + [
+    ReciprocalField(PolynomialField([(2.0, (0, 0, 0)), (0.3, (1, 2, 0)),
+                                     (-0.2, (0, 1, 3))])),
+    ReciprocalField(CoulombRegularizedField(charge=1.3, softening=0.6)),
+], ids=lambda f: f.kind + ("_" + f.base.kind if hasattr(f, "base") else ""))
+def test_third_derivatives_match_fd_of_jet(field):
+    rng = np.random.default_rng(7)
+    h = 1e-4
+    for _ in range(10):
+        r = rng.uniform(-1.5, 1.5, 3)
+        d3 = np.array(field.d3(r))
+        fd = np.zeros((3, 3, 3))
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            fd[:, :, k] = (np.array(field.jet(r + e)[2])
+                           - np.array(field.jet(r - e)[2])) / (2 * h)
+        scale = max(np.max(np.abs(d3)), 1.0)
+        assert d3.shape == (3, 3, 3)
+        assert np.max(np.abs(d3 - fd)) <= 1e-6 * scale
+        for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+            assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-14 * scale
+
+
 def test_reciprocal_chain_rule():
     base = LinearField([0.1, 0.0, 0.0], 2.0)
     f = ReciprocalField(base)

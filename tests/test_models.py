@@ -287,3 +287,39 @@ def test_gauge_term_gradient_matches_fd(model):
     # Only the z-only two_level model has a vanishing gauge term.
     assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
     assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("model", _second_derivative_models(),
+                         ids=lambda m: m.name)
+def test_d3_hamiltonian_matches_fd(model):
+    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
+    d3 = model.d3_hamiltonian(x)
+    assert d3.shape == (6, 6, 6, model.n, model.n)
+    h = 1e-5
+    fd = np.stack([(model.d2_hamiltonian(x.shifted(c, h))
+                    - model.d2_hamiltonian(x.shifted(c, -h))) / (2 * h)
+                   for c in range(6)])
+    # The default z-only two_level is quadratic; every other model here has
+    # a live third derivative.
+    assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
+    scale = max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(d3 - fd)) <= 1e-7 * scale
+    for perm in ((1, 0, 2, 3, 4), (0, 2, 1, 3, 4)):
+        assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("model", _second_derivative_models(),
+                         ids=lambda m: m.name)
+def test_gauge_term_hessian_matches_fd(model):
+    # Both lift branches of two_level, as for the gradient above.
+    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
+    h = 1e-5
+    fd = np.stack([(model.d_analytic_connections(x.shifted(c, h))
+                    - model.d_analytic_connections(x.shifted(c, -h))) / (2 * h)
+                   for c in range(6)])
+    got = model.d2_analytic_connections(x)
+    assert got.shape == (6, 6, 6, model.n, model.n)
+    assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
+    assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(got - got.swapaxes(0, 1))) \
+        <= 1e-14 * max(1.0, np.max(np.abs(got)))

@@ -1,21 +1,27 @@
 """Exact phase-space tangents and the first-order Moyal residuals.
 
-`energy.phase_field_gradients` differentiates [A0, B, W] exactly at a point.
-Here it is checked against a stencil over the same field, and the first-order
+`energy.phase_field_gradients` differentiates [A0, B, W] exactly at a point,
+and `dynamics.berry_curvatures` the covariant shifts one order further.  Here
+both are checked against stencils over the same fields, and the first-order
 frame (B, hr and W) against the Moyal-product conditions that need no oracle:
 U = (1 + hbar U1) U0 is unitary and U * H * U^+ is block diagonal at O(hbar).
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+import semiband.dynamics
+import semiband.stencils
 from semiband.models import (
-    ALPHA, BETA, SIGMA, DiracElectric, Model, PhasePoint, make_model,
-    p_cross_sigma, random_points,
+    ALPHA, BETA, SIGMA, DiracElectric, Model, PhasePoint, _pxs_gauge_gradient,
+    _pxs_gauge_hessian, make_model, random_points,
 )
 from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
+    Tolerances,
     _rotated_dH,
     berry_connections,
     classical_frame,
@@ -26,10 +32,18 @@ from semiband.frames import (
     project,
 )
 from semiband.energy import (
+    _comm,
     first_order_kernel,
     frame_first_order,
     phase_field_gradients,
     rotation_generator,
+)
+from semiband.dynamics import (
+    _helicity_spinor,
+    band_curvature_vector,
+    berry_curvatures,
+    covariant_variables,
+    positive_block_connection,
 )
 from semiband.stencils import derivative_along
 from tests.test_energy import _group_rotated, rotated_model
@@ -57,23 +71,38 @@ class _VariableMassDirac(DiracElectric):
     def d2_hamiltonian(self, x):
         return np.zeros((6, 6, 4, 4), dtype=complex)
 
+    def d3_hamiltonian(self, x):
+        return np.zeros((6, 6, 6, 4, 4), dtype=complex)
+
     def analytic_frame(self, x):
         return self._at(x).analytic_frame(x)
 
     def analytic_connections(self, x):
         # U0 grad_m U0^+ has no within-group part: the gauge term keeps its
-        # constant-mass form (P x Sigma)/(2E(E+m)).
+        # constant-mass form (P x Sigma)/f with f = 2E(E+m).
         return self._at(x).analytic_connections(x)
 
+    def _f_jet(self, x):
+        """f = 2E(E+m), E = sqrt(P^2 + m^2), m = 1 + k.R: (f, grad f,
+        grad grad f) over the six axes; R enters through m."""
+        m = 1.0 + self.k @ x.R
+        E = float(np.sqrt(x.P @ x.P + m * m))
+        f_m = 4 * m + 2 * E + 2 * m * m / E
+        f_P = (4 * E + 2 * m) * x.P / E
+        f_mm = 4 + 6 * m / E - 2 * m ** 3 / E ** 3
+        f_mP = 2 * (x.P @ x.P) * x.P / E ** 3
+        f_PP = (4 + 2 * m / E) * np.eye(3) - 2 * m * np.outer(x.P, x.P) / E ** 3
+        ddf = np.block([[f_mm * np.outer(self.k, self.k),
+                         np.outer(self.k, f_mP)],
+                        [np.outer(f_mP, self.k), f_PP]])
+        return 2 * E * (E + m), np.concatenate([f_m * self.k, f_P]), ddf
+
     def d_analytic_connections(self, x):
-        at = self._at(x)
-        E, m = at.energy_scale(x), at.m
-        out = at.d_analytic_connections(x)
-        # R enters through m: d(2E(E+m))/dm = 4m + 2E + 2m^2/E.
-        df = self.k * (4 * m + 2 * E + 2 * m * m / E)
-        out[:3, :3] = -np.multiply.outer(df / (2 * E * (E + m)) ** 2,
-                                         np.array(p_cross_sigma(x.P, SIGMA)))
-        return out
+        f, df, _ddf = self._f_jet(x)
+        return _pxs_gauge_gradient(x.P, f, df)
+
+    def d2_analytic_connections(self, x):
+        return _pxs_gauge_hessian(x.P, *self._f_jet(x))
 
 
 def _twisted(model, seed):
@@ -243,3 +272,121 @@ def test_twisted_models_exercise_the_pairing_terms():
         assert np.max(np.abs(hr)) > 1e-2
         if case == "twisted_variable_mass":
             assert np.max(np.abs(pairing + pairing.conj().T)) > 1e-2
+
+
+def stencil_curvatures(model, x, hbar, tol=DEFAULT_TOL):
+    """(theta_rr, theta_pp, theta_pr) with grad a from a 4th-order stencil
+    over `covariant_variables`: the finite-difference reference for the exact
+    curvature pass."""
+    def shifts(y):
+        return covariant_variables(model, y, hbar, tol).shift_per_hbar()
+
+    a = shifts(x)
+    aR, aP = a[:3], a[3:]
+    d = np.stack([derivative_along(shifts, x, axis, tol.fd_base)
+                  for axis in range(6)])
+    d_PR, d_RP = d[3:, :3], d[:3, 3:]
+    rr = d_PR - d_PR.swapaxes(0, 1) - 1j * _comm(aR[:, None], aR[None])
+    pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
+    pr = (-(d[:3, :3] + d[3:, 3:].swapaxes(0, 1))
+          - 1j * _comm(aP[:, None], aR[None]))
+    return rr, pp, pr
+
+
+CURVATURE_CASES = sorted(c for c in TANGENT_CASES
+                         if not c.startswith("frameless"))
+
+
+@pytest.mark.parametrize("case", CURVATURE_CASES)
+def test_exact_curvature_matches_stencil(case):
+    # The O(hbar) part is what the second-order pass adds, so both a small
+    # and a large hbar are checked.  A block that vanishes analytically (Dirac
+    # theta_pp, neutrino theta_pr) holds only stencil roundoff; its scale is
+    # floored at 1e-6 of the whole set.
+    model = TANGENT_CASES[case]()
+    rng = np.random.default_rng(42)
+    for x in random_points(rng, 2, 0.3, 3.0):
+        for hbar in (0.01, 0.1):
+            cs = berry_curvatures(model, x, hbar)
+            exact = (cs.theta_rr, cs.theta_pp, cs.theta_pr)
+            ref = stencil_curvatures(model, x, hbar)
+            whole = max(float(np.max(np.abs(b))) for b in ref)
+            for got, want in zip(exact, ref):
+                scale = max(float(np.max(np.abs(want))), 1e-6 * whole)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("case", ["dirac_electric", "rotated_dirac",
+                                  "twisted_dirac", "twisted_variable_mass"])
+def test_band_curvature_vector_matches_stencil(case):
+    model = TANGENT_CASES[case]()
+    rng = np.random.default_rng(43)
+    for x in random_points(rng, 2, 0.3, 3.0):
+        dP = [derivative_along(lambda y: positive_block_connection(model, y),
+                               x, 3 + i) for i in range(3)]
+        curl = np.array([dP[(k + 1) % 3][(k + 2) % 3] - dP[(k + 2) % 3][(k + 1) % 3]
+                         for k in range(3)])
+        for lam in (+1, -1):
+            got = band_curvature_vector(model, x, lam)
+            chi = _helicity_spinor(x.P, lam)
+            want = np.real(np.einsum("i,kij,j->k", chi.conj(), curl, chi))
+            assert np.max(np.abs(got - want)) \
+                <= 1e-6 * max(float(np.max(np.abs(curl))), 1e-12)
+
+
+@pytest.mark.parametrize("inner", [_dirac, _generic])
+def test_frameless_curvature_is_refused(inner):
+    # The within-group gauge enters the curvature at O(hbar), and a
+    # frame-less model declares none; the stencil used to differentiate the
+    # zero within-group connection of the parallel gauge and return 0.
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    with pytest.raises(NotImplementedError):
+        berry_curvatures(_FrameLess(inner()), x, 0.0)
+    with pytest.raises(NotImplementedError):
+        berry_curvatures(_FrameLess(inner()), x, 0.05)
+
+
+def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
+    calls = []
+    real = semiband.stencils.derivative_along
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semiband") and hasattr(module, "derivative_along"):
+            monkeypatch.setattr(module, "derivative_along", counting)
+    cov_calls = []
+    real_cov = semiband.dynamics.covariant_variables
+    monkeypatch.setattr(semiband.dynamics, "covariant_variables",
+                        lambda *a, **k: cov_calls.append(1) or real_cov(*a, **k))
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    for case in ("dirac_electric", "neutrino_metric", "two_level_generic"):
+        model = TANGENT_CASES[case]()
+        frames = []
+        real_frame = model.analytic_frame
+        monkeypatch.setattr(model, "analytic_frame",
+                            lambda y: frames.append(1) or real_frame(y))
+        cov_calls.clear()
+        berry_curvatures(model, x, 0.05)
+        if case == "neutrino_metric":
+            band_curvature_vector(model, x, 1)
+        assert calls == []
+        assert len(cov_calls) == 1
+        assert len(frames) <= 2
+
+
+def test_curvature_does_not_depend_on_fd_base():
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    wide = Tolerances(fd_base=2e-3)
+    for case in ("dirac_electric", "neutrino_metric", "two_level_generic"):
+        model = TANGENT_CASES[case]()
+        a = berry_curvatures(model, x, 0.05)
+        b = berry_curvatures(model, x, 0.05, wide)
+        for block in ("theta_rr", "theta_pp", "theta_pr"):
+            assert np.array_equal(getattr(a, block), getattr(b, block))
+        if model.n == 4:
+            assert np.array_equal(band_curvature_vector(model, x, 1),
+                                  band_curvature_vector(model, x, 1, wide))
