@@ -12,6 +12,10 @@ bracket-check exact symbolic identity checks with a seeded case list
 Configuration is a JSON document (see README for the schema); identical
 config + seed produce byte-identical reports.  Exit codes: 0 success,
 1 configuration/schema error, 2 point-level errors (listed per point).
+
+The per-point subcommands run their points in chunks of `energy.CHUNK`, one
+batched pass per chunk; a chunk in which any point raises is re-run point by
+point, so every failing point gets its own error record.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import random
 import sys
 from pathlib import Path
@@ -29,8 +34,11 @@ from semiband import weyl
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_points,
 )
-from semiband.frames import Tolerances, berry_connections, classical_frame
+from semiband.frames import (
+    Tolerances, berry_connections, classical_frame, matrix_norms,
+)
 from semiband.energy import (
+    CHUNK,
     band_energy,
     corrected_connections,
     phase_field_gradients,
@@ -65,6 +73,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ConfigError for a bool or a non-integral value.  An
+    integral JSON float such as 1e2 counts as an integer."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
     if "points" in cfg:
         pts = []
@@ -83,9 +101,10 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                 raise ConfigError(f"grid.{key} must give [min, max, count] x 3")
             for row in rows:
                 lo, hi, count = row
-                if int(count) < 1:
+                count = _integer(count, "a grid count")
+                if count < 1:
                     raise ConfigError("grid counts must be >= 1")
-                axes.append(np.linspace(float(lo), float(hi), int(count)))
+                axes.append(np.linspace(float(lo), float(hi), count))
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = [m.ravel() for m in mesh]
         return [PhasePoint.of([flat[0][i], flat[1][i], flat[2][i]],
@@ -94,7 +113,8 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
     if "random_points" in cfg:
         section = cfg["random_points"]
         pmin, pmax = section.get("p_range", [0.3, 3.0])
-        return random_points(rng, int(section.get("count", 10)), pmin, pmax)
+        count = _integer(section.get("count", 10), "random_points.count")
+        return random_points(rng, count, pmin, pmax)
     raise ConfigError("config needs 'points', 'grid' or 'random_points'")
 
 
@@ -112,7 +132,8 @@ def _tolerances(cfg: dict) -> Tolerances:
 
 
 def _mat_json(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    """Matrices (..., n, n) as nested lists of [re, im] pairs."""
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _diag_json(diag: dict) -> dict:
@@ -132,8 +153,8 @@ def _diag_json(diag: dict) -> dict:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        # One write: json.dump would write each of its many small chunks.
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -158,32 +179,50 @@ def _point_setup(cfg: dict, args):
     return model, hbar, tol, seed, points
 
 
-def _run_points(args, stem: str, model, seed: int, points, work, header: list,
-                row, record) -> int:
-    """Apply work to every point (order kept, errors captured per point) and
-    write <stem>.csv and <stem>.json; exit 2 if any point failed."""
-    def safe(item):
-        idx, x = item
-        try:
-            return idx, work(x), None
-        except Exception as exc:  # noqa: BLE001 - reported per point
-            return idx, None, f"{type(exc).__name__}: {exc}"
+def _attempt(work, batch: list) -> tuple:
+    """(work on the batch, None), or (None, the error text) if it raised."""
+    try:
+        return work(PhasePoint.stack(batch)), None
+    except Exception as exc:  # noqa: BLE001 - reported per point
+        return None, f"{type(exc).__name__}: {exc}"
 
-    results = [safe(item) for item in enumerate(points)]
-    errors = [{"index": i, "error": err} for i, _r, err in results if err]
-    values = [r for _i, r, err in results if not err]
+
+def _run_points(args, stem: str, model, seed: int, points, work,
+                header: list, chunk: int | None = None) -> int:
+    """Apply work to the points in chunks of `chunk` (default `CHUNK`; order
+    kept, errors captured per point) and write <stem>.csv and <stem>.json;
+    exit 2 if any point failed.
+
+    work(x) takes a batch `PhasePoint` and returns its CSV rows and JSON
+    records, one per point.  A chunk that raises is re-run point by point.
+    """
+    chunk = CHUNK if chunk is None else chunk
+    rows, records, errors = [], [], []
+    for start in range(0, len(points), chunk):
+        batch = points[start:start + chunk]
+        items = [(start, *_attempt(work, batch))]
+        if items[0][2] is not None and len(batch) > 1:
+            # Point by point, so each failing point is named on its own.
+            items = [(i, *_attempt(work, [x]))
+                     for i, x in enumerate(batch, start)]
+        for idx, got, error in items:
+            if error is not None:
+                errors.append({"index": idx, "error": error})
+            else:
+                rows += got[0]
+                records += got[1]
 
     out = Path(args.out)
-    _write_csv(out / f"{stem}.csv", header, [row(v) for v in values])
+    _write_csv(out / f"{stem}.csv", header, rows)
     _write_json(out / f"{stem}.json", {
         "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": [record(v) for v in values], "errors": errors,
+        "seed": seed, "records": records, "errors": errors,
     })
     if errors:
         for err in errors:
             print(f"point {err['index']}: {err['error']}", file=sys.stderr)
         return 2
-    print(f"wrote {len(values)} rows to {out / f'{stem}.csv'}")
+    print(f"wrote {len(rows)} rows to {out / f'{stem}.csv'}")
     return 0
 
 
@@ -196,7 +235,8 @@ _POINT_HEADER = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar"]
 
 def cmd_diagonalize(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
-    order = int(args.order if args.order is not None else cfg.get("order", 2))
+    order = _integer(args.order if args.order is not None
+                     else cfg.get("order", 2), "order")
     if order not in (0, 1, 2):
         raise ConfigError("order must be 0, 1 or 2")
     representation = cfg.get("representation", "canonical")
@@ -205,36 +245,32 @@ def cmd_diagonalize(cfg: dict, args) -> int:
     n = model.n
 
     def work(x: PhasePoint):
-        return band_energy(model, x, hbar, order=order,
-                           representation=representation, tol=tol)
-
-    def row(rep) -> list:
-        out = [*rep.point.R, *rep.point.P, hbar, order]
-        for i in range(n):
-            out += [float(np.real(rep.eps[i, i])),
-                    float(np.real(rep.zeroth[i, i])),
-                    float(np.real(rep.first[i, i])),
-                    float(np.real(rep.second[i, i])),
-                    float(np.real(rep.bracket_term[i, i]))]
-        return out + [rep.diagnostics["hermiticity_defect"],
-                      rep.diagnostics["offblock_norm"], int(rep.partial)]
-
-    def record(rep) -> dict:
-        return {
-            "R": list(rep.point.R), "P": list(rep.point.P),
-            "hbar": hbar, "order": order, "representation": representation,
-            "bands": [float(v) for v in rep.band_values()],
-            "eps": _mat_json(rep.eps),
+        rep = band_energy(model, x, hbar, order=order,
+                          representation=representation, tol=tol)
+        parts = np.stack([np.diagonal(m, 0, -2, -1) for m in (
+            rep.eps, rep.zeroth, rep.first, rep.second, rep.bracket_term)],
+            axis=-1).real.reshape(-1, 5 * n)
+        defect = rep.diagnostics["hermiticity_defect"].tolist()
+        off = rep.diagnostics["offblock_norm"].tolist()
+        R, P = x.R.tolist(), x.P.tolist()
+        rows = [[*r, *p, hbar, order, *cols, d, o, int(rep.partial)]
+                for r, p, cols, d, o in zip(R, P, parts.tolist(), defect, off)]
+        records = [{
+            "R": r, "P": p, "hbar": hbar, "order": order,
+            "representation": representation, "bands": bands, "eps": eps,
             "partial": rep.partial,
-            "diagnostics": _diag_json(rep.diagnostics),
-        }
+            "diagnostics": _diag_json({**rep.diagnostics,
+                                       "hermiticity_defect": d,
+                                       "offblock_norm": o}),
+        } for r, p, bands, eps, d, o in zip(
+            R, P, rep.band_values().tolist(), _mat_json(rep.eps), defect, off)]
+        return rows, records
 
     header = (_POINT_HEADER + ["order"]
               + [f"band{i}_{part}" for i in range(n)
                  for part in ("total", "order0", "order1", "order2", "bracket")]
               + ["hermiticity_defect", "offblock_norm", "bracket_unavailable"])
-    return _run_points(args, "energies", model, seed, points, work, header,
-                       row, record)
+    return _run_points(args, "energies", model, seed, points, work, header)
 
 
 def cmd_connections(cfg: dict, args) -> int:
@@ -245,70 +281,52 @@ def cmd_connections(cfg: dict, args) -> int:
 
     def work(x: PhasePoint):
         frame = classical_frame(model, x, tol)
-        conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-        if order == "0":
-            return conns0
-        grads = phase_field_gradients(model, frame, hbar, tol, conns0)
-        B = rotation_generator(model, frame, conns0, tol)
-        return corrected_connections(frame, conns0, B, hbar, grads)
-
-    def row(conns) -> list:
-        return ([*conns.point.R, *conns.point.P, hbar, conns.order]
-                + [float(np.linalg.norm(a)) for a in conns.A])
-
-    def record(conns) -> dict:
-        return {
-            "R": list(conns.point.R), "P": list(conns.point.P),
-            "hbar": hbar, "order": conns.order,
-            "A_R": [_mat_json(a) for a in conns.A_R],
-            "A_P": [_mat_json(a) for a in conns.A_P],
-        }
+        conns = berry_connections(model, x, hbar, frame=frame, tol=tol)
+        if order != "0":
+            grads = phase_field_gradients(model, frame, hbar, tol, conns)
+            B = rotation_generator(model, frame, conns, tol)
+            conns = corrected_connections(frame, conns, B, hbar, grads)
+        R, P = x.R.tolist(), x.P.tolist()
+        rows = [[*r, *p, hbar, conns.order, *norms] for r, p, norms in
+                zip(R, P, matrix_norms(conns.A).tolist())]
+        records = [{"R": r, "P": p, "hbar": hbar, "order": conns.order,
+                    "A_R": A[:3], "A_P": A[3:]}
+                   for r, p, A in zip(R, P, _mat_json(conns.A))]
+        return rows, records
 
     header = _POINT_HEADER + ["order"] + \
         [f"norm_A_{kind}{l}" for kind in ("R", "P") for l in range(3)]
-    return _run_points(args, "connections", model, seed, points, work, header,
-                       row, record)
+    return _run_points(args, "connections", model, seed, points, work, header)
 
 
 def cmd_curvature(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
 
-    def work(x: PhasePoint):
+    def work(batch: PhasePoint):
+        x = batch.point(0)
         cset = berry_curvatures(model, x, hbar, tol)
-        extra = {}
-        if model.name == "neutrino_metric":
-            for lam in (+1, -1):
-                extra[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
-                    model, x, lam, tol).tolist()
-        return cset, extra
-
-    def row(value) -> list:
-        cset, _extra = value
         anti = max(
             float(np.max(np.abs(cset.theta_rr + cset.theta_rr.transpose(1, 0, 2, 3)))),
             float(np.max(np.abs(cset.theta_pp + cset.theta_pp.transpose(1, 0, 2, 3)))),
         )
-        return [*cset.point.R, *cset.point.P, hbar,
-                float(np.linalg.norm(cset.theta_rr)),
-                float(np.linalg.norm(cset.theta_pp)),
-                float(np.linalg.norm(cset.theta_pr)), anti]
-
-    def record(value) -> dict:
-        cset, extra = value
-        rec = {"R": list(cset.point.R), "P": list(cset.point.P), "hbar": hbar,
-               "theta_rr": [[_mat_json(cset.theta_rr[i, j]) for j in range(3)]
-                            for i in range(3)],
-               "theta_pp": [[_mat_json(cset.theta_pp[i, j]) for j in range(3)]
-                            for i in range(3)],
-               "theta_pr": [[_mat_json(cset.theta_pr[i, j]) for j in range(3)]
-                            for i in range(3)]}
-        rec.update(extra)
-        return rec
+        row = [*x.R, *x.P, hbar, float(np.linalg.norm(cset.theta_rr)),
+               float(np.linalg.norm(cset.theta_pp)),
+               float(np.linalg.norm(cset.theta_pr)), anti]
+        rec = {"R": list(x.R), "P": list(x.P), "hbar": hbar,
+               "theta_rr": _mat_json(cset.theta_rr),
+               "theta_pp": _mat_json(cset.theta_pp),
+               "theta_pr": _mat_json(cset.theta_pr)}
+        if model.name == "neutrino_metric":
+            for lam in (+1, -1):
+                rec[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
+                    model, x, lam, tol).tolist()
+        return [row], [rec]
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",
                               "norm_theta_pr", "antisym_defect"]
+    # The curvature pass takes one point at a time.
     return _run_points(args, "curvature", model, seed, points, work, header,
-                       row, record)
+                       chunk=1)
 
 
 def cmd_trajectory(cfg: dict, args) -> int:
@@ -441,7 +459,7 @@ def main(argv=None) -> int:
     parser.add_argument("--suite", help="verification suite name (verify)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; points always run "
-                             "in order in one thread")
+                             "in order, in chunks, in one thread")
     parser.add_argument("command", choices=[
         "diagonalize", "connections", "curvature", "trajectory",
         "verify", "bracket-check",

@@ -133,7 +133,7 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     a1 = (2.0 * frame.project(conns.linear, "diag")
           + (0.5 * _anticomm(A0[:, None],
                              frame.project(field_grads[:, :6], "diag"))).sum(0))
-    A1 = hermitize(a1)[0]
+    A1 = hermitize(a1)
     canonical = np.concatenate([x.R, x.P])[:, None, None] * np.eye(frame.n)
     return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
                          x, hbar, conns0, B, field_grads)
@@ -157,10 +157,10 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
             + 0.5 * (_comm(dB[:, None], A[None]) + _comm(B, dA)))
     A0, dA0 = frame.project(A, "diag"), frame.project(dA, "diag")
     dA1 = hermitize(
-        2.0 * frame.project(hermitize(dlin)[0], "diag")
+        2.0 * frame.project(hermitize(dlin), "diag")
         + 0.5 * (_anticomm(dA0[:, :, None], dA0[None])
                  + _anticomm(A0[None, :, None], frame.project(ddA, "diag"))
-                 ).sum(1))[0]
+                 ).sum(1))
     return dA0 + 0.5 * cov.hbar * dA1
 
 

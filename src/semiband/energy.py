@@ -21,7 +21,11 @@ The pipeline assembles, at a classical phase point:
 
 Every phase-axis field is one (6, n, n) stack in axis order (R_1, R_2, R_3,
 P_1, P_2, P_3), and every contraction over the axes pairs R_l with P_l through
-`frames.conjugate`, so the assembly has no per-axis branch.  The three
+`frames.conjugate`, so the assembly has no per-axis branch.  A batch of N
+points puts its point axis in front of every array, (N, 6, n, n), and the
+assembly indexes phase axes from the end, so `band_energy` runs one point or
+a batch through the same code; `band_energy_batch` feeds it chunks of
+`CHUNK` points.  The three
 derivatives an order-2 point needs (grad A0, grad B and D W) are exact at the
 point (`phase_field_gradients`), with no stencil.  With M_a = U0 grad_a H U0^+,
 X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
@@ -35,8 +39,9 @@ X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
 * B and W follow by the Leibniz rule, with
   grad inv(V) = inv(grad V - [inv(V), grad E]).
 
-Everything is Hermitized term by term; discarded anti-Hermitian defects are
-recorded in the report diagnostics rather than silently dropped.
+Everything is Hermitized term by term; the norms of the discarded
+anti-Hermitian parts of the energy terms are recorded, per point, in the
+report diagnostics rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -59,11 +64,13 @@ from semiband.frames import (
     eps0_gradients,
     hermitize,
     invert_band_commutator,
+    matrix_norms,
     project,
 )
 from semiband.stencils import FDDiagnostics
 
 __all__ = [
+    "CHUNK",
     "EnergyReport",
     "band_energy",
     "band_energy_batch",
@@ -74,6 +81,11 @@ __all__ = [
     "apply_energy_flow_operator",
     "phase_field_gradients",
 ]
+
+
+# Points per batched pass of `band_energy_batch` and the CLI sweeps; the
+# largest chunk array, the order-2 field gradients, is 0.8 MB for n = 4.
+CHUNK = 64
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -97,24 +109,27 @@ def _diag(d: np.ndarray) -> np.ndarray:
 
 
 def _covariant(grad: np.ndarray, A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """D_a M = grad_a M + (i/2)[conjugate(A)_a, M] over the six axes, i.e.
-    D_R = grad_R + (i/2)[A^P, .] and D_P = grad_P - (i/2)[A^R, .]."""
-    return grad + 0.5j * _comm(conjugate(A), M)
+    """D_a M = grad_a M + (i/2)[conjugate(A)_a, M] over the six axes of A,
+    for one matrix M (..., n, n) per point, i.e. D_R = grad_R + (i/2)[A^P, .]
+    and D_P = grad_P - (i/2)[A^R, .]."""
+    return grad + 0.5j * _comm(conjugate(A), M[..., None, :, :])
 
 
 def _string(E: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The commutator string sum_a [E, X_a] conjugate(Y)_a, that is
     sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
-    return (_comm(E, X) @ conjugate(Y)).sum(0)
+    return (_comm(E[..., None, :, :], X) @ conjugate(Y)).sum(-3)
 
 
 @dataclass
 class EnergyReport:
-    """Block-diagonal effective energy at one phase point."""
+    """Block-diagonal effective energy at one phase point, or at a batch of
+    points with the point axis in front of every array and of the per-point
+    diagnostics."""
 
     order: int
     representation: str             # "canonical" or "covariant"
-    eps: np.ndarray                 # total matrix (n, n)
+    eps: np.ndarray                 # total matrix (..., n, n)
     zeroth: np.ndarray
     first: np.ndarray
     second: np.ndarray
@@ -125,7 +140,17 @@ class EnergyReport:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def band_values(self) -> np.ndarray:
-        return np.real(np.diag(self.eps))
+        return np.real(np.diagonal(self.eps, 0, -2, -1))
+
+    def split(self) -> list:
+        """The per-point reports of a batch report."""
+        return [EnergyReport(
+            self.order, self.representation, self.eps[i], self.zeroth[i],
+            self.first[i], self.second[i], self.bracket_term[i],
+            self.point.point(i), self.hbar, self.partial,
+            {k: float(v[i]) if isinstance(v, np.ndarray) else v
+             for k, v in self.diagnostics.items()})
+            for i in range(len(self.eps))]
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +162,8 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
                           conns0: ConnectionSet | None = None) -> np.ndarray:
     """grad_axis of [A0^R_1..3, A0^P_1..3, B, W] at the frame's point.
 
-    Returns one (6, 8, n, n) array indexed [axis, field]: fields 0-5 are the
-    order-0 connections, 6 the rotation generator B and 7 the first-order
+    Returns one (..., 6, 8, n, n) array indexed [axis, field]: fields 0-5 are
+    the order-0 connections, 6 the rotation generator B and 7 the first-order
     kernel W.  All of it is exact at the point: grad A0 and the eps0 Hessian
     come from `connection_gradients`, and B and W are differentiated by the
     Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for the
@@ -152,26 +177,32 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.
-    gs = g[:, None, :] + g[:, :, None]
-    K = (0.5 * A * gs).sum(0)
-    dK = 0.5 * (dA * gs + A * (hess[..., None, :] + hess[..., :, None])).sum(1)
+    # [b, a] stacks carry A, g and D_a E on their a axis.
+    gs = g[..., None, :] + g[..., :, None]
+    Aa = A[..., None, :, :, :]
+    K = (0.5 * A * gs).sum(-3)
+    dK = 0.5 * (dA * gs[..., None, :, :, :]
+                + Aa * (hess[..., None, :] + hess[..., :, None])).sum(-3)
     invK = invert_band_commutator(frame.project(K, "offdiag"), frame, tol)
     dB = -invert_band_commutator(frame.project(dK, "offdiag")
-                                 - _comm_diag(invK, g), frame, tol)
+                                 - _comm_diag(invK[..., None, :, :], g),
+                                 frame, tol)
     Aoff, Adiag = frame.project(A, "offdiag"), frame.project(A, "diag")
-    dY = (frame.project(dA, "offdiag") @ conjugate(Adiag)
-          + Aoff @ conjugate(frame.project(dA, "diag"), axis=1)).sum(1)
+    dY = (frame.project(dA, "offdiag") @ conjugate(Adiag)[..., None, :, :, :]
+          + Aoff[..., None, :, :, :] @ conjugate(frame.project(dA, "diag"))
+          ).sum(-3)
     dB += 0.25j * (dY + _dagger(dY))
 
     # W = P+(T + T^+), T = sum_a (D_a E) A_a with D_a E = diag(g_a)
     # + (i/2)[conjugate(A)_a, E].
     DE = _covariant(_diag(g), A, _diag(frame.eps0))
     dDE = _diag(hess) + 0.5j * (
-        _comm_diag(conjugate(dA, axis=1), frame.eps0)
-        + _comm_diag(conjugate(A)[None], g[:, None]))
-    dT = (dDE @ A + DE @ dA).sum(1)
+        _comm_diag(conjugate(dA), frame.eps0[..., None, None, :])
+        + _comm_diag(conjugate(A)[..., None, :, :, :], g[..., :, None, :]))
+    dT = (dDE @ Aa + DE[..., None, :, :, :] @ dA).sum(-3)
     dW = frame.project(dT + _dagger(dT), "diag")
-    return np.concatenate([dA, dB[:, None], dW[:, None]], axis=1)
+    return np.concatenate([dA, dB[..., :, None, :, :], dW[..., :, None, :, :]],
+                          axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +219,10 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
     """
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
-    M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(0)
+    M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(-3)
     B = -invert_band_commutator(frame.project(M, "offdiag"), frame, tol)
     X = (frame.project(conns.A, "offdiag")
-         @ conjugate(frame.project(conns.A, "diag"))).sum(0)
+         @ conjugate(frame.project(conns.A, "diag"))).sum(-3)
     return B + 0.25j * (X + _dagger(X))
 
 
@@ -207,10 +238,12 @@ def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
     frame's point.
     """
     A0 = conns0.A
-    corr = (0.125 * _anticomm(A0[:, None], field_grads[:, :6])).sum(0)
-    corr += 0.5 * (-1j * conjugate(field_grads[:, 6]) + _comm(B, A0))
-    linear = hermitize(corr)[0]
-    return ConnectionSet(hermitize(A0 + hbar * linear)[0], "corrected",
+    corr = (0.125 * _anticomm(A0[..., :, None, :, :],
+                              field_grads[..., :6, :, :])).sum(-4)
+    corr += 0.5 * (-1j * conjugate(field_grads[..., 6, :, :])
+                   + _comm(B[..., None, :, :], A0))
+    linear = hermitize(corr)
+    return ConnectionSet(hermitize(A0 + hbar * linear), "corrected",
                          frame.point, hbar, linear=linear)
 
 
@@ -223,7 +256,7 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     part vanishes).  Returns (U, U1, B, hr).
     """
     B = rotation_generator(model, frame, conns0, tol)
-    hr = -0.25j * (conns0.A @ conjugate(conns0.A)).sum(0)
+    hr = -0.25j * (conns0.A @ conjugate(conns0.A)).sum(-3)
     U1 = B + hr
     U = (np.eye(frame.n) + hbar * U1) @ frame.U0
     return U, U1, B, hr
@@ -239,24 +272,30 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
     if grads is None:
         grads = eps0_gradients(model, frame, tol)
-    T = (_covariant(_diag(grads), conns.A, _diag(frame.eps0)) @ conns.A).sum(0)
+    DE = _covariant(_diag(grads), conns.A, _diag(frame.eps0))
+    T = (DE @ conns.A).sum(-3)
     return frame.project(T + _dagger(T), "diag")
 
 
 def _bracket_term(model: Model, x: PhasePoint, hbar: float, frame: BandFrame):
-    """-(hbar/2) <eps0> from the model's declared form; (matrix, partial?)."""
+    """-(hbar/2) <eps0> from the model's declared form, block-projected and
+    not yet Hermitized; (matrix, partial?)."""
     try:
         raw = model.ordering_bracket_term(x, hbar)
     except NotImplementedError:
-        return np.zeros((frame.n, frame.n), dtype=complex), True, 0.0
-    herm, defect = hermitize(frame.project(raw, "diag"))
-    return herm, False, defect
+        return np.zeros(frame.U0.shape, dtype=complex), True
+    return frame.project(raw, "diag"), False
 
 
 def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
                 representation: str = "canonical",
                 tol: Tolerances = DEFAULT_TOL) -> EnergyReport:
-    """Effective band energy at x through the requested order in hbar."""
+    """Effective band energy at x through the requested order in hbar.
+
+    x is one point or a batch (`PhasePoint.stack`); a batch gives one report
+    whose arrays and per-point diagnostics carry the point axis in front,
+    and raises if any of its points would.
+    """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     if representation not in ("canonical", "covariant"):
@@ -266,31 +305,33 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
             "unsupported model: the Hamiltonian bracket <H> does not vanish"
         )
     frame = classical_frame(model, x, tol)
-    n = frame.n
     eps0_mat = _diag(frame.eps0)
-    zero = np.zeros((n, n), dtype=complex)
+    zero = np.zeros(frame.U0.shape, dtype=complex)
     diagnostics: dict = {}
 
     first = zero.copy()
     second = zero.copy()
     bracket = zero.copy()
     partial = False
-    defects = []
+    defects = []                    # discarded anti-Hermitian parts
+
+    def hermitized(mat: np.ndarray) -> np.ndarray:
+        herm = hermitize(mat)
+        defects.append(matrix_norms(mat - herm))
+        return herm
 
     if order >= 1:
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
         grads = eps0_gradients(model, frame, tol)
         W = first_order_kernel(model, frame, conns0, tol, grads)
-        first_raw = (hbar / 2.0) * W
-        first, d1 = hermitize(first_raw)
-        defects.append(d1)
+        first = hermitized((hbar / 2.0) * W)
 
     if order == 2:
         field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
         B = rotation_generator(model, frame, conns0, tol, grads)
         conns = corrected_connections(frame, conns0, B, hbar, field_grads)
-        bracket, partial, db = _bracket_term(model, x, hbar, frame)
-        defects.append(db)
+        bracket, partial = _bracket_term(model, x, hbar, frame)
+        bracket = hermitized(bracket)
 
         if representation == "canonical":
             second = _second_order_canonical(frame, conns0, conns, grads, W,
@@ -299,9 +340,8 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
             first, second = _second_order_covariant(frame, conns0, conns, hbar)
-        second, d2 = hermitize(second)
-        first, d1b = hermitize(first)
-        defects.extend([d2, d1b])
+        second = hermitized(second)
+        first = hermitized(first)
         # An empty stencil record: no stencil runs, and readers of order-2
         # reports still find the key.
         diagnostics["fd"] = FDDiagnostics()
@@ -309,12 +349,14 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
     total = eps0_mat + first + second + bracket
     if not np.isfinite(total).all():
         raise FloatingPointError("band energy is not finite")
-    off = frame.project(total, "offdiag")
-    diagnostics["offblock_norm"] = float(np.linalg.norm(off))
-    diagnostics["hermiticity_defect"] = float(max(defects, default=0.0))
+    off = matrix_norms(frame.project(total, "offdiag"))
+    defect = np.max(defects, axis=0) if defects else np.zeros(off.shape)
+    point_values = float if off.ndim == 0 else np.asarray
+    diagnostics["offblock_norm"] = point_values(off)
+    diagnostics["hermiticity_defect"] = point_values(defect)
     diagnostics["bracket_unavailable"] = partial
-    scale = max(float(np.linalg.norm(total)), 1e-300)
-    if diagnostics["offblock_norm"] > 1e-10 * scale:
+    scale = np.maximum(matrix_norms(total), 1e-300)
+    if (off > 1e-10 * scale).any():
         raise ValueError("energy lost block diagonality; inspect the pipeline")
 
     return EnergyReport(order, representation, total, eps0_mat, first, second,
@@ -338,10 +380,10 @@ def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
     A0, A1 = conns0.A, conns.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
     S = (_covariant(0.0, A1, eps_mat) @ A0
-         + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(0)
+         + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
-    N = (_covariant(field_grads[:, 7], A0, W0) @ A0).sum(0)
+    N = (_covariant(field_grads[..., 7, :, :], A0, W0) @ A0).sum(-3)
     nested = (hbar ** 2 / 8.0) * frame.project(N + _dagger(N), "diag")
     return linear + nested
 
@@ -359,7 +401,7 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
     eps_mat = _diag(frame.eps0)
     A0, A1 = conns0.A, conns.linear
     Wstr = _string(eps_mat, A0, A0)
-    T0 = Wstr - _comm(eps_mat, (A0 @ conjugate(A0)).sum(0))
+    T0 = Wstr - _comm(eps_mat, (A0 @ conjugate(A0)).sum(-3))
     T1 = _string(eps_mat, A1, A0) + _string(eps_mat, A0, A1)
     # (i/4) hbar {T + H.C.} with T = T0 + hbar T1, truncated at hbar^2; the
     # H.C. of (i/4)T is -(i/4)T^+.
@@ -376,9 +418,16 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
 def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
                       representation: str = "canonical",
                       tol: Tolerances = DEFAULT_TOL) -> list:
-    """Energy reports for a list of phase points (order preserved)."""
-    return [band_energy(model, x, hbar, order, representation, tol)
-            for x in points]
+    """Energy reports for a list of phase points (order preserved), from one
+    batched `band_energy` pass per chunk of `CHUNK` points.  Each report
+    equals the single-point `band_energy` at its point bit for bit; a point
+    that fails makes the whole call raise."""
+    reports = []
+    for start in range(0, len(points), CHUNK):
+        batch = PhasePoint.stack(points[start:start + CHUNK])
+        reports += band_energy(model, batch, hbar, order, representation,
+                               tol).split()
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +443,7 @@ def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: np.ndarray,
     `eps_grads` is the (6, n, n) stack of phase gradients of the full energy
     matrix field.
     """
-    out = (0.5 * _anticomm(conns.A, eps_grads)).sum(0)
+    out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
     Xp = project(_string(eps_mat, conns.A, conns.A), groups, "diag")
     # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
     out = project(out, groups, "diag") + 0.25j * (Xp - _dagger(Xp))

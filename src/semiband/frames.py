@@ -12,6 +12,10 @@ derivatives and the eps0 Hessian (`connection_gradients`,
 gauge-smoothed frame field (`connections_fd`: eigenvectors at stencil points
 aligned to the anchor frame by the unitary polar factor of the per-group
 overlap matrix) are the independent cross-check.
+
+A frame holds one point or a batch of N points.  A batch puts its point
+axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
+helpers index phase axes from the end, so one function serves both.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from semiband.models import Model, PhasePoint
+from semiband.models import Model, PhasePoint, _dot
 from semiband.stencils import FDDiagnostics, derivative_along
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "connection_gradients",
     "connection_hessians",
     "hermitize",
+    "matrix_norms",
     "conjugate",
     "eps0_gradients",
 ]
@@ -64,15 +69,15 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass
 class BandFrame:
-    """Gauge-fixed classical diagonalization at one phase point.
+    """Gauge-fixed classical diagonalization at one phase point or a batch.
 
     The fixed per-frame data of the helpers (group masks, cross-group eps
     differences, the gap check, U0 grad H U0^+ and the eps0 gradients) is
     computed on first use and kept on the frame.
     """
 
-    eps0: np.ndarray                # (n,) real, ordered by group layout
-    U0: np.ndarray                  # (n, n) unitary, U0 H U0^+ block diagonal
+    eps0: np.ndarray                # (..., n) real, ordered by group layout
+    U0: np.ndarray                  # (..., n, n), U0 H U0^+ block diagonal
     groups: np.ndarray              # (n,) group index per state
     point: PhasePoint
     dH: np.ndarray | None = dc_field(default=None, repr=False)  # cached stack, _rotated_dH
@@ -81,7 +86,7 @@ class BandFrame:
 
     @property
     def n(self) -> int:
-        return self.eps0.shape[0]
+        return self.eps0.shape[-1]
 
     def group_states(self, g: int) -> np.ndarray:
         return np.flatnonzero(self.groups == g)
@@ -98,15 +103,18 @@ class BandFrame:
 
     @cached_property
     def cross_gaps(self) -> np.ndarray:
-        """eps_m - eps_n on the cross-group entries (n, m), in mask order."""
-        return (self.eps0[None, :] - self.eps0[:, None])[self.cross]
+        """eps_m - eps_n on the cross-group entries (n, m), in mask order,
+        (..., k)."""
+        eps = self.eps0
+        return (eps[..., None, :] - eps[..., :, None])[..., self.cross]
 
     def check_gap(self, tol: Tolerances) -> None:
-        """Raise on a cross-group gap below tolerance (once per tolerance)."""
+        """Raise on a cross-group gap below tolerance at any point (once per
+        tolerance)."""
         if self._gap_checked == tol.gap:
             return
-        scale = max(float(np.max(np.abs(self.eps0))), 1e-300)
-        if np.any(np.abs(self.cross_gaps) <= tol.gap * scale):
+        scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1e-300)
+        if (np.abs(self.cross_gaps) <= tol.gap * scale[..., None]).any():
             raise ValueError("near-degenerate bands: cross-group gap below tolerance")
         self._gap_checked = tol.gap
 
@@ -125,42 +133,62 @@ class ConnectionSet:
     uses to truncate at an exact polynomial order.
     """
 
-    A: np.ndarray                   # (6, n, n)
+    A: np.ndarray                   # (..., 6, n, n)
     order: str                      # "0" or "corrected"
     point: PhasePoint
     hbar: float
     diagnostics: FDDiagnostics = dc_field(default_factory=FDDiagnostics)
-    linear: np.ndarray | None = None  # (6, n, n) or None for order 0
+    linear: np.ndarray | None = None  # (..., 6, n, n) or None for order 0
 
     @property
     def A_R(self) -> np.ndarray:
-        return self.A[:3]
+        return self.A[..., :3, :, :]
 
     @property
     def A_P(self) -> np.ndarray:
-        return self.A[3:]
+        return self.A[..., 3:, :, :]
 
 
-def conjugate(S: np.ndarray, axis: int = 0) -> np.ndarray:
+def conjugate(S: np.ndarray) -> np.ndarray:
     """The R <-> P pairing of a phase-axis stack: (S^R, S^P) -> (S^P, -S^R),
-    along the phase axis `axis` of S.
+    along the phase axis in front of the matrix axes, axis -3.
 
     Every contraction over the six axes pairs R_l with P_l this way: the
     covariant derivatives D_R = grad_R + (i/2)[A^P, .] and
     D_P = grad_P - (i/2)[A^R, .] are grad + (i/2)[conjugate(A), .], and
-    sum_l (X^{R_l} Y^{P_l} - X^{P_l} Y^{R_l}) is (X @ conjugate(Y)).sum(0).
+    sum_l (X^{R_l} Y^{P_l} - X^{P_l} Y^{R_l}) is (X @ conjugate(Y)).sum(-3).
     """
-    if axis:
-        return np.swapaxes(conjugate(np.swapaxes(S, 0, axis)), 0, axis)
-    return np.concatenate([S[3:], -S[:3]])
+    return np.concatenate([S[..., 3:, :, :], -S[..., :3, :, :]], axis=-3)
 
 
-def hermitize(mat: np.ndarray):
-    """Hermitian part and the norm of the discarded anti-Hermitian part; mat
-    may be a stack (..., n, n)."""
-    herm = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-    defect = float(np.linalg.norm(mat - herm))
-    return herm, defect
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """The Hermitian part of mat, which may be a stack (..., n, n)."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+
+
+def matrix_norms(mat: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, (...), each rounded as
+    `np.linalg.norm` rounds one matrix (the norm over axes sums in another
+    order)."""
+    if mat.ndim == 2:
+        return np.linalg.norm(mat)
+    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    if np.iscomplexobj(flat):
+        return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
+    return np.sqrt(_dot(flat, flat))
+
+
+def _first(bad: np.ndarray):
+    """The index of the first point where `bad` holds, () for one point, or
+    None."""
+    if not bad.any():
+        return None
+    return tuple(np.argwhere(bad)[0])
+
+
+def _at(x: PhasePoint, i: tuple) -> PhasePoint:
+    """Point i of x, from a `_first` index."""
+    return x.point(*i) if i else x
 
 
 def project(mat: np.ndarray, groups: np.ndarray, part: str = "diag") -> np.ndarray:
@@ -178,9 +206,10 @@ def _masked(mat: np.ndarray, same: np.ndarray, part: str) -> np.ndarray:
 
 def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
     """Eigen-decomposition with ascending eigenvalues split into the declared
-    group multiplicities; raises when the grouping is inconsistent."""
+    group multiplicities; raises when the grouping is inconsistent (naming
+    the first point of a batch where it is)."""
     H = model.hamiltonian(x)
-    scale = max(float(np.linalg.norm(H)), 1e-300)
+    scale = np.maximum(matrix_norms(H), 1e-300)
     vals, vecs = np.linalg.eigh(H)
     sizes = tuple(model.band_groups)
     if sum(sizes) != model.n:
@@ -188,17 +217,19 @@ def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
     groups = np.empty(model.n, dtype=int)
     start = 0
     for g, size in enumerate(sizes):
-        block = vals[start:start + size]
-        if np.ptp(block) > tol.degeneracy * scale:
+        block = vals[..., start:start + size]
+        i = _first(np.ptp(block, axis=-1) > tol.degeneracy * scale)
+        if i is not None:
             raise ValueError(
-                f"eigenvalues {block} spread beyond the degeneracy tolerance "
+                f"eigenvalues {block[i]} spread beyond the degeneracy tolerance "
                 f"for declared group {g}"
             )
         if start + size < model.n:
-            gap = vals[start + size] - vals[start + size - 1]
-            if gap <= tol.gap * scale:
+            gap = vals[..., start + size] - vals[..., start + size - 1]
+            i = _first(gap <= tol.gap * scale)
+            if i is not None:
                 raise ValueError(
-                    f"cross-group gap {gap:.3e} below tolerance at {x}"
+                    f"cross-group gap {gap[i]:.3e} below tolerance at {_at(x, i)}"
                 )
         groups[start:start + size] = g
         start += size
@@ -207,13 +238,11 @@ def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     """Deterministic column phases: largest-magnitude entry real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        ph = out[k, j]
-        if abs(ph) > 0:
-            out[:, j] *= np.conj(ph) / abs(ph)
-    return out
+    k = np.argmax(np.abs(vecs), axis=-2)
+    ph = np.take_along_axis(vecs, k[..., None, :], axis=-2)[..., 0, :]
+    mag = np.abs(ph)
+    turn = np.where(mag > 0, np.conj(ph) / np.where(mag > 0, mag, 1.0), 1.0)
+    return vecs * turn[..., None, :]
 
 
 def _align_to(vecs: np.ndarray, ref: np.ndarray, groups: np.ndarray,
@@ -243,7 +272,7 @@ def classical_frame(model: Model, x: PhasePoint,
 
     Prefers the model's analytic frame; otherwise diagonalizes numerically and
     fixes the gauge deterministically.  Validates unitarity, block diagonality
-    and within-group degeneracy.
+    and within-group degeneracy at every point of a batch.
     """
     model.check_point(x)
     if model.has_analytic_frame:
@@ -252,7 +281,7 @@ def classical_frame(model: Model, x: PhasePoint,
     else:
         vals, vecs, groups = _group_eigensystem(model, x, tol)
         vecs = _phase_fix(vecs)
-        eps0, U0 = vals, vecs.conj().T
+        eps0, U0 = vals, vecs.conj().swapaxes(-1, -2)
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
                       groups, x)
     _validate_frame(model, frame, tol)
@@ -261,24 +290,30 @@ def classical_frame(model: Model, x: PhasePoint,
 
 def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
     H = model.hamiltonian(frame.point)
-    scale = max(float(np.linalg.norm(H)), 1e-300)
-    n = frame.n
-    unit = frame.U0 @ frame.U0.conj().T - np.eye(n)
-    if np.linalg.norm(unit) > tol.unitarity:
-        raise ValueError(f"frame unitarity defect {np.linalg.norm(unit):.3e}")
-    rotated = frame.U0 @ H @ frame.U0.conj().T
-    off = frame.project(rotated, "offdiag")
-    if np.linalg.norm(off) > tol.block * scale:
+    scale = np.maximum(matrix_norms(H), 1e-300)
+    U0, U0_dag = frame.U0, frame.U0.conj().swapaxes(-1, -2)
+    unit = matrix_norms(U0 @ U0_dag - np.eye(frame.n))
+    i = _first(unit > tol.unitarity)
+    if i is not None:
+        raise ValueError(f"frame unitarity defect {unit[i]:.3e}")
+    rotated = U0 @ H @ U0_dag
+    off = matrix_norms(frame.project(rotated, "offdiag"))
+    i = _first(off > tol.block * scale)
+    if i is not None:
         raise ValueError(
-            f"frame does not block-diagonalize H: residual {np.linalg.norm(off):.3e}"
+            f"frame does not block-diagonalize H: residual {off[i]:.3e}"
         )
-    diag = np.real(np.diag(rotated))
-    if np.max(np.abs(diag - frame.eps0)) > 1e-8 * scale:
+    diag = np.real(np.diagonal(rotated, 0, -2, -1))
+    if (np.max(np.abs(diag - frame.eps0), axis=-1) > 1e-8 * scale).any():
         raise ValueError("frame eigenvalues disagree with the rotated Hamiltonian")
-    for g in np.unique(frame.groups):
-        block = frame.eps0[frame.group_states(g)]
-        if np.ptp(block) > tol.degeneracy * scale:
-            raise ValueError(f"group {g} eigenvalues exceed degeneracy tolerance")
+    # The largest within-group |eps_m - eps_n| is the group's spread.
+    eps = frame.eps0
+    spread = np.abs(eps[..., None, :] - eps[..., :, None])
+    bad = (spread > tol.degeneracy * scale[..., None, None]) & frame.same
+    i = _first(bad.any(axis=(-2, -1)))
+    if i is not None:
+        g = frame.groups[np.nonzero(bad[i])[0]].min()
+        raise ValueError(f"group {g} eigenvalues exceed degeneracy tolerance")
 
 
 def frame_field(model: Model, anchor: BandFrame, tol: Tolerances = DEFAULT_TOL):
@@ -305,12 +340,16 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     """Right inverse of V -> [V, eps0] on cross-group matrices.
 
     V_nm = M_nm / (eps_m - eps_n) across groups; within-group components are
-    set to zero (the kernel of the commutator).  M may be a stack (..., n, n).
-    Raises on a cross-group gap below tolerance.
+    set to zero (the kernel of the commutator).  M may be a stack
+    (..., n, n), with the frame's point axis, if any, in front.  Raises on a
+    cross-group gap below tolerance.
     """
     frame.check_gap(tol)
+    gaps = frame.cross_gaps
+    gaps = gaps.reshape(gaps.shape[:-1] + (1,) * (M.ndim - gaps.ndim - 1)
+                        + gaps.shape[-1:])
     out = np.zeros(np.shape(M), dtype=complex)
-    out[..., frame.cross] = M[..., frame.cross] / frame.cross_gaps
+    out[..., frame.cross] = M[..., frame.cross] / gaps
     return out
 
 
@@ -321,12 +360,12 @@ def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
-    """U0 grad_a H U0^+ over the six phase axes, (6, n, n), built once per
-    frame and shared by the connections and the eps0 gradients."""
+    """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), built once
+    per frame and shared by the connections and the eps0 gradients."""
     if frame.dH is None:
-        U0, U0_dag = frame.U0, frame.U0.conj().T
-        frame.dH = np.stack([U0 @ model.d_hamiltonian(frame.point, axis) @ U0_dag
-                             for axis in range(6)])
+        U0 = frame.U0[..., None, :, :]
+        frame.dH = (U0 @ model.d_hamiltonian(frame.point)
+                    @ U0.conj().swapaxes(-1, -2))
     return frame.dH
 
 
@@ -342,8 +381,8 @@ def berry_connections(model: Model, x: PhasePoint, hbar: float,
     X = invert_band_commutator(_rotated_dH(model, frame), frame, tol)
     A = conjugate(1j * X)
     if model.has_analytic_frame:
-        A = np.concatenate(model.analytic_connections(x)) + A
-    return ConnectionSet(hermitize(A)[0], "0", x, hbar)
+        A = np.concatenate(model.analytic_connections(x), axis=-3) + A
+    return ConnectionSet(hermitize(A), "0", x, hbar)
 
 
 def connection_gradients(model: Model, frame: BandFrame,
@@ -365,26 +404,27 @@ def connection_gradients(model: Model, frame: BandFrame,
     """
     M, X, _N, dM, hess = _first_tangents(model, frame, conns)
     g = eps0_gradients(model, frame, tol)
+    Xa, Xb = X[..., None, :, :, :], X[..., :, None, :, :]
     dX = invert_band_commutator(
-        dM - _comm_diag(X[None], g[:, None]), frame, tol)
+        dM - _comm_diag(Xa, g[..., :, None, :]), frame, tol)
     if model.has_analytic_frame:
-        dA = conjugate(1j * dX, axis=1) + model.d_analytic_connections(frame.point)
+        dA = conjugate(1j * dX) + model.d_analytic_connections(frame.point)
     else:
-        dX += 0.5 * frame.project(X[None] @ X[:, None] - X[:, None] @ X[None],
-                                  "diag")
-        dA = conjugate(1j * dX, axis=1)
-    return hermitize(dA)[0], hess
+        dX += 0.5 * frame.project(Xa @ Xb - Xb @ Xa, "diag")
+        dA = conjugate(1j * dX)
+    return hermitize(dA), hess
 
 
 def _first_tangents(model: Model, frame: BandFrame, conns: ConnectionSet):
     """(M, X, N, dM, hess): M_a = U0 grad_a H U0^+, X = i conjugate(A),
     N_ab = U0 grad_a grad_b H U0^+, dM[b, a] = grad_b M_a = N_ab + [M_a, X_b]
     and the eps0 Hessian, the group scalar of P+ dM."""
-    U0 = frame.U0
+    U0 = frame.U0[..., None, None, :, :]
     M = _rotated_dH(model, frame)
     X = 1j * conjugate(conns.A)
-    N = U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().T
-    dM = N + M[None] @ X[:, None] - X[:, None] @ M[None]
+    N = U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().swapaxes(-1, -2)
+    Ma, Xb = M[..., None, :, :, :], X[..., :, None, :, :]
+    dM = N + Ma @ Xb - Xb @ Ma
     hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
     return M, X, N, dM, hess
 
@@ -412,21 +452,25 @@ def connection_hessians(model: Model, frame: BandFrame, conns: ConnectionSet,
             f"model {model.name} has no analytic frame: second derivatives "
             "of the connections need its declared gauge term"
         )
-    U0, U0_dag = frame.U0, frame.U0.conj().T
+    U0 = frame.U0[..., None, None, None, :, :]
     M, X, N, dM, hess = _first_tangents(model, frame, conns)
     g = eps0_gradients(model, frame, tol)
-    dX = 1j * conjugate(dA, axis=1)
-    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ U0_dag
-           + N[None] @ X[:, None, None] - X[:, None, None] @ N[None]
-           + dM[:, None] @ X[None, :, None] - X[None, :, None] @ dM[:, None]
-           + M @ dX[:, :, None] - dX[:, :, None] @ M)
+    dX = 1j * conjugate(dA)
+    # Phase axes (c, b, a) in front of the matrix axes: each factor is
+    # placed on the axes it carries.
+    Nba, Xc = N[..., None, :, :, :, :], X[..., :, None, None, :, :]
+    dMca, Xb = dM[..., :, None, :, :, :], X[..., None, :, None, :, :]
+    Ma, dXcb = M[..., None, None, :, :, :], dX[..., :, :, None, :, :]
+    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ U0.conj().swapaxes(-1, -2)
+           + Nba @ Xc - Xc @ Nba + dMca @ Xb - Xb @ dMca
+           + Ma @ dXcb - dXcb @ Ma)
     ddX = invert_band_commutator(
-        ddM - _comm_diag(dX[None], g[:, None, None])
-        - _comm_diag(dX[:, None], g[None, :, None])
-        - _comm_diag(X, hess[:, :, None]), frame, tol)
-    ddA = (conjugate(1j * ddX, axis=2)
-           + model.d2_analytic_connections(frame.point))
-    return hermitize(ddA)[0]
+        ddM - _comm_diag(dX[..., None, :, :, :, :], g[..., :, None, None, :])
+        - _comm_diag(dX[..., :, None, :, :, :], g[..., None, :, None, :])
+        - _comm_diag(X[..., None, None, :, :, :], hess[..., :, :, None, :]),
+        frame, tol)
+    ddA = conjugate(1j * ddX) + model.d2_analytic_connections(frame.point)
+    return hermitize(ddA)
 
 
 def connections_fd(model: Model, x: PhasePoint, hbar: float,
@@ -441,7 +485,7 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
     X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis,
                                         tol.fd_base, diagnostics)
                        for axis in range(6)])
-    return ConnectionSet(hermitize(conjugate(1j * X))[0], "0", x, hbar,
+    return ConnectionSet(hermitize(conjugate(1j * X)), "0", x, hbar,
                          diagnostics)
 
 
@@ -453,18 +497,18 @@ def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 def eps0_gradients(model: Model, frame: BandFrame,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The six phase-space gradients of the band energies, (6, n) real in the
-    frame layout.
+    """The six phase-space gradients of the band energies, (..., 6, n) real in
+    the frame layout.
 
     Uses the Hellmann-Feynman values: the within-group part of U dH U^+ is a
     multiple of the identity per group (asserted), whose scalar is the common
     gradient of the group's eigenvalues.  Computed once per frame.
     """
     if frame.grads is None:
-        diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, 1, 2))
+        diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, -2, -1))
         mean = _group_scalar(diag, frame.groups)
-        scale = max(float(np.max(np.abs(frame.eps0))), 1.0)
-        if np.max(np.abs(diag - mean)) > 1e-8 * scale:
+        scale = np.maximum(np.max(np.abs(frame.eps0), axis=-1), 1.0)
+        if (np.max(np.abs(diag - mean), axis=(-2, -1)) > 1e-8 * scale).any():
             raise ValueError(
                 "within-group gradient is not scalar; degeneracy is not structural"
             )

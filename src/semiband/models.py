@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -50,45 +51,100 @@ SIGMA = [np.kron(S0, s) for s in (SX, SY, SZ)]
 
 def p_cross_sigma(P: np.ndarray, sigma) -> list:
     """(P x sigma)_l as matrices, for a Pauli basis `sigma` (SX, SY, SZ or
-    SIGMA)."""
-    return [P[1] * sigma[2] - P[2] * sigma[1],
-            P[2] * sigma[0] - P[0] * sigma[2],
-            P[0] * sigma[1] - P[1] * sigma[0]]
+    SIGMA); P may be one 3-vector or a batch (N, 3)."""
+    p = [P[..., i, None, None] for i in range(3)]
+    return [p[1] * sigma[2] - p[2] * sigma[1],
+            p[2] * sigma[0] - p[0] * sigma[2],
+            p[0] * sigma[1] - p[1] * sigma[0]]
 
 
 # [b, l] = (e_b x Sigma)_l, the P_b derivative of (P x Sigma)_l.
 _E_CROSS_SIGMA = np.array([p_cross_sigma(e, SIGMA) for e in np.eye(3)])
 
 
-def _pxs_gauge_gradient(P: np.ndarray, f: float, df: np.ndarray) -> np.ndarray:
-    """grad_b of the gauge stack ((P x Sigma)/f, 0) as (6 b, 6 a, 4, 4), for a
-    scalar f(R, P) with gradient df over the six axes."""
-    out = np.zeros((6, 6, 4, 4), dtype=complex)
-    out[:, :3] = -np.multiply.outer(df / f ** 2,
-                                    np.array(p_cross_sigma(P, SIGMA)))
-    out[3:, :3] += _E_CROSS_SIGMA / f
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, rounded like the 1-d `a @ b` of one point
+    (einsum sums in another order)."""
+    if a.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer product over the last axes: (..., k), (..., l) -> (..., k, l)."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _pow(a, e: int) -> np.ndarray:
+    """a ** e elementwise with the scalar pow of per-point code; numpy's array
+    power rounds differently for e >= 2."""
+    a = np.asarray(a, dtype=float)
+    if not a.ndim:
+        return np.float64(float(a) ** e)
+    return np.array([v ** e for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+# eps0 = E (1, 1, -1, -1) + W: the products with +-1 are exact.
+_SIGNS4, _SIGNS2 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0])
+
+
+def _ap(P: np.ndarray) -> np.ndarray:
+    """alpha.P, (..., 4, 4)."""
+    return sum(P[..., i, None, None] * ALPHA[i] for i in range(3))
+
+
+def _jet(field: ScalarField, R: np.ndarray, hessian: bool = False) -> tuple:
+    """(value, gradient[, hessian]) of a field at R of shape (3,) or (N, 3),
+    from the float jet point by point."""
+    parts = 3 if hessian else 2
+    if R.ndim == 1:
+        return tuple(map(np.array, field.jet(R)[:parts]))
+    jets = [field.jet(r) for r in R.tolist()]
+    return tuple(map(np.array, list(zip(*jets))[:parts]))
+
+
+def _d3(field: ScalarField, R: np.ndarray) -> np.ndarray:
+    """The third derivatives of a field at R (3,) or (N, 3), (..., 3, 3, 3)."""
+    return np.array([field.d3(r) for r in np.reshape(R, (-1, 3)).tolist()]
+                    ).reshape(R.shape[:-1] + (3, 3, 3))
+
+
+def _pxs_gauge_gradient(P: np.ndarray, f, df: np.ndarray) -> np.ndarray:
+    """grad_b of the gauge stack ((P x Sigma)/f, 0) as (..., 6 b, 6 a, 4, 4),
+    for a scalar f(R, P) with gradient df (..., 6) over the six axes."""
+    f = np.asarray(f)
+    out = np.zeros(f.shape + (6, 6, 4, 4), dtype=complex)
+    pxs = np.stack(p_cross_sigma(P, SIGMA), axis=-3)
+    out[..., :3, :, :] = -((df / _pow(f, 2)[..., None])[..., None, None, None]
+                           * pxs[..., None, :, :, :])
+    out[..., 3:, :3, :, :] += _E_CROSS_SIGMA / f[..., None, None, None, None]
     return out
 
 
-def _pxs_gauge_hessian(P: np.ndarray, f: float, df: np.ndarray,
+def _pxs_gauge_hessian(P: np.ndarray, f, df: np.ndarray,
                        ddf: np.ndarray) -> np.ndarray:
     """grad_c grad_b of the gauge stack ((P x Sigma)/f, 0) as
-    (6 c, 6 b, 6 a, 4, 4), for a scalar f(R, P) with gradient df and hessian
-    ddf over the six axes."""
-    out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
-    out[:, :, :3] = np.multiply.outer(2 * np.outer(df, df) / f ** 3
-                                      - ddf / f ** 2,
-                                      np.array(p_cross_sigma(P, SIGMA)))
+    (..., 6 c, 6 b, 6 a, 4, 4), for a scalar f(R, P) with gradient df and
+    hessian ddf over the six axes."""
+    f = np.asarray(f)
+    f2, f3 = _pow(f, 2)[..., None, None], _pow(f, 3)[..., None, None]
+    out = np.zeros(f.shape + (6, 6, 6, 4, 4), dtype=complex)
+    pxs = np.stack(p_cross_sigma(P, SIGMA), axis=-3)
+    out[..., :3, :, :] = ((2 * (df[..., :, None] * df[..., None, :]) / f3
+                           - ddf / f2)[..., None, None, None]
+                          * pxs[..., None, None, :, :, :])
     # t[b, c, a] = -(df_b / f^2) (e_c x Sigma)_a, c a momentum axis.
-    t = np.multiply.outer(-df / f ** 2, _E_CROSS_SIGMA)
-    out[:, 3:, :3] += t
-    out[3:, :, :3] += t.swapaxes(0, 1)
+    t = (-df / f2[..., 0])[..., None, None, None, None] * _E_CROSS_SIGMA
+    out[..., :, 3:, :3, :, :] += t
+    out[..., 3:, :, :3, :, :] += t.swapaxes(-5, -4)
     return out
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Classical phase-space point (R, P), both real 3-vectors."""
+    """Classical phase-space point (R, P), both real 3-vectors, or a batch
+    of N points with R and P of shape (N, 3)."""
 
     R: np.ndarray
     P: np.ndarray
@@ -100,6 +156,21 @@ class PhasePoint:
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(P))):
             raise ValueError("phase point must have finite components")
         return PhasePoint(R, P)
+
+    @staticmethod
+    def stack(points) -> "PhasePoint":
+        """The batch of the given single points, R and P of shape (N, 3)."""
+        return PhasePoint(np.array([x.R for x in points]),
+                          np.array([x.P for x in points]))
+
+    @property
+    def batch_shape(self) -> tuple:
+        """() for one point, (N,) for a batch."""
+        return self.R.shape[:-1]
+
+    def point(self, i: int) -> "PhasePoint":
+        """Point i of a batch."""
+        return PhasePoint(self.R[i], self.P[i])
 
     def shifted(self, axis: int, delta: float) -> "PhasePoint":
         """New point displaced along one of the six phase axes (0-2: R, 3-5: P)."""
@@ -128,7 +199,13 @@ def random_points(rng: np.random.Generator, count: int, pmin: float,
 
 
 class Model:
-    """Shared interface of the built-in Hamiltonians."""
+    """Shared interface of the built-in Hamiltonians.
+
+    Every method takes one point or a batch (`PhasePoint.batch_shape` () or
+    (N,)) and returns its arrays with the batch axis in front: H is
+    (..., n, n), the phase-axis stacks (..., 6, n, n), (..., 6, 6, n, n) and
+    so on.
+    """
 
     name = "abstract"
     n = 0
@@ -144,33 +221,36 @@ class Model:
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         raise NotImplementedError
 
-    def d_hamiltonian(self, x: PhasePoint, axis: int) -> np.ndarray:
-        """Analytic dH along phase axis (0-2: R components, 3-5: P)."""
+    def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        """Analytic dH over the phase axes (0-2: R components, 3-5: P),
+        (..., 6, n, n)."""
         raise NotImplementedError
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        """The analytic Hessian of H over the phase axes, (6, 6, n, n)."""
+        """The analytic Hessian of H over the phase axes, (..., 6, 6, n, n)."""
         raise NotImplementedError
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        """The analytic third derivatives of H, (6, 6, 6, n, n)."""
+        """The analytic third derivatives of H, (..., 6, 6, 6, n, n)."""
         raise NotImplementedError
 
     def analytic_frame(self, x: PhasePoint):
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
     def analytic_connections(self, x: PhasePoint):
-        """(A_R, A_P): the within-group parts of i U0 grad_P U0^+ and
-        -i U0 grad_R U0^+ in the gauge of `analytic_frame`."""
+        """(A_R, A_P), each (..., 3, n, n): the within-group parts of
+        i U0 grad_P U0^+ and -i U0 grad_R U0^+ in the gauge of
+        `analytic_frame`."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         """grad_b of the stacked gauge term (A_R, A_P) of
-        `analytic_connections`, as (6 b, 6 a, n, n)."""
+        `analytic_connections`, as (..., 6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        """grad_c grad_b of the stacked gauge term, as (6 c, 6 b, 6 a, n, n)."""
+        """grad_c grad_b of the stacked gauge term, as
+        (..., 6 c, 6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
@@ -180,7 +260,7 @@ class Model:
         )
 
     def check_point(self, x: PhasePoint) -> None:
-        if self.massless and np.linalg.norm(x.P) == 0.0:
+        if self.massless and (_dot(x.P, x.P) == 0.0).any():
             raise ValueError(f"|P| = 0 is not allowed for massless model {self.name}")
 
     def to_config(self) -> dict:
@@ -205,67 +285,75 @@ class DiracElectric(Model):
         self.e = float(e)
         self.field = field if field is not None else UniformField(0.0)
 
-    def energy_scale(self, x: PhasePoint) -> float:
-        return float(np.sqrt(x.P @ x.P + self.m ** 2))
+    def energy_scale(self, x: PhasePoint):
+        return np.sqrt(_dot(x.P, x.P) + self.m ** 2)
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self.check_point(x)
-        H = self.m * BETA + self.e * self.field.value(x.R) * np.eye(4)
+        V = _jet(self.field, x.R)[0]
+        H = self.m * BETA + (self.e * V)[..., None, None] * _EYE4
         for i in range(3):
-            H = H + x.P[i] * ALPHA[i]
+            H = H + x.P[..., i, None, None] * ALPHA[i]
         return H
 
-    def d_hamiltonian(self, x: PhasePoint, axis: int) -> np.ndarray:
-        if axis >= 3:
-            return ALPHA[axis - 3].copy()
-        return self.e * self.field.gradient(x.R)[axis] * np.eye(4)
+    def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        g = _jet(self.field, x.R)[1]
+        out = np.empty(x.batch_shape + (6, 4, 4), dtype=complex)
+        out[..., :3, :, :] = (self.e * g)[..., None, None] * _EYE4
+        out[..., 3:, :, :] = ALPHA
+        return out
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        out = np.zeros((6, 6, 4, 4), dtype=complex)
-        out[:3, :3] = self.e * np.multiply.outer(self.field.hessian(x.R),
-                                                 np.eye(4))
+        out = np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
+        hess = _jet(self.field, x.R, hessian=True)[2]
+        out[..., :3, :3, :, :] = self.e * (hess[..., None, None] * _EYE4)
         return out
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
-        out[:3, :3, :3] = self.e * np.multiply.outer(np.array(self.field.d3(x.R)),
-                                                     np.eye(4))
+        out = np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
+        d3 = _d3(self.field, x.R)
+        out[..., :3, :3, :3, :, :] = self.e * (d3[..., None, None] * _EYE4)
         return out
 
     def analytic_frame(self, x: PhasePoint):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
-        bap = BETA @ sum(x.P[i] * ALPHA[i] for i in range(3))
-        U0 = (((E + self.m) * np.eye(4) + bap)
-              / np.sqrt(2 * E * (E + self.m)))
-        W = self.e * self.field.value(x.R)
-        eps0 = np.array([E + W, E + W, -E + W, -E + W])
-        return eps0, U0
+        bap = BETA @ _ap(x.P)
+        U0 = (((E + self.m)[..., None, None] * _EYE4 + bap)
+              / np.sqrt(2 * E * (E + self.m))[..., None, None])
+        W = self.e * _jet(self.field, x.R)[0]
+        return E[..., None] * _SIGNS4 + W[..., None], U0
 
     def analytic_connections(self, x: PhasePoint):
         # The free-particle rotation gives (P x Sigma)/(2E(E+m)), R-free.
         E = self.energy_scale(x)
-        pxs = p_cross_sigma(x.P, SIGMA)
-        A_R = [a / (2 * E * (E + self.m)) for a in pxs]
-        A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-        return A_R, A_P
+        pxs = np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
+        A_R = pxs / (2 * E * (E + self.m))[..., None, None, None]
+        return A_R, np.zeros_like(A_R)
+
+    def _gauge_f(self, x: PhasePoint):
+        """f = 2E(E+m) of the gauge term (P x Sigma)/f and grad f:
+        grad_P f = (4E + 2m) P/E."""
+        E = self.energy_scale(x)
+        df = np.zeros(x.batch_shape + (6,))
+        df[..., 3:] = (4 * E + 2 * self.m)[..., None] * x.P / E[..., None]
+        return 2 * E * (E + self.m), df
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        E = self.energy_scale(x)
-        df = np.concatenate([np.zeros(3), (4 * E + 2 * self.m) * x.P / E])
-        return _pxs_gauge_gradient(x.P, 2 * E * (E + self.m), df)
+        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        # f = 2E(E+m): grad_P f = (4E + 2m) P/E and
         # grad_P grad_P f = 4 + 2m (1/E - P P/E^3).
+        f, df = self._gauge_f(x)
         E, m = self.energy_scale(x), self.m
-        df = np.concatenate([np.zeros(3), (4 * E + 2 * m) * x.P / E])
-        ddf = np.zeros((6, 6))
-        ddf[3:, 3:] = (4 + 2 * m / E) * np.eye(3) - 2 * m * np.outer(x.P, x.P) / E ** 3
-        return _pxs_gauge_hessian(x.P, 2 * E * (E + m), df, ddf)
+        ddf = np.zeros(x.batch_shape + (6, 6))
+        ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * _EYE3
+                            - 2 * m * (x.P[..., :, None] * x.P[..., None, :])
+                            / _pow(E, 3)[..., None, None])
+        return _pxs_gauge_hessian(x.P, f, df, ddf)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
-        return np.zeros((4, 4), dtype=complex)
+        return np.zeros(x.batch_shape + (4, 4), dtype=complex)
 
     def to_config(self) -> dict:
         return {"model": self.name, "m": self.m, "e": self.e,
@@ -296,71 +384,93 @@ class NeutrinoMetric(Model):
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self.check_point(x)
-        return self.F.value(x.R) * sum(x.P[i] * ALPHA[i] for i in range(3))
+        return _jet(self.F, x.R)[0][..., None, None] * _ap(x.P)
 
-    def d_hamiltonian(self, x: PhasePoint, axis: int) -> np.ndarray:
-        if axis >= 3:
-            return self.F.value(x.R) * ALPHA[axis - 3]
-        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
-        return self.F.gradient(x.R)[axis] * ap
+    def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        Fv, g = _jet(self.F, x.R)
+        out = np.empty(x.batch_shape + (6, 4, 4), dtype=complex)
+        out[..., :3, :, :] = g[..., None, None] * _ap(x.P)[..., None, :, :]
+        out[..., 3:, :, :] = Fv[..., None, None, None] * np.array(ALPHA)
+        return out
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        _F, g, h = self.F.jet(x.R)
-        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
-        out = np.zeros((6, 6, 4, 4), dtype=complex)
-        out[:3, :3] = np.multiply.outer(np.array(h), ap)
-        out[:3, 3:] = np.multiply.outer(np.array(g), np.array(ALPHA))
-        out[3:, :3] = out[:3, 3:].swapaxes(0, 1)
+        _F, g, h = _jet(self.F, x.R, hessian=True)
+        ap = _ap(x.P)[..., None, None, :, :]
+        out = np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
+        out[..., :3, :3, :, :] = h[..., None, None] * ap
+        out[..., :3, 3:, :, :] = g[..., :, None, None, None] * np.array(ALPHA)
+        out[..., 3:, :3, :, :] = out[..., :3, 3:, :, :].swapaxes(-4, -3)
         return out
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        h = np.array(self.F.jet(x.R)[2])
-        ap = sum(x.P[i] * ALPHA[i] for i in range(3))
-        out = np.zeros((6, 6, 6, 4, 4), dtype=complex)
-        out[:3, :3, :3] = np.multiply.outer(np.array(self.F.d3(x.R)), ap)
-        rrp = np.multiply.outer(h, np.array(ALPHA))     # [i, j, k] = F_ij alpha_k
-        out[:3, :3, 3:] = rrp
-        out[:3, 3:, :3] = rrp.transpose(0, 2, 1, 3, 4)
-        out[3:, :3, :3] = rrp.transpose(2, 0, 1, 3, 4)
+        h = _jet(self.F, x.R, hessian=True)[2]
+        ap = _ap(x.P)[..., None, None, None, :, :]
+        out = np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
+        out[..., :3, :3, :3, :, :] = _d3(self.F, x.R)[..., None, None] * ap
+        # rrp[i, j, k] = F_ij alpha_k, placed at [i, j, k], [i, k, j], [k, i, j].
+        rrp = h[..., :, :, None, None, None] * np.array(ALPHA)
+        out[..., :3, :3, 3:, :, :] = rrp
+        out[..., :3, 3:, :3, :, :] = rrp.swapaxes(-4, -3)
+        out[..., 3:, :3, :3, :, :] = rrp.swapaxes(-5, -3).swapaxes(-4, -3)
         return out
 
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
-        E = float(np.linalg.norm(x.P))
-        bap = BETA @ sum(x.P[i] * ALPHA[i] for i in range(3))
-        U0 = (E * np.eye(4) + bap) / np.sqrt(2 * E ** 2)
-        Fv = self.F.value(x.R)
-        eps0 = np.array([Fv * E, Fv * E, -Fv * E, -Fv * E])
-        return eps0, U0
+        E = np.sqrt(_dot(x.P, x.P))
+        bap = BETA @ _ap(x.P)
+        U0 = ((E[..., None, None] * _EYE4 + bap)
+              / np.sqrt(2 * _pow(E, 2))[..., None, None])
+        return (_jet(self.F, x.R)[0] * E)[..., None] * _SIGNS4, U0
 
     def analytic_connections(self, x: PhasePoint):
         # Massless limit of the free-particle rotation: (P x Sigma)/(2|P|^2).
         self.check_point(x)
-        E2 = float(x.P @ x.P)
-        A_R = [a / (2 * E2) for a in p_cross_sigma(x.P, SIGMA)]
-        A_P = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-        return A_R, A_P
+        E2 = _dot(x.P, x.P)
+        A_R = (np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
+               / (2 * E2)[..., None, None, None])
+        return A_R, np.zeros_like(A_R)
+
+    def _gauge_f(self, x: PhasePoint):
+        """f = 2|P|^2 of the gauge term (P x Sigma)/f and grad f = 4 P."""
+        self.check_point(x)
+        df = np.zeros(x.batch_shape + (6,))
+        df[..., 3:] = 4 * x.P
+        return 2 * _dot(x.P, x.P), df
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        self.check_point(x)
-        df = np.concatenate([np.zeros(3), 4 * x.P])
-        return _pxs_gauge_gradient(x.P, 2 * float(x.P @ x.P), df)
+        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        self.check_point(x)
-        df = np.concatenate([np.zeros(3), 4 * x.P])
-        ddf = np.zeros((6, 6))
-        ddf[3:, 3:] = 4 * np.eye(3)
-        return _pxs_gauge_hessian(x.P, 2 * float(x.P @ x.P), df, ddf)
+        f, df = self._gauge_f(x)
+        ddf = np.zeros(x.batch_shape + (6, 6))
+        ddf[..., 3:, 3:] = 4 * _EYE3
+        return _pxs_gauge_hessian(x.P, f, df, ddf)
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
-        E = float(np.linalg.norm(x.P))
-        val = -(hbar ** 2) / (4 * E) * float(x.P @ self.F.gradient(x.R))
-        return val * np.eye(4, dtype=complex)
+        E = np.sqrt(_dot(x.P, x.P))
+        val = -(hbar ** 2) / (4 * E) * _dot(x.P, _jet(self.F, x.R)[1])
+        return val[..., None, None] * np.eye(4, dtype=complex)
 
     def to_config(self) -> dict:
         return {"model": self.name, "field": self.profile.to_config()}
+
+
+def _coords(x: PhasePoint) -> list:
+    """The six phase coordinates: floats for one point, (N,) arrays for a
+    batch."""
+    if not x.batch_shape:
+        return x.R.tolist() + x.P.tolist()
+    return list(x.R.T) + list(x.P.T)
+
+
+def _power(c, e: int):
+    """c ** e as per-point code rounds it; None for e = 0, a factor of 1."""
+    if e == 0:
+        return None
+    if e == 1:
+        return c
+    return c ** e if isinstance(c, float) else _pow(c, e)
 
 
 @dataclass(frozen=True)
@@ -378,13 +488,26 @@ class ComponentTerm:
     p_exp: tuple
     sym: str = "half"
 
-    def value(self, x: PhasePoint) -> float:
-        v = float(self.coef)
+    def value(self, x: PhasePoint):
+        return self._value(_coords(x))
+
+    # The helpers below take `_coords`; each product runs in the same order
+    # for a batch as for one point, so a batch rounds like a single point.
+
+    @cached_property
+    def _coef(self) -> float:
+        return float(self.coef)
+
+    def _value(self, c: list):
+        v = self._coef
         for i in range(3):
-            v *= x.R[i] ** self.r_exp[i] * x.P[i] ** self.p_exp[i]
+            a, b = _power(c[i], self.r_exp[i]), _power(c[3 + i], self.p_exp[i])
+            f = b if a is None else a if b is None else a * b
+            if f is not None:
+                v = v * f
         return v
 
-    def derivative(self, x: PhasePoint, axes: tuple) -> float:
+    def _derivative(self, c: list, axes: tuple):
         """The partial derivative along the phase axes in `axes` (0-2: R,
         3-5: P; repeats allowed)."""
         exps = list(self.r_exp + self.p_exp)
@@ -394,19 +517,17 @@ class ComponentTerm:
             exps[a] -= 1
         if not k:
             return 0.0
-        v = float(self.coef) * k
-        coords = tuple(x.R) + tuple(x.P)
-        for i in range(6):
-            v *= coords[i] ** exps[i]
+        v = self._coef * k
+        for ci, e in zip(c, exps):
+            if e:
+                v = v * _power(ci, e)
         return v
 
-    def derivatives(self, x: PhasePoint, order: int) -> np.ndarray:
-        """Every partial derivative of the given order, (6,) * order."""
-        out = np.zeros((6,) * order)
+    def _add_derivatives(self, out: np.ndarray, c: list, order: int) -> None:
+        """out[..., a, b, ...] += every partial derivative of the order."""
         live = [a for a, e in enumerate(self.r_exp + self.p_exp) if e]
         for axes in itertools.product(live, repeat=order):
-            out[axes] = self.derivative(x, axes)
-        return out
+            out[(Ellipsis, *axes)] += self._derivative(c, axes)
 
     def factorizations(self, n: int = 1) -> list:
         """The declared ordering as weyl factorizations (sum of products)."""
@@ -462,6 +583,7 @@ class TwoLevel(Model):
         self.h = tuple(_terms_from_config(part) for part in raw_h)
         if len(self.h) != 3:
             raise ValueError("two_level needs exactly three sigma components")
+        self.parts = (self.h0, *self.h)
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]
         self.bracket_closed_form = self.z_only
@@ -481,71 +603,82 @@ class TwoLevel(Model):
                 expr = expr + (b if sign > 0 else -b)
         return expr
 
-    def _component(self, terms, x: PhasePoint) -> float:
-        return sum(t.value(x) for t in terms)
+    def _values(self, parts, x: PhasePoint) -> np.ndarray:
+        """The components `parts` (term lists) at x, (len(parts), ...)."""
+        c = _coords(x)
+        sums = [sum(t._value(c) for t in terms) for terms in parts]
+        if not x.batch_shape:
+            return np.array(sums, dtype=float)
+        return np.array([v + np.zeros(x.batch_shape) for v in sums])
 
-    def _component_grad(self, terms, x: PhasePoint, axis: int) -> float:
-        return sum(t.derivative(x, (axis,)) for t in terms)
-
-    def _component_derivs(self, terms, x: PhasePoint, order: int) -> np.ndarray:
-        return sum((t.derivatives(x, order) for t in terms),
-                   np.zeros((6,) * order))
+    def _derivs(self, parts, x: PhasePoint, order: int) -> np.ndarray:
+        """Every partial derivative of the given order of the components
+        `parts`, (len(parts), ..., 6, ..., 6)."""
+        out = np.zeros((len(parts),) + x.batch_shape + (6,) * order)
+        c = _coords(x)
+        for k, terms in enumerate(parts):
+            for t in terms:
+                t._add_derivatives(out[k], c, order)
+        return out
 
     def h_vector(self, x: PhasePoint) -> np.ndarray:
-        return np.array([self._component(part, x) for part in self.h])
+        return self._values(self.h, x).T.copy()
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        h = self.h_vector(x)
-        return (self._component(self.h0, x) * S0
-                + h[0] * SX + h[1] * SY + h[2] * SZ)
+        return self._sigma(self._values(self.parts, x))
 
-    def d_hamiltonian(self, x: PhasePoint, axis: int) -> np.ndarray:
-        dh0 = self._component_grad(self.h0, x, axis)
-        dh = [self._component_grad(part, x, axis) for part in self.h]
-        return dh0 * S0 + dh[0] * SX + dh[1] * SY + dh[2] * SZ
+    def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        return self._sigma(self._derivs(self.parts, x, 1))
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma_derivs(x, 2)
+        return self._sigma(self._derivs(self.parts, x, 2))
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma_derivs(x, 3)
+        return self._sigma(self._derivs(self.parts, x, 3))
 
-    def _sigma_derivs(self, x: PhasePoint, order: int) -> np.ndarray:
-        out = np.multiply.outer(self._component_derivs(self.h0, x, order), S0)
-        for part, s in zip(self.h, (SX, SY, SZ)):
-            out = out + np.multiply.outer(self._component_derivs(part, x, order), s)
+    @staticmethod
+    def _sigma(c) -> np.ndarray:
+        """c0 1 + c1 sigma_x + c2 sigma_y + c3 sigma_z for coefficient arrays
+        of any shape, (..., 2, 2)."""
+        out = c[0][..., None, None] * S0
+        for ck, s in zip(c[1:], (SX, SY, SZ)):
+            out = out + ck[..., None, None] * s
         return out
 
     def analytic_frame(self, x: PhasePoint):
         h = self.h_vector(x)
-        hn = float(np.linalg.norm(h))
-        if hn == 0.0:
+        hn = np.sqrt(_dot(h, h))
+        if (hn == 0.0).any():
             raise ValueError("two_level bands are degenerate where |h| = 0")
-        h0 = self._component(self.h0, x)
-        eps0 = np.array([h0 + hn, h0 - hn])
-        ct = h[2] / hn                       # cos(theta)
-        hp = float(np.hypot(h[0], h[1]))
-        phase = (h[0] + 1j * h[1]) / hp if hp > 0 else 1.0 + 0j
+        h0 = self._values([self.h0], x)[0]
+        eps0 = h0[..., None] + hn[..., None] * _SIGNS2
+        h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
+        ct = h3 / hn                         # cos(theta)
+        hp = np.hypot(h1, h2)
+        on = hp > 0
+        phase = np.where(on, (h1 + 1j * h2) / np.where(on, hp, 1.0), 1.0 + 0j)
         c2 = np.sqrt((1.0 + ct) / 2.0)
         s2 = np.sqrt((1.0 - ct) / 2.0)
-        plus = np.array([c2, s2 * phase])
-        minus = np.array([-s2 * np.conj(phase), c2])
-        V = np.column_stack([plus, minus])
-        return eps0, V.conj().T
-
-    def _grad_h(self, x: PhasePoint, parts) -> np.ndarray:
-        return np.array([[self._component_grad(part, x, a) for a in range(6)]
-                         for part in parts])
+        V = np.empty(x.batch_shape + (2, 2), dtype=complex)
+        V[..., 0, 0], V[..., 1, 0] = c2, s2 * phase
+        V[..., 0, 1], V[..., 1, 1] = -s2 * np.conj(phase), c2
+        return eps0, V.conj().swapaxes(-1, -2)
 
     def _gauge(self, x: PhasePoint):
-        """(h, |h|, lift, grad (h1, h2) as (2, 6)) of the gauge term below;
+        """(h, |h|, lift, grad h as (3, ..., 6)) of the gauge term below;
         raises where the declared gauge is singular."""
         h = self.h_vector(x)
-        h1, h2, h3 = h
-        hn = float(np.linalg.norm([h1, h2, h3]))
-        lift = hn + h3 if h3 >= 0 else (h1 ** 2 + h2 ** 2) / (hn - h3)
-        d = self._grad_h(x, self.h[:2])
-        if lift == 0.0 and (hn == 0.0 or d[0].any() or d[1].any()):
+        h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
+        hn = np.sqrt(_dot(h, h))
+        up = h3 >= 0
+        lift = hn + h3
+        if not up.all():
+            lift = np.where(up, lift, (_pow(h1, 2) + _pow(h2, 2))
+                            / np.where(up, 1.0, hn - h3))
+        d = self._derivs(self.h, x, 1)
+        flat = lift == 0.0
+        if flat.any() and (flat & ((hn == 0.0) | d[0].any(axis=-1)
+                                   | d[1].any(axis=-1))).any():
             raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
         return h, hn, lift, d
 
@@ -563,84 +696,109 @@ class TwoLevel(Model):
         # U0 grad U0^+ = i s^2 grad phi diag(1, -1) within the groups, with
         # phi = arg(h1 + i h2), s^2 = (1 - h3/|h|)/2: s^2 grad phi = (h1 grad h2
         # - h2 grad h1)/(2|h| lift), lift = |h| + h3 = hp^2/(|h| - h3) for h3 < 0.
-        (h1, h2, _h3), hn, lift, d = self._gauge(x)
-        w = (h1 * d[1] - h2 * d[0]) / (2 * hn * lift) if lift else np.zeros(6)
+        h, hn, lift, d = self._gauge(x)
+        on = lift != 0
+        w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
+             / np.where(on, 2 * hn * lift, 1.0)[..., None])
+        w[~on] = 0.0
         G = self._gauge_stack(w)
-        return list(G[:3]), list(G[3:])
+        return G[..., :3, :, :], G[..., 3:, :, :]
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        dw = self._gauge_derivatives(x, second=False)[0]
-        if dw is None:
-            return np.zeros((6, 6, 2, 2), dtype=complex)
-        return self._gauge_stack(dw)
+        dw, on = self._gauge_derivatives(x, second=False)[::2]
+        return self._live_stack(dw, on, x.batch_shape + (6, 6, 2, 2))
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        ddw = self._gauge_derivatives(x, second=True)[1]
-        if ddw is None:
-            return np.zeros((6, 6, 6, 2, 2), dtype=complex)
-        return self._gauge_stack(ddw)
+        _dw, ddw, on = self._gauge_derivatives(x, second=True)
+        return self._live_stack(ddw, on, x.batch_shape + (6, 6, 6, 2, 2))
+
+    def _live_stack(self, w, on, shape) -> np.ndarray:
+        """`_gauge_stack(w)` where the gauge term lives, 0 where lift = 0."""
+        if w is None:
+            return np.zeros(shape, dtype=complex)
+        on = on.reshape(on.shape + (1,) * (len(shape) - on.ndim))
+        return np.where(on, self._gauge_stack(w), 0.0)
 
     def _gauge_derivatives(self, x: PhasePoint, second: bool):
-        """(grad w, grad grad w or None) by the quotient rule on w = N / Q,
-        N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on either branch of
-        lift: grad w = dN/Q - N dQ/Q^2 and grad grad w = ddN/Q
-        - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  (None, None)
-        where lift = 0 and the term is 0."""
+        """(grad w, grad grad w or None, lift != 0) by the quotient rule on
+        w = N / Q, N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on either
+        branch of lift: grad w = dN/Q - N dQ/Q^2 and grad grad w = ddN/Q
+        - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  The term is 0
+        where lift = 0; (None, None, on) if it is 0 at every point."""
         h, hn, lift, d = self._gauge(x)
-        if not lift:
-            return None, None
-        h1, h2, h3 = h
-        d = np.concatenate([d, self._grad_h(x, self.h[2:])])
-        dd = [self._component_derivs(part, x, 2)
-              for part in (self.h if second else self.h[:2])]
-        dn = h @ d / hn                                   # grad |h|
-        if h3 >= 0:
-            dlift = dn + d[2]
-        else:
-            dlift = (2 * (h1 * d[0] + h2 * d[1]) - lift * (dn - d[2])) / (hn - h3)
-        N = h1 * d[1] - h2 * d[0]
-        dN = (np.outer(d[0], d[1]) - np.outer(d[1], d[0])
-              + h1 * dd[1] - h2 * dd[0])
+        on = lift != 0
+        if not on.any():
+            return None, None, on
+        d0, d1, d2 = d
+        d = np.ascontiguousarray(np.moveaxis(d, 0, -2))         # (..., 3, 6)
+        lift = np.where(on, lift, 1.0)
+        h1, h2, h3 = h[..., 0, None], h[..., 1, None], h[..., 2, None]
+        hn_, lift_ = hn[..., None], lift[..., None]
+        up = h3 >= 0
+        dd = self._derivs(self.h if second else self.h[:2], x, 2)
+        dn = (h[..., None, :] @ d)[..., 0, :] / hn_         # grad |h|
+        dlift = dn + d2
+        if not up.all():
+            below = np.where(up, 1.0, hn_ - h3)
+            dlift = np.where(up, dlift, (2 * (h1 * d0 + h2 * d1)
+                                         - lift_ * (dn - d2)) / below)
+        N = h1 * d1 - h2 * d0
+        dN = (_outer(d0, d1) - _outer(d1, d0)
+              + h1[..., None] * dd[1] - h2[..., None] * dd[0])
         Q = 2 * hn * lift
-        dQ = 2 * (dn * lift + hn * dlift)
-        dw = dN / Q - np.outer(dQ, N) / Q ** 2
+        Q_ = Q[..., None, None]
+        dQ = 2 * (dn * lift_ + hn_ * dlift)
+        dw = dN / Q_ - _outer(dQ, N) / _pow(Q, 2)[..., None, None]
         if not second:
-            return dw, None
+            return dw, None, on
 
-        (d0, d1, _), (dd0, dd1, dd2) = d, dd
-        ddd0, ddd1 = (self._component_derivs(part, x, 3) for part in self.h[:2])
-        ddn = (d.T @ d + np.tensordot(h, np.array(dd), 1)
-               - np.outer(dn, dn)) / hn
-        if h3 >= 0:
-            ddlift = ddn + dd2
-        else:
-            # lift (|h| - h3) = h1^2 + h2^2, differentiated twice.
-            dT = dn - d[2]
-            ddS = 2 * (np.outer(d0, d0) + h1 * dd0 + np.outer(d1, d1) + h2 * dd1)
-            ddlift = (ddS - np.outer(dlift, dT) - np.outer(dT, dlift)
-                      - lift * (ddn - dd2)) / (hn - h3)
+        dd0, dd1, dd2 = dd
+        ddd0, ddd1 = self._derivs(self.h[:2], x, 3)
+        hdd = (h[..., None, :] @ np.moveaxis(dd, 0, -3).reshape(
+            x.batch_shape + (3, 36)))[..., 0, :].reshape(dd0.shape)
+        ddn = (d.swapaxes(-1, -2) @ d + hdd - _outer(dn, dn)) / hn_[..., None]
+        ddlift = ddn + dd2
+        if not up.all():
+            # Below the axis, lift (|h| - h3) = h1^2 + h2^2, differentiated
+            # twice.
+            dT = dn - d2
+            ddS = 2 * (_outer(d0, d0) + h1[..., None] * dd0
+                       + _outer(d1, d1) + h2[..., None] * dd1)
+            ddlift = np.where(up[..., None], ddlift,
+                              (ddS - _outer(dlift, dT) - _outer(dT, dlift)
+                               - lift_[..., None] * (ddn - dd2))
+                              / below[..., None])
         # ddN[c, b, a] = d_c dN[b, a].
-        ddN = (np.einsum("cb,a->cba", dd0, d1) - np.einsum("cb,a->cba", dd1, d0)
-               + np.einsum("b,ca->cba", d0, dd1) - np.einsum("b,ca->cba", d1, dd0)
-               + np.einsum("c,ba->cba", d0, dd1) - np.einsum("c,ba->cba", d1, dd0)
-               + h1 * ddd1 - h2 * ddd0)
-        ddQ = 2 * (ddn * lift + np.outer(dn, dlift) + np.outer(dlift, dn)
-                   + hn * ddlift)
-        ddw = (ddN / Q
-               - (dN[None] * dQ[:, None, None] + dN[:, None] * dQ[None, :, None])
-               / Q ** 2
-               + np.multiply.outer(2 * np.outer(dQ, dQ) / Q ** 3 - ddQ / Q ** 2, N))
-        return dw, ddw
+        ddN = (dd0[..., None] * d1[..., None, None, :]
+               - dd1[..., None] * d0[..., None, None, :]
+               + d0[..., None, :, None] * dd1[..., :, None, :]
+               - d1[..., None, :, None] * dd0[..., :, None, :]
+               + d0[..., :, None, None] * dd1[..., None, :, :]
+               - d1[..., :, None, None] * dd0[..., None, :, :]
+               + h1[..., None, None] * ddd1 - h2[..., None, None] * ddd0)
+        ddQ = 2 * (ddn * lift_[..., None] + _outer(dn, dlift)
+                   + _outer(dlift, dn) + hn_[..., None] * ddlift)
+        ddw = (ddN / Q_[..., None]
+               - (dN[..., None, :, :] * dQ[..., :, None, None]
+                  + dN[..., :, None, :] * dQ[..., None, :, None])
+               / _pow(Q, 2)[..., None, None, None]
+               + (2 * _outer(dQ, dQ) / _pow(Q, 3)[..., None, None]
+                  - ddQ / _pow(Q, 2)[..., None, None])[..., None]
+               * N[..., None, None, :])
+        return dw, ddw, on
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.bracket_closed_form:
             raise NotImplementedError(
                 "bracket term unavailable: h is not purely along sigma_z"
             )
-        out = np.zeros((2, 2), dtype=complex)
+        # The exact bracket evaluates one point at a time.
+        points = [x.point(i) for i in range(len(x.R))] if x.batch_shape else [x]
+        out = np.zeros((len(points), 2, 2), dtype=complex)
         for band, expr in enumerate(self._band_brackets):
-            out[band, band] = complex(expr.evaluate(x.R, x.P, hbar)[0, 0])
-        return -(hbar / 2.0) * out
+            out[:, band, band] = [complex(expr.evaluate(y.R, y.P, hbar)[0, 0])
+                                  for y in points]
+        return -(hbar / 2.0) * out.reshape(x.batch_shape + (2, 2))
 
     def to_config(self) -> dict:
         def dump(terms):

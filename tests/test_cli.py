@@ -137,6 +137,48 @@ def test_invalid_choices_are_config_errors(tmp_path, command, argv, extra):
     assert not out.exists()
 
 
+GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
+        "P": [[0.5, 1.5, 2], [0.2, 0.2, 1], [-0.3, 0.3, 2]]}
+
+
+@pytest.mark.parametrize("extra", [
+    {"order": 1.5},
+    {"order": True},
+    {"order": "1"},
+    {"points": None, "random_points": {"count": 2.7}},
+    {"points": None, "random_points": {"count": True}},
+    {"points": None,
+     "grid": {**GRID, "P": [[0.5, 1.5, 2.9], [0.2, 0.2, 1], [-0.3, 0.3, 2]]}},
+], ids=["order-1.5", "order-true", "order-str", "count-2.7", "count-true",
+        "grid-2.9"])
+def test_non_integral_orders_and_counts_are_config_errors(tmp_path, extra):
+    # Such values used to be truncated by int() and run silently.
+    cfg = write_config(tmp_path, {key: value for key, value
+                                  in {**DIRAC_CFG, **extra}.items()
+                                  if value is not None})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "diagonalize"]) == 1
+    assert not out.exists()
+
+
+def test_integral_float_orders_and_counts_are_accepted(tmp_path):
+    # JSON 1e0 and 3e0 parse as floats; integral ones count as integers,
+    # as for the trajectory steps.
+    for extra, rows in (({"order": 1e0}, 1),
+                        ({"points": None, "random_points": {"count": 3e0}}, 3),
+                        ({"points": None, "grid": {
+                            **GRID, "R": [[0, 0, 1.0], [0, 0, 1], [0, 0, 1]]}},
+                         4)):
+        cfg = write_config(tmp_path, {key: value for key, value
+                                      in {**DIRAC_CFG, **extra}.items()
+                                      if value is not None})
+        out = tmp_path / f"o{rows}"
+        assert main(["--config", cfg, "--out", str(out), "diagonalize"]) == 0
+        lines = (out / "energies.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + rows
+        assert lines[1].split(",")[7] == str(int(extra.get("order", 2)))
+
+
 def test_curvature_output(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"model": "neutrino_metric",

@@ -89,8 +89,8 @@ class _NoFrame(Model):
     def hamiltonian(self, x):
         return self.inner.hamiltonian(x)
 
-    def d_hamiltonian(self, x, axis):
-        return self.inner.d_hamiltonian(x, axis)
+    def d_hamiltonian(self, x):
+        return self.inner.d_hamiltonian(x)
 
 
 class _BadGroups(Model):
@@ -104,8 +104,8 @@ class _BadGroups(Model):
     def hamiltonian(self, x):
         return np.eye(2, dtype=complex)
 
-    def d_hamiltonian(self, x, axis):
-        return np.zeros((2, 2), dtype=complex)
+    def d_hamiltonian(self, x):
+        return np.zeros((6, 2, 2), dtype=complex)
 
 
 def test_numerical_frame_matches_spectrum():

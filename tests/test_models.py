@@ -236,7 +236,7 @@ def test_dirac_analytic_dh():
     for axis in range(6):
         fd = (model.hamiltonian(x.shifted(axis, h))
               - model.hamiltonian(x.shifted(axis, -h))) / (2 * h)
-        assert np.max(np.abs(model.d_hamiltonian(x, axis) - fd)) <= 1e-7
+        assert np.max(np.abs(model.d_hamiltonian(x)[axis] - fd)) <= 1e-7
 
 
 def _two_level_with_gauge(h3: str) -> TwoLevel:
@@ -264,9 +264,8 @@ def test_d2_hamiltonian_matches_fd(model):
     assert d2.shape == (6, 6, model.n, model.n)
     h = 1e-6
     for b in range(6):
-        fd = np.stack([(model.d_hamiltonian(x.shifted(b, h), a)
-                        - model.d_hamiltonian(x.shifted(b, -h), a)) / (2 * h)
-                       for a in range(6)])
+        fd = (model.d_hamiltonian(x.shifted(b, h))
+              - model.d_hamiltonian(x.shifted(b, -h))) / (2 * h)
         assert np.max(np.abs(d2[b] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 

@@ -65,8 +65,8 @@ class _VariableMassDirac(DiracElectric):
     def hamiltonian(self, x):
         return self._at(x).hamiltonian(x)
 
-    def d_hamiltonian(self, x, axis):
-        return self.k[axis] * BETA if axis < 3 else ALPHA[axis - 3].copy()
+    def d_hamiltonian(self, x):
+        return np.stack([k * BETA for k in self.k] + ALPHA)
 
     def d2_hamiltonian(self, x):
         return np.zeros((6, 6, 4, 4), dtype=complex)
@@ -144,8 +144,8 @@ class _FrameLess(Model):
     def hamiltonian(self, x):
         return self.inner.hamiltonian(x)
 
-    def d_hamiltonian(self, x, axis):
-        return self.inner.d_hamiltonian(x, axis)
+    def d_hamiltonian(self, x):
+        return self.inner.d_hamiltonian(x)
 
     def d2_hamiltonian(self, x):
         return self.inner.d2_hamiltonian(x)
