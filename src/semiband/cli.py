@@ -41,8 +41,7 @@ from semiband.energy import (
     CHUNK,
     band_energy,
     corrected_connections,
-    phase_field_gradients,
-    rotation_generator,
+    first_order,
 )
 from semiband.dynamics import (
     band_curvature_vector, berry_curvatures, check_ray_inputs, integrate_ray,
@@ -81,6 +80,13 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, not {value!r}")
     return int(value)
+
+
+def _seed(cfg: dict, args, default: int) -> int:
+    """The --seed flag, else the config's integer "seed"."""
+    if args.seed is not None:
+        return args.seed
+    return _integer(cfg.get("seed", default), "seed")
 
 
 def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
@@ -172,7 +178,7 @@ def _point_setup(cfg: dict, args):
     if not (np.isfinite(hbar) and hbar > 0):
         raise ConfigError("hbar must be finite and positive")
     tol = _tolerances(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(cfg, args, 0)
     points = _resolve_points(cfg, np.random.default_rng(seed))
     if not points:
         raise ConfigError("the point list is empty")
@@ -283,9 +289,8 @@ def cmd_connections(cfg: dict, args) -> int:
         frame = classical_frame(model, x, tol)
         conns = berry_connections(model, x, hbar, frame=frame, tol=tol)
         if order != "0":
-            grads = phase_field_gradients(model, frame, hbar, tol, conns)
-            B = rotation_generator(model, frame, conns, tol)
-            conns = corrected_connections(frame, conns, B, hbar, grads)
+            conns = corrected_connections(
+                first_order(model, frame, conns, tol), hbar)
         R, P = x.R.tolist(), x.P.tolist()
         rows = [[*r, *p, hbar, conns.order, *norms] for r, p, norms in
                 zip(R, P, matrix_norms(conns.A).tolist())]
@@ -346,7 +351,8 @@ def cmd_trajectory(cfg: dict, args) -> int:
         check_ray_inputs(hbar, dt, steps, r0, P0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trajectory: {exc}") from exc
-    lams = [+1, -1] if section.get("pair_lambdas", True) else [int(section.get("lambda", 1))]
+    lams = ([+1, -1] if section.get("pair_lambdas", True)
+            else [_integer(section.get("lambda", 1), "trajectory lambda")])
     if method not in ("rk4", "rk45"):
         raise ConfigError("trajectory method must be 'rk4' or 'rk45'")
     if any(lam not in (+1, -1) for lam in lams):
@@ -387,7 +393,7 @@ def cmd_trajectory(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(cfg, args, 0)
     names = [args.suite] if args.suite else cfg.get("suites_to_run")
     if args.suite == "bracket":
         names = BRACKET_SUITES
@@ -403,26 +409,27 @@ def cmd_verify(cfg: dict, args) -> int:
 
 
 def cmd_bracket_check(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 1))
-    cases = int(cfg.get("cases", 200))
-    max_degree = int(cfg.get("max_degree", 6))
+    seed = _seed(cfg, args, 1)
+    cases = _integer(cfg.get("cases", 200), "cases")
+    max_degree = _integer(cfg.get("max_degree", 6), "max_degree")
     if max_degree > 8:
         raise ConfigError("max_degree exceeds the symmetrization cap (8)")
     dims = cfg.get("dims", [1, 2])
     if not isinstance(dims, list) or not dims or cases < len(dims):
         raise ConfigError("dims must be a non-empty list, with cases >= len(dims)")
+    dims = [_integer(dim, "each dims entry") for dim in dims]
     rows = []
     exact = 0
     for dim in dims:
-        rng = random.Random(seed + int(dim))
+        rng = random.Random(seed + dim)
         for case in range(cases // len(dims)):
-            f = weyl.random_factorization(rng, n=int(dim), max_degree=max_degree)
-            g = weyl.random_factorization(rng, n=int(dim), max_degree=max_degree)
+            f = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
+            g = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
             ok_prod = weyl.bracket_product_residual(f, g).is_zero()
             h = weyl.random_resymmetrization(rng, f)
             ok_inv = weyl.invariant_derivative_residual(f, h).is_zero()
             exact += int(ok_prod and ok_inv)
-            rows.append({"dim": int(dim), "case": case,
+            rows.append({"dim": dim, "case": case,
                          "product_rule_exact": ok_prod,
                          "invariance_exact": ok_inv})
     # Pure sums have no mixed pair: bracket vanishes for every scalar case.

@@ -13,11 +13,13 @@ curvature set
     Theta^pp_ij = -(grad_{R_i} a^P_j - grad_{R_j} a^P_i) - i [a^P_i, a^P_j]
     Theta^pr_ij = -(grad_{R_i} a^R_j + grad_{P_j} a^P_i) - i [a^P_i, a^R_j]
 
-where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Its gradient is
-exact at the point: `berry_curvatures` makes one `covariant_variables` call
-and one second-order pass, which differentiates the formulas of a by the
-Leibniz rule, with grad grad A0 from `frames.connection_hessians`.  No
-stencil runs.
+where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Both are built
+from the first-order record `energy.first_order`, which the covariant
+variables keep.  The gradient of a is exact at the point:
+`berry_curvatures` makes one `covariant_variables` call and one
+second-order pass, which differentiates the formulas of a by the Leibniz
+rule, with grad grad A0 from `frames.connection_hessians` on the record's
+first tangents.  No stencil runs.
 
 Rays live on one band group and one helicity; the scalar band curvature that
 sources the anomalous velocity is the helicity expectation of the curl of the
@@ -44,22 +46,17 @@ from semiband.models import (
 )
 from semiband.frames import (
     BandFrame,
-    ConnectionSet,
     Tolerances,
     DEFAULT_TOL,
+    _anticomm,
+    _comm,
     berry_connections,
     classical_frame,
     connection_gradients,
     connection_hessians,
     hermitize,
 )
-from semiband.energy import (
-    _anticomm,
-    _comm,
-    corrected_connections,
-    phase_field_gradients,
-    rotation_generator,
-)
+from semiband.energy import FirstOrder, first_order
 
 __all__ = [
     "CovariantVars",
@@ -70,7 +67,6 @@ __all__ = [
     "berry_curvatures",
     "band_curvature_vector",
     "positive_block_connection",
-    "ray_energy",
     "ray_rhs",
     "check_ray_inputs",
     "integrate_ray",
@@ -89,11 +85,8 @@ class CovariantVars:
     A1: np.ndarray                  # order-1 shift coefficients
     point: PhasePoint
     hbar: float
-    # What the shifts are built from, for `berry_curvatures`: the order-0
-    # set, the generator B and the `phase_field_gradients` stack.
-    conns0: ConnectionSet | None = dc_field(default=None, repr=False)
-    B: np.ndarray | None = dc_field(default=None, repr=False)
-    field_grads: np.ndarray | None = dc_field(default=None, repr=False)
+    # What the shifts are built from, for `berry_curvatures`.
+    first: FirstOrder = dc_field(repr=False)
 
     @property
     def r(self) -> np.ndarray:
@@ -126,17 +119,15 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     if frame is None:
         frame = classical_frame(model, x, tol)
     conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-    field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
-    B = rotation_generator(model, frame, conns0, tol)
-    conns = corrected_connections(frame, conns0, B, hbar, field_grads)
+    first = first_order(model, frame, conns0, tol)
     A0 = frame.project(conns0.A, "diag")
-    a1 = (2.0 * frame.project(conns.linear, "diag")
+    a1 = (2.0 * frame.project(first.linear, "diag")
           + (0.5 * _anticomm(A0[:, None],
-                             frame.project(field_grads[:, :6], "diag"))).sum(0))
+                             frame.project(first.dA, "diag"))).sum(0))
     A1 = hermitize(a1)
     canonical = np.concatenate([x.R, x.P])[:, None, None] * np.eye(frame.n)
     return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
-                         x, hbar, conns0, B, field_grads)
+                         x, hbar, first)
 
 
 def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
@@ -149,9 +140,9 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
     + [B, A]), everything Hermitized.  B and so grad grad B are cross-group,
     so the -i conjugate(grad B) term has no within-group part and drops out.
     """
-    A, B = cov.conns0.A, cov.B
-    dA, dB = cov.field_grads[:, :6], cov.field_grads[:, 6]
-    ddA = connection_hessians(model, frame, cov.conns0, dA, tol)
+    first = cov.first
+    A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
+    ddA = connection_hessians(model, frame, first, tol)
     dlin = (0.125 * (_anticomm(dA[:, :, None], dA[None])
                      + _anticomm(A[None, :, None], ddA)).sum(1)
             + 0.5 * (_comm(dB[:, None], A[None]) + _comm(B, dA)))
@@ -262,13 +253,6 @@ def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
     v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
     ydot = (rdx, rdy, rdz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re)
     return ydot, Fv * E - k * pg, E
-
-
-def ray_energy(model: NeutrinoMetric, r: np.ndarray, P: np.ndarray,
-               hbar: float) -> float:
-    """Positive-band scalar energy F(r)|P| - (hbar^2/4|P|) P.grad F."""
-    model = _check_ray_model(model)
-    return _ray_rates(model.F, 1, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])[1]
 
 
 def _check_ray_model(model: Model) -> NeutrinoMetric:

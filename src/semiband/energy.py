@@ -25,10 +25,14 @@ P_1, P_2, P_3), and every contraction over the axes pairs R_l with P_l through
 points puts its point axis in front of every array, (N, 6, n, n), and the
 assembly indexes phase axes from the end, so `band_energy` runs one point or
 a batch through the same code; `band_energy_batch` feeds it chunks of
-`CHUNK` points.  The three
-derivatives an order-2 point needs (grad A0, grad B and D W) are exact at the
-point (`phase_field_gradients`), with no stencil.  With M_a = U0 grad_a H U0^+,
-X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
+`CHUNK` points.
+
+Everything first-order is one record, `first_order` -> `FirstOrder`: the
+generator B, the hbar-free connection correction `linear` and the exact
+gradients grad A0, grad B and grad W, with no stencil.  The order-2 energy,
+`corrected_connections`, the covariant variables and the curvature pass all
+read it.  With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A0)
+and E = diag eps0:
 
 * grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b] (`Model.d2_hamiltonian`),
   and the eps0 Hessian is the group scalar of P+ grad_b M_a;
@@ -56,7 +60,11 @@ from semiband.frames import (
     ConnectionSet,
     Tolerances,
     DEFAULT_TOL,
+    _anticomm,
+    _comm,
     _comm_diag,
+    _dagger,
+    _diag,
     berry_connections,
     classical_frame,
     conjugate,
@@ -72,40 +80,22 @@ from semiband.stencils import FDDiagnostics
 __all__ = [
     "CHUNK",
     "EnergyReport",
+    "FirstOrder",
     "band_energy",
     "band_energy_batch",
+    "first_order",
     "rotation_generator",
     "corrected_connections",
     "first_order_kernel",
     "frame_first_order",
     "apply_energy_flow_operator",
-    "phase_field_gradients",
 ]
 
 
 # Points per batched pass of `band_energy_batch` and the CLI sweeps; the
-# largest chunk array, the order-2 field gradients, is 0.8 MB for n = 4.
+# largest chunk arrays, the (6, 6, n, n) gradients and tangents of the
+# first-order record, are 0.6 MB each for n = 4.
 CHUNK = 64
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
-def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def _diag(d: np.ndarray) -> np.ndarray:
-    """Diagonal matrices (..., n, n) from their diagonals (..., n)."""
-    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
-    idx = np.arange(d.shape[-1])
-    out[..., idx, idx] = d
-    return out
 
 
 def _covariant(grad: np.ndarray, A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -154,26 +144,42 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact phase-space gradients of the order-0 connections, B and W
+# The first-order record: generator, connection correction and gradients
 # ---------------------------------------------------------------------------
 
-def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
-                          tol: Tolerances = DEFAULT_TOL,
-                          conns0: ConnectionSet | None = None) -> np.ndarray:
-    """grad_axis of [A0^R_1..3, A0^P_1..3, B, W] at the frame's point.
+@dataclass
+class FirstOrder:
+    """The first-order frame correction at one point or a batch (point axis
+    in front) and its exact phase-space gradients."""
 
-    Returns one (..., 6, 8, n, n) array indexed [axis, field]: fields 0-5 are
-    the order-0 connections, 6 the rotation generator B and 7 the first-order
-    kernel W.  All of it is exact at the point: grad A0 and the eps0 Hessian
-    come from `connection_gradients`, and B and W are differentiated by the
-    Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for the
-    band-commutator inversion.
+    conns0: ConnectionSet           # order-0 connections A0, (..., 6, n, n)
+    B: np.ndarray                   # rotation generator, (..., n, n)
+    dA: np.ndarray                  # [b, a] = grad_b A0^a, (..., 6, 6, n, n)
+    hess: np.ndarray                # grad_b grad_a eps0, (..., 6, 6, n)
+    N: np.ndarray                   # [a, b] = U0 grad_a grad_b H U0^+
+    dM: np.ndarray                  # [b, a] = grad_b (U0 grad_a H U0^+)
+    dB: np.ndarray                  # grad B, (..., 6, n, n)
+    dW: np.ndarray                  # grad W, (..., 6, n, n)
+    linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
+
+
+def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
+                tol: Tolerances = DEFAULT_TOL) -> FirstOrder:
+    """The first-order record at the frame's point, from its
+    `berry_connections` set `conns0`.
+
+    grad A0, the eps0 Hessian and the first tangents N, dM come from
+    `connection_gradients`; B (`rotation_generator`) and W
+    (`first_order_kernel`) are differentiated by the Leibniz rule, with
+    grad inv(V) = inv(grad V - [inv(V), grad E]) for the band-commutator
+    inversion.  The hbar-free connection correction is
+      linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
+               + [B, A0^X]),
+    Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
+    on the position components and +i grad_R B on the momentum ones.
     """
-    if conns0 is None:
-        conns0 = berry_connections(model, frame.point, hbar, frame=frame,
-                                   tol=tol)
     g, A = eps0_gradients(model, frame, tol), conns0.A
-    dA, hess = connection_gradients(model, frame, conns0, tol)
+    dA, hess, N, dM = connection_gradients(model, frame, conns0, tol)
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.
@@ -201,24 +207,21 @@ def phase_field_gradients(model: Model, frame: BandFrame, hbar: float,
         + _comm_diag(conjugate(A)[..., None, :, :, :], g[..., :, None, :]))
     dT = (dDE @ Aa + DE[..., None, :, :, :] @ dA).sum(-3)
     dW = frame.project(dT + _dagger(dT), "diag")
-    return np.concatenate([dA, dB[..., :, None, :, :], dW[..., :, None, :, :]],
-                          axis=-3)
 
+    B = rotation_generator(model, frame, conns0, tol)
+    corr = (0.125 * _anticomm(A[..., :, None, :, :], dA)).sum(-4)
+    corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
+    return FirstOrder(conns0, B, dA, hess, N, dM, dB, dW, hermitize(corr))
 
-# ---------------------------------------------------------------------------
-# First-order generator and corrected connections
-# ---------------------------------------------------------------------------
 
 def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
-                       tol: Tolerances = DEFAULT_TOL,
-                       grads: np.ndarray | None = None) -> np.ndarray:
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The anti-Hermitian off-group generator B of the first-order frame.
 
     B = -[. , eps0]^{-1} P-{ (1/2) A^{X_l} grad_{X_l} eps0 + H.C. }
         + (i/4) { P-A^{R_l} P+A^{P_l} - P-A^{P_l} P+A^{R_l} + H.C. }
     """
-    if grads is None:
-        grads = eps0_gradients(model, frame, tol)
+    grads = eps0_gradients(model, frame, tol)
     M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(-3)
     B = -invert_band_commutator(frame.project(M, "offdiag"), frame, tol)
     X = (frame.project(conns.A, "offdiag")
@@ -226,25 +229,11 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
     return B + 0.25j * (X + _dagger(X))
 
 
-def corrected_connections(frame: BandFrame, conns0: ConnectionSet,
-                          B: np.ndarray, hbar: float,
-                          field_grads: np.ndarray) -> ConnectionSet:
-    """Connections including the order-hbar correction.
-
-    The self-gradient piece is (hbar/8){A0^{X_l}, grad_{X_l} A0^X}; the
-    generator piece realizes [B, X/hbar] as -i grad_P B (position components)
-    and +i grad_R B (momentum components), i.e. -i conjugate(grad B), plus
-    [B, A0^X].  `field_grads` is the output of `phase_field_gradients` at the
-    frame's point.
-    """
-    A0 = conns0.A
-    corr = (0.125 * _anticomm(A0[..., :, None, :, :],
-                              field_grads[..., :6, :, :])).sum(-4)
-    corr += 0.5 * (-1j * conjugate(field_grads[..., 6, :, :])
-                   + _comm(B[..., None, :, :], A0))
-    linear = hermitize(corr)
-    return ConnectionSet(hermitize(A0 + hbar * linear), "corrected",
-                         frame.point, hbar, linear=linear)
+def corrected_connections(first: FirstOrder, hbar: float) -> ConnectionSet:
+    """Connections including the order-hbar correction, A0 + hbar linear."""
+    conns0 = first.conns0
+    return ConnectionSet(hermitize(conns0.A + hbar * first.linear),
+                         "corrected", conns0.point, hbar, linear=first.linear)
 
 
 def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
@@ -267,11 +256,9 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
 # ---------------------------------------------------------------------------
 
 def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
-                       tol: Tolerances = DEFAULT_TOL,
-                       grads: np.ndarray | None = None) -> np.ndarray:
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
-    if grads is None:
-        grads = eps0_gradients(model, frame, tol)
+    grads = eps0_gradients(model, frame, tol)
     DE = _covariant(_diag(grads), conns.A, _diag(frame.eps0))
     T = (DE @ conns.A).sum(-3)
     return frame.project(T + _dagger(T), "diag")
@@ -322,24 +309,21 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
     if order >= 1:
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-        grads = eps0_gradients(model, frame, tol)
-        W = first_order_kernel(model, frame, conns0, tol, grads)
+        W = first_order_kernel(model, frame, conns0, tol)
         first = hermitized((hbar / 2.0) * W)
 
     if order == 2:
-        field_grads = phase_field_gradients(model, frame, hbar, tol, conns0)
-        B = rotation_generator(model, frame, conns0, tol, grads)
-        conns = corrected_connections(frame, conns0, B, hbar, field_grads)
+        rec = first_order(model, frame, conns0, tol)
         bracket, partial = _bracket_term(model, x, hbar, frame)
         bracket = hermitized(bracket)
 
         if representation == "canonical":
-            second = _second_order_canonical(frame, conns0, conns, grads, W,
-                                             field_grads, hbar)
+            second = _second_order_canonical(
+                frame, rec, eps0_gradients(model, frame, tol), W, hbar)
         else:
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
-            first, second = _second_order_covariant(frame, conns0, conns, hbar)
+            first, second = _second_order_covariant(frame, rec, hbar)
         second = hermitized(second)
         first = hermitized(first)
         # An empty stencil record: no stencil runs, and readers of order-2
@@ -363,9 +347,8 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
                         bracket, x, hbar, partial, diagnostics)
 
 
-def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
-                            conns: ConnectionSet, grads: np.ndarray,
-                            W0: np.ndarray, field_grads: np.ndarray,
+def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
+                            grads: np.ndarray, W0: np.ndarray,
                             hbar: float) -> np.ndarray:
     """Exact hbar^2 coefficient of the canonical-variable energy, times hbar^2.
 
@@ -373,23 +356,22 @@ def _second_order_canonical(frame: BandFrame, conns0: ConnectionSet,
     in the connection correction A = A0 + hbar A1 and truncated at the linear
     pieces; the quadratic cross term is order hbar^3 and not part of the
     second-order result.  The nested double-action term (hbar^2/8)[(D W) A0
-    + H.C.] is added with W0 the first-order kernel at the point and D W
-    taken from field 7 of `field_grads`.
+    + H.C.] is added with W0 the first-order kernel at the point and
+    D W = grad W + (i/2)[conjugate(A0), W0].
     """
     eps_mat = _diag(frame.eps0)
-    A0, A1 = conns0.A, conns.linear
+    A0, A1 = rec.conns0.A, rec.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
     S = (_covariant(0.0, A1, eps_mat) @ A0
          + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
-    N = (_covariant(field_grads[..., 7, :, :], A0, W0) @ A0).sum(-3)
+    N = (_covariant(rec.dW, A0, W0) @ A0).sum(-3)
     nested = (hbar ** 2 / 8.0) * frame.project(N + _dagger(N), "diag")
     return linear + nested
 
 
-def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
-                            conns: ConnectionSet, hbar: float):
+def _second_order_covariant(frame: BandFrame, rec: FirstOrder, hbar: float):
     """(first, second) commutator strings of the covariant-variable form.
 
     The gradient content is absorbed into the covariant arguments (which at a
@@ -399,7 +381,7 @@ def _second_order_covariant(frame: BandFrame, conns0: ConnectionSet,
     the sign bookkeeping of those two lines is enforced term by term).
     """
     eps_mat = _diag(frame.eps0)
-    A0, A1 = conns0.A, conns.linear
+    A0, A1 = rec.conns0.A, rec.linear
     Wstr = _string(eps_mat, A0, A0)
     T0 = Wstr - _comm(eps_mat, (A0 @ conjugate(A0)).sum(-3))
     T1 = _string(eps_mat, A1, A0) + _string(eps_mat, A0, A1)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from semiband.models import Model, PhasePoint, _dot
-from semiband.stencils import FDDiagnostics, derivative_along
+from semiband.stencils import derivative_along
 
 __all__ = [
     "Tolerances",
@@ -129,15 +129,13 @@ class ConnectionSet:
 
     ``A`` is (6, n, n) in axis order (R_1, R_2, R_3, P_1, P_2, P_3).  For
     corrected sets, ``linear`` holds the hbar-free coefficient of the
-    order-hbar correction (A = A0 + hbar * linear), which the energy assembly
-    uses to truncate at an exact polynomial order.
+    order-hbar correction (A = A0 + hbar * linear).
     """
 
     A: np.ndarray                   # (..., 6, n, n)
     order: str                      # "0" or "corrected"
     point: PhasePoint
     hbar: float
-    diagnostics: FDDiagnostics = dc_field(default_factory=FDDiagnostics)
     linear: np.ndarray | None = None  # (..., 6, n, n) or None for order 0
 
     @property
@@ -161,9 +159,29 @@ def conjugate(S: np.ndarray) -> np.ndarray:
     return np.concatenate([S[..., 3:, :, :], -S[..., :3, :, :]], axis=-3)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from their diagonals (..., n)."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """The Hermitian part of mat, which may be a stack (..., n, n)."""
-    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    return 0.5 * (mat + _dagger(mat))
 
 
 def matrix_norms(mat: np.ndarray) -> np.ndarray:
@@ -281,7 +299,7 @@ def classical_frame(model: Model, x: PhasePoint,
     else:
         vals, vecs, groups = _group_eigensystem(model, x, tol)
         vecs = _phase_fix(vecs)
-        eps0, U0 = vals, vecs.conj().swapaxes(-1, -2)
+        eps0, U0 = vals, _dagger(vecs)
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
                       groups, x)
     _validate_frame(model, frame, tol)
@@ -291,7 +309,7 @@ def classical_frame(model: Model, x: PhasePoint,
 def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
     H = model.hamiltonian(frame.point)
     scale = np.maximum(matrix_norms(H), 1e-300)
-    U0, U0_dag = frame.U0, frame.U0.conj().swapaxes(-1, -2)
+    U0, U0_dag = frame.U0, _dagger(frame.U0)
     unit = matrix_norms(U0 @ U0_dag - np.eye(frame.n))
     i = _first(unit > tol.unitarity)
     if i is not None:
@@ -364,8 +382,7 @@ def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
     per frame and shared by the connections and the eps0 gradients."""
     if frame.dH is None:
         U0 = frame.U0[..., None, :, :]
-        frame.dH = (U0 @ model.d_hamiltonian(frame.point)
-                    @ U0.conj().swapaxes(-1, -2))
+        frame.dH = U0 @ model.d_hamiltonian(frame.point) @ _dagger(U0)
     return frame.dH
 
 
@@ -387,13 +404,15 @@ def berry_connections(model: Model, x: PhasePoint, hbar: float,
 
 def connection_gradients(model: Model, frame: BandFrame,
                          conns: ConnectionSet, tol: Tolerances = DEFAULT_TOL):
-    """Exact phase-space gradients at the frame's point: (dA, hess), with
-    dA[b, a] = grad_b A^a of the `berry_connections` set `conns`, (6, 6, n, n),
-    and hess[b, a] = grad_b grad_a eps0, (6, 6, n).
+    """Exact phase-space gradients at the frame's point: (dA, hess, N, dM),
+    with dA[b, a] = grad_b A^a of the `berry_connections` set `conns`,
+    (6, 6, n, n), hess[b, a] = grad_b grad_a eps0, (6, 6, n), and the first
+    tangents N_ab = U0 grad_a grad_b H U0^+ and dM[b, a] = grad_b M_a that
+    `connection_hessians` builds on.
 
     With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A) and
     E = diag eps0:
-      grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b];
+      grad_b M_a = N_ab + [M_a, X_b];
       hess is the group scalar of P+ grad_b M_a (second-order
       Hellmann-Feynman);
       P- grad_b X_a = inv(P-(grad_b M_a - [X_a, grad_b E])), inv being
@@ -402,41 +421,36 @@ def connection_gradients(model: Model, frame: BandFrame,
       (`d_analytic_connections`), and (1/2) P+[X_a, X_b] in the
       parallel gauge of a frame-less model.
     """
-    M, X, _N, dM, hess = _first_tangents(model, frame, conns)
+    U0 = frame.U0[..., None, None, :, :]
+    M = _rotated_dH(model, frame)
+    X = 1j * conjugate(conns.A)
+    N = U0 @ model.d2_hamiltonian(frame.point) @ _dagger(U0)
+    Ma, Xb = M[..., None, :, :, :], X[..., :, None, :, :]
+    Xa = X[..., None, :, :, :]
+    # Sums of commutators stay written out: grouping the terms through
+    # `_comm` would round them in another order.
+    dM = N + Ma @ Xb - Xb @ Ma
+    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
     g = eps0_gradients(model, frame, tol)
-    Xa, Xb = X[..., None, :, :, :], X[..., :, None, :, :]
     dX = invert_band_commutator(
         dM - _comm_diag(Xa, g[..., :, None, :]), frame, tol)
     if model.has_analytic_frame:
         dA = conjugate(1j * dX) + model.d_analytic_connections(frame.point)
     else:
-        dX += 0.5 * frame.project(Xa @ Xb - Xb @ Xa, "diag")
+        dX += 0.5 * frame.project(_comm(Xa, Xb), "diag")
         dA = conjugate(1j * dX)
-    return hermitize(dA), hess
+    return hermitize(dA), hess, N, dM
 
 
-def _first_tangents(model: Model, frame: BandFrame, conns: ConnectionSet):
-    """(M, X, N, dM, hess): M_a = U0 grad_a H U0^+, X = i conjugate(A),
-    N_ab = U0 grad_a grad_b H U0^+, dM[b, a] = grad_b M_a = N_ab + [M_a, X_b]
-    and the eps0 Hessian, the group scalar of P+ dM."""
-    U0 = frame.U0[..., None, None, :, :]
-    M = _rotated_dH(model, frame)
-    X = 1j * conjugate(conns.A)
-    N = U0 @ model.d2_hamiltonian(frame.point) @ U0.conj().swapaxes(-1, -2)
-    Ma, Xb = M[..., None, :, :, :], X[..., :, None, :, :]
-    dM = N + Ma @ Xb - Xb @ Ma
-    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
-    return M, X, N, dM, hess
-
-
-def connection_hessians(model: Model, frame: BandFrame, conns: ConnectionSet,
-                        dA: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def connection_hessians(model: Model, frame: BandFrame, first,
+                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Exact second phase-space derivatives at the frame's point, for a model
     with an analytic frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n),
-    of the `berry_connections` set `conns` whose gradient `dA` came from
-    `connection_gradients`.
+    of the order-0 connections of the first-order record `first`
+    (`energy.first_order`), which carries their gradient dA, the eps0
+    Hessian and the first tangents N and dM of `connection_gradients`.
 
-    One order above `connection_gradients`, with N_ab = U0 grad_a grad_b H U0^+:
+    One order above `connection_gradients`:
       grad_c N_ab = U0 grad_a grad_b grad_c H U0^+ + [N_ab, X_c];
       grad_c grad_b M_a = grad_c N_ab + [grad_c M_a, X_b] + [M_a, grad_c X_b];
       P- grad_c grad_b X_a = inv(P-(grad_c grad_b M_a - [grad_b X_a, grad_c E]
@@ -453,15 +467,17 @@ def connection_hessians(model: Model, frame: BandFrame, conns: ConnectionSet,
             "of the connections need its declared gauge term"
         )
     U0 = frame.U0[..., None, None, None, :, :]
-    M, X, N, dM, hess = _first_tangents(model, frame, conns)
+    M = _rotated_dH(model, frame)
+    X = 1j * conjugate(first.conns0.A)
+    N, dM, hess = first.N, first.dM, first.hess
     g = eps0_gradients(model, frame, tol)
-    dX = 1j * conjugate(dA)
+    dX = 1j * conjugate(first.dA)
     # Phase axes (c, b, a) in front of the matrix axes: each factor is
     # placed on the axes it carries.
     Nba, Xc = N[..., None, :, :, :, :], X[..., :, None, None, :, :]
     dMca, Xb = dM[..., :, None, :, :, :], X[..., None, :, None, :, :]
     Ma, dXcb = M[..., None, None, :, :, :], dX[..., :, :, None, :, :]
-    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ U0.conj().swapaxes(-1, -2)
+    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ _dagger(U0)
            + Nba @ Xc - Xc @ Nba + dMca @ Xb - Xb @ dMca
            + Ma @ dXcb - dXcb @ Ma)
     ddX = invert_band_commutator(
@@ -480,13 +496,11 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
     if frame is None:
         frame = classical_frame(model, x, tol)
     at = frame_field(model, frame, tol)
-    diagnostics = FDDiagnostics()
     U0 = at(x)[1]
     X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis,
-                                        tol.fd_base, diagnostics)
+                                        tol.fd_base)
                        for axis in range(6)])
-    return ConnectionSet(hermitize(conjugate(1j * X)), "0", x, hbar,
-                         diagnostics)
+    return ConnectionSet(hermitize(conjugate(1j * X)), "0", x, hbar)
 
 
 def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:

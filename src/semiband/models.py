@@ -29,6 +29,7 @@ from semiband import weyl
 __all__ = [
     "PhasePoint",
     "Model",
+    "PxSigmaGauge",
     "DiracElectric",
     "NeutrinoMetric",
     "TwoLevel",
@@ -267,7 +268,27 @@ class Model:
         raise NotImplementedError
 
 
-class DiracElectric(Model):
+class PxSigmaGauge(Model):
+    """A four-band model whose within-group gauge term is ((P x Sigma)/f, 0)
+    for a scalar f(R, P), given with its derivatives by `_gauge_f`."""
+
+    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
+        """(f, grad f) over the six axes, and grad grad f if `hessian`."""
+        raise NotImplementedError
+
+    def analytic_connections(self, x: PhasePoint):
+        A_R = (np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
+               / self._gauge_f(x)[0][..., None, None, None])
+        return A_R, np.zeros_like(A_R)
+
+    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
+
+    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        return _pxs_gauge_hessian(x.P, *self._gauge_f(x, hessian=True))
+
+
+class DiracElectric(PxSigmaGauge):
     """Relativistic four-component electron in a static electric potential."""
 
     name = "dirac_electric"
@@ -324,33 +345,20 @@ class DiracElectric(Model):
         W = self.e * _jet(self.field, x.R)[0]
         return E[..., None] * _SIGNS4 + W[..., None], U0
 
-    def analytic_connections(self, x: PhasePoint):
-        # The free-particle rotation gives (P x Sigma)/(2E(E+m)), R-free.
-        E = self.energy_scale(x)
-        pxs = np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
-        A_R = pxs / (2 * E * (E + self.m))[..., None, None, None]
-        return A_R, np.zeros_like(A_R)
-
-    def _gauge_f(self, x: PhasePoint):
-        """f = 2E(E+m) of the gauge term (P x Sigma)/f and grad f:
-        grad_P f = (4E + 2m) P/E."""
-        E = self.energy_scale(x)
-        df = np.zeros(x.batch_shape + (6,))
-        df[..., 3:] = (4 * E + 2 * self.m)[..., None] * x.P / E[..., None]
-        return 2 * E * (E + self.m), df
-
-    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
-
-    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        # grad_P grad_P f = 4 + 2m (1/E - P P/E^3).
-        f, df = self._gauge_f(x)
+    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
+        """The free-particle rotation gives f = 2E(E+m), R-free, with
+        grad_P f = (4E + 2m) P/E and
+        grad_P grad_P f = 4 + 2m (1/E - P P/E^3)."""
         E, m = self.energy_scale(x), self.m
+        df = np.zeros(x.batch_shape + (6,))
+        df[..., 3:] = (4 * E + 2 * m)[..., None] * x.P / E[..., None]
+        if not hessian:
+            return 2 * E * (E + m), df
         ddf = np.zeros(x.batch_shape + (6, 6))
         ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * _EYE3
                             - 2 * m * (x.P[..., :, None] * x.P[..., None, :])
                             / _pow(E, 3)[..., None, None])
-        return _pxs_gauge_hessian(x.P, f, df, ddf)
+        return 2 * E * (E + m), df, ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         return np.zeros(x.batch_shape + (4, 4), dtype=complex)
@@ -360,7 +368,7 @@ class DiracElectric(Model):
                 "field": self.field.to_config()}
 
 
-class NeutrinoMetric(Model):
+class NeutrinoMetric(PxSigmaGauge):
     """Massless four-component particle in an isotropic static metric.
 
     The metric enters through F(R) = 1/n(R); H is the symmetrized product of
@@ -422,29 +430,17 @@ class NeutrinoMetric(Model):
               / np.sqrt(2 * _pow(E, 2))[..., None, None])
         return (_jet(self.F, x.R)[0] * E)[..., None] * _SIGNS4, U0
 
-    def analytic_connections(self, x: PhasePoint):
-        # Massless limit of the free-particle rotation: (P x Sigma)/(2|P|^2).
-        self.check_point(x)
-        E2 = _dot(x.P, x.P)
-        A_R = (np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
-               / (2 * E2)[..., None, None, None])
-        return A_R, np.zeros_like(A_R)
-
-    def _gauge_f(self, x: PhasePoint):
-        """f = 2|P|^2 of the gauge term (P x Sigma)/f and grad f = 4 P."""
+    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
+        """The massless limit of the free-particle rotation: f = 2|P|^2,
+        grad f = 4 P and grad_P grad_P f = 4."""
         self.check_point(x)
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = 4 * x.P
-        return 2 * _dot(x.P, x.P), df
-
-    def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
-
-    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        f, df = self._gauge_f(x)
+        if not hessian:
+            return 2 * _dot(x.P, x.P), df
         ddf = np.zeros(x.batch_shape + (6, 6))
         ddf[..., 3:, 3:] = 4 * _EYE3
-        return _pxs_gauge_hessian(x.P, f, df, ddf)
+        return 2 * _dot(x.P, x.P), df, ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.

@@ -25,11 +25,6 @@ class FDDiagnostics:
     discrepancy: float = 0.0
     fallbacks: int = 0
 
-    def merge(self, other: "FDDiagnostics") -> None:
-        self.order = min(self.order, other.order)
-        self.discrepancy = max(self.discrepancy, other.discrepancy)
-        self.fallbacks += other.fallbacks
-
 
 def fd_step(coordinate: float, base: float = DEFAULT_FD_BASE) -> float:
     return base * (1.0 + abs(coordinate))

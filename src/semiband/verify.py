@@ -21,19 +21,20 @@ from semiband.models import (
 )
 from semiband.frames import (
     ConnectionSet,
+    _anticomm,
+    _diag,
     berry_connections,
     classical_frame,
     connections_fd,
+    eps0_gradients,
     invert_band_commutator,
     project,
 )
 from semiband.energy import (
     apply_energy_flow_operator,
     band_energy,
-    corrected_connections,
+    first_order,
     frame_first_order,
-    phase_field_gradients,
-    rotation_generator,
 )
 from semiband.dynamics import (
     band_curvature_vector,
@@ -326,6 +327,7 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
     frame = classical_frame(model, x)
     conns0 = berry_connections(model, x, 1.0)
+    first = first_order(model, frame, conns0)
     hbars = np.array([1e-1, 1e-2, 1e-3])
 
     defects = []
@@ -342,13 +344,10 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
         dh = hb * 1e-2
         deps = (8 * (eps_at(hb + dh) - eps_at(hb - dh))
                 - (eps_at(hb + 2 * dh) - eps_at(hb - 2 * dh))) / (12 * dh)
-        c0 = berry_connections(model, x, hb)
-        grads = phase_field_gradients(model, frame, hb, conns0=c0)
-        B = rotation_generator(model, frame, c0)
-        cc = corrected_connections(frame, c0, B, hb, grads)
         # Flow operator needs the scale-hbar connections A0 + 2 hbar A1 (the
         # corrected set is the running average, with half that correction).
-        flow = ConnectionSet(c0.A + 2 * hb * cc.linear, "corrected", x, hb)
+        flow = ConnectionSet(conns0.A + 2 * hb * first.linear, "corrected",
+                             x, hb)
 
         def efield(y, hb=hb):
             return band_energy(model, y, hb, order=2).eps
@@ -443,8 +442,6 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     equals the canonical-variable energy up to O(hbar^3).
     """
     from semiband.dynamics import covariant_variables
-    from semiband.frames import connection_gradients, eps0_gradients
-    from semiband.energy import _anticomm, _diag
 
     frame = classical_frame(model, x)
     cov = covariant_variables(model, x, hbar, frame=frame)
@@ -452,8 +449,7 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
 
     S = hbar * cov.shift_per_hbar()
     grads = _diag(eps0_gradients(model, frame))
-    hess = _diag(connection_gradients(model, frame,
-                                      berry_connections(model, x, hbar, frame))[1])
+    hess = _diag(cov.first.hess)
     sym = 0.5 * _anticomm(S[:, None], S[None])
     return (rep_cov.eps + (0.5 * _anticomm(grads, S)).sum(0)
             + (0.25 * _anticomm(hess, sym)).sum((0, 1)))

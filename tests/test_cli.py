@@ -149,15 +149,31 @@ GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
     {"points": None, "random_points": {"count": True}},
     {"points": None,
      "grid": {**GRID, "P": [[0.5, 1.5, 2.9], [0.2, 0.2, 1], [-0.3, 0.3, 2]]}},
+    {"seed": 1.7},
+    {"seed": True},
+    {"seed": 1.7, "command": "verify", "suites_to_run": ["symmetrized-bracket"]},
+    {"cases": 2.9, "command": "bracket-check"},
+    {"max_degree": 2.5, "command": "bracket-check"},
+    {"dims": [1.5], "command": "bracket-check"},
+    {"dims": [1, "2"], "command": "bracket-check"},
+    {"seed": 1.7, "command": "bracket-check"},
+    {"command": "trajectory",
+     "model": {"model": "neutrino_metric",
+               "field": {"kind": "uniform", "value": 1.0}},
+     "trajectory": {"steps": 5, "pair_lambdas": False, "lambda": 1.5}},
 ], ids=["order-1.5", "order-true", "order-str", "count-2.7", "count-true",
-        "grid-2.9"])
+        "grid-2.9", "seed-1.7", "seed-true", "verify-seed-1.7",
+        "cases-2.9", "max-degree-2.5", "dims-1.5", "dims-str",
+        "bracket-seed-1.7", "lambda-1.5"])
 def test_non_integral_orders_and_counts_are_config_errors(tmp_path, extra):
     # Such values used to be truncated by int() and run silently.
+    extra = dict(extra)
+    command = extra.pop("command", "diagonalize")
     cfg = write_config(tmp_path, {key: value for key, value
                                   in {**DIRAC_CFG, **extra}.items()
                                   if value is not None})
     out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "diagonalize"]) == 1
+    assert main(["--config", cfg, "--out", str(out), command]) == 1
     assert not out.exists()
 
 
@@ -177,6 +193,33 @@ def test_integral_float_orders_and_counts_are_accepted(tmp_path):
         lines = (out / "energies.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + rows
         assert lines[1].split(",")[7] == str(int(extra.get("order", 2)))
+
+    # The seed and the bracket-check counts likewise: the same bytes as
+    # with plain integers.
+    for command, stem, ints, floats in (
+            ("diagonalize", "energies.json",
+             {"points": None, "random_points": {"count": 2}, "seed": 5},
+             {"points": None, "random_points": {"count": 2}, "seed": 5e0}),
+            ("bracket-check", "bracket_report.json",
+             {"seed": 3, "cases": 4, "max_degree": 3, "dims": [1, 2]},
+             {"seed": 3e0, "cases": 4e0, "max_degree": 3e0,
+              "dims": [1e0, 2e0]})):
+        written = []
+        for label, extra in (("int", ints), ("float", floats)):
+            cfg = write_config(tmp_path, {key: value for key, value
+                                          in {**DIRAC_CFG, **extra}.items()
+                                          if value is not None})
+            out = tmp_path / f"{command}-{label}"
+            assert main(["--config", cfg, "--out", str(out), command]) == 0
+            written.append((out / stem).read_bytes())
+        assert written[0] == written[1]
+    ray = {**NEUTRINO_RAY_CFG["trajectory"], "pair_lambdas": False,
+           "lambda": -1e0}
+    cfg = write_config(tmp_path, dict(NEUTRINO_RAY_CFG, trajectory=ray))
+    out = tmp_path / "ray"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 0
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["lambdas"] == [-1]
 
 
 def test_curvature_output(tmp_path):

@@ -22,7 +22,6 @@ from semiband.dynamics import (
     integrate_fixed,
     integrate_ray,
     positive_block_connection,
-    ray_energy,
     ray_rhs,
 )
 from semiband.oracles import neutrino_velocity_modulus
@@ -34,6 +33,14 @@ X = PhasePoint.of([0.1, 0.2, 0.3], [0.4, -0.7, 0.5])
 
 def neutrino(profile=None):
     return NeutrinoMetric(profile=profile or LinearField([0.05, -0.02, 0.03], 1.5))
+
+
+def ray_energy(model, r, P, hbar):
+    """The positive-band scalar energy F(r)|P| - (hbar^2/4|P|) P.grad F,
+    written out apart from the ray kernel."""
+    E = np.linalg.norm(P)
+    return (model.F.value(r) * E
+            - hbar ** 2 / (4 * E) * (np.asarray(P) @ model.F.gradient(r)))
 
 
 def test_covariant_vars_neutrino_closed_form():

@@ -20,8 +20,8 @@ from semiband.frames import (
 from semiband.energy import (
     band_energy,
     corrected_connections,
+    first_order,
     frame_first_order,
-    phase_field_gradients,
     rotation_generator,
 )
 from semiband.verify import covariant_reexpansion
@@ -52,9 +52,8 @@ GENERIC_TWO_LEVEL = {
 def corrected(model, hbar):
     frame = classical_frame(model, X)
     conns0 = berry_connections(model, X, hbar, frame=frame)
-    B = rotation_generator(model, frame, conns0)
-    grads = phase_field_gradients(model, frame, hbar)
-    return frame, conns0, corrected_connections(frame, conns0, B, hbar, grads)
+    first = first_order(model, frame, conns0)
+    return frame, conns0, corrected_connections(first, hbar)
 
 
 def test_rotation_generator_neutrino_vanishes():
@@ -336,8 +335,8 @@ def test_unsupported_hamiltonian_bracket_hook():
 
 def test_order2_takes_no_stencil(monkeypatch):
     # Every derivative of an order-2 point is exact at the point: no stencil,
-    # one frame and one U0 grad H U0^+ stack (one d_hamiltonian call), in
-    # either representation.
+    # one frame, one U0 grad H U0^+ stack (one d_hamiltonian call) and one
+    # d2_hamiltonian call, in either representation.
     calls = []
     real = semiband.stencils.derivative_along
 
@@ -349,7 +348,8 @@ def test_order2_takes_no_stencil(monkeypatch):
         if name.startswith("semiband") and hasattr(module, "derivative_along"):
             monkeypatch.setattr(module, "derivative_along", counting)
     for model in (dirac(), make_model(GENERIC_TWO_LEVEL)):
-        counts = {"analytic_frame": 0, "d_hamiltonian": 0}
+        counts = {"analytic_frame": 0, "d_hamiltonian": 0,
+                  "d2_hamiltonian": 0}
         for name in counts:
             real_method = getattr(model, name)
 
@@ -360,12 +360,13 @@ def test_order2_takes_no_stencil(monkeypatch):
             monkeypatch.setattr(model, name, counting_method)
         for representation in ("canonical", "covariant"):
             calls.clear()
-            counts.update(analytic_frame=0, d_hamiltonian=0)
+            counts.update(analytic_frame=0, d_hamiltonian=0, d2_hamiltonian=0)
             rep = band_energy(model, X, 0.01, order=2,
                               representation=representation)
             assert calls == []
             assert counts["analytic_frame"] <= 1
             assert counts["d_hamiltonian"] <= 1
+            assert counts["d2_hamiltonian"] == 1
             fd = rep.diagnostics["fd"]
             assert (fd.fallbacks, fd.discrepancy) == (0, 0.0)
 

@@ -1,7 +1,7 @@
 """Exact phase-space tangents and the first-order Moyal residuals.
 
-`energy.phase_field_gradients` differentiates [A0, B, W] exactly at a point,
-and `dynamics.berry_curvatures` the covariant shifts one order further.  Here
+`energy.first_order` differentiates A0, B and W exactly at a point, and
+`dynamics.berry_curvatures` the covariant shifts one order further.  Here
 both are checked against stencils over the same fields, and the first-order
 frame (B, hr and W) against the Moyal-product conditions that need no oracle:
 U = (1 + hbar U1) U0 is unitary and U * H * U^+ is block diagonal at O(hbar).
@@ -22,6 +22,7 @@ from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
     Tolerances,
+    _comm,
     _rotated_dH,
     berry_connections,
     classical_frame,
@@ -32,10 +33,9 @@ from semiband.frames import (
     project,
 )
 from semiband.energy import (
-    _comm,
+    first_order,
     first_order_kernel,
     frame_first_order,
-    phase_field_gradients,
     rotation_generator,
 )
 from semiband.dynamics import (
@@ -152,8 +152,9 @@ class _FrameLess(Model):
 
 
 def _phase_field(model, y, anchor, hbar):
-    """[A0, B, W] at y in the gauge that the exact tangents differentiate: the
-    model's analytic gauge, or the gauge aligned to the anchor frame."""
+    """[A0, B, W] at y, (8, n, n), in the gauge that the exact tangents
+    differentiate: the model's analytic gauge, or the gauge aligned to the
+    anchor frame."""
     eps0, U0 = frame_field(model, anchor)(y)
     frame = BandFrame(np.asarray(eps0, dtype=float),
                       np.asarray(U0, dtype=complex), anchor.groups, y)
@@ -161,10 +162,8 @@ def _phase_field(model, y, anchor, hbar):
         conns = berry_connections(model, y, hbar, frame=frame)
     else:
         conns = connections_fd(model, y, hbar, frame=anchor)
-    grads = eps0_gradients(model, frame)
-    return np.concatenate([
-        conns.A, [rotation_generator(model, frame, conns, DEFAULT_TOL, grads),
-                  first_order_kernel(model, frame, conns, DEFAULT_TOL, grads)]])
+    return np.concatenate([conns.A, [rotation_generator(model, frame, conns),
+                                     first_order_kernel(model, frame, conns)]])
 
 
 def _dirac():
@@ -201,14 +200,17 @@ def test_exact_field_gradients_match_stencil(case):
     points = random_points(rng, 2, 0.3, 3.0)
     for x in points:
         frame = classical_frame(model, x)
-        exact = phase_field_gradients(model, frame, hbar)
+        first = first_order(model, frame,
+                            berry_connections(model, x, hbar, frame=frame))
         fd = np.stack([derivative_along(
             lambda y: _phase_field(model, y, frame, hbar), x, axis)
             for axis in range(6)])
         # The z-only two_level fields vanish identically.
         scale = max(float(np.max(np.abs(fd))), 1e-12)
-        assert exact.shape == fd.shape
-        assert np.max(np.abs(exact - fd)) <= 1e-6 * scale
+        for exact, want in ((first.dA, fd[:, :6]), (first.dB, fd[:, 6]),
+                            (first.dW, fd[:, 7])):
+            assert exact.shape == want.shape
+            assert np.max(np.abs(exact - want)) <= 1e-6 * scale
 
 
 def moyal_residuals(model, x):
@@ -348,6 +350,8 @@ def test_frameless_curvature_is_refused(inner):
 
 
 def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
+    # One covariant pass, whose first-order record the second-order pass
+    # reuses: one d2_hamiltonian call per point.
     calls = []
     real = semiband.stencils.derivative_along
 
@@ -363,14 +367,18 @@ def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
     monkeypatch.setattr(semiband.dynamics, "covariant_variables",
                         lambda *a, **k: cov_calls.append(1) or real_cov(*a, **k))
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
-    for case in ("dirac_electric", "neutrino_metric", "two_level_generic"):
+    for case in BENCHMARK_CONFIGS:
         model = TANGENT_CASES[case]()
-        frames = []
+        frames, hessians = [], []
         real_frame = model.analytic_frame
+        real_d2 = model.d2_hamiltonian
         monkeypatch.setattr(model, "analytic_frame",
                             lambda y: frames.append(1) or real_frame(y))
+        monkeypatch.setattr(model, "d2_hamiltonian",
+                            lambda y: hessians.append(1) or real_d2(y))
         cov_calls.clear()
         berry_curvatures(model, x, 0.05)
+        assert len(hessians) == 1
         if case == "neutrino_metric":
             band_curvature_vector(model, x, 1)
         assert calls == []
