@@ -324,7 +324,7 @@ def cmd_curvature(cfg: dict, args) -> int:
         if model.name == "neutrino_metric":
             for lam in (+1, -1):
                 rec[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
-                    model, x, lam, tol).tolist()
+                    model, x, lam, tol, cset.first).tolist()
         return [row], [rec]
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",

@@ -19,7 +19,9 @@ variables keep.  The gradient of a is exact at the point:
 `berry_curvatures` makes one `covariant_variables` call and one
 second-order pass, which differentiates the formulas of a by the Leibniz
 rule, with grad grad A0 from `frames.connection_hessians` on the record's
-first tangents.  No stencil runs.
+first tangents.  No stencil runs.  The pass contracts its phase axes as
+block-matrix products, because numpy's `@` on a (6, 6, 6, n, n) stack makes
+one BLAS call per small matrix.
 
 Rays live on one band group and one helicity; the scalar band curvature that
 sources the anomalous velocity is the helicity expectation of the curl of the
@@ -49,7 +51,9 @@ from semiband.frames import (
     Tolerances,
     DEFAULT_TOL,
     _anticomm,
+    _block_contract,
     _comm,
+    _pair_products,
     berry_connections,
     classical_frame,
     connection_gradients,
@@ -110,6 +114,8 @@ class CurvatureSet:
     theta_pr: np.ndarray
     point: PhasePoint
     hbar: float
+    # The point's first-order record, for `band_curvature_vector`.
+    first: FirstOrder = dc_field(repr=False)
 
 
 def covariant_variables(model: Model, x: PhasePoint, hbar: float,
@@ -139,20 +145,46 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
     correction lin = (1/8) sum_b {A_b, grad_b A} + (1/2)(-i conjugate(grad B)
     + [B, A]), everything Hermitized.  B and so grad grad B are cross-group,
     so the -i conjugate(grad B) term has no within-group part and drops out.
+    The sums over b are (6n x 6n) block products, `_anticomm_sum`.
     """
     first = cov.first
     A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
+    n = A.shape[-1]
     ddA = connection_hessians(model, frame, first, tol)
-    dlin = (0.125 * (_anticomm(dA[:, :, None], dA[None])
-                     + _anticomm(A[None, :, None], ddA)).sum(1)
-            + 0.5 * (_comm(dB[:, None], A[None]) + _comm(B, dA)))
+    dlin = (0.125 * (_anticomm_sum(dA, dA) + _anticomm_sum_inner(A, ddA))
+            + 0.5 * (_pair_comm(dB, A) + _pair_comm(
+                B[None], dA.reshape(36, n, n)).reshape(6, 6, n, n)))
     A0, dA0 = frame.project(A, "diag"), frame.project(dA, "diag")
     dA1 = hermitize(
         2.0 * frame.project(hermitize(dlin), "diag")
-        + 0.5 * (_anticomm(dA0[:, :, None], dA0[None])
-                 + _anticomm(A0[None, :, None], frame.project(ddA, "diag"))
-                 ).sum(1))
+        + 0.5 * (_anticomm_sum(dA0, dA0)
+                 + _anticomm_sum_inner(A0, frame.project(ddA, "diag"))))
     return dA0 + 0.5 * cov.hbar * dA1
+
+
+def _swap(S: np.ndarray) -> np.ndarray:
+    """The two phase axes of a (6, 6, n, n) stack swapped."""
+    return S.swapaxes(-4, -3)
+
+
+def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """[L[l], R[r]] for every pair of a (k, n, n) and an (m, n, n) stack,
+    (k, m, n, n)."""
+    return _pair_products(L, R) - _swap(_pair_products(R, L))
+
+
+def _anticomm_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """sum_b {L[c, b], R[b, a]}, (C, A, n, n)."""
+    return _block_contract(L, R) + _swap(_block_contract(_swap(R), _swap(L)))
+
+
+def _anticomm_sum_inner(V: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_b {V[b], S[c, b, a]} for a (6, n, n) stack V and a
+    (6, 6, 6, n, n) stack S: `_anticomm_sum` with V as the one row [., b]
+    and S as [b, (c, a)]."""
+    n = V.shape[-1]
+    out = _anticomm_sum(V[None], S.swapaxes(0, 1).reshape(6, 36, n, n))
+    return out.reshape(6, 6, n, n)
 
 
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
@@ -175,7 +207,7 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
     pr = (-(d[:3, :3] + d[3:, 3:].swapaxes(0, 1))
           - 1j * _comm(aP[:, None], aR[None]))
-    return CurvatureSet(rr, pp, pr, x, hbar)
+    return CurvatureSet(rr, pp, pr, x, hbar, cov.first)
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
@@ -196,19 +228,24 @@ def positive_block_connection(model: Model, x: PhasePoint,
 
 
 def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
-                          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+                          tol: Tolerances = DEFAULT_TOL,
+                          first: FirstOrder | None = None) -> np.ndarray:
     """Scalar band curvature Theta_k on the helicity-lam positive band.
 
     Helicity expectation of the curl of the band-projected connection, with
     grad_P A^R exact from `connection_gradients`; for the massless model
-    this equals -lam P / |P|^3 at every P.
+    this equals -lam P / |P|^3 at every P.  `first`, the point's first-order
+    record (`CurvatureSet.first`), already holds that gradient.
     """
-    frame = classical_frame(model, x, tol)
-    conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
-    pos = frame.group_states(0)
+    if first is None:
+        frame = classical_frame(model, x, tol)
+        conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
+        dA = connection_gradients(model, frame, conns, tol)[0]
+    else:
+        dA = first.dA
+    pos = np.flatnonzero(model.groups == 0)
     # dP[i, j] = grad_{P_i} A^R_j on the positive block.
-    dP = connection_gradients(model, frame, conns, tol)[0][3:, :3][
-        :, :, pos[:, None], pos]
+    dP = dA[3:, :3][:, :, pos[:, None], pos]
     chi = _helicity_spinor(x.P, lam)
     theta = np.zeros(3)
     for k in range(3):

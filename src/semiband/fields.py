@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -36,6 +37,34 @@ _ZERO333 = (_ZERO33, _ZERO33, _ZERO33)
 def _xyz(r) -> tuple:
     x, y, z = r
     return float(x), float(y), float(z)
+
+
+def _real(value, what: str) -> float:
+    """A field or model parameter as a float; ValueError unless it is a
+    finite real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, not {value!r}")
+    return float(value)
+
+
+def _real3(values, what: str) -> tuple:
+    """Three `_real` components."""
+    if isinstance(values, (str, bytes)) or np.ndim(values) != 1 \
+            or len(values) != 3:
+        raise ValueError(f"{what} must have three components, not {values!r}")
+    return tuple(_real(v, what) for v in values)
+
+
+def _exponent(value) -> int:
+    """A monomial exponent: an integer >= 0 (an integral float counts)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 0:
+        raise ValueError(f"exponents must be integers >= 0, not {value!r}")
+    return int(value)
 
 
 def _radial_d3(c: float, b: float, d: tuple) -> tuple:
@@ -83,7 +112,7 @@ class UniformField(ScalarField):
     kind = "uniform"
 
     def __init__(self, value: float = 0.0):
-        self.c = float(value)
+        self.c = _real(value, "uniform field value")
 
     def jet(self, r):
         return self.c, _ZERO3, _ZERO33
@@ -101,8 +130,8 @@ class LinearField(ScalarField):
     kind = "linear"
 
     def __init__(self, gradient, offset: float = 0.0):
-        self.g = _xyz(gradient)
-        self.c = float(offset)
+        self.g = _real3(gradient, "linear field gradient")
+        self.c = _real(offset, "linear field offset")
 
     def jet(self, r):
         x, y, z = _xyz(r)
@@ -123,7 +152,16 @@ class PolynomialField(ScalarField):
 
     def __init__(self, terms):
         # terms: list of (coefficient, (a, b, c))
-        self.terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+        try:
+            self.terms = [(_real(c, "polynomial coefficient"),
+                           tuple(_exponent(e) for e in exps))
+                          for c, exps in terms]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                "polynomial terms must be [coefficient, [a, b, c]] pairs: "
+                f"{exc}") from exc
+        if any(len(exps) != 3 for _, exps in self.terms):
+            raise ValueError("polynomial exponents must have three entries")
 
     def jet(self, r):
         xyz = _xyz(r)
@@ -173,9 +211,9 @@ class GaussianField(ScalarField):
 
     def __init__(self, amplitude: float = 1.0, center=(0.0, 0.0, 0.0),
                  width: float = 1.0):
-        self.A = float(amplitude)
-        self.r0 = _xyz(center)
-        self.s = float(width)
+        self.A = _real(amplitude, "gaussian amplitude")
+        self.r0 = _real3(center, "gaussian center")
+        self.s = _real(width, "gaussian width")
         if self.s <= 0:
             raise ValueError("gaussian width must be positive")
 
@@ -208,8 +246,8 @@ class CoulombRegularizedField(ScalarField):
     kind = "coulomb"
 
     def __init__(self, charge: float = 1.0, softening: float = 0.5):
-        self.q = float(charge)
-        self.a = float(softening)
+        self.q = _real(charge, "coulomb charge")
+        self.a = _real(softening, "coulomb softening")
         if self.a <= 0:
             raise ValueError("softening length must be positive")
 
@@ -269,8 +307,7 @@ _FIELD_KINDS = {
     "uniform": lambda cfg: UniformField(cfg.get("value", 0.0)),
     "linear": lambda cfg: LinearField(cfg.get("gradient", [0, 0, 0]),
                                       cfg.get("offset", 0.0)),
-    "polynomial": lambda cfg: PolynomialField(
-        [(t[0], t[1]) for t in cfg["terms"]]),
+    "polynomial": lambda cfg: PolynomialField(cfg.get("terms")),
     "gaussian": lambda cfg: GaussianField(cfg.get("amplitude", 1.0),
                                           cfg.get("center", [0, 0, 0]),
                                           cfg.get("width", 1.0)),
@@ -281,12 +318,13 @@ _FIELD_KINDS["coulomb-regularized"] = _FIELD_KINDS["coulomb"]
 
 
 def make_field(cfg: dict) -> ScalarField:
-    """Build a field from its JSON configuration ({"kind": ..., ...})."""
+    """Build a field from its JSON configuration ({"kind": ..., ...});
+    ValueError for a parameter that is not a finite real number."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("field config must be a dict with a 'kind' key")
     kind = cfg["kind"]
     if kind == "reciprocal":
-        return ReciprocalField(make_field(cfg["base"]))
+        return ReciprocalField(make_field(cfg.get("base")))
     if kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     return _FIELD_KINDS[kind](cfg)

@@ -8,10 +8,13 @@ pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
 i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
 (`berry_connections`), and so are their first and second phase-space
 derivatives and the eps0 Hessian (`connection_gradients`,
-`connection_hessians`).  The finite-difference connections over a
-gauge-smoothed frame field (`connections_fd`: eigenvectors at stencil points
-aligned to the anchor frame by the unitary polar factor of the per-group
-overlap matrix) are the independent cross-check.
+`connection_hessians`).  The second-order pass contracts its phase axes as
+block-matrix products (`_pair_products`, `_block_contract`), because numpy's
+`@` on a stack makes one BLAS call per small matrix.  The finite-difference
+connections over a gauge-smoothed frame field (`connections_fd`:
+eigenvectors at stencil points aligned to the anchor frame by the unitary
+polar factor of the per-group overlap matrix) are the independent
+cross-check.
 
 A frame holds one point or a batch of N points.  A batch puts its point
 axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
@@ -169,6 +172,37 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
+
+
+# numpy's `@` on a stack of small matrices makes one BLAS call per matrix,
+# about 0.4-0.7 us for n = 2-4, whatever the size.  The two helpers below
+# lay a stack out as one large matrix, so a phase-axis product of the
+# second-order pass is one call.
+
+def _pair_products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """All products L[l] @ R[r] of two stacks (..., k, n, n) and
+    (..., m, n, n), as (..., k, m, n, n): one (k n x n) @ (n x m n)
+    product."""
+    k, n, m = L.shape[-3], L.shape[-1], R.shape[-3]
+    rows = L.reshape(L.shape[:-3] + (k * n, n))
+    cols = R.swapaxes(-3, -2).reshape(R.shape[:-3] + (n, m * n))
+    out = rows @ cols
+    return out.reshape(out.shape[:-2] + (k, n, m, n)).swapaxes(-3, -2)
+
+
+def _block_contract(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """sum_b L[c, b] @ R[b, a] over a shared phase axis, for L
+    (..., C, B, n, n) and R (..., B, A, n, n), as (..., C, A, n, n): one
+    (C n x B n) @ (B n x A n) block-matrix product.
+
+    The transposed-index sum sum_b L[b, a] @ R[c, b] is
+    `_block_contract(L^T, R^T)^T`, ^T swapping the two phase axes.
+    """
+    C, B, n, A = L.shape[-4], L.shape[-3], L.shape[-1], R.shape[-3]
+    left = L.swapaxes(-3, -2).reshape(L.shape[:-4] + (C * n, B * n))
+    right = R.swapaxes(-3, -2).reshape(R.shape[:-4] + (B * n, A * n))
+    out = left @ right
+    return out.reshape(out.shape[:-2] + (C, n, A, n)).swapaxes(-3, -2)
 
 
 def _diag(d: np.ndarray) -> np.ndarray:
@@ -457,8 +491,9 @@ def connection_hessians(model: Model, frame: BandFrame, first,
         - [grad_c X_a, grad_b E] - [X_a, grad_c grad_b E]));
       P+ grad_c grad_b X_a = i conjugate(grad_c grad_b G) for the model's
       gauge term G (`d2_analytic_connections`).
-    There is no parallel-gauge form: the within-group gauge enters the
-    curvature at O(hbar), so a model without an analytic frame raises
+    Each product over phase axes is one `_pair_products` call.  There is no
+    parallel-gauge form: the within-group gauge enters the curvature at
+    O(hbar), so a model without an analytic frame raises
     NotImplementedError.
     """
     if not model.has_analytic_frame:
@@ -466,20 +501,27 @@ def connection_hessians(model: Model, frame: BandFrame, first,
             f"model {model.name} has no analytic frame: second derivatives "
             "of the connections need its declared gauge term"
         )
-    U0 = frame.U0[..., None, None, None, :, :]
+    U0 = frame.U0
     M = _rotated_dH(model, frame)
     X = 1j * conjugate(first.conns0.A)
     N, dM, hess = first.N, first.dM, first.hess
     g = eps0_gradients(model, frame, tol)
     dX = 1j * conjugate(first.dA)
-    # Phase axes (c, b, a) in front of the matrix axes: each factor is
-    # placed on the axes it carries.
-    Nba, Xc = N[..., None, :, :, :, :], X[..., :, None, None, :, :]
-    dMca, Xb = dM[..., :, None, :, :, :], X[..., None, :, None, :, :]
-    Ma, dXcb = M[..., None, None, :, :, :], dX[..., :, :, None, :, :]
-    ddM = (U0 @ model.d3_hamiltonian(frame.point) @ _dagger(U0)
-           + Nba @ Xc - Xc @ Nba + dMca @ Xb - Xb @ dMca
-           + Ma @ dXcb - dXcb @ Ma)
+    lead, n = U0.shape[:-2], frame.n
+
+    def prod(L, R):
+        """L @ R for every pair of phase indices, (..., L's axes, R's axes,
+        n, n), as one `_pair_products` call."""
+        out = _pair_products(L.reshape(lead + (-1, n, n)),
+                             R.reshape(lead + (-1, n, n)))
+        return out.reshape(L.shape[:-2] + R.shape[len(lead):-2] + (n, n))
+
+    # Phase axes (c, b, a) in front of the matrix axes: each product comes
+    # out on its factors' axes and is turned to (c, b, a).
+    ddM = (prod(prod(U0, model.d3_hamiltonian(frame.point)), _dagger(U0))
+           + np.moveaxis(prod(N, X), -3, -5) - prod(X, N)
+           + prod(dM, X).swapaxes(-4, -3) - prod(X, dM).swapaxes(-5, -4)
+           + np.moveaxis(prod(M, dX), -5, -3) - prod(dX, M))
     ddX = invert_band_commutator(
         ddM - _comm_diag(dX[..., None, :, :, :, :], g[..., :, None, None, :])
         - _comm_diag(dX[..., :, None, :, :, :], g[..., None, :, None, :])

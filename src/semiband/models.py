@@ -23,7 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from semiband.fields import ScalarField, ReciprocalField, UniformField, make_field
+from semiband.fields import (
+    ScalarField, ReciprocalField, UniformField, _real, make_field,
+)
 from semiband import weyl
 
 __all__ = [
@@ -300,10 +302,10 @@ class DiracElectric(PxSigmaGauge):
 
     def __init__(self, m: float = 1.0, e: float = 1.0,
                  field: ScalarField | None = None):
-        if m <= 0:
+        self.m = _real(m, "mass")
+        self.e = _real(e, "charge")
+        if self.m <= 0:
             raise ValueError("mass must be positive")
-        self.m = float(m)
-        self.e = float(e)
         self.field = field if field is not None else UniformField(0.0)
 
     def energy_scale(self, x: PhasePoint):

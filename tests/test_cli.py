@@ -10,6 +10,7 @@ import pytest
 
 import semiband.cli
 from semiband.cli import main
+from semiband.models import NeutrinoMetric
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
@@ -78,13 +79,14 @@ def test_diagonalize_deterministic_bytes(tmp_path):
     cfg_data.pop("points")
     cfg_data["random_points"] = {"count": 4, "p_range": [0.5, 2.0]}
     cfg = write_config(tmp_path, cfg_data)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out1), "diagonalize"]) == 0
-    assert main(["--config", cfg, "--out", str(out2), "diagonalize"]) == 0
-    assert (out1 / "energies.json").read_bytes() == \
-        (out2 / "energies.json").read_bytes()
-    assert (out1 / "energies.csv").read_bytes() == \
-        (out2 / "energies.csv").read_bytes()
+    for command, stem in (("diagonalize", "energies"),
+                          ("curvature", "curvature")):
+        out1, out2 = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
+        assert main(["--config", cfg, "--out", str(out1), command]) == 0
+        assert main(["--config", cfg, "--out", str(out2), command]) == 0
+        for suffix in (".json", ".csv"):
+            assert (out1 / (stem + suffix)).read_bytes() == \
+                (out2 / (stem + suffix)).read_bytes()
 
 
 def test_connections_and_jobs_flag(tmp_path):
@@ -125,8 +127,26 @@ def test_connections_rejects_nonpositive_hbar(tmp_path):
     ("diagonalize", [], {"points": []}),
     ("diagonalize", [], {"points": None, "random_points": {"count": 0}}),
     ("curvature", [], {"points": None, "random_points": {"count": -2}}),
+    # Model and field parameters must be finite real numbers.
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "m": "abc"}}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "m": [1]}}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "m": True}}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "e": "nan"}}),
+    ("curvature", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "uniform", "value": None}}}),
+    ("connections", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "gaussian", "width": "nan"}}}),
+    ("diagonalize", [], {"model": {"model": "neutrino_metric", "field": {
+        "kind": "linear", "gradient": [0.1, 0, math.inf], "offset": 1.5}}}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "coulomb", "charge": False}}}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "polynomial", "terms": [[0.5, [1, "2", 0]]]}}}),
+    ("diagonalize", [], {"model": {"model": "neutrino_metric", "field": {
+        "kind": "reciprocal"}}}),
 ])
-def test_invalid_choices_are_config_errors(tmp_path, command, argv, extra):
+def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
+                                           extra):
     # A None value drops the key, so "random_points" is not shadowed by the
     # base config's "points".
     cfg = write_config(tmp_path, {key: value for key, value
@@ -135,6 +155,7 @@ def test_invalid_choices_are_config_errors(tmp_path, command, argv, extra):
     out = tmp_path / "o"
     assert main(["--config", cfg, "--out", str(out), *argv, command]) == 1
     assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
@@ -236,6 +257,36 @@ def test_curvature_output(tmp_path):
     P = np.array(rec["P"])
     closed = -P / np.linalg.norm(P) ** 3
     assert np.max(np.abs(np.array(rec["band_theta_lam+1"]) - closed)) <= 1e-8
+
+
+_MODEL_METHODS = ("hamiltonian", "analytic_frame", "analytic_connections",
+                  "d_hamiltonian", "d2_hamiltonian", "d3_hamiltonian",
+                  "d_analytic_connections", "d2_analytic_connections")
+
+
+def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
+    # The helicity curvatures of a neutrino point come from the first-order
+    # record of its curvature pass; they used to rebuild the frame and the
+    # connection gradients once per helicity.
+    calls = dict.fromkeys(_MODEL_METHODS, 0)
+    for name in _MODEL_METHODS:
+        def counting(self, x, *args, _real=getattr(NeutrinoMetric, name),
+                     _name=name):
+            calls[_name] += 1
+            return _real(self, x, *args)
+        monkeypatch.setattr(NeutrinoMetric, name, counting)
+    cfg = write_config(tmp_path, {
+        "model": {"model": "neutrino_metric",
+                  "field": {"kind": "gaussian", "amplitude": 0.4,
+                            "center": [0.3, 0.1, -0.2], "width": 2.0}},
+        "hbar": 0.01, "seed": 2,
+        "random_points": {"count": 4, "p_range": [0.5, 2.0]},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "curvature"]) == 0
+    assert calls == dict.fromkeys(_MODEL_METHODS, 4)
+    records = json.loads((out / "curvature.json").read_text())["records"]
+    assert all(len(rec["band_theta_lam+1"]) == 3 for rec in records)
 
 
 def test_trajectory_outputs_and_bad_dt(tmp_path):

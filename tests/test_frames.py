@@ -24,6 +24,8 @@ from semiband.frames import (
     invert_band_commutator,
     project,
     _align_to,
+    _block_contract,
+    _pair_products,
 )
 from tests.test_models import p_cross_sigma
 
@@ -324,3 +326,36 @@ def test_alignment_rejects_singular_overlap():
     with pytest.raises(ValueError, match="alignment"):
         _align_to(vecs[:, :1] @ np.zeros((1, 1)) + vecs, ref,
                   np.array([0, 1]), Tolerances())
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_block_products_match_broadcast_forms(n):
+    # The block-matrix helpers of the second-order pass replace broadcast
+    # `@` and `.sum`: they agree with them to rounding, and a batch of two
+    # gives each point's own bits.
+    rng = np.random.default_rng(n)
+
+    def stack(*shape):
+        shape = (2, *shape, n, n)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def swap(S):
+        return S.swapaxes(-4, -3)
+
+    L, R = stack(5), stack(7)
+    LC, RC = stack(6, 6), stack(6, 3)
+    LT, RT = stack(6, 3), stack(4, 6)      # [b, a] and [c, b]
+    cases = [
+        (_pair_products, (L, R), L[:, :, None] @ R[:, None]),
+        (_block_contract, (LC, RC),
+         (LC[:, :, :, None] @ RC[:, None]).sum(2)),
+        (lambda a, b: swap(_block_contract(swap(a), swap(b))), (LT, RT),
+         (LT[:, None] @ RT[:, :, :, None]).sum(2)),
+    ]
+    for helper, args, broadcast in cases:
+        got = helper(*args)
+        assert got.shape == broadcast.shape
+        scale = np.max(np.abs(broadcast))
+        assert np.max(np.abs(got - broadcast)) <= 1e-15 * scale
+        for i in range(2):
+            assert np.array_equal(got[i], helper(*(a[i] for a in args)))
