@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import numbers
 import random
 import sys
@@ -137,9 +139,10 @@ def _tolerances(cfg: dict) -> Tolerances:
         raise ConfigError(f"tolerances: {exc}") from exc
 
 
-def _mat_json(mat: np.ndarray) -> list:
-    """Matrices (..., n, n) as nested lists of [re, im] pairs."""
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+def _mat_json(mat: np.ndarray) -> np.ndarray:
+    """Matrices (..., n, n) as one float64 stack (..., n, n, 2) of [re, im]
+    pairs; `_write_json` writes each array as the nested lists it holds."""
+    return np.stack([mat.real, mat.imag], axis=-1)
 
 
 def _diag_json(diag: dict) -> dict:
@@ -156,11 +159,107 @@ def _diag_json(diag: dict) -> dict:
     return out
 
 
+class _Unknown(Exception):
+    """A value `_encode` does not write itself."""
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple, level: int) -> str:
+    """The `indent=1` layout of a float array of `shape` at depth `level`,
+    one %r per element."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    sep = "\n" + " " * (level + 1)
+    inner = _template(shape[1:], level + 1)
+    return "[" + sep + ("," + sep).join([inner] * shape[0]) \
+        + "\n" + " " * level + "]"
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append the text `json.dumps(obj, indent=1, sort_keys=True)` gives obj
+    at depth `level`, a float64 array standing for its `.tolist()`; raise
+    `_Unknown` on any other type."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_string(obj))
+    elif kind is float:
+        out.append(_float(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is np.ndarray and obj.dtype == np.float64:
+        text = _template(obj.shape, level) % tuple(obj.ravel().tolist())
+        # Only the repr of nan and inf has an "n"; JSON spells them apart.
+        if "n" in text:
+            _encode(obj.tolist(), level, out)
+        else:
+            out.append(text)
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        sep, opening = "\n" + " " * (level + 1), "{"
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise _Unknown
+            out.append(opening + sep + _string(key) + ": ")
+            _encode(obj[key], level + 1, out)
+            opening = ","
+        out.append("\n" + " " * level + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        sep, opening = "\n" + " " * (level + 1), "["
+        for item in obj:
+            out.append(opening + sep)
+            _encode(item, level + 1, out)
+            opening = ","
+        out.append("\n" + " " * level + "]")
+    else:
+        raise _Unknown
+
+
+def _tolist(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
+def _dumps(payload) -> str:
+    """`json.dumps(payload, indent=1, sort_keys=True)`, byte for byte, with
+    each numpy array standing for its `.tolist()`.  Exact dict, list, str,
+    int, float, bool and None and float64 arrays are written here; a payload
+    holding any other type goes through the stdlib encoder whole."""
+    out = []
+    try:
+        _encode(payload, 0, out)
+    except _Unknown:
+        return json.dumps(payload, indent=1, sort_keys=True, default=_tolist)
+    return "".join(out)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        # One write: json.dump would write each of its many small chunks.
-        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        fh.write(_dumps(payload) + "\n")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -258,18 +357,20 @@ def cmd_diagonalize(cfg: dict, args) -> int:
             axis=-1).real.reshape(-1, 5 * n)
         defect = rep.diagnostics["hermiticity_defect"].tolist()
         off = rep.diagnostics["offblock_norm"].tolist()
-        R, P = x.R.tolist(), x.P.tolist()
         rows = [[*r, *p, hbar, order, *cols, d, o, int(rep.partial)]
-                for r, p, cols, d, o in zip(R, P, parts.tolist(), defect, off)]
+                for r, p, cols, d, o in zip(x.R.tolist(), x.P.tolist(),
+                                            parts.tolist(), defect, off)]
+        shared = _diag_json({key: value for key, value in
+                             rep.diagnostics.items() if key not in
+                             ("hermiticity_defect", "offblock_norm")})
         records = [{
             "R": r, "P": p, "hbar": hbar, "order": order,
             "representation": representation, "bands": bands, "eps": eps,
             "partial": rep.partial,
-            "diagnostics": _diag_json({**rep.diagnostics,
-                                       "hermiticity_defect": d,
-                                       "offblock_norm": o}),
+            "diagnostics": {**shared, "hermiticity_defect": d,
+                            "offblock_norm": o},
         } for r, p, bands, eps, d, o in zip(
-            R, P, rep.band_values().tolist(), _mat_json(rep.eps), defect, off)]
+            x.R, x.P, rep.band_values(), _mat_json(rep.eps), defect, off)]
         return rows, records
 
     header = (_POINT_HEADER + ["order"]
@@ -291,12 +392,12 @@ def cmd_connections(cfg: dict, args) -> int:
         if order != "0":
             conns = corrected_connections(
                 first_order(model, frame, conns, tol), hbar)
-        R, P = x.R.tolist(), x.P.tolist()
         rows = [[*r, *p, hbar, conns.order, *norms] for r, p, norms in
-                zip(R, P, matrix_norms(conns.A).tolist())]
+                zip(x.R.tolist(), x.P.tolist(),
+                    matrix_norms(conns.A).tolist())]
         records = [{"R": r, "P": p, "hbar": hbar, "order": conns.order,
                     "A_R": A[:3], "A_P": A[3:]}
-                   for r, p, A in zip(R, P, _mat_json(conns.A))]
+                   for r, p, A in zip(x.R, x.P, _mat_json(conns.A))]
         return rows, records
 
     header = _POINT_HEADER + ["order"] + \
@@ -317,14 +418,14 @@ def cmd_curvature(cfg: dict, args) -> int:
         row = [*x.R, *x.P, hbar, float(np.linalg.norm(cset.theta_rr)),
                float(np.linalg.norm(cset.theta_pp)),
                float(np.linalg.norm(cset.theta_pr)), anti]
-        rec = {"R": list(x.R), "P": list(x.P), "hbar": hbar,
+        rec = {"R": x.R, "P": x.P, "hbar": hbar,
                "theta_rr": _mat_json(cset.theta_rr),
                "theta_pp": _mat_json(cset.theta_pp),
                "theta_pr": _mat_json(cset.theta_pr)}
         if model.name == "neutrino_metric":
             for lam in (+1, -1):
                 rec[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
-                    model, x, lam, tol, cset.first).tolist()
+                    model, x, lam, tol, cset.first)
         return [row], [rec]
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from semiband.fields import (
-    ScalarField, ReciprocalField, UniformField, _real, make_field,
+    ScalarField, ReciprocalField, UniformField, _exponent, _real,
+    make_field,
 )
 from semiband import weyl
 
@@ -191,14 +192,24 @@ class PhasePoint:
 def random_points(rng: np.random.Generator, count: int, pmin: float,
                   pmax: float) -> list:
     """`count` points with R uniform in [-1, 1]^3 and a uniformly drawn
-    direction of P rescaled to a length uniform in [pmin, pmax]."""
-    pts = []
-    for _ in range(count):
-        R = rng.uniform(-1.0, 1.0, 3)
-        P = rng.uniform(-1.0, 1.0, 3)
-        P *= rng.uniform(pmin, pmax) / np.linalg.norm(P)
-        pts.append(PhasePoint.of(R, P))
-    return pts
+    direction of P rescaled to a length uniform in [pmin, pmax].
+
+    One draw of count x 7 doubles gives, bit for bit, the points and the
+    generator state of drawing R, P and the length point by point with
+    `rng.uniform`, which computes low + (high - low) * u."""
+    pmin, pmax = _real(pmin, "p_range"), _real(pmax, "p_range")
+    if pmax < pmin:
+        raise ValueError(f"p_range needs pmin <= pmax, not {pmin}, {pmax}")
+    u = rng.random((max(count, 0), 7))
+    R = -1.0 + 2.0 * u[:, :3]
+    P = -1.0 + 2.0 * u[:, 3:6]
+    length = pmin + (pmax - pmin) * u[:, 6]
+    # np.linalg.norm of one P is sqrt(P @ P); `_dot` rounds like it, where
+    # einsum, a sum of squares and norm(axis=1) differ in the last bit.
+    P *= (length / np.sqrt(_dot(P, P)))[:, None]
+    if not (np.isfinite(R).all() and np.isfinite(P).all()):
+        raise ValueError("phase point must have finite components")
+    return [PhasePoint(r, p) for r, p in zip(R, P)]
 
 
 class Model:
@@ -541,16 +552,28 @@ class ComponentTerm:
         ]
 
 
+def _term_from_config(t) -> ComponentTerm:
+    if not isinstance(t, dict) or "coef" not in t:
+        raise ValueError(f"a term must be an object with a coef, not {t!r}")
+    exps = [tuple(_exponent(v) for v in t.get(key, [0, 0, 0]))
+            for key in ("r_exp", "p_exp")]
+    if any(len(e) != 3 for e in exps):
+        raise ValueError("r_exp and p_exp must have three entries")
+    sym = t.get("sym", "half")
+    if sym not in ("half", "rp"):
+        raise ValueError(f"sym must be 'half' or 'rp', not {sym!r}")
+    return ComponentTerm(coef=Fraction(str(t["coef"])), r_exp=exps[0],
+                         p_exp=exps[1], sym=sym)
+
+
 def _terms_from_config(terms_cfg) -> tuple:
-    out = []
-    for t in terms_cfg:
-        out.append(ComponentTerm(
-            coef=Fraction(str(t["coef"])),
-            r_exp=tuple(int(v) for v in t.get("r_exp", [0, 0, 0])),
-            p_exp=tuple(int(v) for v in t.get("p_exp", [0, 0, 0])),
-            sym=t.get("sym", "half"),
-        ))
-    return tuple(out)
+    """The `ComponentTerm`s of one two_level component; ValueError unless
+    every term is a {coef, r_exp, p_exp, sym} object with exponents
+    integers >= 0."""
+    try:
+        return tuple(_term_from_config(t) for t in terms_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"two_level terms: {exc}") from exc
 
 
 DEFAULT_TWO_LEVEL = {
@@ -578,9 +601,9 @@ class TwoLevel(Model):
         cfg = DEFAULT_TWO_LEVEL
         self.h0 = _terms_from_config(cfg["h0"] if h0_terms is None else h0_terms)
         raw_h = cfg["h"] if h_terms is None else h_terms
-        self.h = tuple(_terms_from_config(part) for part in raw_h)
-        if len(self.h) != 3:
+        if not isinstance(raw_h, (list, tuple)) or len(raw_h) != 3:
             raise ValueError("two_level needs exactly three sigma components")
+        self.h = tuple(_terms_from_config(part) for part in raw_h)
         self.parts = (self.h0, *self.h)
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]

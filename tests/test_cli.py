@@ -144,6 +144,16 @@ def test_connections_rejects_nonpositive_hbar(tmp_path):
         "kind": "polynomial", "terms": [[0.5, [1, "2", 0]]]}}}),
     ("diagonalize", [], {"model": {"model": "neutrino_metric", "field": {
         "kind": "reciprocal"}}}),
+    # two_level terms: integer exponents >= 0, a known ordering, objects.
+    ("diagonalize", [], {"model": {"model": "two_level", "h0": [
+        {"coef": "1", "r_exp": [1.5, 0, 0]}]}}),
+    ("diagonalize", [], {"model": {"model": "two_level", "h0": [
+        {"coef": "1", "r_exp": [-1, 0, 0]}]}}),
+    ("connections", [], {"model": {"model": "two_level", "h0": [
+        {"coef": "1", "sym": "bogus"}]}}),
+    ("diagonalize", [], {"model": {"model": "two_level", "h0": [3]}}),
+    ("curvature", [], {"model": {"model": "two_level", "h0": [
+        {"coef": "1", "r_exp": None}]}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -446,3 +456,112 @@ def test_bracket_check_rejects_vacuous_case_lists(tmp_path, payload):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
     assert not out.exists()
+
+
+def _reference_dumps(obj) -> str:
+    """The writer's contract: the stdlib's bytes, each array as its list."""
+    return json.dumps(obj, indent=1, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+def _stacks(rng, n):
+    """Per-point records shaped like those of the three point subcommands:
+    views of (N, ..., n, n, 2) re/im stacks, R/P rows and band rows."""
+    N = 3
+    R, P = rng.normal(size=(N, 3)), rng.normal(size=(N, 3))
+    eps = rng.normal(size=(N, n, n, 2))
+    A = rng.normal(size=(N, 6, n, n, 2))
+    theta = rng.normal(size=(N, 3, 3, n, n, 2))
+    # Strided rows, like the real part of a complex diagonal.
+    bands = np.real(np.diagonal(rng.normal(size=(N, n, n)) + 1j, 0, -2, -1))
+    return [{"R": R[i], "P": P[i], "bands": bands[i], "eps": eps[i],
+             "A_R": A[i, :3], "A_P": A[i, 3:], "theta_rr": theta[i],
+             "band_theta_lam+1": R[i] * 1e-300, "hbar": 0.01, "order": 2,
+             "partial": False, "diagnostics": {"fd": {"order": 4}}}
+            for i in range(N)]
+
+
+_FAST_PAYLOADS = [
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0},
+    [math.nan, -0.0, 0.0, 1e300, 5e-324, 1e16, 0.1, -2.5e-7],
+    {"arrays": [np.array([math.nan, 1.0, -math.inf]),
+                np.array([[-0.0, math.inf], [0.5, 2.0]]),
+                np.array([-0.0, 1e-310, 1e22])]},
+    {"": {}, "empty": [], "nested": [[], {}, [[]], {"a": {}}]},
+    {"zero-size": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)),
+                   np.zeros((2, 0, 3))],
+     "zero-d": [np.array(1.5), np.array(-0.0), np.array(math.nan)]},
+    {"café 中": "üß \U0001F600  ",
+     "quote \" and \\": "\\\"\\", "\x00\x1f\t\n\r\x7f": "\x00\x1f\t\n\r\x7f"},
+    {"ints": [0, -1, 2 ** 70, -(2 ** 63)], "flags": [True, False, None],
+     "text": "plain"},
+    np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "top-level string",
+    {"records": _stacks(np.random.default_rng(0), 2),
+     "more": _stacks(np.random.default_rng(1), 4), "errors": [],
+     "schema_version": 1, "seed": 7},
+]
+
+_FALLBACK_PAYLOADS = [
+    {"x": np.float64(0.1), "y": [np.float64(-0.0)]},
+    {"t": (1.0, (2, "a")), "u": ()},
+    {1: "one", 2: [0.5]},
+    {"deep": [{"ok": 1.0}, {"r": np.array([0.25])}, (math.nan, math.inf)]},
+    {"ints": np.arange(3), "single": np.array([0.5], dtype=np.float32)},
+]
+
+
+@pytest.mark.parametrize("payload", _FAST_PAYLOADS + _FALLBACK_PAYLOADS)
+def test_json_writer_matches_the_stdlib(payload):
+    assert semiband.cli._dumps(payload) == _reference_dumps(payload)
+
+
+def test_json_writer_takes_the_array_path_for_known_types():
+    # The stdlib path would pass the comparison above on its own; these
+    # payloads must be written by the array-template path, and the others
+    # sent to the stdlib.
+    for payload in _FAST_PAYLOADS:
+        out = []
+        semiband.cli._encode(payload, 0, out)
+        assert "".join(out) == _reference_dumps(payload)
+    for payload in _FALLBACK_PAYLOADS:
+        with pytest.raises(semiband.cli._Unknown):
+            semiband.cli._encode(payload, 0, [])
+
+
+def test_every_json_output_is_in_the_stdlib_format(tmp_path):
+    # Determinism tests compare two runs of one writer; this one compares
+    # each file with the stdlib's rendering of its own content.
+    runs = [
+        (DIRAC_CFG, "diagonalize", 0),
+        ({**DIRAC_CFG, "order": 1}, "diagonalize", 0),
+        (DIRAC_CFG, "connections", 0),
+        (DIRAC_CFG, "curvature", 0),
+        ({"model": {"model": "neutrino_metric",
+                    "field": {"kind": "uniform", "value": 1.0}},
+          "points": [{"R": [0, 0, 0], "P": [0.2, 0.1, 1]},
+                     {"R": [0, 0, 0], "P": [0, 0, 0]}]}, "diagonalize", 2),
+        ({"model": {"model": "neutrino_metric",
+                    "field": {"kind": "linear", "gradient": [0.1, 0, 0],
+                              "offset": 1.5}},
+          "random_points": {"count": 2}}, "curvature", 0),
+        (NEUTRINO_RAY_CFG, "trajectory", 0),
+        (dict(NEUTRINO_RAY_CFG, trajectory=dict(
+            NEUTRINO_RAY_CFG["trajectory"], P0=[0, 0, 0])), "trajectory", 2),
+        ({"suites": {"dirac-canonical-oracle": {"points": 3}}},
+         "verify", 0),
+        ({"cases": 4, "max_degree": 3}, "bracket-check", 0),
+    ]
+    checked = 0
+    for i, (cfg, command, code) in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        argv = ["--config", write_config(tmp_path, cfg), "--out", str(out)]
+        if command == "verify":
+            argv += ["--suite", "dirac-canonical-oracle"]
+        assert main(argv + [command]) == code
+        for path in sorted(out.glob("*.json")):
+            text = path.read_text()
+            assert json.dumps(json.loads(text), indent=1,
+                              sort_keys=True) + "\n" == text, path.name
+            checked += 1
+    assert checked == len(runs)

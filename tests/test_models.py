@@ -13,6 +13,7 @@ from semiband.models import (
     PhasePoint,
     TwoLevel,
     make_model,
+    random_points,
 )
 
 
@@ -226,6 +227,54 @@ def test_make_model_round_trip_and_errors():
         make_model({"model": "unknown"})
     with pytest.raises(ValueError):
         make_model({})
+
+
+@pytest.mark.parametrize("h0", [
+    [{"coef": "1", "r_exp": [1.5, 0, 0]}],
+    [{"coef": "1", "p_exp": [0, -1, 0]}],
+    [{"coef": "1", "sym": "bogus"}],
+    [3],
+    [{"coef": "1", "r_exp": None}],
+], ids=["fractional-exponent", "negative-exponent", "bogus-sym",
+        "term-not-an-object", "null-exponents"])
+def test_two_level_rejects_malformed_terms(h0):
+    # A fractional exponent was truncated by int(), a negative one or an
+    # unknown ordering was accepted, and the last two raised TypeError.
+    with pytest.raises(ValueError, match="two_level terms"):
+        make_model({"model": "two_level", "h0": h0})
+
+
+def _random_points_loop(rng, count, pmin, pmax):
+    """The per-point draws `random_points` replaces: the reference."""
+    pts = []
+    for _ in range(count):
+        R = rng.uniform(-1.0, 1.0, 3)
+        P = rng.uniform(-1.0, 1.0, 3)
+        P *= rng.uniform(pmin, pmax) / np.linalg.norm(P)
+        pts.append(PhasePoint.of(R, P))
+    return pts
+
+
+@pytest.mark.parametrize("p_range", [(0.3, 3.0), (0.1, 10.0), (0.5, 0.5)])
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_random_points_equal_the_per_point_loop(seed, p_range):
+    for count in (0, 1, 500):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_points(rng, count, *p_range)
+        ref = _random_points_loop(ref_rng, count, *p_range)
+        assert len(got) == len(ref) == count
+        for x, y in zip(got, ref):
+            assert x.R.tobytes() == y.R.tobytes()
+            assert x.P.tobytes() == y.P.tobytes()
+        # The generator is left where the loop leaves it.
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("p_range", [("a", 3.0), (None, 3.0), (True, 3.0),
+                                     (0.3, np.inf), (np.nan, 3.0), (3.0, 0.3)])
+def test_random_points_rejects_bad_momentum_ranges(p_range):
+    with pytest.raises(ValueError, match="p_range"):
+        random_points(np.random.default_rng(0), 3, *p_range)
 
 
 def test_dirac_analytic_dh():
