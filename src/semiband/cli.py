@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from semiband import weyl
+from semiband.fields import _real
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_points,
 )
@@ -82,6 +83,15 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, not {value!r}")
     return int(value)
+
+
+def _hbar(cfg: dict, args, default: float) -> float:
+    """The --hbar flag, else the config's "hbar", as a finite real number."""
+    try:
+        return _real(args.hbar if args.hbar is not None
+                     else cfg.get("hbar", default), "hbar")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _seed(cfg: dict, args, default: int) -> int:
@@ -273,9 +283,9 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 def _point_setup(cfg: dict, args):
     """(model, hbar, tol, seed, points) shared by the per-point subcommands."""
     model = make_model(cfg.get("model", {}))
-    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 0.01))
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ConfigError("hbar must be finite and positive")
+    hbar = _hbar(cfg, args, 0.01)
+    if not hbar > 0:
+        raise ConfigError("hbar must be positive")
     tol = _tolerances(cfg)
     seed = _seed(cfg, args, 0)
     points = _resolve_points(cfg, np.random.default_rng(seed))
@@ -440,15 +450,13 @@ def cmd_trajectory(cfg: dict, args) -> int:
     if not isinstance(model, NeutrinoMetric):
         raise ConfigError("trajectory supports only the neutrino_metric model")
     section = cfg.get("trajectory", {})
-    hbar = float(args.hbar if args.hbar is not None else cfg.get("hbar", 1e-3))
-    steps = section.get("steps", 1000)
-    if isinstance(steps, float) and steps.is_integer():
-        steps = int(steps)          # JSON 1e4
+    hbar = _hbar(cfg, args, 1e-3)
     method = section.get("method", "rk4")
-    r0 = section.get("r0", [0.0, 0.0, 0.0])
-    P0 = section.get("P0", [0.0, 0.0, 1.0])
     try:
-        dt = float(section.get("dt", 1e-2))
+        steps = _integer(section.get("steps", 1000), "steps")
+        dt = _real(section.get("dt", 1e-2), "dt")
+        r0 = [_real(v, "r0") for v in section.get("r0", [0.0, 0.0, 0.0])]
+        P0 = [_real(v, "P0") for v in section.get("P0", [0.0, 0.0, 1.0])]
         check_ray_inputs(hbar, dt, steps, r0, P0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trajectory: {exc}") from exc
@@ -462,7 +470,7 @@ def cmd_trajectory(cfg: dict, args) -> int:
 
     manifest = {"schema_version": SCHEMA_VERSION, "model": model.to_config(),
                 "hbar": hbar, "dt": dt, "steps": steps, "method": method,
-                "r0": list(map(float, r0)), "P0": list(map(float, P0)),
+                "r0": r0, "P0": P0,
                 "lambdas": lams, "runs": []}
     errors = []
     header = ["t", "r_x", "r_y", "r_z", "P_x", "P_y", "P_z",

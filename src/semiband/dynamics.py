@@ -247,12 +247,8 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
     # dP[i, j] = grad_{P_i} A^R_j on the positive block.
     dP = dA[3:, :3][:, :, pos[:, None], pos]
     chi = _helicity_spinor(x.P, lam)
-    theta = np.zeros(3)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        curl = dP[i, j] - dP[j, i]
-        theta[k] = float(np.real(chi.conj() @ curl @ chi))
-    return theta
+    return np.array([float(np.real(chi.conj() @ (dP[i, j] - dP[j, i]) @ chi))
+                     for i, j in ((1, 2), (2, 0), (0, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +288,6 @@ def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
     return ydot, Fv * E - k * pg, E
 
 
-def _check_ray_model(model: Model) -> NeutrinoMetric:
-    if not isinstance(model, NeutrinoMetric):
-        raise NotImplementedError(
-            "ray tracing is implemented for the massless graded-index model"
-        )
-    return model
-
-
 def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
             hbar: float):
     """(rdot, Pdot) for the fixed-helicity positive band.
@@ -307,7 +295,9 @@ def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
     Pdot carries no anomalous term; the anomalous velocity is
     hbar Pdot x Theta with Theta = -lam P/|P|^3.
     """
-    model = _check_ray_model(model)
+    if not isinstance(model, NeutrinoMetric):
+        raise NotImplementedError(
+            "ray tracing is implemented for the massless graded-index model")
     ydot = _ray_rates(model.F, lam, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])[0]
     return np.array(ydot[0:3]), np.array(ydot[3:6])
 
@@ -339,22 +329,27 @@ class Trajectory:
 
 # -- generic fixed-step RK4 -------------------------------------------------
 
-def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + dt / 2, y + dt / 2 * k1)
-    k3 = f(t + dt / 2, y + dt / 2 * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def rk4_step(f, t: float, y, dt: float, k1=None) -> list:
+    """One classic RK4 step of y' = f(t, y) over a float sequence, k1 = f(t, y)
+    unless given; each element rounds as y + dt/6 (k1 + 2 k2 + 2 k3 + k4) does
+    on arrays.  Values f returns past the len(y) rates are not read."""
+    h, k1 = dt / 2, f(t, y) if k1 is None else k1
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
+    return [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def integrate_fixed(f, t0: float, y0: np.ndarray, dt: float, steps: int):
-    """Classic RK4; returns the list of (t, y) including the initial state."""
-    out = [(t0, np.asarray(y0, dtype=float).copy())]
-    t, y = t0, np.asarray(y0, dtype=float).copy()
+def integrate_fixed(f, t0: float, y0, dt: float, steps: int) -> list:
+    """Classic RK4: (t, y, f(t, y)) at each sample from the initial state on,
+    each y a list of floats; a step's k1 is its sample's f(t, y)."""
+    t, y, out = t0, [float(v) for v in y0], []
     for _ in range(steps):
-        y = rk4_step(f, t, y, dt)
+        out.append((t, y, f(t, y)))
+        y = rk4_step(f, t, y, dt, out[-1][2])
         t += dt
-        out.append((t, y.copy()))
+    out.append((t, y, f(t, y)))
     return out
 
 
@@ -385,7 +380,7 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
                     max_rejections=2000):
     t, y = t0, np.asarray(y0, dtype=float).copy()
     dt = (t_end - t0) / 100
-    out = [(t, y.copy())]
+    out = [(t, y.tolist())]
     rejected = 0
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
@@ -394,7 +389,7 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
         if err <= scale or dt <= 1e-14:
             t += dt
             y = y_new
-            out.append((t, y.copy()))
+            out.append((t, y.tolist()))
             factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
             dt *= factor
         else:
@@ -422,14 +417,15 @@ def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0) -> tuple:
     return r0, P0
 
 
-def _ray_record(F, lam: int, hbar: float, y) -> tuple:
-    """(eps, speed, <chi|sigma.Phat|chi>/<chi|chi>) at the state y."""
-    ydot, eps, E = _ray_rates(F, lam, hbar, y)
+def _ray_sample(y, k) -> tuple:
+    """(eps, speed, <chi|sigma.Phat|chi>/<chi|chi>) at the state y, from its
+    rates k = (*ydot, eps, |P|)."""
+    eps, E = k[10:]
     px, py, pz, ar, br, ai, bi = y[3:]
     hel = (pz * (ar * ar + ai * ai - br * br - bi * bi)
            + 2 * px * (ar * br + ai * bi) + 2 * py * (ar * bi - ai * br)
            ) / (E * (ar * ar + ai * ai + br * br + bi * bi))
-    return eps, math.sqrt(ydot[0] ** 2 + ydot[1] ** 2 + ydot[2] ** 2), hel
+    return eps, math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2), hel
 
 
 def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
@@ -443,38 +439,46 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     the energy drift along the run are reported on the trajectory.
     """
     r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0)
-    if lam not in (+1, -1):
-        raise ValueError("lam must be +1 or -1")
+    if (isinstance(lam, bool) or not isinstance(lam, numbers.Integral)
+            or lam not in (+1, -1)):
+        raise ValueError(f"lam must be the integer +1 or -1, not {lam!r}")
     if method not in ("rk4", "rk45"):
         raise ValueError("method must be 'rk4' or 'rk45'")
     if not np.linalg.norm(P0) > 0.0:
         raise ValueError("|P0| must be positive")
 
-    def rhs(_t, y):
-        return np.array(_ray_rates(model.F, lam, hbar, y.tolist())[0])
-
     try:
         # One evaluation at the start checks the model, |P0| against
         # underflow and the profile at r0, before any step.
         ray_rhs(r0, P0, lam, model, hbar)
+        F = model.F
+
+        def rates(_t, y):
+            # The ten rates, then eps and |P| for the sample's record; an
+            # RK4 step reads only the rates.
+            ydot, eps, E = _ray_rates(F, lam, hbar, y)
+            return (*ydot, eps, E)
+
         chi0 = _helicity_spinor(P0, lam)
-        y0 = np.concatenate([r0, P0, chi0.real, chi0.imag])
+        y0 = np.concatenate([r0, P0, chi0.real, chi0.imag]).tolist()
         if method == "rk4":
-            samples, rejected = integrate_fixed(rhs, 0.0, y0, dt, steps), 0
+            samples, rejected = integrate_fixed(rates, 0.0, y0, dt, steps), 0
         else:
-            samples, rejected = _integrate_rk45(rhs, 0.0, y0, dt * steps,
-                                                rtol=rtol)
-        records = [_ray_record(model.F, lam, hbar, y.tolist())
-                   for _, y in samples]
+            path, rejected = _integrate_rk45(
+                lambda t, y: np.array(_ray_rates(F, lam, hbar, y.tolist())[0]),
+                0.0, y0, dt * steps, rtol=rtol)
+            samples = [(t, y, rates(t, y)) for t, y in path]
+        records = [_ray_sample(y, k) for _, y, k in samples]
     except OverflowError as exc:
         raise FloatingPointError(f"ray state overflowed: {exc}") from exc
-    finite = np.isfinite(np.column_stack([[y for _, y in samples], records]))
+    ys = np.array([y for _, y, _ in samples])
+    finite = np.isfinite(np.column_stack([ys, records]))
     if not finite.all():
         t_bad = samples[int(np.argmin(finite.all(axis=1)))][0]
         raise FloatingPointError(f"ray state turned non-finite at t = {t_bad:g}")
     states = [TrajectoryState(t, y[0:3].copy(), y[3:6].copy(), lam, hel, eps,
                               speed)
-              for (t, y), (eps, speed, hel) in zip(samples, records)]
+              for (t, _, _), y, (eps, speed, hel) in zip(samples, ys, records)]
     hel0, eps0 = states[0].helicity, states[0].eps
     drift = max(abs(s.helicity - hel0) for s in states)
     edrift = max(abs(s.eps - eps0) for s in states)

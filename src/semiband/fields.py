@@ -252,12 +252,14 @@ class CoulombRegularizedField(ScalarField):
             raise ValueError("softening length must be positive")
 
     def jet(self, r):
-        r = _xyz(r)
-        s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + self.a * self.a)
+        x, y, z = _xyz(r)
+        s = math.sqrt(x * x + y * y + z * z + self.a * self.a)
         a, b = -self.q / s ** 3, 3 * self.q / s ** 5
-        h = tuple([tuple([b * ri * rj + a * (i == j) for j, rj in enumerate(r)])
-                   for i, ri in enumerate(r)])
-        return self.q / s, (a * r[0], a * r[1], a * r[2]), h
+        bx, by, bz, o = b * x, b * y, b * z, a * 0.0   # o: a delta_ij, i != j
+        return self.q / s, (a * x, a * y, a * z), (
+            (bx * x + a, bx * y + o, bx * z + o),
+            (by * x + o, by * y + a, by * z + o),
+            (bz * x + o, bz * y + o, bz * z + a))
 
     def d3(self, r):
         r = _xyz(r)
@@ -281,10 +283,12 @@ class ReciprocalField(ScalarField):
         if n <= 0:
             raise ValueError("profile must stay positive")
         a, b = -1.0 / n ** 2, 2.0 / n ** 3
-        hess = tuple([(a * hi[0] + b * gi * gx, a * hi[1] + b * gi * gy,
-                       a * hi[2] + b * gi * gz)
-                      for hi, gi in zip(h, (gx, gy, gz))])
-        return 1.0 / n, (a * gx, a * gy, a * gz), hess
+        (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = h
+        bx, by, bz = b * gx, b * gy, b * gz
+        return 1.0 / n, (a * gx, a * gy, a * gz), (
+            (a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz),
+            (a * hyx + by * gx, a * hyy + by * gy, a * hyz + by * gz),
+            (a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz))
 
     def d3(self, r):
         # The chain rule on 1/n: d_ijk F = -n_ijk/n^2 + 2 (n_ij n_k + n_ik n_j

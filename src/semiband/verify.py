@@ -404,27 +404,19 @@ def suite_numerical_plumbing(seed: int = 18, **_cfg) -> SuiteResult:
         round_trip = max(round_trip,
                          float(np.max(np.abs(V @ eps_mat - eps_mat @ V - M))))
 
-    # RK4 order on a rotating linear system with a closed-form solution.
-    omega = np.array([0.3, -0.2, 0.7])
-
-    def rot(_t, y):
-        return np.cross(omega, y)
-
-    y0 = np.array([1.0, 0.2, -0.4])
-    T = 2.0
+    # RK4 order on a rotating linear system, whose flow is the Rodrigues
+    # rotation of y0 about omega by |omega| T.
+    omega, y0, T = np.array([0.3, -0.2, 0.7]), np.array([1.0, 0.2, -0.4]), 2.0
+    w = np.linalg.norm(omega)
+    k, ang = omega / w, w * T
+    exact = (y0 * np.cos(ang) + np.cross(k, y0) * np.sin(ang)
+             + k * (k @ y0) * (1 - np.cos(ang)))
     errs, dts = [], []
     for nsteps in (50, 100, 200, 400):
-        dt = T / nsteps
-        path = integrate_fixed(rot, 0.0, y0, dt, nsteps)
-        yT = path[-1][1]
-        # Rodrigues rotation of y0 about omega by |omega| T.
-        w = np.linalg.norm(omega)
-        k = omega / w
-        ang = w * T
-        exact = (y0 * np.cos(ang) + np.cross(k, y0) * np.sin(ang)
-                 + k * (k @ y0) * (1 - np.cos(ang)))
+        dts.append(T / nsteps)
+        yT = integrate_fixed(lambda _t, y: np.cross(omega, y), 0.0, y0,
+                             dts[-1], nsteps)[-1][1]
         errs.append(float(np.linalg.norm(yT - exact)))
-        dts.append(dt)
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
 
     passed = conn_err <= 1e-6 and round_trip <= 1e-12 and abs(slope - 4) <= 0.2

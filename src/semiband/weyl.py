@@ -104,18 +104,8 @@ def mat_scale(c: QC, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    bt = tuple(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = QC_ZERO
-            for x, y in zip(a[i], bt[j]):
-                s = s + x * y
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), QC_ZERO)
+                       for col in zip(*b)) for row in a)
 
 def mat_is_zero(a: Mat) -> bool:
     return all(x.is_zero() for row in a for x in row)

@@ -115,6 +115,20 @@ def test_connections_rejects_nonpositive_hbar(tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("hbar", [True, "0.02"], ids=repr)
+@pytest.mark.parametrize("command", ["diagonalize", "connections",
+                                     "curvature"])
+def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
+                                               hbar):
+    # Only a finite real JSON number is an hbar: a bool is not taken as 1
+    # and a string is not parsed.
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, hbar=hbar))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) == 1
+    assert "hbar must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,argv,extra", [
     ("diagonalize", ["--order", "3"], {}),
     ("diagonalize", [], {"representation": "covarient"}),
@@ -385,6 +399,13 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     ({"dt": None}, {}),
     ({}, {"hbar": math.nan}),
     ({}, {"hbar": -1e-3}),
+    ({"dt": True}, {}),
+    ({"dt": "0.01"}, {}),
+    ({"r0": [True, 0, 0]}, {}),
+    ({"P0": [0, 0, "1"]}, {}),
+    ({"r0": "abc"}, {}),
+    ({}, {"hbar": True}),
+    ({}, {"hbar": "0.02"}),
 ], ids=repr)
 def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
     cfg = write_config(tmp_path, dict(

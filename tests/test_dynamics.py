@@ -15,6 +15,8 @@ from semiband.fields import (
 )
 from semiband.models import BETA, DiracElectric, NeutrinoMetric, PhasePoint
 from semiband.dynamics import (
+    _helicity_spinor,
+    _integrate_rk45,
     _ray_rates,
     band_curvature_vector,
     berry_curvatures,
@@ -252,7 +254,7 @@ def test_energy_record_matches_ray_energy():
 
 def _finite_inputs(**changes):
     args = dict(r0=[0.0, 0.0, 0.0], P0=[0.0, 0.0, 1.0], hbar=1e-3, dt=1e-2,
-                steps=10)
+                steps=10, lam=+1)
     args.update(changes)
     return args
 
@@ -262,12 +264,13 @@ def _finite_inputs(**changes):
     dict(steps=0), dict(steps=-3), dict(steps=2.5), dict(steps=True),
     dict(r0=[math.nan, 0.0, 0.0]), dict(P0=[0.0, 0.0, math.inf]),
     dict(hbar=math.nan), dict(hbar=-1e-3), dict(hbar=math.inf),
+    dict(lam=True), dict(lam=1.0),
 ], ids=repr)
 def test_integrate_ray_rejects_bad_inputs(changes):
     a = _finite_inputs(**changes)
     with pytest.raises(ValueError):
-        integrate_ray(neutrino(), a["r0"], a["P0"], +1, a["hbar"], a["dt"],
-                      a["steps"])
+        integrate_ray(neutrino(), a["r0"], a["P0"], a["lam"], a["hbar"],
+                      a["dt"], a["steps"])
 
 
 class _Cliff(ScalarField):
@@ -385,3 +388,100 @@ def test_pinned_reference_rays(profile, lam):
         assert abs(getattr(fin, key) - ref[key]) <= 1e-12
     for key in ("helicity_drift", "energy_drift"):
         assert abs(getattr(traj, key) - ref[key]) <= 1e-12
+
+
+class _Counting(ScalarField):
+    """A profile that counts its jets: one per evaluation of the ray rates."""
+
+    def __init__(self, base):
+        self.base, self.jets = base, 0
+
+    def jet(self, r):
+        self.jets += 1
+        return self.base.jet(r)
+
+
+@pytest.mark.parametrize("profile", list(RAY_PROFILES))
+def test_rk4_ray_rate_budget_and_records(profile):
+    # The start check, 4 stages per step and one record at the end; every
+    # other record is the rates of its step's first stage.
+    counting = _Counting(RAY_PROFILES[profile])
+    model, steps, hbar = neutrino(counting), 25, 1e-3
+    counting.jets = 0
+    traj = integrate_ray(model, [0.1, -0.2, 0.05], [0.3, 0.1, 1.0], -1, hbar,
+                         1e-2, steps, "rk4")
+    assert counting.jets == 4 * steps + 2
+    for s in traj.states:
+        ydot, eps, _E = _ray_rates(model.F, -1, hbar, [*s.r, *s.P, 1, 0, 0, 0])
+        assert s.eps == eps
+        assert s.speed == math.sqrt(ydot[0] ** 2 + ydot[1] ** 2 + ydot[2] ** 2)
+
+
+def _numpy_rk4(f, y0, dt, steps):
+    """Classic RK4 on numpy arrays: the bit-for-bit reference of the float
+    stepper."""
+    t, y = 0.0, np.asarray(y0, dtype=float).copy()
+    out = [(t, y.copy())]
+    for _ in range(steps):
+        k1 = f(t, y)
+        k2 = f(t + dt / 2, y + dt / 2 * k1)
+        k3 = f(t + dt / 2, y + dt / 2 * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        out.append((t, y.copy()))
+    return out
+
+
+def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
+    """(t, r, P, eps, speed, helicity) per sample from array stepping of
+    `_ray_rates` and a separate record pass over the samples."""
+    F = model.F
+
+    def rhs(_t, y):
+        return np.array(_ray_rates(F, lam, hbar, y.tolist())[0])
+
+    chi = _helicity_spinor(np.asarray(P0, dtype=float), lam)
+    y0 = np.concatenate([r0, P0, chi.real, chi.imag])
+    if method == "rk4":
+        samples = _numpy_rk4(rhs, y0, dt, steps)
+    else:
+        samples = [(t, np.array(y))
+                   for t, y in _integrate_rk45(rhs, 0.0, y0, dt * steps)[0]]
+    out = []
+    for t, y in samples:
+        ydot, eps, E = _ray_rates(F, lam, hbar, y.tolist())
+        px, py, pz, ar, br, ai, bi = y[3:].tolist()
+        hel = (pz * (ar * ar + ai * ai - br * br - bi * bi)
+               + 2 * px * (ar * br + ai * bi) + 2 * py * (ar * bi - ai * br)
+               ) / (E * (ar * ar + ai * ai + br * br + bi * bi))
+        speed = math.sqrt(ydot[0] ** 2 + ydot[1] ** 2 + ydot[2] ** 2)
+        out.append((t, y[0:3].tolist(), y[3:6].tolist(), eps, speed, hel))
+    return out
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("lam", [+1, -1])
+@pytest.mark.parametrize("profile", list(RAY_PROFILES))
+def test_float_stepping_is_bit_identical_to_arrays(profile, lam, method):
+    model = neutrino(RAY_PROFILES[profile])
+    r0, P0, steps = [0.1, -0.2, 0.05], [0.3, 0.1, 1.0], 200
+    traj = integrate_ray(model, r0, P0, lam, 1e-3, 1e-2, steps, method)
+    got = [(s.t, s.r.tolist(), s.P.tolist(), s.eps, s.speed, s.helicity)
+           for s in traj.states]
+    assert got == _numpy_ray(model, r0, P0, lam, 1e-3, 1e-2, steps, method)
+
+
+def test_rk4_float_step_matches_array_step():
+    # The rotating system of the convergence test, stepped both ways.
+    omega = np.array([0.3, -0.2, 0.7])
+
+    def rot(_t, y):
+        return np.cross(omega, y)
+
+    y0 = np.array([1.0, 0.2, -0.4])
+    for nsteps in (50, 400):
+        floats = integrate_fixed(rot, 0.0, y0, 2.0 / nsteps, nsteps)
+        arrays = _numpy_rk4(rot, y0, 2.0 / nsteps, nsteps)
+        assert [(t, y) for t, y, _k in floats] == [(t, y.tolist())
+                                                   for t, y in arrays]

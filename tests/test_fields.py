@@ -1,5 +1,7 @@
 """Analytic field derivatives against central finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,36 @@ def test_make_field_rejects_unknown_kind():
 def test_gaussian_validates_width():
     with pytest.raises(ValueError):
         GaussianField(width=0.0)
+
+
+def _coulomb_hessian(field, r):
+    """b r_i r_j + a delta_ij in index form, the reference for the literal."""
+    s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + field.a * field.a)
+    a, b = -field.q / s ** 3, 3 * field.q / s ** 5
+    return tuple(tuple(b * ri * rj + a * (i == j) for j, rj in enumerate(r))
+                 for i, ri in enumerate(r))
+
+
+def _reciprocal_hessian(field, r):
+    """-n_ij/n^2 + 2 n_i n_j/n^3 in index form, in the literal's order."""
+    n, g, h = field.base.jet(r)
+    a, b = -1.0 / n ** 2, 2.0 / n ** 3
+    return tuple(tuple(a * h[i][j] + b * g[i] * g[j] for j in range(3))
+                 for i in range(3))
+
+
+@pytest.mark.parametrize("field, reference", [
+    (CoulombRegularizedField(1.3, 0.4), _coulomb_hessian),
+    (CoulombRegularizedField(-0.7, 0.3), _coulomb_hessian),
+    (ReciprocalField(GaussianField(1.5, [0.3, -0.2, 0.1], 3.0)),
+     _reciprocal_hessian),
+    (ReciprocalField(CoulombRegularizedField(0.8, 0.5)), _reciprocal_hessian),
+], ids=["coulomb", "coulomb-negative", "reciprocal-gaussian",
+        "reciprocal-coulomb"])
+def test_hessian_literals_match_index_form_bit_for_bit(field, reference):
+    # repr tells -0.0 from 0.0, so signed zeros on the axes count too.
+    rng = np.random.default_rng(8)
+    points = [rng.normal(size=3).tolist() for _ in range(50)] + [
+        [0.0, 0.0, 0.3], [0.0, -0.0, -0.3], [-0.0, 0.2, 0.0], [0.0] * 3]
+    for r in points:
+        assert repr(field.jet(r)[2]) == repr(reference(field, r))
