@@ -23,11 +23,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import numbers
 import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +124,11 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                 count = _integer(count, "a grid count")
                 if count < 1:
                     raise ConfigError("grid counts must be >= 1")
-                axes.append(np.linspace(float(lo), float(hi), count))
+                try:
+                    lo, hi = (_real(v, f"grid.{key} bound") for v in (lo, hi))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
+                axes.append(np.linspace(lo, hi, count))
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = [m.ravel() for m in mesh]
         return [PhasePoint.of([flat[0][i], flat[1][i], flat[2][i]],
@@ -143,7 +149,8 @@ def _tolerances(cfg: dict) -> Tolerances:
     try:
         for name in ("degeneracy", "gap", "block", "unitarity", "fd_base",
                      "overlap"):
-            kwargs[name] = float(section.get(name, getattr(defaults, name)))
+            kwargs[name] = _real(section.get(name, getattr(defaults, name)),
+                                 f"tolerance {name}")
         return Tolerances(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
@@ -151,7 +158,7 @@ def _tolerances(cfg: dict) -> Tolerances:
 
 def _mat_json(mat: np.ndarray) -> np.ndarray:
     """Matrices (..., n, n) as one float64 stack (..., n, n, 2) of [re, im]
-    pairs; `_write_json` writes each array as the nested lists it holds."""
+    pairs; JSON writes each array as the nested lists it holds."""
     return np.stack([mat.real, mat.imag], axis=-1)
 
 
@@ -173,6 +180,16 @@ class _Unknown(Exception):
     """A value `_encode` does not write itself."""
 
 
+class _Text:
+    """JSON text that `_encode` writes as it stands, laid out for the depth
+    it sits at; the stdlib encoder gets it back as `json.loads(text)`."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 _string = json.encoder.encode_basestring_ascii
 
 
@@ -189,9 +206,9 @@ def _float(x: float) -> str:
 @functools.lru_cache(maxsize=256)
 def _template(shape: tuple, level: int) -> str:
     """The `indent=1` layout of a float array of `shape` at depth `level`,
-    one %r per element."""
+    one %s per element (the str of a float is its repr)."""
     if not shape:
-        return "%r"
+        return "%s"
     if not shape[0]:
         return "[]"
     sep = "\n" + " " * (level + 1)
@@ -202,8 +219,8 @@ def _template(shape: tuple, level: int) -> str:
 
 def _encode(obj, level: int, out: list) -> None:
     """Append the text `json.dumps(obj, indent=1, sort_keys=True)` gives obj
-    at depth `level`, a float64 array standing for its `.tolist()`; raise
-    `_Unknown` on any other type."""
+    at depth `level`, a float64 array standing for its `.tolist()` and a
+    `_Text` for its own text; raise `_Unknown` on any other type."""
     kind = type(obj)
     if kind is str:
         out.append(_string(obj))
@@ -220,6 +237,8 @@ def _encode(obj, level: int, out: list) -> None:
             _encode(obj.tolist(), level, out)
         else:
             out.append(text)
+    elif kind is _Text:
+        out.append(obj.text)
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -249,6 +268,8 @@ def _encode(obj, level: int, out: list) -> None:
 def _tolist(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, _Text):
+        return json.loads(obj.text)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                     "serializable")
 
@@ -256,8 +277,8 @@ def _tolist(obj):
 def _dumps(payload) -> str:
     """`json.dumps(payload, indent=1, sort_keys=True)`, byte for byte, with
     each numpy array standing for its `.tolist()`.  Exact dict, list, str,
-    int, float, bool and None and float64 arrays are written here; a payload
-    holding any other type goes through the stdlib encoder whole."""
+    int, float, bool and None, float64 arrays and `_Text` are written here; a
+    payload holding any other type goes through the stdlib encoder whole."""
     out = []
     try:
         _encode(payload, 0, out)
@@ -272,12 +293,119 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(_dumps(payload) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, lines: list) -> None:
+    """A CSV file of the header and the row `lines`, each a finished line."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.write("".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# Per-chunk records and rows
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Chunk:
+    """What the `work` of a per-point subcommand returns for N points.
+
+    `values` holds every number of every point, (N, k) float64.  `record`
+    lays out one point's JSON record and `row` its CSV row.  In both, an int
+    array stands for the columns of `values` it names, laid out as a JSON
+    array of its shape (a 0-d array is one number; a row takes the columns
+    in C order), and anything else is a constant of the chunk: in `record` a
+    JSON value or a nested layout dict, in `row` a number, bool or string.
+    """
+
+    values: np.ndarray
+    record: dict
+    row: list
+
+
+def _pack(*blocks) -> tuple:
+    """Per-point blocks (N, ...) as one (N, k) float64 matrix, and the
+    column indices of each block, shaped as one point's block."""
+    flat = [np.reshape(block, (len(block), -1)) for block in blocks]
+    values = np.concatenate(flat, axis=1, dtype=float)
+    ends = np.cumsum([part.shape[1] for part in flat])
+    return values, [np.arange(end - part.shape[1], end).reshape(
+        np.shape(block)[1:]) for block, part, end in zip(blocks, flat, ends)]
+
+
+def _braces(text: str) -> str:
+    """text as literal `str.format` template text."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _layout_key(spec) -> tuple:
+    """A hashable form of a record layout: ("dict", ((key, form), ...)),
+    ("cols", shape, columns) or ("text", JSON text at depth 0)."""
+    if isinstance(spec, dict):
+        return ("dict", tuple((key, _layout_key(spec[key]))
+                              for key in sorted(spec)))
+    if isinstance(spec, np.ndarray):
+        return ("cols", spec.shape, tuple(spec.ravel().tolist()))
+    return ("text", _dumps(spec))
+
+
+@functools.lru_cache(maxsize=64)
+def _record_template(key: tuple, level: int) -> str:
+    """The `str.format` template of a record layout key at depth `level`,
+    `{i}` standing for column i: the text `_encode` gives the record."""
+    if key[0] == "cols":
+        return _template(key[1], level) % tuple("{%d}" % i for i in key[2])
+    if key[0] == "text":
+        return _braces(key[1].replace("\n", "\n" + " " * level))
+    if not key[1]:
+        return "{{}}"
+    sep = "\n" + " " * (level + 1)
+    return ("{{" + ",".join(sep + _braces(_string(name)) + ": "
+                            + _record_template(form, level + 1)
+                            for name, form in key[1])
+            + "\n" + " " * level + "}}")
+
+
+def _row_template(row: list) -> str:
+    """The `str.format` template of a CSV row layout, `{i}` standing for
+    column i, written by `csv.writer` itself."""
+    fields = []
+    for item in row:
+        if isinstance(item, np.ndarray):
+            fields += ["{%d}" % i for i in item.ravel().tolist()]
+        else:
+            fields.append(_braces(item) if isinstance(item, str) else item)
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def _render(chunk: _Chunk, level: int) -> tuple:
+    """(JSON record texts at depth `level`, CSV lines) of a chunk.
+
+    Each number is turned into text once, by its repr, which is its CSV
+    text and, when finite, its JSON text; both templates take that text.  A
+    chunk with a nan or inf gives its records `_float`'s text instead, the
+    stdlib's spelling (`NaN`, `Infinity`, `-Infinity`).
+    """
+    values = chunk.values.ravel().tolist()
+    texts = list(map(float.__repr__, values))
+    k = chunk.values.shape[1]
+    row = _row_template(chunk.row)
+    lines = [row.format(*texts[i:i + k]) for i in range(0, len(texts), k)]
+    if not np.isfinite(chunk.values).all():
+        texts = list(map(_float, values))
+    record = _record_template(_layout_key(chunk.record), level)
+    return [record.format(*texts[i:i + k])
+            for i in range(0, len(texts), k)], lines
+
+
+def _json_list(texts: list, level: int) -> _Text:
+    """The JSON list at depth `level` of item texts laid out one deeper."""
+    if not texts:
+        return _Text("[]")
+    sep = "\n" + " " * (level + 1)
+    return _Text("[" + sep + ("," + sep).join(texts) + "\n" + " " * level
+                 + "]")
 
 
 def _point_setup(cfg: dict, args):
@@ -308,8 +436,9 @@ def _run_points(args, stem: str, model, seed: int, points, work,
     kept, errors captured per point) and write <stem>.csv and <stem>.json;
     exit 2 if any point failed.
 
-    work(x) takes a batch `PhasePoint` and returns its CSV rows and JSON
-    records, one per point.  A chunk that raises is re-run point by point.
+    work(x) takes a batch `PhasePoint` and returns its `_Chunk`, rendered
+    into one CSV row and one JSON record per point.  A chunk that raises is
+    re-run point by point.
     """
     chunk = CHUNK if chunk is None else chunk
     rows, records, errors = [], [], []
@@ -324,14 +453,15 @@ def _run_points(args, stem: str, model, seed: int, points, work,
             if error is not None:
                 errors.append({"index": idx, "error": error})
             else:
-                rows += got[0]
-                records += got[1]
+                texts, lines = _render(got, 2)
+                records += texts
+                rows += lines
 
     out = Path(args.out)
     _write_csv(out / f"{stem}.csv", header, rows)
     _write_json(out / f"{stem}.json", {
         "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": records, "errors": errors,
+        "seed": seed, "records": _json_list(records, 1), "errors": errors,
     })
     if errors:
         for err in errors:
@@ -359,29 +489,30 @@ def cmd_diagonalize(cfg: dict, args) -> int:
         raise ConfigError("representation must be 'canonical' or 'covariant'")
     n = model.n
 
-    def work(x: PhasePoint):
+    def work(x: PhasePoint) -> _Chunk:
         rep = band_energy(model, x, hbar, order=order,
                           representation=representation, tol=tol)
+        diag = rep.diagnostics
+        # Per band: total, order0, order1, order2, bracket; the totals are
+        # the record's "bands".
         parts = np.stack([np.diagonal(m, 0, -2, -1) for m in (
             rep.eps, rep.zeroth, rep.first, rep.second, rep.bracket_term)],
-            axis=-1).real.reshape(-1, 5 * n)
-        defect = rep.diagnostics["hermiticity_defect"].tolist()
-        off = rep.diagnostics["offblock_norm"].tolist()
-        rows = [[*r, *p, hbar, order, *cols, d, o, int(rep.partial)]
-                for r, p, cols, d, o in zip(x.R.tolist(), x.P.tolist(),
-                                            parts.tolist(), defect, off)]
-        shared = _diag_json({key: value for key, value in
-                             rep.diagnostics.items() if key not in
-                             ("hermiticity_defect", "offblock_norm")})
-        records = [{
-            "R": r, "P": p, "hbar": hbar, "order": order,
-            "representation": representation, "bands": bands, "eps": eps,
-            "partial": rep.partial,
-            "diagnostics": {**shared, "hermiticity_defect": d,
-                            "offblock_norm": o},
-        } for r, p, bands, eps, d, o in zip(
-            x.R, x.P, rep.band_values(), _mat_json(rep.eps), defect, off)]
-        return rows, records
+            axis=-1).real
+        values, (R, P, parts, defect, off, eps) = _pack(
+            x.R, x.P, parts, diag["hermiticity_defect"],
+            diag["offblock_norm"], _mat_json(rep.eps))
+        shared = _diag_json({key: value for key, value in diag.items()
+                             if key not in ("hermiticity_defect",
+                                            "offblock_norm")})
+        record = {
+            "R": R, "P": P, "hbar": hbar, "order": order,
+            "representation": representation, "bands": parts[:, 0],
+            "eps": eps, "partial": rep.partial,
+            "diagnostics": {**shared, "hermiticity_defect": defect,
+                            "offblock_norm": off},
+        }
+        return _Chunk(values, record, [R, P, hbar, order, parts, defect, off,
+                                       int(rep.partial)])
 
     header = (_POINT_HEADER + ["order"]
               + [f"band{i}_{part}" for i in range(n)
@@ -396,19 +527,17 @@ def cmd_connections(cfg: dict, args) -> int:
     if order not in ("0", "corrected"):
         raise ConfigError("connection_order must be '0' or 'corrected'")
 
-    def work(x: PhasePoint):
+    def work(x: PhasePoint) -> _Chunk:
         frame = classical_frame(model, x, tol)
         conns = berry_connections(model, x, hbar, frame=frame, tol=tol)
         if order != "0":
             conns = corrected_connections(
                 first_order(model, frame, conns, tol), hbar)
-        rows = [[*r, *p, hbar, conns.order, *norms] for r, p, norms in
-                zip(x.R.tolist(), x.P.tolist(),
-                    matrix_norms(conns.A).tolist())]
-        records = [{"R": r, "P": p, "hbar": hbar, "order": conns.order,
-                    "A_R": A[:3], "A_P": A[3:]}
-                   for r, p, A in zip(x.R, x.P, _mat_json(conns.A))]
-        return rows, records
+        values, (R, P, norms, A) = _pack(x.R, x.P, matrix_norms(conns.A),
+                                         _mat_json(conns.A))
+        record = {"R": R, "P": P, "hbar": hbar, "order": conns.order,
+                  "A_R": A[:3], "A_P": A[3:]}
+        return _Chunk(values, record, [R, P, hbar, conns.order, norms])
 
     header = _POINT_HEADER + ["order"] + \
         [f"norm_A_{kind}{l}" for kind in ("R", "P") for l in range(3)]
@@ -418,25 +547,27 @@ def cmd_connections(cfg: dict, args) -> int:
 def cmd_curvature(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
 
-    def work(batch: PhasePoint):
+    def work(batch: PhasePoint) -> _Chunk:
         x = batch.point(0)
         cset = berry_curvatures(model, x, hbar, tol)
         anti = max(
             float(np.max(np.abs(cset.theta_rr + cset.theta_rr.transpose(1, 0, 2, 3)))),
             float(np.max(np.abs(cset.theta_pp + cset.theta_pp.transpose(1, 0, 2, 3)))),
         )
-        row = [*x.R, *x.P, hbar, float(np.linalg.norm(cset.theta_rr)),
-               float(np.linalg.norm(cset.theta_pp)),
-               float(np.linalg.norm(cset.theta_pr)), anti]
-        rec = {"R": x.R, "P": x.P, "hbar": hbar,
-               "theta_rr": _mat_json(cset.theta_rr),
-               "theta_pp": _mat_json(cset.theta_pp),
-               "theta_pr": _mat_json(cset.theta_pr)}
+        norms = [float(np.linalg.norm(cset.theta_rr)),
+                 float(np.linalg.norm(cset.theta_pp)),
+                 float(np.linalg.norm(cset.theta_pr)), anti]
+        blocks = {"R": x.R, "P": x.P, "theta_rr": _mat_json(cset.theta_rr),
+                  "theta_pp": _mat_json(cset.theta_pp),
+                  "theta_pr": _mat_json(cset.theta_pr)}
         if model.name == "neutrino_metric":
             for lam in (+1, -1):
-                rec[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
+                blocks[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
                     model, x, lam, tol, cset.first)
-        return [row], [rec]
+        values, (norms, *cols) = _pack(*(np.asarray(b)[None] for b in
+                                         (norms, *blocks.values())))
+        record = {"hbar": hbar, **dict(zip(blocks, cols))}
+        return _Chunk(values, record, [record["R"], record["P"], hbar, norms])
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",
                               "norm_theta_pr", "antisym_defect"]
@@ -483,7 +614,11 @@ def cmd_trajectory(cfg: dict, args) -> int:
             errors.append({"lambda": lam, "error": error})
             print(f"lambda={lam:+d}: {error}", file=sys.stderr)
             continue
-        rows = [[s.t, *s.r, *s.P, s.lam, s.eps, s.speed] for s in traj.states]
+        # format() of a float or np.float64 writes its str, as csv.writer
+        # does.
+        row = _row_template([np.arange(7), lam, np.arange(7, 9)])
+        rows = [row.format(s.t, *s.r, *s.P, s.eps, s.speed)
+                for s in traj.states]
         path = out / f"trajectory_lam{lam:+d}.csv"
         _write_csv(path, header, rows)
         manifest["runs"].append({

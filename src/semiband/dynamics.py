@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from semiband.fields import _real, _real3
 from semiband.models import (
     SX, SY, SZ, Model, NeutrinoMetric, PhasePoint,
 )
@@ -401,20 +402,17 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
 
 
 def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0) -> tuple:
-    """(r0, P0) as float 3-vectors; ValueError unless dt > 0, hbar >= 0, r0
-    and P0 are finite and steps is an integer >= 1."""
-    if not (math.isfinite(dt) and dt > 0):
+    """(r0, P0) as float 3-vectors; ValueError unless hbar, dt and the three
+    components of r0 and P0 are finite real numbers (a bool is not one), dt
+    > 0, hbar >= 0 and steps is an integer >= 1."""
+    if not _real(dt, "dt") > 0:
         raise ValueError("dt must be positive and finite")
     if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
             or steps < 1):
         raise ValueError("steps must be an integer >= 1")
-    if not (math.isfinite(hbar) and hbar >= 0):
+    if not _real(hbar, "hbar") >= 0:
         raise ValueError("hbar must be finite and >= 0")
-    r0 = np.asarray(r0, dtype=float).reshape(3)
-    P0 = np.asarray(P0, dtype=float).reshape(3)
-    if not (np.isfinite(r0).all() and np.isfinite(P0).all()):
-        raise ValueError("r0 and P0 must be finite")
-    return r0, P0
+    return np.array(_real3(r0, "r0")), np.array(_real3(P0, "P0"))
 
 
 def _ray_sample(y, k) -> tuple:

@@ -65,6 +65,7 @@ from semiband.frames import (
     _comm_diag,
     _dagger,
     _diag,
+    _pair_products,
     berry_connections,
     classical_frame,
     conjugate,
@@ -101,8 +102,11 @@ CHUNK = 64
 def _covariant(grad: np.ndarray, A: np.ndarray, M: np.ndarray) -> np.ndarray:
     """D_a M = grad_a M + (i/2)[conjugate(A)_a, M] over the six axes of A,
     for one matrix M (..., n, n) per point, i.e. D_R = grad_R + (i/2)[A^P, .]
-    and D_P = grad_P - (i/2)[A^R, .]."""
-    return grad + 0.5j * _comm(conjugate(A), M[..., None, :, :])
+    and D_P = grad_P - (i/2)[A^R, .].  Each product of the commutator is one
+    `_pair_products` call per point."""
+    cA, M = conjugate(A), M[..., None, :, :]
+    return grad + 0.5j * (_pair_products(cA, M)[..., 0, :, :]
+                          - _pair_products(M, cA)[..., 0, :, :, :])
 
 
 def _string(E: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -161,6 +165,7 @@ class FirstOrder:
     dB: np.ndarray                  # grad B, (..., 6, n, n)
     dW: np.ndarray                  # grad W, (..., 6, n, n)
     linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
+    DE: np.ndarray                  # D eps0 over A0, (..., 6, n, n)
 
 
 def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
@@ -172,7 +177,8 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     `connection_gradients`; B (`rotation_generator`) and W
     (`first_order_kernel`) are differentiated by the Leibniz rule, with
     grad inv(V) = inv(grad V - [inv(V), grad E]) for the band-commutator
-    inversion.  The hbar-free connection correction is
+    inversion, and D eps0 is kept for the order-2 energy, which reads W and
+    its canonical term from it.  The hbar-free connection correction is
       linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
                + [B, A0^X]),
     Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
@@ -211,7 +217,7 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     B = rotation_generator(model, frame, conns0, tol)
     corr = (0.125 * _anticomm(A[..., :, None, :, :], dA)).sum(-4)
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(conns0, B, dA, hess, N, dM, dB, dW, hermitize(corr))
+    return FirstOrder(conns0, B, dA, hess, N, dM, dB, dW, hermitize(corr), DE)
 
 
 def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
@@ -259,8 +265,13 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
     grads = eps0_gradients(model, frame, tol)
-    DE = _covariant(_diag(grads), conns.A, _diag(frame.eps0))
-    T = (DE @ conns.A).sum(-3)
+    return _kernel(frame, _covariant(_diag(grads), conns.A,
+                                     _diag(frame.eps0)), conns.A)
+
+
+def _kernel(frame: BandFrame, DE: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """W = P+(T + T^+), T = sum_a DE_a A_a, from D eps0 over A."""
+    T = (DE @ A).sum(-3)
     return frame.project(T + _dagger(T), "diag")
 
 
@@ -309,17 +320,19 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
     if order >= 1:
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-        W = first_order_kernel(model, frame, conns0, tol)
+        if order == 2:
+            rec = first_order(model, frame, conns0, tol)
+            W = _kernel(frame, rec.DE, conns0.A)
+        else:
+            W = first_order_kernel(model, frame, conns0, tol)
         first = hermitized((hbar / 2.0) * W)
 
     if order == 2:
-        rec = first_order(model, frame, conns0, tol)
         bracket, partial = _bracket_term(model, x, hbar, frame)
         bracket = hermitized(bracket)
 
         if representation == "canonical":
-            second = _second_order_canonical(
-                frame, rec, eps0_gradients(model, frame, tol), W, hbar)
+            second = _second_order_canonical(frame, rec, W, hbar)
         else:
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
@@ -348,8 +361,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
 
 def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
-                            grads: np.ndarray, W0: np.ndarray,
-                            hbar: float) -> np.ndarray:
+                            W0: np.ndarray, hbar: float) -> np.ndarray:
     """Exact hbar^2 coefficient of the canonical-variable energy, times hbar^2.
 
     The corrected first-order term (hbar/2)[(Dhat eps0) A + H.C.] is expanded
@@ -362,8 +374,7 @@ def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
     eps_mat = _diag(frame.eps0)
     A0, A1 = rec.conns0.A, rec.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
-    S = (_covariant(0.0, A1, eps_mat) @ A0
-         + _covariant(_diag(grads), A0, eps_mat) @ A1).sum(-3)
+    S = (_covariant(0.0, A1, eps_mat) @ A0 + rec.DE @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
     N = (_covariant(rec.dW, A0, W0) @ A0).sum(-3)

@@ -8,10 +8,12 @@ pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
 i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
 (`berry_connections`), and so are their first and second phase-space
 derivatives and the eps0 Hessian (`connection_gradients`,
-`connection_hessians`).  The second-order pass contracts its phase axes as
-block-matrix products (`_pair_products`, `_block_contract`), because numpy's
-`@` on a stack makes one BLAS call per small matrix.  The finite-difference
-connections over a gauge-smoothed frame field (`connections_fd`:
+`connection_hessians`).  U0 grad H U0^+, the commutators of the covariant
+derivatives (`energy._covariant`) and the second-order pass take their
+products over phase axes as block-matrix products (`_pair_products`,
+`_block_contract`), because numpy's `@` on a stack makes one BLAS call per
+small matrix.  The finite-difference connections over a gauge-smoothed
+frame field (`connections_fd`:
 eigenvectors at stencil points aligned to the anchor frame by the unitary
 polar factor of the per-group overlap matrix) are the independent
 cross-check.
@@ -28,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from semiband.fields import _real
 from semiband.models import Model, PhasePoint, _dot
 from semiband.stencils import derivative_along
 
@@ -63,7 +66,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (np.isfinite(value) and value > 0):
+            if not _real(value, f"tolerance {name}") > 0:
                 raise ValueError(f"tolerance {name} must be finite and > 0")
 
 
@@ -413,10 +416,12 @@ def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
     """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), built once
-    per frame and shared by the connections and the eps0 gradients."""
+    per frame and shared by the connections and the eps0 gradients; each
+    side's product is one `_pair_products` call per point."""
     if frame.dH is None:
         U0 = frame.U0[..., None, :, :]
-        frame.dH = U0 @ model.d_hamiltonian(frame.point) @ _dagger(U0)
+        left = _pair_products(U0, model.d_hamiltonian(frame.point))
+        frame.dH = _pair_products(left[..., 0, :, :, :], _dagger(U0))[..., 0, :, :]
     return frame.dH
 
 

@@ -168,6 +168,15 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", [], {"model": {"model": "two_level", "h0": [3]}}),
     ("curvature", [], {"model": {"model": "two_level", "h0": [
         {"coef": "1", "r_exp": None}]}}),
+    # Tolerances and grid bounds must be finite real numbers.
+    ("diagonalize", [], {"tolerances": {"gap": True}}),
+    ("connections", [], {"tolerances": {"gap": "1e-6"}}),
+    ("diagonalize", [], {"points": None, "grid": {
+        "R": [[True, 1, 1], [0, 0, 1], [0, 0, 1]],
+        "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
+    ("diagonalize", [], {"points": None, "grid": {
+        "R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
+        "P": [["0.5", 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -586,3 +595,68 @@ def test_every_json_output_is_in_the_stdlib_format(tmp_path):
                               sort_keys=True) + "\n" == text, path.name
             checked += 1
     assert checked == len(runs)
+
+
+_EDGE_NUMBERS = [-0.0, 5e-324, 1e-310, 1e16, 1e22, 0.1, -2.5e-7, 1e300]
+
+
+def _order2_chunk(special):
+    """A chunk laid out as an order-2 `diagonalize` chunk (its diagnostics
+    hold "fd"), with constants of every kind and `special` numbers among its
+    values, and the records and rows the stdlib writers make of it."""
+    rng = np.random.default_rng(len(special))
+    N, n = 3, 2
+    R, P = rng.normal(size=(N, 3)), rng.normal(size=(N, 3))
+    parts, eps = rng.normal(size=(N, n, 5)), rng.normal(size=(N, n, n, 2))
+    defect, off = rng.normal(size=N), rng.normal(size=N)
+    R.flat[:len(special)] = special
+    eps.flat[-len(special):] = special[::-1]
+    values, (Rc, Pc, partc, dc, oc, epsc) = semiband.cli._pack(
+        R, P, parts, defect, off, eps)
+    hbar, text = np.float64(0.01), 'can{on}ical, "x"'
+    fd = {"order": 4, "discrepancy": 0.0, "fallbacks": 0}
+    record = {"R": Rc, "P": Pc, "bands": partc[:, 0], "eps": epsc,
+              "hbar": hbar, "order": 2, "partial": False,
+              "representation": text, "lambdas": [1, -1],
+              "diagnostics": {"bracket_unavailable": True, "fd": fd,
+                              "hermiticity_defect": dc, "offblock_norm": oc}}
+    row = [Rc, Pc, hbar, 2, partc, dc, oc, True, text]
+    records = [{"R": R[i].tolist(), "P": P[i].tolist(),
+                "bands": parts[i, :, 0].tolist(), "eps": eps[i].tolist(),
+                "hbar": hbar, "order": 2, "partial": False,
+                "representation": text, "lambdas": [1, -1],
+                "diagnostics": {"bracket_unavailable": True, "fd": fd,
+                                "hermiticity_defect": float(defect[i]),
+                                "offblock_norm": float(off[i])}}
+               for i in range(N)]
+    rows = [[*R[i].tolist(), *P[i].tolist(), hbar, 2,
+             *parts[i].ravel().tolist(), float(defect[i]), float(off[i]), True,
+             text] for i in range(N)]
+    return semiband.cli._Chunk(values, record, row), records, rows
+
+
+@pytest.mark.parametrize("special", [
+    _EDGE_NUMBERS,
+    # JSON spells these apart from their repr: the chunk's records take the
+    # stdlib-format writer, its rows do not.
+    _EDGE_NUMBERS + [math.nan, math.inf, -math.inf],
+], ids=["finite", "non-finite"])
+def test_chunk_renderer_matches_the_stdlib_writers(special):
+    import csv
+    import io
+
+    chunk, records, rows = _order2_chunk(special)
+    texts, lines = semiband.cli._render(chunk, 0)
+    assert texts == [json.dumps(r, indent=1, sort_keys=True) for r in records]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    assert "".join(lines) == buf.getvalue()
+    # At their depth in the output file, through `_encode` and through the
+    # stdlib encoder (a tuple sends the whole payload there).
+    texts = semiband.cli._render(chunk, 2)[0]
+    for extra in ({}, {"t": (1, "a")}):
+        got = semiband.cli._dumps({"records": semiband.cli._json_list(texts, 1),
+                                   "seed": 7, **extra})
+        assert got == _reference_dumps({"records": records, "seed": 7, **extra})
+    assert semiband.cli._dumps({"records": semiband.cli._json_list([], 1)}) \
+        == '{\n "records": []\n}'

@@ -265,6 +265,8 @@ def _finite_inputs(**changes):
     dict(r0=[math.nan, 0.0, 0.0]), dict(P0=[0.0, 0.0, math.inf]),
     dict(hbar=math.nan), dict(hbar=-1e-3), dict(hbar=math.inf),
     dict(lam=True), dict(lam=1.0),
+    dict(hbar=True), dict(dt=True), dict(hbar="0.1"), dict(dt="0.1"),
+    dict(r0=[True, 0.0, 0.0]), dict(P0=[0.0, 0.0, "0.1"]),
 ], ids=repr)
 def test_integrate_ray_rejects_bad_inputs(changes):
     a = _finite_inputs(**changes)

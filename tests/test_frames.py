@@ -26,7 +26,9 @@ from semiband.frames import (
     _align_to,
     _block_contract,
     _pair_products,
+    _rotated_dH,
 )
+from semiband.energy import _covariant
 from tests.test_models import p_cross_sigma
 
 
@@ -53,6 +55,12 @@ def test_classical_frame_unitarity_tolerance():
         classical_frame(model, x)
     frame = classical_frame(model, x, Tolerances(unitarity=1e-9))
     assert np.allclose(frame.U0, U0)
+
+
+@pytest.mark.parametrize("value", [True, "1e-6", None, 0.0, -1.0, np.nan])
+def test_tolerances_must_be_positive_real_numbers(value):
+    with pytest.raises(ValueError, match="tolerance gap"):
+        Tolerances(gap=value)
 
 
 def test_classical_frame_neutrino_flat():
@@ -326,6 +334,48 @@ def test_alignment_rejects_singular_overlap():
     with pytest.raises(ValueError, match="alignment"):
         _align_to(vecs[:, :1] @ np.zeros((1, 1)) + vecs, ref,
                   np.array([0, 1]), Tolerances())
+
+
+class _GivenGradient:
+    """A model whose grad H is a given stack."""
+
+    def __init__(self, dH):
+        self.dH = dH
+
+    def d_hamiltonian(self, x):
+        return self.dH
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_order1_block_forms_match_stacked_products(n):
+    # U0 grad H U0^+ and the covariant derivative's commutator take one
+    # block product per point where stacked `@` takes one per phase axis:
+    # they agree with the stacked forms to rounding, and a batch of two
+    # gives each point's own bits.
+    rng = np.random.default_rng(10 + n)
+
+    def stack(*shape):
+        shape = (2, *shape, n, n)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def rotated(U0, dH):
+        frame = BandFrame(np.zeros(U0.shape[:-1]), U0, np.zeros(n, int), None)
+        return _rotated_dH(_GivenGradient(dH), frame)
+
+    U0, dH = stack(), stack(6)
+    grad, A, M = stack(6), stack(6), stack()
+    U, cA, Mb = U0[:, None], conjugate(A), M[:, None]
+    cases = [
+        (rotated, (U0, dH), U @ dH @ U.conj().swapaxes(-1, -2)),
+        (_covariant, (grad, A, M), grad + 0.5j * (cA @ Mb - Mb @ cA)),
+    ]
+    for helper, args, stacked in cases:
+        got = helper(*args)
+        assert got.shape == stacked.shape
+        scale = np.max(np.abs(stacked))
+        assert np.max(np.abs(got - stacked)) <= 1e-15 * scale
+        for i in range(2):
+            assert helper(*(a[i] for a in args)).tobytes() == got[i].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4])
