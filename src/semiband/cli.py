@@ -13,9 +13,11 @@ Configuration is a JSON document (see README for the schema); identical
 config + seed produce byte-identical reports.  Exit codes: 0 success,
 1 configuration/schema error, 2 point-level errors (listed per point).
 
-The per-point subcommands run their points in chunks of `energy.CHUNK`, one
-batched pass per chunk; a chunk in which any point raises is re-run point by
-point, so every failing point gets its own error record.
+The per-point subcommands run their points in chunks of `energy.CHUNK` (one
+batched pass per chunk; curvature loops over the chunk's points); a chunk in
+which any point raises is re-run point by point, so every failing point gets
+its own error record.  Every JSON file is the bytes of `json.dumps(payload,
+indent=1, sort_keys=True)`; per-point records come from per-chunk templates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import csv
 import functools
 import io
 import json
-import math
 import numbers
 import random
 import sys
@@ -51,7 +52,7 @@ from semiband.energy import (
 from semiband.dynamics import (
     band_curvature_vector, berry_curvatures, check_ray_inputs, integrate_ray,
 )
-from semiband.verify import BRACKET_SUITES, run_suites
+from semiband.verify import ALL_SUITES, BRACKET_SUITES, run_suites
 
 __all__ = ["main"]
 
@@ -103,21 +104,33 @@ def _seed(cfg: dict, args, default: int) -> int:
     return _integer(cfg.get("seed", default), "seed")
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", bool: "true or false"}
+
+
+def _section(cfg: dict, key: str, default=None, kind: type = dict):
+    """cfg[key], default if absent; ConfigError unless it is of `kind`."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
     if "points" in cfg:
         pts = []
-        for i, rec in enumerate(cfg["points"]):
+        for i, rec in enumerate(_section(cfg, "points", kind=list)):
             try:
                 pts.append(PhasePoint.of(rec["R"], rec["P"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad point #{i}: {exc}") from exc
         return pts
     if "grid" in cfg:
-        section = cfg["grid"]
+        section = _section(cfg, "grid")
         axes = []
         for key in ("R", "P"):
             rows = section.get(key)
-            if rows is None or len(rows) != 3:
+            if not (isinstance(rows, list) and len(rows) == 3 and all(
+                    isinstance(row, list) and len(row) == 3 for row in rows)):
                 raise ConfigError(f"grid.{key} must give [min, max, count] x 3")
             for row in rows:
                 lo, hi, count = row
@@ -135,15 +148,18 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                               [flat[3][i], flat[4][i], flat[5][i]])
                 for i in range(flat[0].size)]
     if "random_points" in cfg:
-        section = cfg["random_points"]
-        pmin, pmax = section.get("p_range", [0.3, 3.0])
+        section = _section(cfg, "random_points")
+        p_range = section.get("p_range", [0.3, 3.0])
+        if not (isinstance(p_range, list) and len(p_range) == 2):
+            raise ConfigError("random_points.p_range must be [pmin, pmax]")
+        pmin, pmax = p_range
         count = _integer(section.get("count", 10), "random_points.count")
         return random_points(rng, count, pmin, pmax)
     raise ConfigError("config needs 'points', 'grid' or 'random_points'")
 
 
 def _tolerances(cfg: dict) -> Tolerances:
-    section = cfg.get("tolerances", {})
+    section = _section(cfg, "tolerances", {})
     defaults = Tolerances()
     kwargs = {}
     try:
@@ -163,44 +179,15 @@ def _mat_json(mat: np.ndarray) -> np.ndarray:
 
 
 def _diag_json(diag: dict) -> dict:
-    out = {}
-    for key, value in diag.items():
-        if hasattr(value, "order") and hasattr(value, "discrepancy"):
-            out[key] = {"order": int(value.order),
-                        "discrepancy": float(value.discrepancy),
-                        "fallbacks": int(value.fallbacks)}
-        elif isinstance(value, (bool, int, float)):
-            out[key] = value if isinstance(value, bool) else float(value)
-        else:
-            out[key] = str(value)
-    return out
-
-
-class _Unknown(Exception):
-    """A value `_encode` does not write itself."""
-
-
-class _Text:
-    """JSON text that `_encode` writes as it stands, laid out for the depth
-    it sits at; the stdlib encoder gets it back as `json.loads(text)`."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-_string = json.encoder.encode_basestring_ascii
-
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    """The diagnostics that every point of a report shares: whether the
+    bracket term was unavailable and, at order 2, the stencil record."""
+    shared = {"bracket_unavailable": diag["bracket_unavailable"]}
+    if "fd" in diag:
+        fd = diag["fd"]
+        shared["fd"] = {"order": int(fd.order),
+                        "discrepancy": float(fd.discrepancy),
+                        "fallbacks": int(fd.fallbacks)}
+    return shared
 
 
 @functools.lru_cache(maxsize=256)
@@ -217,80 +204,16 @@ def _template(shape: tuple, level: int) -> str:
         + "\n" + " " * level + "]"
 
 
-def _encode(obj, level: int, out: list) -> None:
-    """Append the text `json.dumps(obj, indent=1, sort_keys=True)` gives obj
-    at depth `level`, a float64 array standing for its `.tolist()` and a
-    `_Text` for its own text; raise `_Unknown` on any other type."""
-    kind = type(obj)
-    if kind is str:
-        out.append(_string(obj))
-    elif kind is float:
-        out.append(_float(obj))
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif kind is np.ndarray and obj.dtype == np.float64:
-        text = _template(obj.shape, level) % tuple(obj.ravel().tolist())
-        # Only the repr of nan and inf has an "n"; JSON spells them apart.
-        if "n" in text:
-            _encode(obj.tolist(), level, out)
-        else:
-            out.append(text)
-    elif kind is _Text:
-        out.append(obj.text)
-    elif kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        sep, opening = "\n" + " " * (level + 1), "{"
-        for key in sorted(obj):
-            if type(key) is not str:
-                raise _Unknown
-            out.append(opening + sep + _string(key) + ": ")
-            _encode(obj[key], level + 1, out)
-            opening = ","
-        out.append("\n" + " " * level + "}")
-    elif kind is list:
-        if not obj:
-            out.append("[]")
-            return
-        sep, opening = "\n" + " " * (level + 1), "["
-        for item in obj:
-            out.append(opening + sep)
-            _encode(item, level + 1, out)
-            opening = ","
-        out.append("\n" + " " * level + "]")
-    else:
-        raise _Unknown
-
-
-def _tolist(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, _Text):
-        return json.loads(obj.text)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
-                    "serializable")
-
-
 def _dumps(payload) -> str:
-    """`json.dumps(payload, indent=1, sort_keys=True)`, byte for byte, with
-    each numpy array standing for its `.tolist()`.  Exact dict, list, str,
-    int, float, bool and None, float64 arrays and `_Text` are written here; a
-    payload holding any other type goes through the stdlib encoder whole."""
-    out = []
-    try:
-        _encode(payload, 0, out)
-    except _Unknown:
-        return json.dumps(payload, indent=1, sort_keys=True, default=_tolist)
-    return "".join(out)
+    """The stdlib's `indent=1` sorted-key text of a payload: the layout of
+    every JSON file, which the record templates below reproduce."""
+    return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(_dumps(payload) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header: list, lines: list) -> None:
@@ -351,7 +274,7 @@ def _layout_key(spec) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _record_template(key: tuple, level: int) -> str:
     """The `str.format` template of a record layout key at depth `level`,
-    `{i}` standing for column i: the text `_encode` gives the record."""
+    `{i}` standing for column i: the text `_dumps` gives the record."""
     if key[0] == "cols":
         return _template(key[1], level) % tuple("{%d}" % i for i in key[2])
     if key[0] == "text":
@@ -359,7 +282,7 @@ def _record_template(key: tuple, level: int) -> str:
     if not key[1]:
         return "{{}}"
     sep = "\n" + " " * (level + 1)
-    return ("{{" + ",".join(sep + _braces(_string(name)) + ": "
+    return ("{{" + ",".join(sep + _braces(json.dumps(name)) + ": "
                             + _record_template(form, level + 1)
                             for name, form in key[1])
             + "\n" + " " * level + "}}")
@@ -384,8 +307,8 @@ def _render(chunk: _Chunk, level: int) -> tuple:
 
     Each number is turned into text once, by its repr, which is its CSV
     text and, when finite, its JSON text; both templates take that text.  A
-    chunk with a nan or inf gives its records `_float`'s text instead, the
-    stdlib's spelling (`NaN`, `Infinity`, `-Infinity`).
+    chunk with a nan or inf gives its records the stdlib's text instead,
+    which spells them `NaN`, `Infinity` and `-Infinity`.
     """
     values = chunk.values.ravel().tolist()
     texts = list(map(float.__repr__, values))
@@ -393,19 +316,20 @@ def _render(chunk: _Chunk, level: int) -> tuple:
     row = _row_template(chunk.row)
     lines = [row.format(*texts[i:i + k]) for i in range(0, len(texts), k)]
     if not np.isfinite(chunk.values).all():
-        texts = list(map(_float, values))
+        texts = json.dumps(values)[1:-1].split(", ")
     record = _record_template(_layout_key(chunk.record), level)
     return [record.format(*texts[i:i + k])
             for i in range(0, len(texts), k)], lines
 
 
-def _json_list(texts: list, level: int) -> _Text:
-    """The JSON list at depth `level` of item texts laid out one deeper."""
-    if not texts:
-        return _Text("[]")
-    sep = "\n" + " " * (level + 1)
-    return _Text("[" + sep + ("," + sep).join(texts) + "\n" + " " * level
-                 + "]")
+def _file_text(envelope: dict, records: list) -> str:
+    """The text `_dumps` gives `envelope` with a "records" list of the record
+    texts (laid out at depth 2): a layout whose one column is that list."""
+    sep = "\n  "
+    listed = ("[" + sep + ("," + sep).join(records) + "\n ]" if records
+              else "[]")
+    layout = {**envelope, "records": np.array(0)}
+    return _record_template(_layout_key(layout), 0).format(listed)
 
 
 def _point_setup(cfg: dict, args):
@@ -431,19 +355,18 @@ def _attempt(work, batch: list) -> tuple:
 
 
 def _run_points(args, stem: str, model, seed: int, points, work,
-                header: list, chunk: int | None = None) -> int:
-    """Apply work to the points in chunks of `chunk` (default `CHUNK`; order
-    kept, errors captured per point) and write <stem>.csv and <stem>.json;
-    exit 2 if any point failed.
+                header: list) -> int:
+    """Apply work to the points in chunks of `CHUNK` (order kept, errors
+    captured per point) and write <stem>.csv and <stem>.json; exit 2 if any
+    point failed.
 
     work(x) takes a batch `PhasePoint` and returns its `_Chunk`, rendered
     into one CSV row and one JSON record per point.  A chunk that raises is
     re-run point by point.
     """
-    chunk = CHUNK if chunk is None else chunk
     rows, records, errors = [], [], []
-    for start in range(0, len(points), chunk):
-        batch = points[start:start + chunk]
+    for start in range(0, len(points), CHUNK):
+        batch = points[start:start + CHUNK]
         items = [(start, *_attempt(work, batch))]
         if items[0][2] is not None and len(batch) > 1:
             # Point by point, so each failing point is named on its own.
@@ -459,10 +382,9 @@ def _run_points(args, stem: str, model, seed: int, points, work,
 
     out = Path(args.out)
     _write_csv(out / f"{stem}.csv", header, rows)
-    _write_json(out / f"{stem}.json", {
-        "schema_version": SCHEMA_VERSION, "model": model.to_config(),
-        "seed": seed, "records": _json_list(records, 1), "errors": errors,
-    })
+    _write_json(out / f"{stem}.json", _file_text(
+        {"schema_version": SCHEMA_VERSION, "model": model.to_config(),
+         "seed": seed, "errors": errors}, records))
     if errors:
         for err in errors:
             print(f"point {err['index']}: {err['error']}", file=sys.stderr)
@@ -501,9 +423,7 @@ def cmd_diagonalize(cfg: dict, args) -> int:
         values, (R, P, parts, defect, off, eps) = _pack(
             x.R, x.P, parts, diag["hermiticity_defect"],
             diag["offblock_norm"], _mat_json(rep.eps))
-        shared = _diag_json({key: value for key, value in diag.items()
-                             if key not in ("hermiticity_defect",
-                                            "offblock_norm")})
+        shared = _diag_json(diag)
         record = {
             "R": R, "P": P, "hbar": hbar, "order": order,
             "representation": representation, "bands": parts[:, 0],
@@ -547,8 +467,12 @@ def cmd_connections(cfg: dict, args) -> int:
 def cmd_curvature(cfg: dict, args) -> int:
     model, hbar, tol, seed, points = _point_setup(cfg, args)
 
-    def work(batch: PhasePoint) -> _Chunk:
-        x = batch.point(0)
+    names = ["R", "P", "theta_rr", "theta_pp", "theta_pr"]
+    lams = (+1, -1) if model.name == "neutrino_metric" else ()
+    names += [f"band_theta_lam{lam:+d}" for lam in lams]
+
+    def blocks(x: PhasePoint) -> list:
+        """The norms of one point, then its blocks in the order of names."""
         cset = berry_curvatures(model, x, hbar, tol)
         anti = max(
             float(np.max(np.abs(cset.theta_rr + cset.theta_rr.transpose(1, 0, 2, 3)))),
@@ -557,30 +481,28 @@ def cmd_curvature(cfg: dict, args) -> int:
         norms = [float(np.linalg.norm(cset.theta_rr)),
                  float(np.linalg.norm(cset.theta_pp)),
                  float(np.linalg.norm(cset.theta_pr)), anti]
-        blocks = {"R": x.R, "P": x.P, "theta_rr": _mat_json(cset.theta_rr),
-                  "theta_pp": _mat_json(cset.theta_pp),
-                  "theta_pr": _mat_json(cset.theta_pr)}
-        if model.name == "neutrino_metric":
-            for lam in (+1, -1):
-                blocks[f"band_theta_lam{lam:+d}"] = band_curvature_vector(
-                    model, x, lam, tol, cset.first)
-        values, (norms, *cols) = _pack(*(np.asarray(b)[None] for b in
-                                         (norms, *blocks.values())))
-        record = {"hbar": hbar, **dict(zip(blocks, cols))}
+        return [norms, x.R, x.P, _mat_json(cset.theta_rr),
+                _mat_json(cset.theta_pp), _mat_json(cset.theta_pr),
+                *(band_curvature_vector(model, x, lam, tol, cset.first)
+                  for lam in lams)]
+
+    def work(batch: PhasePoint) -> _Chunk:
+        # The curvature pass takes one point at a time.
+        per_point = [blocks(batch.point(i)) for i in range(len(batch.R))]
+        values, (norms, *cols) = _pack(*map(np.array, zip(*per_point)))
+        record = {"hbar": hbar, **dict(zip(names, cols))}
         return _Chunk(values, record, [record["R"], record["P"], hbar, norms])
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",
                               "norm_theta_pr", "antisym_defect"]
-    # The curvature pass takes one point at a time.
-    return _run_points(args, "curvature", model, seed, points, work, header,
-                       chunk=1)
+    return _run_points(args, "curvature", model, seed, points, work, header)
 
 
 def cmd_trajectory(cfg: dict, args) -> int:
     model = make_model(cfg.get("model", {}))
     if not isinstance(model, NeutrinoMetric):
         raise ConfigError("trajectory supports only the neutrino_metric model")
-    section = cfg.get("trajectory", {})
+    section = _section(cfg, "trajectory", {})
     hbar = _hbar(cfg, args, 1e-3)
     method = section.get("method", "rk4")
     try:
@@ -591,7 +513,7 @@ def cmd_trajectory(cfg: dict, args) -> int:
         check_ray_inputs(hbar, dt, steps, r0, P0)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trajectory: {exc}") from exc
-    lams = ([+1, -1] if section.get("pair_lambdas", True)
+    lams = ([+1, -1] if _section(section, "pair_lambdas", True, bool)
             else [_integer(section.get("lambda", 1), "trajectory lambda")])
     if method not in ("rk4", "rk45"):
         raise ConfigError("trajectory method must be 'rk4' or 'rk45'")
@@ -632,19 +554,22 @@ def cmd_trajectory(cfg: dict, args) -> int:
     # Only a failed run adds the key, so a clean manifest keeps its bytes.
     if errors:
         manifest["errors"] = errors
-    _write_json(out / "trajectory_manifest.json", manifest)
+    _write_json(out / "trajectory_manifest.json", _dumps(manifest))
     return 2 if errors else 0
 
 
 def cmd_verify(cfg: dict, args) -> int:
     seed = _seed(cfg, args, 0)
-    names = [args.suite] if args.suite else cfg.get("suites_to_run")
+    names = [args.suite] if args.suite else _section(
+        cfg, "suites_to_run", list(ALL_SUITES), list)
     if args.suite == "bracket":
         names = BRACKET_SUITES
-    overrides = cfg.get("suites", {})
+    overrides = _section(cfg, "suites", {})
+    for name in overrides:
+        _section(overrides, name)
     report = run_suites(names, seed=seed, overrides=overrides)
     out = Path(args.out)
-    _write_json(out / "verify_report.json", report)
+    _write_json(out / "verify_report.json", _dumps(report))
     for suite in report["suites"]:
         status = "PASS" if suite["passed"] else "FAIL"
         print(f"{status} {suite['name']}")
@@ -691,7 +616,7 @@ def cmd_bracket_check(cfg: dict, args) -> int:
               "all_passed": exact == total and pure_zero,
               "rows": rows}
     out = Path(args.out)
-    _write_json(out / "bracket_report.json", report)
+    _write_json(out / "bracket_report.json", _dumps(report))
     print(f"{exact}/{total} cases exact -> {out / 'bracket_report.json'}")
     return 0 if report["all_passed"] else 2
 

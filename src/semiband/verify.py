@@ -537,7 +537,7 @@ def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
     overrides = overrides or {}
     results = []
     for name in names:
-        if name not in ALL_SUITES:
+        if not isinstance(name, str) or name not in ALL_SUITES:
             raise ValueError(f"unknown suite {name!r}")
         cfg = dict(overrides.get(name, {}))
         # Deterministic per-suite seed offset (hash() is process randomized).

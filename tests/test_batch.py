@@ -110,6 +110,7 @@ BAD_CASES = {
 COMMANDS = {
     "diagonalize": ("energies", {"order": 1}),
     "connections": ("connections", {"connection_order": "0"}),
+    "curvature": ("curvature", {}),
 }
 
 

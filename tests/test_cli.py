@@ -177,6 +177,21 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", [], {"points": None, "grid": {
         "R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
         "P": [["0.5", 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
+    # Config sections of the wrong JSON type.
+    ("diagonalize", [], {"tolerances": 5}),
+    ("diagonalize", [], {"points": None, "random_points": 3}),
+    ("diagonalize", [], {"points": None, "grid": 5}),
+    ("trajectory", [], {"model": {"model": "neutrino_metric"},
+                        "trajectory": 5}),
+    ("diagonalize", [], {"points": None, "random_points": {"p_range": 5}}),
+    ("connections", [], {"points": None, "grid": {
+        "R": [1, 2, 3], "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
+    ("diagonalize", [], {"points": 7}),
+    ("verify", [], {"suites": 5}),
+    ("verify", [], {"suites_to_run": ["free-field-degeneracy"],
+                    "suites": {"free-field-degeneracy": 5}}),
+    ("verify", [], {"suites_to_run": 5}),
+    ("verify", [], {"suites_to_run": [["free-field-degeneracy"]]}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -415,6 +430,8 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     ({"r0": "abc"}, {}),
     ({}, {"hbar": True}),
     ({}, {"hbar": "0.02"}),
+    ({"pair_lambdas": "false"}, {}),
+    ({"pair_lambdas": 0}, {}),
 ], ids=repr)
 def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
     cfg = write_config(tmp_path, dict(
@@ -486,77 +503,6 @@ def test_bracket_check_rejects_vacuous_case_lists(tmp_path, payload):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
     assert not out.exists()
-
-
-def _reference_dumps(obj) -> str:
-    """The writer's contract: the stdlib's bytes, each array as its list."""
-    return json.dumps(obj, indent=1, sort_keys=True,
-                      default=lambda a: a.tolist())
-
-
-def _stacks(rng, n):
-    """Per-point records shaped like those of the three point subcommands:
-    views of (N, ..., n, n, 2) re/im stacks, R/P rows and band rows."""
-    N = 3
-    R, P = rng.normal(size=(N, 3)), rng.normal(size=(N, 3))
-    eps = rng.normal(size=(N, n, n, 2))
-    A = rng.normal(size=(N, 6, n, n, 2))
-    theta = rng.normal(size=(N, 3, 3, n, n, 2))
-    # Strided rows, like the real part of a complex diagonal.
-    bands = np.real(np.diagonal(rng.normal(size=(N, n, n)) + 1j, 0, -2, -1))
-    return [{"R": R[i], "P": P[i], "bands": bands[i], "eps": eps[i],
-             "A_R": A[i, :3], "A_P": A[i, 3:], "theta_rr": theta[i],
-             "band_theta_lam+1": R[i] * 1e-300, "hbar": 0.01, "order": 2,
-             "partial": False, "diagnostics": {"fd": {"order": 4}}}
-            for i in range(N)]
-
-
-_FAST_PAYLOADS = [
-    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0},
-    [math.nan, -0.0, 0.0, 1e300, 5e-324, 1e16, 0.1, -2.5e-7],
-    {"arrays": [np.array([math.nan, 1.0, -math.inf]),
-                np.array([[-0.0, math.inf], [0.5, 2.0]]),
-                np.array([-0.0, 1e-310, 1e22])]},
-    {"": {}, "empty": [], "nested": [[], {}, [[]], {"a": {}}]},
-    {"zero-size": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)),
-                   np.zeros((2, 0, 3))],
-     "zero-d": [np.array(1.5), np.array(-0.0), np.array(math.nan)]},
-    {"café 中": "üß \U0001F600  ",
-     "quote \" and \\": "\\\"\\", "\x00\x1f\t\n\r\x7f": "\x00\x1f\t\n\r\x7f"},
-    {"ints": [0, -1, 2 ** 70, -(2 ** 63)], "flags": [True, False, None],
-     "text": "plain"},
-    np.array([[1.0, 2.0], [3.0, 4.0]]),
-    "top-level string",
-    {"records": _stacks(np.random.default_rng(0), 2),
-     "more": _stacks(np.random.default_rng(1), 4), "errors": [],
-     "schema_version": 1, "seed": 7},
-]
-
-_FALLBACK_PAYLOADS = [
-    {"x": np.float64(0.1), "y": [np.float64(-0.0)]},
-    {"t": (1.0, (2, "a")), "u": ()},
-    {1: "one", 2: [0.5]},
-    {"deep": [{"ok": 1.0}, {"r": np.array([0.25])}, (math.nan, math.inf)]},
-    {"ints": np.arange(3), "single": np.array([0.5], dtype=np.float32)},
-]
-
-
-@pytest.mark.parametrize("payload", _FAST_PAYLOADS + _FALLBACK_PAYLOADS)
-def test_json_writer_matches_the_stdlib(payload):
-    assert semiband.cli._dumps(payload) == _reference_dumps(payload)
-
-
-def test_json_writer_takes_the_array_path_for_known_types():
-    # The stdlib path would pass the comparison above on its own; these
-    # payloads must be written by the array-template path, and the others
-    # sent to the stdlib.
-    for payload in _FAST_PAYLOADS:
-        out = []
-        semiband.cli._encode(payload, 0, out)
-        assert "".join(out) == _reference_dumps(payload)
-    for payload in _FALLBACK_PAYLOADS:
-        with pytest.raises(semiband.cli._Unknown):
-            semiband.cli._encode(payload, 0, [])
 
 
 def test_every_json_output_is_in_the_stdlib_format(tmp_path):
@@ -651,12 +597,12 @@ def test_chunk_renderer_matches_the_stdlib_writers(special):
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     assert "".join(lines) == buf.getvalue()
-    # At their depth in the output file, through `_encode` and through the
-    # stdlib encoder (a tuple sends the whole payload there).
+    # The whole file: the envelope around the records at their depth, and
+    # an error message that JSON and `str.format` both have to escape.
+    errors = [{"index": 4, "error": 'ValueError: {bad} "point"\n\tat é中'}]
+    envelope = {"schema_version": 1, "model": {"model": "m{}"}, "seed": 7,
+                "errors": errors}
     texts = semiband.cli._render(chunk, 2)[0]
-    for extra in ({}, {"t": (1, "a")}):
-        got = semiband.cli._dumps({"records": semiband.cli._json_list(texts, 1),
-                                   "seed": 7, **extra})
-        assert got == _reference_dumps({"records": records, "seed": 7, **extra})
-    assert semiband.cli._dumps({"records": semiband.cli._json_list([], 1)}) \
-        == '{\n "records": []\n}'
+    for given, want in ((texts, records), ([], [])):
+        assert semiband.cli._file_text(envelope, given) == json.dumps(
+            {**envelope, "records": want}, indent=1, sort_keys=True)
