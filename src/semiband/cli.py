@@ -13,11 +13,11 @@ Configuration is a JSON document (see README for the schema); identical
 config + seed produce byte-identical reports.  Exit codes: 0 success,
 1 configuration/schema error, 2 point-level errors (listed per point).
 
-The per-point subcommands run their points in chunks of `energy.CHUNK` (one
-batched pass per chunk; curvature loops over the chunk's points); a chunk in
-which any point raises is re-run point by point, so every failing point gets
-its own error record.  Every JSON file is the bytes of `json.dumps(payload,
-indent=1, sort_keys=True)`; per-point records come from per-chunk templates.
+The per-point subcommands run their points in chunks of `energy.CHUNK`, one
+batched pass per chunk; a chunk in which any point raises is re-run point by
+point, so every failing point gets its own error record.  Every JSON file is
+the bytes of `json.dumps(payload, indent=1, sort_keys=True)`; per-point records
+come from per-chunk templates.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import csv
 import functools
 import io
 import json
-import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -36,12 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from semiband import weyl
-from semiband.fields import _real
+from semiband.fields import _integer, _real
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_points,
 )
 from semiband.frames import (
-    Tolerances, berry_connections, classical_frame, matrix_norms,
+    DEFAULT_TOL, Tolerances, berry_connections, classical_frame, matrix_norms,
 )
 from semiband.energy import (
     CHUNK,
@@ -76,16 +75,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; ConfigError for a bool or a non-integral value.  An
-    integral JSON float such as 1e2 counts as an integer."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{what} must be an integer, not {value!r}")
-    return int(value)
 
 
 def _hbar(cfg: dict, args, default: float) -> float:
@@ -159,16 +148,15 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
 
 
 def _tolerances(cfg: dict) -> Tolerances:
+    """The "tolerances" section over the defaults, names and values checked."""
     section = _section(cfg, "tolerances", {})
-    defaults = Tolerances()
-    kwargs = {}
+    for name in section:
+        if name not in vars(DEFAULT_TOL):
+            raise ConfigError(f"tolerances: unknown tolerance {name!r}")
     try:
-        for name in ("degeneracy", "gap", "block", "unitarity", "fd_base",
-                     "overlap"):
-            kwargs[name] = _real(section.get(name, getattr(defaults, name)),
-                                 f"tolerance {name}")
-        return Tolerances(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return Tolerances(**{name: _real(value, f"tolerance {name}")
+                             for name, value in section.items()})
+    except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
 
 
@@ -471,25 +459,19 @@ def cmd_curvature(cfg: dict, args) -> int:
     lams = (+1, -1) if model.name == "neutrino_metric" else ()
     names += [f"band_theta_lam{lam:+d}" for lam in lams]
 
-    def blocks(x: PhasePoint) -> list:
-        """The norms of one point, then its blocks in the order of names."""
+    def work(x: PhasePoint) -> _Chunk:
         cset = berry_curvatures(model, x, hbar, tol)
-        anti = max(
-            float(np.max(np.abs(cset.theta_rr + cset.theta_rr.transpose(1, 0, 2, 3)))),
-            float(np.max(np.abs(cset.theta_pp + cset.theta_pp.transpose(1, 0, 2, 3)))),
-        )
-        norms = [float(np.linalg.norm(cset.theta_rr)),
-                 float(np.linalg.norm(cset.theta_pp)),
-                 float(np.linalg.norm(cset.theta_pr)), anti]
-        return [norms, x.R, x.P, _mat_json(cset.theta_rr),
-                _mat_json(cset.theta_pp), _mat_json(cset.theta_pr),
-                *(band_curvature_vector(model, x, lam, tol, cset.first)
-                  for lam in lams)]
-
-    def work(batch: PhasePoint) -> _Chunk:
-        # The curvature pass takes one point at a time.
-        per_point = [blocks(batch.point(i)) for i in range(len(batch.R))]
-        values, (norms, *cols) = _pack(*map(np.array, zip(*per_point)))
+        blocks = (cset.theta_rr, cset.theta_pp, cset.theta_pr)
+        # Each point's three blocks as one matrix, for its Frobenius norm.
+        norms = [matrix_norms(b.reshape(b.shape[:-4] + (-1, model.n)))
+                 for b in blocks]
+        anti = [np.max(np.abs(b + b.swapaxes(-4, -3)), axis=(-4, -3, -2, -1))
+                for b in blocks[:2]]
+        values, (norms, *cols) = _pack(
+            np.stack([*norms, np.maximum(*anti)], axis=-1), x.R, x.P,
+            *map(_mat_json, blocks),
+            *(band_curvature_vector(model, x, lam, tol, cset.first)
+              for lam in lams))
         record = {"hbar": hbar, **dict(zip(names, cols))}
         return _Chunk(values, record, [record["R"], record["P"], hbar, norms])
 

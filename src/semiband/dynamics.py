@@ -21,7 +21,8 @@ second-order pass, which differentiates the formulas of a by the Leibniz
 rule, with grad grad A0 from `frames.connection_hessians` on the record's
 first tangents.  No stencil runs.  The pass contracts its phase axes as
 block-matrix products, because numpy's `@` on a (6, 6, 6, n, n) stack makes
-one BLAS call per small matrix.
+one BLAS call per small matrix.  Phase axes count from the end, so a
+`PhasePoint.stack` batch runs the same code as one point, bit for bit.
 
 Rays live on one band group and one helicity; the scalar band curvature that
 sources the anomalous velocity is the helicity expectation of the curl of the
@@ -45,7 +46,7 @@ import numpy as np
 
 from semiband.fields import _real, _real3
 from semiband.models import (
-    SX, SY, SZ, Model, NeutrinoMetric, PhasePoint,
+    SX, SY, SZ, Model, NeutrinoMetric, PhasePoint, _dot,
 )
 from semiband.frames import (
     BandFrame,
@@ -54,6 +55,7 @@ from semiband.frames import (
     _anticomm,
     _block_contract,
     _comm,
+    _dagger,
     _pair_products,
     berry_connections,
     classical_frame,
@@ -71,7 +73,6 @@ __all__ = [
     "covariant_variables",
     "berry_curvatures",
     "band_curvature_vector",
-    "positive_block_connection",
     "ray_rhs",
     "check_ray_inputs",
     "integrate_ray",
@@ -82,8 +83,8 @@ __all__ = [
 
 @dataclass
 class CovariantVars:
-    """Matrix-valued covariant coordinates and momenta at one point, each
-    field a (6, n, n) phase-axis stack (R_1, R_2, R_3, P_1, P_2, P_3)."""
+    """Covariant coordinates and momenta at one point or a batch, each field
+    a (..., 6, n, n) phase-axis stack (R_1, R_2, R_3, P_1, P_2, P_3)."""
 
     x: np.ndarray                   # Hermitian covariant variables (r, p)
     A0: np.ndarray                  # projected order-0 shifts
@@ -95,14 +96,14 @@ class CovariantVars:
 
     @property
     def r(self) -> np.ndarray:
-        return self.x[:3]
+        return self.x[..., :3, :, :]
 
     @property
     def p(self) -> np.ndarray:
-        return self.x[3:]
+        return self.x[..., 3:, :, :]
 
     def shift_per_hbar(self) -> np.ndarray:
-        """a = A0 + (hbar/2) A1 on every phase axis, (6, n, n)."""
+        """a = A0 + (hbar/2) A1 on every phase axis, (..., 6, n, n)."""
         return self.A0 + 0.5 * self.hbar * self.A1
 
 
@@ -110,7 +111,7 @@ class CovariantVars:
 class CurvatureSet:
     """3x3 arrays of matrices for the rr, pp and pr curvature blocks."""
 
-    theta_rr: np.ndarray            # (3, 3, n, n)
+    theta_rr: np.ndarray            # (..., 3, 3, n, n)
     theta_pp: np.ndarray
     theta_pr: np.ndarray
     point: PhasePoint
@@ -129,17 +130,18 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     first = first_order(model, frame, conns0, tol)
     A0 = frame.project(conns0.A, "diag")
     a1 = (2.0 * frame.project(first.linear, "diag")
-          + (0.5 * _anticomm(A0[:, None],
-                             frame.project(first.dA, "diag"))).sum(0))
+          + (0.5 * _anticomm(A0[..., :, None, :, :],
+                             frame.project(first.dA, "diag"))).sum(-4))
     A1 = hermitize(a1)
-    canonical = np.concatenate([x.R, x.P])[:, None, None] * np.eye(frame.n)
+    canonical = (np.concatenate([x.R, x.P], axis=-1)[..., None, None]
+                 * np.eye(frame.n))
     return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
                          x, hbar, first)
 
 
 def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
                      tol: Tolerances) -> np.ndarray:
-    """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (6, 6, n, n).
+    """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (..., 6, 6, n, n).
 
     The Leibniz rule on the formulas of `covariant_variables`:
     A1 = 2 P+ lin + (1/2) sum_b {P+A_b, P+ grad_b A} with the connection
@@ -150,11 +152,11 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
     """
     first = cov.first
     A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
-    n = A.shape[-1]
     ddA = connection_hessians(model, frame, first, tol)
+    flat = dA.reshape(A.shape[:-3] + (-1,) + A.shape[-2:])   # [(b, a)]
     dlin = (0.125 * (_anticomm_sum(dA, dA) + _anticomm_sum_inner(A, ddA))
-            + 0.5 * (_pair_comm(dB, A) + _pair_comm(
-                B[None], dA.reshape(36, n, n)).reshape(6, 6, n, n)))
+            + 0.5 * (_pair_comm(dB, A)
+                     + _pair_comm(B[..., None, :, :], flat).reshape(dA.shape)))
     A0, dA0 = frame.project(A, "diag"), frame.project(dA, "diag")
     dA1 = hermitize(
         2.0 * frame.project(hermitize(dlin), "diag")
@@ -164,28 +166,28 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
 
 
 def _swap(S: np.ndarray) -> np.ndarray:
-    """The two phase axes of a (6, 6, n, n) stack swapped."""
+    """The two phase axes of a (..., 6, 6, n, n) stack swapped."""
     return S.swapaxes(-4, -3)
 
 
 def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """[L[l], R[r]] for every pair of a (k, n, n) and an (m, n, n) stack,
-    (k, m, n, n)."""
+    """[L[l], R[r]] for every pair of a (..., k, n, n) and an (..., m, n, n)
+    stack, (..., k, m, n, n)."""
     return _pair_products(L, R) - _swap(_pair_products(R, L))
 
 
 def _anticomm_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """sum_b {L[c, b], R[b, a]}, (C, A, n, n)."""
+    """sum_b {L[c, b], R[b, a]}, (..., C, A, n, n)."""
     return _block_contract(L, R) + _swap(_block_contract(_swap(R), _swap(L)))
 
 
 def _anticomm_sum_inner(V: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """sum_b {V[b], S[c, b, a]} for a (6, n, n) stack V and a
-    (6, 6, 6, n, n) stack S: `_anticomm_sum` with V as the one row [., b]
-    and S as [b, (c, a)]."""
-    n = V.shape[-1]
-    out = _anticomm_sum(V[None], S.swapaxes(0, 1).reshape(6, 36, n, n))
-    return out.reshape(6, 6, n, n)
+    """sum_b {V[b], S[c, b, a]} for a (..., 6, n, n) stack V and a
+    (..., 6, 6, 6, n, n) stack S: `_anticomm_sum` with V as the one row
+    [., b] and S as [b, (c, a)]."""
+    flat = S.swapaxes(-5, -4).reshape(V.shape[:-3] + (6, -1) + V.shape[-2:])
+    return _anticomm_sum(V[..., None, :, :, :], flat).reshape(
+        S.shape[:-4] + S.shape[-3:])
 
 
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
@@ -202,30 +204,23 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     cov = covariant_variables(model, x, hbar, tol, frame)
     d = _shift_gradients(model, frame, cov, tol)
     a = cov.shift_per_hbar()
-    aR, aP = a[:3], a[3:]
-    d_PR, d_RP = d[3:, :3], d[:3, 3:]   # grad_{P_i} a^R_j, grad_{R_i} a^P_j
-    rr = d_PR - d_PR.swapaxes(0, 1) - 1j * _comm(aR[:, None], aR[None])
-    pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
-    pr = (-(d[:3, :3] + d[3:, 3:].swapaxes(0, 1))
-          - 1j * _comm(aP[:, None], aR[None]))
+    C = _comm(a[..., :, None, :, :], a[..., None, :, :, :])   # [a^c, a^a]
+    R, P = slice(0, 3), slice(3, 6)
+    d_PR, d_RP = d[..., P, R, :, :], d[..., R, P, :, :]
+    d_RR, d_PP = d[..., R, R, :, :], d[..., P, P, :, :]
+    rr = d_PR - _swap(d_PR) - 1j * C[..., R, R, :, :]
+    pp = -(d_RP - _swap(d_RP)) - 1j * C[..., P, P, :, :]
+    pr = -(d_RR + _swap(d_PP)) - 1j * C[..., P, R, :, :]
     return CurvatureSet(rr, pp, pr, x, hbar, cov.first)
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
-    """Normalized eigenvector of sigma.Phat with eigenvalue lam (+1 or -1)."""
-    phat = P / np.linalg.norm(P)
-    vals, vecs = np.linalg.eigh(phat[0] * SX + phat[1] * SY + phat[2] * SZ)
-    idx = int(np.argmin(np.abs(vals - lam)))
-    return vecs[:, idx]
-
-
-def positive_block_connection(model: Model, x: PhasePoint,
-                              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The position connection on the positive-energy block, (3, 2, 2)."""
-    frame = classical_frame(model, x, tol)
-    conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
-    pos = frame.group_states(0)
-    return conns.A_R[:, pos[:, None], pos]
+    """Unit eigenvector (..., 2) of sigma.Phat with eigenvalue lam (+1, -1)."""
+    phat = P / np.sqrt(_dot(P, P))[..., None]
+    px, py, pz = np.moveaxis(phat, -1, 0)[..., None, None]
+    vals, vecs = np.linalg.eigh(px * SX + py * SY + pz * SZ)
+    idx = np.argmin(np.abs(vals - lam), axis=-1)
+    return np.take_along_axis(vecs, idx[..., None, None], -1)[..., 0]
 
 
 def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
@@ -245,11 +240,13 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
     else:
         dA = first.dA
     pos = np.flatnonzero(model.groups == 0)
-    # dP[i, j] = grad_{P_i} A^R_j on the positive block.
-    dP = dA[3:, :3][:, :, pos[:, None], pos]
-    chi = _helicity_spinor(x.P, lam)
-    return np.array([float(np.real(chi.conj() @ (dP[i, j] - dP[j, i]) @ chi))
-                     for i, j in ((1, 2), (2, 0), (0, 1))])
+    # curl[k] = dP[i, j] - dP[j, i], (i, j, k) cyclic, dP = grad_P A^R on the
+    # positive block, made contiguous: `@` rounds a strided batch otherwise.
+    dP = dA[..., 3:, :3, :, :][..., pos[:, None], pos]
+    i, j = [1, 2, 0], [2, 0, 1]
+    curl = np.ascontiguousarray(dP[..., i, j, :, :] - dP[..., j, i, :, :])
+    chi = _helicity_spinor(x.P, lam)[..., None, :, None]
+    return np.real(_dagger(chi) @ curl @ chi)[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError unless integral (1e2 is, a bool is not)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _real3(values, what: str) -> tuple:
     """Three `_real` components."""
     if isinstance(values, (str, bytes)) or np.ndim(values) != 1 \

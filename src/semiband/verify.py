@@ -8,6 +8,7 @@ reports are reproducible bit for bit.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from semiband import weyl
-from semiband.fields import GaussianField, LinearField, UniformField
+from semiband.fields import (
+    GaussianField, LinearField, UniformField, _integer, _real,
+)
 from semiband.models import (
     SX, SY, SZ, DiracElectric, NeutrinoMetric, PhasePoint, random_points,
 )
@@ -38,6 +41,7 @@ from semiband.energy import (
 )
 from semiband.dynamics import (
     band_curvature_vector,
+    covariant_variables,
     integrate_fixed,
     integrate_ray,
 )
@@ -88,7 +92,7 @@ def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def suite_bracket_product_rule(seed: int = 1, cases: int = 200,
-                               max_degree: int = 6, **_cfg) -> SuiteResult:
+                               max_degree: int = 6) -> SuiteResult:
     """Product rule of the ordering bracket: residual exactly zero."""
     failures = 0
     for dim in (1, 2):
@@ -103,7 +107,7 @@ def suite_bracket_product_rule(seed: int = 1, cases: int = 200,
 
 
 def suite_bracket_invariance(seed: int = 2, cases: int = 200,
-                             max_degree: int = 5, **_cfg) -> SuiteResult:
+                             max_degree: int = 5) -> SuiteResult:
     """Symmetrization invariance of d/dhbar F + <F>: residual exactly zero."""
     failures = 0
     for dim in (1, 2):
@@ -117,7 +121,7 @@ def suite_bracket_invariance(seed: int = 2, cases: int = 200,
                        {"cases": cases, "failures": failures})
 
 
-def suite_symmetrized_bracket(seed: int = 3, **_cfg) -> SuiteResult:
+def suite_symmetrized_bracket(seed: int = 3) -> SuiteResult:
     """Bracket of fully symmetrized monomials vanishes exactly (degree <= 5)."""
     rng = random.Random(seed)
     failures = 0
@@ -141,8 +145,8 @@ def suite_symmetrized_bracket(seed: int = 3, **_cfg) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_dirac_canonical(seed: int = 10, points: int = 100,
-                          hbar: float = 0.01, tolerance: float = 1e-8,
-                          **_cfg) -> SuiteResult:
+                          hbar: float = 0.01,
+                          tolerance: float = 1e-8) -> SuiteResult:
     """Generic pipeline vs the closed-form block energy, canonical variables."""
     model = _dirac_model()
     rng = np.random.default_rng(seed)
@@ -162,8 +166,8 @@ def suite_dirac_canonical(seed: int = 10, points: int = 100,
 
 
 def suite_dirac_covariant(seed: int = 11, points: int = 100,
-                          hbar: float = 0.01, tolerance: float = 1e-8,
-                          **_cfg) -> SuiteResult:
+                          hbar: float = 0.01,
+                          tolerance: float = 1e-8) -> SuiteResult:
     """Pipeline in covariant variables vs the relativistic closed form."""
     model = _dirac_model()
     rng = np.random.default_rng(seed)
@@ -178,7 +182,7 @@ def suite_dirac_covariant(seed: int = 11, points: int = 100,
 
 
 def suite_pauli_limit(seed: int = 12, hbar: float = 1e-3,
-                      tolerance: float = 1e-4, **_cfg) -> SuiteResult:
+                      tolerance: float = 1e-4) -> SuiteResult:
     """Low-momentum limit: contact (hbar^2 lap W) and spin-orbit coefficients.
 
     Coefficients are extracted from the positive block of the pipeline energy
@@ -254,8 +258,8 @@ def _neutrino_profiles():
 
 
 def suite_neutrino_energy(seed: int = 13, points: int = 100,
-                          hbar: float = 0.01, tolerance: float = 1e-8,
-                          **_cfg) -> SuiteResult:
+                          hbar: float = 0.01,
+                          tolerance: float = 1e-8) -> SuiteResult:
     """Pipeline vs the covariant closed form and its canonical re-expansion."""
     rng = np.random.default_rng(seed)
     worst_cov = worst_can = 0.0
@@ -277,7 +281,7 @@ def suite_neutrino_energy(seed: int = 13, points: int = 100,
 
 
 def suite_neutrino_curvature(seed: int = 14, points: int = 50,
-                             tolerance: float = 1e-8, **_cfg) -> SuiteResult:
+                             tolerance: float = 1e-8) -> SuiteResult:
     """Band curvature against -lambda P / |P|^3 at random momenta."""
     model = _neutrino_profiles()["gaussian"]
     rng = np.random.default_rng(seed)
@@ -294,7 +298,7 @@ def suite_neutrino_curvature(seed: int = 14, points: int = 50,
 
 
 def suite_trajectory(seed: int = 15, steps: int = 10000, hbar: float = 1e-3,
-                     dt: float = 1e-2, **_cfg) -> SuiteResult:
+                     dt: float = 1e-2) -> SuiteResult:
     """Ray-tracing physics: conservation, spin-Hall antisymmetry, speed."""
     model = NeutrinoMetric(profile=LinearField([0.05, 0.0, 0.0], 1.5))
     up = integrate_ray(model, [0, 0, 0], [0, 0, 1.0], +1, hbar, dt, steps, "rk4")
@@ -319,8 +323,8 @@ def suite_trajectory(seed: int = 15, steps: int = 10000, hbar: float = 1e-3,
 # Structural scaling and degeneracy
 # ---------------------------------------------------------------------------
 
-def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
-                           **_cfg) -> SuiteResult:
+def suite_residual_scaling(seed: int = 16,
+                           slope_tol: float = 0.1) -> SuiteResult:
     """Unitarity defect of (1 + hbar U1) U0 and the flow-equation residual
     both scale as hbar^2 (log-log slope 2)."""
     model = _dirac_model()
@@ -365,7 +369,7 @@ def suite_residual_scaling(seed: int = 16, slope_tol: float = 0.1,
 
 
 def suite_free_field(seed: int = 17, points: int = 20,
-                     tolerance: float = 1e-12, **_cfg) -> SuiteResult:
+                     tolerance: float = 1e-12) -> SuiteResult:
     """Uniform potential / flat metric: all corrections vanish."""
     rng = np.random.default_rng(seed)
     models = [DiracElectric(m=1.0, e=1.0, field=UniformField(0.3)),
@@ -381,7 +385,7 @@ def suite_free_field(seed: int = 17, points: int = 20,
                        {"max_correction": worst, "tolerance": tolerance})
 
 
-def suite_numerical_plumbing(seed: int = 18, **_cfg) -> SuiteResult:
+def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:
     """FD connections vs closed forms, commutator inversion, RK4 order."""
     rng = np.random.default_rng(seed)
     models = [_dirac_model(), _neutrino_profiles()["linear"]]
@@ -433,8 +437,6 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     field and Taylor expands through second order with symmetrized products;
     equals the canonical-variable energy up to O(hbar^3).
     """
-    from semiband.dynamics import covariant_variables
-
     frame = classical_frame(model, x)
     cov = covariant_variables(model, x, hbar, frame=frame)
     rep_cov = band_energy(model, x, hbar, order=2, representation="covariant")
@@ -447,7 +449,7 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
             + (0.25 * _anticomm(hess, sym)).sum((0, 1)))
 
 
-def suite_consistency(seed: int = 19, **_cfg) -> SuiteResult:
+def suite_consistency(seed: int = 19) -> SuiteResult:
     """Covariant energy, re-expanded through hbar^2, equals the canonical one
     to O(hbar^3); Hermiticity/block invariants hold on random points.
 
@@ -531,18 +533,28 @@ BRACKET_SUITES = ["bracket-product-rule", "bracket-invariance",
 
 
 def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
-    """Run the requested suites (all by default) and collect a report dict."""
-    if names is None:
-        names = list(ALL_SUITES)
+    """Run the requested suites (all by default) and collect a report dict.
+
+    `overrides` maps a suite name to keyword arguments of its function.
+    Before any suite runs, ValueError for an unknown suite, a key that is
+    not a parameter of the suite, or a value of another kind than the
+    parameter's default (`_integer`, or `_real` for a float)."""
+    names = list(ALL_SUITES) if names is None else names
     overrides = overrides or {}
-    results = []
-    for name in names:
+    # Deterministic per-suite seed offset (hash() is process randomized).
+    cfgs = {name: {"seed": seed + sum(name.encode()) % 1000}
+            for name in ALL_SUITES}
+    for name in [*names, *overrides]:
         if not isinstance(name, str) or name not in ALL_SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        cfg = dict(overrides.get(name, {}))
-        # Deterministic per-suite seed offset (hash() is process randomized).
-        cfg.setdefault("seed", seed + sum(name.encode()) % 1000)
-        results.append(ALL_SUITES[name](**cfg))
+    for name, override in overrides.items():
+        params = inspect.signature(ALL_SUITES[name]).parameters
+        for key, value in override.items():
+            if key not in params:
+                raise ValueError(f"suite {name} has no parameter {key!r}")
+            cast = _real if isinstance(params[key].default, float) else _integer
+            cfgs[name][key] = cast(value, f"suite {name} parameter {key}")
+    results = [ALL_SUITES[name](**cfgs[name]) for name in names]
     return {
         "schema_version": 1,
         "seed": seed,

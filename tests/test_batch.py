@@ -1,5 +1,6 @@
 """Point batches: one (N, ...) pass per chunk equals the single-point path
-bit for bit, and a failing point in a chunk is reported on its own."""
+bit for bit, for energies and for curvatures, and a failing point in a chunk
+is reported on its own."""
 
 import json
 
@@ -8,6 +9,7 @@ import pytest
 
 import semiband.cli
 from semiband.cli import main
+from semiband.dynamics import band_curvature_vector, berry_curvatures
 from semiband.energy import CHUNK, band_energy, band_energy_batch
 from semiband.models import PhasePoint, make_model, random_points
 from tests.test_cli import write_config
@@ -65,6 +67,34 @@ def test_batch_equals_point_bit_for_bit(name):
                                      want.diagnostics[key])
                 assert (got.diagnostics["bracket_unavailable"]
                         == want.diagnostics["bracket_unavailable"])
+
+
+CURVATURE_BLOCKS = ("theta_rr", "theta_pp", "theta_pr")
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_batch_curvatures_equal_point_bit_for_bit(name):
+    model = MODELS[name]()
+    points = random_points(np.random.default_rng(11), 12, 0.3, 3.0)
+    x = PhasePoint.stack(points)
+    if not model.has_analytic_frame:
+        with pytest.raises(NotImplementedError):
+            berry_curvatures(model, x, 0.05)
+        return
+    if name == "two_level_cubic":
+        h3 = model.h_vector(x)[:, 2]
+        assert (h3 >= 0).any() and (h3 < 0).any()
+    cset = berry_curvatures(model, x, 0.05)
+    bands = {(lam, first): band_curvature_vector(
+        model, x, lam, first=cset.first if first else None)
+        for lam in (+1, -1) for first in (False, True)} if model.n == 4 else {}
+    for i, point in enumerate(points):
+        want = berry_curvatures(model, point, 0.05)
+        for block in CURVATURE_BLOCKS:
+            assert_same_bits(getattr(cset, block)[i], getattr(want, block))
+        for (lam, first), got in bands.items():
+            assert_same_bits(got[i], band_curvature_vector(
+                model, point, lam, first=want.first if first else None))
 
 
 def test_batch_report_carries_the_point_axis():

@@ -192,6 +192,25 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
                     "suites": {"free-field-degeneracy": 5}}),
     ("verify", [], {"suites_to_run": 5}),
     ("verify", [], {"suites_to_run": [["free-field-degeneracy"]]}),
+    # An unknown tolerance name.
+    ("diagonalize", [], {"tolerances": {"gapp": 0.5}}),
+    # Suite overrides name parameters of the suite, with values of the kind
+    # of the parameter's default.
+    ("verify", [], {"suites_to_run": ["free-field-degeneracy"],
+                    "suites": {"free-field-degeneracy": {"bogus": 1}}}),
+    ("verify", [], {"suites_to_run": ["free-field-degeneracy"],
+                    "suites": {"no-such-suite": {}}}),
+    ("verify", [], {"suites_to_run": ["neutrino-curvature"],
+                    "suites": {"neutrino-curvature": {"points": "2"}}}),
+    ("verify", [], {"suites_to_run": ["neutrino-curvature"],
+                    "suites": {"neutrino-curvature": {"points": True}}}),
+    ("verify", [], {"suites_to_run": ["neutrino-curvature"],
+                    "suites": {"neutrino-curvature": {"points": 2.5}}}),
+    ("verify", [], {"suites_to_run": ["neutrino-curvature"],
+                    "suites": {"neutrino-curvature": {"tolerance": "1e-8"}}}),
+    ("verify", [], {"suites_to_run": ["neutrino-curvature"],
+                    "suites": {"neutrino-curvature": {"tolerance": math.nan}}}),
+    ("verify", [], {"suites": {"symmetrized-bracket": {"seed": False}}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -313,9 +332,10 @@ _MODEL_METHODS = ("hamiltonian", "analytic_frame", "analytic_connections",
 
 
 def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
-    # The helicity curvatures of a neutrino point come from the first-order
-    # record of its curvature pass; they used to rebuild the frame and the
-    # connection gradients once per helicity.
+    # The 4 points make one chunk, and the chunk one batched curvature pass;
+    # the helicity curvatures come from the first-order record of that pass.
+    # They used to rebuild the frame and the connection gradients once per
+    # helicity, and the pass used to run once per point.
     calls = dict.fromkeys(_MODEL_METHODS, 0)
     for name in _MODEL_METHODS:
         def counting(self, x, *args, _real=getattr(NeutrinoMetric, name),
@@ -332,7 +352,7 @@ def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
     })
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "curvature"]) == 0
-    assert calls == dict.fromkeys(_MODEL_METHODS, 4)
+    assert calls == dict.fromkeys(_MODEL_METHODS, 1)
     records = json.loads((out / "curvature.json").read_text())["records"]
     assert all(len(rec["band_theta_lam+1"]) == 3 for rec in records)
 

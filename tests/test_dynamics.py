@@ -23,9 +23,9 @@ from semiband.dynamics import (
     covariant_variables,
     integrate_fixed,
     integrate_ray,
-    positive_block_connection,
     ray_rhs,
 )
+from semiband.frames import berry_connections
 from semiband.oracles import neutrino_velocity_modulus
 from tests.test_models import p_cross_sigma
 
@@ -126,6 +126,14 @@ def test_band_curvature_closed_form():
             theta = band_curvature_vector(model, x, lam)
             ref = -lam * P / np.linalg.norm(P) ** 3
             assert np.max(np.abs(theta - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def positive_block_connection(model, x):
+    """The position connection on the positive-energy block, (3, 2, 2): the
+    reference that `band_curvature_vector` is differentiated against."""
+    conns = berry_connections(model, x, 0.0)
+    pos = np.flatnonzero(model.groups == 0)
+    return conns.A_R[:, pos[:, None], pos]
 
 
 def test_positive_block_connection_closed_form():

@@ -43,9 +43,9 @@ from semiband.dynamics import (
     band_curvature_vector,
     berry_curvatures,
     covariant_variables,
-    positive_block_connection,
 )
 from semiband.stencils import derivative_along
+from tests.test_dynamics import positive_block_connection
 from tests.test_energy import _group_rotated, rotated_model
 from tests.test_frames import BENCHMARK_CONFIGS
 
