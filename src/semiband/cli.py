@@ -79,11 +79,8 @@ def _load_config(path: str | None) -> dict:
 
 def _hbar(cfg: dict, args, default: float) -> float:
     """The --hbar flag, else the config's "hbar", as a finite real number."""
-    try:
-        return _real(args.hbar if args.hbar is not None
-                     else cfg.get("hbar", default), "hbar")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _real(args.hbar if args.hbar is not None
+                 else cfg.get("hbar", default), "hbar")
 
 
 def _seed(cfg: dict, args, default: int) -> int:
@@ -126,10 +123,7 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                 count = _integer(count, "a grid count")
                 if count < 1:
                     raise ConfigError("grid counts must be >= 1")
-                try:
-                    lo, hi = (_real(v, f"grid.{key} bound") for v in (lo, hi))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+                lo, hi = (_real(v, f"grid.{key} bound") for v in (lo, hi))
                 axes.append(np.linspace(lo, hi, count))
         mesh = np.meshgrid(*axes, indexing="ij")
         flat = [m.ravel() for m in mesh]

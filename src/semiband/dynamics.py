@@ -114,8 +114,6 @@ class CurvatureSet:
     theta_rr: np.ndarray            # (..., 3, 3, n, n)
     theta_pp: np.ndarray
     theta_pr: np.ndarray
-    point: PhasePoint
-    hbar: float
     # The point's first-order record, for `band_curvature_vector`.
     first: FirstOrder = dc_field(repr=False)
 
@@ -211,7 +209,7 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     rr = d_PR - _swap(d_PR) - 1j * C[..., R, R, :, :]
     pp = -(d_RP - _swap(d_RP)) - 1j * C[..., P, P, :, :]
     pr = -(d_RR + _swap(d_PP)) - 1j * C[..., P, R, :, :]
-    return CurvatureSet(rr, pp, pr, x, hbar, cov.first)
+    return CurvatureSet(rr, pp, pr, cov.first)
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
@@ -424,8 +422,7 @@ def _ray_sample(y, k) -> tuple:
 
 
 def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
-                  steps: int, method: str = "rk4",
-                  rtol: float = 1e-10) -> Trajectory:
+                  steps: int, method: str = "rk4") -> Trajectory:
     """Integrate the fixed-helicity ray together with the band spinor.
 
     The state is (r, P, chi); chi is transported with chidot = i Pdot.a chi
@@ -461,7 +458,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         else:
             path, rejected = _integrate_rk45(
                 lambda t, y: np.array(_ray_rates(F, lam, hbar, y.tolist())[0]),
-                0.0, y0, dt * steps, rtol=rtol)
+                0.0, y0, dt * steps)
             samples = [(t, y, rates(t, y)) for t, y in path]
         records = [_ray_sample(y, k) for _, y, k in samples]
     except OverflowError as exc:

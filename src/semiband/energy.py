@@ -239,7 +239,7 @@ def corrected_connections(first: FirstOrder, hbar: float) -> ConnectionSet:
     """Connections including the order-hbar correction, A0 + hbar linear."""
     conns0 = first.conns0
     return ConnectionSet(hermitize(conns0.A + hbar * first.linear),
-                         "corrected", conns0.point, hbar, linear=first.linear)
+                         "corrected", conns0.point, hbar)
 
 
 def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,

@@ -327,7 +327,6 @@ _FIELD_KINDS = {
     "coulomb": lambda cfg: CoulombRegularizedField(cfg.get("charge", 1.0),
                                                    cfg.get("softening", 0.5)),
 }
-_FIELD_KINDS["coulomb-regularized"] = _FIELD_KINDS["coulomb"]
 
 
 def make_field(cfg: dict) -> ScalarField:

@@ -13,10 +13,10 @@ derivatives (`energy._covariant`) and the second-order pass take their
 products over phase axes as block-matrix products (`_pair_products`,
 `_block_contract`), because numpy's `@` on a stack makes one BLAS call per
 small matrix.  The finite-difference connections over a gauge-smoothed
-frame field (`connections_fd`:
-eigenvectors at stencil points aligned to the anchor frame by the unitary
-polar factor of the per-group overlap matrix) are the independent
-cross-check.
+frame field (`connections_fd`, at the fixed stencil base
+`stencils.DEFAULT_FD_BASE`; without an analytic frame, eigenvectors at
+stencil points are aligned to the anchor frame by the unitary polar factor
+of the per-group overlap matrix) are the independent cross-check.
 
 A frame holds one point or a batch of N points.  A batch puts its point
 axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
@@ -61,8 +61,6 @@ class Tolerances:
     gap: float = 1e-6               # minimum cross-group gap, relative
     block: float = 1e-10            # off-group residual of U0 H U0^+
     unitarity: float = 1e-12        # ||U0 U0^+ - 1|| of a validated frame
-    fd_base: float = 1e-3
-    overlap: float = 1e-6           # smallest singular value of group overlaps
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -71,6 +69,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The smallest singular value of a group overlap that `_align_to` accepts.
+_OVERLAP_FLOOR = 1e-6
 
 
 @dataclass
@@ -93,9 +94,6 @@ class BandFrame:
     @property
     def n(self) -> int:
         return self.eps0.shape[-1]
-
-    def group_states(self, g: int) -> np.ndarray:
-        return np.flatnonzero(self.groups == g)
 
     @cached_property
     def same(self) -> np.ndarray:
@@ -133,16 +131,13 @@ class BandFrame:
 class ConnectionSet:
     """The six Hermitian connections at one point, as one phase-axis stack.
 
-    ``A`` is (6, n, n) in axis order (R_1, R_2, R_3, P_1, P_2, P_3).  For
-    corrected sets, ``linear`` holds the hbar-free coefficient of the
-    order-hbar correction (A = A0 + hbar * linear).
+    ``A`` is (6, n, n) in axis order (R_1, R_2, R_3, P_1, P_2, P_3).
     """
 
     A: np.ndarray                   # (..., 6, n, n)
     order: str                      # "0" or "corrected"
     point: PhasePoint
     hbar: float
-    linear: np.ndarray | None = None  # (..., 6, n, n) or None for order 0
 
     @property
     def A_R(self) -> np.ndarray:
@@ -300,8 +295,8 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     return vecs * turn[..., None, :]
 
 
-def _align_to(vecs: np.ndarray, ref: np.ndarray, groups: np.ndarray,
-              tol: Tolerances) -> np.ndarray:
+def _align_to(vecs: np.ndarray, ref: np.ndarray,
+              groups: np.ndarray) -> np.ndarray:
     """Rotate eigenvector columns within each group to match a reference frame.
 
     Uses the unitary polar factor of the overlap matrix per band group; raises
@@ -312,7 +307,7 @@ def _align_to(vecs: np.ndarray, ref: np.ndarray, groups: np.ndarray,
         idx = np.flatnonzero(groups == g)
         overlap = vecs[:, idx].conj().T @ ref[:, idx]
         u, s, vh = np.linalg.svd(overlap)
-        if s.min() < tol.overlap:
+        if s.min() < _OVERLAP_FLOOR:
             raise ValueError(
                 f"gauge alignment failure: group {g} overlap is singular "
                 f"(smallest singular value {s.min():.3e})"
@@ -384,7 +379,7 @@ def frame_field(model: Model, anchor: BandFrame, tol: Tolerances = DEFAULT_TOL):
 
     def at(y: PhasePoint):
         vals, vecs, _groups = _group_eigensystem(model, y, tol)
-        aligned = _align_to(vecs, ref, anchor.groups, tol)
+        aligned = _align_to(vecs, ref, anchor.groups)
         return vals, aligned.conj().T
 
     return at
@@ -544,8 +539,7 @@ def connections_fd(model: Model, x: PhasePoint, hbar: float,
         frame = classical_frame(model, x, tol)
     at = frame_field(model, frame, tol)
     U0 = at(x)[1]
-    X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis,
-                                        tol.fd_base)
+    X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis)
                        for axis in range(6)])
     return ConnectionSet(hermitize(conjugate(1j * X)), "0", x, hbar)
 

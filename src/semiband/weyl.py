@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 import random
 
@@ -29,7 +29,6 @@ __all__ = [
     "QC",
     "WeylExpr",
     "Factorization",
-    "bracket",
     "bracket_product_residual",
     "invariant_derivative_residual",
     "full_symmetrizations",
@@ -302,9 +301,6 @@ class WeylExpr:
     def __hash__(self):
         raise TypeError("WeylExpr is mutable-by-construction; not hashable")
 
-    def max_degree(self) -> int:
-        return max((sum(r) + sum(p) for (r, p, _h) in self.terms), default=0)
-
     def uses_only(self, kind: str) -> bool:
         """True if every monomial involves only R (kind 'R') or only P factors."""
         slot = 1 if kind == "R" else 0
@@ -441,10 +437,6 @@ class Factorization:
         return self.hbar_derivative() + self.bracket()
 
 
-def bracket(f: Factorization) -> WeylExpr:
-    return f.bracket()
-
-
 def bracket_product_residual(f: Factorization, g: Factorization) -> WeylExpr:
     """<FG> minus its product expansion; identically zero for valid inputs.
 
@@ -503,22 +495,7 @@ def _letter_orderings(letters: tuple, cap: int):
         raise ValueError(
             f"symmetrization degree {len(letters)} exceeds cap {cap}"
         )
-
-    seen_total = []
-
-    def rec(remaining: tuple, prefix: tuple):
-        if not remaining:
-            seen_total.append(prefix)
-            return
-        used = set()
-        for i, letter in enumerate(remaining):
-            if letter in used:
-                continue
-            used.add(letter)
-            rec(remaining[:i] + remaining[i + 1:], prefix + (letter,))
-
-    rec(tuple(sorted(letters)), ())
-    return seen_total
+    return sorted(set(permutations(letters)))
 
 
 def full_symmetrizations(r_exp, p_exp, mat: Mat | None = None, n: int = 1,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import semiband.cli
+import semiband.verify
 from semiband.cli import main
 from semiband.models import NeutrinoMetric
 
@@ -133,6 +134,7 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", ["--order", "3"], {}),
     ("diagonalize", [], {"representation": "covarient"}),
     ("connections", [], {"connection_order": "1"}),
+    # fd_base and overlap are no tolerances: unknown names, whatever the value.
     ("diagonalize", [], {"tolerances": {"fd_base": math.nan}}),
     ("diagonalize", [], {"tolerances": {"fd_base": 0}}),
     ("diagonalize", [], {"tolerances": {"gap": -1, "degeneracy": "nan"}}),
@@ -211,6 +213,10 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("verify", [], {"suites_to_run": ["neutrino-curvature"],
                     "suites": {"neutrino-curvature": {"tolerance": math.nan}}}),
     ("verify", [], {"suites": {"symmetrized-bracket": {"seed": False}}}),
+    # Every tolerance must be finite and > 0.
+    ("diagonalize", [], {"tolerances": {"block": math.nan}}),
+    ("connections", [], {"tolerances": {"unitarity": 0}}),
+    ("curvature", [], {"tolerances": {"degeneracy": math.inf}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -223,6 +229,18 @@ def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
     assert main(["--config", cfg, "--out", str(out), *argv, command]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name,value", [("fd_base", 1e-3), ("overlap", 1e-6)])
+def test_fixed_stencil_base_and_overlap_floor_are_no_tolerances(
+        tmp_path, capsys, name, value):
+    # The stencil base and the gauge-overlap floor are constants of the
+    # finite-difference cross-check: a config cannot set them.
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, tolerances={name: value}))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "diagonalize"]) == 1
+    assert not out.exists()
+    assert f"unknown tolerance {name!r}" in capsys.readouterr().err
 
 
 GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
@@ -502,6 +520,45 @@ def test_verify_suite_filter_and_tamper(tmp_path):
     assert report["suites"][0]["passed"] is False
 
     assert main(["--out", str(out), "--suite", "no-such-suite", "verify"]) == 1
+
+
+@pytest.mark.parametrize("suite,overrides", [
+    ("neutrino-curvature", {"points": 0}),
+    ("free-field-degeneracy", {"points": 0}),
+    ("dirac-canonical-oracle", {"points": -3}),
+    # These run half their sample per profile or per dimension.
+    ("neutrino-energy-oracle", {"points": 1}),
+    ("bracket-product-rule", {"cases": 1}),
+    ("bracket-invariance", {"cases": 1}),
+])
+def test_verify_refuses_a_sample_that_tests_nothing(tmp_path, capsys, suite,
+                                                    overrides):
+    # Over an empty sample the worst error stays 0, which would read as PASS.
+    cfg = write_config(tmp_path, {"suites_to_run": [suite],
+                                  "suites": {suite: overrides}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "verify"]) == 1
+    assert not out.exists()
+    (key,) = overrides
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"suite {suite} parameter {key}" in err
+
+
+def test_verify_passes_regardless_of_wall_clock(tmp_path, monkeypatch):
+    # A suite that appears to take 20 s still passes on its errors alone,
+    # and no wall-clock field reaches the report.
+    clock = iter(range(0, 10 ** 6, 20))
+    monkeypatch.setattr(semiband.verify.time, "perf_counter",
+                        lambda: float(next(clock)))
+    cfg = write_config(tmp_path, {
+        "suites": {"dirac-canonical-oracle": {"points": 3}}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--suite",
+                 "dirac-canonical-oracle", "verify"]) == 0
+    (suite,) = json.loads((out / "verify_report.json").read_text())["suites"]
+    assert suite["passed"] is True
+    assert set(suite["metrics"]) == {"points", "max_rel_err", "tolerance"}
 
 
 def test_bracket_check_command(tmp_path):

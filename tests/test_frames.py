@@ -333,7 +333,7 @@ def test_alignment_rejects_singular_overlap():
     ref = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # swapped bands
     with pytest.raises(ValueError, match="alignment"):
         _align_to(vecs[:, :1] @ np.zeros((1, 1)) + vecs, ref,
-                  np.array([0, 1]), Tolerances())
+                  np.array([0, 1]))
 
 
 class _GivenGradient:

@@ -1,10 +1,10 @@
-"""Finite-difference stencils: accuracy, fallback and diagnostics."""
+"""Finite-difference stencils: accuracy and fallback."""
 
 import numpy as np
 import pytest
 
 from semiband.models import PhasePoint
-from semiband.stencils import FDDiagnostics, derivative_along, fd_step
+from semiband.stencils import derivative_along, fd_step
 
 
 def test_fd_step_scales_with_coordinate():
@@ -18,14 +18,10 @@ def test_fourth_order_accuracy():
     def f(y):
         return np.sin(y.R[0]) * np.cosh(y.P[2])
 
-    diag = FDDiagnostics()
-    d0 = derivative_along(f, x, 0, diagnostics=diag)
+    d0 = derivative_along(f, x, 0)
     assert d0 == pytest.approx(np.cos(0.3) * np.cosh(-0.4), abs=1e-11)
-    d5 = derivative_along(f, x, 5, diagnostics=diag)
+    d5 = derivative_along(f, x, 5)
     assert d5 == pytest.approx(np.sin(0.3) * np.sinh(-0.4), abs=1e-11)
-    assert diag.order == 4
-    # The 4th/2nd discrepancy is the reported consistency measure.
-    assert 0 < diag.discrepancy < 1e-5
 
     # Every phase axis: R axes differentiate along R, P axes along P.
     def g(y):
@@ -45,10 +41,7 @@ def test_second_order_fallback_on_failure():
             raise ValueError("outside domain")
         return y.R[0] ** 2
 
-    diag = FDDiagnostics()
-    d = derivative_along(f, x, 0, diagnostics=diag)
-    assert diag.order == 2
-    assert diag.fallbacks == 1
+    d = derivative_along(f, x, 0)
     assert d == pytest.approx(2 * 0.0015, rel=1e-6)
 
 

@@ -21,7 +21,6 @@ from semiband.models import (
 from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
-    Tolerances,
     _comm,
     _rotated_dH,
     berry_connections,
@@ -285,8 +284,7 @@ def stencil_curvatures(model, x, hbar, tol=DEFAULT_TOL):
 
     a = shifts(x)
     aR, aP = a[:3], a[3:]
-    d = np.stack([derivative_along(shifts, x, axis, tol.fd_base)
-                  for axis in range(6)])
+    d = np.stack([derivative_along(shifts, x, axis) for axis in range(6)])
     d_PR, d_RP = d[3:, :3], d[:3, 3:]
     rr = d_PR - d_PR.swapaxes(0, 1) - 1j * _comm(aR[:, None], aR[None])
     pp = -(d_RP - d_RP.swapaxes(0, 1)) - 1j * _comm(aP[:, None], aP[None])
@@ -385,16 +383,3 @@ def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
         assert len(cov_calls) == 1
         assert len(frames) <= 2
 
-
-def test_curvature_does_not_depend_on_fd_base():
-    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
-    wide = Tolerances(fd_base=2e-3)
-    for case in ("dirac_electric", "neutrino_metric", "two_level_generic"):
-        model = TANGENT_CASES[case]()
-        a = berry_curvatures(model, x, 0.05)
-        b = berry_curvatures(model, x, 0.05, wide)
-        for block in ("theta_rr", "theta_pp", "theta_pr"):
-            assert np.array_equal(getattr(a, block), getattr(b, block))
-        if model.n == 4:
-            assert np.array_equal(band_curvature_vector(model, x, 1),
-                                  band_curvature_vector(model, x, 1, wide))
