@@ -464,7 +464,7 @@ def cmd_curvature(cfg: dict, args) -> int:
         values, (norms, *cols) = _pack(
             np.stack([*norms, np.maximum(*anti)], axis=-1), x.R, x.P,
             *map(_mat_json, blocks),
-            *(band_curvature_vector(model, x, lam, tol, cset.first)
+            *(band_curvature_vector(model, x, lam, cset.first)
               for lam in lams))
         record = {"hbar": hbar, **dict(zip(names, cols))}
         return _Chunk(values, record, [record["R"], record["P"], hbar, norms])

@@ -59,7 +59,6 @@ from semiband.frames import (
     _pair_products,
     berry_connections,
     classical_frame,
-    connection_gradients,
     connection_hessians,
     hermitize,
 )
@@ -196,7 +195,8 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     is built from; one second-order pass (`_shift_gradients`) gives
     d[c, a] = grad_c a^a.  The second derivatives of the connections need the
     model's declared gauge term, so a model without an analytic frame raises
-    NotImplementedError.
+    NotImplementedError.  A block that is not finite raises
+    FloatingPointError.
     """
     frame = classical_frame(model, x, tol)
     cov = covariant_variables(model, x, hbar, tol, frame)
@@ -209,6 +209,8 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     rr = d_PR - _swap(d_PR) - 1j * C[..., R, R, :, :]
     pp = -(d_RP - _swap(d_RP)) - 1j * C[..., P, P, :, :]
     pr = -(d_RR + _swap(d_PP)) - 1j * C[..., P, R, :, :]
+    if not all(np.isfinite(b).all() for b in (rr, pp, pr)):
+        raise FloatingPointError("curvature is not finite")
     return CurvatureSet(rr, pp, pr, cov.first)
 
 
@@ -221,30 +223,52 @@ def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
     return np.take_along_axis(vecs, idx[..., None, None], -1)[..., 0]
 
 
+def _check_lam(lam) -> None:
+    """ValueError unless lam is the integer +1 or -1 (a bool is not one)."""
+    if (isinstance(lam, bool) or not isinstance(lam, numbers.Integral)
+            or lam not in (+1, -1)):
+        raise ValueError(f"lam must be the integer +1 or -1, not {lam!r}")
+
+
 def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
-                          tol: Tolerances = DEFAULT_TOL,
                           first: FirstOrder | None = None) -> np.ndarray:
     """Scalar band curvature Theta_k on the helicity-lam positive band.
 
-    Helicity expectation of the curl of the band-projected connection, with
-    grad_P A^R exact from `connection_gradients`; for the massless model
-    this equals -lam P / |P|^3 at every P.  `first`, the point's first-order
-    record (`CurvatureSet.first`), already holds that gradient.
+    Helicity expectation of the curl of the band-projected connection; for
+    the massless model this equals -lam P / |P|^3 at every P.  On the
+    positive block grad_P A^R is the gradient of the model's declared gauge
+    term, since the band-commutator inversion writes only cross-group
+    entries: without `first` it is one `d_analytic_connections` call, and
+    `first`, the point's first-order record (`CurvatureSet.first`), already
+    holds it.  A model without an analytic frame, or whose positive group is
+    not two states, raises NotImplementedError; a result that is not finite
+    raises FloatingPointError.
     """
+    _check_lam(lam)
+    pos = np.flatnonzero(model.groups == 0)
+    if len(pos) != 2:
+        raise NotImplementedError(
+            f"model {model.name}: the helicity curvature needs a positive "
+            f"group of two states, not {len(pos)}")
     if first is None:
-        frame = classical_frame(model, x, tol)
-        conns = berry_connections(model, x, 0.0, frame=frame, tol=tol)
-        dA = connection_gradients(model, frame, conns, tol)[0]
+        if not model.has_analytic_frame:
+            raise NotImplementedError(
+                f"model {model.name} has no analytic frame: the helicity "
+                "curvature needs its declared gauge term")
+        model.check_point(x)
+        dA = hermitize(model.d_analytic_connections(x))
     else:
         dA = first.dA
-    pos = np.flatnonzero(model.groups == 0)
     # curl[k] = dP[i, j] - dP[j, i], (i, j, k) cyclic, dP = grad_P A^R on the
     # positive block, made contiguous: `@` rounds a strided batch otherwise.
     dP = dA[..., 3:, :3, :, :][..., pos[:, None], pos]
     i, j = [1, 2, 0], [2, 0, 1]
     curl = np.ascontiguousarray(dP[..., i, j, :, :] - dP[..., j, i, :, :])
     chi = _helicity_spinor(x.P, lam)[..., None, :, None]
-    return np.real(_dagger(chi) @ curl @ chi)[..., 0, 0]
+    theta = np.real(_dagger(chi) @ curl @ chi)[..., 0, 0]
+    if not np.isfinite(theta).all():
+        raise FloatingPointError("band curvature is not finite")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +455,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     the energy drift along the run are reported on the trajectory.
     """
     r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0)
-    if (isinstance(lam, bool) or not isinstance(lam, numbers.Integral)
-            or lam not in (+1, -1)):
-        raise ValueError(f"lam must be the integer +1 or -1, not {lam!r}")
+    _check_lam(lam)
     if method not in ("rk4", "rk45"):
         raise ValueError("method must be 'rk4' or 'rk45'")
     if not np.linalg.norm(P0) > 0.0:

@@ -29,10 +29,12 @@ a batch through the same code; `band_energy_batch` feeds it chunks of
 
 Everything first-order is one record, `first_order` -> `FirstOrder`: the
 generator B, the hbar-free connection correction `linear` and the exact
-gradients grad A0, grad B and grad W, with no stencil.  The order-2 energy,
+gradients grad A0 and grad B, with no stencil.  The order-2 energy,
 `corrected_connections`, the covariant variables and the curvature pass all
-read it.  With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A0)
-and E = diag eps0:
+read it.  grad W is read only by the canonical order-2 energy, which builds
+it from the record (`kernel_gradient`), and conjugate(A0) is built once per
+point, as `ConnectionSet.cA`.  With M_a = U0 grad_a H U0^+,
+X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
 
 * grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b] (`Model.d2_hamiltonian`),
   and the eps0 Hessian is the group scalar of P+ grad_b M_a;
@@ -40,7 +42,7 @@ and E = diag eps0:
   band-commutator inversion; P+ grad_b X_a comes from the gradient of the
   model's gauge term (`Model.d_analytic_connections`), or is
   (1/2) P+[X_a, X_b] without an analytic frame (`frames.connection_gradients`);
-* B and W follow by the Leibniz rule, with
+* B and W (`kernel_gradient`) follow by the Leibniz rule, with
   grad inv(V) = inv(grad V - [inv(V), grad E]).
 
 Everything is Hermitized term by term; the norms of the discarded
@@ -88,6 +90,7 @@ __all__ = [
     "rotation_generator",
     "corrected_connections",
     "first_order_kernel",
+    "kernel_gradient",
     "frame_first_order",
     "apply_energy_flow_operator",
 ]
@@ -99,20 +102,20 @@ __all__ = [
 CHUNK = 64
 
 
-def _covariant(grad: np.ndarray, A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """D_a M = grad_a M + (i/2)[conjugate(A)_a, M] over the six axes of A,
-    for one matrix M (..., n, n) per point, i.e. D_R = grad_R + (i/2)[A^P, .]
-    and D_P = grad_P - (i/2)[A^R, .].  Each product of the commutator is one
-    `_pair_products` call per point."""
-    cA, M = conjugate(A), M[..., None, :, :]
+def _covariant(grad: np.ndarray, cA: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """D_a M = grad_a M + (i/2)[cA_a, M] over the six axes of cA =
+    conjugate(A), for one matrix M (..., n, n) per point, i.e.
+    D_R = grad_R + (i/2)[A^P, .] and D_P = grad_P - (i/2)[A^R, .].  Each
+    product of the commutator is one `_pair_products` call per point."""
+    M = M[..., None, :, :]
     return grad + 0.5j * (_pair_products(cA, M)[..., 0, :, :]
                           - _pair_products(M, cA)[..., 0, :, :, :])
 
 
-def _string(E: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The commutator string sum_a [E, X_a] conjugate(Y)_a, that is
-    sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
-    return (_comm(E[..., None, :, :], X) @ conjugate(Y)).sum(-3)
+def _string(E: np.ndarray, X: np.ndarray, cY: np.ndarray) -> np.ndarray:
+    """The commutator string sum_a [E, X_a] cY_a with cY = conjugate(Y),
+    that is sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
+    return (_comm(E[..., None, :, :], X) @ cY).sum(-3)
 
 
 @dataclass
@@ -163,7 +166,6 @@ class FirstOrder:
     N: np.ndarray                   # [a, b] = U0 grad_a grad_b H U0^+
     dM: np.ndarray                  # [b, a] = grad_b (U0 grad_a H U0^+)
     dB: np.ndarray                  # grad B, (..., 6, n, n)
-    dW: np.ndarray                  # grad W, (..., 6, n, n)
     linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
     DE: np.ndarray                  # D eps0 over A0, (..., 6, n, n)
 
@@ -174,11 +176,11 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     `berry_connections` set `conns0`.
 
     grad A0, the eps0 Hessian and the first tangents N, dM come from
-    `connection_gradients`; B (`rotation_generator`) and W
-    (`first_order_kernel`) are differentiated by the Leibniz rule, with
-    grad inv(V) = inv(grad V - [inv(V), grad E]) for the band-commutator
-    inversion, and D eps0 is kept for the order-2 energy, which reads W and
-    its canonical term from it.  The hbar-free connection correction is
+    `connection_gradients`; B (`rotation_generator`) is differentiated by
+    the Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for
+    the band-commutator inversion, and D eps0 is kept for the order-2
+    energy, which reads W and its canonical term (`kernel_gradient`) from
+    it.  The hbar-free connection correction is
       linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
                + [B, A0^X]),
     Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
@@ -189,7 +191,7 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.
-    # [b, a] stacks carry A, g and D_a E on their a axis.
+    # [b, a] stacks carry A and g on their a axis.
     gs = g[..., None, :] + g[..., :, None]
     Aa = A[..., None, :, :, :]
     K = (0.5 * A * gs).sum(-3)
@@ -205,19 +207,29 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
           ).sum(-3)
     dB += 0.25j * (dY + _dagger(dY))
 
-    # W = P+(T + T^+), T = sum_a (D_a E) A_a with D_a E = diag(g_a)
-    # + (i/2)[conjugate(A)_a, E].
-    DE = _covariant(_diag(g), A, _diag(frame.eps0))
-    dDE = _diag(hess) + 0.5j * (
-        _comm_diag(conjugate(dA), frame.eps0[..., None, None, :])
-        + _comm_diag(conjugate(A)[..., None, :, :, :], g[..., :, None, :]))
-    dT = (dDE @ Aa + DE[..., None, :, :, :] @ dA).sum(-3)
-    dW = frame.project(dT + _dagger(dT), "diag")
+    # D eps0 of the kernel W = P+(T + T^+), T = sum_a (D_a E) A_a, with
+    # D_a E = diag(g_a) + (i/2)[conjugate(A)_a, E].
+    DE = _covariant(_diag(g), conns0.cA, _diag(frame.eps0))
 
     B = rotation_generator(model, frame, conns0, tol)
     corr = (0.125 * _anticomm(A[..., :, None, :, :], dA)).sum(-4)
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(conns0, B, dA, hess, N, dM, dB, dW, hermitize(corr), DE)
+    return FirstOrder(conns0, B, dA, hess, N, dM, dB, hermitize(corr), DE)
+
+
+def kernel_gradient(frame: BandFrame, first: FirstOrder) -> np.ndarray:
+    """grad W, (..., 6, n, n), of the kernel W = P+(T + T^+) with
+    T = sum_a (D_a E) A0_a, by the Leibniz rule on the record `first` of
+    the frame's point: grad D_a E = diag(grad g_a) + (i/2)([conjugate(grad
+    A0)_a, E] + [conjugate(A0)_a, grad E]).  Only the nested (D W) A0 term
+    of the canonical order-2 energy reads it."""
+    g, A, dA = frame.grads, first.conns0.A, first.dA
+    dDE = _diag(first.hess) + 0.5j * (
+        _comm_diag(conjugate(dA), frame.eps0[..., None, None, :])
+        + _comm_diag(first.conns0.cA[..., None, :, :, :], g[..., :, None, :]))
+    dT = (dDE @ A[..., None, :, :, :]
+          + first.DE[..., None, :, :, :] @ dA).sum(-3)
+    return frame.project(dT + _dagger(dT), "diag")
 
 
 def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
@@ -251,7 +263,7 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     part vanishes).  Returns (U, U1, B, hr).
     """
     B = rotation_generator(model, frame, conns0, tol)
-    hr = -0.25j * (conns0.A @ conjugate(conns0.A)).sum(-3)
+    hr = -0.25j * (conns0.A @ conns0.cA).sum(-3)
     U1 = B + hr
     U = (np.eye(frame.n) + hbar * U1) @ frame.U0
     return U, U1, B, hr
@@ -265,7 +277,7 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
     grads = eps0_gradients(model, frame, tol)
-    return _kernel(frame, _covariant(_diag(grads), conns.A,
+    return _kernel(frame, _covariant(_diag(grads), conns.cA,
                                      _diag(frame.eps0)), conns.A)
 
 
@@ -369,15 +381,16 @@ def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
     pieces; the quadratic cross term is order hbar^3 and not part of the
     second-order result.  The nested double-action term (hbar^2/8)[(D W) A0
     + H.C.] is added with W0 the first-order kernel at the point and
-    D W = grad W + (i/2)[conjugate(A0), W0].
+    D W = grad W + (i/2)[conjugate(A0), W0], grad W from `kernel_gradient`.
     """
     eps_mat = _diag(frame.eps0)
     A0, A1 = rec.conns0.A, rec.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
-    S = (_covariant(0.0, A1, eps_mat) @ A0 + rec.DE @ A1).sum(-3)
+    S = (_covariant(0.0, conjugate(A1), eps_mat) @ A0 + rec.DE @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
-    N = (_covariant(rec.dW, A0, W0) @ A0).sum(-3)
+    N = (_covariant(kernel_gradient(frame, rec), rec.conns0.cA, W0)
+         @ A0).sum(-3)
     nested = (hbar ** 2 / 8.0) * frame.project(N + _dagger(N), "diag")
     return linear + nested
 
@@ -392,16 +405,16 @@ def _second_order_covariant(frame: BandFrame, rec: FirstOrder, hbar: float):
     the sign bookkeeping of those two lines is enforced term by term).
     """
     eps_mat = _diag(frame.eps0)
-    A0, A1 = rec.conns0.A, rec.linear
-    Wstr = _string(eps_mat, A0, A0)
-    T0 = Wstr - _comm(eps_mat, (A0 @ conjugate(A0)).sum(-3))
-    T1 = _string(eps_mat, A1, A0) + _string(eps_mat, A0, A1)
+    A0, A1, cA0 = rec.conns0.A, rec.linear, rec.conns0.cA
+    Wstr = _string(eps_mat, A0, cA0)
+    T0 = Wstr - _comm(eps_mat, (A0 @ cA0).sum(-3))
+    T1 = _string(eps_mat, A1, cA0) + _string(eps_mat, A0, conjugate(A1))
     # (i/4) hbar {T + H.C.} with T = T0 + hbar T1, truncated at hbar^2; the
     # H.C. of (i/4)T is -(i/4)T^+.
     first = 0.25j * hbar * (T0 - _dagger(T0))
     second = 0.25j * hbar ** 2 * (T1 - _dagger(T1))
 
-    S = _string(Wstr, A0, A0)
+    S = _string(Wstr, A0, cA0)
     second += -(hbar ** 2 / 8.0) * 0.5 * (S + _dagger(S))
     first = frame.project(first, "diag")
     second = frame.project(second, "diag")
@@ -437,7 +450,7 @@ def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: np.ndarray,
     matrix field.
     """
     out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
-    Xp = project(_string(eps_mat, conns.A, conns.A), groups, "diag")
+    Xp = project(_string(eps_mat, conns.A, conns.cA), groups, "diag")
     # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
     out = project(out, groups, "diag") + 0.25j * (Xp - _dagger(Xp))
     return out

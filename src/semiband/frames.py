@@ -147,6 +147,15 @@ class ConnectionSet:
     def A_P(self) -> np.ndarray:
         return self.A[..., 3:, :, :]
 
+    @cached_property
+    def cA(self) -> np.ndarray:
+        """conjugate(A), built once per set: the first-order record, the
+        order-2 energy and the curvature pass all pair R with P over A.
+        Read-only, because every reader shares the one array."""
+        out = conjugate(self.A)
+        out.flags.writeable = False
+        return out
+
 
 def conjugate(S: np.ndarray) -> np.ndarray:
     """The R <-> P pairing of a phase-axis stack: (S^R, S^P) -> (S^P, -S^R),
@@ -457,7 +466,7 @@ def connection_gradients(model: Model, frame: BandFrame,
     """
     U0 = frame.U0[..., None, None, :, :]
     M = _rotated_dH(model, frame)
-    X = 1j * conjugate(conns.A)
+    X = 1j * conns.cA
     N = U0 @ model.d2_hamiltonian(frame.point) @ _dagger(U0)
     Ma, Xb = M[..., None, :, :, :], X[..., :, None, :, :]
     Xa = X[..., None, :, :, :]
@@ -503,7 +512,7 @@ def connection_hessians(model: Model, frame: BandFrame, first,
         )
     U0 = frame.U0
     M = _rotated_dH(model, frame)
-    X = 1j * conjugate(first.conns0.A)
+    X = 1j * first.conns0.cA
     N, dM, hess = first.N, first.dM, first.hess
     g = eps0_gradients(model, frame, tol)
     dX = 1j * conjugate(first.dA)

@@ -375,6 +375,29 @@ def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
     assert all(len(rec["band_theta_lam+1"]) == 3 for rec in records)
 
 
+def test_curvature_reports_a_non_finite_point(tmp_path):
+    # At |P| = 1e-150 the neutrino curvatures overflow.  The point is
+    # reported on its own, as band energies are, instead of written as NaN.
+    cfg = write_config(tmp_path, {
+        "model": {"model": "neutrino_metric",
+                  "field": {"kind": "gaussian", "amplitude": 0.4,
+                            "center": [0.3, 0.1, -0.2], "width": 2.0}},
+        "hbar": 0.01,
+        "points": [{"R": [0.1, 0.2, -0.3], "P": [0.5, -0.4, 0.8]},
+                   {"R": [0.1, 0.2, -0.3], "P": [1e-150, 0, 0]}],
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # numpy's overflow warnings, as a run outside the tests shows them.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(out), "curvature"]) == 2
+    report = json.loads((out / "curvature.json").read_text())
+    assert [e["index"] for e in report["errors"]] == [1]
+    assert report["errors"][0]["error"].startswith("FloatingPointError")
+    assert len(report["records"]) == 1
+    assert "nan" not in (out / "curvature.csv").read_text().lower()
+
+
 def test_trajectory_outputs_and_bad_dt(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"model": "neutrino_metric",

@@ -13,7 +13,10 @@ from semiband.fields import (
     ScalarField,
     UniformField,
 )
-from semiband.models import BETA, DiracElectric, NeutrinoMetric, PhasePoint
+from semiband.energy import band_energy
+from semiband.models import (
+    BETA, DiracElectric, NeutrinoMetric, PhasePoint, make_model,
+)
 from semiband.dynamics import (
     _helicity_spinor,
     _integrate_rk45,
@@ -126,6 +129,53 @@ def test_band_curvature_closed_form():
             theta = band_curvature_vector(model, x, lam)
             ref = -lam * P / np.linalg.norm(P) ** 3
             assert np.max(np.abs(theta - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [2, 0, -2, True, 1.0, -1.0, "1", None])
+def test_band_curvature_vector_rejects_bad_lam(lam):
+    # lam = 2 used to give the lam = +1 value: the helicity spinor took the
+    # eigenvalue nearest to lam.
+    with pytest.raises(ValueError, match="lam must be the integer"):
+        band_curvature_vector(neutrino(), X, lam)
+
+
+def test_band_curvature_vector_needs_a_two_state_positive_group():
+    # The two_level positive group is one state; the helicity contraction
+    # used to die inside numpy's matmul.
+    model = make_model({"model": "two_level"})
+    with pytest.raises(NotImplementedError, match="two_level"):
+        band_curvature_vector(model, X, 1)
+    first = berry_curvatures(model, X, 0.01).first
+    with pytest.raises(NotImplementedError, match="two_level"):
+        band_curvature_vector(model, X, 1, first)
+
+
+def test_curvatures_raise_instead_of_returning_non_finite():
+    # Toward |P| = 0 the neutrino curvatures overflow; band_energy already
+    # raised there, and the curvatures used to return NaN.  Each point gives
+    # finite blocks or a FloatingPointError (|P|^2 = 0 is refused earlier).
+    model = neutrino(GaussianField(0.4, [0.3, 0.1, -0.2], 2.0))
+    refused = []
+    with np.errstate(all="ignore"):
+        for e in (3, 10, 30, 50, 100, 150):
+            x = PhasePoint.of([0.1, 0.2, -0.3], [10.0 ** -e, 0.0, 0.0])
+            calls = [lambda: berry_curvatures(model, x, 0.01).theta_rr,
+                     *(lambda lam=lam: band_curvature_vector(model, x, lam)
+                       for lam in (+1, -1))]
+            for call in calls:
+                try:
+                    assert np.isfinite(call()).all()
+                except FloatingPointError:
+                    refused.append(e)
+        with pytest.raises(FloatingPointError):
+            band_energy(model, x, 0.01)
+    # The walk reaches the overflow: the largest |P| is finite, the
+    # smallest refused by all three calls.
+    assert 3 not in refused and refused.count(150) == 3
+    # |P| = 0 itself is refused as a point, as by the frame.
+    with pytest.raises(ValueError, match="not allowed"):
+        band_curvature_vector(model, PhasePoint.of([0.1, 0.2, -0.3],
+                                                   [0.0, 0.0, 0.0]), 1)
 
 
 def positive_block_connection(model, x):

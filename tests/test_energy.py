@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import semiband.frames
 import semiband.stencils
 from semiband.fields import (
     GaussianField, LinearField, ScalarField, UniformField,
@@ -24,6 +25,7 @@ from semiband.energy import (
     frame_first_order,
     rotation_generator,
 )
+from semiband.dynamics import berry_curvatures
 from semiband.verify import covariant_reexpansion
 from tests.test_models import p_cross_sigma
 
@@ -369,6 +371,40 @@ def test_order2_takes_no_stencil(monkeypatch):
             assert counts["d2_hamiltonian"] == 1
             fd = rep.diagnostics["fd"]
             assert (fd.fallbacks, fd.discrepancy) == (0, 0.0)
+
+
+def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
+    # conjugate(A0) is kept on the connection set; a point used to build it
+    # four times in the canonical order-2 energy and seven times in the
+    # covariant one.  The other calls conjugate A1, projections of A0 and
+    # the gradient stacks.  A batch makes the same calls as one point.
+    args = []
+    real = semiband.frames.conjugate
+
+    def counting(S):
+        args.append(S.copy())
+        return real(S)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semiband") and hasattr(module, "conjugate"):
+            monkeypatch.setattr(module, "conjugate", counting)
+    model = dirac()
+    batch = PhasePoint.stack([X, PhasePoint.of([0.3, -0.5, 0.2],
+                                               [-0.6, 0.9, 0.4])])
+    runs = {
+        "canonical": lambda x: band_energy(model, x, 0.01, 2, "canonical"),
+        "covariant": lambda x: band_energy(model, x, 0.01, 2, "covariant"),
+        "curvature": lambda x: berry_curvatures(model, x, 0.01),
+    }
+    for x in (X, batch):
+        A0 = berry_connections(model, x, 0.01).A
+        for kind, run in runs.items():
+            args.clear()
+            run(x)
+            total = {"canonical": 9, "covariant": 8, "curvature": 9}[kind]
+            assert len(args) == total, kind
+            assert sum(S.shape == A0.shape and np.array_equal(S, A0)
+                       for S in args) == 1, kind
 
 
 def rotated_model(model, D, omega):

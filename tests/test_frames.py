@@ -367,7 +367,7 @@ def test_order1_block_forms_match_stacked_products(n):
     U, cA, Mb = U0[:, None], conjugate(A), M[:, None]
     cases = [
         (rotated, (U0, dH), U @ dH @ U.conj().swapaxes(-1, -2)),
-        (_covariant, (grad, A, M), grad + 0.5j * (cA @ Mb - Mb @ cA)),
+        (_covariant, (grad, cA, M), grad + 0.5j * (cA @ Mb - Mb @ cA)),
     ]
     for helper, args, stacked in cases:
         got = helper(*args)

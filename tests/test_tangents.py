@@ -35,6 +35,7 @@ from semiband.energy import (
     first_order,
     first_order_kernel,
     frame_first_order,
+    kernel_gradient,
     rotation_generator,
 )
 from semiband.dynamics import (
@@ -207,7 +208,7 @@ def test_exact_field_gradients_match_stencil(case):
         # The z-only two_level fields vanish identically.
         scale = max(float(np.max(np.abs(fd))), 1e-12)
         for exact, want in ((first.dA, fd[:, :6]), (first.dB, fd[:, 6]),
-                            (first.dW, fd[:, 7])):
+                            (kernel_gradient(frame, first), fd[:, 7])):
             assert exact.shape == want.shape
             assert np.max(np.abs(exact - want)) <= 1e-6 * scale
 
@@ -345,6 +346,9 @@ def test_frameless_curvature_is_refused(inner):
         berry_curvatures(_FrameLess(inner()), x, 0.0)
     with pytest.raises(NotImplementedError):
         berry_curvatures(_FrameLess(inner()), x, 0.05)
+    # Without an analytic frame there is no gauge term to differentiate.
+    with pytest.raises(NotImplementedError, match="frameless_"):
+        band_curvature_vector(_FrameLess(inner()), x, 1)
 
 
 def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
@@ -383,3 +387,57 @@ def test_curvature_takes_no_stencil_and_one_covariant_pass(monkeypatch):
         assert len(cov_calls) == 1
         assert len(frames) <= 2
 
+
+
+_GAUGE_CASES = ["dirac_electric", "neutrino_metric", "rotated_dirac",
+                "twisted_dirac", "twisted_variable_mass"]
+# Points with a zero momentum component, where products of zeros carry
+# signs.
+_ZERO_COMPONENT_POINTS = [PhasePoint.of([0.1, 0.0, -0.2], [0.0, 0.5, 0.0]),
+                          PhasePoint.of([0.0, 0.0, 0.0], [0.7, 0.0, -1.1]),
+                          PhasePoint.of([0.3, 0.2, 0.1], [0.0, 0.0, 1.3])]
+
+
+@pytest.mark.parametrize("case", _GAUGE_CASES)
+def test_band_curvature_vector_from_gauge_gradient_is_the_record_path(case):
+    # Without a record, grad_P A^R on the positive block is the gradient of
+    # the declared gauge term: the band-commutator inversion writes only
+    # cross-group entries, so it is the record's block bit for bit.
+    model = TANGENT_CASES[case]()
+    points = (random_points(np.random.default_rng(44), 6, 0.3, 3.0)
+              + _ZERO_COMPONENT_POINTS)
+    for x in points:
+        first = berry_curvatures(model, x, 0.05).first
+        for lam in (+1, -1):
+            got = band_curvature_vector(model, x, lam)
+            want = band_curvature_vector(model, x, lam, first)
+            assert got.tobytes() == want.tobytes()
+    if case in BENCHMARK_CONFIGS:       # the test-only wrappers take one point
+        batch = PhasePoint.stack(points)
+        first = berry_curvatures(model, batch, 0.05).first
+        for lam in (+1, -1):
+            got = band_curvature_vector(model, batch, lam)
+            assert got.shape == (len(points), 3)
+            assert got.tobytes() == band_curvature_vector(
+                model, batch, lam, first).tobytes()
+
+
+@pytest.mark.parametrize("case", ["dirac_electric", "neutrino_metric"])
+def test_band_curvature_vector_makes_one_gauge_call(case, monkeypatch):
+    model = TANGENT_CASES[case]()
+    calls = dict.fromkeys(("analytic_frame", "d_hamiltonian",
+                           "d2_hamiltonian", "d_analytic_connections"), 0)
+    for name in calls:
+        def counting(y, _real=getattr(model, name), _name=name):
+            calls[_name] += 1
+            return _real(y)
+        monkeypatch.setattr(model, name, counting)
+    single = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    batch = PhasePoint.stack(random_points(np.random.default_rng(45), 5,
+                                           0.3, 3.0))
+    for x in (single, batch):
+        for key in calls:
+            calls[key] = 0
+        band_curvature_vector(model, x, -1)
+        assert calls == {"analytic_frame": 0, "d_hamiltonian": 0,
+                         "d2_hamiltonian": 0, "d_analytic_connections": 1}
