@@ -53,10 +53,11 @@ from semiband.frames import (
     Tolerances,
     DEFAULT_TOL,
     _anticomm,
-    _block_contract,
+    _anticomm_sum,
     _comm,
     _dagger,
     _pair_products,
+    _swap,
     berry_connections,
     classical_frame,
     connection_hessians,
@@ -162,20 +163,10 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
     return dA0 + 0.5 * cov.hbar * dA1
 
 
-def _swap(S: np.ndarray) -> np.ndarray:
-    """The two phase axes of a (..., 6, 6, n, n) stack swapped."""
-    return S.swapaxes(-4, -3)
-
-
 def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     """[L[l], R[r]] for every pair of a (..., k, n, n) and an (..., m, n, n)
     stack, (..., k, m, n, n)."""
     return _pair_products(L, R) - _swap(_pair_products(R, L))
-
-
-def _anticomm_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """sum_b {L[c, b], R[b, a]}, (..., C, A, n, n)."""
-    return _block_contract(L, R) + _swap(_block_contract(_swap(R), _swap(L)))
 
 
 def _anticomm_sum_inner(V: np.ndarray, S: np.ndarray) -> np.ndarray:

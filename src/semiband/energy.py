@@ -43,11 +43,21 @@ X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
   model's gauge term (`Model.d_analytic_connections`), or is
   (1/2) P+[X_a, X_b] without an analytic frame (`frames.connection_gradients`);
 * B and W (`kernel_gradient`) follow by the Leibniz rule, with
-  grad inv(V) = inv(grad V - [inv(V), grad E]).
+  grad inv(V) = inv(grad V - [inv(V), grad E]); B comes from the same
+  K-inversion as grad B, so `rotation_generator` is a value function that
+  the record does not call.
 
-Everything is Hermitized term by term; the norms of the discarded
-anti-Hermitian parts of the energy terms are recorded, per point, in the
-report diagnostics rather than silently dropped.
+The record's sums over a phase axis of products (Y, grad Y, the
+(1/8){A_b, grad_b A} correction, grad T) are block-matrix products
+(`frames._block_contract`), and every product with a diagonal matrix is
+elementwise: `_comm_diag_products` for D eps0 and the commutators with
+E = diag eps0 of the assembly, which keep the bits of the two matrix
+products, `frames._comm_diag` for the inputs of the inversion.  The
+assembly keeps its stacked `@` and `.sum(-3)`.
+
+Each energy term is Hermitized once; the norms of the discarded
+anti-Hermitian parts are recorded, per point, in the report diagnostics
+rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -63,11 +73,14 @@ from semiband.frames import (
     Tolerances,
     DEFAULT_TOL,
     _anticomm,
+    _anticomm_sum,
+    _block_contract,
     _comm,
     _comm_diag,
     _dagger,
     _diag,
     _pair_products,
+    _swap,
     berry_connections,
     classical_frame,
     conjugate,
@@ -112,10 +125,26 @@ def _covariant(grad: np.ndarray, cA: np.ndarray, M: np.ndarray) -> np.ndarray:
                           - _pair_products(M, cA)[..., 0, :, :, :])
 
 
-def _string(E: np.ndarray, X: np.ndarray, cY: np.ndarray) -> np.ndarray:
-    """The commutator string sum_a [E, X_a] cY_a with cY = conjugate(Y),
-    that is sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
-    return (_comm(E[..., None, :, :], X) @ cY).sum(-3)
+def _comm_diag_products(V: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[V, diag(d)] for stacks V (..., n, n) and diagonals d (..., n),
+    elementwise: V_nm d_m - d_n V_nm.  Each product rounds as `@` rounds
+    it, so a commutator with E = diag eps0 keeps the bits of the two matrix
+    products (`frames._comm_diag` rounds d_m - d_n first).  [E, V] is
+    [V, diag(-eps0)]."""
+    return V * d[..., None, :] - d[..., :, None] * V
+
+
+def _D_eps0(g: np.ndarray, cA: np.ndarray, eps0: np.ndarray) -> np.ndarray:
+    """D eps0 = diag(g_a) + (i/2)[cA_a, E] over the six axes of cA =
+    conjugate(A), with g the eps0 gradients and E = diag eps0."""
+    return _diag(g) + 0.5j * _comm_diag_products(cA, eps0[..., None, :])
+
+
+def _string(EX: np.ndarray, cY: np.ndarray) -> np.ndarray:
+    """The commutator string sum_a [E, X_a] cY_a from the stack
+    EX = [E, X] and cY = conjugate(Y), that is
+    sum_l ([E, X^{R_l}] Y^{P_l} - [E, X^{P_l}] Y^{R_l})."""
+    return (EX @ cY).sum(-3)
 
 
 @dataclass
@@ -176,43 +205,52 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     `berry_connections` set `conns0`.
 
     grad A0, the eps0 Hessian and the first tangents N, dM come from
-    `connection_gradients`; B (`rotation_generator`) is differentiated by
+    `connection_gradients`.  B is built from the same band-commutator
+    inversion and pairing product that its gradient needs (the value of
+    `rotation_generator`, rounded in another order) and differentiated by
     the Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for
-    the band-commutator inversion, and D eps0 is kept for the order-2
-    energy, which reads W and its canonical term (`kernel_gradient`) from
-    it.  The hbar-free connection correction is
+    the inversion.  D eps0 is kept for the order-2 energy, which reads W and
+    its canonical term (`kernel_gradient`) from it.  The hbar-free
+    connection correction is
       linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
                + [B, A0^X]),
     Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
-    on the position components and +i grad_R B on the momentum ones.
+    on the position components and +i grad_R B on the momentum ones.  Every
+    sum over a phase axis of products is one `_block_contract` call, and
+    every product with a diagonal matrix is elementwise.
     """
     g, A = eps0_gradients(model, frame, tol), conns0.A
     dA, hess, N, dM = connection_gradients(model, frame, conns0, tol)
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
-    # Y = sum_a P-A_a conjugate(P+A)_a.
+    # Y = sum_a P-A_a conjugate(P+A)_a.  The inversion reads only the
+    # cross-group entries, so P- is implicit.
     # [b, a] stacks carry A and g on their a axis.
     gs = g[..., None, :] + g[..., :, None]
     Aa = A[..., None, :, :, :]
     K = (0.5 * A * gs).sum(-3)
     dK = 0.5 * (dA * gs[..., None, :, :, :]
                 + Aa * (hess[..., None, :] + hess[..., :, None])).sum(-3)
-    invK = invert_band_commutator(frame.project(K, "offdiag"), frame, tol)
-    dB = -invert_band_commutator(frame.project(dK, "offdiag")
-                                 - _comm_diag(invK[..., None, :, :], g),
+    invK = invert_band_commutator(K, frame, tol)
+    dB = -invert_band_commutator(dK - _comm_diag(invK[..., None, :, :], g),
                                  frame, tol)
-    Aoff, Adiag = frame.project(A, "offdiag"), frame.project(A, "diag")
-    dY = (frame.project(dA, "offdiag") @ conjugate(Adiag)[..., None, :, :, :]
-          + Aoff[..., None, :, :, :] @ conjugate(frame.project(dA, "diag"))
-          ).sum(-3)
+    Aoff = frame.project(A, "offdiag")
+    cAdiag = frame.project(conns0.cA, "diag")    # conjugate(P+A)
+    Y = _block_contract(Aoff[..., None, :, :, :],
+                        cAdiag[..., :, None, :, :])[..., 0, 0, :, :]
+    B = -invK + 0.25j * (Y + _dagger(Y))
+    # grad_b Y = sum_a (grad_b P-A_a cP+A_a + P-A_a grad_b cP+A_a).
+    dY = (_block_contract(frame.project(dA, "offdiag"),
+                          cAdiag[..., :, None, :, :])[..., 0, :, :]
+          + _block_contract(Aoff[..., None, :, :, :],
+                            _swap(conjugate(frame.project(dA, "diag"))))
+          [..., 0, :, :, :])
     dB += 0.25j * (dY + _dagger(dY))
 
-    # D eps0 of the kernel W = P+(T + T^+), T = sum_a (D_a E) A_a, with
-    # D_a E = diag(g_a) + (i/2)[conjugate(A)_a, E].
-    DE = _covariant(_diag(g), conns0.cA, _diag(frame.eps0))
+    # D eps0 of the kernel W = P+(T + T^+), T = sum_a (D_a E) A_a.
+    DE = _D_eps0(g, conns0.cA, frame.eps0)
 
-    B = rotation_generator(model, frame, conns0, tol)
-    corr = (0.125 * _anticomm(A[..., :, None, :, :], dA)).sum(-4)
+    corr = 0.125 * _anticomm_sum(A[..., None, :, :, :], dA)[..., 0, :, :, :]
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
     return FirstOrder(conns0, B, dA, hess, N, dM, dB, hermitize(corr), DE)
 
@@ -227,8 +265,10 @@ def kernel_gradient(frame: BandFrame, first: FirstOrder) -> np.ndarray:
     dDE = _diag(first.hess) + 0.5j * (
         _comm_diag(conjugate(dA), frame.eps0[..., None, None, :])
         + _comm_diag(first.conns0.cA[..., None, :, :, :], g[..., :, None, :]))
-    dT = (dDE @ A[..., None, :, :, :]
-          + first.DE[..., None, :, :, :] @ dA).sum(-3)
+    # dT[b] = sum_a (dDE[b, a] A_a + DE_a dA[b, a]).
+    dT = (_block_contract(dDE, A[..., :, None, :, :])[..., 0, :, :]
+          + _block_contract(first.DE[..., None, :, :, :], _swap(dA))
+          [..., 0, :, :, :])
     return frame.project(dT + _dagger(dT), "diag")
 
 
@@ -277,8 +317,7 @@ def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
     grads = eps0_gradients(model, frame, tol)
-    return _kernel(frame, _covariant(_diag(grads), conns.cA,
-                                     _diag(frame.eps0)), conns.A)
+    return _kernel(frame, _D_eps0(grads, conns.cA, frame.eps0), conns.A)
 
 
 def _kernel(frame: BandFrame, DE: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -332,25 +371,25 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
     if order >= 1:
         conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-        if order == 2:
-            rec = first_order(model, frame, conns0, tol)
-            W = _kernel(frame, rec.DE, conns0.A)
-        else:
-            W = first_order_kernel(model, frame, conns0, tol)
-        first = hermitized((hbar / 2.0) * W)
+    if order == 1:
+        first = hermitized(
+            (hbar / 2.0) * first_order_kernel(model, frame, conns0, tol))
 
     if order == 2:
+        rec = first_order(model, frame, conns0, tol)
         bracket, partial = _bracket_term(model, x, hbar, frame)
         bracket = hermitized(bracket)
 
         if representation == "canonical":
+            W = _kernel(frame, rec.DE, conns0.A)
+            first = hermitized((hbar / 2.0) * W)
             second = _second_order_canonical(frame, rec, W, hbar)
         else:
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
             first, second = _second_order_covariant(frame, rec, hbar)
+            first = hermitized(first)
         second = hermitized(second)
-        first = hermitized(first)
         # An empty stencil record: no stencil runs, and readers of order-2
         # reports still find the key.
         diagnostics["fd"] = FDDiagnostics()
@@ -383,10 +422,10 @@ def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
     + H.C.] is added with W0 the first-order kernel at the point and
     D W = grad W + (i/2)[conjugate(A0), W0], grad W from `kernel_gradient`.
     """
-    eps_mat = _diag(frame.eps0)
     A0, A1 = rec.conns0.A, rec.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
-    S = (_covariant(0.0, conjugate(A1), eps_mat) @ A0 + rec.DE @ A1).sum(-3)
+    DE1 = 0.5j * _comm_diag_products(conjugate(A1), frame.eps0[..., None, :])
+    S = (DE1 @ A0 + rec.DE @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
     N = (_covariant(kernel_gradient(frame, rec), rec.conns0.cA, W0)
@@ -404,17 +443,20 @@ def _second_order_covariant(frame: BandFrame, rec: FirstOrder, hbar: float):
     second-order strings built from the order-0 connections (Hermitized, as
     the sign bookkeeping of those two lines is enforced term by term).
     """
-    eps_mat = _diag(frame.eps0)
+    # [E, X] = [X, diag(-eps0)].
+    neg = -frame.eps0
     A0, A1, cA0 = rec.conns0.A, rec.linear, rec.conns0.cA
-    Wstr = _string(eps_mat, A0, cA0)
-    T0 = Wstr - _comm(eps_mat, (A0 @ cA0).sum(-3))
-    T1 = _string(eps_mat, A1, cA0) + _string(eps_mat, A0, conjugate(A1))
+    EA0 = _comm_diag_products(A0, neg[..., None, :])
+    Wstr = _string(EA0, cA0)
+    T0 = Wstr - _comm_diag_products((A0 @ cA0).sum(-3), neg)
+    T1 = (_string(_comm_diag_products(A1, neg[..., None, :]), cA0)
+          + _string(EA0, conjugate(A1)))
     # (i/4) hbar {T + H.C.} with T = T0 + hbar T1, truncated at hbar^2; the
     # H.C. of (i/4)T is -(i/4)T^+.
     first = 0.25j * hbar * (T0 - _dagger(T0))
     second = 0.25j * hbar ** 2 * (T1 - _dagger(T1))
 
-    S = _string(Wstr, A0, cA0)
+    S = _string(_comm(Wstr[..., None, :, :], A0), cA0)
     second += -(hbar ** 2 / 8.0) * 0.5 * (S + _dagger(S))
     first = frame.project(first, "diag")
     second = frame.project(second, "diag")
@@ -450,7 +492,8 @@ def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: np.ndarray,
     matrix field.
     """
     out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
-    Xp = project(_string(eps_mat, conns.A, conns.cA), groups, "diag")
+    Xp = project(_string(_comm(eps_mat[..., None, :, :], conns.A), conns.cA),
+                 groups, "diag")
     # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
     out = project(out, groups, "diag") + 0.25j * (Xp - _dagger(Xp))
     return out

@@ -8,15 +8,17 @@ pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
 i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
 (`berry_connections`), and so are their first and second phase-space
 derivatives and the eps0 Hessian (`connection_gradients`,
-`connection_hessians`).  U0 grad H U0^+, the commutators of the covariant
-derivatives (`energy._covariant`) and the second-order pass take their
+`connection_hessians`).  The first- and second-order passes take their
 products over phase axes as block-matrix products (`_pair_products`,
-`_block_contract`), because numpy's `@` on a stack makes one BLAS call per
-small matrix.  The finite-difference connections over a gauge-smoothed
-frame field (`connections_fd`, at the fixed stencil base
-`stencils.DEFAULT_FD_BASE`; without an analytic frame, eigenvectors at
-stencil points are aligned to the anchor frame by the unitary polar factor
-of the per-group overlap matrix) are the independent cross-check.
+`_block_contract`, `_anticomm_sum`), because numpy's `@` on a stack makes
+one BLAS call per small matrix, and their products with a diagonal matrix
+elementwise (`_comm_diag`).  The band-commutator inversion is one masked
+divide by the frame's cached gap matrix.  The finite-difference
+connections over a gauge-smoothed frame field (`connections_fd`, at the
+fixed stencil base `stencils.DEFAULT_FD_BASE`; without an analytic frame,
+eigenvectors at stencil points are aligned to the anchor frame by the
+unitary polar factor of the per-group overlap matrix) are the independent
+cross-check.
 
 A frame holds one point or a batch of N points.  A batch puts its point
 axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
@@ -78,9 +80,9 @@ _OVERLAP_FLOOR = 1e-6
 class BandFrame:
     """Gauge-fixed classical diagonalization at one phase point or a batch.
 
-    The fixed per-frame data of the helpers (group masks, cross-group eps
-    differences, the gap check, U0 grad H U0^+ and the eps0 gradients) is
-    computed on first use and kept on the frame.
+    The fixed per-frame data of the helpers (group masks, the gap matrix,
+    the gap check, U0 grad H U0^+ and the eps0 gradients) is computed on
+    first use and kept on the frame.
     """
 
     eps0: np.ndarray                # (..., n) real, ordered by group layout
@@ -106,11 +108,11 @@ class BandFrame:
         return ~self.same
 
     @cached_property
-    def cross_gaps(self) -> np.ndarray:
-        """eps_m - eps_n on the cross-group entries (n, m), in mask order,
-        (..., k)."""
+    def gaps(self) -> np.ndarray:
+        """eps_m - eps_n at entry (n, m), (..., n, n); `cross` marks the
+        entries that are band gaps."""
         eps = self.eps0
-        return (eps[..., None, :] - eps[..., :, None])[..., self.cross]
+        return eps[..., None, :] - eps[..., :, None]
 
     def check_gap(self, tol: Tolerances) -> None:
         """Raise on a cross-group gap below tolerance at any point (once per
@@ -118,7 +120,8 @@ class BandFrame:
         if self._gap_checked == tol.gap:
             return
         scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1e-300)
-        if (np.abs(self.cross_gaps) <= tol.gap * scale[..., None]).any():
+        if ((np.abs(self.gaps) <= tol.gap * scale[..., None, None])
+                & self.cross).any():
             raise ValueError("near-degenerate bands: cross-group gap below tolerance")
         self._gap_checked = tol.gap
 
@@ -210,6 +213,17 @@ def _block_contract(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     right = R.swapaxes(-3, -2).reshape(R.shape[:-4] + (B * n, A * n))
     out = left @ right
     return out.reshape(out.shape[:-2] + (C, n, A, n)).swapaxes(-3, -2)
+
+
+def _swap(S: np.ndarray) -> np.ndarray:
+    """The two phase axes of a (..., 6, 6, n, n) stack swapped."""
+    return S.swapaxes(-4, -3)
+
+
+def _anticomm_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """sum_b {L[c, b], R[b, a]}, (..., C, A, n, n), as two
+    `_block_contract` calls."""
+    return _block_contract(L, R) + _swap(_block_contract(_swap(R), _swap(L)))
 
 
 def _diag(d: np.ndarray) -> np.ndarray:
@@ -399,17 +413,16 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame,
     """Right inverse of V -> [V, eps0] on cross-group matrices.
 
     V_nm = M_nm / (eps_m - eps_n) across groups; within-group components are
-    set to zero (the kernel of the commutator).  M may be a stack
-    (..., n, n), with the frame's point axis, if any, in front.  Raises on a
-    cross-group gap below tolerance.
+    +0.0 (the kernel of the commutator), so only the cross-group entries of
+    M are read.  M may be a stack (..., n, n), with the frame's point axis,
+    if any, in front.  Raises on a cross-group gap below tolerance.
     """
     frame.check_gap(tol)
-    gaps = frame.cross_gaps
-    gaps = gaps.reshape(gaps.shape[:-1] + (1,) * (M.ndim - gaps.ndim - 1)
-                        + gaps.shape[-1:])
-    out = np.zeros(np.shape(M), dtype=complex)
-    out[..., frame.cross] = M[..., frame.cross] / gaps
-    return out
+    gaps = frame.gaps
+    gaps = gaps.reshape(gaps.shape[:-2] + (1,) * (M.ndim - gaps.ndim)
+                        + gaps.shape[-2:])
+    return np.divide(M, gaps, out=np.zeros(M.shape, dtype=complex),
+                     where=frame.cross)
 
 
 def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -418,14 +431,20 @@ def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
     return V * (d[..., None, :] - d[..., :, None])
 
 
+def _rotate(U0: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """U0 S_k U0^+ for every matrix of a stack S (..., k, n, n), with U0
+    (..., n, n): each side's product is one `_pair_products` call per
+    point."""
+    U0 = U0[..., None, :, :]
+    left = _pair_products(U0, S)[..., 0, :, :, :]
+    return _pair_products(left, _dagger(U0))[..., 0, :, :]
+
+
 def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
     """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), built once
-    per frame and shared by the connections and the eps0 gradients; each
-    side's product is one `_pair_products` call per point."""
+    per frame and shared by the connections and the eps0 gradients."""
     if frame.dH is None:
-        U0 = frame.U0[..., None, :, :]
-        left = _pair_products(U0, model.d_hamiltonian(frame.point))
-        frame.dH = _pair_products(left[..., 0, :, :, :], _dagger(U0))[..., 0, :, :]
+        frame.dH = _rotate(frame.U0, model.d_hamiltonian(frame.point))
     return frame.dH
 
 
@@ -451,7 +470,9 @@ def connection_gradients(model: Model, frame: BandFrame,
     with dA[b, a] = grad_b A^a of the `berry_connections` set `conns`,
     (6, 6, n, n), hess[b, a] = grad_b grad_a eps0, (6, 6, n), and the first
     tangents N_ab = U0 grad_a grad_b H U0^+ and dM[b, a] = grad_b M_a that
-    `connection_hessians` builds on.
+    `connection_hessians` builds on.  N is two `_pair_products` calls over
+    the flattened (36, n, n) Hessian stack, and each product of [M_a, X_b]
+    one more.
 
     With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A) and
     E = diag eps0:
@@ -464,23 +485,25 @@ def connection_gradients(model: Model, frame: BandFrame,
       (`d_analytic_connections`), and (1/2) P+[X_a, X_b] in the
       parallel gauge of a frame-less model.
     """
-    U0 = frame.U0[..., None, None, :, :]
+    n = frame.n
     M = _rotated_dH(model, frame)
     X = 1j * conns.cA
-    N = U0 @ model.d2_hamiltonian(frame.point) @ _dagger(U0)
-    Ma, Xb = M[..., None, :, :, :], X[..., :, None, :, :]
-    Xa = X[..., None, :, :, :]
+    d2H = model.d2_hamiltonian(frame.point)
+    N = _rotate(frame.U0, d2H.reshape(d2H.shape[:-4] + (36, n, n)))
+    N = N.reshape(N.shape[:-3] + (6, 6, n, n))
     # Sums of commutators stay written out: grouping the terms through
     # `_comm` would round them in another order.
-    dM = N + Ma @ Xb - Xb @ Ma
+    # [b, a] stacks: _pair_products(L, R) is [l, r] = L_l R_r.
+    dM = N + _swap(_pair_products(M, X)) - _pair_products(X, M)
     hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
     g = eps0_gradients(model, frame, tol)
     dX = invert_band_commutator(
-        dM - _comm_diag(Xa, g[..., :, None, :]), frame, tol)
+        dM - _comm_diag(X[..., None, :, :, :], g[..., :, None, :]), frame, tol)
     if model.has_analytic_frame:
         dA = conjugate(1j * dX) + model.d_analytic_connections(frame.point)
     else:
-        dX += 0.5 * frame.project(_comm(Xa, Xb), "diag")
+        XX = _pair_products(X, X)
+        dX += 0.5 * frame.project(_swap(XX) - XX, "diag")
         dA = conjugate(1j * dX)
     return hermitize(dA), hess, N, dM
 
@@ -525,9 +548,10 @@ def connection_hessians(model: Model, frame: BandFrame, first,
                              R.reshape(lead + (-1, n, n)))
         return out.reshape(L.shape[:-2] + R.shape[len(lead):-2] + (n, n))
 
+    d3H = model.d3_hamiltonian(frame.point)
     # Phase axes (c, b, a) in front of the matrix axes: each product comes
     # out on its factors' axes and is turned to (c, b, a).
-    ddM = (prod(prod(U0, model.d3_hamiltonian(frame.point)), _dagger(U0))
+    ddM = (_rotate(U0, d3H.reshape(lead + (-1, n, n))).reshape(d3H.shape)
            + np.moveaxis(prod(N, X), -3, -5) - prod(X, N)
            + prod(dM, X).swapaxes(-4, -3) - prod(X, dM).swapaxes(-5, -4)
            + np.moveaxis(prod(M, dX), -5, -3) - prod(dX, M))

@@ -13,8 +13,9 @@ from semiband.dynamics import band_curvature_vector, berry_curvatures
 from semiband.energy import CHUNK, band_energy, band_energy_batch
 from semiband.models import PhasePoint, make_model, random_points
 from tests.test_cli import write_config
+from tests.test_energy import _group_rotated
 from tests.test_frames import BENCHMARK_CONFIGS
-from tests.test_tangents import _FrameLess
+from tests.test_tangents import _FrameLess, _VariableMassDirac, _twisted
 
 # Polynomial terms with exponents 2 and 3, whose array power would round
 # differently from the per-point scalar power; h3 = 1/5 - R_z^3 changes sign,
@@ -33,7 +34,16 @@ MODELS = {**{name: (lambda cfg=cfg: make_model(cfg))
               make_model(BENCHMARK_CONFIGS["dirac_electric"])),
           "frameless_two_level": lambda: _FrameLess(
               make_model(BENCHMARK_CONFIGS["two_level_generic"])),
-          "two_level_cubic": lambda: make_model(CUBIC_TWO_LEVEL)}
+          "two_level_cubic": lambda: make_model(CUBIC_TWO_LEVEL),
+          # The gauge-turned models carry a nonzero within-group A^P, so
+          # every pairing product of the first-order record is live.
+          "rotated_dirac": lambda: _group_rotated(
+              make_model(BENCHMARK_CONFIGS["dirac_electric"]),
+              np.random.default_rng(8)),
+          "twisted_dirac": lambda: _twisted(
+              make_model(BENCHMARK_CONFIGS["dirac_electric"]), 1),
+          "twisted_variable_mass": lambda: _twisted(
+              _VariableMassDirac([0.3, -0.2, 0.25]), 2)}
 FIELDS = ("eps", "zeroth", "first", "second", "bracket_term")
 
 

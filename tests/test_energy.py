@@ -376,8 +376,9 @@ def test_order2_takes_no_stencil(monkeypatch):
 def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
     # conjugate(A0) is kept on the connection set; a point used to build it
     # four times in the canonical order-2 energy and seven times in the
-    # covariant one.  The other calls conjugate A1, projections of A0 and
-    # the gradient stacks.  A batch makes the same calls as one point.
+    # covariant one.  The other calls conjugate A1 and the gradient stacks;
+    # conjugate(P+A0) is the projection of conjugate(A0).  A batch makes the
+    # same calls as one point.
     args = []
     real = semiband.frames.conjugate
 
@@ -401,16 +402,45 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
         for kind, run in runs.items():
             args.clear()
             run(x)
-            total = {"canonical": 9, "covariant": 8, "curvature": 9}[kind]
+            total = {"canonical": 7, "covariant": 6, "curvature": 7}[kind]
             assert len(args) == total, kind
             assert sum(S.shape == A0.shape and np.array_equal(S, A0)
                        for S in args) == 1, kind
 
 
+def test_order2_point_builds_b_from_its_own_inversion(monkeypatch):
+    # The first-order record takes B from the K-inversion it performs for
+    # grad B: an order-2 point makes four band-commutator inversions (the
+    # connections, their gradients, B and grad B) and no
+    # `rotation_generator` call, in either representation, for one point
+    # and for a batch.
+    counts = {"invert_band_commutator": 0, "rotation_generator": 0}
+    for name, module in list(sys.modules.items()):
+        for fname in counts:
+            if name.startswith("semiband") and hasattr(module, fname):
+                real = getattr(module, fname)
+
+                def counting(*args, fname=fname, real=real):
+                    counts[fname] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, fname, counting)
+    batch = PhasePoint.stack([X, PhasePoint.of([0.3, -0.5, 0.2],
+                                               [-0.6, 0.9, 0.4])])
+    for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
+        for x in (X, batch):
+            for representation in ("canonical", "covariant"):
+                counts.update(invert_band_commutator=0, rotation_generator=0)
+                band_energy(model, x, 0.01, 2, representation)
+                assert counts == {"invert_band_commutator": 4,
+                                  "rotation_generator": 0}
+
+
 def rotated_model(model, D, omega):
     """The model with its frame turned by the within-group unitary D(x), whose
     (D grad D^+) = -omega is constant over phase space, and its declared gauge
-    term and that term's first and second derivatives turned with it.
+    term and that term's first and second derivatives turned with it.  D and
+    the model take one point or a batch.
 
     X = U0 grad U0^+ becomes D X D^+ + D grad D^+, so the gauge term G becomes
     D G D^+ + conjugate(i D grad D^+), grad_b (D G_a D^+) is
@@ -421,30 +451,35 @@ def rotated_model(model, D, omega):
     rotated = copy.copy(model)
     shift = conjugate(-1j * omega)
 
-    def turn(x, S):
+    def turn(x, S, axes):
+        """D S D^+ for a stack S with `axes` phase axes."""
         Dx = D(x)
-        return Dx @ S @ Dx.conj().T
+        Dx = Dx.reshape(Dx.shape[:-2] + (1,) * axes + Dx.shape[-2:])
+        return Dx @ S @ Dx.conj().swapaxes(-1, -2)
 
     def analytic_frame(x):
         eps0, U0 = model.analytic_frame(x)
         return eps0, D(x) @ U0
 
     def analytic_connections(x):
-        G = turn(x, np.concatenate(model.analytic_connections(x))) + shift
-        return list(G[:3]), list(G[3:])
+        G = turn(x, np.concatenate(model.analytic_connections(x), axis=-3),
+                 1) + shift
+        return G[..., :3, :, :], G[..., 3:, :, :]
 
     def d_analytic_connections(x):
-        G = turn(x, np.concatenate(model.analytic_connections(x)))
-        return (omega[:, None] @ G[None] - G[None] @ omega[:, None]
-                + turn(x, model.d_analytic_connections(x)))
+        G = turn(x, np.concatenate(model.analytic_connections(x), axis=-3),
+                 1)[..., None, :, :, :]
+        wb = omega[:, None]
+        return (wb @ G - G @ wb
+                + turn(x, model.d_analytic_connections(x), 2))
 
     def d2_analytic_connections(x):
-        dG = d_analytic_connections(x)
-        tdG = turn(x, model.d_analytic_connections(x))
+        dG = d_analytic_connections(x)[..., :, None, :, :, :]
+        tdG = turn(x, model.d_analytic_connections(x), 2)
+        tdG = tdG[..., None, :, :, :, :]
         wb, wc = omega[None, :, None], omega[:, None, None]
-        return (wb @ dG[:, None] - dG[:, None] @ wb
-                + wc @ tdG[None] - tdG[None] @ wc
-                + turn(x, model.d2_analytic_connections(x)))
+        return (wb @ dG - dG @ wb + wc @ tdG - tdG @ wc
+                + turn(x, model.d2_analytic_connections(x), 3))
 
     rotated.analytic_frame = analytic_frame
     rotated.analytic_connections = analytic_connections

@@ -24,11 +24,13 @@ from semiband.frames import (
     invert_band_commutator,
     project,
     _align_to,
+    _anticomm_sum,
     _block_contract,
+    _diag,
     _pair_products,
     _rotated_dH,
 )
-from semiband.energy import _covariant
+from semiband.energy import _D_eps0, _comm_diag_products, _covariant
 from tests.test_models import p_cross_sigma
 
 
@@ -194,6 +196,29 @@ def test_invert_band_commutator_near_degenerate_raises():
     M = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="near-degenerate"):
         invert_band_commutator(M, frame)
+
+
+def test_invert_band_commutator_is_one_masked_divide():
+    # Cross-group entries are M_nm / (eps_m - eps_n) bit for bit and
+    # within-group entries +0.0, for one point, a batch and a
+    # (6, 6, 6, n, n) stack at either.
+    model = make_model(BENCHMARK_CONFIGS["dirac_electric"])
+    points = random_points(np.random.default_rng(15), 3, 0.3, 3.0)
+    rng = np.random.default_rng(16)
+    for x in (points[0], PhasePoint.stack(points)):
+        frame = classical_frame(model, x)
+        eps = frame.eps0
+        for phase in ((), (6, 6, 6)):
+            lead = eps.shape[:-1]
+            M = (rng.normal(size=lead + phase + (4, 4))
+                 + 1j * rng.normal(size=lead + phase + (4, 4)))
+            gap = (eps[..., None, :] - eps[..., :, None]).reshape(
+                lead + (1,) * len(phase) + (4, 4))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(frame.cross, M / gap, 0.0)
+            got = invert_band_commutator(M, frame)
+            assert got.shape == M.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_connections_fd_matches_analytic_dirac():
@@ -395,10 +420,14 @@ def test_block_products_match_broadcast_forms(n):
     L, R = stack(5), stack(7)
     LC, RC = stack(6, 6), stack(6, 3)
     LT, RT = stack(6, 3), stack(4, 6)      # [b, a] and [c, b]
+    LS, RS = stack(6, 6), stack(6, 4)
     cases = [
         (_pair_products, (L, R), L[:, :, None] @ R[:, None]),
         (_block_contract, (LC, RC),
          (LC[:, :, :, None] @ RC[:, None]).sum(2)),
+        (_anticomm_sum, (LS, RS),
+         (LS[:, :, :, None] @ RS[:, None] + RS[:, None] @ LS[:, :, :, None])
+         .sum(2)),
         (lambda a, b: swap(_block_contract(swap(a), swap(b))), (LT, RT),
          (LT[:, None] @ RT[:, :, :, None]).sum(2)),
     ]
@@ -409,3 +438,19 @@ def test_block_products_match_broadcast_forms(n):
         assert np.max(np.abs(got - broadcast)) <= 1e-15 * scale
         for i in range(2):
             assert np.array_equal(got[i], helper(*(a[i] for a in args)))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_diagonal_products_keep_the_bits_of_matrix_products(n):
+    # A product with a diagonal matrix is elementwise: V_nm d_m and d_n V_nm
+    # are the only nonzero terms of the matrix products, so the commutator
+    # with E = diag eps0, and with it D eps0 and the first-order energy,
+    # keeps the bits of the `@` forms it replaces.
+    rng = np.random.default_rng(20 + n)
+    V = rng.normal(size=(2, 6, n, n)) + 1j * rng.normal(size=(2, 6, n, n))
+    eps, g = rng.normal(size=(2, n)), rng.normal(size=(2, 6, n))
+    E = _diag(eps)[:, None]
+    got = _comm_diag_products(V, eps[:, None, :])
+    assert got.tobytes() == (V @ E - E @ V).tobytes()
+    assert (_D_eps0(g, V, eps).tobytes()
+            == _covariant(_diag(g), V, _diag(eps)).tobytes())

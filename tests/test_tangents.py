@@ -15,8 +15,8 @@ import pytest
 import semiband.dynamics
 import semiband.stencils
 from semiband.models import (
-    ALPHA, BETA, SIGMA, DiracElectric, Model, PhasePoint, _pxs_gauge_gradient,
-    _pxs_gauge_hessian, make_model, random_points,
+    ALPHA, BETA, SIGMA, DiracElectric, Model, PhasePoint, _ap, _dot,
+    make_model, random_points,
 )
 from semiband.frames import (
     DEFAULT_TOL,
@@ -53,56 +53,62 @@ from tests.test_frames import BENCHMARK_CONFIGS
 class _VariableMassDirac(DiracElectric):
     """H = alpha.P + beta m(R), m = 1 + k.R: the cross-group frame depends on
     R, so the B pairing term of `rotation_generator` is live once the frame
-    is turned within the groups."""
+    is turned within the groups.  Takes one point or a batch."""
 
     def __init__(self, k):
         super().__init__(m=1.0, e=0.0)
         self.k = np.asarray(k, dtype=float)
 
-    def _at(self, x):
-        return DiracElectric(m=1.0 + self.k @ x.R, e=0.0)
+    def _mass(self, x):
+        return 1.0 + _dot(x.R, self.k)
 
     def hamiltonian(self, x):
-        return self._at(x).hamiltonian(x)
+        self.check_point(x)
+        return self._mass(x)[..., None, None] * BETA + _ap(x.P)
 
     def d_hamiltonian(self, x):
-        return np.stack([k * BETA for k in self.k] + ALPHA)
+        return np.broadcast_to(np.stack([k * BETA for k in self.k] + ALPHA),
+                               x.batch_shape + (6, 4, 4))
 
     def d2_hamiltonian(self, x):
-        return np.zeros((6, 6, 4, 4), dtype=complex)
+        return np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
 
     def d3_hamiltonian(self, x):
-        return np.zeros((6, 6, 6, 4, 4), dtype=complex)
+        return np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
 
     def analytic_frame(self, x):
-        return self._at(x).analytic_frame(x)
+        # The free-particle rotation of `DiracElectric` at the local mass.
+        m = self._mass(x)
+        E = np.sqrt(_dot(x.P, x.P) + m * m)
+        U0 = (((E + m)[..., None, None] * np.eye(4) + BETA @ _ap(x.P))
+              / np.sqrt(2 * E * (E + m))[..., None, None])
+        return E[..., None] * np.array([1.0, 1.0, -1.0, -1.0]), U0
 
-    def analytic_connections(self, x):
-        # U0 grad_m U0^+ has no within-group part: the gauge term keeps its
-        # constant-mass form (P x Sigma)/f with f = 2E(E+m).
-        return self._at(x).analytic_connections(x)
-
-    def _f_jet(self, x):
-        """f = 2E(E+m), E = sqrt(P^2 + m^2), m = 1 + k.R: (f, grad f,
-        grad grad f) over the six axes; R enters through m."""
-        m = 1.0 + self.k @ x.R
-        E = float(np.sqrt(x.P @ x.P + m * m))
+    def _gauge_f(self, x, hessian=False):
+        """f = 2E(E+m), E = sqrt(P^2 + m^2), m = 1 + k.R: (f, grad f[,
+        grad grad f]) over the six axes; R enters through m.  U0 grad_m U0^+
+        has no within-group part, so the gauge term keeps its constant-mass
+        form (P x Sigma)/f."""
+        m, P, k = self._mass(x), x.P, self.k
+        PP = _dot(P, P)
+        E = np.sqrt(PP + m * m)
         f_m = 4 * m + 2 * E + 2 * m * m / E
-        f_P = (4 * E + 2 * m) * x.P / E
-        f_mm = 4 + 6 * m / E - 2 * m ** 3 / E ** 3
-        f_mP = 2 * (x.P @ x.P) * x.P / E ** 3
-        f_PP = (4 + 2 * m / E) * np.eye(3) - 2 * m * np.outer(x.P, x.P) / E ** 3
-        ddf = np.block([[f_mm * np.outer(self.k, self.k),
-                         np.outer(self.k, f_mP)],
-                        [np.outer(f_mP, self.k), f_PP]])
-        return 2 * E * (E + m), np.concatenate([f_m * self.k, f_P]), ddf
-
-    def d_analytic_connections(self, x):
-        f, df, _ddf = self._f_jet(x)
-        return _pxs_gauge_gradient(x.P, f, df)
-
-    def d2_analytic_connections(self, x):
-        return _pxs_gauge_hessian(x.P, *self._f_jet(x))
+        f_P = ((4 * E + 2 * m) / E)[..., None] * P
+        df = np.concatenate([f_m[..., None] * k, f_P], axis=-1)
+        f = 2 * E * (E + m)
+        if not hessian:
+            return f, df
+        E3 = E * E * E
+        f_mm = 4 + 6 * m / E - 2 * m * m * m / E3
+        f_mP = (2 * PP / E3)[..., None] * P
+        ddf = np.zeros(x.batch_shape + (6, 6))
+        ddf[..., :3, :3] = f_mm[..., None, None] * np.outer(k, k)
+        ddf[..., :3, 3:] = k[:, None] * f_mP[..., None, :]
+        ddf[..., 3:, :3] = f_mP[..., :, None] * k
+        ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * np.eye(3)
+                            - (2 * m / E3)[..., None, None]
+                            * (P[..., :, None] * P[..., None, :]))
+        return f, df, ddf
 
 
 def _twisted(model, seed):
@@ -120,11 +126,12 @@ def _twisted(model, seed):
         omega[:, sl, sl] = 1j * np.multiply.outer(c[k], nsig[k])
 
     def D(x):
-        z = np.concatenate([x.R, x.P])
-        out = np.zeros((4, 4), dtype=complex)
+        z = np.concatenate([x.R, x.P], axis=-1)
+        out = np.zeros(x.batch_shape + (4, 4), dtype=complex)
         for k, sl in enumerate((slice(0, 2), slice(2, 4))):
-            th = c[k] @ z
-            out[sl, sl] = np.cos(th) * np.eye(2) + 1j * np.sin(th) * nsig[k]
+            th = _dot(z, c[k])[..., None, None]
+            out[..., sl, sl] = (np.cos(th) * np.eye(2)
+                                + 1j * np.sin(th) * nsig[k])
         return out
 
     return rotated_model(model, D, omega)
@@ -211,6 +218,24 @@ def test_exact_field_gradients_match_stencil(case):
                             (kernel_gradient(frame, first), fd[:, 7])):
             assert exact.shape == want.shape
             assert np.max(np.abs(exact - want)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("case", [*sorted(BENCHMARK_CONFIGS), "twisted_dirac",
+                                  "twisted_variable_mass"])
+def test_record_generator_is_rotation_generator(case):
+    # The first-order record builds B from its own K-inversion and pairing
+    # product: the value of `rotation_generator`, rounded in another order,
+    # at one point and for a batch.
+    model = TANGENT_CASES[case]()
+    points = random_points(np.random.default_rng(42), 4, 0.3, 3.0)
+    for x in points + [PhasePoint.stack(points)]:
+        frame = classical_frame(model, x)
+        conns = berry_connections(model, x, 0.01, frame=frame)
+        want = rotation_generator(model, frame, conns)
+        got = first_order(model, frame, conns).B
+        assert got.shape == want.shape
+        scale = np.max(np.abs(conns.A))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 def moyal_residuals(model, x):
