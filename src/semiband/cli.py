@@ -431,10 +431,9 @@ def cmd_connections(cfg: dict, args) -> int:
 
     def work(x: PhasePoint) -> _Chunk:
         frame = classical_frame(model, x, tol)
-        conns = berry_connections(model, x, hbar, frame=frame, tol=tol)
+        conns = berry_connections(model, x, frame=frame)
         if order != "0":
-            conns = corrected_connections(
-                first_order(model, frame, conns, tol), hbar)
+            conns = corrected_connections(first_order(frame, conns), hbar)
         values, (R, P, norms, A) = _pack(x.R, x.P, matrix_norms(conns.A),
                                          _mat_json(conns.A))
         record = {"R": R, "P": P, "hbar": hbar, "order": conns.order,
@@ -464,8 +463,7 @@ def cmd_curvature(cfg: dict, args) -> int:
         values, (norms, *cols) = _pack(
             np.stack([*norms, np.maximum(*anti)], axis=-1), x.R, x.P,
             *map(_mat_json, blocks),
-            *(band_curvature_vector(model, x, lam, cset.first)
-              for lam in lams))
+            *(band_curvature_vector(model, x, lam) for lam in lams))
         record = {"hbar": hbar, **dict(zip(names, cols))}
         return _Chunk(values, record, [record["R"], record["P"], hbar, norms])
 

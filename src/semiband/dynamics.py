@@ -15,7 +15,8 @@ curvature set
 
 where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Both are built
 from the first-order record `energy.first_order`, which the covariant
-variables keep.  The gradient of a is exact at the point:
+variables keep, and the frame, which carries the model and the
+tolerances.  The gradient of a is exact at the point:
 `berry_curvatures` makes one `covariant_variables` call and one
 second-order pass, which differentiates the formulas of a by the Leibniz
 rule, with grad grad A0 from `frames.connection_hessians` on the record's
@@ -114,8 +115,6 @@ class CurvatureSet:
     theta_rr: np.ndarray            # (..., 3, 3, n, n)
     theta_pp: np.ndarray
     theta_pr: np.ndarray
-    # The point's first-order record, for `band_curvature_vector`.
-    first: FirstOrder = dc_field(repr=False)
 
 
 def covariant_variables(model: Model, x: PhasePoint, hbar: float,
@@ -124,8 +123,8 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     """Covariant variables with their order-0 and order-1 shift records."""
     if frame is None:
         frame = classical_frame(model, x, tol)
-    conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
-    first = first_order(model, frame, conns0, tol)
+    conns0 = berry_connections(model, x, frame=frame)
+    first = first_order(frame, conns0)
     A0 = frame.project(conns0.A, "diag")
     a1 = (2.0 * frame.project(first.linear, "diag")
           + (0.5 * _anticomm(A0[..., :, None, :, :],
@@ -137,8 +136,7 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
                          x, hbar, first)
 
 
-def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
-                     tol: Tolerances) -> np.ndarray:
+def _shift_gradients(frame: BandFrame, cov: CovariantVars) -> np.ndarray:
     """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (..., 6, 6, n, n).
 
     The Leibniz rule on the formulas of `covariant_variables`:
@@ -150,7 +148,7 @@ def _shift_gradients(model: Model, frame: BandFrame, cov: CovariantVars,
     """
     first = cov.first
     A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
-    ddA = connection_hessians(model, frame, first, tol)
+    ddA = connection_hessians(frame, first)
     flat = dA.reshape(A.shape[:-3] + (-1,) + A.shape[-2:])   # [(b, a)]
     dlin = (0.125 * (_anticomm_sum(dA, dA) + _anticomm_sum_inner(A, ddA))
             + 0.5 * (_pair_comm(dB, A)
@@ -191,7 +189,7 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     """
     frame = classical_frame(model, x, tol)
     cov = covariant_variables(model, x, hbar, tol, frame)
-    d = _shift_gradients(model, frame, cov, tol)
+    d = _shift_gradients(frame, cov)
     a = cov.shift_per_hbar()
     C = _comm(a[..., :, None, :, :], a[..., None, :, :, :])   # [a^c, a^a]
     R, P = slice(0, 3), slice(3, 6)
@@ -202,7 +200,7 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     pr = -(d_RR + _swap(d_PP)) - 1j * C[..., P, R, :, :]
     if not all(np.isfinite(b).all() for b in (rr, pp, pr)):
         raise FloatingPointError("curvature is not finite")
-    return CurvatureSet(rr, pp, pr, cov.first)
+    return CurvatureSet(rr, pp, pr)
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
@@ -221,19 +219,17 @@ def _check_lam(lam) -> None:
         raise ValueError(f"lam must be the integer +1 or -1, not {lam!r}")
 
 
-def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
-                          first: FirstOrder | None = None) -> np.ndarray:
+def band_curvature_vector(model: Model, x: PhasePoint, lam: int) -> np.ndarray:
     """Scalar band curvature Theta_k on the helicity-lam positive band.
 
     Helicity expectation of the curl of the band-projected connection; for
     the massless model this equals -lam P / |P|^3 at every P.  On the
     positive block grad_P A^R is the gradient of the model's declared gauge
     term, since the band-commutator inversion writes only cross-group
-    entries: without `first` it is one `d_analytic_connections` call, and
-    `first`, the point's first-order record (`CurvatureSet.first`), already
-    holds it.  A model without an analytic frame, or whose positive group is
-    not two states, raises NotImplementedError; a result that is not finite
-    raises FloatingPointError.
+    entries, so it is one `d_analytic_connections` call.  A model without an
+    analytic frame, or whose positive group is not two states, raises
+    NotImplementedError; a result that is not finite raises
+    FloatingPointError.
     """
     _check_lam(lam)
     pos = np.flatnonzero(model.groups == 0)
@@ -241,15 +237,12 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int,
         raise NotImplementedError(
             f"model {model.name}: the helicity curvature needs a positive "
             f"group of two states, not {len(pos)}")
-    if first is None:
-        if not model.has_analytic_frame:
-            raise NotImplementedError(
-                f"model {model.name} has no analytic frame: the helicity "
-                "curvature needs its declared gauge term")
-        model.check_point(x)
-        dA = hermitize(model.d_analytic_connections(x))
-    else:
-        dA = first.dA
+    if not model.has_analytic_frame:
+        raise NotImplementedError(
+            f"model {model.name} has no analytic frame: the helicity "
+            "curvature needs its declared gauge term")
+    model.check_point(x)
+    dA = hermitize(model.d_analytic_connections(x))
     # curl[k] = dP[i, j] - dP[j, i], (i, j, k) cyclic, dP = grad_P A^R on the
     # positive block, made contiguous: `@` rounds a strided batch otherwise.
     dP = dA[..., 3:, :3, :, :][..., pos[:, None], pos]

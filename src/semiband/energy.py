@@ -27,9 +27,11 @@ assembly indexes phase axes from the end, so `band_energy` runs one point or
 a batch through the same code; `band_energy_batch` feeds it chunks of
 `CHUNK` points.
 
-Everything first-order is one record, `first_order` -> `FirstOrder`: the
-generator B, the hbar-free connection correction `linear` and the exact
-gradients grad A0 and grad B, with no stencil.  The order-2 energy,
+Every pass below `band_energy` takes the point's `frames.BandFrame`, which
+carries the model and the tolerances.  Everything first-order is one record,
+`first_order(frame, conns0)` -> `FirstOrder`: the generator B, the hbar-free
+connection correction `linear` and the exact gradients grad A0 and grad B,
+with no stencil.  The order-2 energy,
 `corrected_connections`, the covariant variables and the curvature pass all
 read it.  grad W is read only by the canonical order-2 energy, which builds
 it from the record (`kernel_gradient`), and conjugate(A0) is built once per
@@ -85,7 +87,6 @@ from semiband.frames import (
     classical_frame,
     conjugate,
     connection_gradients,
-    eps0_gradients,
     hermitize,
     invert_band_commutator,
     matrix_norms,
@@ -199,8 +200,7 @@ class FirstOrder:
     DE: np.ndarray                  # D eps0 over A0, (..., 6, n, n)
 
 
-def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
-                tol: Tolerances = DEFAULT_TOL) -> FirstOrder:
+def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
     """The first-order record at the frame's point, from its
     `berry_connections` set `conns0`.
 
@@ -219,8 +219,8 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     sum over a phase axis of products is one `_block_contract` call, and
     every product with a diagonal matrix is elementwise.
     """
-    g, A = eps0_gradients(model, frame, tol), conns0.A
-    dA, hess, N, dM = connection_gradients(model, frame, conns0, tol)
+    g, A = frame.grads, conns0.A
+    dA, hess, N, dM = connection_gradients(frame, conns0)
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.  The inversion reads only the
@@ -231,9 +231,9 @@ def first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
     K = (0.5 * A * gs).sum(-3)
     dK = 0.5 * (dA * gs[..., None, :, :, :]
                 + Aa * (hess[..., None, :] + hess[..., :, None])).sum(-3)
-    invK = invert_band_commutator(K, frame, tol)
+    invK = invert_band_commutator(K, frame)
     dB = -invert_band_commutator(dK - _comm_diag(invK[..., None, :, :], g),
-                                 frame, tol)
+                                 frame)
     Aoff = frame.project(A, "offdiag")
     cAdiag = frame.project(conns0.cA, "diag")    # conjugate(P+A)
     Y = _block_contract(Aoff[..., None, :, :, :],
@@ -272,16 +272,14 @@ def kernel_gradient(frame: BandFrame, first: FirstOrder) -> np.ndarray:
     return frame.project(dT + _dagger(dT), "diag")
 
 
-def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def rotation_generator(frame: BandFrame, conns: ConnectionSet) -> np.ndarray:
     """The anti-Hermitian off-group generator B of the first-order frame.
 
     B = -[. , eps0]^{-1} P-{ (1/2) A^{X_l} grad_{X_l} eps0 + H.C. }
         + (i/4) { P-A^{R_l} P+A^{P_l} - P-A^{P_l} P+A^{R_l} + H.C. }
     """
-    grads = eps0_gradients(model, frame, tol)
-    M = (0.5 * _anticomm(conns.A, _diag(grads))).sum(-3)
-    B = -invert_band_commutator(frame.project(M, "offdiag"), frame, tol)
+    M = (0.5 * _anticomm(conns.A, _diag(frame.grads))).sum(-3)
+    B = -invert_band_commutator(frame.project(M, "offdiag"), frame)
     X = (frame.project(conns.A, "offdiag")
          @ conjugate(frame.project(conns.A, "diag"))).sum(-3)
     return B + 0.25j * (X + _dagger(X))
@@ -289,20 +287,18 @@ def rotation_generator(model: Model, frame: BandFrame, conns: ConnectionSet,
 
 def corrected_connections(first: FirstOrder, hbar: float) -> ConnectionSet:
     """Connections including the order-hbar correction, A0 + hbar linear."""
-    conns0 = first.conns0
-    return ConnectionSet(hermitize(conns0.A + hbar * first.linear),
-                         "corrected", conns0.point, hbar)
+    return ConnectionSet(hermitize(first.conns0.A + hbar * first.linear),
+                         "corrected")
 
 
-def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
-                      hbar: float, tol: Tolerances = DEFAULT_TOL):
+def frame_first_order(frame: BandFrame, conns0: ConnectionSet, hbar: float):
     """First-order transformation U = (1 + hbar U1) U0.
 
     U1 = B + hr with hr = -(i/4)[A0^{R_l}, A0^{P_l}]; the gauge choice makes
     the within-group part of the generator Hermitian (P+ of the anti-Hermitian
     part vanishes).  Returns (U, U1, B, hr).
     """
-    B = rotation_generator(model, frame, conns0, tol)
+    B = rotation_generator(frame, conns0)
     hr = -0.25j * (conns0.A @ conns0.cA).sum(-3)
     U1 = B + hr
     U = (np.eye(frame.n) + hbar * U1) @ frame.U0
@@ -313,11 +309,9 @@ def frame_first_order(model: Model, frame: BandFrame, conns0: ConnectionSet,
 # Energy assembly
 # ---------------------------------------------------------------------------
 
-def first_order_kernel(model: Model, frame: BandFrame, conns: ConnectionSet,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def first_order_kernel(frame: BandFrame, conns: ConnectionSet) -> np.ndarray:
     """W = P+[ (D_X eps0) A^X + H.C. ]; the first-order energy is (hbar/2) W."""
-    grads = eps0_gradients(model, frame, tol)
-    return _kernel(frame, _D_eps0(grads, conns.cA, frame.eps0), conns.A)
+    return _kernel(frame, _D_eps0(frame.grads, conns.cA, frame.eps0), conns.A)
 
 
 def _kernel(frame: BandFrame, DE: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -326,11 +320,11 @@ def _kernel(frame: BandFrame, DE: np.ndarray, A: np.ndarray) -> np.ndarray:
     return frame.project(T + _dagger(T), "diag")
 
 
-def _bracket_term(model: Model, x: PhasePoint, hbar: float, frame: BandFrame):
-    """-(hbar/2) <eps0> from the model's declared form, block-projected and
-    not yet Hermitized; (matrix, partial?)."""
+def _bracket_term(frame: BandFrame, hbar: float):
+    """-(hbar/2) <eps0> at the frame's point from its model's declared form,
+    block-projected and not yet Hermitized; (matrix, partial?)."""
     try:
-        raw = model.ordering_bracket_term(x, hbar)
+        raw = frame.model.ordering_bracket_term(frame.point, hbar)
     except NotImplementedError:
         return np.zeros(frame.U0.shape, dtype=complex), True
     return frame.project(raw, "diag"), False
@@ -370,14 +364,13 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         return herm
 
     if order >= 1:
-        conns0 = berry_connections(model, x, hbar, frame=frame, tol=tol)
+        conns0 = berry_connections(model, x, frame=frame)
     if order == 1:
-        first = hermitized(
-            (hbar / 2.0) * first_order_kernel(model, frame, conns0, tol))
+        first = hermitized((hbar / 2.0) * first_order_kernel(frame, conns0))
 
     if order == 2:
-        rec = first_order(model, frame, conns0, tol)
-        bracket, partial = _bracket_term(model, x, hbar, frame)
+        rec = first_order(frame, conns0)
+        bracket, partial = _bracket_term(frame, hbar)
         bracket = hermitized(bracket)
 
         if representation == "canonical":

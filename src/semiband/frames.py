@@ -1,24 +1,26 @@
 """Band frames, block projections and Berry connections.
 
 The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
-declared degenerate band groups and the gauge-fixed unitary U0 with
-U0 H U0^+ block diagonal.  Phase-axis fields are (6, n, n) stacks in axis
-order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P
-pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
-i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
-(`berry_connections`), and so are their first and second phase-space
-derivatives and the eps0 Hessian (`connection_gradients`,
-`connection_hessians`).  The first- and second-order passes take their
-products over phase axes as block-matrix products (`_pair_products`,
-`_block_contract`, `_anticomm_sum`), because numpy's `@` on a stack makes
-one BLAS call per small matrix, and their products with a diagonal matrix
-elementwise (`_comm_diag`).  The band-commutator inversion is one masked
-divide by the frame's cached gap matrix.  The finite-difference
-connections over a gauge-smoothed frame field (`connections_fd`, at the
-fixed stencil base `stencils.DEFAULT_FD_BASE`; without an analytic frame,
-eigenvectors at stencil points are aligned to the anchor frame by the
-unitary polar factor of the per-group overlap matrix) are the independent
-cross-check.
+declared degenerate band groups and the gauge-fixed unitary U0 with U0 H U0^+
+block diagonal.  The frame carries the model and the `Tolerances` it was built
+with, so every pass at its point takes the frame alone, and it caches U0 grad
+H U0^+ (`dH`), the eps0 gradients (`grads`) and the gap-checked gap matrix
+(`gaps`).  Phase-axis fields are (6, n, n) stacks in axis order (R_1, R_2,
+R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P pairing.  Connections
+are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l}, i.e. A = conjugate(i X), X =
+U0 grad U0^+.  They are exact at the point (`berry_connections`), and so are
+their first and second phase-space derivatives and the eps0 Hessian
+(`connection_gradients`, `connection_hessians`).  The first- and second-order
+passes take their products over phase axes as block-matrix products
+(`_pair_products`, `_block_contract`, `_anticomm_sum`), because numpy's `@` on
+a stack makes one BLAS call per small matrix, and their products with a
+diagonal matrix elementwise (`_comm_diag`).  The band-commutator inversion is
+one masked divide by the frame's gap matrix, whose first use checks the gaps.
+The finite-difference connections over a gauge-smoothed frame field
+(`connections_fd`, at the fixed stencil base `stencils.DEFAULT_FD_BASE`;
+without an analytic frame, eigenvectors at stencil points are aligned to the
+anchor frame by the unitary polar factor of the per-group overlap matrix) are
+the independent cross-check.
 
 A frame holds one point or a batch of N points.  A batch puts its point
 axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
@@ -51,7 +53,6 @@ __all__ = [
     "hermitize",
     "matrix_norms",
     "conjugate",
-    "eps0_gradients",
 ]
 
 
@@ -80,18 +81,18 @@ _OVERLAP_FLOOR = 1e-6
 class BandFrame:
     """Gauge-fixed classical diagonalization at one phase point or a batch.
 
-    The fixed per-frame data of the helpers (group masks, the gap matrix,
-    the gap check, U0 grad H U0^+ and the eps0 gradients) is computed on
-    first use and kept on the frame.
+    The frame carries the model and the tolerances it was built with, so
+    every pass at its point takes the frame alone.  The fixed per-frame data
+    of the helpers (group masks, the checked gap matrix, U0 grad H U0^+ and
+    the eps0 gradients) is computed on first use and kept on the frame.
     """
 
     eps0: np.ndarray                # (..., n) real, ordered by group layout
     U0: np.ndarray                  # (..., n, n), U0 H U0^+ block diagonal
     groups: np.ndarray              # (n,) group index per state
     point: PhasePoint
-    dH: np.ndarray | None = dc_field(default=None, repr=False)  # cached stack, _rotated_dH
-    grads: np.ndarray | None = dc_field(default=None, repr=False)  # cached, eps0_gradients
-    _gap_checked: float | None = dc_field(default=None, repr=False, init=False)
+    model: Model | None = dc_field(default=None, repr=False)
+    tol: Tolerances = DEFAULT_TOL
 
     @property
     def n(self) -> int:
@@ -110,20 +111,40 @@ class BandFrame:
     @cached_property
     def gaps(self) -> np.ndarray:
         """eps_m - eps_n at entry (n, m), (..., n, n); `cross` marks the
-        entries that are band gaps."""
+        entries that are band gaps.  Raises on a cross-group gap below the
+        frame's gap tolerance at any point, so only the passes that invert
+        the band commutator need the bands apart."""
         eps = self.eps0
-        return eps[..., None, :] - eps[..., :, None]
-
-    def check_gap(self, tol: Tolerances) -> None:
-        """Raise on a cross-group gap below tolerance at any point (once per
-        tolerance)."""
-        if self._gap_checked == tol.gap:
-            return
-        scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1e-300)
-        if ((np.abs(self.gaps) <= tol.gap * scale[..., None, None])
+        gaps = eps[..., None, :] - eps[..., :, None]
+        scale = np.maximum(np.max(np.abs(eps), axis=-1), 1e-300)
+        if ((np.abs(gaps) <= self.tol.gap * scale[..., None, None])
                 & self.cross).any():
             raise ValueError("near-degenerate bands: cross-group gap below tolerance")
-        self._gap_checked = tol.gap
+        return gaps
+
+    @cached_property
+    def dH(self) -> np.ndarray:
+        """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), shared
+        by the connections and the eps0 gradients."""
+        return _rotate(self.U0, self.model.d_hamiltonian(self.point))
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """The six phase-space gradients of the band energies, (..., 6, n)
+        real in the frame layout.
+
+        Uses the Hellmann-Feynman values: the within-group part of
+        U dH U^+ is a multiple of the identity per group (asserted), whose
+        scalar is the common gradient of the group's eigenvalues.
+        """
+        diag = np.real(np.diagonal(self.dH, 0, -2, -1))
+        mean = _group_scalar(diag, self.groups)
+        scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1.0)
+        if (np.max(np.abs(diag - mean), axis=(-2, -1)) > 1e-8 * scale).any():
+            raise ValueError(
+                "within-group gradient is not scalar; degeneracy is not structural"
+            )
+        return mean
 
     def project(self, mat: np.ndarray, part: str = "diag") -> np.ndarray:
         """`project` with this frame's groups."""
@@ -139,8 +160,6 @@ class ConnectionSet:
 
     A: np.ndarray                   # (..., 6, n, n)
     order: str                      # "0" or "corrected"
-    point: PhasePoint
-    hbar: float
 
     @property
     def A_R(self) -> np.ndarray:
@@ -192,12 +211,8 @@ def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pair_products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     """All products L[l] @ R[r] of two stacks (..., k, n, n) and
     (..., m, n, n), as (..., k, m, n, n): one (k n x n) @ (n x m n)
-    product."""
-    k, n, m = L.shape[-3], L.shape[-1], R.shape[-3]
-    rows = L.reshape(L.shape[:-3] + (k * n, n))
-    cols = R.swapaxes(-3, -2).reshape(R.shape[:-3] + (n, m * n))
-    out = rows @ cols
-    return out.reshape(out.shape[:-2] + (k, n, m, n)).swapaxes(-3, -2)
+    product, `_block_contract` over a shared phase axis of length 1."""
+    return _block_contract(L[..., :, None, :, :], R[..., None, :, :, :])
 
 
 def _block_contract(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -356,13 +371,13 @@ def classical_frame(model: Model, x: PhasePoint,
         vecs = _phase_fix(vecs)
         eps0, U0 = vals, _dagger(vecs)
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
-                      groups, x)
-    _validate_frame(model, frame, tol)
+                      groups, x, model, tol)
+    _validate_frame(frame)
     return frame
 
 
-def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
-    H = model.hamiltonian(frame.point)
+def _validate_frame(frame: BandFrame) -> None:
+    H, tol = frame.model.hamiltonian(frame.point), frame.tol
     scale = np.maximum(matrix_norms(H), 1e-300)
     U0, U0_dag = frame.U0, _dagger(frame.U0)
     unit = matrix_norms(U0 @ U0_dag - np.eye(frame.n))
@@ -389,35 +404,36 @@ def _validate_frame(model: Model, frame: BandFrame, tol: Tolerances) -> None:
         raise ValueError(f"group {g} eigenvalues exceed degeneracy tolerance")
 
 
-def frame_field(model: Model, anchor: BandFrame, tol: Tolerances = DEFAULT_TOL):
-    """Smooth map y -> (eps0(y), U0(y)) in the anchor's gauge.
+def frame_field(anchor: BandFrame):
+    """Smooth map y -> (eps0(y), U0(y)) of the anchor's model in the anchor's
+    gauge.
 
     With an analytic frame the model's own smooth gauge is used directly; the
     numerical path aligns each point's eigenvectors to the anchor frame.
     """
+    model = anchor.model
     if model.has_analytic_frame:
         return model.analytic_frame
 
     ref = anchor.U0.conj().T
 
     def at(y: PhasePoint):
-        vals, vecs, _groups = _group_eigensystem(model, y, tol)
+        vals, vecs, _groups = _group_eigensystem(model, y, anchor.tol)
         aligned = _align_to(vecs, ref, anchor.groups)
         return vals, aligned.conj().T
 
     return at
 
 
-def invert_band_commutator(M: np.ndarray, frame: BandFrame,
-                           tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def invert_band_commutator(M: np.ndarray, frame: BandFrame) -> np.ndarray:
     """Right inverse of V -> [V, eps0] on cross-group matrices.
 
     V_nm = M_nm / (eps_m - eps_n) across groups; within-group components are
     +0.0 (the kernel of the commutator), so only the cross-group entries of
     M are read.  M may be a stack (..., n, n), with the frame's point axis,
-    if any, in front.  Raises on a cross-group gap below tolerance.
+    if any, in front.  Raises on a cross-group gap below the frame's
+    tolerance.
     """
-    frame.check_gap(tol)
     gaps = frame.gaps
     gaps = gaps.reshape(gaps.shape[:-2] + (1,) * (M.ndim - gaps.ndim)
                         + gaps.shape[-2:])
@@ -440,15 +456,7 @@ def _rotate(U0: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _pair_products(left, _dagger(U0))[..., 0, :, :]
 
 
-def _rotated_dH(model: Model, frame: BandFrame) -> np.ndarray:
-    """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), built once
-    per frame and shared by the connections and the eps0 gradients."""
-    if frame.dH is None:
-        frame.dH = _rotate(frame.U0, model.d_hamiltonian(frame.point))
-    return frame.dH
-
-
-def berry_connections(model: Model, x: PhasePoint, hbar: float,
+def berry_connections(model: Model, x: PhasePoint,
                       frame: BandFrame | None = None,
                       tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
     """Exact order-0 connections.  U0 H U0^+ = eps0 gives
@@ -457,15 +465,14 @@ def berry_connections(model: Model, x: PhasePoint, hbar: float,
     analytic frame, and 0 otherwise (the gauge parallel to the frame at x)."""
     if frame is None:
         frame = classical_frame(model, x, tol)
-    X = invert_band_commutator(_rotated_dH(model, frame), frame, tol)
+    X = invert_band_commutator(frame.dH, frame)
     A = conjugate(1j * X)
     if model.has_analytic_frame:
         A = np.concatenate(model.analytic_connections(x), axis=-3) + A
-    return ConnectionSet(hermitize(A), "0", x, hbar)
+    return ConnectionSet(hermitize(A), "0")
 
 
-def connection_gradients(model: Model, frame: BandFrame,
-                         conns: ConnectionSet, tol: Tolerances = DEFAULT_TOL):
+def connection_gradients(frame: BandFrame, conns: ConnectionSet):
     """Exact phase-space gradients at the frame's point: (dA, hess, N, dM),
     with dA[b, a] = grad_b A^a of the `berry_connections` set `conns`,
     (6, 6, n, n), hess[b, a] = grad_b grad_a eps0, (6, 6, n), and the first
@@ -485,8 +492,7 @@ def connection_gradients(model: Model, frame: BandFrame,
       (`d_analytic_connections`), and (1/2) P+[X_a, X_b] in the
       parallel gauge of a frame-less model.
     """
-    n = frame.n
-    M = _rotated_dH(model, frame)
+    n, model, M = frame.n, frame.model, frame.dH
     X = 1j * conns.cA
     d2H = model.d2_hamiltonian(frame.point)
     N = _rotate(frame.U0, d2H.reshape(d2H.shape[:-4] + (36, n, n)))
@@ -496,9 +502,9 @@ def connection_gradients(model: Model, frame: BandFrame,
     # [b, a] stacks: _pair_products(L, R) is [l, r] = L_l R_r.
     dM = N + _swap(_pair_products(M, X)) - _pair_products(X, M)
     hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
-    g = eps0_gradients(model, frame, tol)
     dX = invert_band_commutator(
-        dM - _comm_diag(X[..., None, :, :, :], g[..., :, None, :]), frame, tol)
+        dM - _comm_diag(X[..., None, :, :, :], frame.grads[..., :, None, :]),
+        frame)
     if model.has_analytic_frame:
         dA = conjugate(1j * dX) + model.d_analytic_connections(frame.point)
     else:
@@ -508,8 +514,7 @@ def connection_gradients(model: Model, frame: BandFrame,
     return hermitize(dA), hess, N, dM
 
 
-def connection_hessians(model: Model, frame: BandFrame, first,
-                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def connection_hessians(frame: BandFrame, first) -> np.ndarray:
     """Exact second phase-space derivatives at the frame's point, for a model
     with an analytic frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n),
     of the order-0 connections of the first-order record `first`
@@ -528,16 +533,15 @@ def connection_hessians(model: Model, frame: BandFrame, first,
     O(hbar), so a model without an analytic frame raises
     NotImplementedError.
     """
+    model = frame.model
     if not model.has_analytic_frame:
         raise NotImplementedError(
             f"model {model.name} has no analytic frame: second derivatives "
             "of the connections need its declared gauge term"
         )
-    U0 = frame.U0
-    M = _rotated_dH(model, frame)
+    U0, M, g = frame.U0, frame.dH, frame.grads
     X = 1j * first.conns0.cA
     N, dM, hess = first.N, first.dM, first.hess
-    g = eps0_gradients(model, frame, tol)
     dX = 1j * conjugate(first.dA)
     lead, n = U0.shape[:-2], frame.n
 
@@ -559,22 +563,22 @@ def connection_hessians(model: Model, frame: BandFrame, first,
         ddM - _comm_diag(dX[..., None, :, :, :, :], g[..., :, None, None, :])
         - _comm_diag(dX[..., :, None, :, :, :], g[..., None, :, None, :])
         - _comm_diag(X[..., None, None, :, :, :], hess[..., :, :, None, :]),
-        frame, tol)
+        frame)
     ddA = conjugate(1j * ddX) + model.d2_analytic_connections(frame.point)
     return hermitize(ddA)
 
 
-def connections_fd(model: Model, x: PhasePoint, hbar: float,
+def connections_fd(model: Model, x: PhasePoint,
                    frame: BandFrame | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
     """Connections from finite differences of the gauge-smoothed frame field."""
     if frame is None:
         frame = classical_frame(model, x, tol)
-    at = frame_field(model, frame, tol)
+    at = frame_field(frame)
     U0 = at(x)[1]
     X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis)
                        for axis in range(6)])
-    return ConnectionSet(hermitize(conjugate(1j * X)), "0", x, hbar)
+    return ConnectionSet(hermitize(conjugate(1j * X)), "0")
 
 
 def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -582,23 +586,3 @@ def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:
     same = groups[:, None] == groups[None, :]
     return (diag @ same) / same.sum(0)
 
-
-def eps0_gradients(model: Model, frame: BandFrame,
-                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The six phase-space gradients of the band energies, (..., 6, n) real in
-    the frame layout.
-
-    Uses the Hellmann-Feynman values: the within-group part of U dH U^+ is a
-    multiple of the identity per group (asserted), whose scalar is the common
-    gradient of the group's eigenvalues.  Computed once per frame.
-    """
-    if frame.grads is None:
-        diag = np.real(np.diagonal(_rotated_dH(model, frame), 0, -2, -1))
-        mean = _group_scalar(diag, frame.groups)
-        scale = np.maximum(np.max(np.abs(frame.eps0), axis=-1), 1.0)
-        if (np.max(np.abs(diag - mean), axis=(-2, -1)) > 1e-8 * scale).any():
-            raise ValueError(
-                "within-group gradient is not scalar; degeneracy is not structural"
-            )
-        frame.grads = mean
-    return frame.grads

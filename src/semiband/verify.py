@@ -29,7 +29,6 @@ from semiband.frames import (
     berry_connections,
     classical_frame,
     connections_fd,
-    eps0_gradients,
     invert_band_commutator,
     project,
 )
@@ -326,13 +325,13 @@ def suite_residual_scaling(seed: int = 16,
     model = _dirac_model()
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
     frame = classical_frame(model, x)
-    conns0 = berry_connections(model, x, 1.0)
-    first = first_order(model, frame, conns0)
+    conns0 = berry_connections(model, x, frame=frame)
+    first = first_order(frame, conns0)
     hbars = np.array([1e-1, 1e-2, 1e-3])
 
     defects = []
     for hb in hbars:
-        U, _U1, _B, _hr = frame_first_order(model, frame, conns0, hb)
+        U, _U1, _B, _hr = frame_first_order(frame, conns0, hb)
         defects.append(np.linalg.norm(U @ U.conj().T - np.eye(frame.n)))
     slope_u = float(np.polyfit(np.log(hbars), np.log(defects), 1)[0])
 
@@ -346,8 +345,7 @@ def suite_residual_scaling(seed: int = 16,
                 - (eps_at(hb + 2 * dh) - eps_at(hb - 2 * dh))) / (12 * dh)
         # Flow operator needs the scale-hbar connections A0 + 2 hbar A1 (the
         # corrected set is the running average, with half that correction).
-        flow = ConnectionSet(conns0.A + 2 * hb * first.linear, "corrected",
-                             x, hb)
+        flow = ConnectionSet(conns0.A + 2 * hb * first.linear, "corrected")
 
         def efield(y, hb=hb):
             return band_energy(model, y, hb, order=2).eps
@@ -388,8 +386,8 @@ def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:
     conn_err = 0.0
     for model in models:
         for x in random_points(rng, 5, 0.5, 3.0):
-            an = berry_connections(model, x, 0.0)
-            fd = connections_fd(model, x, 0.0)
+            an = berry_connections(model, x)
+            fd = connections_fd(model, x)
             conn_err = max(conn_err, float(np.max(np.abs(an.A - fd.A))))
 
     model = _dirac_model()
@@ -438,7 +436,7 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     rep_cov = band_energy(model, x, hbar, order=2, representation="covariant")
 
     S = hbar * cov.shift_per_hbar()
-    grads = _diag(eps0_gradients(model, frame))
+    grads = _diag(frame.grads)
     hess = _diag(cov.first.hess)
     sym = 0.5 * _anticomm(S[:, None], S[None])
     return (rep_cov.eps + (0.5 * _anticomm(grads, S)).sum(0)

@@ -95,16 +95,14 @@ def test_batch_curvatures_equal_point_bit_for_bit(name):
         h3 = model.h_vector(x)[:, 2]
         assert (h3 >= 0).any() and (h3 < 0).any()
     cset = berry_curvatures(model, x, 0.05)
-    bands = {(lam, first): band_curvature_vector(
-        model, x, lam, first=cset.first if first else None)
-        for lam in (+1, -1) for first in (False, True)} if model.n == 4 else {}
+    bands = {lam: band_curvature_vector(model, x, lam)
+             for lam in (+1, -1)} if model.n == 4 else {}
     for i, point in enumerate(points):
         want = berry_curvatures(model, point, 0.05)
         for block in CURVATURE_BLOCKS:
             assert_same_bits(getattr(cset, block)[i], getattr(want, block))
-        for (lam, first), got in bands.items():
-            assert_same_bits(got[i], band_curvature_vector(
-                model, point, lam, first=want.first if first else None))
+        for lam, got in bands.items():
+            assert_same_bits(got[i], band_curvature_vector(model, point, lam))
 
 
 def test_batch_report_carries_the_point_axis():

@@ -351,7 +351,7 @@ _MODEL_METHODS = ("hamiltonian", "analytic_frame", "analytic_connections",
 
 def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
     # The 4 points make one chunk, and the chunk one batched curvature pass;
-    # the helicity curvatures come from the first-order record of that pass.
+    # each helicity curvature adds one batched gauge-term gradient to it.
     # They used to rebuild the frame and the connection gradients once per
     # helicity, and the pass used to run once per point.
     calls = dict.fromkeys(_MODEL_METHODS, 0)
@@ -370,7 +370,8 @@ def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):
     })
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "curvature"]) == 0
-    assert calls == dict.fromkeys(_MODEL_METHODS, 1)
+    assert calls == {**dict.fromkeys(_MODEL_METHODS, 1),
+                     "d_analytic_connections": 1 + 2}
     records = json.loads((out / "curvature.json").read_text())["records"]
     assert all(len(rec["band_theta_lam+1"]) == 3 for rec in records)
 

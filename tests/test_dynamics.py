@@ -145,9 +145,6 @@ def test_band_curvature_vector_needs_a_two_state_positive_group():
     model = make_model({"model": "two_level"})
     with pytest.raises(NotImplementedError, match="two_level"):
         band_curvature_vector(model, X, 1)
-    first = berry_curvatures(model, X, 0.01).first
-    with pytest.raises(NotImplementedError, match="two_level"):
-        band_curvature_vector(model, X, 1, first)
 
 
 def test_curvatures_raise_instead_of_returning_non_finite():
@@ -181,7 +178,7 @@ def test_curvatures_raise_instead_of_returning_non_finite():
 def positive_block_connection(model, x):
     """The position connection on the positive-energy block, (3, 2, 2): the
     reference that `band_curvature_vector` is differentiated against."""
-    conns = berry_connections(model, x, 0.0)
+    conns = berry_connections(model, x)
     pos = np.flatnonzero(model.groups == 0)
     return conns.A_R[:, pos[:, None], pos]
 

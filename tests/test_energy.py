@@ -53,24 +53,24 @@ GENERIC_TWO_LEVEL = {
 
 def corrected(model, hbar):
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, hbar, frame=frame)
-    first = first_order(model, frame, conns0)
+    conns0 = berry_connections(model, X, frame=frame)
+    first = first_order(frame, conns0)
     return frame, conns0, corrected_connections(first, hbar)
 
 
 def test_rotation_generator_neutrino_vanishes():
     model = neutrino()
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, 0.01, frame=frame)
-    B = rotation_generator(model, frame, conns)
+    conns = berry_connections(model, X, frame=frame)
+    B = rotation_generator(frame, conns)
     assert np.max(np.abs(B)) <= 1e-13
 
 
 def test_rotation_generator_dirac_closed_form():
     model = dirac()
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, 0.01, frame=frame)
-    B = rotation_generator(model, frame, conns)
+    conns = berry_connections(model, X, frame=frame)
+    B = rotation_generator(frame, conns)
     E = model.energy_scale(X)
     gV = model.field.gradient(X.R)
     closed = (BETA / (2 * E)) @ sum(
@@ -85,8 +85,8 @@ def test_rotation_generator_dirac_closed_form():
 def test_rotation_generator_uniform_potential_vanishes():
     model = dirac(UniformField(0.4))
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, 0.01, frame=frame)
-    assert np.max(np.abs(rotation_generator(model, frame, conns))) <= 1e-13
+    conns = berry_connections(model, X, frame=frame)
+    assert np.max(np.abs(rotation_generator(frame, conns))) <= 1e-13
 
 
 def test_corrected_connections_neutrino_unchanged():
@@ -270,8 +270,8 @@ def test_non_finite_energy_raises():
 def test_frame_first_order_gauge_and_unitarity():
     model = dirac()
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, 0.01, frame=frame)
-    U, U1, B, hr = frame_first_order(model, frame, conns0, 0.01)
+    conns0 = berry_connections(model, X, frame=frame)
+    U, U1, B, hr = frame_first_order(frame, conns0, 0.01)
     # hr vanishes when the momentum connection does
     assert np.max(np.abs(hr)) <= 1e-14
     # anti-Hermitian part of the generator is the rotation generator
@@ -279,7 +279,7 @@ def test_frame_first_order_gauge_and_unitarity():
     assert np.max(np.abs(anti - B)) <= 1e-13
     assert np.max(np.abs(project(anti, frame.groups, "diag"))) <= 1e-12
     # hbar -> 0 limit
-    U0_only, *_ = frame_first_order(model, frame, conns0, 0.0)
+    U0_only, *_ = frame_first_order(frame, conns0, 0.0)
     assert np.allclose(U0_only, frame.U0)
     # (d U / d hbar) U^+ has no within-group anti-Hermitian part; the exact
     # derivative of (1 + hbar U1) U0 is U1 U0.
@@ -291,8 +291,8 @@ def test_frame_first_order_gauge_and_unitarity():
 def test_frame_first_order_uniform_is_zeroth():
     model = dirac(UniformField(0.0))
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, 0.1, frame=frame)
-    U, U1, B, hr = frame_first_order(model, frame, conns0, 0.1)
+    conns0 = berry_connections(model, X, frame=frame)
+    U, U1, B, hr = frame_first_order(frame, conns0, 0.1)
     assert np.max(np.abs(U1)) <= 1e-13
     assert np.allclose(U, frame.U0)
 
@@ -398,7 +398,7 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
         "curvature": lambda x: berry_curvatures(model, x, 0.01),
     }
     for x in (X, batch):
-        A0 = berry_connections(model, x, 0.01).A
+        A0 = berry_connections(model, x).A
         for kind, run in runs.items():
             args.clear()
             run(x)
@@ -510,8 +510,8 @@ def test_group_rotated_connections_match_fd():
     for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
         rotated = _group_rotated(model, rng)
         for x in (X, PhasePoint.of([-0.4, 0.2, 0.6], [-0.3, 0.9, 0.5])):
-            exact = berry_connections(rotated, x, 0.0)
-            fd = connections_fd(rotated, x, 0.0)
+            exact = berry_connections(rotated, x)
+            fd = connections_fd(rotated, x)
             for k in range(6):
                 assert np.max(np.abs(exact.A[k] - fd.A[k])) <= 1e-6
 

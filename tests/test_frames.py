@@ -1,5 +1,7 @@
 """Band frames, projections, commutator inversion and connections."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,12 @@ from semiband.frames import (
     _block_contract,
     _diag,
     _pair_products,
-    _rotated_dH,
 )
-from semiband.energy import _D_eps0, _comm_diag_products, _covariant
+from semiband.energy import (
+    _D_eps0, _comm_diag_products, _covariant, band_energy,
+)
+from semiband.dynamics import berry_curvatures
+from semiband.cli import main
 from tests.test_models import p_cross_sigma
 
 
@@ -198,6 +203,39 @@ def test_invert_band_commutator_near_degenerate_raises():
         invert_band_commutator(M, frame)
 
 
+def test_configured_gap_tolerance_reaches_the_inversion(tmp_path):
+    # Gap 3.0 is wider than any two_level gap relative to its energies, so
+    # every band-commutator inversion raises, while order 0 inverts nothing
+    # and returns.  A frame that lost its tolerances would invert silently.
+    model = make_model({"model": "two_level"})
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    tol = Tolerances(gap=3.0)
+    assert band_energy(model, x, 0.01, order=0, tol=tol).eps.shape == (2, 2)
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="near-degenerate"):
+            band_energy(model, x, 0.01, order=order, tol=tol)
+    with pytest.raises(ValueError, match="near-degenerate"):
+        berry_curvatures(model, x, 0.01, tol)
+
+    points = [{"R": [0.3, 0.5, -0.2], "P": [0.7, -0.4, 1.1]},
+              {"R": [-0.1, 0.2, 0.4], "P": [0.5, 0.9, -0.3]}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"model": "two_level"},
+                               "tolerances": {"gap": 3.0}, "points": points}))
+    for order, code in (("0", 0), ("1", 2)):
+        out = tmp_path / f"order{order}"
+        assert main(["--config", str(cfg), "--order", order, "--out", str(out),
+                     "diagonalize"]) == code
+        report = json.loads((out / "energies.json").read_text())
+        errors = [(e["index"], e["error"]) for e in report["errors"]]
+        if code == 0:
+            assert errors == [] and len(report["records"]) == 2
+        else:
+            assert errors == [(i, "ValueError: near-degenerate bands: "
+                                  "cross-group gap below tolerance")
+                              for i in range(2)]
+
+
 def test_invert_band_commutator_is_one_masked_divide():
     # Cross-group entries are M_nm / (eps_m - eps_n) bit for bit and
     # within-group entries +0.0, for one point, a batch and a
@@ -225,8 +263,8 @@ def test_connections_fd_matches_analytic_dirac():
     model = DiracElectric(m=1.0, e=1.0,
                           field=GaussianField(0.5, [0.1, 0.0, -0.2], 1.3))
     x = PhasePoint.of([0.3, 0.2, -0.1], [0.0, 0.0, 1.0])
-    an = berry_connections(model, x, 0.0)
-    fd = connections_fd(model, x, 0.0)
+    an = berry_connections(model, x)
+    fd = connections_fd(model, x)
     for l in range(3):
         assert np.max(np.abs(an.A_R[l] - fd.A_R[l])) <= 1e-6
         assert np.max(np.abs(an.A_P[l] - fd.A_P[l])) <= 1e-10
@@ -241,14 +279,14 @@ def test_connections_fd_matches_analytic_dirac():
 def test_connections_fd_neutrino_momentum_part_zero():
     model = NeutrinoMetric(profile=GaussianField(0.4, [0.3, 0.1, -0.2], 2.0))
     x = PhasePoint.of([0.1, 0.2, 0.3], [0.4, -0.7, 0.5])
-    fd = connections_fd(model, x, 0.0)
+    fd = connections_fd(model, x)
     assert max(np.max(np.abs(a)) for a in fd.A_P) <= 1e-10
 
 
 def test_connections_constant_frame_vanish():
     model = TwoLevel()  # h along z everywhere: U0 = identity
     x = PhasePoint.of([0.2, -0.3, 0.4], [0.5, 0.6, -0.7])
-    conns = connections_fd(model, x, 0.0)
+    conns = connections_fd(model, x)
     assert np.max(np.abs(conns.A)) <= 1e-12
 
 
@@ -260,7 +298,7 @@ def test_conjugate_pairs_position_with_momentum():
     # On a connection set with A^P != 0: (A^R, A^P) -> (A^P, -A^R).
     model = make_model(BENCHMARK_CONFIGS["two_level_generic"])
     conns = berry_connections(model, PhasePoint.of([0.3, 0.5, -0.2],
-                                                   [0.7, -0.4, 1.1]), 0.0)
+                                                   [0.7, -0.4, 1.1]))
     assert np.max(np.abs(conns.A_P)) > 0.05
     C = conjugate(conns.A)
     assert np.array_equal(C[:3], conns.A_P)
@@ -271,7 +309,7 @@ def test_connections_hermitian():
     for model in (dirac(GaussianField(0.5, [0.1, 0, 0], 1.3)),
                   NeutrinoMetric(profile=LinearField([0.05, 0, 0], 1.5))):
         x = PhasePoint.of([0.3, 0.2, -0.1], [0.4, 0.5, 0.6])
-        conns = berry_connections(model, x, 0.0)
+        conns = berry_connections(model, x)
         for a in conns.A:
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
@@ -296,8 +334,8 @@ BENCHMARK_CONFIGS = {
 
 def max_connection_gap(model, x) -> float:
     """Largest entry of the exact connections minus the stencil ones."""
-    an = berry_connections(model, x, 0.0)
-    fd = connections_fd(model, x, 0.0)
+    an = berry_connections(model, x)
+    fd = connections_fd(model, x)
     return max(float(np.max(np.abs(an.A[k] - fd.A[k]))) for k in range(6))
 
 
@@ -343,9 +381,9 @@ def test_numerical_path_cross_block_content():
     """The eigensolver path reproduces the gauge-invariant off-block moduli."""
     model = _NoFrame()
     x = PhasePoint.of([0.3, -0.2, 0.1], [0.6, 0.4, -0.5])
-    fd = connections_fd(model, x, 0.0)
+    fd = connections_fd(model, x)
     inner = model.inner
-    an = connections_fd(inner, x, 0.0)   # analytic smooth frame, same layout?
+    an = connections_fd(inner, x)   # analytic smooth frame, same layout?
     # Layouts differ (ascending vs analytic); compare |off-diagonal| entries.
     for l in range(3):
         got = sorted(np.abs(project(fd.A_R[l], model.groups, "offdiag")).ravel())
@@ -384,8 +422,8 @@ def test_order1_block_forms_match_stacked_products(n):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def rotated(U0, dH):
-        frame = BandFrame(np.zeros(U0.shape[:-1]), U0, np.zeros(n, int), None)
-        return _rotated_dH(_GivenGradient(dH), frame)
+        return BandFrame(np.zeros(U0.shape[:-1]), U0, np.zeros(n, int), None,
+                         _GivenGradient(dH)).dH
 
     U0, dH = stack(), stack(6)
     grad, A, M = stack(6), stack(6), stack()

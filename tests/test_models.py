@@ -203,12 +203,12 @@ def test_two_level_degenerate_point_rejected():
 
 
 def test_hellmann_feynman_matches_fd():
-    from semiband.frames import classical_frame, eps0_gradients
+    from semiband.frames import classical_frame
 
     for model in all_models():
         x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
         frame = classical_frame(model, x)
-        grads = eps0_gradients(model, frame)
+        grads = frame.grads
         h = 1e-5
         for axis in range(6):
             ep = model.analytic_frame(x.shifted(axis, h))[0]

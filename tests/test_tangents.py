@@ -22,12 +22,10 @@ from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
     _comm,
-    _rotated_dH,
     berry_connections,
     classical_frame,
     conjugate,
     connections_fd,
-    eps0_gradients,
     frame_field,
     project,
 )
@@ -162,15 +160,15 @@ def _phase_field(model, y, anchor, hbar):
     """[A0, B, W] at y, (8, n, n), in the gauge that the exact tangents
     differentiate: the model's analytic gauge, or the gauge aligned to the
     anchor frame."""
-    eps0, U0 = frame_field(model, anchor)(y)
+    eps0, U0 = frame_field(anchor)(y)
     frame = BandFrame(np.asarray(eps0, dtype=float),
-                      np.asarray(U0, dtype=complex), anchor.groups, y)
+                      np.asarray(U0, dtype=complex), anchor.groups, y, model)
     if model.has_analytic_frame:
-        conns = berry_connections(model, y, hbar, frame=frame)
+        conns = berry_connections(model, y, frame=frame)
     else:
-        conns = connections_fd(model, y, hbar, frame=anchor)
-    return np.concatenate([conns.A, [rotation_generator(model, frame, conns),
-                                     first_order_kernel(model, frame, conns)]])
+        conns = connections_fd(model, y, frame=anchor)
+    return np.concatenate([conns.A, [rotation_generator(frame, conns),
+                                     first_order_kernel(frame, conns)]])
 
 
 def _dirac():
@@ -207,8 +205,7 @@ def test_exact_field_gradients_match_stencil(case):
     points = random_points(rng, 2, 0.3, 3.0)
     for x in points:
         frame = classical_frame(model, x)
-        first = first_order(model, frame,
-                            berry_connections(model, x, hbar, frame=frame))
+        first = first_order(frame, berry_connections(model, x, frame=frame))
         fd = np.stack([derivative_along(
             lambda y: _phase_field(model, y, frame, hbar), x, axis)
             for axis in range(6)])
@@ -230,9 +227,9 @@ def test_record_generator_is_rotation_generator(case):
     points = random_points(np.random.default_rng(42), 4, 0.3, 3.0)
     for x in points + [PhasePoint.stack(points)]:
         frame = classical_frame(model, x)
-        conns = berry_connections(model, x, 0.01, frame=frame)
-        want = rotation_generator(model, frame, conns)
-        got = first_order(model, frame, conns).B
+        conns = berry_connections(model, x, frame=frame)
+        want = rotation_generator(frame, conns)
+        got = first_order(frame, conns).B
         assert got.shape == want.shape
         scale = np.max(np.abs(conns.A))
         assert np.max(np.abs(got - want)) <= 1e-15 * scale
@@ -248,18 +245,18 @@ def moyal_residuals(model, x):
           + (d_{R_l}E - E X_{R_l}) X_{P_l} - (d_{P_l}E - E X_{P_l}) X_{R_l}).
     """
     frame = classical_frame(model, x)
-    conns = berry_connections(model, x, 0.0, frame=frame)
-    _U, U1, _B, _hr = frame_first_order(model, frame, conns, 0.0)
+    conns = berry_connections(model, x, frame=frame)
+    _U, U1, _B, _hr = frame_first_order(frame, conns, 0.0)
     X = 1j * conjugate(conns.A)
-    M = _rotated_dH(model, frame)
+    M = frame.dH
     E = np.diag(frame.eps0)
-    dE = np.stack([np.diag(g) for g in eps0_gradients(model, frame)])
+    dE = np.stack([np.diag(g) for g in frame.grads])
     XR, XP, MR, MP = X[:3], X[3:], M[:3], M[3:]
     unit = U1 + U1.conj().T + 0.5j * (XP @ XR - XR @ XP).sum(0)
     T = U1 @ E + E @ U1.conj().T + 0.5j * (
         XP @ MR - XR @ MP + (dE[:3] - E @ XR) @ XP
         - (dE[3:] - E @ XP) @ XR).sum(0)
-    W = first_order_kernel(model, frame, conns)
+    W = first_order_kernel(frame, conns)
     return (float(np.max(np.abs(unit))),
             float(np.max(np.abs(project(T, frame.groups, "offdiag")))),
             float(np.max(np.abs(project(T, frame.groups, "diag") - W / 2))))
@@ -291,8 +288,8 @@ def test_twisted_models_exercise_the_pairing_terms():
     for case in ("twisted_dirac", "twisted_variable_mass"):
         model = MOYAL_CASES[case]()
         frame = classical_frame(model, x)
-        conns = berry_connections(model, x, 0.0, frame=frame)
-        _U, _U1, _B, hr = frame_first_order(model, frame, conns, 0.0)
+        conns = berry_connections(model, x, frame=frame)
+        _U, _U1, _B, hr = frame_first_order(frame, conns, 0.0)
         A = conns.A
         pairing = (project(A, frame.groups, "offdiag")
                    @ conjugate(project(A, frame.groups, "diag"))).sum(0)
@@ -424,27 +421,27 @@ _ZERO_COMPONENT_POINTS = [PhasePoint.of([0.1, 0.0, -0.2], [0.0, 0.5, 0.0]),
 
 
 @pytest.mark.parametrize("case", _GAUGE_CASES)
-def test_band_curvature_vector_from_gauge_gradient_is_the_record_path(case):
-    # Without a record, grad_P A^R on the positive block is the gradient of
-    # the declared gauge term: the band-commutator inversion writes only
-    # cross-group entries, so it is the record's block bit for bit.
+def test_band_curvature_vector_from_gauge_gradient_is_the_record_path(
+        case, monkeypatch):
+    # grad_P A^R on the positive block is the gradient of the declared gauge
+    # term: the band-commutator inversion writes only cross-group entries,
+    # so the helicity curvature from the gauge gradient is the one from the
+    # first-order record's grad A0 bit for bit.
     model = TANGENT_CASES[case]()
     points = (random_points(np.random.default_rng(44), 6, 0.3, 3.0)
               + _ZERO_COMPONENT_POINTS)
-    for x in points:
-        first = berry_curvatures(model, x, 0.05).first
-        for lam in (+1, -1):
-            got = band_curvature_vector(model, x, lam)
-            want = band_curvature_vector(model, x, lam, first)
-            assert got.tobytes() == want.tobytes()
+    xs = list(points)
     if case in BENCHMARK_CONFIGS:       # the test-only wrappers take one point
-        batch = PhasePoint.stack(points)
-        first = berry_curvatures(model, batch, 0.05).first
-        for lam in (+1, -1):
-            got = band_curvature_vector(model, batch, lam)
-            assert got.shape == (len(points), 3)
-            assert got.tobytes() == band_curvature_vector(
-                model, batch, lam, first).tobytes()
+        xs.append(PhasePoint.stack(points))
+    for x in xs:
+        got = {lam: band_curvature_vector(model, x, lam) for lam in (+1, -1)}
+        record = covariant_variables(model, x, 0.05).first.dA
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "d_analytic_connections", lambda _y: record)
+            for lam in (+1, -1):
+                want = band_curvature_vector(model, x, lam)
+                assert got[lam].shape == x.P.shape
+                assert got[lam].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", ["dirac_electric", "neutrino_metric"])
