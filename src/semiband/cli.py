@@ -102,6 +102,10 @@ def _section(cfg: dict, key: str, default=None, kind: type = dict):
 
 
 def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
+    sources = [k for k in ("points", "grid", "random_points") if k in cfg]
+    if len(sources) != 1:
+        raise ConfigError("config needs exactly one of 'points', 'grid' or "
+                          f"'random_points', not {sources}")
     if "points" in cfg:
         pts = []
         for i, rec in enumerate(_section(cfg, "points", kind=list)):
@@ -130,15 +134,13 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
         return [PhasePoint.of([flat[0][i], flat[1][i], flat[2][i]],
                               [flat[3][i], flat[4][i], flat[5][i]])
                 for i in range(flat[0].size)]
-    if "random_points" in cfg:
-        section = _section(cfg, "random_points")
-        p_range = section.get("p_range", [0.3, 3.0])
-        if not (isinstance(p_range, list) and len(p_range) == 2):
-            raise ConfigError("random_points.p_range must be [pmin, pmax]")
-        pmin, pmax = p_range
-        count = _integer(section.get("count", 10), "random_points.count")
-        return random_points(rng, count, pmin, pmax)
-    raise ConfigError("config needs 'points', 'grid' or 'random_points'")
+    section = _section(cfg, "random_points")
+    p_range = section.get("p_range", [0.3, 3.0])
+    if not (isinstance(p_range, list) and len(p_range) == 2):
+        raise ConfigError("random_points.p_range must be [pmin, pmax]")
+    pmin, pmax = p_range
+    count = _integer(section.get("count", 10), "random_points.count")
+    return random_points(rng, count, pmin, pmax)
 
 
 def _tolerances(cfg: dict) -> Tolerances:
@@ -431,7 +433,7 @@ def cmd_connections(cfg: dict, args) -> int:
 
     def work(x: PhasePoint) -> _Chunk:
         frame = classical_frame(model, x, tol)
-        conns = berry_connections(model, x, frame=frame)
+        conns = berry_connections(frame)
         if order != "0":
             conns = corrected_connections(first_order(frame, conns), hbar)
         values, (R, P, norms, A) = _pack(x.R, x.P, matrix_norms(conns.A),
@@ -561,6 +563,10 @@ def cmd_bracket_check(cfg: dict, args) -> int:
     if not isinstance(dims, list) or not dims or cases < len(dims):
         raise ConfigError("dims must be a non-empty list, with cases >= len(dims)")
     dims = [_integer(dim, "each dims entry") for dim in dims]
+    if min(dims) < 1 or max_degree < 1:
+        # Every expression over an empty internal space is 0, and so is the
+        # bracket of factors that carry no R or P letter.
+        raise ConfigError("each dims entry and max_degree must be >= 1")
     rows = []
     exact = 0
     for dim in dims:

@@ -14,9 +14,10 @@ curvature set
     Theta^pr_ij = -(grad_{R_i} a^R_j + grad_{P_j} a^P_i) - i [a^P_i, a^R_j]
 
 where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Both are built
-from the first-order record `energy.first_order`, which the covariant
-variables keep, and the frame, which carries the model and the
-tolerances.  The gradient of a is exact at the point:
+from the first-order record `energy.first_order` on the point's frame, which
+the covariant variables keep and which holds the frame, so the passes after
+them take the covariant variables alone.  The gradient of a is exact at the
+point:
 `berry_curvatures` makes one `covariant_variables` call and one
 second-order pass, which differentiates the formulas of a by the Leibniz
 rule, with grad grad A0 from `frames.connection_hessians` on the record's
@@ -90,9 +91,9 @@ class CovariantVars:
     x: np.ndarray                   # Hermitian covariant variables (r, p)
     A0: np.ndarray                  # projected order-0 shifts
     A1: np.ndarray                  # order-1 shift coefficients
-    point: PhasePoint
     hbar: float
-    # What the shifts are built from, for `berry_curvatures`.
+    # What the shifts are built from, for `berry_curvatures`; its frame
+    # holds the point.
     first: FirstOrder = dc_field(repr=False)
 
     @property
@@ -117,14 +118,11 @@ class CurvatureSet:
     theta_pr: np.ndarray
 
 
-def covariant_variables(model: Model, x: PhasePoint, hbar: float,
-                        tol: Tolerances = DEFAULT_TOL,
-                        frame: BandFrame | None = None) -> CovariantVars:
-    """Covariant variables with their order-0 and order-1 shift records."""
-    if frame is None:
-        frame = classical_frame(model, x, tol)
-    conns0 = berry_connections(model, x, frame=frame)
-    first = first_order(frame, conns0)
+def covariant_variables(frame: BandFrame, hbar: float) -> CovariantVars:
+    """Covariant variables at the frame's point, with their order-0 and
+    order-1 shift records."""
+    first = first_order(frame, berry_connections(frame))
+    conns0, x = first.conns0, frame.point
     A0 = frame.project(conns0.A, "diag")
     a1 = (2.0 * frame.project(first.linear, "diag")
           + (0.5 * _anticomm(A0[..., :, None, :, :],
@@ -133,10 +131,10 @@ def covariant_variables(model: Model, x: PhasePoint, hbar: float,
     canonical = (np.concatenate([x.R, x.P], axis=-1)[..., None, None]
                  * np.eye(frame.n))
     return CovariantVars(canonical + hbar * A0 + 0.5 * hbar ** 2 * A1, A0, A1,
-                         x, hbar, first)
+                         hbar, first)
 
 
-def _shift_gradients(frame: BandFrame, cov: CovariantVars) -> np.ndarray:
+def _shift_gradients(cov: CovariantVars) -> np.ndarray:
     """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (..., 6, 6, n, n).
 
     The Leibniz rule on the formulas of `covariant_variables`:
@@ -147,8 +145,9 @@ def _shift_gradients(frame: BandFrame, cov: CovariantVars) -> np.ndarray:
     The sums over b are (6n x 6n) block products, `_anticomm_sum`.
     """
     first = cov.first
+    frame = first.frame
     A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
-    ddA = connection_hessians(frame, first)
+    ddA = connection_hessians(first)
     flat = dA.reshape(A.shape[:-3] + (-1,) + A.shape[-2:])   # [(b, a)]
     dlin = (0.125 * (_anticomm_sum(dA, dA) + _anticomm_sum_inner(A, ddA))
             + 0.5 * (_pair_comm(dB, A)
@@ -187,9 +186,8 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
     NotImplementedError.  A block that is not finite raises
     FloatingPointError.
     """
-    frame = classical_frame(model, x, tol)
-    cov = covariant_variables(model, x, hbar, tol, frame)
-    d = _shift_gradients(frame, cov)
+    cov = covariant_variables(classical_frame(model, x, tol), hbar)
+    d = _shift_gradients(cov)
     a = cov.shift_per_hbar()
     C = _comm(a[..., :, None, :, :], a[..., None, :, :, :])   # [a^c, a^a]
     R, P = slice(0, 3), slice(3, 6)
@@ -389,6 +387,9 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
         y_new, err = _rk45_step(f, t, y, dt)
+        if not math.isfinite(err):
+            raise FloatingPointError(
+                f"ray state turned non-finite at t = {t + dt:g}")
         scale = atol + rtol * float(np.max(np.abs(y)))
         if err <= scale or dt <= 1e-14:
             t += dt

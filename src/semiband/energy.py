@@ -28,10 +28,10 @@ a batch through the same code; `band_energy_batch` feeds it chunks of
 `CHUNK` points.
 
 Every pass below `band_energy` takes the point's `frames.BandFrame`, which
-carries the model and the tolerances.  Everything first-order is one record,
-`first_order(frame, conns0)` -> `FirstOrder`: the generator B, the hbar-free
-connection correction `linear` and the exact gradients grad A0 and grad B,
-with no stencil.  The order-2 energy,
+carries the model and the tolerances, or the record built on it.  Everything
+first-order is one record, `first_order(frame, conns0)` -> `FirstOrder`: the
+frame, the generator B, the hbar-free connection correction `linear` and the
+exact gradients grad A0 and grad B, with no stencil.  The order-2 energy,
 `corrected_connections`, the covariant variables and the curvature pass all
 read it.  grad W is read only by the canonical order-2 energy, which builds
 it from the record (`kernel_gradient`), and conjugate(A0) is built once per
@@ -90,7 +90,6 @@ from semiband.frames import (
     hermitize,
     invert_band_commutator,
     matrix_norms,
-    project,
 )
 from semiband.stencils import FDDiagnostics
 
@@ -187,8 +186,9 @@ class EnergyReport:
 @dataclass
 class FirstOrder:
     """The first-order frame correction at one point or a batch (point axis
-    in front) and its exact phase-space gradients."""
+    in front) and its exact phase-space gradients, on its frame."""
 
+    frame: BandFrame
     conns0: ConnectionSet           # order-0 connections A0, (..., 6, n, n)
     B: np.ndarray                   # rotation generator, (..., n, n)
     dA: np.ndarray                  # [b, a] = grad_b A0^a, (..., 6, 6, n, n)
@@ -252,15 +252,17 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
 
     corr = 0.125 * _anticomm_sum(A[..., None, :, :, :], dA)[..., 0, :, :, :]
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(conns0, B, dA, hess, N, dM, dB, hermitize(corr), DE)
+    return FirstOrder(frame, conns0, B, dA, hess, N, dM, dB, hermitize(corr),
+                      DE)
 
 
-def kernel_gradient(frame: BandFrame, first: FirstOrder) -> np.ndarray:
+def kernel_gradient(first: FirstOrder) -> np.ndarray:
     """grad W, (..., 6, n, n), of the kernel W = P+(T + T^+) with
-    T = sum_a (D_a E) A0_a, by the Leibniz rule on the record `first` of
-    the frame's point: grad D_a E = diag(grad g_a) + (i/2)([conjugate(grad
+    T = sum_a (D_a E) A0_a, by the Leibniz rule on the record `first` at
+    its frame's point: grad D_a E = diag(grad g_a) + (i/2)([conjugate(grad
     A0)_a, E] + [conjugate(A0)_a, grad E]).  Only the nested (D W) A0 term
     of the canonical order-2 energy reads it."""
+    frame = first.frame
     g, A, dA = frame.grads, first.conns0.A, first.dA
     dDE = _diag(first.hess) + 0.5j * (
         _comm_diag(conjugate(dA), frame.eps0[..., None, None, :])
@@ -364,7 +366,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         return herm
 
     if order >= 1:
-        conns0 = berry_connections(model, x, frame=frame)
+        conns0 = berry_connections(frame)
     if order == 1:
         first = hermitized((hbar / 2.0) * first_order_kernel(frame, conns0))
 
@@ -376,11 +378,11 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         if representation == "canonical":
             W = _kernel(frame, rec.DE, conns0.A)
             first = hermitized((hbar / 2.0) * W)
-            second = _second_order_canonical(frame, rec, W, hbar)
+            second = _second_order_canonical(rec, W, hbar)
         else:
             # In covariant variables the gradient terms live inside the
             # covariant arguments; only the commutator strings are explicit.
-            first, second = _second_order_covariant(frame, rec, hbar)
+            first, second = _second_order_covariant(rec, hbar)
             first = hermitized(first)
         second = hermitized(second)
         # An empty stencil record: no stencil runs, and readers of order-2
@@ -404,8 +406,8 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
                         bracket, x, hbar, partial, diagnostics)
 
 
-def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
-                            W0: np.ndarray, hbar: float) -> np.ndarray:
+def _second_order_canonical(rec: FirstOrder, W0: np.ndarray,
+                            hbar: float) -> np.ndarray:
     """Exact hbar^2 coefficient of the canonical-variable energy, times hbar^2.
 
     The corrected first-order term (hbar/2)[(Dhat eps0) A + H.C.] is expanded
@@ -415,19 +417,19 @@ def _second_order_canonical(frame: BandFrame, rec: FirstOrder,
     + H.C.] is added with W0 the first-order kernel at the point and
     D W = grad W + (i/2)[conjugate(A0), W0], grad W from `kernel_gradient`.
     """
-    A0, A1 = rec.conns0.A, rec.linear
+    frame, A0, A1 = rec.frame, rec.conns0.A, rec.linear
     # A0 -> A0 + hbar A1 changes D eps0 only through its commutator part.
     DE1 = 0.5j * _comm_diag_products(conjugate(A1), frame.eps0[..., None, :])
     S = (DE1 @ A0 + rec.DE @ A1).sum(-3)
     linear = (hbar ** 2 / 2.0) * frame.project(S + _dagger(S), "diag")
 
-    N = (_covariant(kernel_gradient(frame, rec), rec.conns0.cA, W0)
+    N = (_covariant(kernel_gradient(rec), rec.conns0.cA, W0)
          @ A0).sum(-3)
     nested = (hbar ** 2 / 8.0) * frame.project(N + _dagger(N), "diag")
     return linear + nested
 
 
-def _second_order_covariant(frame: BandFrame, rec: FirstOrder, hbar: float):
+def _second_order_covariant(rec: FirstOrder, hbar: float):
     """(first, second) commutator strings of the covariant-variable form.
 
     The gradient content is absorbed into the covariant arguments (which at a
@@ -437,6 +439,7 @@ def _second_order_covariant(frame: BandFrame, rec: FirstOrder, hbar: float):
     the sign bookkeeping of those two lines is enforced term by term).
     """
     # [E, X] = [X, diag(-eps0)].
+    frame = rec.frame
     neg = -frame.eps0
     A0, A1, cA0 = rec.conns0.A, rec.linear, rec.conns0.cA
     EA0 = _comm_diag_products(A0, neg[..., None, :])
@@ -475,18 +478,18 @@ def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
 # The alpha-flow operator (used by the structural residual check)
 # ---------------------------------------------------------------------------
 
-def apply_energy_flow_operator(eps_mat: np.ndarray, eps_grads: np.ndarray,
-                               conns: ConnectionSet,
-                               groups: np.ndarray) -> np.ndarray:
+def apply_energy_flow_operator(frame: BandFrame, eps_mat: np.ndarray,
+                               eps_grads: np.ndarray,
+                               conns: ConnectionSet) -> np.ndarray:
     """O eps = (1/2) P+{A^{X_l} grad eps + grad eps A^{X_l}}
              + [(i/4) P+{[eps, A^{R_l}] A^{P_l} - [eps, A^{P_l}] A^{R_l}} + H.C.]
 
-    `eps_grads` is the (6, n, n) stack of phase gradients of the full energy
-    matrix field.
+    at the frame's point, P+ projecting on its groups.  `eps_grads` is the
+    (6, n, n) stack of phase gradients of the full energy matrix field.
     """
     out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
-    Xp = project(_string(_comm(eps_mat[..., None, :, :], conns.A), conns.cA),
-                 groups, "diag")
+    Xp = frame.project(
+        _string(_comm(eps_mat[..., None, :, :], conns.A), conns.cA), "diag")
     # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
-    out = project(out, groups, "diag") + 0.25j * (Xp - _dagger(Xp))
+    out = frame.project(out, "diag") + 0.25j * (Xp - _dagger(Xp))
     return out

@@ -2,15 +2,17 @@
 
 The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
 declared degenerate band groups and the gauge-fixed unitary U0 with U0 H U0^+
-block diagonal.  The frame carries the model and the `Tolerances` it was built
-with, so every pass at its point takes the frame alone, and it caches U0 grad
-H U0^+ (`dH`), the eps0 gradients (`grads`) and the gap-checked gap matrix
-(`gaps`).  Phase-axis fields are (6, n, n) stacks in axis order (R_1, R_2,
-R_3, P_1, P_2, P_3), and `conjugate` is the one R <-> P pairing.  Connections
-are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l}, i.e. A = conjugate(i X), X =
-U0 grad U0^+.  They are exact at the point (`berry_connections`), and so are
-their first and second phase-space derivatives and the eps0 Hessian
-(`connection_gradients`, `connection_hessians`).  The first- and second-order
+block diagonal.  The frame carries the model, the point and the `Tolerances`
+it was built with, so every pass at its point takes the frame, or the
+first-order record that holds it, alone.  It caches U0 grad H U0^+ (`dH`), the
+eps0 gradients (`grads`) and the gap-checked gap matrix (`gaps`), and its
+`project` is the one block projector.  Phase-axis fields are (6, n, n) stacks
+in axis order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one
+R <-> P pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
+i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
+(`berry_connections`), and so are their first and second phase-space
+derivatives and the eps0 Hessian (`connection_gradients`,
+`connection_hessians`).  The first- and second-order
 passes take their products over phase axes as block-matrix products
 (`_pair_products`, `_block_contract`, `_anticomm_sum`), because numpy's `@` on
 a stack makes one BLAS call per small matrix, and their products with a
@@ -44,7 +46,6 @@ __all__ = [
     "ConnectionSet",
     "classical_frame",
     "frame_field",
-    "project",
     "invert_band_commutator",
     "berry_connections",
     "connections_fd",
@@ -147,8 +148,12 @@ class BandFrame:
         return mean
 
     def project(self, mat: np.ndarray, part: str = "diag") -> np.ndarray:
-        """`project` with this frame's groups."""
-        return _masked(mat, self.same, part)
+        """Block projectors P+ ('diag': within-group) and P- ('offdiag')."""
+        if part == "diag":
+            return np.where(self.same, mat, 0.0)
+        if part == "offdiag":
+            return np.where(self.same, 0.0, mat)
+        raise ValueError("part must be 'diag' or 'offdiag'")
 
 
 @dataclass
@@ -277,19 +282,6 @@ def _first(bad: np.ndarray):
 def _at(x: PhasePoint, i: tuple) -> PhasePoint:
     """Point i of x, from a `_first` index."""
     return x.point(*i) if i else x
-
-
-def project(mat: np.ndarray, groups: np.ndarray, part: str = "diag") -> np.ndarray:
-    """Block projectors P+ ('diag': within-group) and P- ('offdiag')."""
-    return _masked(mat, groups[:, None] == groups[None, :], part)
-
-
-def _masked(mat: np.ndarray, same: np.ndarray, part: str) -> np.ndarray:
-    if part == "diag":
-        return np.where(same, mat, 0.0)
-    if part == "offdiag":
-        return np.where(same, 0.0, mat)
-    raise ValueError("part must be 'diag' or 'offdiag'")
 
 
 def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
@@ -456,19 +448,17 @@ def _rotate(U0: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _pair_products(left, _dagger(U0))[..., 0, :, :]
 
 
-def berry_connections(model: Model, x: PhasePoint,
-                      frame: BandFrame | None = None,
-                      tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
-    """Exact order-0 connections.  U0 H U0^+ = eps0 gives
-    [X, eps0] = P-(U0 grad H U0^+) for the cross-group part of X; the
+def berry_connections(frame: BandFrame) -> ConnectionSet:
+    """Exact order-0 connections at the frame's point.  U0 H U0^+ = eps0
+    gives [X, eps0] = P-(U0 grad H U0^+) for the cross-group part of X; the
     within-group part is the model's gauge term `analytic_connections` for an
-    analytic frame, and 0 otherwise (the gauge parallel to the frame at x)."""
-    if frame is None:
-        frame = classical_frame(model, x, tol)
+    analytic frame, and 0 otherwise (the gauge parallel to the frame at its
+    point)."""
     X = invert_band_commutator(frame.dH, frame)
-    A = conjugate(1j * X)
+    A, model = conjugate(1j * X), frame.model
     if model.has_analytic_frame:
-        A = np.concatenate(model.analytic_connections(x), axis=-3) + A
+        A = np.concatenate(model.analytic_connections(frame.point),
+                           axis=-3) + A
     return ConnectionSet(hermitize(A), "0")
 
 
@@ -514,11 +504,11 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
     return hermitize(dA), hess, N, dM
 
 
-def connection_hessians(frame: BandFrame, first) -> np.ndarray:
-    """Exact second phase-space derivatives at the frame's point, for a model
-    with an analytic frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n),
-    of the order-0 connections of the first-order record `first`
-    (`energy.first_order`), which carries their gradient dA, the eps0
+def connection_hessians(first) -> np.ndarray:
+    """Exact second phase-space derivatives at the point of the first-order
+    record `first` (`energy.first_order`), for a model with an analytic
+    frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n), of the order-0
+    connections.  The record carries its frame, their gradient dA, the eps0
     Hessian and the first tangents N and dM of `connection_gradients`.
 
     One order above `connection_gradients`:
@@ -533,6 +523,7 @@ def connection_hessians(frame: BandFrame, first) -> np.ndarray:
     O(hbar), so a model without an analytic frame raises
     NotImplementedError.
     """
+    frame = first.frame
     model = frame.model
     if not model.has_analytic_frame:
         raise NotImplementedError(
@@ -568,13 +559,10 @@ def connection_hessians(frame: BandFrame, first) -> np.ndarray:
     return hermitize(ddA)
 
 
-def connections_fd(model: Model, x: PhasePoint,
-                   frame: BandFrame | None = None,
-                   tol: Tolerances = DEFAULT_TOL) -> ConnectionSet:
-    """Connections from finite differences of the gauge-smoothed frame field."""
-    if frame is None:
-        frame = classical_frame(model, x, tol)
-    at = frame_field(frame)
+def connections_fd(frame: BandFrame) -> ConnectionSet:
+    """Connections at the frame's point from finite differences of the
+    gauge-smoothed frame field."""
+    x, at = frame.point, frame_field(frame)
     U0 = at(x)[1]
     X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis)
                        for axis in range(6)])

@@ -227,7 +227,6 @@ class Model:
     groups: np.ndarray = np.array([], dtype=int)
     massless = False
     has_analytic_frame = False
-    bracket_closed_form = False
     # The applications all satisfy <H> = 0 (pure-R plus pure-P splitting or
     # scalar cross factors); the energy assembly asserts this flag.
     bracket_h_vanishes = True
@@ -309,7 +308,6 @@ class DiracElectric(PxSigmaGauge):
     band_groups = (2, 2)
     groups = np.array([0, 0, 1, 1])
     has_analytic_frame = True
-    bracket_closed_form = True   # eps0 = beta E(P) + e V(R) is a pure sum
 
     def __init__(self, m: float = 1.0, e: float = 1.0,
                  field: ScalarField | None = None):
@@ -394,7 +392,6 @@ class NeutrinoMetric(PxSigmaGauge):
     groups = np.array([0, 0, 1, 1])
     massless = True
     has_analytic_frame = True
-    bracket_closed_form = True
 
     def __init__(self, profile: ScalarField | None = None):
         self.profile = profile if profile is not None else UniformField(1.0)
@@ -607,7 +604,6 @@ class TwoLevel(Model):
         self.parts = (self.h0, *self.h)
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]
-        self.bracket_closed_form = self.z_only
         if self.z_only:
             # eps0 bands are h0 +/- h3; the bracket acts on the declared
             # forms exactly, through the symbolic module, once per model.
@@ -809,7 +805,7 @@ class TwoLevel(Model):
         return dw, ddw, on
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
-        if not self.bracket_closed_form:
+        if not self.z_only:
             raise NotImplementedError(
                 "bracket term unavailable: h is not purely along sigma_z"
             )

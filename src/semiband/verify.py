@@ -30,7 +30,6 @@ from semiband.frames import (
     classical_frame,
     connections_fd,
     invert_band_commutator,
-    project,
 )
 from semiband.energy import (
     apply_energy_flow_operator,
@@ -325,7 +324,7 @@ def suite_residual_scaling(seed: int = 16,
     model = _dirac_model()
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
     frame = classical_frame(model, x)
-    conns0 = berry_connections(model, x, frame=frame)
+    conns0 = berry_connections(frame)
     first = first_order(frame, conns0)
     hbars = np.array([1e-1, 1e-2, 1e-3])
 
@@ -351,8 +350,7 @@ def suite_residual_scaling(seed: int = 16,
             return band_energy(model, y, hb, order=2).eps
 
         egrads = np.stack([derivative_along(efield, x, ax) for ax in range(6)])
-        Oeps = apply_energy_flow_operator(eps_at(hb), egrads, flow,
-                                          frame.groups)
+        Oeps = apply_energy_flow_operator(frame, eps_at(hb), egrads, flow)
         residuals.append(float(np.max(np.abs(deps - Oeps))))
     slope_f = float(np.polyfit(np.log(hbars), np.log(residuals), 1)[0])
 
@@ -386,8 +384,8 @@ def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:
     conn_err = 0.0
     for model in models:
         for x in random_points(rng, 5, 0.5, 3.0):
-            an = berry_connections(model, x)
-            fd = connections_fd(model, x)
+            frame = classical_frame(model, x)
+            an, fd = berry_connections(frame), connections_fd(frame)
             conn_err = max(conn_err, float(np.max(np.abs(an.A - fd.A))))
 
     model = _dirac_model()
@@ -396,7 +394,7 @@ def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:
     round_trip = 0.0
     for _ in range(20):
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        M = project(M, frame.groups, "offdiag")
+        M = frame.project(M, "offdiag")
         V = invert_band_commutator(M, frame)
         eps_mat = np.diag(frame.eps0)
         round_trip = max(round_trip,
@@ -432,7 +430,7 @@ def covariant_reexpansion(model, x: PhasePoint, hbar: float) -> np.ndarray:
     equals the canonical-variable energy up to O(hbar^3).
     """
     frame = classical_frame(model, x)
-    cov = covariant_variables(model, x, hbar, frame=frame)
+    cov = covariant_variables(frame, hbar)
     rep_cov = band_energy(model, x, hbar, order=2, representation="covariant")
 
     S = hbar * cov.shift_per_hbar()
@@ -512,7 +510,8 @@ BRACKET_SUITES = ["bracket-product-rule", "bracket-invariance",
 
 # A suite over an empty sample keeps its worst error at 0 and passes: every
 # "points" or "cases" must be >= 1, and >= 2 in these suites, which run half
-# their sample per profile or per dimension.
+# their sample per profile or per dimension.  A bracket suite with
+# "max_degree" < 1 draws no R or P letter, so every bracket is 0.
 _HALVED = ("bracket-product-rule", "bracket-invariance", "neutrino-energy-oracle")
 
 
@@ -523,7 +522,7 @@ def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
     Before any suite runs, ValueError for an unknown suite, a key that is
     not a parameter of the suite, a value of another kind than the
     parameter's default (`_integer`, or `_real` for a float), or a sample
-    size that tests nothing (`_HALVED`)."""
+    size or degree that tests nothing (`_HALVED`)."""
     names = list(ALL_SUITES) if names is None else names
     overrides = overrides or {}
     # Deterministic per-suite seed offset (hash() is process randomized).
@@ -539,8 +538,9 @@ def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
                 raise ValueError(f"suite {name} has no parameter {key!r}")
             cast = _real if isinstance(params[key].default, float) else _integer
             cfgs[name][key] = cast(value, f"suite {name} parameter {key}")
-            least = 1 + (name in _HALVED)
-            if key in ("points", "cases") and cfgs[name][key] < least:
+            least = 1 + (name in _HALVED and key != "max_degree")
+            if (key in ("points", "cases", "max_degree")
+                    and cfgs[name][key] < least):
                 raise ValueError(f"suite {name} parameter {key} must be >= "
                                  f"{least}, or the suite tests nothing")
     results = [ALL_SUITES[name](**cfgs[name]) for name in names]

@@ -217,6 +217,11 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", [], {"tolerances": {"block": math.nan}}),
     ("connections", [], {"tolerances": {"unitarity": 0}}),
     ("curvature", [], {"tolerances": {"degeneracy": math.inf}}),
+    # Exactly one point source: the base config's "points" and a second one.
+    ("diagonalize", [], {"random_points": {"count": 5}}),
+    ("connections", [], {"grid": {
+        "R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
+        "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -554,6 +559,9 @@ def test_verify_suite_filter_and_tamper(tmp_path):
     ("neutrino-energy-oracle", {"points": 1}),
     ("bracket-product-rule", {"cases": 1}),
     ("bracket-invariance", {"cases": 1}),
+    # Without an R or P letter every bracket is 0.
+    ("bracket-product-rule", {"max_degree": 0}),
+    ("bracket-invariance", {"max_degree": 0}),
 ])
 def test_verify_refuses_a_sample_that_tests_nothing(tmp_path, capsys, suite,
                                                     overrides):
@@ -597,9 +605,15 @@ def test_bracket_check_command(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
 
 
-@pytest.mark.parametrize("payload", [{"dims": []}, {"cases": 1}, {"cases": 0}])
+@pytest.mark.parametrize("payload", [
+    {"dims": []}, {"cases": 1}, {"cases": 0},
+    {"dims": [0], "cases": 4}, {"dims": [-2, 1]}, {"max_degree": 0},
+])
 def test_bracket_check_rejects_vacuous_case_lists(tmp_path, payload):
-    # Zero cases per dimension would report "0/0 cases exact" as a pass.
+    # Zero cases per dimension would report "0/0 cases exact" as a pass, and
+    # so would brackets that are 0 whatever the rule: every expression over
+    # an internal space of dimension <= 0, and every factor without an R or
+    # P letter (max_degree < 1).
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1

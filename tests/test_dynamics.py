@@ -28,7 +28,7 @@ from semiband.dynamics import (
     integrate_ray,
     ray_rhs,
 )
-from semiband.frames import berry_connections
+from semiband.frames import berry_connections, classical_frame
 from semiband.oracles import neutrino_velocity_modulus
 from tests.test_models import p_cross_sigma
 
@@ -51,7 +51,7 @@ def ray_energy(model, r, P, hbar):
 def test_covariant_vars_neutrino_closed_form():
     model = neutrino()
     hbar = 0.05
-    cov = covariant_variables(model, X, hbar)
+    cov = covariant_variables(classical_frame(model, X), hbar)
     E = np.linalg.norm(X.P)
     pxs = p_cross_sigma(X.P)
     for i in range(3):
@@ -63,7 +63,7 @@ def test_covariant_vars_neutrino_closed_form():
 def test_covariant_vars_dirac_closed_form():
     model = DiracElectric(m=1.0, e=1.0, field=GAUSS)
     hbar = 0.05
-    cov = covariant_variables(model, X, hbar)
+    cov = covariant_variables(classical_frame(model, X), hbar)
     E = model.energy_scale(X)
     gW = model.field.gradient(X.R)
     pxs = p_cross_sigma(X.P)
@@ -76,14 +76,15 @@ def test_covariant_vars_dirac_closed_form():
 
 
 def test_covariant_vars_classical_limit():
-    cov = covariant_variables(neutrino(), X, 0.0)
+    cov = covariant_variables(classical_frame(neutrino(), X), 0.0)
     for i in range(3):
         assert np.allclose(cov.r[i], X.R[i] * np.eye(4))
         assert np.allclose(cov.p[i], X.P[i] * np.eye(4))
 
 
 def test_covariant_vars_hermitian():
-    cov = covariant_variables(DiracElectric(m=1.0, e=1.0, field=GAUSS), X, 0.05)
+    model = DiracElectric(m=1.0, e=1.0, field=GAUSS)
+    cov = covariant_variables(classical_frame(model, X), 0.05)
     for comp in cov.x:
         assert np.max(np.abs(comp - comp.conj().T)) <= 1e-12
 
@@ -99,7 +100,7 @@ def test_curvature_antisymmetry_and_fd_consistency():
     h = 1e-4
 
     def shift(y, axis):
-        cov = covariant_variables(model, y, hbar)
+        cov = covariant_variables(classical_frame(model, y), hbar)
         return cov.shift_per_hbar()[axis]
 
     for i, j in ((0, 1), (1, 2)):
@@ -178,7 +179,7 @@ def test_curvatures_raise_instead_of_returning_non_finite():
 def positive_block_connection(model, x):
     """The position connection on the positive-energy block, (3, 2, 2): the
     reference that `band_curvature_vector` is differentiated against."""
-    conns = berry_connections(model, x)
+    conns = berry_connections(classical_frame(model, x))
     pos = np.flatnonzero(model.groups == 0)
     return conns.A_R[:, pos[:, None], pos]
 
@@ -340,8 +341,10 @@ class _Cliff(ScalarField):
 
 def test_non_finite_state_mid_run_raises():
     model = NeutrinoMetric(profile=_Cliff())
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        integrate_ray(model, [0, 0, 0], [1.0, 0, 0], +1, 1e-3, 1e-2, 20)
+    for method in ("rk4", "rk45"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            integrate_ray(model, [0, 0, 0], [1.0, 0, 0], +1, 1e-3, 1e-2, 20,
+                          method)
     # |P|^3 overflows a float: reported the same way, not as OverflowError.
     with pytest.raises(FloatingPointError, match="overflow"):
         integrate_ray(neutrino(UniformField(1.0)), [0, 0, 0], [0, 0, 1e150],

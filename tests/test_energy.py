@@ -16,7 +16,7 @@ from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
 )
 from semiband.frames import (
-    berry_connections, classical_frame, conjugate, connections_fd, project,
+    berry_connections, classical_frame, conjugate, connections_fd,
 )
 from semiband.energy import (
     band_energy,
@@ -53,7 +53,7 @@ GENERIC_TWO_LEVEL = {
 
 def corrected(model, hbar):
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, frame=frame)
+    conns0 = berry_connections(frame)
     first = first_order(frame, conns0)
     return frame, conns0, corrected_connections(first, hbar)
 
@@ -61,7 +61,7 @@ def corrected(model, hbar):
 def test_rotation_generator_neutrino_vanishes():
     model = neutrino()
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, frame=frame)
+    conns = berry_connections(frame)
     B = rotation_generator(frame, conns)
     assert np.max(np.abs(B)) <= 1e-13
 
@@ -69,23 +69,23 @@ def test_rotation_generator_neutrino_vanishes():
 def test_rotation_generator_dirac_closed_form():
     model = dirac()
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, frame=frame)
+    conns = berry_connections(frame)
     B = rotation_generator(frame, conns)
     E = model.energy_scale(X)
     gV = model.field.gradient(X.R)
     closed = (BETA / (2 * E)) @ sum(
-        gV[l] * project(conns.A_R[l], frame.groups, "offdiag") for l in range(3)
+        gV[l] * frame.project(conns.A_R[l], "offdiag") for l in range(3)
     )
     assert np.max(np.abs(B - closed)) <= 1e-8
     # Anti-Hermitian, purely cross-group
     assert np.max(np.abs(B + B.conj().T)) <= 1e-13
-    assert np.max(np.abs(project(B, frame.groups, "diag"))) <= 1e-13
+    assert np.max(np.abs(frame.project(B, "diag"))) <= 1e-13
 
 
 def test_rotation_generator_uniform_potential_vanishes():
     model = dirac(UniformField(0.4))
     frame = classical_frame(model, X)
-    conns = berry_connections(model, X, frame=frame)
+    conns = berry_connections(frame)
     assert np.max(np.abs(rotation_generator(frame, conns))) <= 1e-13
 
 
@@ -102,7 +102,7 @@ def test_corrected_connections_dirac_momentum_closed_form():
     frame, conns0, conns = corrected(model, hbar)
     E = model.energy_scale(X)
     hess = model.field.hessian(X.R)
-    G = [project(conns0.A_R[l], frame.groups, "offdiag") for l in range(3)]
+    G = [frame.project(conns0.A_R[l], "offdiag") for l in range(3)]
     for l in range(3):
         closed = 1j * hbar / (4 * E) * BETA @ sum(
             G[k] * hess[k, l] for k in range(3))
@@ -270,14 +270,14 @@ def test_non_finite_energy_raises():
 def test_frame_first_order_gauge_and_unitarity():
     model = dirac()
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, frame=frame)
+    conns0 = berry_connections(frame)
     U, U1, B, hr = frame_first_order(frame, conns0, 0.01)
     # hr vanishes when the momentum connection does
     assert np.max(np.abs(hr)) <= 1e-14
     # anti-Hermitian part of the generator is the rotation generator
     anti = 0.5 * (U1 - U1.conj().T)
     assert np.max(np.abs(anti - B)) <= 1e-13
-    assert np.max(np.abs(project(anti, frame.groups, "diag"))) <= 1e-12
+    assert np.max(np.abs(frame.project(anti, "diag"))) <= 1e-12
     # hbar -> 0 limit
     U0_only, *_ = frame_first_order(frame, conns0, 0.0)
     assert np.allclose(U0_only, frame.U0)
@@ -285,13 +285,13 @@ def test_frame_first_order_gauge_and_unitarity():
     # derivative of (1 + hbar U1) U0 is U1 U0.
     dU = (U1 @ frame.U0) @ U.conj().T
     anti_dU = 0.5 * (dU - dU.conj().T)
-    assert np.max(np.abs(project(anti_dU, frame.groups, "diag"))) <= 1e-12
+    assert np.max(np.abs(frame.project(anti_dU, "diag"))) <= 1e-12
 
 
 def test_frame_first_order_uniform_is_zeroth():
     model = dirac(UniformField(0.0))
     frame = classical_frame(model, X)
-    conns0 = berry_connections(model, X, frame=frame)
+    conns0 = berry_connections(frame)
     U, U1, B, hr = frame_first_order(frame, conns0, 0.1)
     assert np.max(np.abs(U1)) <= 1e-13
     assert np.allclose(U, frame.U0)
@@ -304,10 +304,10 @@ def test_energy_reports_hermitian_and_block_diagonal():
             R = rng.uniform(-1, 1, 3)
             P = rng.uniform(-1, 1, 3)
             P *= rng.uniform(0.4, 3.0) / np.linalg.norm(P)
-            rep = band_energy(model, PhasePoint.of(R, P), 0.02, order=2)
+            x = PhasePoint.of(R, P)
+            rep = band_energy(model, x, 0.02, order=2)
             assert np.max(np.abs(rep.eps - rep.eps.conj().T)) <= 1e-12
-            frame_groups = model.groups
-            off = project(rep.eps, frame_groups, "offdiag")
+            off = classical_frame(model, x).project(rep.eps, "offdiag")
             assert np.linalg.norm(off) <= 1e-10 * np.linalg.norm(rep.eps)
 
 
@@ -398,7 +398,7 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
         "curvature": lambda x: berry_curvatures(model, x, 0.01),
     }
     for x in (X, batch):
-        A0 = berry_connections(model, x).A
+        A0 = berry_connections(classical_frame(model, x)).A
         for kind, run in runs.items():
             args.clear()
             run(x)
@@ -510,8 +510,8 @@ def test_group_rotated_connections_match_fd():
     for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
         rotated = _group_rotated(model, rng)
         for x in (X, PhasePoint.of([-0.4, 0.2, 0.6], [-0.3, 0.9, 0.5])):
-            exact = berry_connections(rotated, x)
-            fd = connections_fd(rotated, x)
+            frame = classical_frame(rotated, x)
+            exact, fd = berry_connections(frame), connections_fd(frame)
             for k in range(6):
                 assert np.max(np.abs(exact.A[k] - fd.A[k])) <= 1e-6
 

@@ -24,7 +24,6 @@ from semiband.frames import (
     conjugate,
     connections_fd,
     invert_band_commutator,
-    project,
     _align_to,
     _anticomm_sum,
     _block_contract,
@@ -141,24 +140,30 @@ def test_grouping_inconsistency_raises():
 
 
 def test_project_small_examples():
-    groups = np.array([0, 1])
+    def frame_of(groups):
+        # The projectors read only the frame's groups.
+        n = len(groups)
+        return BandFrame(np.zeros(n), np.eye(n, dtype=complex),
+                         np.array(groups), PhasePoint.of([0, 0, 0], [1, 0, 0]))
+
+    frame = frame_of([0, 1])
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(project(M, groups, "diag"), [[1, 0], [0, 4]])
-    assert np.allclose(project(M, groups, "offdiag"), [[0, 2], [3, 0]])
-    groups22 = np.array([0, 0, 1, 1])
+    assert np.allclose(frame.project(M, "diag"), [[1, 0], [0, 4]])
+    assert np.allclose(frame.project(M, "offdiag"), [[0, 2], [3, 0]])
+    frame22 = frame_of([0, 0, 1, 1])
     Q = np.arange(16.0).reshape(4, 4)
-    diag = project(Q, groups22, "diag")
+    diag = frame22.project(Q, "diag")
     assert np.allclose(diag[:2, :2], Q[:2, :2])
     assert np.max(np.abs(diag[:2, 2:])) == 0.0
     # P+ and P- are complementary projectors
     rng = np.random.default_rng(0)
     M = rng.standard_normal((4, 4))
-    assert np.max(np.abs(project(project(M, groups22, "offdiag"),
-                                 groups22, "diag"))) == 0.0
-    assert np.allclose(project(M, groups22, "diag")
-                       + project(M, groups22, "offdiag"), M)
+    assert np.max(np.abs(frame22.project(frame22.project(M, "offdiag"),
+                                         "diag"))) == 0.0
+    assert np.allclose(frame22.project(M, "diag")
+                       + frame22.project(M, "offdiag"), M)
     with pytest.raises(ValueError):
-        project(M, groups22, "upper")
+        frame22.project(M, "upper")
 
 
 def test_invert_band_commutator_two_level():
@@ -178,7 +183,7 @@ def test_invert_band_commutator_round_trip():
     eps = np.diag(frame.eps0)
     for _ in range(25):
         W = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        W = project(W, frame.groups, "offdiag")
+        W = frame.project(W, "offdiag")
         M = W @ eps - eps @ W
         assert np.allclose(invert_band_commutator(M, frame), W, atol=1e-14)
 
@@ -188,9 +193,9 @@ def test_invert_band_commutator_kernel_zeroed():
     frame = classical_frame(model, PhasePoint.of([0, 0, 0], [0.2, 0.5, -0.3]))
     rng = np.random.default_rng(3)
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    M = project(M, frame.groups, "offdiag")
+    M = frame.project(M, "offdiag")
     V = invert_band_commutator(M, frame)
-    assert np.max(np.abs(project(V, frame.groups, "diag"))) == 0.0
+    assert np.max(np.abs(frame.project(V, "diag"))) == 0.0
     eps = np.diag(frame.eps0)
     assert np.max(np.abs(V @ eps - eps @ V - M)) <= 1e-12
 
@@ -263,8 +268,8 @@ def test_connections_fd_matches_analytic_dirac():
     model = DiracElectric(m=1.0, e=1.0,
                           field=GaussianField(0.5, [0.1, 0.0, -0.2], 1.3))
     x = PhasePoint.of([0.3, 0.2, -0.1], [0.0, 0.0, 1.0])
-    an = berry_connections(model, x)
-    fd = connections_fd(model, x)
+    frame = classical_frame(model, x)
+    an, fd = berry_connections(frame), connections_fd(frame)
     for l in range(3):
         assert np.max(np.abs(an.A_R[l] - fd.A_R[l])) <= 1e-6
         assert np.max(np.abs(an.A_P[l] - fd.A_P[l])) <= 1e-10
@@ -272,21 +277,21 @@ def test_connections_fd_matches_analytic_dirac():
     E = np.sqrt(2.0)
     pxs = p_cross_sigma(x.P)
     for l in range(3):
-        proj = project(fd.A_R[l], model.groups, "diag")
+        proj = frame.project(fd.A_R[l], "diag")
         assert np.max(np.abs(proj - pxs[l] / (2 * E * (E + 1)))) <= 1e-6
 
 
 def test_connections_fd_neutrino_momentum_part_zero():
     model = NeutrinoMetric(profile=GaussianField(0.4, [0.3, 0.1, -0.2], 2.0))
     x = PhasePoint.of([0.1, 0.2, 0.3], [0.4, -0.7, 0.5])
-    fd = connections_fd(model, x)
+    fd = connections_fd(classical_frame(model, x))
     assert max(np.max(np.abs(a)) for a in fd.A_P) <= 1e-10
 
 
 def test_connections_constant_frame_vanish():
     model = TwoLevel()  # h along z everywhere: U0 = identity
     x = PhasePoint.of([0.2, -0.3, 0.4], [0.5, 0.6, -0.7])
-    conns = connections_fd(model, x)
+    conns = connections_fd(classical_frame(model, x))
     assert np.max(np.abs(conns.A)) <= 1e-12
 
 
@@ -297,8 +302,8 @@ def test_conjugate_pairs_position_with_momentum():
     assert np.array_equal(C[:3], S[3:]) and np.array_equal(C[3:], -S[:3])
     # On a connection set with A^P != 0: (A^R, A^P) -> (A^P, -A^R).
     model = make_model(BENCHMARK_CONFIGS["two_level_generic"])
-    conns = berry_connections(model, PhasePoint.of([0.3, 0.5, -0.2],
-                                                   [0.7, -0.4, 1.1]))
+    conns = berry_connections(classical_frame(
+        model, PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])))
     assert np.max(np.abs(conns.A_P)) > 0.05
     C = conjugate(conns.A)
     assert np.array_equal(C[:3], conns.A_P)
@@ -309,7 +314,7 @@ def test_connections_hermitian():
     for model in (dirac(GaussianField(0.5, [0.1, 0, 0], 1.3)),
                   NeutrinoMetric(profile=LinearField([0.05, 0, 0], 1.5))):
         x = PhasePoint.of([0.3, 0.2, -0.1], [0.4, 0.5, 0.6])
-        conns = berry_connections(model, x)
+        conns = berry_connections(classical_frame(model, x))
         for a in conns.A:
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
 
@@ -334,8 +339,8 @@ BENCHMARK_CONFIGS = {
 
 def max_connection_gap(model, x) -> float:
     """Largest entry of the exact connections minus the stencil ones."""
-    an = berry_connections(model, x)
-    fd = connections_fd(model, x)
+    frame = classical_frame(model, x)
+    an, fd = berry_connections(frame), connections_fd(frame)
     return max(float(np.max(np.abs(an.A[k] - fd.A[k]))) for k in range(6))
 
 
@@ -381,13 +386,14 @@ def test_numerical_path_cross_block_content():
     """The eigensolver path reproduces the gauge-invariant off-block moduli."""
     model = _NoFrame()
     x = PhasePoint.of([0.3, -0.2, 0.1], [0.6, 0.4, -0.5])
-    fd = connections_fd(model, x)
-    inner = model.inner
-    an = connections_fd(inner, x)   # analytic smooth frame, same layout?
+    frame = classical_frame(model, x)
+    fd = connections_fd(frame)
+    inner = classical_frame(model.inner, x)
+    an = connections_fd(inner)   # analytic smooth frame, same layout?
     # Layouts differ (ascending vs analytic); compare |off-diagonal| entries.
     for l in range(3):
-        got = sorted(np.abs(project(fd.A_R[l], model.groups, "offdiag")).ravel())
-        want = sorted(np.abs(project(an.A_R[l], inner.groups, "offdiag")).ravel())
+        got = sorted(np.abs(frame.project(fd.A_R[l], "offdiag")).ravel())
+        want = sorted(np.abs(inner.project(an.A_R[l], "offdiag")).ravel())
         assert np.allclose(got, want, atol=1e-6)
 
 

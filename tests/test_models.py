@@ -185,7 +185,7 @@ def test_two_level_generic_direction_frame():
               [{"coef": "1"}]],
     }
     model = make_model({"model": "two_level", **cfg})
-    assert not model.bracket_closed_form
+    assert not model.z_only
     rng = np.random.default_rng(14)
     for _ in range(30):
         x = PhasePoint.of(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))

@@ -21,13 +21,13 @@ from semiband.models import (
 from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
+    ConnectionSet,
     _comm,
     berry_connections,
     classical_frame,
     conjugate,
-    connections_fd,
     frame_field,
-    project,
+    hermitize,
 )
 from semiband.energy import (
     first_order,
@@ -160,13 +160,19 @@ def _phase_field(model, y, anchor, hbar):
     """[A0, B, W] at y, (8, n, n), in the gauge that the exact tangents
     differentiate: the model's analytic gauge, or the gauge aligned to the
     anchor frame."""
-    eps0, U0 = frame_field(anchor)(y)
+    at = frame_field(anchor)
+    eps0, U0 = at(y)
     frame = BandFrame(np.asarray(eps0, dtype=float),
                       np.asarray(U0, dtype=complex), anchor.groups, y, model)
     if model.has_analytic_frame:
-        conns = berry_connections(model, y, frame=frame)
+        conns = berry_connections(frame)
     else:
-        conns = connections_fd(model, y, frame=anchor)
+        # The stencil connections at y of the field aligned to the anchor,
+        # not to a frame at y: X = U0 grad U0^+.
+        X = frame.U0 @ np.stack([
+            derivative_along(lambda z: at(z)[1].conj().T, y, axis)
+            for axis in range(6)])
+        conns = ConnectionSet(hermitize(conjugate(1j * X)), "0")
     return np.concatenate([conns.A, [rotation_generator(frame, conns),
                                      first_order_kernel(frame, conns)]])
 
@@ -205,14 +211,14 @@ def test_exact_field_gradients_match_stencil(case):
     points = random_points(rng, 2, 0.3, 3.0)
     for x in points:
         frame = classical_frame(model, x)
-        first = first_order(frame, berry_connections(model, x, frame=frame))
+        first = first_order(frame, berry_connections(frame))
         fd = np.stack([derivative_along(
             lambda y: _phase_field(model, y, frame, hbar), x, axis)
             for axis in range(6)])
         # The z-only two_level fields vanish identically.
         scale = max(float(np.max(np.abs(fd))), 1e-12)
         for exact, want in ((first.dA, fd[:, :6]), (first.dB, fd[:, 6]),
-                            (kernel_gradient(frame, first), fd[:, 7])):
+                            (kernel_gradient(first), fd[:, 7])):
             assert exact.shape == want.shape
             assert np.max(np.abs(exact - want)) <= 1e-6 * scale
 
@@ -227,7 +233,7 @@ def test_record_generator_is_rotation_generator(case):
     points = random_points(np.random.default_rng(42), 4, 0.3, 3.0)
     for x in points + [PhasePoint.stack(points)]:
         frame = classical_frame(model, x)
-        conns = berry_connections(model, x, frame=frame)
+        conns = berry_connections(frame)
         want = rotation_generator(frame, conns)
         got = first_order(frame, conns).B
         assert got.shape == want.shape
@@ -245,7 +251,7 @@ def moyal_residuals(model, x):
           + (d_{R_l}E - E X_{R_l}) X_{P_l} - (d_{P_l}E - E X_{P_l}) X_{R_l}).
     """
     frame = classical_frame(model, x)
-    conns = berry_connections(model, x, frame=frame)
+    conns = berry_connections(frame)
     _U, U1, _B, _hr = frame_first_order(frame, conns, 0.0)
     X = 1j * conjugate(conns.A)
     M = frame.dH
@@ -258,8 +264,8 @@ def moyal_residuals(model, x):
         - (dE[3:] - E @ XP) @ XR).sum(0)
     W = first_order_kernel(frame, conns)
     return (float(np.max(np.abs(unit))),
-            float(np.max(np.abs(project(T, frame.groups, "offdiag")))),
-            float(np.max(np.abs(project(T, frame.groups, "diag") - W / 2))))
+            float(np.max(np.abs(frame.project(T, "offdiag")))),
+            float(np.max(np.abs(frame.project(T, "diag") - W / 2))))
 
 
 MOYAL_CASES = {
@@ -288,11 +294,11 @@ def test_twisted_models_exercise_the_pairing_terms():
     for case in ("twisted_dirac", "twisted_variable_mass"):
         model = MOYAL_CASES[case]()
         frame = classical_frame(model, x)
-        conns = berry_connections(model, x, frame=frame)
+        conns = berry_connections(frame)
         _U, _U1, _B, hr = frame_first_order(frame, conns, 0.0)
         A = conns.A
-        pairing = (project(A, frame.groups, "offdiag")
-                   @ conjugate(project(A, frame.groups, "diag"))).sum(0)
+        pairing = (frame.project(A, "offdiag")
+                   @ conjugate(frame.project(A, "diag"))).sum(0)
         assert np.max(np.abs(hr)) > 1e-2
         if case == "twisted_variable_mass":
             assert np.max(np.abs(pairing + pairing.conj().T)) > 1e-2
@@ -303,7 +309,8 @@ def stencil_curvatures(model, x, hbar, tol=DEFAULT_TOL):
     over `covariant_variables`: the finite-difference reference for the exact
     curvature pass."""
     def shifts(y):
-        return covariant_variables(model, y, hbar, tol).shift_per_hbar()
+        return covariant_variables(classical_frame(model, y, tol),
+                                   hbar).shift_per_hbar()
 
     a = shifts(x)
     aR, aP = a[:3], a[3:]
@@ -435,7 +442,7 @@ def test_band_curvature_vector_from_gauge_gradient_is_the_record_path(
         xs.append(PhasePoint.stack(points))
     for x in xs:
         got = {lam: band_curvature_vector(model, x, lam) for lam in (+1, -1)}
-        record = covariant_variables(model, x, 0.05).first.dA
+        record = covariant_variables(classical_frame(model, x), 0.05).first.dA
         with monkeypatch.context() as patch:
             patch.setattr(model, "d_analytic_connections", lambda _y: record)
             for lam in (+1, -1):
