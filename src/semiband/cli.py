@@ -557,8 +557,6 @@ def cmd_bracket_check(cfg: dict, args) -> int:
     seed = _seed(cfg, args, 1)
     cases = _integer(cfg.get("cases", 200), "cases")
     max_degree = _integer(cfg.get("max_degree", 6), "max_degree")
-    if max_degree > 8:
-        raise ConfigError("max_degree exceeds the symmetrization cap (8)")
     dims = cfg.get("dims", [1, 2])
     if not isinstance(dims, list) or not dims or cases < len(dims):
         raise ConfigError("dims must be a non-empty list, with cases >= len(dims)")

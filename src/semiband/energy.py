@@ -33,10 +33,10 @@ first-order is one record, `first_order(frame, conns0)` -> `FirstOrder`: the
 frame, the generator B, the hbar-free connection correction `linear` and the
 exact gradients grad A0 and grad B, with no stencil.  The order-2 energy,
 `corrected_connections`, the covariant variables and the curvature pass all
-read it.  grad W is read only by the canonical order-2 energy, which builds
-it from the record (`kernel_gradient`), and conjugate(A0) is built once per
-point, as `ConnectionSet.cA`.  With M_a = U0 grad_a H U0^+,
-X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
+read it.  grad W and D eps0 are read only by the canonical order-2 energy,
+from the record (`kernel_gradient`, the lazy `FirstOrder.DE`), and
+conjugate(A0) is built once per point, as `ConnectionSet.cA`.  With
+M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
 
 * grad_b M_a = U0 grad_a grad_b H U0^+ + [M_a, X_b] (`Model.d2_hamiltonian`),
   and the eps0 Hessian is the group scalar of P+ grad_b M_a;
@@ -65,6 +65,7 @@ rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -197,7 +198,11 @@ class FirstOrder:
     dM: np.ndarray                  # [b, a] = grad_b (U0 grad_a H U0^+)
     dB: np.ndarray                  # grad B, (..., 6, n, n)
     linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
-    DE: np.ndarray                  # D eps0 over A0, (..., 6, n, n)
+
+    @cached_property
+    def DE(self) -> np.ndarray:
+        """D eps0 over A0, (..., 6, n, n), made on first read."""
+        return _D_eps0(self.frame.grads, self.conns0.cA, self.frame.eps0)
 
 
 def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
@@ -209,9 +214,9 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
     inversion and pairing product that its gradient needs (the value of
     `rotation_generator`, rounded in another order) and differentiated by
     the Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for
-    the inversion.  D eps0 is kept for the order-2 energy, which reads W and
-    its canonical term (`kernel_gradient`) from it.  The hbar-free
-    connection correction is
+    the inversion.  D eps0 (`FirstOrder.DE`) is made when the canonical
+    order-2 energy first reads it, for W and `kernel_gradient`.  The
+    hbar-free connection correction is
       linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
                + [B, A0^X]),
     Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
@@ -247,13 +252,9 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
           [..., 0, :, :, :])
     dB += 0.25j * (dY + _dagger(dY))
 
-    # D eps0 of the kernel W = P+(T + T^+), T = sum_a (D_a E) A_a.
-    DE = _D_eps0(g, conns0.cA, frame.eps0)
-
     corr = 0.125 * _anticomm_sum(A[..., None, :, :, :], dA)[..., 0, :, :, :]
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(frame, conns0, B, dA, hess, N, dM, dB, hermitize(corr),
-                      DE)
+    return FirstOrder(frame, conns0, B, dA, hess, N, dM, dB, hermitize(corr))
 
 
 def kernel_gradient(first: FirstOrder) -> np.ndarray:

@@ -8,7 +8,8 @@ Three built-in models (units c = 1, hbar is a run parameter):
   F = 1/n(R) for a refractive-index-like profile n; massless, |P| > 0.
 * ``two_level``       -- H = h0(R,P) 1 + h(R,P).sigma with polynomial
   components declared term by term (the declaration doubles as the symbolic
-  decomposition used for the exact ordering bracket).
+  decomposition used for the exact ordering bracket), compiled once into
+  monomial tables; with h along z the gauge term is a structural zero.
 
 Dirac representation throughout: beta = diag(1,1,-1,-1), alpha_i with
 off-diagonal Pauli blocks, Sigma = 1 (x) sigma.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -462,21 +462,15 @@ class NeutrinoMetric(PxSigmaGauge):
         return {"model": self.name, "field": self.profile.to_config()}
 
 
-def _coords(x: PhasePoint) -> list:
-    """The six phase coordinates: floats for one point, (N,) arrays for a
-    batch."""
-    if not x.batch_shape:
-        return x.R.tolist() + x.P.tolist()
-    return list(x.R.T) + list(x.P.T)
-
-
-def _power(c, e: int):
-    """c ** e as per-point code rounds it; None for e = 0, a factor of 1."""
-    if e == 0:
-        return None
-    if e == 1:
-        return c
-    return c ** e if isinstance(c, float) else _pow(c, e)
+def _factor(c: list, key: tuple):
+    """The product of c_a ** e over the (a, e) of a monomial-table key, in
+    key order, each power rounded as per-point code rounds it."""
+    f = None
+    for a, e in key:
+        p = (c[a] if e == 1 else c[a] ** e if isinstance(c[a], float)
+             else _pow(c[a], e))
+        f = p if f is None else f * p
+    return f
 
 
 @dataclass(frozen=True)
@@ -494,46 +488,28 @@ class ComponentTerm:
     p_exp: tuple
     sym: str = "half"
 
-    def value(self, x: PhasePoint):
-        return self._value(_coords(x))
-
-    # The helpers below take `_coords`; each product runs in the same order
-    # for a batch as for one point, so a batch rounds like a single point.
-
-    @cached_property
-    def _coef(self) -> float:
-        return float(self.coef)
-
-    def _value(self, c: list):
-        v = self._coef
-        for i in range(3):
-            a, b = _power(c[i], self.r_exp[i]), _power(c[3 + i], self.p_exp[i])
-            f = b if a is None else a if b is None else a * b
-            if f is not None:
-                v = v * f
-        return v
-
-    def _derivative(self, c: list, axes: tuple):
-        """The partial derivative along the phase axes in `axes` (0-2: R,
-        3-5: P; repeats allowed)."""
-        exps = list(self.r_exp + self.p_exp)
-        k = 1
-        for a in axes:
-            k *= exps[a]
-            exps[a] -= 1
-        if not k:
-            return 0.0
-        v = self._coef * k
-        for ci, e in zip(c, exps):
-            if e:
-                v = v * _power(ci, e)
-        return v
-
-    def _add_derivatives(self, out: np.ndarray, c: list, order: int) -> None:
-        """out[..., a, b, ...] += every partial derivative of the order."""
-        live = [a for a, e in enumerate(self.r_exp + self.p_exp) if e]
+    def _monomials(self, order: int) -> list:
+        """Every nonzero partial derivative of the given order (0: the value)
+        as (multi-index, c k, factor keys), over `itertools.product` of the
+        live axes: c k times the factors in turn.  A factor key is a tuple
+        of (axis, exponent) pairs (axes 0-2: R, 3-5: P); the value makes
+        R_i^r P_i^p one factor."""
+        exps0 = self.r_exp + self.p_exp
+        if not order:
+            keys = (tuple((a, exps0[a]) for a in (i, 3 + i) if exps0[a])
+                    for i in range(3))
+            return [((), float(self.coef), tuple(k for k in keys if k))]
+        out = []
+        live = [a for a, e in enumerate(exps0) if e]
         for axes in itertools.product(live, repeat=order):
-            out[(Ellipsis, *axes)] += self._derivative(c, axes)
+            exps, k = list(exps0), 1
+            for a in axes:
+                k *= exps[a]
+                exps[a] -= 1
+            if k:       # a 0.0 term leaves every slot's sum as it is
+                out.append((axes, float(self.coef) * k,
+                            tuple(((a, e),) for a, e in enumerate(exps) if e)))
+        return out
 
     def factorizations(self, n: int = 1) -> list:
         """The declared ordering as weyl factorizations (sum of products)."""
@@ -602,6 +578,14 @@ class TwoLevel(Model):
             raise ValueError("two_level needs exactly three sigma components")
         self.h = tuple(_terms_from_config(part) for part in raw_h)
         self.parts = (self.h0, *self.h)
+        # The monomial tables of `_jets`, one per derivative order 0-3: the
+        # entries (slot (component, ..., *multi-index), c k, factor keys) of
+        # every term, in component and term order.
+        self._tables = [tuple(((j, Ellipsis, *axes), ck, keys)
+                              for j, terms in enumerate(self.parts)
+                              for t in terms
+                              for axes, ck, keys in t._monomials(order))
+                        for order in range(4)]
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]
         if self.z_only:
@@ -620,38 +604,48 @@ class TwoLevel(Model):
                 expr = expr + (b if sign > 0 else -b)
         return expr
 
-    def _values(self, parts, x: PhasePoint) -> np.ndarray:
-        """The components `parts` (term lists) at x, (len(parts), ...)."""
-        c = _coords(x)
-        sums = [sum(t._value(c) for t in terms) for terms in parts]
-        if not x.batch_shape:
-            return np.array(sums, dtype=float)
-        return np.array([v + np.zeros(x.batch_shape) for v in sums])
-
-    def _derivs(self, parts, x: PhasePoint, order: int) -> np.ndarray:
-        """Every partial derivative of the given order of the components
-        `parts`, (len(parts), ..., 6, ..., 6)."""
-        out = np.zeros((len(parts),) + x.batch_shape + (6,) * order)
-        c = _coords(x)
-        for k, terms in enumerate(parts):
-            for t in terms:
-                t._add_derivatives(out[k], c, order)
+    def _jets(self, x: PhasePoint, orders) -> list:
+        """h0, h1, h2, h3 at x for order 0, and their partial derivatives for
+        orders 1-3: one array (4, ...) + (6,) * order per entry of
+        `orders`, from one pass over the tables.  Each factor is made once
+        per pass; each entry multiplies c k by its factors in turn and adds
+        into its slot in term order, as a term-by-term sum rounds, with the
+        same code for a batch as for one point."""
+        if x.batch_shape:
+            c = list(x.R.T) + list(x.P.T)
+        else:
+            c = x.R.tolist() + x.P.tolist()
+        pw = {}
+        out = []
+        for order in orders:
+            acc = {}
+            for slot, v, factors in self._tables[order]:
+                for key in factors:
+                    f = pw.get(key)
+                    if f is None:
+                        f = pw[key] = _factor(c, key)
+                    v = v * f
+                acc[slot] = acc.get(slot, 0.0) + v
+            arr = np.zeros((4,) + x.batch_shape + (6,) * order)
+            for slot, v in acc.items():
+                arr[slot] = v
+            out.append(arr)
         return out
 
     def h_vector(self, x: PhasePoint) -> np.ndarray:
-        return self._values(self.h, x).T.copy()
+        return self._jets(x, (0,))[0][1:].T.copy()
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma(self._values(self.parts, x))
+        return self._sigma(self._jets(x, (0,))[0])
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma(self._derivs(self.parts, x, 1))
+        return self._sigma(self._jets(x, (1,))[0])
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma(self._derivs(self.parts, x, 2))
+        return self._sigma(self._jets(x, (2,))[0])
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma(self._derivs(self.parts, x, 3))
+        return self._sigma(self._jets(x, (3,))[0])
 
     @staticmethod
     def _sigma(c) -> np.ndarray:
@@ -663,12 +657,12 @@ class TwoLevel(Model):
         return out
 
     def analytic_frame(self, x: PhasePoint):
-        h = self.h_vector(x)
+        values = self._jets(x, (0,))[0]
+        h = values[1:].T.copy()
         hn = np.sqrt(_dot(h, h))
         if (hn == 0.0).any():
             raise ValueError("two_level bands are degenerate where |h| = 0")
-        h0 = self._values([self.h0], x)[0]
-        eps0 = h0[..., None] + hn[..., None] * _SIGNS2
+        eps0 = values[0][..., None] + hn[..., None] * _SIGNS2
         h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
         ct = h3 / hn                         # cos(theta)
         hp = np.hypot(h1, h2)
@@ -681,10 +675,14 @@ class TwoLevel(Model):
         V[..., 0, 1], V[..., 1, 1] = -s2 * np.conj(phase), c2
         return eps0, V.conj().swapaxes(-1, -2)
 
-    def _gauge(self, x: PhasePoint):
-        """(h, |h|, lift, grad h as (3, ..., 6)) of the gauge term below;
-        raises where the declared gauge is singular."""
-        h = self.h_vector(x)
+    def _gauge(self, x: PhasePoint, top: int):
+        """(h, |h|, lift, lift != 0, the derivatives of h of orders 1 to
+        `top`, each (3, ...) + (6,) * order) of the gauge term below, from
+        one table pass; raises where the declared gauge is singular.  The
+        z-only term is zero and gets no derivatives."""
+        top = 0 if self.z_only else top
+        jets = [j[1:] for j in self._jets(x, range(top + 1))]
+        h = jets[0].T.copy()
         h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
         hn = np.sqrt(_dot(h, h))
         up = h3 >= 0
@@ -692,12 +690,15 @@ class TwoLevel(Model):
         if not up.all():
             lift = np.where(up, lift, (_pow(h1, 2) + _pow(h2, 2))
                             / np.where(up, 1.0, hn - h3))
-        d = self._derivs(self.h, x, 1)
         flat = lift == 0.0
-        if flat.any() and (flat & ((hn == 0.0) | d[0].any(axis=-1)
-                                   | d[1].any(axis=-1))).any():
-            raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
-        return h, hn, lift, d
+        if flat.any():
+            bad = hn == 0.0
+            if not self.z_only:                 # z-only: grad h1 = grad h2 = 0
+                bad |= jets[1][0].any(axis=-1) | jets[1][1].any(axis=-1)
+            if (flat & bad).any():
+                raise ValueError(
+                    "two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
+        return h, hn, lift, ~flat, jets[1:]
 
     @staticmethod
     def _gauge_stack(w: np.ndarray) -> np.ndarray:
@@ -713,46 +714,45 @@ class TwoLevel(Model):
         # U0 grad U0^+ = i s^2 grad phi diag(1, -1) within the groups, with
         # phi = arg(h1 + i h2), s^2 = (1 - h3/|h|)/2: s^2 grad phi = (h1 grad h2
         # - h2 grad h1)/(2|h| lift), lift = |h| + h3 = hp^2/(|h| - h3) for h3 < 0.
-        h, hn, lift, d = self._gauge(x)
-        on = lift != 0
-        w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
-             / np.where(on, 2 * hn * lift, 1.0)[..., None])
-        w[~on] = 0.0
+        h, hn, lift, on, d = self._gauge(x, 1)
+        if self.z_only:
+            w = np.zeros(x.batch_shape + (6,))
+        else:
+            d = d[0]
+            w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
+                 / np.where(on, 2 * hn * lift, 1.0)[..., None])
+            w[~on] = 0.0
         G = self._gauge_stack(w)
         return G[..., :3, :, :], G[..., 3:, :, :]
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        dw, on = self._gauge_derivatives(x, second=False)[::2]
-        return self._live_stack(dw, on, x.batch_shape + (6, 6, 2, 2))
+        return self._live_stack(*self._gauge_derivatives(x, second=False))
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        _dw, ddw, on = self._gauge_derivatives(x, second=True)
-        return self._live_stack(ddw, on, x.batch_shape + (6, 6, 6, 2, 2))
+        return self._live_stack(*self._gauge_derivatives(x, second=True))
 
-    def _live_stack(self, w, on, shape) -> np.ndarray:
+    def _live_stack(self, w, on) -> np.ndarray:
         """`_gauge_stack(w)` where the gauge term lives, 0 where lift = 0."""
-        if w is None:
-            return np.zeros(shape, dtype=complex)
-        on = on.reshape(on.shape + (1,) * (len(shape) - on.ndim))
+        on = on.reshape(on.shape + (1,) * (w.ndim + 2 - on.ndim))
         return np.where(on, self._gauge_stack(w), 0.0)
 
     def _gauge_derivatives(self, x: PhasePoint, second: bool):
-        """(grad w, grad grad w or None, lift != 0) by the quotient rule on
-        w = N / Q, N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on either
-        branch of lift: grad w = dN/Q - N dQ/Q^2 and grad grad w = ddN/Q
-        - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  The term is 0
-        where lift = 0; (None, None, on) if it is 0 at every point."""
-        h, hn, lift, d = self._gauge(x)
-        on = lift != 0
-        if not on.any():
-            return None, None, on
+        """(grad w, or grad grad w if `second`; lift != 0) by the quotient
+        rule on w = N / Q, N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on
+        either branch of lift: grad w = dN/Q - N dQ/Q^2 and grad grad w =
+        ddN/Q - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  The term
+        is 0 where lift = 0; zeros if it is 0 at every point, or if h is
+        along z, where N = 0 identically."""
+        h, hn, lift, on, jets = self._gauge(x, 3 if second else 2)
+        if self.z_only or not on.any():
+            return np.zeros(x.batch_shape + (6,) * (3 if second else 2)), on
+        d, dd = jets[:2]
         d0, d1, d2 = d
         d = np.ascontiguousarray(np.moveaxis(d, 0, -2))         # (..., 3, 6)
         lift = np.where(on, lift, 1.0)
         h1, h2, h3 = h[..., 0, None], h[..., 1, None], h[..., 2, None]
         hn_, lift_ = hn[..., None], lift[..., None]
         up = h3 >= 0
-        dd = self._derivs(self.h if second else self.h[:2], x, 2)
         dn = (h[..., None, :] @ d)[..., 0, :] / hn_         # grad |h|
         dlift = dn + d2
         if not up.all():
@@ -767,10 +767,10 @@ class TwoLevel(Model):
         dQ = 2 * (dn * lift_ + hn_ * dlift)
         dw = dN / Q_ - _outer(dQ, N) / _pow(Q, 2)[..., None, None]
         if not second:
-            return dw, None, on
+            return dw, on
 
         dd0, dd1, dd2 = dd
-        ddd0, ddd1 = self._derivs(self.h[:2], x, 3)
+        ddd0, ddd1 = jets[2][:2]
         hdd = (h[..., None, :] @ np.moveaxis(dd, 0, -3).reshape(
             x.batch_shape + (3, 36)))[..., 0, :].reshape(dd0.shape)
         ddn = (d.swapaxes(-1, -2) @ d + hdd - _outer(dn, dn)) / hn_[..., None]
@@ -802,7 +802,7 @@ class TwoLevel(Model):
                + (2 * _outer(dQ, dQ) / _pow(Q, 3)[..., None, None]
                   - ddQ / _pow(Q, 2)[..., None, None])[..., None]
                * N[..., None, None, :])
-        return dw, ddw, on
+        return ddw, on
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.z_only:

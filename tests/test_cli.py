@@ -601,8 +601,16 @@ def test_bracket_check_command(tmp_path):
     assert report["exact"] == 200
     assert report["pure_sum_brackets_vanish"] is True
 
-    cfg = write_config(tmp_path, {"max_degree": 9})
-    assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
+
+def test_bracket_check_takes_degrees_above_eight(tmp_path):
+    # No degree cap: the checks never symmetrize, and `verify` runs the
+    # same two at max_degree 14.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"max_degree": 9, "cases": 4})
+    assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 0
+    report = json.loads((out / "bracket_report.json").read_text())
+    assert (report["cases"], report["exact"]) == (4, 4)
+    assert report["all_passed"] is True
 
 
 @pytest.mark.parametrize("payload", [

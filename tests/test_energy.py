@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import semiband.energy
 import semiband.frames
 import semiband.stencils
 from semiband.fields import (
@@ -371,6 +372,25 @@ def test_order2_takes_no_stencil(monkeypatch):
             assert counts["d2_hamiltonian"] == 1
             fd = rep.diagnostics["fd"]
             assert (fd.fallbacks, fd.discrepancy) == (0, 0.0)
+
+
+def test_d_eps0_is_made_only_where_it_is_read(monkeypatch):
+    # FirstOrder.DE is made on first read, by the canonical order-2 energy;
+    # the covariant energy and the curvature pass never make it.
+    calls = []
+    real = semiband.energy._D_eps0
+    monkeypatch.setattr(semiband.energy, "_D_eps0",
+                        lambda *args: calls.append(1) or real(*args))
+    model = dirac()
+    runs = {
+        "canonical": lambda: band_energy(model, X, 0.01, 2, "canonical"),
+        "covariant": lambda: band_energy(model, X, 0.01, 2, "covariant"),
+        "curvature": lambda: berry_curvatures(model, X, 0.01),
+    }
+    for kind, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == (kind == "canonical"), kind
 
 
 def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):

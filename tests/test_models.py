@@ -1,5 +1,7 @@
 """Built-in Hamiltonians: Hermiticity, frames, connections, closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from semiband.models import (
     NeutrinoMetric,
     PhasePoint,
     TwoLevel,
+    _dot,
+    _outer,
+    _pow,
     make_model,
     random_points,
 )
@@ -173,7 +178,7 @@ def test_two_level_diagonal_case():
     eps0, U0 = model.analytic_frame(x)
     assert np.allclose(U0, np.eye(2), atol=1e-14)
     h3 = model.h_vector(x)[2]
-    h0 = sum(t.value(x) for t in model.h0)
+    h0 = reference_values([model.h0], x)[0]
     assert np.allclose(eps0, [h0 + h3, h0 - h3])
 
 
@@ -371,3 +376,305 @@ def test_gauge_term_hessian_matches_fd(model):
     assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
     assert np.max(np.abs(got - got.swapaxes(0, 1))) \
         <= 1e-14 * max(1.0, np.max(np.abs(got)))
+
+
+# Term-by-term evaluation of the declared terms: the reference the compiled
+# monomial tables must reproduce bit for bit.
+
+def _ref_power(c, e):
+    if e == 0:
+        return None
+    if e == 1:
+        return c
+    if isinstance(c, float):
+        return c ** e
+    return np.array([v ** e for v in c.tolist()])
+
+
+def _ref_coords(x):
+    if not x.batch_shape:
+        return x.R.tolist() + x.P.tolist()
+    return list(x.R.T) + list(x.P.T)
+
+
+def _ref_term_value(t, c):
+    v = float(t.coef)
+    for i in range(3):
+        a, b = _ref_power(c[i], t.r_exp[i]), _ref_power(c[3 + i], t.p_exp[i])
+        f = b if a is None else a if b is None else a * b
+        if f is not None:
+            v = v * f
+    return v
+
+
+def _ref_term_derivative(t, c, axes):
+    exps = list(t.r_exp + t.p_exp)
+    k = 1
+    for a in axes:
+        k *= exps[a]
+        exps[a] -= 1
+    if not k:
+        return 0.0
+    v = float(t.coef) * k
+    for ci, e in zip(c, exps):
+        if e:
+            v = v * _ref_power(ci, e)
+    return v
+
+
+def reference_values(parts, x):
+    c = _ref_coords(x)
+    sums = [sum(_ref_term_value(t, c) for t in terms) for terms in parts]
+    if not x.batch_shape:
+        return np.array(sums, dtype=float)
+    return np.array([v + np.zeros(x.batch_shape) for v in sums])
+
+
+def reference_derivs(parts, x, order):
+    out = np.zeros((len(parts),) + x.batch_shape + (6,) * order)
+    c = _ref_coords(x)
+    for k, terms in enumerate(parts):
+        for t in terms:
+            live = [a for a, e in enumerate(t.r_exp + t.p_exp) if e]
+            for axes in itertools.product(live, repeat=order):
+                out[k][(Ellipsis, *axes)] += _ref_term_derivative(t, c, axes)
+    return out
+
+
+def reference_jet(parts, x, order):
+    if order == 0:
+        return reference_values(parts, x)
+    return reference_derivs(parts, x, order)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+_TABLE_MODELS = {
+    "default": {},
+    # "half" and "rp" terms; R_i P_i pairs (shared axis index i); exponents
+    # >= 2 (repeated axes in the derivatives); constant and cubic terms.
+    "mixed": {
+        "h0_terms": [{"coef": "1/10", "r_exp": [1, 0, 0], "p_exp": [1, 1, 0]},
+                     {"coef": "-2/7", "r_exp": [3, 1, 0], "p_exp": [2, 0, 1],
+                      "sym": "rp"}],
+        "h_terms": [[{"coef": "1/4", "p_exp": [1, 0, 0]},
+                     {"coef": "1/3", "r_exp": [0, 0, 1], "p_exp": [0, 2, 0],
+                      "sym": "rp"},
+                     {"coef": "3", "r_exp": [1, 0, 0], "p_exp": [1, 0, 0]}],
+                    [{"coef": "1/5", "r_exp": [0, 1, 0]},
+                     {"coef": "-1/2", "r_exp": [1, 0, 0], "p_exp": [0, 0, 1]},
+                     {"coef": "1/9", "r_exp": [0, 2, 0]}],
+                    [{"coef": "-1"}, {"coef": "1/10", "r_exp": [0, 0, 2]},
+                     {"coef": "5/3", "r_exp": [2, 0, 1], "p_exp": [0, 3, 0]}]],
+    },
+    # Empty components: no h0, and h1 empty next to a live h2.
+    "empty": {"h0_terms": [],
+              "h_terms": [[], [{"coef": "1/2", "r_exp": [0, 2, 0],
+                                "p_exp": [0, 2, 0]}], [{"coef": "2"}]]},
+}
+
+
+def _table_points():
+    pts = random_points(np.random.default_rng(21), 8, 0.3, 3.0)
+    # Zero coordinates make signed-zero terms: a sum starting from +0.0
+    # turns a lone -0.0 into +0.0.
+    zeros = [PhasePoint.of([0.0, -0.5, 0.3], [0.4, 0.0, 0.7]),
+             PhasePoint.of([-0.2, 0.0, 0.0], [0.0, -0.3, 0.0])]
+    return {"point": pts[0], "batch": PhasePoint.stack(pts[3:8]),
+            "zeros": PhasePoint.stack(zeros), "zero": zeros[0]}
+
+
+@pytest.mark.parametrize("where", ["point", "batch", "zero", "zeros"])
+@pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
+def test_monomial_tables_equal_the_term_loops(name, where):
+    model = TwoLevel(**_TABLE_MODELS[name])
+    x = _table_points()[where]
+    # One pass over every order, and one pass per order.
+    together = model._jets(x, range(4))
+    for order in range(4):
+        ref = reference_jet(model.parts, x, order)
+        assert _same_bytes(together[order], ref)
+        assert _same_bytes(model._jets(x, (order,))[0], ref)
+    assert _same_bytes(model.h_vector(x), reference_values(model.h, x).T)
+    methods = [model.hamiltonian, model.d_hamiltonian, model.d2_hamiltonian,
+               model.d3_hamiltonian]
+    for order, method in enumerate(methods):
+        assert _same_bytes(method(x),
+                           model._sigma(reference_jet(model.parts, x, order)))
+
+
+def _reference_gauge(model, x, top):
+    """h, |h|, lift, d, dd, ddd of the gauge term from the term loops, and
+    the singular-gauge error the quotient rule raises."""
+    h = reference_values(model.h, x).T.copy()
+    h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
+    hn = np.sqrt(_dot(h, h))
+    up = h3 >= 0
+    lift = hn + h3
+    if not up.all():
+        lift = np.where(up, lift, (_pow(h1, 2) + _pow(h2, 2))
+                        / np.where(up, 1.0, hn - h3))
+    d = reference_derivs(model.h, x, 1)
+    flat = lift == 0.0
+    if flat.any() and (flat & ((hn == 0.0) | d[0].any(axis=-1)
+                               | d[1].any(axis=-1))).any():
+        raise ValueError("two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
+    return (h, hn, lift, d) + tuple(reference_derivs(model.h, x, k)
+                                    for k in range(2, top + 1))
+
+
+def reference_gauge_stacks(model, x):
+    """The quotient rule on w = N / Q (N = h1 grad h2 - h2 grad h1,
+    Q = 2 |h| lift) with every derivative of h from the term loops:
+    (gauge stack, its gradient, its Hessian)."""
+    h, hn, lift, d, dd, ddd = _reference_gauge(model, x, 3)
+    on = lift != 0
+    w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
+         / np.where(on, 2 * hn * lift, 1.0)[..., None])
+    w[~on] = 0.0
+    G = TwoLevel._gauge_stack(w)
+    if not on.any():
+        zeros = np.zeros(x.batch_shape + (6, 6, 2, 2), dtype=complex)
+        return G, zeros, np.zeros(x.batch_shape + (6, 6, 6, 2, 2),
+                                  dtype=complex)
+    d0, d1, d2 = d
+    d = np.ascontiguousarray(np.moveaxis(d, 0, -2))
+    lift = np.where(on, lift, 1.0)
+    h1, h2, h3 = h[..., 0, None], h[..., 1, None], h[..., 2, None]
+    hn_, lift_ = hn[..., None], lift[..., None]
+    up = h3 >= 0
+    dn = (h[..., None, :] @ d)[..., 0, :] / hn_
+    dlift = dn + d2
+    if not up.all():
+        below = np.where(up, 1.0, hn_ - h3)
+        dlift = np.where(up, dlift, (2 * (h1 * d0 + h2 * d1)
+                                     - lift_ * (dn - d2)) / below)
+    N = h1 * d1 - h2 * d0
+    dN = (_outer(d0, d1) - _outer(d1, d0)
+          + h1[..., None] * dd[1] - h2[..., None] * dd[0])
+    Q = 2 * hn * lift
+    Q_ = Q[..., None, None]
+    dQ = 2 * (dn * lift_ + hn_ * dlift)
+    dw = dN / Q_ - _outer(dQ, N) / _pow(Q, 2)[..., None, None]
+    dd0, dd1, dd2 = dd
+    ddd0, ddd1 = ddd[:2]
+    hdd = (h[..., None, :] @ np.moveaxis(dd, 0, -3).reshape(
+        x.batch_shape + (3, 36)))[..., 0, :].reshape(dd0.shape)
+    ddn = (d.swapaxes(-1, -2) @ d + hdd - _outer(dn, dn)) / hn_[..., None]
+    ddlift = ddn + dd2
+    if not up.all():
+        dT = dn - d2
+        ddS = 2 * (_outer(d0, d0) + h1[..., None] * dd0
+                   + _outer(d1, d1) + h2[..., None] * dd1)
+        ddlift = np.where(up[..., None], ddlift,
+                          (ddS - _outer(dlift, dT) - _outer(dT, dlift)
+                           - lift_[..., None] * (ddn - dd2))
+                          / below[..., None])
+    ddN = (dd0[..., None] * d1[..., None, None, :]
+           - dd1[..., None] * d0[..., None, None, :]
+           + d0[..., None, :, None] * dd1[..., :, None, :]
+           - d1[..., None, :, None] * dd0[..., :, None, :]
+           + d0[..., :, None, None] * dd1[..., None, :, :]
+           - d1[..., :, None, None] * dd0[..., None, :, :]
+           + h1[..., None, None] * ddd1 - h2[..., None, None] * ddd0)
+    ddQ = 2 * (ddn * lift_[..., None] + _outer(dn, dlift)
+               + _outer(dlift, dn) + hn_[..., None] * ddlift)
+    ddw = (ddN / Q_[..., None]
+           - (dN[..., None, :, :] * dQ[..., :, None, None]
+              + dN[..., :, None, :] * dQ[..., None, :, None])
+           / _pow(Q, 2)[..., None, None, None]
+           + (2 * _outer(dQ, dQ) / _pow(Q, 3)[..., None, None]
+              - ddQ / _pow(Q, 2)[..., None, None])[..., None]
+           * N[..., None, None, :])
+
+    def live(v):
+        o = on.reshape(on.shape + (1,) * (v.ndim + 2 - on.ndim))
+        return np.where(o, TwoLevel._gauge_stack(v), 0.0)
+
+    return G, live(dw), live(ddw)
+
+
+_Z_MINUS = [[], [], [{"coef": "-1"}, {"coef": "1/5", "r_exp": [2, 0, 0]}]]
+
+
+def _gauge_models():
+    return {
+        "z-only-up": TwoLevel(),
+        "z-only-down": TwoLevel(h_terms=_Z_MINUS),
+        "generic-up": _two_level_with_gauge("1"),
+        "generic-down": _two_level_with_gauge("-1"),
+    }
+
+
+@pytest.mark.parametrize("where", ["point", "batch"])
+@pytest.mark.parametrize("name", sorted(_gauge_models()))
+def test_gauge_term_and_gradients_equal_the_quotient_rule(name, where):
+    # The z-only term is a structural zero; its bytes, signed zeros
+    # included, are still those of the quotient rule on both lift branches.
+    model = _gauge_models()[name]
+    x = _table_points()[where]
+    h3 = model.h_vector(x)[..., 2]
+    assert (h3 > 0).all() if name.endswith("up") else (h3 < 0).all()
+    G, dG, ddG = reference_gauge_stacks(model, x)
+    assert _same_bytes(np.concatenate(model.analytic_connections(x), axis=-3),
+                       G)
+    assert _same_bytes(model.d_analytic_connections(x), dG)
+    assert _same_bytes(model.d2_analytic_connections(x), ddG)
+    if model.z_only:
+        assert np.signbit(G.real).any() and not G.any()
+
+
+@pytest.mark.parametrize("h_terms, xs", [
+    # z-only, one point on each lift branch.
+    ([[], [], [{"coef": "1", "r_exp": [1, 0, 0]}]], [0.4, -0.7]),
+    # h1 = x^2 with h3 < 0: at x = 0, lift = 0 and grad h1 = 0 (no error).
+    ([[{"coef": "1", "r_exp": [2, 0, 0]}], [], [{"coef": "-1"}]], [0.0, 0.0]),
+], ids=["z-only-both-branches", "generic-flat-everywhere"])
+def test_gauge_term_off_the_generic_branch(h_terms, xs):
+    model = TwoLevel(h_terms=h_terms)
+    x = PhasePoint.stack([PhasePoint.of([xs[0], 0, 0], [0.1, 0.2, 0.3]),
+                          PhasePoint.of([xs[1], 0.1, 0], [0.3, -0.2, 0.5])])
+    G, dG, ddG = reference_gauge_stacks(model, x)
+    assert _same_bytes(np.concatenate(model.analytic_connections(x), axis=-3),
+                       G)
+    assert _same_bytes(model.d_analytic_connections(x), dG)
+    assert _same_bytes(model.d2_analytic_connections(x), ddG)
+
+
+_GAUGE_METHODS = ("analytic_connections", "d_analytic_connections",
+                  "d2_analytic_connections")
+
+
+@pytest.mark.parametrize("h_terms, R", [
+    # z-only, h3 = x = 0: |h| = 0.
+    ([[], [], [{"coef": "1", "r_exp": [1, 0, 0]}]], [0.0, 0.3, 0.1]),
+    # h1 = p_x = 0 with a live gradient and h3 < 0.
+    ([[{"coef": "1", "p_exp": [1, 0, 0]}], [], [{"coef": "-1"}]],
+     [0.2, 0.3, 0.1]),
+], ids=["z-only-zero", "generic-below-axis"])
+def test_singular_gauge_errors_keep_type_and_message(h_terms, R):
+    model = TwoLevel(h_terms=h_terms)
+    bad = PhasePoint.of(R, [0.0, 0.4, 0.5])
+    good = PhasePoint.of([0.5, 0.3, 0.1], [0.2, 0.4, 0.5])
+    for x in (bad, PhasePoint.stack([good, bad])):
+        with pytest.raises(ValueError) as ref:
+            _reference_gauge(model, x, 1)
+        for method in _GAUGE_METHODS:
+            with pytest.raises(ValueError) as got:
+                getattr(model, method)(x)
+            assert str(got.value) == str(ref.value) == (
+                "two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
+
+
+def test_degenerate_frame_error_keeps_type_and_message():
+    model = TwoLevel(h_terms=[[], [], [{"coef": "1", "r_exp": [1, 0, 0]}]])
+    bad = PhasePoint.of([0.0, 0.3, 0.1], [0.1, 0.2, 0.3])
+    good = PhasePoint.of([0.5, 0.3, 0.1], [0.1, 0.2, 0.3])
+    for x in (bad, PhasePoint.stack([good, bad])):
+        with pytest.raises(ValueError,
+                           match=r"^two_level bands are degenerate where "
+                                 r"\|h\| = 0$"):
+            model.analytic_frame(x)
