@@ -7,7 +7,7 @@ connections   order-0 / corrected connection sets per point
 curvature     curvature blocks per point
 trajectory    fixed-helicity ray tracing (CSV per helicity + manifest)
 verify        run the verification suites, exit 0 iff all pass
-bracket-check exact symbolic identity checks with a seeded case list
+bracket-check the verify bracket suites plus the pure-sum bracket check
 
 Configuration is a JSON document (see README for the schema); identical
 config + seed produce byte-identical reports.  Exit codes: 0 success,
@@ -27,14 +27,12 @@ import csv
 import functools
 import io
 import json
-import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from semiband import weyl
 from semiband.fields import _integer, _real
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_points,
@@ -51,7 +49,9 @@ from semiband.energy import (
 from semiband.dynamics import (
     band_curvature_vector, berry_curvatures, check_ray_inputs, integrate_ray,
 )
-from semiband.verify import ALL_SUITES, BRACKET_SUITES, run_suites
+from semiband.verify import (
+    ALL_SUITES, BRACKET_SUITES, pure_sum_brackets_vanish, run_suites,
+)
 
 __all__ = ["main"]
 
@@ -481,20 +481,18 @@ def cmd_trajectory(cfg: dict, args) -> int:
     section = _section(cfg, "trajectory", {})
     hbar = _hbar(cfg, args, 1e-3)
     method = section.get("method", "rk4")
+    pair = _section(section, "pair_lambdas", True, bool)
     try:
         steps = _integer(section.get("steps", 1000), "steps")
         dt = _real(section.get("dt", 1e-2), "dt")
         r0 = [_real(v, "r0") for v in section.get("r0", [0.0, 0.0, 0.0])]
         P0 = [_real(v, "P0") for v in section.get("P0", [0.0, 0.0, 1.0])]
-        check_ray_inputs(hbar, dt, steps, r0, P0)
+        lams = ([+1, -1] if pair
+                else [_integer(section.get("lambda", 1), "lambda")])
+        for lam in lams:
+            check_ray_inputs(hbar, dt, steps, r0, P0, lam, method)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trajectory: {exc}") from exc
-    lams = ([+1, -1] if _section(section, "pair_lambdas", True, bool)
-            else [_integer(section.get("lambda", 1), "trajectory lambda")])
-    if method not in ("rk4", "rk45"):
-        raise ConfigError("trajectory method must be 'rk4' or 'rk45'")
-    if any(lam not in (+1, -1) for lam in lams):
-        raise ConfigError("trajectory lambda must be +1 or -1")
     out = Path(args.out)
 
     manifest = {"schema_version": SCHEMA_VERSION, "model": model.to_config(),
@@ -534,6 +532,16 @@ def cmd_trajectory(cfg: dict, args) -> int:
     return 2 if errors else 0
 
 
+def _write_report(out: Path, name: str, report: dict) -> int:
+    """Write a `run_suites` report, list each suite's status; exit code."""
+    _write_json(out / name, _dumps(report))
+    for suite in report["suites"]:
+        status = "PASS" if suite["passed"] else "FAIL"
+        print(f"{status} {suite['name']}")
+    print(f"report -> {out / name}")
+    return 0 if report["all_passed"] else 2
+
+
 def cmd_verify(cfg: dict, args) -> int:
     seed = _seed(cfg, args, 0)
     names = [args.suite] if args.suite else _section(
@@ -544,59 +552,25 @@ def cmd_verify(cfg: dict, args) -> int:
     for name in overrides:
         _section(overrides, name)
     report = run_suites(names, seed=seed, overrides=overrides)
-    out = Path(args.out)
-    _write_json(out / "verify_report.json", _dumps(report))
-    for suite in report["suites"]:
-        status = "PASS" if suite["passed"] else "FAIL"
-        print(f"{status} {suite['name']}")
-    print(f"report -> {out / 'verify_report.json'}")
-    return 0 if report["all_passed"] else 2
+    return _write_report(Path(args.out), "verify_report.json", report)
 
 
 def cmd_bracket_check(cfg: dict, args) -> int:
+    """The `verify` bracket suites, with the top-level `cases` and
+    `max_degree` as parameters of the two random ones, plus the pure-sum
+    check."""
+    if "dims" in cfg:
+        raise ConfigError("bracket-check has no key 'dims': the bracket "
+                          "suites draw their cases in dimensions 1 and 2")
     seed = _seed(cfg, args, 1)
-    cases = _integer(cfg.get("cases", 200), "cases")
-    max_degree = _integer(cfg.get("max_degree", 6), "max_degree")
-    dims = cfg.get("dims", [1, 2])
-    if not isinstance(dims, list) or not dims or cases < len(dims):
-        raise ConfigError("dims must be a non-empty list, with cases >= len(dims)")
-    dims = [_integer(dim, "each dims entry") for dim in dims]
-    if min(dims) < 1 or max_degree < 1:
-        # Every expression over an empty internal space is 0, and so is the
-        # bracket of factors that carry no R or P letter.
-        raise ConfigError("each dims entry and max_degree must be >= 1")
-    rows = []
-    exact = 0
-    for dim in dims:
-        rng = random.Random(seed + dim)
-        for case in range(cases // len(dims)):
-            f = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
-            g = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
-            ok_prod = weyl.bracket_product_residual(f, g).is_zero()
-            h = weyl.random_resymmetrization(rng, f)
-            ok_inv = weyl.invariant_derivative_residual(f, h).is_zero()
-            exact += int(ok_prod and ok_inv)
-            rows.append({"dim": dim, "case": case,
-                         "product_rule_exact": ok_prod,
-                         "invariance_exact": ok_inv})
-    # Pure sums have no mixed pair: bracket vanishes for every scalar case.
-    rng = random.Random(seed)
-    pure_zero = True
-    for _ in range(10):
-        for kind in ("R", "P"):
-            expr = weyl._random_pure_expr(rng, kind, 1, 3)
-            if not weyl.Factorization([(kind, expr)]).bracket().is_zero():
-                pure_zero = False
-    total = len(rows)
-    report = {"schema_version": SCHEMA_VERSION, "seed": seed,
-              "cases": total, "exact": exact,
-              "pure_sum_brackets_vanish": pure_zero,
-              "all_passed": exact == total and pure_zero,
-              "rows": rows}
-    out = Path(args.out)
-    _write_json(out / "bracket_report.json", _dumps(report))
-    print(f"{exact}/{total} cases exact -> {out / 'bracket_report.json'}")
-    return 0 if report["all_passed"] else 2
+    params = {key: cfg[key] for key in ("cases", "max_degree") if key in cfg}
+    report = run_suites(BRACKET_SUITES, seed=seed, overrides={
+        name: params for name in ("bracket-product-rule", "bracket-invariance")})
+    pure = pure_sum_brackets_vanish(seed)
+    report["pure_sum_brackets_vanish"] = pure
+    report["all_passed"] = report["all_passed"] and pure
+    print(f"{'PASS' if pure else 'FAIL'} pure-sum brackets vanish")
+    return _write_report(Path(args.out), "bracket_report.json", report)
 
 
 def main(argv=None) -> int:

@@ -405,10 +405,12 @@ def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
     return out, rejected
 
 
-def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0) -> tuple:
+def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0, lam: int,
+                     method: str) -> tuple:
     """(r0, P0) as float 3-vectors; ValueError unless hbar, dt and the three
     components of r0 and P0 are finite real numbers (a bool is not one), dt
-    > 0, hbar >= 0 and steps is an integer >= 1."""
+    > 0, hbar >= 0, steps is an integer >= 1, lam the integer +1 or -1 and
+    method 'rk4' or 'rk45'."""
     if not _real(dt, "dt") > 0:
         raise ValueError("dt must be positive and finite")
     if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
@@ -416,6 +418,9 @@ def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0) -> tuple:
         raise ValueError("steps must be an integer >= 1")
     if not _real(hbar, "hbar") >= 0:
         raise ValueError("hbar must be finite and >= 0")
+    _check_lam(lam)
+    if method not in ("rk4", "rk45"):
+        raise ValueError("method must be 'rk4' or 'rk45'")
     return np.array(_real3(r0, "r0")), np.array(_real3(P0, "P0"))
 
 
@@ -439,10 +444,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     expectation <sigma.Phat> is conserved in continuum time.  Its drift and
     the energy drift along the run are reported on the trajectory.
     """
-    r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0)
-    _check_lam(lam)
-    if method not in ("rk4", "rk45"):
-        raise ValueError("method must be 'rk4' or 'rk45'")
+    r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0, lam, method)
     if not np.linalg.norm(P0) > 0.0:
         raise ValueError("|P0| must be positive")
 

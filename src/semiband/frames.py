@@ -285,16 +285,15 @@ def _at(x: PhasePoint, i: tuple) -> PhasePoint:
 
 
 def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
-    """Eigen-decomposition with ascending eigenvalues split into the declared
-    group multiplicities; raises when the grouping is inconsistent (naming
-    the first point of a batch where it is)."""
+    """Eigen-decomposition with ascending eigenvalues, checked against the
+    declared group multiplicities; raises when the grouping is inconsistent
+    (naming the first point of a batch where it is)."""
     H = model.hamiltonian(x)
     scale = np.maximum(matrix_norms(H), 1e-300)
     vals, vecs = np.linalg.eigh(H)
     sizes = tuple(model.band_groups)
     if sum(sizes) != model.n:
         raise ValueError("band group multiplicities do not sum to the dimension")
-    groups = np.empty(model.n, dtype=int)
     start = 0
     for g, size in enumerate(sizes):
         block = vals[..., start:start + size]
@@ -311,9 +310,8 @@ def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
                 raise ValueError(
                     f"cross-group gap {gap[i]:.3e} below tolerance at {_at(x, i)}"
                 )
-        groups[start:start + size] = g
         start += size
-    return vals, vecs, groups
+    return vals, vecs
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -357,13 +355,12 @@ def classical_frame(model: Model, x: PhasePoint,
     model.check_point(x)
     if model.has_analytic_frame:
         eps0, U0 = model.analytic_frame(x)
-        groups = model.groups.copy()
     else:
-        vals, vecs, groups = _group_eigensystem(model, x, tol)
+        vals, vecs = _group_eigensystem(model, x, tol)
         vecs = _phase_fix(vecs)
         eps0, U0 = vals, _dagger(vecs)
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
-                      groups, x, model, tol)
+                      model.groups, x, model, tol)
     _validate_frame(frame)
     return frame
 
@@ -410,7 +407,7 @@ def frame_field(anchor: BandFrame):
     ref = anchor.U0.conj().T
 
     def at(y: PhasePoint):
-        vals, vecs, _groups = _group_eigensystem(model, y, anchor.tol)
+        vals, vecs = _group_eigensystem(model, y, anchor.tol)
         aligned = _align_to(vecs, ref, anchor.groups)
         return vals, aligned.conj().T
 

@@ -224,12 +224,16 @@ class Model:
     name = "abstract"
     n = 0
     band_groups: tuple = ()
-    groups: np.ndarray = np.array([], dtype=int)
     massless = False
     has_analytic_frame = False
     # The applications all satisfy <H> = 0 (pure-R plus pure-P splitting or
     # scalar cross factors); the energy assembly asserts this flag.
     bracket_h_vanishes = True
+
+    @property
+    def groups(self) -> np.ndarray:
+        """(n,) group index per state, in the order of `band_groups`."""
+        return np.repeat(np.arange(len(self.band_groups)), self.band_groups)
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         raise NotImplementedError
@@ -306,7 +310,6 @@ class DiracElectric(PxSigmaGauge):
     name = "dirac_electric"
     n = 4
     band_groups = (2, 2)
-    groups = np.array([0, 0, 1, 1])
     has_analytic_frame = True
 
     def __init__(self, m: float = 1.0, e: float = 1.0,
@@ -389,7 +392,6 @@ class NeutrinoMetric(PxSigmaGauge):
     name = "neutrino_metric"
     n = 4
     band_groups = (2, 2)
-    groups = np.array([0, 0, 1, 1])
     massless = True
     has_analytic_frame = True
 
@@ -567,7 +569,6 @@ class TwoLevel(Model):
     name = "two_level"
     n = 2
     band_groups = (1, 1)
-    groups = np.array([0, 1])
     has_analytic_frame = True
 
     def __init__(self, h0_terms=None, h_terms=None):

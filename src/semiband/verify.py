@@ -2,7 +2,7 @@
 
 Each suite returns a `SuiteResult` with measured metrics and a pass flag at
 its contract tolerance; the `verify` CLI subcommand and the acceptance test
-module both run these.  All randomness is drawn from a caller-supplied seed so
+module both run these, and `bracket-check` runs `BRACKET_SUITES`.  All randomness is drawn from a caller-supplied seed so
 reports are reproducible bit for bit.
 """
 
@@ -53,7 +53,8 @@ from semiband.oracles import (
 )
 from semiband.stencils import derivative_along
 
-__all__ = ["SuiteResult", "ALL_SUITES", "run_suites", "covariant_reexpansion"]
+__all__ = ["SuiteResult", "ALL_SUITES", "BRACKET_SUITES", "run_suites",
+           "pure_sum_brackets_vanish", "covariant_reexpansion"]
 
 
 @dataclass
@@ -88,34 +89,39 @@ def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
 # Symbolic calculus (criterion: exact residuals on random cases)
 # ---------------------------------------------------------------------------
 
-def suite_bracket_product_rule(seed: int = 1, cases: int = 200,
-                               max_degree: int = 6) -> SuiteResult:
-    """Product rule of the ordering bracket: residual exactly zero."""
+def _bracket_suite(name: str, seed: int, cases: int, max_degree: int,
+                   residual) -> SuiteResult:
+    """Half the cases in internal dimension 1 and half in 2, each dimension
+    from its own seeded stream: draw f, then `residual(rng, f)` draws what
+    else it needs and must return an exactly zero expression."""
+    cases -= cases % 2  # an odd count runs, and reports, one fewer
     failures = 0
     for dim in (1, 2):
         rng = random.Random(seed + dim)
         for _ in range(cases // 2):
             f = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
-            g = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
-            if not weyl.bracket_product_residual(f, g).is_zero():
+            if not residual(rng, f).is_zero():
                 failures += 1
-    return SuiteResult("bracket-product-rule", failures == 0,
+    return SuiteResult(name, failures == 0,
                        {"cases": cases, "failures": failures})
+
+
+def suite_bracket_product_rule(seed: int = 1, cases: int = 200,
+                               max_degree: int = 6) -> SuiteResult:
+    """Product rule of the ordering bracket: residual exactly zero."""
+    return _bracket_suite(
+        "bracket-product-rule", seed, cases, max_degree,
+        lambda rng, f: weyl.bracket_product_residual(
+            f, weyl.random_factorization(rng, n=f.n, max_degree=max_degree)))
 
 
 def suite_bracket_invariance(seed: int = 2, cases: int = 200,
                              max_degree: int = 5) -> SuiteResult:
     """Symmetrization invariance of d/dhbar F + <F>: residual exactly zero."""
-    failures = 0
-    for dim in (1, 2):
-        rng = random.Random(seed + dim)
-        for _ in range(cases // 2):
-            f = weyl.random_factorization(rng, n=dim, max_degree=max_degree)
-            g = weyl.random_resymmetrization(rng, f)
-            if not weyl.invariant_derivative_residual(f, g).is_zero():
-                failures += 1
-    return SuiteResult("bracket-invariance", failures == 0,
-                       {"cases": cases, "failures": failures})
+    return _bracket_suite(
+        "bracket-invariance", seed, cases, max_degree,
+        lambda rng, f: weyl.invariant_derivative_residual(
+            f, weyl.random_resymmetrization(rng, f)))
 
 
 def suite_symmetrized_bracket(seed: int = 3) -> SuiteResult:
@@ -135,6 +141,16 @@ def suite_symmetrized_bracket(seed: int = 3) -> SuiteResult:
             failures += 1
     return SuiteResult("symmetrized-bracket", failures == 0,
                        {"cases": cases, "failures": failures})
+
+
+def pure_sum_brackets_vanish(seed: int) -> bool:
+    """Whether the bracket vanishes exactly on ten random pure-R and ten
+    pure-P sums (internal dimension 1, degree <= 3): a factorization of one
+    kind has no mixed pair.  Not a suite; `bracket-check` reports it."""
+    rng = random.Random(seed)
+    sums = [weyl.Factorization([(kind, weyl._random_pure_expr(rng, kind, 1, 3))])
+            for _ in range(10) for kind in ("R", "P")]
+    return all(f.bracket().is_zero() for f in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,7 @@ def suite_neutrino_energy(seed: int = 13, points: int = 100,
                           tolerance: float = 1e-8) -> SuiteResult:
     """Pipeline vs the covariant closed form and its canonical re-expansion."""
     rng = np.random.default_rng(seed)
+    points -= points % 2  # half per profile: an odd count runs one fewer
     worst_cov = worst_can = 0.0
     for label, model in _neutrino_profiles().items():
         for x in random_points(rng, points // 2, 0.3, 5.0):

@@ -12,6 +12,7 @@ import semiband.cli
 import semiband.verify
 from semiband.cli import main
 from semiband.models import NeutrinoMetric
+from semiband.verify import ALL_SUITES, BRACKET_SUITES, SuiteResult
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
@@ -265,6 +266,7 @@ GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
     {"seed": 1.7, "command": "verify", "suites_to_run": ["symmetrized-bracket"]},
     {"cases": 2.9, "command": "bracket-check"},
     {"max_degree": 2.5, "command": "bracket-check"},
+    # bracket-check refuses any "dims" key, these malformed ones too.
     {"dims": [1.5], "command": "bracket-check"},
     {"dims": [1, "2"], "command": "bracket-check"},
     {"seed": 1.7, "command": "bracket-check"},
@@ -312,9 +314,8 @@ def test_integral_float_orders_and_counts_are_accepted(tmp_path):
              {"points": None, "random_points": {"count": 2}, "seed": 5},
              {"points": None, "random_points": {"count": 2}, "seed": 5e0}),
             ("bracket-check", "bracket_report.json",
-             {"seed": 3, "cases": 4, "max_degree": 3, "dims": [1, 2]},
-             {"seed": 3e0, "cases": 4e0, "max_degree": 3e0,
-              "dims": [1e0, 2e0]})):
+             {"seed": 3, "cases": 4, "max_degree": 3},
+             {"seed": 3e0, "cases": 4e0, "max_degree": 3e0})):
         written = []
         for label, extra in (("int", ints), ("float", floats)):
             cfg = write_config(tmp_path, {key: value for key, value
@@ -499,6 +500,12 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     ({}, {"hbar": "0.02"}),
     ({"pair_lambdas": "false"}, {}),
     ({"pair_lambdas": 0}, {}),
+    # lambda and method go through `dynamics.check_ray_inputs` too.
+    ({"pair_lambdas": False, "lambda": 2}, {}),
+    ({"pair_lambdas": False, "lambda": 0}, {}),
+    ({"pair_lambdas": False, "lambda": True}, {}),
+    ({"method": "euler"}, {}),
+    ({"method": "RK45", "pair_lambdas": False}, {}),
 ], ids=repr)
 def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
     cfg = write_config(tmp_path, dict(
@@ -593,13 +600,52 @@ def test_verify_passes_regardless_of_wall_clock(tmp_path, monkeypatch):
     assert set(suite["metrics"]) == {"points", "max_rel_err", "tolerance"}
 
 
+def _suite_metrics(report: dict) -> dict:
+    return {suite["name"]: suite["metrics"] for suite in report["suites"]}
+
+
 def test_bracket_check_command(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "--seed", "1", "bracket-check"]) == 0
     report = json.loads((out / "bracket_report.json").read_text())
-    assert report["cases"] == 200
-    assert report["exact"] == 200
+    assert set(report) == {"schema_version", "seed", "all_passed", "suites",
+                           "pure_sum_brackets_vanish"}
+    assert report["seed"] == 1 and report["all_passed"] is True
+    metrics = _suite_metrics(report)
+    assert list(metrics) == BRACKET_SUITES
+    for name in ("bracket-product-rule", "bracket-invariance"):
+        assert metrics[name] == {"cases": 200, "failures": 0}
     assert report["pure_sum_brackets_vanish"] is True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_bracket_check_runs_the_verify_bracket_suites(tmp_path, seed):
+    # One implementation: the top-level cases and max_degree of bracket-check
+    # are the parameters of the two random suites under verify.
+    params = {"cases": 4, "max_degree": 3}
+    check = write_config(tmp_path, params)
+    assert main(["--config", check, "--out", str(tmp_path / "check"),
+                 "--seed", str(seed), "bracket-check"]) == 0
+    verify = write_config(tmp_path, {"suites": {
+        "bracket-product-rule": params, "bracket-invariance": params}})
+    assert main(["--config", verify, "--out", str(tmp_path / "verify"),
+                 "--seed", str(seed), "--suite", "bracket", "verify"]) == 0
+    checked = json.loads((tmp_path / "check/bracket_report.json").read_text())
+    verified = json.loads(
+        (tmp_path / "verify/verify_report.json").read_text())
+    assert checked["suites"] == verified["suites"]
+    assert _suite_metrics(checked)["bracket-invariance"]["cases"] == 4
+
+
+def test_a_new_bracket_suite_reaches_bracket_check(tmp_path, monkeypatch):
+    monkeypatch.setitem(ALL_SUITES, "extra-bracket", lambda seed: SuiteResult(
+        "extra-bracket", True, {"cases": 1, "failures": 0}))
+    monkeypatch.setattr(semiband.cli, "BRACKET_SUITES",
+                        [*BRACKET_SUITES, "extra-bracket"])
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "bracket-check"]) == 0
+    report = json.loads((out / "bracket_report.json").read_text())
+    assert [s["name"] for s in report["suites"]][-1] == "extra-bracket"
 
 
 def test_bracket_check_takes_degrees_above_eight(tmp_path):
@@ -609,23 +655,43 @@ def test_bracket_check_takes_degrees_above_eight(tmp_path):
     cfg = write_config(tmp_path, {"max_degree": 9, "cases": 4})
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 0
     report = json.loads((out / "bracket_report.json").read_text())
-    assert (report["cases"], report["exact"]) == (4, 4)
+    metrics = _suite_metrics(report)
+    for name in ("bracket-product-rule", "bracket-invariance"):
+        assert metrics[name] == {"cases": 4, "failures": 0}
     assert report["all_passed"] is True
 
 
 @pytest.mark.parametrize("payload", [
     {"dims": []}, {"cases": 1}, {"cases": 0},
     {"dims": [0], "cases": 4}, {"dims": [-2, 1]}, {"max_degree": 0},
+    {"dims": [1, 2]},
 ])
-def test_bracket_check_rejects_vacuous_case_lists(tmp_path, payload):
-    # Zero cases per dimension would report "0/0 cases exact" as a pass, and
-    # so would brackets that are 0 whatever the rule: every expression over
-    # an internal space of dimension <= 0, and every factor without an R or
-    # P letter (max_degree < 1).
+def test_bracket_check_rejects_vacuous_case_lists(tmp_path, capsys, payload):
+    # The rules of `verify`: fewer than 2 cases would leave a dimension
+    # without a case, and a max_degree < 1 draws no R or P letter, so every
+    # bracket is 0.  The internal dimensions are the suites' own: a config
+    # that sets "dims" is refused, whatever its value.
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "bracket-check"]) == 1
     assert not out.exists()
+    (key, *_) = payload
+    err = capsys.readouterr().err
+    assert (repr(key) if key == "dims" else f"parameter {key} ") in err
+
+
+def test_halved_suites_report_the_sample_that_ran(tmp_path):
+    # These suites run half their sample per dimension or per profile, so
+    # an odd request runs one fewer, and the report says so.
+    for suite, key, asked, ran in (("bracket-product-rule", "cases", 3, 2),
+                                   ("bracket-invariance", "cases", 5, 4),
+                                   ("neutrino-energy-oracle", "points", 3, 2)):
+        cfg = write_config(tmp_path, {"suites": {suite: {key: asked}}})
+        out = tmp_path / suite
+        assert main(["--config", cfg, "--out", str(out), "--suite", suite,
+                     "verify"]) == 0
+        (got,) = json.loads((out / "verify_report.json").read_text())["suites"]
+        assert got["metrics"][key] == ran
 
 
 def test_every_json_output_is_in_the_stdlib_format(tmp_path):

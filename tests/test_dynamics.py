@@ -23,6 +23,7 @@ from semiband.dynamics import (
     _ray_rates,
     band_curvature_vector,
     berry_curvatures,
+    check_ray_inputs,
     covariant_variables,
     integrate_fixed,
     integrate_ray,
@@ -310,7 +311,7 @@ def test_energy_record_matches_ray_energy():
 
 def _finite_inputs(**changes):
     args = dict(r0=[0.0, 0.0, 0.0], P0=[0.0, 0.0, 1.0], hbar=1e-3, dt=1e-2,
-                steps=10, lam=+1)
+                steps=10, lam=+1, method="rk4")
     args.update(changes)
     return args
 
@@ -323,12 +324,17 @@ def _finite_inputs(**changes):
     dict(lam=True), dict(lam=1.0),
     dict(hbar=True), dict(dt=True), dict(hbar="0.1"), dict(dt="0.1"),
     dict(r0=[True, 0.0, 0.0]), dict(P0=[0.0, 0.0, "0.1"]),
+    dict(lam=2), dict(lam=0), dict(method="euler"), dict(method="RK4"),
 ], ids=repr)
 def test_integrate_ray_rejects_bad_inputs(changes):
     a = _finite_inputs(**changes)
     with pytest.raises(ValueError):
         integrate_ray(neutrino(), a["r0"], a["P0"], a["lam"], a["hbar"],
-                      a["dt"], a["steps"])
+                      a["dt"], a["steps"], a["method"])
+    # The same rules, without a model: the CLI checks each run this way.
+    with pytest.raises(ValueError):
+        check_ray_inputs(a["hbar"], a["dt"], a["steps"], a["r0"], a["P0"],
+                         a["lam"], a["method"])
 
 
 class _Cliff(ScalarField):

@@ -91,7 +91,6 @@ class _NoFrame(Model):
     name = "no_frame"
     n = 2
     band_groups = (1, 1)
-    groups = np.array([0, 1])
 
     def __init__(self):
         self.inner = make_model({
@@ -115,7 +114,6 @@ class _BadGroups(Model):
     name = "bad_groups"
     n = 2
     band_groups = (1, 1)
-    groups = np.array([0, 1])
 
     def hamiltonian(self, x):
         return np.eye(2, dtype=complex)

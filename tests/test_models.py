@@ -11,6 +11,7 @@ from semiband.models import (
     BETA,
     SIGMA,
     DiracElectric,
+    Model,
     NeutrinoMetric,
     PhasePoint,
     TwoLevel,
@@ -170,6 +171,18 @@ def test_neutrino_momentum_connection_vanishes():
 def test_bracket_hamiltonian_vanishes_flag():
     for model in all_models():
         assert model.bracket_h_vanishes
+
+
+def test_groups_follow_the_declared_band_groups():
+    class ThreeGroups(Model):
+        n = 5
+        band_groups = (2, 1, 2)
+
+    assert ThreeGroups().groups.tolist() == [0, 0, 1, 2, 2]
+    for model in all_models():
+        sizes = np.bincount(model.groups).tolist()
+        assert tuple(sizes) == model.band_groups
+        assert np.all(np.diff(model.groups) >= 0)
 
 
 def test_two_level_diagonal_case():

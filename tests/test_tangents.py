@@ -143,7 +143,6 @@ class _FrameLess(Model):
         self.inner = inner
         self.name = "frameless_" + inner.name
         self.n, self.band_groups = inner.n, inner.band_groups
-        self.groups = inner.groups
         self.massless = inner.massless
 
     def hamiltonian(self, x):
