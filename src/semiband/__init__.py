@@ -28,7 +28,6 @@ from semiband.dynamics import (
     covariant_variables,
     integrate_ray,
 )
-from semiband.verify import run_suites
 
 __all__ = [
     "ScalarField",
@@ -55,3 +54,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `semiband.verify` is needed only to run the suites: it is loaded on
+    # first use of `run_suites`, not with every import of the package.
+    if name == "run_suites":
+        from semiband.verify import run_suites
+        return run_suites
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,9 +49,6 @@ from semiband.energy import (
 from semiband.dynamics import (
     band_curvature_vector, berry_curvatures, check_ray_inputs, integrate_ray,
 )
-from semiband.verify import (
-    ALL_SUITES, BRACKET_SUITES, pure_sum_brackets_vanish, run_suites,
-)
 
 __all__ = ["main"]
 
@@ -543,6 +540,9 @@ def _write_report(out: Path, name: str, report: dict) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
+    # `verify` is imported by the two commands that run it, not by the rest.
+    from semiband.verify import ALL_SUITES, BRACKET_SUITES, run_suites
+
     seed = _seed(cfg, args, 0)
     names = [args.suite] if args.suite else _section(
         cfg, "suites_to_run", list(ALL_SUITES), list)
@@ -559,6 +559,10 @@ def cmd_bracket_check(cfg: dict, args) -> int:
     """The `verify` bracket suites, with the top-level `cases` and
     `max_degree` as parameters of the two random ones, plus the pure-sum
     check."""
+    from semiband.verify import (
+        BRACKET_SUITES, pure_sum_brackets_vanish, run_suites,
+    )
+
     if "dims" in cfg:
         raise ConfigError("bracket-check has no key 'dims': the bracket "
                           "suites draw their cases in dimensions 1 and 2")

@@ -35,11 +35,16 @@ band-projected connection, which for the massless model equals
 
 which conserve eps exactly in continuum time; the integrator also transports
 the band spinor with the momentum-space connection so that the reported
-helicity drift measures integrator error only.
+helicity drift measures integrator error only.  One kernel call at a state
+returns its ten rates, then eps and |P|, as one flat tuple of plain floats:
+an RK4 step reads the rates, and the sample's record (eps, speed, helicity)
+reads the same call, which is also its step's first stage.  The states of a
+trajectory take r and P as rows of two column copies of the sample matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
@@ -260,34 +265,35 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int) -> np.ndarray:
 def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
     """The ray equations at y = (r, P, Re chi, Im chi), ten plain floats.
 
-    Returns (ydot, eps, |P|) with ydot = (rdot, Pdot, Re chidot, Im chidot)
-    as one 10-tuple.  One jet of F gives everything.  The spinor generator
-    sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma / 2|P|^2, so no
-    matrix is built.
+    Returns one flat 12-tuple: the ten rates ydot = (rdot, Pdot, Re chidot,
+    Im chidot), then eps and |P|.  An RK4 step reads the rates, a sample's
+    record the last two.  One jet of F gives everything.  The spinor
+    generator sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma /
+    2|P|^2, so no matrix is built.
     """
     x, y_, z, px, py, pz, ar, br, ai, bi = y
     E2 = px * px + py * py + pz * pz
     E = math.sqrt(E2)
     if E < 1e-12:
         raise ValueError("|P| underflow along the ray")
-    Fv, (gx, gy, gz), h = F.jet((x, y_, z))
+    Fv, (gx, gy, gz), (h0, h1, h2) = F.jet((x, y_, z))
     pg = px * gx + py * gy + pz * gz
-    c, k = hbar ** 2 / 4.0, hbar ** 2 / (4 * E)
+    hh, E3, E2x2 = hbar ** 2, E ** 3, 2 * E2
+    k = hh / (4 * E)
     # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
-    dpx = k * (h[0][0] * px + h[0][1] * py + h[0][2] * pz) - E * gx
-    dpy = k * (h[1][0] * px + h[1][1] * py + h[1][2] * pz) - E * gy
-    dpz = k * (h[2][0] * px + h[2][1] * py + h[2][2] * pz) - E * gz
+    dpx = k * (h0[0] * px + h0[1] * py + h0[2] * pz) - E * gx
+    dpy = k * (h1[0] * px + h1[1] * py + h1[2] * pz) - E * gy
+    dpz = k * (h2[0] * px + h2[1] * py + h2[2] * pz) - E * gz
     # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3; the
     # spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
     cx, cy, cz = dpy * pz - dpz * py, dpz * px - dpx * pz, dpx * py - dpy * px
-    a, b = Fv / E + c * pg / E ** 3, -lam * hbar / E ** 3
-    rdx, rdy, rdz = (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
-                     a * pz - k * gz + b * cz)
-    wx, wy, wz = cx / (2 * E2), cy / (2 * E2), cz / (2 * E2)
+    a, b = Fv / E + hh / 4.0 * pg / E3, -lam * hbar / E3
+    wx, wy, wz = cx / E2x2, cy / E2x2, cz / E2x2
     u_re, u_im = wz * ar + wx * br + wy * bi, wz * ai + wx * bi - wy * br
     v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
-    ydot = (rdx, rdy, rdz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re)
-    return ydot, Fv * E - k * pg, E
+    return (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
+            a * pz - k * gz + b * cz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re,
+            Fv * E - k * pg, E)
 
 
 def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
@@ -300,8 +306,8 @@ def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
     if not isinstance(model, NeutrinoMetric):
         raise NotImplementedError(
             "ray tracing is implemented for the massless graded-index model")
-    ydot = _ray_rates(model.F, lam, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])[0]
-    return np.array(ydot[0:3]), np.array(ydot[3:6])
+    k = _ray_rates(model.F, lam, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])
+    return np.array(k[0:3]), np.array(k[3:6])
 
 
 @dataclass
@@ -334,12 +340,14 @@ class Trajectory:
 def rk4_step(f, t: float, y, dt: float, k1=None) -> list:
     """One classic RK4 step of y' = f(t, y) over a float sequence, k1 = f(t, y)
     unless given; each element rounds as y + dt/6 (k1 + 2 k2 + 2 k3 + k4) does
-    on arrays.  Values f returns past the len(y) rates are not read."""
-    h, k1 = dt / 2, f(t, y) if k1 is None else k1
+    on arrays.  Values f returns past the len(y) rates are not read.  The
+    doubling is written 2.0 * k: the same value as 2 * k, without an int
+    operand, which takes a slower path through the interpreter."""
+    h, s, k1 = dt / 2, dt / 6, f(t, y) if k1 is None else k1
     k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
     k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
     k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    return [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+    return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
@@ -455,10 +463,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         F = model.F
 
         def rates(_t, y):
-            # The ten rates, then eps and |P| for the sample's record; an
-            # RK4 step reads only the rates.
-            ydot, eps, E = _ray_rates(F, lam, hbar, y)
-            return (*ydot, eps, E)
+            return _ray_rates(F, lam, hbar, y)
 
         chi0 = _helicity_spinor(P0, lam)
         y0 = np.concatenate([r0, P0, chi0.real, chi0.imag]).tolist()
@@ -466,20 +471,24 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
             samples, rejected = integrate_fixed(rates, 0.0, y0, dt, steps), 0
         else:
             path, rejected = _integrate_rk45(
-                lambda t, y: np.array(_ray_rates(F, lam, hbar, y.tolist())[0]),
+                lambda t, y: np.array(rates(t, y.tolist())[:10]),
                 0.0, y0, dt * steps)
             samples = [(t, y, rates(t, y)) for t, y in path]
         records = [_ray_sample(y, k) for _, y, k in samples]
     except OverflowError as exc:
         raise FloatingPointError(f"ray state overflowed: {exc}") from exc
-    ys = np.array([y for _, y, _ in samples])
-    finite = np.isfinite(np.column_stack([ys, records]))
+    # One row per sample: the ten state values, then eps, speed, helicity.
+    rows = np.fromiter(itertools.chain.from_iterable(
+        (*y, *rec) for (_, y, _), rec in zip(samples, records)),
+        float, 13 * len(samples)).reshape(-1, 13)
+    finite = np.isfinite(rows)
     if not finite.all():
         t_bad = samples[int(np.argmin(finite.all(axis=1)))][0]
         raise FloatingPointError(f"ray state turned non-finite at t = {t_bad:g}")
-    states = [TrajectoryState(t, y[0:3].copy(), y[3:6].copy(), lam, hel, eps,
-                              speed)
-              for (t, _, _), y, (eps, speed, hel) in zip(samples, ys, records)]
+    rs, Ps = rows[:, 0:3].copy(), rows[:, 3:6].copy()
+    states = [TrajectoryState(t, r, P, lam, hel, eps, speed)
+              for (t, _, _), r, P, (eps, speed, hel)
+              in zip(samples, rs, Ps, records)]
     hel0, eps0 = states[0].helicity, states[0].eps
     drift = max(abs(s.helicity - hel0) for s in states)
     edrift = max(abs(s.eps - eps0) for s in states)

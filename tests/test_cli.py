@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -640,12 +643,24 @@ def test_bracket_check_runs_the_verify_bracket_suites(tmp_path, seed):
 def test_a_new_bracket_suite_reaches_bracket_check(tmp_path, monkeypatch):
     monkeypatch.setitem(ALL_SUITES, "extra-bracket", lambda seed: SuiteResult(
         "extra-bracket", True, {"cases": 1, "failures": 0}))
-    monkeypatch.setattr(semiband.cli, "BRACKET_SUITES",
+    monkeypatch.setattr(semiband.verify, "BRACKET_SUITES",
                         [*BRACKET_SUITES, "extra-bracket"])
     out = tmp_path / "out"
     assert main(["--out", str(out), "bracket-check"]) == 0
     report = json.loads((out / "bracket_report.json").read_text())
     assert [s["name"] for s in report["suites"]][-1] == "extra-bracket"
+
+
+def test_verify_is_imported_only_by_the_commands_that_run_it():
+    # A fresh interpreter: this one imported `semiband.verify` above.
+    src = Path(semiband.cli.__file__).resolve().parents[1]
+    code = ("import sys, semiband, semiband.cli\n"
+            "assert 'semiband.verify' not in sys.modules\n"
+            "from semiband import run_suites\n"
+            "assert 'run_suites' in semiband.__all__\n"
+            "assert run_suites is sys.modules['semiband.verify'].run_suites\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_bracket_check_takes_degrees_above_eight(tmp_path):

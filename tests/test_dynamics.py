@@ -13,6 +13,7 @@ from semiband.fields import (
     ScalarField,
     UniformField,
 )
+from semiband import dynamics
 from semiband.energy import band_energy
 from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, make_model,
@@ -399,7 +400,7 @@ def test_spinor_rate_is_the_p_cross_sigma_generator():
     rng = np.random.default_rng(3)
     for _ in range(5):
         y = rng.normal(size=10)
-        ydot = np.array(_ray_rates(model.F, +1, 0.1, y.tolist())[0])
+        ydot = np.array(_ray_rates(model.F, +1, 0.1, y.tolist())[:10])
         P, chi = y[3:6], y[6:8] + 1j * y[8:10]
         pxs = p_cross_sigma(P)
         gen = sum(ydot[3 + l] * pxs[l][:2, :2] for l in range(3)) / (2 * P @ P)
@@ -478,9 +479,9 @@ def test_rk4_ray_rate_budget_and_records(profile):
                          1e-2, steps, "rk4")
     assert counting.jets == 4 * steps + 2
     for s in traj.states:
-        ydot, eps, _E = _ray_rates(model.F, -1, hbar, [*s.r, *s.P, 1, 0, 0, 0])
-        assert s.eps == eps
-        assert s.speed == math.sqrt(ydot[0] ** 2 + ydot[1] ** 2 + ydot[2] ** 2)
+        k = _ray_rates(model.F, -1, hbar, [*s.r, *s.P, 1, 0, 0, 0])
+        assert s.eps == k[10]
+        assert s.speed == math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
 
 
 def _numpy_rk4(f, y0, dt, steps):
@@ -499,13 +500,41 @@ def _numpy_rk4(f, y0, dt, steps):
     return out
 
 
+def _reference_ray_rates(F, lam, hbar, y):
+    """The ray equations as the array stepper evaluated them, kept apart from
+    `_ray_rates`: ((rdot, Pdot, Re chidot, Im chidot), eps, |P|)."""
+    x, y_, z, px, py, pz, ar, br, ai, bi = y
+    E2 = px * px + py * py + pz * pz
+    E = math.sqrt(E2)
+    if E < 1e-12:
+        raise ValueError("|P| underflow along the ray")
+    Fv, (gx, gy, gz), h = F.jet((x, y_, z))
+    pg = px * gx + py * gy + pz * gz
+    c, k = hbar ** 2 / 4.0, hbar ** 2 / (4 * E)
+    # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
+    dpx = k * (h[0][0] * px + h[0][1] * py + h[0][2] * pz) - E * gx
+    dpy = k * (h[1][0] * px + h[1][1] * py + h[1][2] * pz) - E * gy
+    dpz = k * (h[2][0] * px + h[2][1] * py + h[2][2] * pz) - E * gz
+    # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3; the
+    # spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
+    cx, cy, cz = dpy * pz - dpz * py, dpz * px - dpx * pz, dpx * py - dpy * px
+    a, b = Fv / E + c * pg / E ** 3, -lam * hbar / E ** 3
+    rdx, rdy, rdz = (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
+                     a * pz - k * gz + b * cz)
+    wx, wy, wz = cx / (2 * E2), cy / (2 * E2), cz / (2 * E2)
+    u_re, u_im = wz * ar + wx * br + wy * bi, wz * ai + wx * bi - wy * br
+    v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
+    ydot = (rdx, rdy, rdz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re)
+    return ydot, Fv * E - k * pg, E
+
+
 def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
     """(t, r, P, eps, speed, helicity) per sample from array stepping of
-    `_ray_rates` and a separate record pass over the samples."""
+    `_reference_ray_rates` and a separate record pass over the samples."""
     F = model.F
 
     def rhs(_t, y):
-        return np.array(_ray_rates(F, lam, hbar, y.tolist())[0])
+        return np.array(_reference_ray_rates(F, lam, hbar, y.tolist())[0])
 
     chi = _helicity_spinor(np.asarray(P0, dtype=float), lam)
     y0 = np.concatenate([r0, P0, chi.real, chi.imag])
@@ -516,7 +545,7 @@ def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
                    for t, y in _integrate_rk45(rhs, 0.0, y0, dt * steps)[0]]
     out = []
     for t, y in samples:
-        ydot, eps, E = _ray_rates(F, lam, hbar, y.tolist())
+        ydot, eps, E = _reference_ray_rates(F, lam, hbar, y.tolist())
         px, py, pz, ar, br, ai, bi = y[3:].tolist()
         hel = (pz * (ar * ar + ai * ai - br * br - bi * bi)
                + 2 * px * (ar * br + ai * bi) + 2 * py * (ar * bi - ai * br)
@@ -526,16 +555,66 @@ def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
     return out
 
 
+# The profiles whose rays are compared with the reference arithmetic: the
+# jets of the polynomial and coulomb fields round differently from the
+# linear and gaussian ones.
+BIT_PROFILES = {**RAY_PROFILES, "polynomial": HAMILTON_PROFILES[2],
+                "coulomb": HAMILTON_PROFILES[3]}
+
+
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 @pytest.mark.parametrize("lam", [+1, -1])
-@pytest.mark.parametrize("profile", list(RAY_PROFILES))
+@pytest.mark.parametrize("profile", list(BIT_PROFILES))
 def test_float_stepping_is_bit_identical_to_arrays(profile, lam, method):
-    model = neutrino(RAY_PROFILES[profile])
+    model = neutrino(BIT_PROFILES[profile])
     r0, P0, steps = [0.1, -0.2, 0.05], [0.3, 0.1, 1.0], 200
     traj = integrate_ray(model, r0, P0, lam, 1e-3, 1e-2, steps, method)
     got = [(s.t, s.r.tolist(), s.P.tolist(), s.eps, s.speed, s.helicity)
            for s in traj.states]
     assert got == _numpy_ray(model, r0, P0, lam, 1e-3, 1e-2, steps, method)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_one_public_ray_rhs_call_per_ray(method, monkeypatch):
+    # The start check is the ray's only public `ray_rhs` call; the stepper
+    # and the records use the private kernel.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ray_rhs(*args)
+
+    monkeypatch.setattr(dynamics, "ray_rhs", counting)
+    for lam in (+1, -1):
+        integrate_ray(neutrino(RAY_PROFILES["gaussian"]), [0.1, -0.2, 0.05],
+                      [0.3, 0.1, 1.0], lam, 1e-3, 1e-2, 20, method)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_trajectory_states_do_not_alias(method):
+    traj = integrate_ray(neutrino(RAY_PROFILES["gaussian"]), [0.1, -0.2, 0.05],
+                         [0.3, 0.1, 1.0], +1, 1e-3, 1e-2, 20, method)
+    states = traj.states
+    before = [(s.r.tolist(), s.P.tolist()) for s in states]
+    for s in states:
+        for v in (s.r, s.P):
+            assert isinstance(v, np.ndarray)
+            assert v.dtype == np.float64 and v.shape == (3,)
+        assert not np.shares_memory(s.r, s.P)
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a.r, b.r)
+            assert not np.shares_memory(a.P, b.P)
+            assert not np.shares_memory(a.r, b.P)
+            assert not np.shares_memory(a.P, b.r)
+    states[3].r[:] = -7.0
+    states[3].P[1] = 9.0
+    for i, s in enumerate(states):
+        if i != 3:
+            assert (s.r.tolist(), s.P.tolist()) == before[i]
+    assert states[3].r.tolist() == [-7.0] * 3
+    assert states[3].P.tolist() == [before[3][1][0], 9.0, before[3][1][2]]
 
 
 def test_rk4_float_step_matches_array_step():
