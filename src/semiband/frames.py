@@ -4,12 +4,15 @@ The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
 declared degenerate band groups and the gauge-fixed unitary U0 with U0 H U0^+
 block diagonal.  The frame carries the model, the point and the `Tolerances`
 it was built with, so every pass at its point takes the frame, or the
-first-order record that holds it, alone.  It caches U0 grad H U0^+ (`dH`), the
-eps0 gradients (`grads`) and the gap-checked gap matrix (`gaps`), and its
-`project` is the one block projector.  Phase-axis fields are (6, n, n) stacks
-in axis order (R_1, R_2, R_3, P_1, P_2, P_3), and `conjugate` is the one
-R <-> P pairing.  Connections are A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l},
-i.e. A = conjugate(i X), X = U0 grad U0^+.  They are exact at the point
+first-order record that holds it, alone.  Its point is a copy of the
+caller's with a memo, where the built-in models make each intermediate
+that their methods share once per frame (see `models`).  It caches
+U0 grad H U0^+ (`dH`), the eps0 gradients (`grads`) and the gap-checked gap
+matrix (`gaps`), and its `project` is the one block projector.  Phase-axis
+fields are (6, n, n) stacks in axis order (R_1, R_2, R_3, P_1, P_2, P_3),
+and `conjugate` is the one R <-> P pairing.  Connections are
+A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l}, i.e. A = conjugate(i X),
+X = U0 grad U0^+.  They are exact at the point
 (`berry_connections`), and so are their first and second phase-space
 derivatives and the eps0 Hessian (`connection_gradients`,
 `connection_hessians`).  The first- and second-order
@@ -110,6 +113,11 @@ class BandFrame:
         return ~self.same
 
     @cached_property
+    def _group_sizes(self) -> np.ndarray:
+        """(n,) size of each state's group."""
+        return self.same.sum(0)
+
+    @cached_property
     def gaps(self) -> np.ndarray:
         """eps_m - eps_n at entry (n, m), (..., n, n); `cross` marks the
         entries that are band gaps.  Raises on a cross-group gap below the
@@ -139,7 +147,7 @@ class BandFrame:
         scalar is the common gradient of the group's eigenvalues.
         """
         diag = np.real(np.diagonal(self.dH, 0, -2, -1))
-        mean = _group_scalar(diag, self.groups)
+        mean = _group_scalar(diag, self)
         scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1.0)
         if (np.max(np.abs(diag - mean), axis=(-2, -1)) > 1e-8 * scale).any():
             raise ValueError(
@@ -351,7 +359,13 @@ def classical_frame(model: Model, x: PhasePoint,
     Prefers the model's analytic frame; otherwise diagonalizes numerically and
     fixes the gauge deterministically.  Validates unitarity, block diagonality
     and within-group degeneracy at every point of a batch.
+
+    The model is evaluated at a copy of x with a memo of its own, which
+    becomes the frame's `point`: the built-in models make each intermediate
+    that their methods share once per frame there (see `models`).  The
+    caller's x is left without one.
     """
+    x = x._with_memo()
     model.check_point(x)
     if model.has_analytic_frame:
         eps0, U0 = model.analytic_frame(x)
@@ -488,7 +502,7 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
     # `_comm` would round them in another order.
     # [b, a] stacks: _pair_products(L, R) is [l, r] = L_l R_r.
     dM = N + _swap(_pair_products(M, X)) - _pair_products(X, M)
-    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame.groups)
+    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame)
     dX = invert_band_commutator(
         dM - _comm_diag(X[..., None, :, :, :], frame.grads[..., :, None, :]),
         frame)
@@ -566,8 +580,7 @@ def connections_fd(frame: BandFrame) -> ConnectionSet:
     return ConnectionSet(hermitize(conjugate(1j * X)), "0")
 
 
-def _group_scalar(diag: np.ndarray, groups: np.ndarray) -> np.ndarray:
+def _group_scalar(diag: np.ndarray, frame: BandFrame) -> np.ndarray:
     """The per-group mean of diagonals (..., n), in the frame layout."""
-    same = groups[:, None] == groups[None, :]
-    return (diag @ same) / same.sum(0)
+    return (diag @ frame.same) / frame._group_sizes
 

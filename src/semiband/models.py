@@ -13,13 +13,22 @@ Three built-in models (units c = 1, hbar is a run parameter):
 
 Dirac representation throughout: beta = diag(1,1,-1,-1), alpha_i with
 off-diagonal Pauli blocks, Sigma = 1 (x) sigma.
+
+A frame (`frames.classical_frame`) evaluates its model at a copy of its
+point that carries a memo.  The built-in models keep there, keyed by the
+model, the intermediates that their methods share (P.P, field jets,
+alpha.P, P x Sigma, the gauge scalar f and its gradient, monomial
+tables, h, |h| and the lift of the two-level gauge term), so each is made
+once per frame; at a point without a memo every method computes what it
+needs itself.  A custom model needs nothing of this.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +60,8 @@ S0 = np.eye(2, dtype=complex)
 BETA = np.kron(SZ, S0)                       # diag(1, 1, -1, -1)
 ALPHA = [np.kron(SX, s) for s in (SX, SY, SZ)]
 SIGMA = [np.kron(S0, s) for s in (SX, SY, SZ)]
+_ALPHA = np.array(ALPHA)                    # (3, 4, 4)
+_PAULI = np.array([S0, SX, SY, SZ])         # (4, 2, 2)
 
 
 def p_cross_sigma(P: np.ndarray, sigma) -> list:
@@ -98,14 +109,12 @@ def _ap(P: np.ndarray) -> np.ndarray:
     return sum(P[..., i, None, None] * ALPHA[i] for i in range(3))
 
 
-def _jet(field: ScalarField, R: np.ndarray, hessian: bool = False) -> tuple:
-    """(value, gradient[, hessian]) of a field at R of shape (3,) or (N, 3),
+def _jet(field: ScalarField, R: np.ndarray) -> tuple:
+    """(value, gradient, hessian) of a field at R of shape (3,) or (N, 3),
     from the float jet point by point."""
-    parts = 3 if hessian else 2
     if R.ndim == 1:
-        return tuple(map(np.array, field.jet(R)[:parts]))
-    jets = [field.jet(r) for r in R.tolist()]
-    return tuple(map(np.array, list(zip(*jets))[:parts]))
+        return tuple(map(np.array, field.jet(R)))
+    return tuple(map(np.array, zip(*[field.jet(r) for r in R.tolist()])))
 
 
 def _d3(field: ScalarField, R: np.ndarray) -> np.ndarray:
@@ -114,27 +123,48 @@ def _d3(field: ScalarField, R: np.ndarray) -> np.ndarray:
                     ).reshape(R.shape[:-1] + (3, 3, 3))
 
 
-def _pxs_gauge_gradient(P: np.ndarray, f, df: np.ndarray) -> np.ndarray:
+def _frozen(value):
+    """value with every array in it (itself or the items of a tuple) made
+    read-only."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
+
+
+def _shared(x: "PhasePoint", key: tuple, make):
+    """make(), once per frame.  At a frame's point the value is kept in the
+    point's memo under `key`, a tuple of the model that made it and a name,
+    read-only, since every reader shares it; at a point without a memo it
+    is made afresh."""
+    memo = x._memo
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = _frozen(make())
+    return memo[key]
+
+
+def _pxs_gauge_gradient(pxs: np.ndarray, f, df: np.ndarray) -> np.ndarray:
     """grad_b of the gauge stack ((P x Sigma)/f, 0) as (..., 6 b, 6 a, 4, 4),
-    for a scalar f(R, P) with gradient df (..., 6) over the six axes."""
+    for P x Sigma as a (..., 3, 4, 4) stack and a scalar f(R, P) with
+    gradient df (..., 6) over the six axes."""
     f = np.asarray(f)
     out = np.zeros(f.shape + (6, 6, 4, 4), dtype=complex)
-    pxs = np.stack(p_cross_sigma(P, SIGMA), axis=-3)
     out[..., :3, :, :] = -((df / _pow(f, 2)[..., None])[..., None, None, None]
                            * pxs[..., None, :, :, :])
     out[..., 3:, :3, :, :] += _E_CROSS_SIGMA / f[..., None, None, None, None]
     return out
 
 
-def _pxs_gauge_hessian(P: np.ndarray, f, df: np.ndarray,
+def _pxs_gauge_hessian(pxs: np.ndarray, f, df: np.ndarray,
                        ddf: np.ndarray) -> np.ndarray:
     """grad_c grad_b of the gauge stack ((P x Sigma)/f, 0) as
-    (..., 6 c, 6 b, 6 a, 4, 4), for a scalar f(R, P) with gradient df and
-    hessian ddf over the six axes."""
+    (..., 6 c, 6 b, 6 a, 4, 4), for P x Sigma as a (..., 3, 4, 4) stack and
+    a scalar f(R, P) with gradient df and hessian ddf over the six axes."""
     f = np.asarray(f)
     f2, f3 = _pow(f, 2)[..., None, None], _pow(f, 3)[..., None, None]
     out = np.zeros(f.shape + (6, 6, 6, 4, 4), dtype=complex)
-    pxs = np.stack(p_cross_sigma(P, SIGMA), axis=-3)
     out[..., :3, :, :] = ((2 * (df[..., :, None] * df[..., None, :]) / f3
                            - ddf / f2)[..., None, None, None]
                           * pxs[..., None, None, :, :, :])
@@ -148,10 +178,16 @@ def _pxs_gauge_hessian(P: np.ndarray, f, df: np.ndarray,
 @dataclass(frozen=True)
 class PhasePoint:
     """Classical phase-space point (R, P), both real 3-vectors, or a batch
-    of N points with R and P of shape (N, 3)."""
+    of N points with R and P of shape (N, 3).
+
+    The copy that a frame evaluates its model at carries a memo of the
+    model's shared intermediates (see `_shared`); every other point, those
+    derived from a frame's point included, has none."""
 
     R: np.ndarray
     P: np.ndarray
+    _memo: dict | None = dc_field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @staticmethod
     def of(R, P) -> "PhasePoint":
@@ -166,6 +202,12 @@ class PhasePoint:
         """The batch of the given single points, R and P of shape (N, 3)."""
         return PhasePoint(np.array([x.R for x in points]),
                           np.array([x.P for x in points]))
+
+    def _with_memo(self) -> "PhasePoint":
+        """A copy of this point with a fresh, empty memo."""
+        y = PhasePoint(self.R, self.P)
+        object.__setattr__(y, "_memo", {})
+        return y
 
     @property
     def batch_shape(self) -> tuple:
@@ -218,7 +260,8 @@ class Model:
     Every method takes one point or a batch (`PhasePoint.batch_shape` () or
     (N,)) and returns its arrays with the batch axis in front: H is
     (..., n, n), the phase-axis stacks (..., 6, n, n), (..., 6, 6, n, n) and
-    so on.
+    so on.  A frame calls them at a point with a memo; a method may keep
+    what others share there through `_shared`, or ignore it.
     """
 
     name = "abstract"
@@ -230,10 +273,12 @@ class Model:
     # scalar cross factors); the energy assembly asserts this flag.
     bracket_h_vanishes = True
 
-    @property
+    @cached_property
     def groups(self) -> np.ndarray:
-        """(n,) group index per state, in the order of `band_groups`."""
-        return np.repeat(np.arange(len(self.band_groups)), self.band_groups)
+        """(n,) group index per state, in the order of `band_groups`; made
+        once per model, read-only."""
+        return _frozen(np.repeat(np.arange(len(self.band_groups)),
+                                 self.band_groups))
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         raise NotImplementedError
@@ -277,8 +322,12 @@ class Model:
         )
 
     def check_point(self, x: PhasePoint) -> None:
-        if self.massless and (_dot(x.P, x.P) == 0.0).any():
+        if self.massless and (self._p2(x) == 0.0).any():
             raise ValueError(f"|P| = 0 is not allowed for massless model {self.name}")
+
+    def _p2(self, x: PhasePoint):
+        """P . P, once per frame."""
+        return _shared(x, (self, "P.P"), lambda: _dot(x.P, x.P))
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -288,20 +337,33 @@ class PxSigmaGauge(Model):
     """A four-band model whose within-group gauge term is ((P x Sigma)/f, 0)
     for a scalar f(R, P), given with its derivatives by `_gauge_f`."""
 
-    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
-        """(f, grad f) over the six axes, and grad grad f if `hessian`."""
+    def _gauge_f(self, x: PhasePoint) -> tuple:
+        """(f, grad f) over the six axes."""
         raise NotImplementedError
 
+    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
+        """grad grad f over the six axes, (..., 6, 6)."""
+        raise NotImplementedError
+
+    def _f(self, x: PhasePoint) -> tuple:
+        """(f, grad f), once per frame."""
+        return _shared(x, (self, "f"), lambda: self._gauge_f(x))
+
+    def _pxs(self, x: PhasePoint) -> np.ndarray:
+        """P x Sigma as a (..., 3, 4, 4) stack, once per frame."""
+        return _shared(x, (self, "PxS"),
+                       lambda: np.stack(p_cross_sigma(x.P, SIGMA), axis=-3))
+
     def analytic_connections(self, x: PhasePoint):
-        A_R = (np.stack(p_cross_sigma(x.P, SIGMA), axis=-3)
-               / self._gauge_f(x)[0][..., None, None, None])
+        A_R = self._pxs(x) / self._f(x)[0][..., None, None, None]
         return A_R, np.zeros_like(A_R)
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return _pxs_gauge_gradient(x.P, *self._gauge_f(x))
+        return _pxs_gauge_gradient(self._pxs(x), *self._f(x))
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return _pxs_gauge_hessian(x.P, *self._gauge_f(x, hessian=True))
+        return _pxs_gauge_hessian(self._pxs(x), *self._f(x),
+                                  self._gauge_ddf(x))
 
 
 class DiracElectric(PxSigmaGauge):
@@ -320,19 +382,24 @@ class DiracElectric(PxSigmaGauge):
             raise ValueError("mass must be positive")
         self.field = field if field is not None else UniformField(0.0)
 
+    def _field_jet(self, x: PhasePoint) -> tuple:
+        """(V, grad V, grad grad V) at x, from one field jet per frame."""
+        return _shared(x, (self, "jet"),
+                       lambda: _jet(self.field, x.R))
+
     def energy_scale(self, x: PhasePoint):
-        return np.sqrt(_dot(x.P, x.P) + self.m ** 2)
+        return np.sqrt(self._p2(x) + self.m ** 2)
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self.check_point(x)
-        V = _jet(self.field, x.R)[0]
+        V = self._field_jet(x)[0]
         H = self.m * BETA + (self.e * V)[..., None, None] * _EYE4
         for i in range(3):
             H = H + x.P[..., i, None, None] * ALPHA[i]
         return H
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        g = _jet(self.field, x.R)[1]
+        g = self._field_jet(x)[1]
         out = np.empty(x.batch_shape + (6, 4, 4), dtype=complex)
         out[..., :3, :, :] = (self.e * g)[..., None, None] * _EYE4
         out[..., 3:, :, :] = ALPHA
@@ -340,7 +407,7 @@ class DiracElectric(PxSigmaGauge):
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
         out = np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
-        hess = _jet(self.field, x.R, hessian=True)[2]
+        hess = self._field_jet(x)[2]
         out[..., :3, :3, :, :] = self.e * (hess[..., None, None] * _EYE4)
         return out
 
@@ -356,23 +423,25 @@ class DiracElectric(PxSigmaGauge):
         bap = BETA @ _ap(x.P)
         U0 = (((E + self.m)[..., None, None] * _EYE4 + bap)
               / np.sqrt(2 * E * (E + self.m))[..., None, None])
-        W = self.e * _jet(self.field, x.R)[0]
+        W = self.e * self._field_jet(x)[0]
         return E[..., None] * _SIGNS4 + W[..., None], U0
 
-    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
+    def _gauge_f(self, x: PhasePoint) -> tuple:
         """The free-particle rotation gives f = 2E(E+m), R-free, with
-        grad_P f = (4E + 2m) P/E and
-        grad_P grad_P f = 4 + 2m (1/E - P P/E^3)."""
+        grad_P f = (4E + 2m) P/E."""
         E, m = self.energy_scale(x), self.m
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = (4 * E + 2 * m)[..., None] * x.P / E[..., None]
-        if not hessian:
-            return 2 * E * (E + m), df
+        return 2 * E * (E + m), df
+
+    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
+        """grad_P grad_P f = 4 + 2m (1/E - P P/E^3) of `_gauge_f`."""
+        E, m = self.energy_scale(x), self.m
         ddf = np.zeros(x.batch_shape + (6, 6))
         ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * _EYE3
                             - 2 * m * (x.P[..., :, None] * x.P[..., None, :])
                             / _pow(E, 3)[..., None, None])
-        return 2 * E * (E + m), df, ddf
+        return ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         return np.zeros(x.batch_shape + (4, 4), dtype=complex)
@@ -402,33 +471,43 @@ class NeutrinoMetric(PxSigmaGauge):
     def index_value(self, r) -> float:
         return self.profile.value(r)
 
+    def _F_jet(self, x: PhasePoint) -> tuple:
+        """(F, grad F, grad grad F) at x, from one F jet per frame."""
+        return _shared(x, (self, "jet"),
+                       lambda: _jet(self.F, x.R))
+
+    def _alpha_p(self, x: PhasePoint) -> np.ndarray:
+        """alpha.P, (..., 4, 4), once per frame."""
+        return _shared(x, (self, "a.P"), lambda: _ap(x.P))
+
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self.check_point(x)
-        return _jet(self.F, x.R)[0][..., None, None] * _ap(x.P)
+        return self._F_jet(x)[0][..., None, None] * self._alpha_p(x)
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        Fv, g = _jet(self.F, x.R)
+        Fv, g = self._F_jet(x)[:2]
         out = np.empty(x.batch_shape + (6, 4, 4), dtype=complex)
-        out[..., :3, :, :] = g[..., None, None] * _ap(x.P)[..., None, :, :]
-        out[..., 3:, :, :] = Fv[..., None, None, None] * np.array(ALPHA)
+        out[..., :3, :, :] = (g[..., None, None]
+                              * self._alpha_p(x)[..., None, :, :])
+        out[..., 3:, :, :] = Fv[..., None, None, None] * _ALPHA
         return out
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        _F, g, h = _jet(self.F, x.R, hessian=True)
-        ap = _ap(x.P)[..., None, None, :, :]
+        _F, g, h = self._F_jet(x)
+        ap = self._alpha_p(x)[..., None, None, :, :]
         out = np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
         out[..., :3, :3, :, :] = h[..., None, None] * ap
-        out[..., :3, 3:, :, :] = g[..., :, None, None, None] * np.array(ALPHA)
+        out[..., :3, 3:, :, :] = g[..., :, None, None, None] * _ALPHA
         out[..., 3:, :3, :, :] = out[..., :3, 3:, :, :].swapaxes(-4, -3)
         return out
 
     def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        h = _jet(self.F, x.R, hessian=True)[2]
-        ap = _ap(x.P)[..., None, None, None, :, :]
+        h = self._F_jet(x)[2]
+        ap = self._alpha_p(x)[..., None, None, None, :, :]
         out = np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
         out[..., :3, :3, :3, :, :] = _d3(self.F, x.R)[..., None, None] * ap
         # rrp[i, j, k] = F_ij alpha_k, placed at [i, j, k], [i, k, j], [k, i, j].
-        rrp = h[..., :, :, None, None, None] * np.array(ALPHA)
+        rrp = h[..., :, :, None, None, None] * _ALPHA
         out[..., :3, :3, 3:, :, :] = rrp
         out[..., :3, 3:, :3, :, :] = rrp.swapaxes(-4, -3)
         out[..., 3:, :3, :3, :, :] = rrp.swapaxes(-5, -3).swapaxes(-4, -3)
@@ -436,28 +515,30 @@ class NeutrinoMetric(PxSigmaGauge):
 
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
-        E = np.sqrt(_dot(x.P, x.P))
-        bap = BETA @ _ap(x.P)
+        E = np.sqrt(self._p2(x))
+        bap = BETA @ self._alpha_p(x)
         U0 = ((E[..., None, None] * _EYE4 + bap)
               / np.sqrt(2 * _pow(E, 2))[..., None, None])
-        return (_jet(self.F, x.R)[0] * E)[..., None] * _SIGNS4, U0
+        return (self._F_jet(x)[0] * E)[..., None] * _SIGNS4, U0
 
-    def _gauge_f(self, x: PhasePoint, hessian: bool = False) -> tuple:
-        """The massless limit of the free-particle rotation: f = 2|P|^2,
-        grad f = 4 P and grad_P grad_P f = 4."""
+    def _gauge_f(self, x: PhasePoint) -> tuple:
+        """The massless limit of the free-particle rotation: f = 2|P|^2 and
+        grad f = 4 P."""
         self.check_point(x)
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = 4 * x.P
-        if not hessian:
-            return 2 * _dot(x.P, x.P), df
+        return 2 * self._p2(x), df
+
+    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
+        """grad_P grad_P f = 4 of `_gauge_f`."""
         ddf = np.zeros(x.batch_shape + (6, 6))
         ddf[..., 3:, 3:] = 4 * _EYE3
-        return 2 * _dot(x.P, x.P), df, ddf
+        return ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
-        E = np.sqrt(_dot(x.P, x.P))
-        val = -(hbar ** 2) / (4 * E) * _dot(x.P, _jet(self.F, x.R)[1])
+        E = np.sqrt(self._p2(x))
+        val = -(hbar ** 2) / (4 * E) * _dot(x.P, self._F_jet(x)[1])
         return val[..., None, None] * np.eye(4, dtype=complex)
 
     def to_config(self) -> dict:
@@ -608,30 +689,36 @@ class TwoLevel(Model):
     def _jets(self, x: PhasePoint, orders) -> list:
         """h0, h1, h2, h3 at x for order 0, and their partial derivatives for
         orders 1-3: one array (4, ...) + (6,) * order per entry of
-        `orders`, from one pass over the tables.  Each factor is made once
-        per pass; each entry multiplies c k by its factors in turn and adds
-        into its slot in term order, as a term-by-term sum rounds, with the
-        same code for a batch as for one point."""
+        `orders`, each from one `_table_pass`.  The passes share one factor
+        dict; at a frame's point the dict and each order's pass are made
+        once per frame."""
+        pw = _shared(x, (self, "factors"), dict)
+        return [_shared(x, (self, "table", order),
+                        lambda: self._table_pass(x, order, pw))
+                for order in orders]
+
+    def _table_pass(self, x: PhasePoint, order: int, pw: dict) -> np.ndarray:
+        """One pass over the monomial table of `order`.  Each factor is
+        taken from `pw` or made into it; each entry multiplies c k by its
+        factors in turn and adds into its slot in term order, as a
+        term-by-term sum rounds, with the same code for a batch as for one
+        point."""
         if x.batch_shape:
             c = list(x.R.T) + list(x.P.T)
         else:
             c = x.R.tolist() + x.P.tolist()
-        pw = {}
-        out = []
-        for order in orders:
-            acc = {}
-            for slot, v, factors in self._tables[order]:
-                for key in factors:
-                    f = pw.get(key)
-                    if f is None:
-                        f = pw[key] = _factor(c, key)
-                    v = v * f
-                acc[slot] = acc.get(slot, 0.0) + v
-            arr = np.zeros((4,) + x.batch_shape + (6,) * order)
-            for slot, v in acc.items():
-                arr[slot] = v
-            out.append(arr)
-        return out
+        acc = {}
+        for slot, v, factors in self._tables[order]:
+            for key in factors:
+                f = pw.get(key)
+                if f is None:
+                    f = pw[key] = _factor(c, key)
+                v = v * f
+            acc[slot] = acc.get(slot, 0.0) + v
+        arr = np.zeros((4,) + x.batch_shape + (6,) * order)
+        for slot, v in acc.items():
+            arr[slot] = v
+        return arr
 
     def h_vector(self, x: PhasePoint) -> np.ndarray:
         return self._jets(x, (0,))[0][1:].T.copy()
@@ -651,19 +738,18 @@ class TwoLevel(Model):
     @staticmethod
     def _sigma(c) -> np.ndarray:
         """c0 1 + c1 sigma_x + c2 sigma_y + c3 sigma_z for coefficient arrays
-        of any shape, (..., 2, 2)."""
-        out = c[0][..., None, None] * S0
-        for ck, s in zip(c[1:], (SX, SY, SZ)):
-            out = out + ck[..., None, None] * s
-        return out
+        (4, ...), (..., 2, 2): one product with the Pauli stack, whose terms
+        are added in turn (`sum(0)` starts from +0.0, which makes a sum of
+        -0.0 terms +0.0)."""
+        t = c[..., None, None] * _PAULI.reshape(
+            (4,) + (1,) * (c.ndim - 1) + (2, 2))
+        return t[0] + t[1] + t[2] + t[3]
 
     def analytic_frame(self, x: PhasePoint):
-        values = self._jets(x, (0,))[0]
-        h = values[1:].T.copy()
-        hn = np.sqrt(_dot(h, h))
+        h0, h, hn = self._h(x)
         if (hn == 0.0).any():
             raise ValueError("two_level bands are degenerate where |h| = 0")
-        eps0 = values[0][..., None] + hn[..., None] * _SIGNS2
+        eps0 = h0[..., None] + hn[..., None] * _SIGNS2
         h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
         ct = h3 / hn                         # cos(theta)
         hp = np.hypot(h1, h2)
@@ -676,16 +762,27 @@ class TwoLevel(Model):
         V[..., 0, 1], V[..., 1, 1] = -s2 * np.conj(phase), c2
         return eps0, V.conj().swapaxes(-1, -2)
 
+    def _h(self, x: PhasePoint) -> tuple:
+        """(h0, h as (..., 3), |h|) at x, once per frame."""
+        def make():
+            values = self._jets(x, (0,))[0]
+            h = values[1:].T.copy()
+            return values[0], h, np.sqrt(_dot(h, h))
+        return _shared(x, (self, "h"), make)
+
     def _gauge(self, x: PhasePoint, top: int):
         """(h, |h|, lift, lift != 0, the derivatives of h of orders 1 to
         `top`, each (3, ...) + (6,) * order) of the gauge term below, from
-        one table pass; raises where the declared gauge is singular.  The
-        z-only term is zero and gets no derivatives."""
+        one table pass per order; raises where the declared gauge is
+        singular.  The z-only term is zero and gets no derivatives."""
         top = 0 if self.z_only else top
-        jets = [j[1:] for j in self._jets(x, range(top + 1))]
-        h = jets[0].T.copy()
+        jets = [j[1:] for j in self._jets(x, range(1, top + 1))]
+        return (*_shared(x, (self, "lift"), lambda: self._lift(x)), jets)
+
+    def _lift(self, x: PhasePoint) -> tuple:
+        """(h, |h|, lift, lift != 0) of `_gauge` at x."""
+        _h0, h, hn = self._h(x)
         h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
-        hn = np.sqrt(_dot(h, h))
         up = h3 >= 0
         lift = hn + h3
         if not up.all():
@@ -695,11 +792,12 @@ class TwoLevel(Model):
         if flat.any():
             bad = hn == 0.0
             if not self.z_only:                 # z-only: grad h1 = grad h2 = 0
-                bad |= jets[1][0].any(axis=-1) | jets[1][1].any(axis=-1)
+                d = self._jets(x, (1,))[0]
+                bad |= d[1].any(axis=-1) | d[2].any(axis=-1)
             if (flat & bad).any():
                 raise ValueError(
                     "two_level gauge is singular at h1 = h2 = 0, h3 <= 0")
-        return h, hn, lift, ~flat, jets[1:]
+        return h, hn, lift, ~flat
 
     @staticmethod
     def _gauge_stack(w: np.ndarray) -> np.ndarray:

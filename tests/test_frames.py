@@ -22,6 +22,7 @@ from semiband.frames import (
     berry_connections,
     classical_frame,
     conjugate,
+    connection_gradients,
     connections_fd,
     invert_band_commutator,
     _align_to,
@@ -135,6 +136,29 @@ def test_numerical_frame_matches_spectrum():
 def test_grouping_inconsistency_raises():
     with pytest.raises(ValueError, match="gap|degenerac"):
         classical_frame(_BadGroups(), PhasePoint.of([0, 0, 0], [1, 0, 0]))
+
+
+def test_group_masks_are_made_once_per_frame():
+    # The model's group layout is made once, read-only; a frame makes its
+    # masks and group sizes from its own groups once, on first use.
+    model = make_model(BENCHMARK_CONFIGS["dirac_electric"])
+    assert model.groups is model.groups
+    assert model.groups.tolist() == [0, 0, 1, 1]
+    assert not model.groups.flags.writeable
+    x = PhasePoint.of([0.1, 0.2, -0.3], [0.4, -0.5, 0.6])
+    frame = classical_frame(model, x)
+    same, cross, sizes = frame.same, frame.cross, frame._group_sizes
+    frame.grads
+    connection_gradients(frame, berry_connections(frame))
+    assert (frame.same is same and frame.cross is cross
+            and frame._group_sizes is sizes)
+    assert sizes.tolist() == [2, 2, 2, 2] and (cross == ~same).all()
+    own = BandFrame(np.zeros(3), np.eye(3, dtype=complex),
+                    np.array([0, 1, 1]), x, model)
+    assert own.same.tolist() == [[True, False, False], [False, True, True],
+                                 [False, True, True]]
+    assert (own.cross == ~own.same).all()
+    assert own._group_sizes.tolist() == [1, 2, 2]
 
 
 def test_project_small_examples():

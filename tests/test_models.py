@@ -10,6 +10,9 @@ from semiband.models import (
     ALPHA,
     BETA,
     SIGMA,
+    SX,
+    SY,
+    SZ,
     DiracElectric,
     Model,
     NeutrinoMetric,
@@ -517,6 +520,35 @@ def test_monomial_tables_equal_the_term_loops(name, where):
     for order, method in enumerate(methods):
         assert _same_bytes(method(x),
                            model._sigma(reference_jet(model.parts, x, order)))
+
+
+def _seven_op_sigma(c):
+    """c0 1 + c1 sigma_x + c2 sigma_y + c3 sigma_z by seven operations: a
+    product and a sum per term, as `TwoLevel._sigma` once made it."""
+    out = c[0][..., None, None] * np.eye(2, dtype=complex)
+    for ck, s in zip(c[1:], (SX, SY, SZ)):
+        out = out + ck[..., None, None] * s
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (6, 6), (6, 6, 6), (5,),
+                                   (5, 6, 6), (5, 6, 6, 6)])
+def test_sigma_keeps_the_bits_of_the_seven_operation_sum(shape):
+    # Signed zeros, infinities and NaNs included: (-0, -0, -1.18, -0) gives
+    # -0.0 at entry [0, 0], which a `sum(0)` over the terms makes +0.0.
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.18])
+    for _ in range(40):
+        c = rng.normal(size=(4,) + shape)
+        pick = rng.random(c.shape) < 0.4
+        c[pick] = rng.choice(special, size=pick.sum())
+        with np.errstate(invalid="ignore"):         # inf * 0 in both
+            assert _same_bytes(TwoLevel._sigma(c), _seven_op_sigma(c))
+    c = np.array([-0.0, -0.0, -1.18, -0.0]).reshape((4,) + (1,) * len(shape))
+    c = np.broadcast_to(c, (4,) + shape).copy()
+    got = TwoLevel._sigma(c)
+    assert _same_bytes(got, _seven_op_sigma(c))
+    assert np.signbit(got[..., 0, 0].real).all()
 
 
 def _reference_gauge(model, x, top):

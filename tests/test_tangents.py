@@ -82,20 +82,23 @@ class _VariableMassDirac(DiracElectric):
               / np.sqrt(2 * E * (E + m))[..., None, None])
         return E[..., None] * np.array([1.0, 1.0, -1.0, -1.0]), U0
 
-    def _gauge_f(self, x, hessian=False):
-        """f = 2E(E+m), E = sqrt(P^2 + m^2), m = 1 + k.R: (f, grad f[,
-        grad grad f]) over the six axes; R enters through m.  U0 grad_m U0^+
-        has no within-group part, so the gauge term keeps its constant-mass
-        form (P x Sigma)/f."""
+    def _gauge_f(self, x):
+        """f = 2E(E+m), E = sqrt(P^2 + m^2), m = 1 + k.R: (f, grad f) over
+        the six axes; R enters through m.  U0 grad_m U0^+ has no
+        within-group part, so the gauge term keeps its constant-mass form
+        (P x Sigma)/f."""
         m, P, k = self._mass(x), x.P, self.k
-        PP = _dot(P, P)
-        E = np.sqrt(PP + m * m)
+        E = np.sqrt(_dot(P, P) + m * m)
         f_m = 4 * m + 2 * E + 2 * m * m / E
         f_P = ((4 * E + 2 * m) / E)[..., None] * P
         df = np.concatenate([f_m[..., None] * k, f_P], axis=-1)
-        f = 2 * E * (E + m)
-        if not hessian:
-            return f, df
+        return 2 * E * (E + m), df
+
+    def _gauge_ddf(self, x):
+        """grad grad f of `_gauge_f` over the six axes."""
+        m, P, k = self._mass(x), x.P, self.k
+        PP = _dot(P, P)
+        E = np.sqrt(PP + m * m)
         E3 = E * E * E
         f_mm = 4 + 6 * m / E - 2 * m * m * m / E3
         f_mP = (2 * PP / E3)[..., None] * P
@@ -106,7 +109,7 @@ class _VariableMassDirac(DiracElectric):
         ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * np.eye(3)
                             - (2 * m / E3)[..., None, None]
                             * (P[..., :, None] * P[..., None, :]))
-        return f, df, ddf
+        return ddf
 
 
 def _twisted(model, seed):
