@@ -17,7 +17,7 @@ The per-point subcommands run their points in chunks of `energy.CHUNK`, one
 batched pass per chunk; a chunk in which any point raises is re-run point by
 point, so every failing point gets its own error record.  Every JSON file is
 the bytes of `json.dumps(payload, indent=1, sort_keys=True)`; per-point records
-come from per-chunk templates.
+come from per-chunk templates, cut from that text of the record's layout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,23 +172,9 @@ def _diag_json(diag: dict) -> dict:
     return shared
 
 
-@functools.lru_cache(maxsize=256)
-def _template(shape: tuple, level: int) -> str:
-    """The `indent=1` layout of a float array of `shape` at depth `level`,
-    one %s per element (the str of a float is its repr)."""
-    if not shape:
-        return "%s"
-    if not shape[0]:
-        return "[]"
-    sep = "\n" + " " * (level + 1)
-    inner = _template(shape[1:], level + 1)
-    return "[" + sep + ("," + sep).join([inner] * shape[0]) \
-        + "\n" + " " * level + "]"
-
-
 def _dumps(payload) -> str:
     """The stdlib's `indent=1` sorted-key text of a payload: the layout of
-    every JSON file, which the record templates below reproduce."""
+    every JSON file, and the text the record templates below are cut from."""
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
@@ -241,32 +228,31 @@ def _braces(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
-def _layout_key(spec) -> tuple:
-    """A hashable form of a record layout: ("dict", ((key, form), ...)),
-    ("cols", shape, columns) or ("text", JSON text at depth 0)."""
-    if isinstance(spec, dict):
-        return ("dict", tuple((key, _layout_key(spec[key]))
-                              for key in sorted(spec)))
-    if isinstance(spec, np.ndarray):
-        return ("cols", spec.shape, tuple(spec.ravel().tolist()))
-    return ("text", _dumps(spec))
+# A JSON string token; group 1 holds i if the token is exactly "\u0000<i>".
+_COLUMN = re.compile(r'"\\u0000(\d+)"|"(?:[^"\\]|\\.)*"')
+
+
+def _columns(cols: np.ndarray) -> list | str:
+    r"""An int array of columns as the nested lists of its "\0<i>" marks."""
+    return np.array(["\0%d" % i for i in cols.ravel().tolist()],
+                    dtype=object).reshape(cols.shape).tolist()
+
+
+def _record_template(layout: dict, level: int) -> str:
+    r"""The `str.format` template of a record layout at depth `level`, `{i}`
+    standing for column i: the text `_dumps` gives the layout with each
+    column marked as the string "\0<i>", each mark then cut to `{i}`.  It is
+    cached on the compact text of the marked layout.  A mark inside a longer
+    string stays text; no constant of a layout here is a bare mark."""
+    return _cut(json.dumps(layout, sort_keys=True, default=_columns), level)
 
 
 @functools.lru_cache(maxsize=64)
-def _record_template(key: tuple, level: int) -> str:
-    """The `str.format` template of a record layout key at depth `level`,
-    `{i}` standing for column i: the text `_dumps` gives the record."""
-    if key[0] == "cols":
-        return _template(key[1], level) % tuple("{%d}" % i for i in key[2])
-    if key[0] == "text":
-        return _braces(key[1].replace("\n", "\n" + " " * level))
-    if not key[1]:
-        return "{{}}"
-    sep = "\n" + " " * (level + 1)
-    return ("{{" + ",".join(sep + _braces(json.dumps(name)) + ": "
-                            + _record_template(form, level + 1)
-                            for name, form in key[1])
-            + "\n" + " " * level + "}}")
+def _cut(marked: str, level: int) -> str:
+    """The template of a marked layout, given by its compact text."""
+    text = _braces(_dumps(json.loads(marked)))
+    return _COLUMN.sub(lambda m: m[0] if m[1] is None else "{%s}" % m[1],
+                       text.replace("\n", "\n" + " " * level))
 
 
 def _row_template(row: list) -> str:
@@ -298,7 +284,7 @@ def _render(chunk: _Chunk, level: int) -> tuple:
     lines = [row.format(*texts[i:i + k]) for i in range(0, len(texts), k)]
     if not np.isfinite(chunk.values).all():
         texts = json.dumps(values)[1:-1].split(", ")
-    record = _record_template(_layout_key(chunk.record), level)
+    record = _record_template(chunk.record, level)
     return [record.format(*texts[i:i + k])
             for i in range(0, len(texts), k)], lines
 
@@ -310,7 +296,7 @@ def _file_text(envelope: dict, records: list) -> str:
     listed = ("[" + sep + ("," + sep).join(records) + "\n ]" if records
               else "[]")
     layout = {**envelope, "records": np.array(0)}
-    return _record_template(_layout_key(layout), 0).format(listed)
+    return _record_template(layout, 0).format(listed)
 
 
 def _point_setup(cfg: dict, args):

@@ -292,11 +292,11 @@ def _at(x: PhasePoint, i: tuple) -> PhasePoint:
     return x.point(*i) if i else x
 
 
-def _group_eigensystem(model: Model, x: PhasePoint, tol: Tolerances):
-    """Eigen-decomposition with ascending eigenvalues, checked against the
-    declared group multiplicities; raises when the grouping is inconsistent
-    (naming the first point of a batch where it is)."""
-    H = model.hamiltonian(x)
+def _group_eigensystem(H: np.ndarray, model: Model, x: PhasePoint,
+                       tol: Tolerances):
+    """Eigen-decomposition of H, the model's at x, ascending, checked against
+    the declared group multiplicities; raises when the grouping is
+    inconsistent (naming the first point of a batch where it is)."""
     scale = np.maximum(matrix_norms(H), 1e-300)
     vals, vecs = np.linalg.eigh(H)
     sizes = tuple(model.band_groups)
@@ -367,20 +367,21 @@ def classical_frame(model: Model, x: PhasePoint,
     """
     x = x._with_memo()
     model.check_point(x)
+    H = model.hamiltonian(x)
     if model.has_analytic_frame:
         eps0, U0 = model.analytic_frame(x)
     else:
-        vals, vecs = _group_eigensystem(model, x, tol)
+        vals, vecs = _group_eigensystem(H, model, x, tol)
         vecs = _phase_fix(vecs)
         eps0, U0 = vals, _dagger(vecs)
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
                       model.groups, x, model, tol)
-    _validate_frame(frame)
+    _validate_frame(frame, H)
     return frame
 
 
-def _validate_frame(frame: BandFrame) -> None:
-    H, tol = frame.model.hamiltonian(frame.point), frame.tol
+def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
+    tol = frame.tol
     scale = np.maximum(matrix_norms(H), 1e-300)
     U0, U0_dag = frame.U0, _dagger(frame.U0)
     unit = matrix_norms(U0 @ U0_dag - np.eye(frame.n))
@@ -421,7 +422,8 @@ def frame_field(anchor: BandFrame):
     ref = anchor.U0.conj().T
 
     def at(y: PhasePoint):
-        vals, vecs = _group_eigensystem(model, y, anchor.tol)
+        vals, vecs = _group_eigensystem(model.hamiltonian(y), model, y,
+                                        anchor.tol)
         aligned = _align_to(vecs, ref, anchor.groups)
         return vals, aligned.conj().T
 
@@ -468,8 +470,7 @@ def berry_connections(frame: BandFrame) -> ConnectionSet:
     X = invert_band_commutator(frame.dH, frame)
     A, model = conjugate(1j * X), frame.model
     if model.has_analytic_frame:
-        A = np.concatenate(model.analytic_connections(frame.point),
-                           axis=-3) + A
+        A = model.analytic_connections(frame.point) + A
     return ConnectionSet(hermitize(A), "0")
 
 

@@ -299,15 +299,15 @@ class Model:
     def analytic_frame(self, x: PhasePoint):
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
-    def analytic_connections(self, x: PhasePoint):
-        """(A_R, A_P), each (..., 3, n, n): the within-group parts of
-        i U0 grad_P U0^+ and -i U0 grad_R U0^+ in the gauge of
-        `analytic_frame`."""
+    def analytic_connections(self, x: PhasePoint) -> np.ndarray:
+        """The gauge term (A_R, A_P) stacked, (..., 6, n, n): the
+        within-group parts of i U0 grad_P U0^+ and -i U0 grad_R U0^+ in the
+        gauge of `analytic_frame`."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        """grad_b of the stacked gauge term (A_R, A_P) of
-        `analytic_connections`, as (..., 6 b, 6 a, n, n)."""
+        """grad_b of the gauge term `analytic_connections`, as
+        (..., 6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
@@ -354,9 +354,9 @@ class PxSigmaGauge(Model):
         return _shared(x, (self, "PxS"),
                        lambda: np.stack(p_cross_sigma(x.P, SIGMA), axis=-3))
 
-    def analytic_connections(self, x: PhasePoint):
+    def analytic_connections(self, x: PhasePoint) -> np.ndarray:
         A_R = self._pxs(x) / self._f(x)[0][..., None, None, None]
-        return A_R, np.zeros_like(A_R)
+        return np.concatenate([A_R, np.zeros_like(A_R)], axis=-3)
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         return _pxs_gauge_gradient(self._pxs(x), *self._f(x))
@@ -809,7 +809,7 @@ class TwoLevel(Model):
         out[..., 0, 0], out[..., 1, 1] = c, -c
         return out
 
-    def analytic_connections(self, x: PhasePoint):
+    def analytic_connections(self, x: PhasePoint) -> np.ndarray:
         # U0 grad U0^+ = i s^2 grad phi diag(1, -1) within the groups, with
         # phi = arg(h1 + i h2), s^2 = (1 - h3/|h|)/2: s^2 grad phi = (h1 grad h2
         # - h2 grad h1)/(2|h| lift), lift = |h| + h3 = hp^2/(|h| - h3) for h3 < 0.
@@ -821,8 +821,7 @@ class TwoLevel(Model):
             w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
                  / np.where(on, 2 * hn * lift, 1.0)[..., None])
             w[~on] = 0.0
-        G = self._gauge_stack(w)
-        return G[..., :3, :, :], G[..., 3:, :, :]
+        return self._gauge_stack(w)
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         return self._live_stack(*self._gauge_derivatives(x, second=False))

@@ -24,16 +24,16 @@ class FDDiagnostics:
     fallbacks: int = 0
 
 
-def fd_step(coordinate: float, base: float = DEFAULT_FD_BASE) -> float:
-    return base * (1.0 + abs(coordinate))
+def fd_step(coordinate: float) -> float:
+    return DEFAULT_FD_BASE * (1.0 + abs(coordinate))
 
 
-def derivative_along(f, x, axis: int, base: float = DEFAULT_FD_BASE):
+def derivative_along(f, x, axis: int):
     """d f / d(axis) at the phase point x; f maps PhasePoint -> ndarray/float.
 
     Axes 0-2 are position components, 3-5 momentum components.
     """
-    h = fd_step(x.coord(axis), base)
+    h = fd_step(x.coord(axis))
     try:
         fp2 = f(x.shifted(axis, 2 * h))
         fp1 = f(x.shifted(axis, h))

@@ -545,10 +545,12 @@ def symmetrized_bracket(r_exp, p_exp, mat: Mat | None = None, n: int = 1,
 # Random case generation (shared by the test suite and the CLI checker)
 # ---------------------------------------------------------------------------
 
-def _random_pure_expr(rng: random.Random, kind: str, n: int, max_degree: int,
-                      max_terms: int = 2, allow_hbar: bool = True) -> WeylExpr:
+def _random_pure_expr(rng: random.Random, kind: str, n: int,
+                      max_degree: int) -> WeylExpr:
+    """One or two random pure-R or pure-P terms, each with hbar^0 or
+    hbar^1."""
     out = WeylExpr.zero(n)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         exps = [0, 0, 0]
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(3)] += 1
@@ -556,7 +558,7 @@ def _random_pure_expr(rng: random.Random, kind: str, n: int, max_degree: int,
             tuple(QC.of(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n))
             for _ in range(n)
         )
-        hpow = rng.randint(0, 1) if allow_hbar else 0
+        hpow = rng.randint(0, 1)
         key = (tuple(exps), (0, 0, 0), hpow) if kind == "R" else \
               ((0, 0, 0), tuple(exps), hpow)
         out._accumulate(key, mat)
@@ -565,10 +567,11 @@ def _random_pure_expr(rng: random.Random, kind: str, n: int, max_degree: int,
     return out
 
 
-def random_factorization(rng: random.Random, n: int = 1, max_degree: int = 6,
-                         max_factors: int = 3, allow_hbar: bool = True) -> Factorization:
-    """Random alternating factorization with total degree <= max_degree."""
-    n_factors = rng.randint(1, max_factors)
+def random_factorization(rng: random.Random, n: int = 1,
+                         max_degree: int = 6) -> Factorization:
+    """Random alternating factorization of one to three factors with total
+    degree <= max_degree."""
+    n_factors = rng.randint(1, 3)
     kinds = []
     kind = rng.choice(["R", "P"])
     for _ in range(n_factors):
@@ -579,7 +582,7 @@ def random_factorization(rng: random.Random, n: int = 1, max_degree: int = 6,
     for k in kinds:
         deg = rng.randint(0, max(0, budget // max(1, len(kinds) - len(factors))))
         budget -= deg
-        factors.append((k, _random_pure_expr(rng, k, n, deg, allow_hbar=allow_hbar)))
+        factors.append((k, _random_pure_expr(rng, k, n, deg)))
     return Factorization(factors)
 
 

@@ -810,3 +810,33 @@ def test_chunk_renderer_matches_the_stdlib_writers(special):
     for given, want in ((texts, records), ([], [])):
         assert semiband.cli._file_text(envelope, given) == json.dumps(
             {**envelope, "records": want}, indent=1, sort_keys=True)
+
+
+def test_chunk_renderer_matches_the_stdlib_writers_on_layout_edges():
+    # Empty columns, a 0-d column at the top level, a key that JSON and
+    # `str.format` both escape, and texts that hold a column's mark, "\0<i>",
+    # inside a longer string, which stay texts.
+    import csv
+    import io
+
+    N, mark = 3, "ValueError: \x001"
+    x = np.random.default_rng(11).normal(size=(N, 2))
+    values, (first, pair, flat, rows) = semiband.cli._pack(
+        x[:, 0], x, np.zeros((N, 0)), np.zeros((N, 3, 0)))
+    key = 'k{0}"\x000'
+    record = {"x": first, key: {"pair": pair, "flat": flat, "rows": rows,
+                                "note": mark}}
+    chunk = semiband.cli._Chunk(values, record, [first, mark, pair, flat])
+    records = [{"x": float(x[i, 0]), key: {
+        "pair": x[i].tolist(), "flat": [], "rows": [[], [], []],
+        "note": mark}} for i in range(N)]
+    texts, lines = semiband.cli._render(chunk, 0)
+    assert texts == [json.dumps(r, indent=1, sort_keys=True) for r in records]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([[x[i, 0], mark, *x[i]] for i in range(N)])
+    assert "".join(lines) == buf.getvalue()
+    envelope = {"schema_version": 1, "model": {"model": key}, "seed": 7,
+                "errors": [{"index": 1, "error": mark}]}
+    texts = semiband.cli._render(chunk, 2)[0]
+    assert semiband.cli._file_text(envelope, texts) == json.dumps(
+        {**envelope, "records": records}, indent=1, sort_keys=True)

@@ -482,13 +482,10 @@ def rotated_model(model, D, omega):
         return eps0, D(x) @ U0
 
     def analytic_connections(x):
-        G = turn(x, np.concatenate(model.analytic_connections(x), axis=-3),
-                 1) + shift
-        return G[..., :3, :, :], G[..., 3:, :, :]
+        return turn(x, model.analytic_connections(x), 1) + shift
 
     def d_analytic_connections(x):
-        G = turn(x, np.concatenate(model.analytic_connections(x), axis=-3),
-                 1)[..., None, :, :, :]
+        G = turn(x, model.analytic_connections(x), 1)[..., None, :, :, :]
         wb = omega[:, None]
         return (wb @ G - G @ wb
                 + turn(x, model.d_analytic_connections(x), 2))

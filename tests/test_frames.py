@@ -133,6 +133,23 @@ def test_numerical_frame_matches_spectrum():
     assert np.max(np.abs(rot - np.diag(np.diag(rot)))) <= 1e-12
 
 
+def test_numerical_frame_evaluates_h_once():
+    # A frame-less model's H serves the eigensystem and the frame's checks.
+    class Counting(_NoFrame):
+        calls = 0
+
+        def hamiltonian(self, x):
+            self.calls += 1
+            return super().hamiltonian(x)
+
+    x = PhasePoint.of([0.3, -0.2, 0.1], [0.6, 0.4, -0.5])
+    y = PhasePoint.of([0.1, 0.2, 0.3], [-0.4, 0.5, 0.2])
+    for point in (x, PhasePoint.stack([x, y])):
+        model = Counting()
+        classical_frame(model, point)
+        assert model.calls == 1
+
+
 def test_grouping_inconsistency_raises():
     with pytest.raises(ValueError, match="gap|degenerac"):
         classical_frame(_BadGroups(), PhasePoint.of([0, 0, 0], [1, 0, 0]))
@@ -385,7 +402,7 @@ def test_two_level_gauge_term_on_the_h3_axis():
     on_axis = PhasePoint.of([0.1, 0.2, 0.3], [0.0, 0.0, 0.7])
     # h3 > 0: the frame is smooth there and the gauge term is 0.
     model = _two_level(px, py, [{"coef": "1"}])
-    A_R, A_P = model.analytic_connections(on_axis)
+    A_R, A_P = np.split(model.analytic_connections(on_axis), 2)
     assert max(np.max(np.abs(a)) for a in A_R + A_P) == 0.0
     assert max_connection_gap(model, on_axis) <= 1e-6
     # h3 < 0 with grad(h1, h2) != 0: the declared gauge winds there.
@@ -395,7 +412,7 @@ def test_two_level_gauge_term_on_the_h3_axis():
     # h3 < 0 with grad(h1, h2) = 0: h1 = P_x^2, h2 = 0, so the term is 0.
     model = _two_level([{"coef": "1", "p_exp": [2, 0, 0]}], [],
                        [{"coef": "-1"}])
-    A_R, A_P = model.analytic_connections(on_axis)
+    A_R, A_P = np.split(model.analytic_connections(on_axis), 2)
     assert max(np.max(np.abs(a)) for a in A_R + A_P) == 0.0
     # Off the axis, with h3 of either sign, the term matches the stencil.
     off_axis = PhasePoint.of([0.1, 0.2, 0.3], [0.3, -0.4, 0.7])
