@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semiband.fields import _integer, _real
+from semiband.fields import _integer, _real, _real3
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_points,
 )
@@ -468,8 +468,8 @@ def cmd_trajectory(cfg: dict, args) -> int:
     try:
         steps = _integer(section.get("steps", 1000), "steps")
         dt = _real(section.get("dt", 1e-2), "dt")
-        r0 = [_real(v, "r0") for v in section.get("r0", [0.0, 0.0, 0.0])]
-        P0 = [_real(v, "P0") for v in section.get("P0", [0.0, 0.0, 1.0])]
+        r0 = list(_real3(section.get("r0", [0.0, 0.0, 0.0]), "r0"))
+        P0 = list(_real3(section.get("P0", [0.0, 0.0, 1.0]), "P0"))
         lams = ([+1, -1] if pair
                 else [_integer(section.get("lambda", 1), "lambda")])
         for lam in lams:

@@ -35,11 +35,15 @@ band-projected connection, which for the massless model equals
 
 which conserve eps exactly in continuum time; the integrator also transports
 the band spinor with the momentum-space connection so that the reported
-helicity drift measures integrator error only.  One kernel call at a state
-returns its ten rates, then eps and |P|, as one flat tuple of plain floats:
-an RK4 step reads the rates, and the sample's record (eps, speed, helicity)
-reads the same call, which is also its step's first stage.  The states of a
-trajectory take r and P as rows of two column copies of the sample matrix.
+helicity drift measures integrator error only.  Each ray binds its kernel
+once (`_ray_kernel`: F's jet, hbar^2, hbar^2/4 and -lam hbar), and one
+kernel call at a state returns its ten rates, then eps and |P|, as one flat
+tuple of plain floats.  The one RK4 (`_rk4`) is written out over the ten
+floats of the state and reads the rates; the sample's record (eps, speed,
+helicity) reads the same call, which is also its step's first stage.
+`verify`'s RK4-order check runs through the same stepper, with a rotation in
+the first three slots.  The states of a trajectory take r and P as rows of
+two column copies of one table of the samples and their records.
 """
 
 from __future__ import annotations
@@ -83,8 +87,6 @@ __all__ = [
     "ray_rhs",
     "check_ray_inputs",
     "integrate_ray",
-    "rk4_step",
-    "integrate_fixed",
 ]
 
 
@@ -262,38 +264,51 @@ def band_curvature_vector(model: Model, x: PhasePoint, lam: int) -> np.ndarray:
 # Ray equations (positive band, fixed helicity)
 # ---------------------------------------------------------------------------
 
-def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
-    """The ray equations at y = (r, P, Re chi, Im chi), ten plain floats.
+def _ray_kernel(F, lam: int, hbar: float):
+    """The ray equations of one ray: rates(y) at y = (r, P, Re chi, Im chi),
+    ten plain floats, with F's jet, hbar^2, hbar^2/4 and -lam hbar bound once.
 
-    Returns one flat 12-tuple: the ten rates ydot = (rdot, Pdot, Re chidot,
-    Im chidot), then eps and |P|.  An RK4 step reads the rates, a sample's
-    record the last two.  One jet of F gives everything.  The spinor
-    generator sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma /
+    rates(y) returns one flat 12-tuple: the ten rates ydot = (rdot, Pdot,
+    Re chidot, Im chidot), then eps and |P|.  An RK4 step reads the rates, a
+    sample's record the last two.  One jet of F gives everything.  The
+    spinor generator sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma /
     2|P|^2, so no matrix is built.
     """
-    x, y_, z, px, py, pz, ar, br, ai, bi = y
-    E2 = px * px + py * py + pz * pz
-    E = math.sqrt(E2)
-    if E < 1e-12:
-        raise ValueError("|P| underflow along the ray")
-    Fv, (gx, gy, gz), (h0, h1, h2) = F.jet((x, y_, z))
-    pg = px * gx + py * gy + pz * gz
-    hh, E3, E2x2 = hbar ** 2, E ** 3, 2 * E2
-    k = hh / (4 * E)
-    # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
-    dpx = k * (h0[0] * px + h0[1] * py + h0[2] * pz) - E * gx
-    dpy = k * (h1[0] * px + h1[1] * py + h1[2] * pz) - E * gy
-    dpz = k * (h2[0] * px + h2[1] * py + h2[2] * pz) - E * gz
-    # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3; the
-    # spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
-    cx, cy, cz = dpy * pz - dpz * py, dpz * px - dpx * pz, dpx * py - dpy * px
-    a, b = Fv / E + hh / 4.0 * pg / E3, -lam * hbar / E3
-    wx, wy, wz = cx / E2x2, cy / E2x2, cz / E2x2
-    u_re, u_im = wz * ar + wx * br + wy * bi, wz * ai + wx * bi - wy * br
-    v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
-    return (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
-            a * pz - k * gz + b * cz, dpx, dpy, dpz, -u_im, -v_im, u_re, v_re,
-            Fv * E - k * pg, E)
+    jet, hh = F.jet, hbar ** 2
+    q, m = hh / 4.0, -lam * hbar
+
+    def rates(y) -> tuple:
+        x, y_, z, px, py, pz, ar, br, ai, bi = y
+        E2 = px * px + py * py + pz * pz
+        E = math.sqrt(E2)
+        if E < 1e-12:
+            raise ValueError("|P| underflow along the ray")
+        Fv, (gx, gy, gz), (h0, h1, h2) = jet((x, y_, z))
+        pg = px * gx + py * gy + pz * gz
+        E3, E2x2 = E ** 3, 2.0 * E2
+        k = hh / (4.0 * E)
+        # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
+        dpx = k * (h0[0] * px + h0[1] * py + h0[2] * pz) - E * gx
+        dpy = k * (h1[0] * px + h1[1] * py + h1[2] * pz) - E * gy
+        dpz = k * (h2[0] * px + h2[1] * py + h2[2] * pz) - E * gz
+        # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3;
+        # the spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
+        cx, cy, cz = (dpy * pz - dpz * py, dpz * px - dpx * pz,
+                      dpx * py - dpy * px)
+        a, b = Fv / E + q * pg / E3, m / E3
+        wx, wy, wz = cx / E2x2, cy / E2x2, cz / E2x2
+        u_re, u_im = wz * ar + wx * br + wy * bi, wz * ai + wx * bi - wy * br
+        v_re, v_im = wx * ar - wy * ai - wz * br, wx * ai + wy * ar - wz * bi
+        return (a * px - k * gx + b * cx, a * py - k * gy + b * cy,
+                a * pz - k * gz + b * cz, dpx, dpy, dpz, -u_im, -v_im, u_re,
+                v_re, Fv * E - k * pg, E)
+
+    return rates
+
+
+def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
+    """The kernel of `_ray_kernel` at one state y."""
+    return _ray_kernel(F, lam, hbar)(y)
 
 
 def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
@@ -335,31 +350,46 @@ class Trajectory:
         return self.states[-1]
 
 
-# -- generic fixed-step RK4 -------------------------------------------------
+# -- RK4 over ten floats -----------------------------------------------------
 
-def rk4_step(f, t: float, y, dt: float, k1=None) -> list:
-    """One classic RK4 step of y' = f(t, y) over a float sequence, k1 = f(t, y)
-    unless given; each element rounds as y + dt/6 (k1 + 2 k2 + 2 k3 + k4) does
-    on arrays.  Values f returns past the len(y) rates are not read.  The
-    doubling is written 2.0 * k: the same value as 2 * k, without an int
-    operand, which takes a slower path through the interpreter."""
-    h, s, k1 = dt / 2, dt / 6, f(t, y) if k1 is None else k1
-    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
-    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
-    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    return [a + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
-def integrate_fixed(f, t0: float, y0, dt: float, steps: int) -> list:
-    """Classic RK4: (t, y, f(t, y)) at each sample from the initial state on,
-    each y a list of floats; a step's k1 is its sample's f(t, y)."""
-    t, y, out = t0, [float(v) for v in y0], []
+def _rk4(rates, y, dt: float, steps: int) -> list:
+    """Classic RK4 from t = 0, written out over a state of ten floats:
+    (t, y, k) at each sample from y on, each y a 10-tuple and k = rates(y),
+    whose ten rates are followed by two values passed through unread.  Each
+    step's first stage is its sample's k.  Every value rounds as
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4) does on arrays, with the stage states
+    y + (dt/2) k1, y + (dt/2) k2 and y + dt k3.  The doubling is written
+    2.0 * k: the same value as 2 * k, without an int operand, which takes a
+    slower path through the interpreter."""
+    h, s = dt / 2, dt / 6
+    t, k = 0.0, rates(y)
+    out = [(t, y, k)]
     for _ in range(steps):
-        out.append((t, y, f(t, y)))
-        y = rk4_step(f, t, y, dt, out[-1][2])
+        y0, y1, y2, y3, y4, y5, y6, y7, y8, y9 = y
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, _, _ = k
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, _, _ = rates((
+            y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4,
+            y5 + h * a5, y6 + h * a6, y7 + h * a7, y8 + h * a8, y9 + h * a9))
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, _, _ = rates((
+            y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4,
+            y5 + h * b5, y6 + h * b6, y7 + h * b7, y8 + h * b8, y9 + h * b9))
+        d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, _, _ = rates((
+            y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+            y4 + dt * c4, y5 + dt * c5, y6 + dt * c6, y7 + dt * c7,
+            y8 + dt * c8, y9 + dt * c9))
+        y = (y0 + s * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             y1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             y2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             y3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             y4 + s * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+             y5 + s * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+             y6 + s * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+             y7 + s * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+             y8 + s * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
+             y9 + s * (a9 + 2.0 * b9 + 2.0 * c9 + d9))
         t += dt
-    out.append((t, y, f(t, y)))
+        k = rates(y)
+        out.append((t, y, k))
     return out
 
 
@@ -432,15 +462,19 @@ def check_ray_inputs(hbar: float, dt: float, steps: int, r0, P0, lam: int,
     return np.array(_real3(r0, "r0")), np.array(_real3(P0, "P0"))
 
 
-def _ray_sample(y, k) -> tuple:
-    """(eps, speed, <chi|sigma.Phat|chi>/<chi|chi>) at the state y, from its
-    rates k = (*ydot, eps, |P|)."""
-    eps, E = k[10:]
-    px, py, pz, ar, br, ai, bi = y[3:]
-    hel = (pz * (ar * ar + ai * ai - br * br - bi * bi)
-           + 2 * px * (ar * br + ai * bi) + 2 * py * (ar * bi - ai * br)
-           ) / (E * (ar * ar + ai * ai + br * br + bi * bi))
-    return eps, math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2), hel
+def _ray_rows(samples) -> list:
+    """One row per (t, y, k) sample, k = rates(y): the ten state values, then
+    eps, the speed |rdot| and the helicity <chi|sigma.Phat|chi>/<chi|chi>."""
+    rows = []
+    for _, y, k in samples:
+        _, _, _, px, py, pz, ar, br, ai, bi = y
+        vx, vy, vz, _, _, _, _, _, _, _, eps, E = k
+        rows.append((*y, eps, math.sqrt(vx ** 2 + vy ** 2 + vz ** 2),
+                     (pz * (ar * ar + ai * ai - br * br - bi * bi)
+                      + 2 * px * (ar * br + ai * bi)
+                      + 2 * py * (ar * bi - ai * br))
+                     / (E * (ar * ar + ai * ai + br * br + bi * bi))))
+    return rows
 
 
 def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
@@ -460,35 +494,28 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         # One evaluation at the start checks the model, |P0| against
         # underflow and the profile at r0, before any step.
         ray_rhs(r0, P0, lam, model, hbar)
-        F = model.F
-
-        def rates(_t, y):
-            return _ray_rates(F, lam, hbar, y)
-
+        rates = _ray_kernel(model.F, lam, hbar)
         chi0 = _helicity_spinor(P0, lam)
-        y0 = np.concatenate([r0, P0, chi0.real, chi0.imag]).tolist()
+        y0 = tuple(np.concatenate([r0, P0, chi0.real, chi0.imag]).tolist())
         if method == "rk4":
-            samples, rejected = integrate_fixed(rates, 0.0, y0, dt, steps), 0
+            samples, rejected = _rk4(rates, y0, dt, steps), 0
         else:
             path, rejected = _integrate_rk45(
-                lambda t, y: np.array(rates(t, y.tolist())[:10]),
+                lambda _t, y: np.array(rates(y.tolist())[:10]),
                 0.0, y0, dt * steps)
-            samples = [(t, y, rates(t, y)) for t, y in path]
-        records = [_ray_sample(y, k) for _, y, k in samples]
+            samples = [(t, y, rates(y)) for t, y in path]
+        rows = _ray_rows(samples)
     except OverflowError as exc:
         raise FloatingPointError(f"ray state overflowed: {exc}") from exc
-    # One row per sample: the ten state values, then eps, speed, helicity.
-    rows = np.fromiter(itertools.chain.from_iterable(
-        (*y, *rec) for (_, y, _), rec in zip(samples, records)),
-        float, 13 * len(samples)).reshape(-1, 13)
-    finite = np.isfinite(rows)
+    table = np.fromiter(itertools.chain.from_iterable(rows), float,
+                        13 * len(rows)).reshape(-1, 13)
+    finite = np.isfinite(table)
     if not finite.all():
         t_bad = samples[int(np.argmin(finite.all(axis=1)))][0]
         raise FloatingPointError(f"ray state turned non-finite at t = {t_bad:g}")
-    rs, Ps = rows[:, 0:3].copy(), rows[:, 3:6].copy()
-    states = [TrajectoryState(t, r, P, lam, hel, eps, speed)
-              for (t, _, _), r, P, (eps, speed, hel)
-              in zip(samples, rs, Ps, records)]
+    rs, Ps = table[:, 0:3].copy(), table[:, 3:6].copy()
+    states = [TrajectoryState(t, r, P, lam, row[12], row[10], row[11])
+              for (t, _, _), r, P, row in zip(samples, rs, Ps, rows)]
     hel0, eps0 = states[0].helicity, states[0].eps
     drift = max(abs(s.helicity - hel0) for s in states)
     edrift = max(abs(s.eps - eps0) for s in states)

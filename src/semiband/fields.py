@@ -60,8 +60,11 @@ def _integer(value, what: str) -> int:
 
 def _real3(values, what: str) -> tuple:
     """Three `_real` components."""
-    if isinstance(values, (str, bytes)) or np.ndim(values) != 1 \
-            or len(values) != 3:
+    try:
+        ndim = np.ndim(values)
+    except ValueError:              # a ragged nesting such as [1, [2], 3]
+        ndim = None
+    if isinstance(values, (str, bytes)) or ndim != 1 or len(values) != 3:
         raise ValueError(f"{what} must have three components, not {values!r}")
     return tuple(_real(v, what) for v in values)
 

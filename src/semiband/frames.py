@@ -113,6 +113,11 @@ class BandFrame:
         return ~self.same
 
     @cached_property
+    def _same_f(self) -> np.ndarray:
+        """`same` as floats, made once: `_group_scalar` sums through it."""
+        return self.same.astype(float)
+
+    @cached_property
     def _group_sizes(self) -> np.ndarray:
         """(n,) size of each state's group."""
         return self.same.sum(0)
@@ -583,5 +588,5 @@ def connections_fd(frame: BandFrame) -> ConnectionSet:
 
 def _group_scalar(diag: np.ndarray, frame: BandFrame) -> np.ndarray:
     """The per-group mean of diagonals (..., n), in the frame layout."""
-    return (diag @ frame.same) / frame._group_sizes
+    return (diag @ frame._same_f) / frame._group_sizes
 

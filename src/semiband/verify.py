@@ -38,9 +38,9 @@ from semiband.energy import (
     frame_first_order,
 )
 from semiband.dynamics import (
+    _rk4,
     band_curvature_vector,
     covariant_variables,
-    integrate_fixed,
     integrate_ray,
 )
 from semiband.oracles import (
@@ -418,18 +418,24 @@ def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:
                          float(np.max(np.abs(V @ eps_mat - eps_mat @ V - M))))
 
     # RK4 order on a rotating linear system, whose flow is the Rodrigues
-    # rotation of y0 about omega by |omega| T.
+    # rotation of y0 about omega by |omega| T.  The ray stepper carries it
+    # in the first three of its ten slots, with zero rates in the rest.
     omega, y0, T = np.array([0.3, -0.2, 0.7]), np.array([1.0, 0.2, -0.4]), 2.0
     w = np.linalg.norm(omega)
     k, ang = omega / w, w * T
     exact = (y0 * np.cos(ang) + np.cross(k, y0) * np.sin(ang)
              + k * (k @ y0) * (1 - np.cos(ang)))
+    zeros = (0.0,) * 7
+
+    def rotation(y):
+        # omega x y, then the two values the stepper passes through.
+        return (*np.cross(omega, y[:3]).tolist(), *zeros, 0.0, 0.0)
+
     errs, dts = [], []
     for nsteps in (50, 100, 200, 400):
         dts.append(T / nsteps)
-        yT = integrate_fixed(lambda _t, y: np.cross(omega, y), 0.0, y0,
-                             dts[-1], nsteps)[-1][1]
-        errs.append(float(np.linalg.norm(yT - exact)))
+        yT = _rk4(rotation, (*y0.tolist(), *zeros), dts[-1], nsteps)[-1][1]
+        errs.append(float(np.linalg.norm(np.array(yT[:3]) - exact)))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
 
     passed = conn_err <= 1e-6 and round_trip <= 1e-12 and abs(slope - 4) <= 0.2

@@ -509,6 +509,10 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     ({"pair_lambdas": False, "lambda": True}, {}),
     ({"method": "euler"}, {}),
     ({"method": "RK45", "pair_lambdas": False}, {}),
+    ({"r0": 5}, {}),
+    ({"P0": 5}, {}),
+    ({"P0": None}, {}),
+    ({"r0": [1, [2], 3]}, {}),
 ], ids=repr)
 def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
     cfg = write_config(tmp_path, dict(
@@ -517,6 +521,20 @@ def test_trajectory_rejects_bad_inputs_before_any_run(tmp_path, section, top):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["r0", "P0"])
+@pytest.mark.parametrize("value", [5, None, {"x": 1}, [1, [2], 3]], ids=repr)
+def test_trajectory_names_the_start_key_that_is_not_a_vector(tmp_path, capsys,
+                                                             key, value):
+    cfg = write_config(tmp_path, dict(
+        NEUTRINO_RAY_CFG,
+        trajectory=dict(NEUTRINO_RAY_CFG["trajectory"], **{key: value})))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 "trajectory"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: trajectory: {key} must have three components, "
+        f"not {value!r}\n")
 
 
 def test_trajectory_accepts_integral_float_steps(tmp_path):

@@ -21,12 +21,13 @@ from semiband.models import (
 from semiband.dynamics import (
     _helicity_spinor,
     _integrate_rk45,
+    _ray_kernel,
     _ray_rates,
+    _rk4,
     band_curvature_vector,
     berry_curvatures,
     check_ray_inputs,
     covariant_variables,
-    integrate_fixed,
     integrate_ray,
     ray_rhs,
 )
@@ -265,18 +266,30 @@ def test_integrate_validation():
                       "euler")
 
 
+ZEROS7 = (0.0,) * 7
+
+
+def padded_rotation(omega):
+    """omega x y in the first three of the ray stepper's ten slots, zero
+    rates in the other seven, then the two values the stepper passes
+    through."""
+    def rates(y):
+        return (*np.cross(omega, y[:3]).tolist(), *ZEROS7, 0.0, 0.0)
+
+    return rates
+
+
 def test_rk4_convergence_order():
     omega = np.array([0.3, -0.2, 0.7])
-
-    def rot(_t, y):
-        return np.cross(omega, y)
+    rot = padded_rotation(omega)
 
     y0 = np.array([1.0, 0.2, -0.4])
     T = 2.0
     errs, dts = [], []
     for nsteps in (50, 100, 200, 400):
         dt = T / nsteps
-        yT = integrate_fixed(rot, 0.0, y0, dt, nsteps)[-1][1]
+        yT = np.array(_rk4(rot, (*y0.tolist(), *ZEROS7), dt,
+                           nsteps)[-1][1][:3])
         w = np.linalg.norm(omega)
         k = omega / w
         ang = w * T
@@ -334,6 +347,15 @@ def test_integrate_ray_rejects_bad_inputs(changes):
                       a["dt"], a["steps"], a["method"])
     # The same rules, without a model: the CLI checks each run this way.
     with pytest.raises(ValueError):
+        check_ray_inputs(a["hbar"], a["dt"], a["steps"], a["r0"], a["P0"],
+                         a["lam"], a["method"])
+
+
+@pytest.mark.parametrize("key", ["r0", "P0"])
+@pytest.mark.parametrize("value", [5, None, [1.0, [2.0], 3.0]], ids=repr)
+def test_a_start_that_is_not_a_vector_is_named(key, value):
+    a = _finite_inputs(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} must have three components"):
         check_ray_inputs(a["hbar"], a["dt"], a["steps"], a["r0"], a["P0"],
                          a["lam"], a["method"])
 
@@ -398,9 +420,10 @@ def test_spinor_rate_is_the_p_cross_sigma_generator():
     # sum_l Pdot_l (P x sigma)_l / 2|P|^2 equals (Pdot x P).sigma / 2|P|^2.
     model = neutrino(GaussianField(0.4, [0.3, 0.1, -0.2], 2.0))
     rng = np.random.default_rng(3)
+    rates = _ray_kernel(model.F, +1, 0.1)
     for _ in range(5):
         y = rng.normal(size=10)
-        ydot = np.array(_ray_rates(model.F, +1, 0.1, y.tolist())[:10])
+        ydot = np.array(rates(y.tolist())[:10])
         P, chi = y[3:6], y[6:8] + 1j * y[8:10]
         pxs = p_cross_sigma(P)
         gen = sum(ydot[3 + l] * pxs[l][:2, :2] for l in range(3)) / (2 * P @ P)
@@ -626,7 +649,61 @@ def test_rk4_float_step_matches_array_step():
 
     y0 = np.array([1.0, 0.2, -0.4])
     for nsteps in (50, 400):
-        floats = integrate_fixed(rot, 0.0, y0, 2.0 / nsteps, nsteps)
+        floats = _rk4(padded_rotation(omega), (*y0.tolist(), *ZEROS7),
+                      2.0 / nsteps, nsteps)
         arrays = _numpy_rk4(rot, y0, 2.0 / nsteps, nsteps)
-        assert [(t, y) for t, y, _k in floats] == [(t, y.tolist())
-                                                   for t, y in arrays]
+        assert [(t, list(y[:3])) for t, y, _k in floats] == [(t, y.tolist())
+                                                            for t, y in arrays]
+        assert all(y[3:] == ZEROS7 for _t, y, _k in floats)
+
+
+@pytest.mark.parametrize("lam", [+1, -1])
+@pytest.mark.parametrize("profile", list(BIT_PROFILES))
+def test_ray_kernel_rounds_as_the_reference_rates(profile, lam):
+    # hbar = 9 makes the hbar^2 terms as large as F|P| on these profiles,
+    # and hbar^2/4 is no power of two, so how they round shows in the rates.
+    F, rng = BIT_PROFILES[profile], np.random.default_rng(7)
+    rates = _ray_kernel(F, lam, 9.0)
+    for _ in range(20):
+        y = rng.normal(size=10).tolist()
+        ydot, eps, E = _reference_ray_rates(F, lam, 9.0, y)
+        assert rates(y) == (*ydot, eps, E)
+
+
+def test_verify_rk4_slope_is_the_array_steppers():
+    # verify steps its rotation through the ray stepper; its slope is the
+    # one array RK4 over np.cross gives, bit for bit.
+    from semiband.verify import suite_numerical_plumbing
+
+    omega, y0, T = np.array([0.3, -0.2, 0.7]), np.array([1.0, 0.2, -0.4]), 2.0
+    w = np.linalg.norm(omega)
+    k, ang = omega / w, w * T
+    exact = (y0 * np.cos(ang) + np.cross(k, y0) * np.sin(ang)
+             + k * (k @ y0) * (1 - np.cos(ang)))
+    errs, dts = [], []
+    for nsteps in (50, 100, 200, 400):
+        dts.append(T / nsteps)
+        yT = _numpy_rk4(lambda _t, y: np.cross(omega, y), y0, dts[-1],
+                        nsteps)[-1][1]
+        errs.append(float(np.linalg.norm(yT - exact)))
+    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    assert suite_numerical_plumbing().metrics["rk4_slope"] == slope
+
+
+@pytest.mark.parametrize("lam", [+1, -1])
+@pytest.mark.parametrize("profile", ["polynomial", "coulomb"])
+def test_ray_stepper_rounds_as_arrays_on_polynomial_and_coulomb(profile, lam):
+    # The stepper and array RK4 over the one kernel, on the two jet kinds
+    # that round differently from the linear and gaussian ones; each
+    # sample's k is the kernel at its state.
+    rates = _ray_kernel(BIT_PROFILES[profile], lam, 1e-3)
+    P0 = np.array([0.3, 0.1, 1.0])
+    chi = _helicity_spinor(P0, lam)
+    y0 = (0.1, -0.2, 0.05, *P0.tolist(), *chi.real.tolist(),
+          *chi.imag.tolist())
+    floats = _rk4(rates, y0, 1e-2, 200)
+    arrays = _numpy_rk4(lambda _t, y: np.array(rates(y.tolist())[:10]), y0,
+                        1e-2, 200)
+    assert [(t, list(y)) for t, y, _k in floats] == [(t, y.tolist())
+                                                     for t, y in arrays]
+    assert all(k == rates(y) for _t, y, k in floats)
