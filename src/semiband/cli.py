@@ -17,7 +17,8 @@ The per-point subcommands run their points in chunks of `energy.CHUNK`, one
 batched pass per chunk; a chunk in which any point raises is re-run point by
 point, so every failing point gets its own error record.  Every JSON file is
 the bytes of `json.dumps(payload, indent=1, sort_keys=True)`; per-point records
-come from per-chunk templates, cut from that text of the record's layout.
+come from per-chunk `%`-templates, cut from that text of the record's layout,
+filled with the texts of the chunk's columns, made once per distinct column.
 """
 
 from __future__ import annotations
@@ -223,13 +224,12 @@ def _pack(*blocks) -> tuple:
         np.shape(block)[1:]) for block, part, end in zip(blocks, flat, ends)]
 
 
-def _braces(text: str) -> str:
-    """text as literal `str.format` template text."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
 # A JSON string token; group 1 holds i if the token is exactly "\u0000<i>".
 _COLUMN = re.compile(r'"\\u0000(\d+)"|"(?:[^"\\]|\\.)*"')
+
+# The text of a finite number in both files; `_render` looks it up here on
+# each call, so a test can count the calls.
+_repr = float.__repr__
 
 
 def _columns(cols: np.ndarray) -> list | str:
@@ -238,55 +238,96 @@ def _columns(cols: np.ndarray) -> list | str:
                     dtype=object).reshape(cols.shape).tolist()
 
 
-def _record_template(layout: dict, level: int) -> str:
-    r"""The `str.format` template of a record layout at depth `level`, `{i}`
-    standing for column i: the text `_dumps` gives the layout with each
-    column marked as the string "\0<i>", each mark then cut to `{i}`.  It is
-    cached on the compact text of the marked layout.  A mark inside a longer
-    string stays text; no constant of a layout here is a bare mark."""
+def _record_template(layout: dict, level: int) -> tuple:
+    r"""(%-template, column slots) of a record layout at depth `level`: the
+    text `_dumps` gives the layout with each column marked as the string
+    "\0<i>", its `%` doubled and each mark cut to `%s`; slot j names the
+    column of the j-th `%s`.  It is cached on the compact text of the
+    marked layout.  A mark inside a longer string stays text; no constant
+    of a layout here is a bare mark."""
     return _cut(json.dumps(layout, sort_keys=True, default=_columns), level)
 
 
 @functools.lru_cache(maxsize=64)
-def _cut(marked: str, level: int) -> str:
-    """The template of a marked layout, given by its compact text."""
-    text = _braces(_dumps(json.loads(marked)))
-    return _COLUMN.sub(lambda m: m[0] if m[1] is None else "{%s}" % m[1],
-                       text.replace("\n", "\n" + " " * level))
+def _cut(marked: str, level: int) -> tuple:
+    """The template and slots of a marked layout, given by its compact
+    text."""
+    slots = []
+
+    def slot(m: re.Match) -> str:
+        if m[1] is None:
+            return m[0]
+        slots.append(int(m[1]))
+        return "%s"
+
+    text = _dumps(json.loads(marked)).replace("%", "%%")
+    return (_COLUMN.sub(slot, text.replace("\n", "\n" + " " * level)),
+            tuple(slots))
 
 
-def _row_template(row: list) -> str:
-    """The `str.format` template of a CSV row layout, `{i}` standing for
-    column i, written by `csv.writer` itself."""
-    fields = []
+def _row_template(row: list) -> tuple:
+    """(%-template, column slots) of a CSV row layout, `%s` standing for
+    each column in turn, the line written by `csv.writer` itself."""
+    fields, slots = [], []
     for item in row:
         if isinstance(item, np.ndarray):
-            fields += ["{%d}" % i for i in item.ravel().tolist()]
+            slots += item.ravel().tolist()
+            fields += ["%s"] * item.size
         else:
-            fields.append(_braces(item) if isinstance(item, str) else item)
+            fields.append(item.replace("%", "%%") if isinstance(item, str)
+                          else item)
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
-    return buf.getvalue()
+    return buf.getvalue(), tuple(slots)
+
+
+def _column_texts(values: np.ndarray, text) -> list:
+    """The texts of the columns of (N, k) `values`, one list of N per
+    column, made once per distinct column.
+
+    Columns are told apart by their bits, so -0.0, nan and inf keep their
+    own texts: a column equal to an earlier one shares its list, and a
+    column of one value is one `text` call.
+    """
+    by_col = np.ascontiguousarray(values.T)
+    n = by_col.shape[1]
+    bits = by_col.view(np.int64)
+    constant = (bits == bits[:, :1]).all(axis=1).tolist()
+    raw, size = by_col.tobytes(), 8 * n
+    texts, seen = [], {}
+    for j, (col, one) in enumerate(zip(by_col.tolist(), constant)):
+        key = raw[j * size:(j + 1) * size]
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = ([text(col[0])] * n if one
+                               else list(map(text, col)))
+        texts.append(got)
+    return texts
+
+
+def _fill(template: tuple, texts: list, n: int) -> list:
+    """The n texts of a (%-template, slots) pair over the column texts."""
+    form, slots = template
+    rows = zip(*[texts[i] for i in slots]) if slots else [()] * n
+    return [form % row for row in rows]
 
 
 def _render(chunk: _Chunk, level: int) -> tuple:
     """(JSON record texts at depth `level`, CSV lines) of a chunk.
 
-    Each number is turned into text once, by its repr, which is its CSV
-    text and, when finite, its JSON text; both templates take that text.  A
-    chunk with a nan or inf gives its records the stdlib's text instead,
-    which spells them `NaN`, `Infinity` and `-Infinity`.
+    Each distinct column of the chunk's numbers is turned into text once,
+    by repr, which is its CSV text and, when finite, its JSON text; both
+    templates take those texts.  A chunk with a nan or inf gives its
+    records the stdlib's text instead, which spells them `NaN`,
+    `Infinity` and `-Infinity`.
     """
-    values = chunk.values.ravel().tolist()
-    texts = list(map(float.__repr__, values))
-    k = chunk.values.shape[1]
-    row = _row_template(chunk.row)
-    lines = [row.format(*texts[i:i + k]) for i in range(0, len(texts), k)]
-    if not np.isfinite(chunk.values).all():
-        texts = json.dumps(values)[1:-1].split(", ")
-    record = _record_template(chunk.record, level)
-    return [record.format(*texts[i:i + k])
-            for i in range(0, len(texts), k)], lines
+    values = chunk.values
+    n = len(values)
+    texts = _column_texts(values, _repr)
+    lines = _fill(_row_template(chunk.row), texts, n)
+    if not np.isfinite(values).all():
+        texts = _column_texts(values, json.dumps)
+    return _fill(_record_template(chunk.record, level), texts, n), lines
 
 
 def _file_text(envelope: dict, records: list) -> str:
@@ -296,7 +337,7 @@ def _file_text(envelope: dict, records: list) -> str:
     listed = ("[" + sep + ("," + sep).join(records) + "\n ]" if records
               else "[]")
     layout = {**envelope, "records": np.array(0)}
-    return _record_template(layout, 0).format(listed)
+    return _record_template(layout, 0)[0] % (listed,)
 
 
 def _point_setup(cfg: dict, args):
@@ -493,10 +534,10 @@ def cmd_trajectory(cfg: dict, args) -> int:
             errors.append({"lambda": lam, "error": error})
             print(f"lambda={lam:+d}: {error}", file=sys.stderr)
             continue
-        # format() of a float or np.float64 writes its str, as csv.writer
-        # does.
-        row = _row_template([np.arange(7), lam, np.arange(7, 9)])
-        rows = [row.format(s.t, *s.r, *s.P, s.eps, s.speed)
+        # %s of a float or np.float64 writes its str, as csv.writer does;
+        # the slots are the columns in order.
+        row = _row_template([np.arange(7), lam, np.arange(7, 9)])[0]
+        rows = [row % (s.t, *s.r, *s.P, s.eps, s.speed)
                 for s in traj.states]
         path = out / f"trajectory_lam{lam:+d}.csv"
         _write_csv(path, header, rows)

@@ -321,7 +321,11 @@ def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
     if not isinstance(model, NeutrinoMetric):
         raise NotImplementedError(
             "ray tracing is implemented for the massless graded-index model")
-    k = _ray_rates(model.F, lam, hbar, [*r, *P, 0.0, 0.0, 0.0, 0.0])
+    # Plain floats, as the stepper's: numpy scalars would round and fail
+    # (warn) otherwise.
+    y = [*np.asarray(r, dtype=float).tolist(),
+         *np.asarray(P, dtype=float).tolist(), 0.0, 0.0, 0.0, 0.0]
+    k = _ray_rates(model.F, lam, hbar, y)
     return np.array(k[0:3]), np.array(k[3:6])
 
 

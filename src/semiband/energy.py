@@ -368,8 +368,10 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
 
     if order >= 1:
         conns0 = berry_connections(frame)
-    if order == 1:
+    if order == 1 and representation == "canonical":
         first = hermitized((hbar / 2.0) * first_order_kernel(frame, conns0))
+    elif order == 1:
+        first = hermitized(_first_order_covariant(frame, conns0, hbar)[0])
 
     if order == 2:
         rec = first_order(frame, conns0)
@@ -439,25 +441,38 @@ def _second_order_covariant(rec: FirstOrder, hbar: float):
     second-order strings built from the order-0 connections (Hermitized, as
     the sign bookkeeping of those two lines is enforced term by term).
     """
-    # [E, X] = [X, diag(-eps0)].
     frame = rec.frame
     neg = -frame.eps0
     A0, A1, cA0 = rec.conns0.A, rec.linear, rec.conns0.cA
-    EA0 = _comm_diag_products(A0, neg[..., None, :])
-    Wstr = _string(EA0, cA0)
-    T0 = Wstr - _comm_diag_products((A0 @ cA0).sum(-3), neg)
+    first, EA0, Wstr = _first_order_covariant(frame, rec.conns0, hbar)
     T1 = (_string(_comm_diag_products(A1, neg[..., None, :]), cA0)
           + _string(EA0, conjugate(A1)))
     # (i/4) hbar {T + H.C.} with T = T0 + hbar T1, truncated at hbar^2; the
     # H.C. of (i/4)T is -(i/4)T^+.
-    first = 0.25j * hbar * (T0 - _dagger(T0))
     second = 0.25j * hbar ** 2 * (T1 - _dagger(T1))
 
     S = _string(_comm(Wstr[..., None, :, :], A0), cA0)
     second += -(hbar ** 2 / 8.0) * 0.5 * (S + _dagger(S))
-    first = frame.project(first, "diag")
     second = frame.project(second, "diag")
     return first, second
+
+
+def _first_order_covariant(frame: BandFrame, conns0: ConnectionSet,
+                           hbar: float) -> tuple:
+    """(first, [E, A0], W string) of the covariant-variable form: first is
+    the block projection of (i/4) hbar {T0 + H.C.}, with the commutator
+    string T0 = sum_a [E, A0_a] cA0_a - [E, sum_a A0_a cA0_a] of the order-0
+    connections, not yet Hermitized.  The order-2 covariant energy builds
+    on [E, A0] and the string."""
+    # [E, X] = [X, diag(-eps0)].
+    neg = -frame.eps0
+    A0, cA0 = conns0.A, conns0.cA
+    EA0 = _comm_diag_products(A0, neg[..., None, :])
+    Wstr = _string(EA0, cA0)
+    T0 = Wstr - _comm_diag_products((A0 @ cA0).sum(-3), neg)
+    # The H.C. of (i/4)T0 is -(i/4)T0^+.
+    first = frame.project(0.25j * hbar * (T0 - _dagger(T0)), "diag")
+    return first, EA0, Wstr
 
 
 def band_energy_batch(model: Model, points, hbar: float, order: int = 2,

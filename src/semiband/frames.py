@@ -35,7 +35,7 @@ helpers index phase axes from the end, so one function serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,14 +81,37 @@ DEFAULT_TOL = Tolerances()
 _OVERLAP_FLOOR = 1e-6
 
 
+@dataclass(frozen=True)
+class _GroupMasks:
+    """The fixed masks of one group layout, read-only."""
+
+    same: np.ndarray                # (n, n) within-group entries
+    cross: np.ndarray               # (n, n) cross-group entries
+    same_f: np.ndarray              # `same` as floats
+    sizes: np.ndarray               # (n,) size of each state's group
+
+
+@lru_cache(maxsize=64)
+def _group_masks(groups: tuple) -> _GroupMasks:
+    """The masks of a group layout (one group index per state), made once
+    per layout and shared by every frame of it."""
+    g = np.array(groups)
+    same = g[:, None] == g[None, :]
+    masks = (same, ~same, same.astype(float), same.sum(0))
+    for mask in masks:
+        mask.flags.writeable = False
+    return _GroupMasks(*masks)
+
+
 @dataclass
 class BandFrame:
     """Gauge-fixed classical diagonalization at one phase point or a batch.
 
     The frame carries the model and the tolerances it was built with, so
     every pass at its point takes the frame alone.  The fixed per-frame data
-    of the helpers (group masks, the checked gap matrix, U0 grad H U0^+ and
-    the eps0 gradients) is computed on first use and kept on the frame.
+    of the helpers (the checked gap matrix, U0 grad H U0^+ and the eps0
+    gradients) is computed on first use and kept on the frame; its group
+    masks are made once per group layout and shared.
     """
 
     eps0: np.ndarray                # (..., n) real, ordered by group layout
@@ -103,24 +126,29 @@ class BandFrame:
         return self.eps0.shape[-1]
 
     @cached_property
+    def _masks(self) -> _GroupMasks:
+        """The masks of the frame's group layout, shared by its frames."""
+        return _group_masks(tuple(self.groups.tolist()))
+
+    @cached_property
     def same(self) -> np.ndarray:
         """(n, n) mask of within-group entries."""
-        return self.groups[:, None] == self.groups[None, :]
+        return self._masks.same
 
     @cached_property
     def cross(self) -> np.ndarray:
         """(n, n) mask of cross-group entries."""
-        return ~self.same
+        return self._masks.cross
 
     @cached_property
     def _same_f(self) -> np.ndarray:
-        """`same` as floats, made once: `_group_scalar` sums through it."""
-        return self.same.astype(float)
+        """`same` as floats: `_group_scalar` sums through it."""
+        return self._masks.same_f
 
     @cached_property
     def _group_sizes(self) -> np.ndarray:
         """(n,) size of each state's group."""
-        return self.same.sum(0)
+        return self._masks.sizes
 
     @cached_property
     def gaps(self) -> np.ndarray:

@@ -858,3 +858,88 @@ def test_chunk_renderer_matches_the_stdlib_writers_on_layout_edges():
     texts = semiband.cli._render(chunk, 2)[0]
     assert semiband.cli._file_text(envelope, texts) == json.dumps(
         {**envelope, "records": records}, indent=1, sort_keys=True)
+
+
+def _column_chunk(special):
+    """A chunk whose columns repeat: constant columns (0.0 and -0.0 apart),
+    columns equal to earlier ones, `special` numbers as columns of their
+    own and inside a varying one; its constants hold `%`, braces and a
+    `str.format` field.  With the records and rows the stdlib writers make
+    of it."""
+    N = 4
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=N), rng.normal(size=N)
+    mixed = b.copy()
+    mixed[:len(special)] = special[:N]
+    cols = [a, np.full(N, 0.25), a, np.full(N, -0.0), np.full(N, 0.0),
+            mixed, np.full(N, 0.25), b, mixed,
+            *(np.full(N, v) for v in special)]
+    values, (vec, pair, rest) = semiband.cli._pack(
+        np.stack(cols[:3], axis=1), np.stack(cols[3:7], axis=1).reshape(N, 2, 2),
+        np.stack(cols[7:], axis=1))
+    text = "100% {12} {x} %s %%"
+    record = {"vec": vec, "pair": pair, "rest": rest, "note": text,
+              "key %(a)s {12}": {"n": 2, "flag": True, "x": vec[1]}}
+    row = [vec, text, pair, 2, rest, "{12}%"]
+    records = [{"vec": values[i, :3].tolist(),
+                "pair": values[i, 3:7].reshape(2, 2).tolist(),
+                "rest": values[i, 7:].tolist(), "note": text,
+                "key %(a)s {12}": {"n": 2, "flag": True,
+                                   "x": float(values[i, 1])}}
+               for i in range(N)]
+    rows = [[*values[i, :3].tolist(), text, *values[i, 3:7].tolist(), 2,
+             *values[i, 7:].tolist(), "{12}%"] for i in range(N)]
+    return semiband.cli._Chunk(values, record, row), records, rows
+
+
+@pytest.mark.parametrize("special", [
+    [-0.0, 5e-324, 1e-310, 1e22],
+    [-0.0, 5e-324, math.nan, math.inf, -math.inf],
+], ids=["finite", "non-finite"])
+def test_column_renderer_matches_the_stdlib_writers(special):
+    import csv
+    import io
+
+    chunk, records, rows = _column_chunk(special)
+    for level in (0, 2):
+        texts, lines = semiband.cli._render(chunk, level)
+        assert texts == [json.dumps(r, indent=1, sort_keys=True).replace(
+            "\n", "\n" + " " * level) for r in records]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        assert "".join(lines) == buf.getvalue()
+    envelope = {"schema_version": 1, "model": {"model": "m%s{0}"}, "seed": 7,
+                "errors": [{"index": 3, "error": "ValueError: 50% {1}"}]}
+    assert semiband.cli._file_text(envelope, texts) == json.dumps(
+        {**envelope, "records": records}, indent=1, sort_keys=True)
+    # Layouts without a column still give one record and row per point.
+    bare = semiband.cli._Chunk(chunk.values, {"note": "50%"}, ["50%", 2])
+    assert semiband.cli._render(bare, 0) == (
+        ['{\n "note": "50%"\n}'] * len(rows), ["50%,2\r\n"] * len(rows))
+
+
+def test_each_distinct_column_is_turned_into_text_once(monkeypatch):
+    # One repr per element of a distinct varying column and one per
+    # distinct constant column; repeated columns share their texts.
+    import csv
+    import io
+
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return float.__repr__(x)
+
+    monkeypatch.setattr(semiband.cli, "_repr", counting)
+    chunk, records, rows = _column_chunk([-0.0, 5e-324, 1e-310, 1e22])
+    values = chunk.values
+    distinct = {col.tobytes(): col for col in values.T.view(np.int64)}
+    varying = sum(len(set(col.tolist())) > 1 for col in distinct.values())
+    constant = len(distinct) - varying
+    assert (len(distinct), varying, constant) == (9, 3, 6)
+    texts, lines = semiband.cli._render(chunk, 0)
+    assert len(calls) == varying * len(values) + constant
+    assert texts == [json.dumps(r, indent=1, sort_keys=True) for r in records]
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    assert "".join(lines) == buf.getvalue()

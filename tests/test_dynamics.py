@@ -1,6 +1,7 @@
 """Covariant variables, curvatures and the ray integrator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,22 @@ def test_non_finite_state_mid_run_raises():
     with pytest.raises(FloatingPointError, match="overflow"):
         integrate_ray(neutrino(UniformField(1.0)), [0, 0, 0], [0, 0, 1e150],
                       +1, 1e-3, 1e-2, 5)
+
+
+
+def test_start_check_runs_on_plain_floats():
+    # The start check runs the kernel on floats, as the stepper does: a
+    # profile gradient near the float limit fails the run with the
+    # stepper's messages, and no numpy scalar warns on the way.
+    model = neutrino(LinearField([1e300, 0, 0], 1.5))
+    messages = {"rk4": "^ray state overflowed: ",
+                "rk45": "^ray state turned non-finite at t = 0.001$"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method, message in messages.items():
+            with pytest.raises(FloatingPointError, match=message):
+                integrate_ray(model, [0, 0, 0], [0.3, 0.1, 1.0], +1, 1e-3,
+                              1e-2, 10, method)
 
 
 HAMILTON_PROFILES = [

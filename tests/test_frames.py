@@ -156,7 +156,7 @@ def test_grouping_inconsistency_raises():
 
 
 def test_group_masks_are_made_once_per_frame():
-    # The model's group layout is made once, read-only; a frame makes its
+    # The model's group layout is made once, read-only; a frame reads its
     # masks and group sizes from its own groups once, on first use.
     model = make_model(BENCHMARK_CONFIGS["dirac_electric"])
     assert model.groups is model.groups
@@ -176,6 +176,25 @@ def test_group_masks_are_made_once_per_frame():
                                  [False, True, True]]
     assert (own.cross == ~own.same).all()
     assert own._group_sizes.tolist() == [1, 2, 2]
+
+
+def test_group_masks_are_shared_by_the_frames_of_a_layout():
+    # The masks are made once per group layout, read-only, and every frame
+    # of that layout reads the same objects.
+    model = make_model(BENCHMARK_CONFIGS["dirac_electric"])
+    points = [PhasePoint.of([0.1, 0.2, -0.3], [0.4, -0.5, 0.6]),
+              PhasePoint.of([-0.2, 0.5, 0.1], [0.9, 0.3, -0.2])]
+    one, two = (classical_frame(model, x) for x in points)
+    batch = classical_frame(model, PhasePoint.stack(points))
+    names = ("same", "cross", "_same_f", "_group_sizes")
+    for name in names:
+        mask = getattr(one, name)
+        assert getattr(two, name) is mask and getattr(batch, name) is mask
+        assert not mask.flags.writeable
+    own = BandFrame(np.zeros(4), np.eye(4, dtype=complex),
+                    np.array([0, 0, 1, 1]), points[0])
+    assert all(getattr(own, name) is getattr(one, name) for name in names)
+    assert one._same_f.tolist() == one.same.astype(float).tolist()
 
 
 def test_project_small_examples():

@@ -30,6 +30,7 @@ from semiband.frames import (
     hermitize,
 )
 from semiband.energy import (
+    band_energy,
     first_order,
     first_order_kernel,
     frame_first_order,
@@ -44,7 +45,9 @@ from semiband.dynamics import (
 )
 from semiband.stencils import derivative_along
 from tests.test_dynamics import positive_block_connection
-from tests.test_energy import _group_rotated, rotated_model
+from tests.test_energy import (
+    _block_eigenvalues, _group_rotated, rotated_model,
+)
 from tests.test_frames import BENCHMARK_CONFIGS
 
 
@@ -287,6 +290,42 @@ def test_first_order_moyal_residuals(case):
     for x in random_points(rng, 3, 0.3, 3.0):
         scale = max(1.0, float(np.max(np.abs(classical_frame(model, x).eps0))))
         assert max(moyal_residuals(model, x)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_CONFIGS))
+def test_order1_covariant_first_is_the_order2_one(case):
+    # Order 1 in covariant variables is eps0 plus the first-order commutator
+    # string, the `first` of the order-2 covariant report bit for bit, on
+    # one point and on a batch.
+    model = make_model(BENCHMARK_CONFIGS[case])
+    points = random_points(np.random.default_rng(46), 3, 0.3, 3.0)
+    for x in (points[0], PhasePoint.stack(points)):
+        one = band_energy(model, x, 0.01, 1, "covariant")
+        two = band_energy(model, x, 0.01, 2, "covariant")
+        assert one.first.tobytes() == two.first.tobytes()
+        assert one.eps.tobytes() == (one.zeroth + one.first).tobytes()
+        assert not one.second.any() and not one.bracket_term.any()
+
+
+@pytest.mark.parametrize("case", ["dirac_electric", "neutrino_metric"])
+def test_order1_covariant_spectra_do_not_see_the_frame(case):
+    # The covariant order-1 energy has the same block spectra in the model's
+    # analytic frame and in the eigensolver's parallel gauge; the canonical
+    # one does not, so the check can tell the two apart.
+    model = make_model(BENCHMARK_CONFIGS[case])
+    points = PhasePoint.stack(random_points(np.random.default_rng(47), 6,
+                                            0.3, 3.0))
+
+    def worst(representation):
+        eps = [band_energy(m, points, 0.01, 1, representation).eps
+               for m in (model, _FrameLess(model))]
+        return max(
+            np.max(np.abs(np.sort(_block_eigenvalues(a, model.groups))
+                          - np.sort(_block_eigenvalues(b, model.groups))))
+            / np.max(np.abs(a)) for a, b in zip(*eps))
+
+    assert worst("covariant") <= 1e-12
+    assert worst("canonical") > 1e-6
 
 
 def test_twisted_models_exercise_the_pairing_terms():
