@@ -37,10 +37,14 @@ which conserve eps exactly in continuum time; the integrator also transports
 the band spinor with the momentum-space connection so that the reported
 helicity drift measures integrator error only.  Each ray binds its kernel
 once (`_ray_kernel`: F's jet, hbar^2, hbar^2/4 and -lam hbar), and one
-kernel call at a state returns its ten rates, then eps and |P|, as one flat
-tuple of plain floats.  The one RK4 (`_rk4`) is written out over the ten
-floats of the state and reads the rates; the sample's record (eps, speed,
-helicity) reads the same call, which is also its step's first stage.
+kernel call at a state unpacks F's flat 13-tuple jet (value, gradient,
+hessian row by row) into 13 names in one step and returns its ten rates,
+then eps and |P|, as one flat tuple of plain floats.  The |P0| check and
+the start state are plain floats as well; only the start spinor comes from
+`eigh`, and its bits seed every state.  The one RK4 (`_rk4`) is written
+out over the ten floats of the state and reads the rates; the sample's
+record (eps, speed, helicity) reads the same call, which is also its
+step's first stage.
 `verify`'s RK4-order check runs through the same stepper, with a rotation in
 the first three slots.  The states of a trajectory take r and P as rows of
 two column copies of one table of the samples and their records.
@@ -209,12 +213,13 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
 
 
 def _helicity_spinor(P: np.ndarray, lam: int) -> np.ndarray:
-    """Unit eigenvector (..., 2) of sigma.Phat with eigenvalue lam (+1, -1)."""
+    """Unit eigenvector (..., 2) of sigma.Phat with eigenvalue lam (+1, -1):
+    `eigh` sorts the eigenvalues -1, +1 ascending, so it is the column
+    (lam + 1) // 2, made contiguous for the `@` of its readers."""
     phat = P / np.sqrt(_dot(P, P))[..., None]
-    px, py, pz = np.moveaxis(phat, -1, 0)[..., None, None]
-    vals, vecs = np.linalg.eigh(px * SX + py * SY + pz * SZ)
-    idx = np.argmin(np.abs(vals - lam), axis=-1)
-    return np.take_along_axis(vecs, idx[..., None, None], -1)[..., 0]
+    px, py, pz = (phat[..., i, None, None] for i in range(3))
+    vecs = np.linalg.eigh(px * SX + py * SY + pz * SZ)[1]
+    return np.ascontiguousarray(vecs[..., (lam + 1) // 2])
 
 
 def _check_lam(lam) -> None:
@@ -270,9 +275,10 @@ def _ray_kernel(F, lam: int, hbar: float):
 
     rates(y) returns one flat 12-tuple: the ten rates ydot = (rdot, Pdot,
     Re chidot, Im chidot), then eps and |P|.  An RK4 step reads the rates, a
-    sample's record the last two.  One jet of F gives everything.  The
-    spinor generator sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma /
-    2|P|^2, so no matrix is built.
+    sample's record the last two.  One jet of F gives everything, its flat
+    13-tuple unpacked into 13 names in one step.  The spinor generator
+    sum_l Pdot_l (P x sigma)_l / 2|P|^2 is (Pdot x P).sigma / 2|P|^2, so no
+    matrix is built.
     """
     jet, hh = F.jet, hbar ** 2
     q, m = hh / 4.0, -lam * hbar
@@ -283,14 +289,15 @@ def _ray_kernel(F, lam: int, hbar: float):
         E = math.sqrt(E2)
         if E < 1e-12:
             raise ValueError("|P| underflow along the ray")
-        Fv, (gx, gy, gz), (h0, h1, h2) = jet((x, y_, z))
+        Fv, gx, gy, gz, hxx, hxy, hxz, hyx, hyy, hyz, hzx, hzy, hzz = jet(
+            (x, y_, z))
         pg = px * gx + py * gy + pz * gz
         E3, E2x2 = E ** 3, 2.0 * E2
         k = hh / (4.0 * E)
         # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
-        dpx = k * (h0[0] * px + h0[1] * py + h0[2] * pz) - E * gx
-        dpy = k * (h1[0] * px + h1[1] * py + h1[2] * pz) - E * gy
-        dpz = k * (h2[0] * px + h2[1] * py + h2[2] * pz) - E * gz
+        dpx = k * (hxx * px + hxy * py + hxz * pz) - E * gx
+        dpy = k * (hyx * px + hyy * py + hyz * pz) - E * gy
+        dpz = k * (hzx * px + hzy * py + hzz * pz) - E * gz
         # rdot = grad_P eps + hbar Pdot x Theta with Theta = -lam P/|P|^3;
         # the spinor turns with chidot = i w.sigma chi, w = (Pdot x P)/2|P|^2.
         cx, cy, cz = (dpy * pz - dpz * py, dpz * px - dpx * pz,
@@ -491,7 +498,8 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
     the energy drift along the run are reported on the trajectory.
     """
     r0, P0 = check_ray_inputs(hbar, dt, steps, r0, P0, lam, method)
-    if not np.linalg.norm(P0) > 0.0:
+    r, P = r0.tolist(), P0.tolist()
+    if not P[0] * P[0] + P[1] * P[1] + P[2] * P[2] > 0.0:
         raise ValueError("|P0| must be positive")
 
     try:
@@ -500,7 +508,7 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         ray_rhs(r0, P0, lam, model, hbar)
         rates = _ray_kernel(model.F, lam, hbar)
         chi0 = _helicity_spinor(P0, lam)
-        y0 = tuple(np.concatenate([r0, P0, chi0.real, chi0.imag]).tolist())
+        y0 = (*r, *P, *chi0.real.tolist(), *chi0.imag.tolist())
         if method == "rk4":
             samples, rejected = _rk4(rates, y0, dt, steps), 0
         else:

@@ -106,7 +106,6 @@ __all__ = [
     "first_order_kernel",
     "kernel_gradient",
     "frame_first_order",
-    "apply_energy_flow_operator",
 ]
 
 
@@ -489,23 +488,3 @@ def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
                                tol).split()
     return reports
 
-
-# ---------------------------------------------------------------------------
-# The alpha-flow operator (used by the structural residual check)
-# ---------------------------------------------------------------------------
-
-def apply_energy_flow_operator(frame: BandFrame, eps_mat: np.ndarray,
-                               eps_grads: np.ndarray,
-                               conns: ConnectionSet) -> np.ndarray:
-    """O eps = (1/2) P+{A^{X_l} grad eps + grad eps A^{X_l}}
-             + [(i/4) P+{[eps, A^{R_l}] A^{P_l} - [eps, A^{P_l}] A^{R_l}} + H.C.]
-
-    at the frame's point, P+ projecting on its groups.  `eps_grads` is the
-    (6, n, n) stack of phase gradients of the full energy matrix field.
-    """
-    out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
-    Xp = frame.project(
-        _string(_comm(eps_mat[..., None, :, :], conns.A), conns.cA), "diag")
-    # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
-    out = frame.project(out, "diag") + 0.25j * (Xp - _dagger(Xp))
-    return out

@@ -1,12 +1,15 @@
 """Scalar background fields with analytic derivatives.
 
 Every field kind defines one method, `jet(r)`: value, gradient and hessian at
-a 3-point in plain floats, so each kind keeps one copy of its formulas.
-value/gradient/hessian/laplacian are views of it.  Next to it, `d3(r)` gives
-the 3x3x3 third derivatives, which only the exact curvature pass needs.  The
-analytic derivatives are validated against central finite differences in the
-test suite (1e-6 relative).  `ReciprocalField` wraps a positive profile n(R)
-as F = 1/n, which is how a refractive-index profile enters the massless model.
+a 3-point as one flat 13-tuple of plain floats, (v, gx, gy, gz, hxx, hxy,
+hxz, hyx, hyy, hyz, hzx, hzy, hzz), so each kind keeps one copy of its
+formulas and a caller unpacks it in one step.  value/gradient/hessian/
+laplacian are views of it.  Next to it, `d3(r)` gives the third derivatives
+d_i d_j d_k as a flat 27-tuple in index order (entry 9 i + 3 j + k), which
+only the exact curvature pass needs.  The analytic derivatives are validated
+against central finite differences in the test suite (1e-6 relative).
+`ReciprocalField` wraps a positive profile n(R) as F = 1/n, which is how a
+refractive-index profile enters the massless model.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ __all__ = [
 ]
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
-_ZERO33 = (_ZERO3, _ZERO3, _ZERO3)
-_ZERO333 = (_ZERO33, _ZERO33, _ZERO33)
+_ZERO9, _ZERO12, _ZERO27 = (0.0,) * 9, (0.0,) * 12, (0.0,) * 27
 
 
 def _xyz(r) -> tuple:
@@ -41,8 +42,10 @@ def _xyz(r) -> tuple:
 
 def _real(value, what: str) -> float:
     """A field or model parameter as a float; ValueError unless it is a
-    finite real number (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    finite real number (a bool is not one).  A float (numpy's included)
+    skips the `numbers.Real` check, which is slow."""
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{what} must be a real number, not {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, not {value!r}")
@@ -82,18 +85,18 @@ def _exponent(value) -> int:
 def _radial_d3(c: float, b: float, d: tuple) -> tuple:
     """Third derivatives c d_i d_j d_k + b (delta_ij d_k + delta_ik d_j +
     delta_jk d_i) of a radial profile whose hessian is b d_i d_j + a delta_ij
-    with grad a = b d and grad b = c d."""
-    return tuple(tuple(tuple(c * d[i] * d[j] * d[k]
-                             + b * ((i == j) * d[k] + (i == k) * d[j]
-                                    + (j == k) * d[i])
-                             for k in range(3)) for j in range(3))
-                 for i in range(3))
+    with grad a = b d and grad b = c d, flat in index order."""
+    return tuple(c * d[i] * d[j] * d[k]
+                 + b * ((i == j) * d[k] + (i == k) * d[j] + (j == k) * d[i])
+                 for i, j, k in itertools.product(range(3), repeat=3))
 
 
 class ScalarField:
-    """Contract: `jet(r)` returns (value, (gx, gy, gz), 3x3 tuple hessian) in
-    plain floats; value/gradient/hessian/laplacian are views of it.  `d3(r)`
-    returns the third derivatives d_i d_j d_k as a 3x3x3 tuple."""
+    """Contract: `jet(r)` returns one flat 13-tuple of plain floats, the
+    value, the gradient (gx, gy, gz) and the hessian row by row (hxx, hxy,
+    hxz, hyx, ..., hzz); value/gradient/hessian/laplacian are views of it.
+    `d3(r)` returns the third derivatives d_i d_j d_k as a flat 27-tuple,
+    entry 9 i + 3 j + k."""
 
     kind = "abstract"
 
@@ -107,14 +110,14 @@ class ScalarField:
         return self.jet(r)[0]
 
     def gradient(self, r) -> np.ndarray:
-        return np.array(self.jet(r)[1])
+        return np.array(self.jet(r)[1:4])
 
     def hessian(self, r) -> np.ndarray:
-        return np.array(self.jet(r)[2])
+        return np.array(self.jet(r)[4:]).reshape(3, 3)
 
     def laplacian(self, r) -> float:
-        h = self.jet(r)[2]
-        return h[0][0] + h[1][1] + h[2][2]
+        j = self.jet(r)
+        return j[4] + j[8] + j[12]
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -127,10 +130,10 @@ class UniformField(ScalarField):
         self.c = _real(value, "uniform field value")
 
     def jet(self, r):
-        return self.c, _ZERO3, _ZERO33
+        return (self.c,) + _ZERO12
 
     def d3(self, r):
-        return _ZERO333
+        return _ZERO27
 
     def to_config(self):
         return {"kind": "uniform", "value": self.c}
@@ -148,10 +151,10 @@ class LinearField(ScalarField):
     def jet(self, r):
         x, y, z = _xyz(r)
         gx, gy, gz = self.g
-        return gx * x + gy * y + gz * z + self.c, self.g, _ZERO33
+        return (gx * x + gy * y + gz * z + self.c, gx, gy, gz) + _ZERO9
 
     def d3(self, r):
-        return _ZERO333
+        return _ZERO27
 
     def to_config(self):
         return {"kind": "linear", "gradient": list(self.g), "offset": self.c}
@@ -195,21 +198,21 @@ class PolynomialField(ScalarField):
                 for j in range(3):
                     if ei[j]:
                         h[i][j] += ci * ei[j] * mono(lower(ei, j))
-        return v, tuple(g), tuple(map(tuple, h))
+        return (v, *g, *h[0], *h[1], *h[2])
 
     def d3(self, r):
         xyz = _xyz(r)
-        out = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+        out = [0.0] * 27
         for c, exps in self.terms:
-            for i, j, k in itertools.product(range(3), repeat=3):
+            for n, ijk in enumerate(itertools.product(range(3), repeat=3)):
                 e, v = list(exps), c
-                for axis in (i, j, k):
+                for axis in ijk:
                     v *= e[axis]
                     e[axis] -= 1
                 if v:
-                    out[i][j][k] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
-                                     * xyz[2] ** e[2])
-        return tuple(tuple(map(tuple, m)) for m in out)
+                    out[n] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
+                               * xyz[2] ** e[2])
+        return tuple(out)
 
     def to_config(self):
         return {"kind": "polynomial",
@@ -236,9 +239,10 @@ class GaussianField(ScalarField):
         v = self.A * math.exp(-(dx * dx + dy * dy + dz * dz) / (2 * s2))
         a, b = -v / s2, v / self.s ** 4
         hxy, hxz, hyz = b * dx * dy, b * dx * dz, b * dy * dz
-        return v, (a * dx, a * dy, a * dz), (
-            (b * dx * dx + a, hxy, hxz), (hxy, b * dy * dy + a, hyz),
-            (hxz, hyz, b * dz * dz + a))
+        return (v, a * dx, a * dy, a * dz,
+                b * dx * dx + a, hxy, hxz,
+                hxy, b * dy * dy + a, hyz,
+                hxz, hyz, b * dz * dz + a)
 
     def d3(self, r):
         x, y, z = _xyz(r)
@@ -268,10 +272,10 @@ class CoulombRegularizedField(ScalarField):
         s = math.sqrt(x * x + y * y + z * z + self.a * self.a)
         a, b = -self.q / s ** 3, 3 * self.q / s ** 5
         bx, by, bz, o = b * x, b * y, b * z, a * 0.0   # o: a delta_ij, i != j
-        return self.q / s, (a * x, a * y, a * z), (
-            (bx * x + a, bx * y + o, bx * z + o),
-            (by * x + o, by * y + a, by * z + o),
-            (bz * x + o, bz * y + o, bz * z + a))
+        return (self.q / s, a * x, a * y, a * z,
+                bx * x + a, bx * y + o, bx * z + o,
+                by * x + o, by * y + a, by * z + o,
+                bz * x + o, bz * y + o, bz * z + a)
 
     def d3(self, r):
         r = _xyz(r)
@@ -291,29 +295,32 @@ class ReciprocalField(ScalarField):
         self.base = base
 
     def jet(self, r):
-        n, (gx, gy, gz), h = self.base.jet(r)
+        n, gx, gy, gz, hxx, hxy, hxz, hyx, hyy, hyz, hzx, hzy, hzz = \
+            self.base.jet(r)
         if n <= 0:
             raise ValueError("profile must stay positive")
         a, b = -1.0 / n ** 2, 2.0 / n ** 3
-        (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = h
         bx, by, bz = b * gx, b * gy, b * gz
-        return 1.0 / n, (a * gx, a * gy, a * gz), (
-            (a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz),
-            (a * hyx + by * gx, a * hyy + by * gy, a * hyz + by * gz),
-            (a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz))
+        return (1.0 / n, a * gx, a * gy, a * gz,
+                a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz,
+                a * hyx + by * gx, a * hyy + by * gy, a * hyz + by * gz,
+                a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz)
 
     def d3(self, r):
         # The chain rule on 1/n: d_ijk F = -n_ijk/n^2 + 2 (n_ij n_k + n_ik n_j
-        # + n_jk n_i)/n^3 - 6 n_i n_j n_k/n^4.
-        n, g, h = self.base.jet(r)
+        # + n_jk n_i)/n^3 - 6 n_i n_j n_k/n^4, with n_ij at 3 i + j of the
+        # flat hessian and n_ijk at 9 i + 3 j + k of the flat t.
+        jet = self.base.jet(r)
+        n, g, h = jet[0], jet[1:4], jet[4:]
         if n <= 0:
             raise ValueError("profile must stay positive")
         t = self.base.d3(r)
-        return tuple(tuple(tuple(
-            -t[i][j][k] / n ** 2
-            + 2 * (h[i][j] * g[k] + h[i][k] * g[j] + h[j][k] * g[i]) / n ** 3
+        return tuple(
+            -t[9 * i + 3 * j + k] / n ** 2
+            + 2 * (h[3 * i + j] * g[k] + h[3 * i + k] * g[j]
+                   + h[3 * j + k] * g[i]) / n ** 3
             - 6 * g[i] * g[j] * g[k] / n ** 4
-            for k in range(3)) for j in range(3)) for i in range(3))
+            for i, j, k in itertools.product(range(3), repeat=3))
 
     def to_config(self):
         return {"kind": "reciprocal", "base": self.base.to_config()}

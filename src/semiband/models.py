@@ -110,17 +110,22 @@ def _ap(P: np.ndarray) -> np.ndarray:
 
 
 def _jet(field: ScalarField, R: np.ndarray) -> tuple:
-    """(value, gradient, hessian) of a field at R of shape (3,) or (N, 3),
-    from the float jet point by point."""
-    if R.ndim == 1:
-        return tuple(map(np.array, field.jet(R)))
-    return tuple(map(np.array, zip(*[field.jet(r) for r in R.tolist()])))
+    """(value, gradient, hessian) of a field at R of shape (3,) or (N, 3):
+    one array of the flat float jets, a row per point, and three views of
+    it, (...), (..., 3) and (..., 3, 3)."""
+    J = _rows(field.jet, R)
+    return J[..., 0], J[..., 1:4], J[..., 4:].reshape(R.shape[:-1] + (3, 3))
 
 
 def _d3(field: ScalarField, R: np.ndarray) -> np.ndarray:
     """The third derivatives of a field at R (3,) or (N, 3), (..., 3, 3, 3)."""
-    return np.array([field.d3(r) for r in np.reshape(R, (-1, 3)).tolist()]
-                    ).reshape(R.shape[:-1] + (3, 3, 3))
+    return _rows(field.d3, R).reshape(R.shape[:-1] + (3, 3, 3))
+
+
+def _rows(f, R: np.ndarray) -> np.ndarray:
+    """f's flat tuple at each point of R (3,) or (N, 3), a row per point."""
+    return np.array([f(r) for r in np.reshape(R, (-1, 3)).tolist()]
+                    ).reshape(R.shape[:-1] + (-1,))
 
 
 def _frozen(value):

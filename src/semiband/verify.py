@@ -23,8 +23,11 @@ from semiband.models import (
     SX, SY, SZ, DiracElectric, NeutrinoMetric, PhasePoint, random_points,
 )
 from semiband.frames import (
+    BandFrame,
     ConnectionSet,
     _anticomm,
+    _comm,
+    _dagger,
     _diag,
     berry_connections,
     classical_frame,
@@ -32,7 +35,7 @@ from semiband.frames import (
     invert_band_commutator,
 )
 from semiband.energy import (
-    apply_energy_flow_operator,
+    _string,
     band_energy,
     first_order,
     frame_first_order,
@@ -333,6 +336,23 @@ def suite_trajectory(seed: int = 15, steps: int = 10000, hbar: float = 1e-3,
 # ---------------------------------------------------------------------------
 # Structural scaling and degeneracy
 # ---------------------------------------------------------------------------
+
+def apply_energy_flow_operator(frame: BandFrame, eps_mat: np.ndarray,
+                               eps_grads: np.ndarray,
+                               conns: ConnectionSet) -> np.ndarray:
+    """O eps = (1/2) P+{A^{X_l} grad eps + grad eps A^{X_l}}
+             + [(i/4) P+{[eps, A^{R_l}] A^{P_l} - [eps, A^{P_l}] A^{R_l}} + H.C.]
+
+    at the frame's point, P+ projecting on its groups.  `eps_grads` is the
+    (6, n, n) stack of phase gradients of the full energy matrix field.
+    """
+    out = (0.5 * _anticomm(conns.A, eps_grads)).sum(-3)
+    Xp = frame.project(
+        _string(_comm(eps_mat[..., None, :, :], conns.A), conns.cA), "diag")
+    # (i/4) P+{X} + H.C. = (i/4)(P+X - (P+X)^+)
+    out = frame.project(out, "diag") + 0.25j * (Xp - _dagger(Xp))
+    return out
+
 
 def suite_residual_scaling(seed: int = 16,
                            slope_tol: float = 0.1) -> SuiteResult:

@@ -11,13 +11,15 @@ from semiband.fields import (
     GaussianField,
     LinearField,
     PolynomialField,
+    ReciprocalField,
     ScalarField,
     UniformField,
 )
 from semiband import dynamics
 from semiband.energy import band_energy
 from semiband.models import (
-    BETA, DiracElectric, NeutrinoMetric, PhasePoint, make_model,
+    BETA, SX, SY, SZ, DiracElectric, NeutrinoMetric, PhasePoint, _dot,
+    make_model,
 )
 from semiband.dynamics import (
     _helicity_spinor,
@@ -34,6 +36,7 @@ from semiband.dynamics import (
 )
 from semiband.frames import berry_connections, classical_frame
 from semiband.oracles import neutrino_velocity_modulus
+from tests.test_fields import nested_jet
 from tests.test_models import p_cross_sigma
 
 GAUSS = GaussianField(0.8, [0.2, -0.1, 0.3], 1.4)
@@ -365,8 +368,7 @@ class _Cliff(ScalarField):
     """n = 1 for x < 0.05 and NaN beyond: a state that turns non-finite."""
 
     def jet(self, r):
-        zero = (0.0, 0.0, 0.0)
-        return (1.0 if r[0] < 0.05 else math.nan), zero, (zero, zero, zero)
+        return (1.0 if r[0] < 0.05 else math.nan,) + (0.0,) * 12
 
 
 def test_non_finite_state_mid_run_raises():
@@ -541,14 +543,15 @@ def _numpy_rk4(f, y0, dt, steps):
 
 
 def _reference_ray_rates(F, lam, hbar, y):
-    """The ray equations as the array stepper evaluated them, kept apart from
-    `_ray_rates`: ((rdot, Pdot, Re chidot, Im chidot), eps, |P|)."""
+    """The ray equations as the array stepper evaluated them on the nested
+    jet, kept apart from `_ray_rates`: ((rdot, Pdot, Re chidot, Im chidot),
+    eps, |P|)."""
     x, y_, z, px, py, pz, ar, br, ai, bi = y
     E2 = px * px + py * py + pz * pz
     E = math.sqrt(E2)
     if E < 1e-12:
         raise ValueError("|P| underflow along the ray")
-    Fv, (gx, gy, gz), h = F.jet((x, y_, z))
+    Fv, (gx, gy, gz), h = nested_jet(F, (x, y_, z))
     pg = px * gx + py * gy + pz * gz
     c, k = hbar ** 2 / 4.0, hbar ** 2 / (4 * E)
     # Pdot = -grad_r eps, eps = F|P| - (hbar^2/4|P|) P.grad F.
@@ -595,11 +598,13 @@ def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
     return out
 
 
-# The profiles whose rays are compared with the reference arithmetic: the
-# jets of the polynomial and coulomb fields round differently from the
-# linear and gaussian ones.
+# The profiles whose rays are compared with the reference arithmetic, one
+# of each kind: the jets of the polynomial and coulomb fields round
+# differently from the linear and gaussian ones, the uniform one has a zero
+# hessian and the reciprocal one nests a reciprocal jet in F = 1/n.
 BIT_PROFILES = {**RAY_PROFILES, "polynomial": HAMILTON_PROFILES[2],
-                "coulomb": HAMILTON_PROFILES[3]}
+                "coulomb": HAMILTON_PROFILES[3], "uniform": UniformField(1.3),
+                "reciprocal": ReciprocalField(RAY_PROFILES["gaussian"])}
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
@@ -612,6 +617,29 @@ def test_float_stepping_is_bit_identical_to_arrays(profile, lam, method):
     got = [(s.t, s.r.tolist(), s.P.tolist(), s.eps, s.speed, s.helicity)
            for s in traj.states]
     assert got == _numpy_ray(model, r0, P0, lam, 1e-3, 1e-2, steps, method)
+
+
+def _argmin_helicity_spinor(P, lam):
+    """The eigenvector of sigma.Phat whose eigenvalue is nearest lam, picked
+    by `argmin` as `_helicity_spinor` once did."""
+    phat = P / np.sqrt(_dot(P, P))[..., None]
+    px, py, pz = np.moveaxis(phat, -1, 0)[..., None, None]
+    vals, vecs = np.linalg.eigh(px * SX + py * SY + pz * SZ)
+    idx = np.argmin(np.abs(vals - lam), axis=-1)
+    return np.take_along_axis(vecs, idx[..., None, None], -1)[..., 0]
+
+
+@pytest.mark.parametrize("lam", [+1, -1])
+def test_helicity_spinor_is_the_eigenvector_nearest_lam(lam):
+    # Its bits seed every ray state: the column of eigh is the argmin pick,
+    # byte for byte, on one point and on a batch.
+    rng = np.random.default_rng(41)
+    P = rng.normal(size=(40, 3)) * rng.uniform(1e-3, 1e3, (40, 1))
+    P[0], P[1] = [0.0, -0.0, 2.0], [-1e-3, 0.0, 0.0]
+    for p in (P, P[0], P[1], P[7]):
+        got, want = _helicity_spinor(p, lam), _argmin_helicity_spinor(p, lam)
+        assert got.flags.c_contiguous
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

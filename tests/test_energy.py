@@ -254,8 +254,7 @@ class _NaNGradientField(ScalarField):
     """A finite potential whose gradient is NaN."""
 
     def jet(self, r):
-        zero = (0.0, 0.0, 0.0)
-        return 0.3, (math.nan, 0.0, 0.0), (zero, zero, zero)
+        return (0.3, math.nan) + (0.0,) * 11
 
 
 def test_non_finite_energy_raises():

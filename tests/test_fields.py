@@ -1,5 +1,6 @@
 """Analytic field derivatives against central finite differences."""
 
+import itertools
 import math
 
 import numpy as np
@@ -82,15 +83,17 @@ def test_third_derivatives_match_fd_of_jet(field):
     h = 1e-4
     for _ in range(10):
         r = rng.uniform(-1.5, 1.5, 3)
-        d3 = np.array(field.d3(r))
+        flat = field.d3(r)
+        assert len(flat) == 27
+        d3 = np.array(flat).reshape(3, 3, 3)
         fd = np.zeros((3, 3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[:, :, k] = (np.array(field.jet(r + e)[2])
-                           - np.array(field.jet(r - e)[2])) / (2 * h)
+            fd[:, :, k] = (np.array(field.jet(r + e)[4:])
+                           - np.array(field.jet(r - e)[4:])).reshape(3, 3) \
+                / (2 * h)
         scale = max(np.max(np.abs(d3)), 1.0)
-        assert d3.shape == (3, 3, 3)
         assert np.max(np.abs(d3 - fd)) <= 1e-6 * scale
         for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-14 * scale
@@ -132,19 +135,22 @@ def test_gaussian_validates_width():
 
 
 def _coulomb_hessian(field, r):
-    """b r_i r_j + a delta_ij in index form, the reference for the literal."""
+    """b r_i r_j + a delta_ij in index form, the reference for the literal,
+    row by row."""
     s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + field.a * field.a)
     a, b = -field.q / s ** 3, 3 * field.q / s ** 5
-    return tuple(tuple(b * ri * rj + a * (i == j) for j, rj in enumerate(r))
-                 for i, ri in enumerate(r))
+    return tuple(b * ri * rj + a * (i == j)
+                 for i, ri in enumerate(r) for j, rj in enumerate(r))
 
 
 def _reciprocal_hessian(field, r):
-    """-n_ij/n^2 + 2 n_i n_j/n^3 in index form, in the literal's order."""
-    n, g, h = field.base.jet(r)
+    """-n_ij/n^2 + 2 n_i n_j/n^3 in index form, in the literal's order, row
+    by row."""
+    jet = field.base.jet(r)
+    n, g, h = jet[0], jet[1:4], jet[4:]
     a, b = -1.0 / n ** 2, 2.0 / n ** 3
-    return tuple(tuple(a * h[i][j] + b * g[i] * g[j] for j in range(3))
-                 for i in range(3))
+    return tuple(a * h[3 * i + j] + b * g[i] * g[j]
+                 for i in range(3) for j in range(3))
 
 
 @pytest.mark.parametrize("field, reference", [
@@ -161,4 +167,177 @@ def test_hessian_literals_match_index_form_bit_for_bit(field, reference):
     points = [rng.normal(size=3).tolist() for _ in range(50)] + [
         [0.0, 0.0, 0.3], [0.0, -0.0, -0.3], [-0.0, 0.2, 0.0], [0.0] * 3]
     for r in points:
-        assert repr(field.jet(r)[2]) == repr(reference(field, r))
+        assert repr(field.jet(r)[4:]) == repr(reference(field, r))
+
+
+# -- The flat layout against the nested one ---------------------------------
+
+_Z3 = (0.0, 0.0, 0.0)
+_Z33 = (_Z3, _Z3, _Z3)
+
+
+def _nested_radial_d3(c, b, d):
+    return tuple(tuple(tuple(c * d[i] * d[j] * d[k]
+                             + b * ((i == j) * d[k] + (i == k) * d[j]
+                                    + (j == k) * d[i])
+                             for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
+def nested_jet(field, r):
+    """(value, (gx, gy, gz), 3x3 tuple hessian) by each kind's formulas in
+    the nested layout the fields had before the flat one: the bit-for-bit
+    reference of `jet`."""
+    x, y, z = (float(v) for v in r)
+    if isinstance(field, UniformField):
+        return field.c, _Z3, _Z33
+    if isinstance(field, LinearField):
+        gx, gy, gz = field.g
+        return gx * x + gy * y + gz * z + field.c, field.g, _Z33
+    if isinstance(field, PolynomialField):
+        xyz = (x, y, z)
+
+        def mono(exps):
+            return xyz[0] ** exps[0] * xyz[1] ** exps[1] * xyz[2] ** exps[2]
+
+        def lower(exps, axis):
+            return tuple(e - (k == axis) for k, e in enumerate(exps))
+
+        v, g, h = 0.0, [0.0] * 3, [[0.0] * 3 for _ in range(3)]
+        for c, exps in field.terms:
+            v += c * mono(exps)
+            for i in range(3):
+                if exps[i] == 0:
+                    continue
+                ci, ei = c * exps[i], lower(exps, i)
+                g[i] += ci * mono(ei)
+                for j in range(3):
+                    if ei[j]:
+                        h[i][j] += ci * ei[j] * mono(lower(ei, j))
+        return v, tuple(g), tuple(map(tuple, h))
+    if isinstance(field, GaussianField):
+        dx, dy, dz = x - field.r0[0], y - field.r0[1], z - field.r0[2]
+        s2 = field.s ** 2
+        v = field.A * math.exp(-(dx * dx + dy * dy + dz * dz) / (2 * s2))
+        a, b = -v / s2, v / field.s ** 4
+        hxy, hxz, hyz = b * dx * dy, b * dx * dz, b * dy * dz
+        return v, (a * dx, a * dy, a * dz), (
+            (b * dx * dx + a, hxy, hxz), (hxy, b * dy * dy + a, hyz),
+            (hxz, hyz, b * dz * dz + a))
+    if isinstance(field, CoulombRegularizedField):
+        s = math.sqrt(x * x + y * y + z * z + field.a * field.a)
+        a, b = -field.q / s ** 3, 3 * field.q / s ** 5
+        bx, by, bz, o = b * x, b * y, b * z, a * 0.0
+        return field.q / s, (a * x, a * y, a * z), (
+            (bx * x + a, bx * y + o, bx * z + o),
+            (by * x + o, by * y + a, by * z + o),
+            (bz * x + o, bz * y + o, bz * z + a))
+    assert isinstance(field, ReciprocalField)
+    n, (gx, gy, gz), h = nested_jet(field.base, r)
+    if n <= 0:
+        raise ValueError("profile must stay positive")
+    a, b = -1.0 / n ** 2, 2.0 / n ** 3
+    (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = h
+    bx, by, bz = b * gx, b * gy, b * gz
+    return 1.0 / n, (a * gx, a * gy, a * gz), (
+        (a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz),
+        (a * hyx + by * gx, a * hyy + by * gy, a * hyz + by * gz),
+        (a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz))
+
+
+def nested_d3(field, r):
+    """The third derivatives as a 3x3x3 tuple by each kind's formulas in the
+    nested layout: the bit-for-bit reference of `d3`."""
+    xyz = tuple(float(v) for v in r)
+    if isinstance(field, (UniformField, LinearField)):
+        return (_Z33, _Z33, _Z33)
+    if isinstance(field, PolynomialField):
+        out = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+        for c, exps in field.terms:
+            for i, j, k in itertools.product(range(3), repeat=3):
+                e, v = list(exps), c
+                for axis in (i, j, k):
+                    v *= e[axis]
+                    e[axis] -= 1
+                if v:
+                    out[i][j][k] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
+                                     * xyz[2] ** e[2])
+        return tuple(tuple(map(tuple, m)) for m in out)
+    if isinstance(field, GaussianField):
+        d = tuple(xyz[i] - field.r0[i] for i in range(3))
+        s2 = field.s ** 2
+        v = field.A * math.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2 * s2))
+        return _nested_radial_d3(-v / s2 ** 3, v / s2 ** 2, d)
+    if isinstance(field, CoulombRegularizedField):
+        s = math.sqrt(xyz[0] * xyz[0] + xyz[1] * xyz[1] + xyz[2] * xyz[2]
+                      + field.a * field.a)
+        return _nested_radial_d3(-15 * field.q / s ** 7,
+                                 3 * field.q / s ** 5, xyz)
+    assert isinstance(field, ReciprocalField)
+    n, g, h = nested_jet(field.base, r)
+    if n <= 0:
+        raise ValueError("profile must stay positive")
+    t = nested_d3(field.base, r)
+    return tuple(tuple(tuple(
+        -t[i][j][k] / n ** 2
+        + 2 * (h[i][j] * g[k] + h[i][k] * g[j] + h[j][k] * g[i]) / n ** 3
+        - 6 * g[i] * g[j] * g[k] / n ** 4
+        for k in range(3)) for j in range(3)) for i in range(3))
+
+
+def flattened(nested):
+    """A nested tuple's floats in row-major order."""
+    if not isinstance(nested, tuple):
+        return (nested,)
+    return tuple(itertools.chain.from_iterable(map(flattened, nested)))
+
+
+_KINDS = [
+    UniformField(0.7),
+    LinearField([0.3, -0.0, 0.5], 1.1),
+    PolynomialField([(1.5, (0, 0, 0)), (0.5, (2, 0, 0)), (-0.3, (1, 1, 0)),
+                     (0.2, (0, 0, 3)), (0.05, (1, 2, 1))]),
+    GaussianField(amplitude=0.8, center=[0.2, -0.1, 0.3], width=1.4),
+    CoulombRegularizedField(charge=1.3, softening=0.6),
+    CoulombRegularizedField(charge=-0.7, softening=0.3),
+]
+# Every kind, and the reciprocal of each positive one: the polynomial's
+# large constant term keeps it positive on the sampled points.
+FLAT_FIELDS = _KINDS + [ReciprocalField(f) for f in _KINDS[:5]]
+FLAT_IDS = [f.kind for f in _KINDS[:5]] + ["coulomb-negative"] + [
+    f"reciprocal_{f.kind}" for f in _KINDS[:5]]
+
+
+@pytest.mark.parametrize("field", FLAT_FIELDS, ids=FLAT_IDS)
+def test_flat_jet_and_d3_keep_the_nested_formulas_bits(field):
+    # repr tells -0.0 from 0.0, so signed zeros count: the axis points give
+    # -0.0 gradients and Coulomb's `a * 0.0` off-diagonal term.
+    rng = np.random.default_rng(12)
+    points = [rng.uniform(-0.8, 0.8, 3).tolist() for _ in range(30)] + [
+        [0.0, 0.0, 0.3], [0.0, -0.0, -0.3], [-0.0, 0.3, 0.2], [0.0] * 3,
+        [0.2, -0.1, 0.3], [0.2, -0.1, -0.0]]
+    for r in points:
+        jet, d3 = field.jet(r), field.d3(r)
+        assert len(jet) == 13 and len(d3) == 27
+        assert all(type(v) is float for v in jet + d3)
+        v, g, h = nested_jet(field, r)
+        assert repr(jet) == repr(flattened((v, g, h)))
+        assert repr(d3) == repr(flattened(nested_d3(field, r)))
+        # The views read the flat jet.
+        assert repr(field.value(r)) == repr(v)
+        assert field.gradient(r).tobytes() == np.array(g).tobytes()
+        assert field.hessian(r).shape == (3, 3)
+        assert field.hessian(r).tobytes() == np.array(h).tobytes()
+        assert repr(field.laplacian(r)) == repr(h[0][0] + h[1][1] + h[2][2])
+
+
+def test_the_signed_zero_cases_are_sampled():
+    # Coulomb at x = -0.0: bx * y is -0.0 and stays so only because the
+    # off-diagonal adds a * 0.0 = -0.0; at x = +0.0 the gradient a * x is
+    # -0.0.
+    field = CoulombRegularizedField(charge=1.3, softening=0.6)
+    assert repr(field.jet([-0.0, 0.3, 0.2])[5]) == "-0.0"
+    assert repr(field.jet([0.0, 0.3, 0.2])[1]) == "-0.0"
+    assert repr(GaussianField(0.8, [0.2, -0.1, 0.3], 1.4).jet(
+        [0.2, -0.1, 0.7])[1]) == "-0.0"
+

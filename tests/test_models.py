@@ -18,12 +18,15 @@ from semiband.models import (
     NeutrinoMetric,
     PhasePoint,
     TwoLevel,
+    _d3,
     _dot,
+    _jet,
     _outer,
     _pow,
     make_model,
     random_points,
 )
+from tests.test_fields import FLAT_FIELDS, FLAT_IDS, nested_d3, nested_jet
 
 
 def p_cross_sigma(P):
@@ -547,6 +550,36 @@ def test_sigma_keeps_the_bits_of_the_seven_operation_sum(shape):
     got = TwoLevel._sigma(c)
     assert _same_bytes(got, _seven_op_sigma(c))
     assert np.signbit(got[..., 0, 0].real).all()
+
+
+def _nested_conversion(field, R):
+    """((value, gradient, hessian), third derivatives) at R (3,) or (N, 3),
+    converted to arrays as `_jet` and `_d3` did before the flat layout: the
+    nested jets by `zip` and `map`, one point without `zip`."""
+    if R.ndim == 1:
+        jet = tuple(map(np.array, nested_jet(field, R)))
+    else:
+        jet = tuple(map(np.array,
+                        zip(*[nested_jet(field, r) for r in R.tolist()])))
+    d3 = np.array([nested_d3(field, r)
+                   for r in np.reshape(R, (-1, 3)).tolist()]
+                  ).reshape(R.shape[:-1] + (3, 3, 3))
+    return jet, d3
+
+
+@pytest.mark.parametrize("where", ["point", "batch"])
+@pytest.mark.parametrize("field", FLAT_FIELDS, ids=FLAT_IDS)
+def test_field_arrays_equal_the_nested_conversion(field, where):
+    R = np.random.default_rng(23).uniform(-0.8, 0.8, (7, 3))
+    R[0] = [0.0, -0.0, 0.3]                     # signed zeros
+    if where == "point":
+        R = R[0]
+    jet, d3 = _nested_conversion(field, R)
+    got = _jet(field, R)
+    assert len(got) == 3
+    for a, b in zip(got, jet):
+        assert _same_bytes(a, b)
+    assert _same_bytes(_d3(field, R), d3)
 
 
 def _reference_gauge(model, x, top):
