@@ -16,13 +16,16 @@ curvature set
 where a = A0 + (hbar/2) A1 is the shift per unit hbar.  Both are built
 from the first-order record `energy.first_order` on the point's frame, which
 the covariant variables keep and which holds the frame, so the passes after
-them take the covariant variables alone.  The gradient of a is exact at the
-point:
-`berry_curvatures` makes one `covariant_variables` call and one
-second-order pass, which differentiates the formulas of a by the Leibniz
-rule, with grad grad A0 from `frames.connection_hessians` on the record's
-first tangents.  No stencil runs.  The pass contracts its phase axes as
-block-matrix products, because numpy's `@` on a (6, 6, 6, n, n) stack makes
+them take the covariant variables alone.  The curvature is exact at the
+point: `berry_curvatures` makes one `covariant_variables` call and one
+second-order pass, which reads only the record's A0^X, grad A0^X, B and
+grad B.  It differentiates the formulas of a by the Leibniz rule, except
+where grad grad A0^X enters: the curvature reads grad a only through its
+curl, and X = U0 grad U0^+ is flat (grad_c X_a - grad_a X_c = [X_a, X_c]),
+so the curl of grad_b grad A0^X is i grad_b [A0^{X_c}, A0^{X_a}], a
+commutator of the connections and their gradient.  No stencil runs, and
+no derivative of H above the second.  The pass contracts its phase axes as
+block-matrix products, because numpy's `@` on a (6, 6, n, n) stack makes
 one BLAS call per small matrix.  Phase axes count from the end, so a
 `PhasePoint.stack` batch runs the same code as one point, bit for bit.
 
@@ -69,13 +72,11 @@ from semiband.frames import (
     DEFAULT_TOL,
     _anticomm,
     _anticomm_sum,
-    _comm,
     _dagger,
     _pair_products,
     _swap,
     berry_connections,
     classical_frame,
-    connection_hessians,
     hermitize,
 )
 from semiband.energy import FirstOrder, first_order
@@ -146,7 +147,9 @@ def covariant_variables(frame: BandFrame, hbar: float) -> CovariantVars:
 
 
 def _shift_gradients(cov: CovariantVars) -> np.ndarray:
-    """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (..., 6, 6, n, n).
+    """d[c, a] = grad_c of the shift a = A0 + (hbar/2) A1, (..., 6, 6, n, n),
+    less its terms in grad grad A, whose curl `_flat_part` gives; A is the
+    record's order-0 connection set, A0 = P+A.
 
     The Leibniz rule on the formulas of `covariant_variables`:
     A1 = 2 P+ lin + (1/2) sum_b {P+A_b, P+ grad_b A} with the connection
@@ -158,17 +161,43 @@ def _shift_gradients(cov: CovariantVars) -> np.ndarray:
     first = cov.first
     frame = first.frame
     A, B, dA, dB = first.conns0.A, first.B, first.dA, first.dB
-    ddA = connection_hessians(first)
     flat = dA.reshape(A.shape[:-3] + (-1,) + A.shape[-2:])   # [(b, a)]
-    dlin = (0.125 * (_anticomm_sum(dA, dA) + _anticomm_sum_inner(A, ddA))
+    dlin = (0.125 * _anticomm_sum(dA, dA)
             + 0.5 * (_pair_comm(dB, A)
                      + _pair_comm(B[..., None, :, :], flat).reshape(dA.shape)))
-    A0, dA0 = frame.project(A, "diag"), frame.project(dA, "diag")
-    dA1 = hermitize(
-        2.0 * frame.project(hermitize(dlin), "diag")
-        + 0.5 * (_anticomm_sum(dA0, dA0)
-                 + _anticomm_sum_inner(A0, frame.project(ddA, "diag"))))
+    dA0 = frame.project(dA, "diag")
+    dA1 = hermitize(2.0 * frame.project(hermitize(dlin), "diag")
+                    + 0.5 * _anticomm_sum(dA0, dA0))
     return dA0 + 0.5 * cov.hbar * dA1
+
+
+def _flat_part(cov: CovariantVars) -> np.ndarray:
+    """K = W - swap(W), (..., 6, 6, n, n): in its [R, R], [P, P] and [P, R]
+    blocks, the curl of the grad grad A terms of d plus the -i [a^c, a^a]
+    of the curvature, for the shift a.
+
+    X = U0 grad U0^+ is flat, grad_c X_a - grad_a X_c = [X_a, X_c], so in
+    those blocks the curl of grad_b grad A is i grad_b [A_c, A_a] =
+    i (G[b, c, a] - G[b, a, c]), G[b, c, a] = [grad_b A_c, A_a], one
+    `_pair_comm` of grad A and A.  grad grad A enters d only through
+    (1/8) sum_b {A_b, .} in lin and (1/2) sum_b {P+A_b, P+ .} in A1, which
+    commute with the curl, P+ and `hermitize`, and P+ of a product with the
+    block-diagonal P+A_b is its product with P+ of the other factor, so
+      W = (hbar/2) hermitize(i P+ sum_b {A_b/4 + P+A_b/2, G[b]})
+          - i a^c a^a.
+    """
+    first = cov.first
+    frame = first.frame
+    A, dA = first.conns0.A, first.dA
+    lead, n = A.shape[:-3], A.shape[-1]
+    G = _pair_comm(dA.reshape(lead + (36, n, n)), A).reshape(
+        lead + (6, 36, n, n))                             # [b, (c, a)]
+    Z = 0.25 * A + 0.5 * cov.A0
+    S = _anticomm_sum(Z[..., None, :, :, :], G).reshape(dA.shape)
+    a = cov.shift_per_hbar()
+    W = (0.5 * cov.hbar * hermitize(1j * frame.project(S, "diag"))
+         - 1j * _pair_products(a, a))
+    return W - _swap(W)
 
 
 def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -177,36 +206,34 @@ def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _pair_products(L, R) - _swap(_pair_products(R, L))
 
 
-def _anticomm_sum_inner(V: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """sum_b {V[b], S[c, b, a]} for a (..., 6, n, n) stack V and a
-    (..., 6, 6, 6, n, n) stack S: `_anticomm_sum` with V as the one row
-    [., b] and S as [b, (c, a)]."""
-    flat = S.swapaxes(-5, -4).reshape(V.shape[:-3] + (6, -1) + V.shape[-2:])
-    return _anticomm_sum(V[..., None, :, :, :], flat).reshape(
-        S.shape[:-4] + S.shape[-3:])
-
-
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
                      tol: Tolerances = DEFAULT_TOL) -> CurvatureSet:
     """Curvature set from the covariant shift a and its exact gradient.
 
-    One `covariant_variables` call at x gives a and the first-order data it
-    is built from; one second-order pass (`_shift_gradients`) gives
-    d[c, a] = grad_c a^a.  The second derivatives of the connections need the
-    model's declared gauge term, so a model without an analytic frame raises
-    NotImplementedError.  A block that is not finite raises
+    One `covariant_variables` call at x gives a and the first-order record
+    it is built from; the second-order pass reads that record alone:
+    `_shift_gradients` gives d[c, a] = grad_c a^a less its terms in the
+    second derivatives of the connections, whose curl `_flat_part` gives
+    from the connections and their gradient by the flatness of
+    U0 grad U0^+.  The O(hbar) part depends on the within-group gauge,
+    which a model without an analytic frame does not declare, so such a
+    model raises NotImplementedError.  A block that is not finite raises
     FloatingPointError.
     """
+    if not model.has_analytic_frame:
+        raise NotImplementedError(
+            f"model {model.name} has no analytic frame: the O(hbar) "
+            "curvature depends on the within-group gauge, which it does not "
+            "declare")
     cov = covariant_variables(classical_frame(model, x, tol), hbar)
     d = _shift_gradients(cov)
-    a = cov.shift_per_hbar()
-    C = _comm(a[..., :, None, :, :], a[..., None, :, :, :])   # [a^c, a^a]
+    K = _flat_part(cov)
     R, P = slice(0, 3), slice(3, 6)
     d_PR, d_RP = d[..., P, R, :, :], d[..., R, P, :, :]
-    d_RR, d_PP = d[..., R, R, :, :], d[..., P, P, :, :]
-    rr = d_PR - _swap(d_PR) - 1j * C[..., R, R, :, :]
-    pp = -(d_RP - _swap(d_RP)) - 1j * C[..., P, P, :, :]
-    pr = -(d_RR + _swap(d_PP)) - 1j * C[..., P, R, :, :]
+    rr = d_PR - _swap(d_PR) + K[..., R, R, :, :]
+    pp = -(d_RP - _swap(d_RP)) + K[..., P, P, :, :]
+    pr = (-(d[..., R, R, :, :] + _swap(d[..., P, P, :, :]))
+          + K[..., P, R, :, :])
     if not all(np.isfinite(b).all() for b in (rr, pp, pr)):
         raise FloatingPointError("curvature is not finite")
     return CurvatureSet(rr, pp, pr)

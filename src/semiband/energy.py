@@ -110,8 +110,8 @@ __all__ = [
 
 
 # Points per batched pass of `band_energy_batch` and the CLI sweeps; the
-# largest chunk arrays, the (6, 6, n, n) gradients and tangents of the
-# first-order record, are 0.6 MB each for n = 4.
+# largest chunk arrays, the (6, 6, n, n) stacks of the first-order record
+# and the curvature pass, are 0.6 MB each for n = 4.
 CHUNK = 64
 
 
@@ -193,8 +193,6 @@ class FirstOrder:
     B: np.ndarray                   # rotation generator, (..., n, n)
     dA: np.ndarray                  # [b, a] = grad_b A0^a, (..., 6, 6, n, n)
     hess: np.ndarray                # grad_b grad_a eps0, (..., 6, 6, n)
-    N: np.ndarray                   # [a, b] = U0 grad_a grad_b H U0^+
-    dM: np.ndarray                  # [b, a] = grad_b (U0 grad_a H U0^+)
     dB: np.ndarray                  # grad B, (..., 6, n, n)
     linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
 
@@ -208,14 +206,14 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
     """The first-order record at the frame's point, from its
     `berry_connections` set `conns0`.
 
-    grad A0, the eps0 Hessian and the first tangents N, dM come from
-    `connection_gradients`.  B is built from the same band-commutator
-    inversion and pairing product that its gradient needs (the value of
-    `rotation_generator`, rounded in another order) and differentiated by
-    the Leibniz rule, with grad inv(V) = inv(grad V - [inv(V), grad E]) for
-    the inversion.  D eps0 (`FirstOrder.DE`) is made when the canonical
-    order-2 energy first reads it, for W and `kernel_gradient`.  The
-    hbar-free connection correction is
+    grad A0 and the eps0 Hessian come from `connection_gradients`.  B is
+    built from the same band-commutator inversion and pairing product that
+    its gradient needs (the value of `rotation_generator`, rounded in
+    another order) and differentiated by the Leibniz rule, with
+    grad inv(V) = inv(grad V - [inv(V), grad E]) for the inversion.
+    D eps0 (`FirstOrder.DE`) is made when the canonical order-2 energy
+    first reads it, for W and `kernel_gradient`.  The hbar-free connection
+    correction is
       linear = (1/8){A0^{X_l}, grad_{X_l} A0^X} + (1/2)(-i conjugate(grad B)
                + [B, A0^X]),
     Hermitized, where -i conjugate(grad B) realizes [B, X/hbar]: -i grad_P B
@@ -224,7 +222,7 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
     every product with a diagonal matrix is elementwise.
     """
     g, A = frame.grads, conns0.A
-    dA, hess, N, dM = connection_gradients(frame, conns0)
+    dA, hess = connection_gradients(frame, conns0)
 
     # B = -inv(P-K) + (i/4)(Y + Y^+), K = sum_a (1/2){A_a, diag g_a},
     # Y = sum_a P-A_a conjugate(P+A)_a.  The inversion reads only the
@@ -253,7 +251,7 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
 
     corr = 0.125 * _anticomm_sum(A[..., None, :, :, :], dA)[..., 0, :, :, :]
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(frame, conns0, B, dA, hess, N, dM, dB, hermitize(corr))
+    return FirstOrder(frame, conns0, B, dA, hess, dB, hermitize(corr))
 
 
 def kernel_gradient(first: FirstOrder) -> np.ndarray:

@@ -4,17 +4,16 @@ Every field kind defines one method, `jet(r)`: value, gradient and hessian at
 a 3-point as one flat 13-tuple of plain floats, (v, gx, gy, gz, hxx, hxy,
 hxz, hyx, hyy, hyz, hzx, hzy, hzz), so each kind keeps one copy of its
 formulas and a caller unpacks it in one step.  value/gradient/hessian/
-laplacian are views of it.  Next to it, `d3(r)` gives the third derivatives
-d_i d_j d_k as a flat 27-tuple in index order (entry 9 i + 3 j + k), which
-only the exact curvature pass needs.  The analytic derivatives are validated
-against central finite differences in the test suite (1e-6 relative).
+laplacian are views of it.  Nothing reads a higher derivative: the exact
+curvature pass needs derivatives of H to order 2 only.  The analytic
+derivatives are validated against central finite differences in the test
+suite (1e-6 relative).
 `ReciprocalField` wraps a positive profile n(R) as F = 1/n, which is how a
 refractive-index profile enters the massless model.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-_ZERO9, _ZERO12, _ZERO27 = (0.0,) * 9, (0.0,) * 12, (0.0,) * 27
+_ZERO9, _ZERO12 = (0.0,) * 9, (0.0,) * 12
 
 
 def _xyz(r) -> tuple:
@@ -82,28 +81,14 @@ def _exponent(value) -> int:
     return int(value)
 
 
-def _radial_d3(c: float, b: float, d: tuple) -> tuple:
-    """Third derivatives c d_i d_j d_k + b (delta_ij d_k + delta_ik d_j +
-    delta_jk d_i) of a radial profile whose hessian is b d_i d_j + a delta_ij
-    with grad a = b d and grad b = c d, flat in index order."""
-    return tuple(c * d[i] * d[j] * d[k]
-                 + b * ((i == j) * d[k] + (i == k) * d[j] + (j == k) * d[i])
-                 for i, j, k in itertools.product(range(3), repeat=3))
-
-
 class ScalarField:
     """Contract: `jet(r)` returns one flat 13-tuple of plain floats, the
     value, the gradient (gx, gy, gz) and the hessian row by row (hxx, hxy,
-    hxz, hyx, ..., hzz); value/gradient/hessian/laplacian are views of it.
-    `d3(r)` returns the third derivatives d_i d_j d_k as a flat 27-tuple,
-    entry 9 i + 3 j + k."""
+    hxz, hyx, ..., hzz); value/gradient/hessian/laplacian are views of it."""
 
     kind = "abstract"
 
     def jet(self, r) -> tuple:
-        raise NotImplementedError
-
-    def d3(self, r) -> tuple:
         raise NotImplementedError
 
     def value(self, r) -> float:
@@ -132,9 +117,6 @@ class UniformField(ScalarField):
     def jet(self, r):
         return (self.c,) + _ZERO12
 
-    def d3(self, r):
-        return _ZERO27
-
     def to_config(self):
         return {"kind": "uniform", "value": self.c}
 
@@ -152,9 +134,6 @@ class LinearField(ScalarField):
         x, y, z = _xyz(r)
         gx, gy, gz = self.g
         return (gx * x + gy * y + gz * z + self.c, gx, gy, gz) + _ZERO9
-
-    def d3(self, r):
-        return _ZERO27
 
     def to_config(self):
         return {"kind": "linear", "gradient": list(self.g), "offset": self.c}
@@ -200,20 +179,6 @@ class PolynomialField(ScalarField):
                         h[i][j] += ci * ei[j] * mono(lower(ei, j))
         return (v, *g, *h[0], *h[1], *h[2])
 
-    def d3(self, r):
-        xyz = _xyz(r)
-        out = [0.0] * 27
-        for c, exps in self.terms:
-            for n, ijk in enumerate(itertools.product(range(3), repeat=3)):
-                e, v = list(exps), c
-                for axis in ijk:
-                    v *= e[axis]
-                    e[axis] -= 1
-                if v:
-                    out[n] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
-                               * xyz[2] ** e[2])
-        return tuple(out)
-
     def to_config(self):
         return {"kind": "polynomial",
                 "terms": [[c, list(e)] for c, e in self.terms]}
@@ -231,25 +196,22 @@ class GaussianField(ScalarField):
         self.s = _real(width, "gaussian width")
         if self.s <= 0:
             raise ValueError("gaussian width must be positive")
+        # What every jet reads, made once: the center's components, s^2
+        # and s^4.
+        self._x0, self._y0, self._z0 = self.r0
+        self._s2, self._s4 = self.s ** 2, self.s ** 4
 
     def jet(self, r):
         x, y, z = _xyz(r)
-        dx, dy, dz = x - self.r0[0], y - self.r0[1], z - self.r0[2]
-        s2 = self.s ** 2
+        dx, dy, dz = x - self._x0, y - self._y0, z - self._z0
+        s2 = self._s2
         v = self.A * math.exp(-(dx * dx + dy * dy + dz * dz) / (2 * s2))
-        a, b = -v / s2, v / self.s ** 4
+        a, b = -v / s2, v / self._s4
         hxy, hxz, hyz = b * dx * dy, b * dx * dz, b * dy * dz
         return (v, a * dx, a * dy, a * dz,
                 b * dx * dx + a, hxy, hxz,
                 hxy, b * dy * dy + a, hyz,
                 hxz, hyz, b * dz * dz + a)
-
-    def d3(self, r):
-        x, y, z = _xyz(r)
-        d = (x - self.r0[0], y - self.r0[1], z - self.r0[2])
-        s2 = self.s ** 2
-        v = self.A * math.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2 * s2))
-        return _radial_d3(-v / s2 ** 3, v / s2 ** 2, d)
 
     def to_config(self):
         return {"kind": "gaussian", "amplitude": self.A,
@@ -277,11 +239,6 @@ class CoulombRegularizedField(ScalarField):
                 by * x + o, by * y + a, by * z + o,
                 bz * x + o, bz * y + o, bz * z + a)
 
-    def d3(self, r):
-        r = _xyz(r)
-        s = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + self.a * self.a)
-        return _radial_d3(-15 * self.q / s ** 7, 3 * self.q / s ** 5, r)
-
     def to_config(self):
         return {"kind": "coulomb", "charge": self.q, "softening": self.a}
 
@@ -305,22 +262,6 @@ class ReciprocalField(ScalarField):
                 a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz,
                 a * hyx + by * gx, a * hyy + by * gy, a * hyz + by * gz,
                 a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz)
-
-    def d3(self, r):
-        # The chain rule on 1/n: d_ijk F = -n_ijk/n^2 + 2 (n_ij n_k + n_ik n_j
-        # + n_jk n_i)/n^3 - 6 n_i n_j n_k/n^4, with n_ij at 3 i + j of the
-        # flat hessian and n_ijk at 9 i + 3 j + k of the flat t.
-        jet = self.base.jet(r)
-        n, g, h = jet[0], jet[1:4], jet[4:]
-        if n <= 0:
-            raise ValueError("profile must stay positive")
-        t = self.base.d3(r)
-        return tuple(
-            -t[9 * i + 3 * j + k] / n ** 2
-            + 2 * (h[3 * i + j] * g[k] + h[3 * i + k] * g[j]
-                   + h[3 * j + k] * g[i]) / n ** 3
-            - 6 * g[i] * g[j] * g[k] / n ** 4
-            for i, j, k in itertools.product(range(3), repeat=3))
 
     def to_config(self):
         return {"kind": "reciprocal", "base": self.base.to_config()}

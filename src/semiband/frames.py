@@ -13,9 +13,11 @@ fields are (6, n, n) stacks in axis order (R_1, R_2, R_3, P_1, P_2, P_3),
 and `conjugate` is the one R <-> P pairing.  Connections are
 A^{R_l} = i X_{P_l} and A^{P_l} = -i X_{R_l}, i.e. A = conjugate(i X),
 X = U0 grad U0^+.  They are exact at the point
-(`berry_connections`), and so are their first and second phase-space
-derivatives and the eps0 Hessian (`connection_gradients`,
-`connection_hessians`).  The first- and second-order
+(`berry_connections`), and so are their phase-space gradients and the eps0
+Hessian (`connection_gradients`).  X is flat, grad_c X_a - grad_a X_c =
+[X_a, X_c], so no pass needs second derivatives of the connections: the
+curvature pass (`dynamics.berry_curvatures`) reads their curls from
+[A_c, A_a] and its gradient.  The first- and second-order
 passes take their products over phase axes as block-matrix products
 (`_pair_products`, `_block_contract`, `_anticomm_sum`), because numpy's `@` on
 a stack makes one BLAS call per small matrix, and their products with a
@@ -53,7 +55,6 @@ __all__ = [
     "berry_connections",
     "connections_fd",
     "connection_gradients",
-    "connection_hessians",
     "hermitize",
     "matrix_norms",
     "conjugate",
@@ -508,13 +509,12 @@ def berry_connections(frame: BandFrame) -> ConnectionSet:
 
 
 def connection_gradients(frame: BandFrame, conns: ConnectionSet):
-    """Exact phase-space gradients at the frame's point: (dA, hess, N, dM),
-    with dA[b, a] = grad_b A^a of the `berry_connections` set `conns`,
-    (6, 6, n, n), hess[b, a] = grad_b grad_a eps0, (6, 6, n), and the first
-    tangents N_ab = U0 grad_a grad_b H U0^+ and dM[b, a] = grad_b M_a that
-    `connection_hessians` builds on.  N is two `_pair_products` calls over
-    the flattened (36, n, n) Hessian stack, and each product of [M_a, X_b]
-    one more.
+    """Exact phase-space gradients at the frame's point: (dA, hess), with
+    dA[b, a] = grad_b A^a of the `berry_connections` set `conns`,
+    (6, 6, n, n), and hess[b, a] = grad_b grad_a eps0, (6, 6, n).
+    N_ab = U0 grad_a grad_b H U0^+ is two `_pair_products` calls over the
+    flattened (36, n, n) Hessian stack, and each product of [M_a, X_b] one
+    more.
 
     With M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A) and
     E = diag eps0:
@@ -546,62 +546,7 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
         XX = _pair_products(X, X)
         dX += 0.5 * frame.project(_swap(XX) - XX, "diag")
         dA = conjugate(1j * dX)
-    return hermitize(dA), hess, N, dM
-
-
-def connection_hessians(first) -> np.ndarray:
-    """Exact second phase-space derivatives at the point of the first-order
-    record `first` (`energy.first_order`), for a model with an analytic
-    frame: ddA[c, b, a] = grad_c grad_b A^a, (6, 6, 6, n, n), of the order-0
-    connections.  The record carries its frame, their gradient dA, the eps0
-    Hessian and the first tangents N and dM of `connection_gradients`.
-
-    One order above `connection_gradients`:
-      grad_c N_ab = U0 grad_a grad_b grad_c H U0^+ + [N_ab, X_c];
-      grad_c grad_b M_a = grad_c N_ab + [grad_c M_a, X_b] + [M_a, grad_c X_b];
-      P- grad_c grad_b X_a = inv(P-(grad_c grad_b M_a - [grad_b X_a, grad_c E]
-        - [grad_c X_a, grad_b E] - [X_a, grad_c grad_b E]));
-      P+ grad_c grad_b X_a = i conjugate(grad_c grad_b G) for the model's
-      gauge term G (`d2_analytic_connections`).
-    Each product over phase axes is one `_pair_products` call.  There is no
-    parallel-gauge form: the within-group gauge enters the curvature at
-    O(hbar), so a model without an analytic frame raises
-    NotImplementedError.
-    """
-    frame = first.frame
-    model = frame.model
-    if not model.has_analytic_frame:
-        raise NotImplementedError(
-            f"model {model.name} has no analytic frame: second derivatives "
-            "of the connections need its declared gauge term"
-        )
-    U0, M, g = frame.U0, frame.dH, frame.grads
-    X = 1j * first.conns0.cA
-    N, dM, hess = first.N, first.dM, first.hess
-    dX = 1j * conjugate(first.dA)
-    lead, n = U0.shape[:-2], frame.n
-
-    def prod(L, R):
-        """L @ R for every pair of phase indices, (..., L's axes, R's axes,
-        n, n), as one `_pair_products` call."""
-        out = _pair_products(L.reshape(lead + (-1, n, n)),
-                             R.reshape(lead + (-1, n, n)))
-        return out.reshape(L.shape[:-2] + R.shape[len(lead):-2] + (n, n))
-
-    d3H = model.d3_hamiltonian(frame.point)
-    # Phase axes (c, b, a) in front of the matrix axes: each product comes
-    # out on its factors' axes and is turned to (c, b, a).
-    ddM = (_rotate(U0, d3H.reshape(lead + (-1, n, n))).reshape(d3H.shape)
-           + np.moveaxis(prod(N, X), -3, -5) - prod(X, N)
-           + prod(dM, X).swapaxes(-4, -3) - prod(X, dM).swapaxes(-5, -4)
-           + np.moveaxis(prod(M, dX), -5, -3) - prod(dX, M))
-    ddX = invert_band_commutator(
-        ddM - _comm_diag(dX[..., None, :, :, :, :], g[..., :, None, None, :])
-        - _comm_diag(dX[..., :, None, :, :, :], g[..., None, :, None, :])
-        - _comm_diag(X[..., None, None, :, :, :], hess[..., :, :, None, :]),
-        frame)
-    ddA = conjugate(1j * ddX) + model.d2_analytic_connections(frame.point)
-    return hermitize(ddA)
+    return hermitize(dA), hess
 
 
 def connections_fd(frame: BandFrame) -> ConnectionSet:

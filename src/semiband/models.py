@@ -14,6 +14,12 @@ Three built-in models (units c = 1, hbar is a run parameter):
 Dirac representation throughout: beta = diag(1,1,-1,-1), alpha_i with
 off-diagonal Pauli blocks, Sigma = 1 (x) sigma.
 
+A model gives H and its derivatives to order 2 (`d_hamiltonian`,
+`d2_hamiltonian`) and, with an analytic frame, the frame, its within-group
+gauge term and that term's gradient.  Nothing reads higher derivatives: the
+curvature pass takes the curl of the second derivatives of the connections
+from the flatness of U0 grad U0^+ (see `dynamics`).
+
 A frame (`frames.classical_frame`) evaluates its model at a copy of its
 point that carries a memo.  The built-in models keep there, keyed by the
 model, the intermediates that their methods share (P.P, field jets,
@@ -99,7 +105,7 @@ def _pow(a, e: int) -> np.ndarray:
     return np.array([v ** e for v in a.ravel().tolist()]).reshape(a.shape)
 
 
-_EYE3, _EYE4 = np.eye(3), np.eye(4)
+_EYE4 = np.eye(4)
 # eps0 = E (1, 1, -1, -1) + W: the products with +-1 are exact.
 _SIGNS4, _SIGNS2 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0])
 
@@ -115,11 +121,6 @@ def _jet(field: ScalarField, R: np.ndarray) -> tuple:
     it, (...), (..., 3) and (..., 3, 3)."""
     J = _rows(field.jet, R)
     return J[..., 0], J[..., 1:4], J[..., 4:].reshape(R.shape[:-1] + (3, 3))
-
-
-def _d3(field: ScalarField, R: np.ndarray) -> np.ndarray:
-    """The third derivatives of a field at R (3,) or (N, 3), (..., 3, 3, 3)."""
-    return _rows(field.d3, R).reshape(R.shape[:-1] + (3, 3, 3))
 
 
 def _rows(f, R: np.ndarray) -> np.ndarray:
@@ -159,24 +160,6 @@ def _pxs_gauge_gradient(pxs: np.ndarray, f, df: np.ndarray) -> np.ndarray:
     out[..., :3, :, :] = -((df / _pow(f, 2)[..., None])[..., None, None, None]
                            * pxs[..., None, :, :, :])
     out[..., 3:, :3, :, :] += _E_CROSS_SIGMA / f[..., None, None, None, None]
-    return out
-
-
-def _pxs_gauge_hessian(pxs: np.ndarray, f, df: np.ndarray,
-                       ddf: np.ndarray) -> np.ndarray:
-    """grad_c grad_b of the gauge stack ((P x Sigma)/f, 0) as
-    (..., 6 c, 6 b, 6 a, 4, 4), for P x Sigma as a (..., 3, 4, 4) stack and
-    a scalar f(R, P) with gradient df and hessian ddf over the six axes."""
-    f = np.asarray(f)
-    f2, f3 = _pow(f, 2)[..., None, None], _pow(f, 3)[..., None, None]
-    out = np.zeros(f.shape + (6, 6, 6, 4, 4), dtype=complex)
-    out[..., :3, :, :] = ((2 * (df[..., :, None] * df[..., None, :]) / f3
-                           - ddf / f2)[..., None, None, None]
-                          * pxs[..., None, None, :, :, :])
-    # t[b, c, a] = -(df_b / f^2) (e_c x Sigma)_a, c a momentum axis.
-    t = (-df / f2[..., 0])[..., None, None, None, None] * _E_CROSS_SIGMA
-    out[..., :, 3:, :3, :, :] += t
-    out[..., 3:, :, :3, :, :] += t.swapaxes(-5, -4)
     return out
 
 
@@ -297,10 +280,6 @@ class Model:
         """The analytic Hessian of H over the phase axes, (..., 6, 6, n, n)."""
         raise NotImplementedError
 
-    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        """The analytic third derivatives of H, (..., 6, 6, 6, n, n)."""
-        raise NotImplementedError
-
     def analytic_frame(self, x: PhasePoint):
         raise NotImplementedError(f"model {self.name} has no analytic frame")
 
@@ -313,11 +292,6 @@ class Model:
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         """grad_b of the gauge term `analytic_connections`, as
         (..., 6 b, 6 a, n, n)."""
-        raise NotImplementedError(f"model {self.name} has no analytic connections")
-
-    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        """grad_c grad_b of the stacked gauge term, as
-        (..., 6 c, 6 b, 6 a, n, n)."""
         raise NotImplementedError(f"model {self.name} has no analytic connections")
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
@@ -340,14 +314,10 @@ class Model:
 
 class PxSigmaGauge(Model):
     """A four-band model whose within-group gauge term is ((P x Sigma)/f, 0)
-    for a scalar f(R, P), given with its derivatives by `_gauge_f`."""
+    for a scalar f(R, P), given with its gradient by `_gauge_f`."""
 
     def _gauge_f(self, x: PhasePoint) -> tuple:
         """(f, grad f) over the six axes."""
-        raise NotImplementedError
-
-    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
-        """grad grad f over the six axes, (..., 6, 6)."""
         raise NotImplementedError
 
     def _f(self, x: PhasePoint) -> tuple:
@@ -365,10 +335,6 @@ class PxSigmaGauge(Model):
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         return _pxs_gauge_gradient(self._pxs(x), *self._f(x))
-
-    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return _pxs_gauge_hessian(self._pxs(x), *self._f(x),
-                                  self._gauge_ddf(x))
 
 
 class DiracElectric(PxSigmaGauge):
@@ -416,12 +382,6 @@ class DiracElectric(PxSigmaGauge):
         out[..., :3, :3, :, :] = self.e * (hess[..., None, None] * _EYE4)
         return out
 
-    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        out = np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
-        d3 = _d3(self.field, x.R)
-        out[..., :3, :3, :3, :, :] = self.e * (d3[..., None, None] * _EYE4)
-        return out
-
     def analytic_frame(self, x: PhasePoint):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
@@ -438,15 +398,6 @@ class DiracElectric(PxSigmaGauge):
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = (4 * E + 2 * m)[..., None] * x.P / E[..., None]
         return 2 * E * (E + m), df
-
-    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
-        """grad_P grad_P f = 4 + 2m (1/E - P P/E^3) of `_gauge_f`."""
-        E, m = self.energy_scale(x), self.m
-        ddf = np.zeros(x.batch_shape + (6, 6))
-        ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * _EYE3
-                            - 2 * m * (x.P[..., :, None] * x.P[..., None, :])
-                            / _pow(E, 3)[..., None, None])
-        return ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         return np.zeros(x.batch_shape + (4, 4), dtype=complex)
@@ -506,18 +457,6 @@ class NeutrinoMetric(PxSigmaGauge):
         out[..., 3:, :3, :, :] = out[..., :3, 3:, :, :].swapaxes(-4, -3)
         return out
 
-    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        h = self._F_jet(x)[2]
-        ap = self._alpha_p(x)[..., None, None, None, :, :]
-        out = np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
-        out[..., :3, :3, :3, :, :] = _d3(self.F, x.R)[..., None, None] * ap
-        # rrp[i, j, k] = F_ij alpha_k, placed at [i, j, k], [i, k, j], [k, i, j].
-        rrp = h[..., :, :, None, None, None] * _ALPHA
-        out[..., :3, :3, 3:, :, :] = rrp
-        out[..., :3, 3:, :3, :, :] = rrp.swapaxes(-4, -3)
-        out[..., 3:, :3, :3, :, :] = rrp.swapaxes(-5, -3).swapaxes(-4, -3)
-        return out
-
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
         E = np.sqrt(self._p2(x))
@@ -533,12 +472,6 @@ class NeutrinoMetric(PxSigmaGauge):
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = 4 * x.P
         return 2 * self._p2(x), df
-
-    def _gauge_ddf(self, x: PhasePoint) -> np.ndarray:
-        """grad_P grad_P f = 4 of `_gauge_f`."""
-        ddf = np.zeros(x.batch_shape + (6, 6))
-        ddf[..., 3:, 3:] = 4 * _EYE3
-        return ddf
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
@@ -665,14 +598,14 @@ class TwoLevel(Model):
             raise ValueError("two_level needs exactly three sigma components")
         self.h = tuple(_terms_from_config(part) for part in raw_h)
         self.parts = (self.h0, *self.h)
-        # The monomial tables of `_jets`, one per derivative order 0-3: the
+        # The monomial tables of `_jets`, one per derivative order 0-2: the
         # entries (slot (component, ..., *multi-index), c k, factor keys) of
         # every term, in component and term order.
         self._tables = [tuple(((j, Ellipsis, *axes), ck, keys)
                               for j, terms in enumerate(self.parts)
                               for t in terms
                               for axes, ck, keys in t._monomials(order))
-                        for order in range(4)]
+                        for order in range(3)]
         # eps0 = h0 +/- h3 stays polynomial only when h is purely along z.
         self.z_only = not self.h[0] and not self.h[1]
         if self.z_only:
@@ -693,7 +626,7 @@ class TwoLevel(Model):
 
     def _jets(self, x: PhasePoint, orders) -> list:
         """h0, h1, h2, h3 at x for order 0, and their partial derivatives for
-        orders 1-3: one array (4, ...) + (6,) * order per entry of
+        orders 1-2: one array (4, ...) + (6,) * order per entry of
         `orders`, each from one `_table_pass`.  The passes share one factor
         dict; at a frame's point the dict and each order's pass are made
         once per frame."""
@@ -736,9 +669,6 @@ class TwoLevel(Model):
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
         return self._sigma(self._jets(x, (2,))[0])
-
-    def d3_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        return self._sigma(self._jets(x, (3,))[0])
 
     @staticmethod
     def _sigma(c) -> np.ndarray:
@@ -829,27 +759,23 @@ class TwoLevel(Model):
         return self._gauge_stack(w)
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return self._live_stack(*self._gauge_derivatives(x, second=False))
-
-    def d2_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return self._live_stack(*self._gauge_derivatives(x, second=True))
+        return self._live_stack(*self._gauge_gradient(x))
 
     def _live_stack(self, w, on) -> np.ndarray:
         """`_gauge_stack(w)` where the gauge term lives, 0 where lift = 0."""
         on = on.reshape(on.shape + (1,) * (w.ndim + 2 - on.ndim))
         return np.where(on, self._gauge_stack(w), 0.0)
 
-    def _gauge_derivatives(self, x: PhasePoint, second: bool):
-        """(grad w, or grad grad w if `second`; lift != 0) by the quotient
-        rule on w = N / Q, N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on
-        either branch of lift: grad w = dN/Q - N dQ/Q^2 and grad grad w =
-        ddN/Q - (dN dQ + dQ dN)/Q^2 - N ddQ/Q^2 + 2 N dQ dQ/Q^3.  The term
-        is 0 where lift = 0; zeros if it is 0 at every point, or if h is
-        along z, where N = 0 identically."""
-        h, hn, lift, on, jets = self._gauge(x, 3 if second else 2)
+    def _gauge_gradient(self, x: PhasePoint):
+        """(grad w; lift != 0) by the quotient rule on w = N / Q,
+        N = h1 grad h2 - h2 grad h1, Q = 2 |h| lift, on either branch of
+        lift: grad w = dN/Q - N dQ/Q^2.  The term is 0 where lift = 0;
+        zeros if it is 0 at every point, or if h is along z, where N = 0
+        identically."""
+        h, hn, lift, on, jets = self._gauge(x, 2)
         if self.z_only or not on.any():
-            return np.zeros(x.batch_shape + (6,) * (3 if second else 2)), on
-        d, dd = jets[:2]
+            return np.zeros(x.batch_shape + (6, 6)), on
+        d, dd = jets
         d0, d1, d2 = d
         d = np.ascontiguousarray(np.moveaxis(d, 0, -2))         # (..., 3, 6)
         lift = np.where(on, lift, 1.0)
@@ -869,43 +795,7 @@ class TwoLevel(Model):
         Q_ = Q[..., None, None]
         dQ = 2 * (dn * lift_ + hn_ * dlift)
         dw = dN / Q_ - _outer(dQ, N) / _pow(Q, 2)[..., None, None]
-        if not second:
-            return dw, on
-
-        dd0, dd1, dd2 = dd
-        ddd0, ddd1 = jets[2][:2]
-        hdd = (h[..., None, :] @ np.moveaxis(dd, 0, -3).reshape(
-            x.batch_shape + (3, 36)))[..., 0, :].reshape(dd0.shape)
-        ddn = (d.swapaxes(-1, -2) @ d + hdd - _outer(dn, dn)) / hn_[..., None]
-        ddlift = ddn + dd2
-        if not up.all():
-            # Below the axis, lift (|h| - h3) = h1^2 + h2^2, differentiated
-            # twice.
-            dT = dn - d2
-            ddS = 2 * (_outer(d0, d0) + h1[..., None] * dd0
-                       + _outer(d1, d1) + h2[..., None] * dd1)
-            ddlift = np.where(up[..., None], ddlift,
-                              (ddS - _outer(dlift, dT) - _outer(dT, dlift)
-                               - lift_[..., None] * (ddn - dd2))
-                              / below[..., None])
-        # ddN[c, b, a] = d_c dN[b, a].
-        ddN = (dd0[..., None] * d1[..., None, None, :]
-               - dd1[..., None] * d0[..., None, None, :]
-               + d0[..., None, :, None] * dd1[..., :, None, :]
-               - d1[..., None, :, None] * dd0[..., :, None, :]
-               + d0[..., :, None, None] * dd1[..., None, :, :]
-               - d1[..., :, None, None] * dd0[..., None, :, :]
-               + h1[..., None, None] * ddd1 - h2[..., None, None] * ddd0)
-        ddQ = 2 * (ddn * lift_[..., None] + _outer(dn, dlift)
-                   + _outer(dlift, dn) + hn_[..., None] * ddlift)
-        ddw = (ddN / Q_[..., None]
-               - (dN[..., None, :, :] * dQ[..., :, None, None]
-                  + dN[..., :, None, :] * dQ[..., None, :, None])
-               / _pow(Q, 2)[..., None, None, None]
-               + (2 * _outer(dQ, dQ) / _pow(Q, 3)[..., None, None]
-                  - ddQ / _pow(Q, 2)[..., None, None])[..., None]
-               * N[..., None, None, :])
-        return ddw, on
+        return dw, on
 
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         if not self.z_only:

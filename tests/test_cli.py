@@ -354,8 +354,7 @@ def test_curvature_output(tmp_path):
 
 
 _MODEL_METHODS = ("hamiltonian", "analytic_frame", "analytic_connections",
-                  "d_hamiltonian", "d2_hamiltonian", "d3_hamiltonian",
-                  "d_analytic_connections", "d2_analytic_connections")
+                  "d_hamiltonian", "d2_hamiltonian", "d_analytic_connections")
 
 
 def test_curvature_makes_one_model_pass_per_point(tmp_path, monkeypatch):

@@ -396,6 +396,8 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
     # conjugate(A0) is kept on the connection set; a point used to build it
     # four times in the canonical order-2 energy and seven times in the
     # covariant one.  The other calls conjugate A1 and the gradient stacks;
+    # the curvature pass builds no second derivatives of the connections
+    # and adds no call to the five of its covariant variables;
     # conjugate(P+A0) is the projection of conjugate(A0).  A batch makes the
     # same calls as one point.
     args = []
@@ -421,7 +423,7 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
         for kind, run in runs.items():
             args.clear()
             run(x)
-            total = {"canonical": 7, "covariant": 6, "curvature": 7}[kind]
+            total = {"canonical": 7, "covariant": 6, "curvature": 5}[kind]
             assert len(args) == total, kind
             assert sum(S.shape == A0.shape and np.array_equal(S, A0)
                        for S in args) == 1, kind
@@ -458,14 +460,12 @@ def test_order2_point_builds_b_from_its_own_inversion(monkeypatch):
 def rotated_model(model, D, omega):
     """The model with its frame turned by the within-group unitary D(x), whose
     (D grad D^+) = -omega is constant over phase space, and its declared gauge
-    term and that term's first and second derivatives turned with it.  D and
-    the model take one point or a batch.
+    term and that term's gradient turned with it.  D and the model take one
+    point or a batch.
 
     X = U0 grad U0^+ becomes D X D^+ + D grad D^+, so the gauge term G becomes
-    D G D^+ + conjugate(i D grad D^+), grad_b (D G_a D^+) is
-    G'[b, a] = [omega_b, D G_a D^+] + D grad_b G_a D^+, and grad_c G'[b, a]
-    is [omega_b, G'[c, a]] + [omega_c, D grad_b G_a D^+]
-    + D grad_c grad_b G_a D^+.
+    D G D^+ + conjugate(i D grad D^+), and grad_b (D G_a D^+) is
+    G'[b, a] = [omega_b, D G_a D^+] + D grad_b G_a D^+.
     """
     rotated = copy.copy(model)
     shift = conjugate(-1j * omega)
@@ -489,18 +489,9 @@ def rotated_model(model, D, omega):
         return (wb @ G - G @ wb
                 + turn(x, model.d_analytic_connections(x), 2))
 
-    def d2_analytic_connections(x):
-        dG = d_analytic_connections(x)[..., :, None, :, :, :]
-        tdG = turn(x, model.d_analytic_connections(x), 2)
-        tdG = tdG[..., None, :, :, :, :]
-        wb, wc = omega[None, :, None], omega[:, None, None]
-        return (wb @ dG - dG @ wb + wc @ tdG - tdG @ wc
-                + turn(x, model.d2_analytic_connections(x), 3))
-
     rotated.analytic_frame = analytic_frame
     rotated.analytic_connections = analytic_connections
     rotated.d_analytic_connections = d_analytic_connections
-    rotated.d2_analytic_connections = d2_analytic_connections
     return rotated
 
 

@@ -73,32 +73,6 @@ def test_hessian_and_laplacian(field):
         assert abs(field.laplacian(r) - np.trace(h)) < 1e-12
 
 
-@pytest.mark.parametrize("field", FIELDS + [
-    ReciprocalField(PolynomialField([(2.0, (0, 0, 0)), (0.3, (1, 2, 0)),
-                                     (-0.2, (0, 1, 3))])),
-    ReciprocalField(CoulombRegularizedField(charge=1.3, softening=0.6)),
-], ids=lambda f: f.kind + ("_" + f.base.kind if hasattr(f, "base") else ""))
-def test_third_derivatives_match_fd_of_jet(field):
-    rng = np.random.default_rng(7)
-    h = 1e-4
-    for _ in range(10):
-        r = rng.uniform(-1.5, 1.5, 3)
-        flat = field.d3(r)
-        assert len(flat) == 27
-        d3 = np.array(flat).reshape(3, 3, 3)
-        fd = np.zeros((3, 3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fd[:, :, k] = (np.array(field.jet(r + e)[4:])
-                           - np.array(field.jet(r - e)[4:])).reshape(3, 3) \
-                / (2 * h)
-        scale = max(np.max(np.abs(d3)), 1.0)
-        assert np.max(np.abs(d3 - fd)) <= 1e-6 * scale
-        for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-            assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-14 * scale
-
-
 def test_reciprocal_chain_rule():
     base = LinearField([0.1, 0.0, 0.0], 2.0)
     f = ReciprocalField(base)
@@ -176,14 +150,6 @@ _Z3 = (0.0, 0.0, 0.0)
 _Z33 = (_Z3, _Z3, _Z3)
 
 
-def _nested_radial_d3(c, b, d):
-    return tuple(tuple(tuple(c * d[i] * d[j] * d[k]
-                             + b * ((i == j) * d[k] + (i == k) * d[j]
-                                    + (j == k) * d[i])
-                             for k in range(3)) for j in range(3))
-                 for i in range(3))
-
-
 def nested_jet(field, r):
     """(value, (gx, gy, gz), 3x3 tuple hessian) by each kind's formulas in
     the nested layout the fields had before the flat one: the bit-for-bit
@@ -245,46 +211,6 @@ def nested_jet(field, r):
         (a * hzx + bz * gx, a * hzy + bz * gy, a * hzz + bz * gz))
 
 
-def nested_d3(field, r):
-    """The third derivatives as a 3x3x3 tuple by each kind's formulas in the
-    nested layout: the bit-for-bit reference of `d3`."""
-    xyz = tuple(float(v) for v in r)
-    if isinstance(field, (UniformField, LinearField)):
-        return (_Z33, _Z33, _Z33)
-    if isinstance(field, PolynomialField):
-        out = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-        for c, exps in field.terms:
-            for i, j, k in itertools.product(range(3), repeat=3):
-                e, v = list(exps), c
-                for axis in (i, j, k):
-                    v *= e[axis]
-                    e[axis] -= 1
-                if v:
-                    out[i][j][k] += (v * xyz[0] ** e[0] * xyz[1] ** e[1]
-                                     * xyz[2] ** e[2])
-        return tuple(tuple(map(tuple, m)) for m in out)
-    if isinstance(field, GaussianField):
-        d = tuple(xyz[i] - field.r0[i] for i in range(3))
-        s2 = field.s ** 2
-        v = field.A * math.exp(-(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) / (2 * s2))
-        return _nested_radial_d3(-v / s2 ** 3, v / s2 ** 2, d)
-    if isinstance(field, CoulombRegularizedField):
-        s = math.sqrt(xyz[0] * xyz[0] + xyz[1] * xyz[1] + xyz[2] * xyz[2]
-                      + field.a * field.a)
-        return _nested_radial_d3(-15 * field.q / s ** 7,
-                                 3 * field.q / s ** 5, xyz)
-    assert isinstance(field, ReciprocalField)
-    n, g, h = nested_jet(field.base, r)
-    if n <= 0:
-        raise ValueError("profile must stay positive")
-    t = nested_d3(field.base, r)
-    return tuple(tuple(tuple(
-        -t[i][j][k] / n ** 2
-        + 2 * (h[i][j] * g[k] + h[i][k] * g[j] + h[j][k] * g[i]) / n ** 3
-        - 6 * g[i] * g[j] * g[k] / n ** 4
-        for k in range(3)) for j in range(3)) for i in range(3))
-
-
 def flattened(nested):
     """A nested tuple's floats in row-major order."""
     if not isinstance(nested, tuple):
@@ -317,12 +243,11 @@ def test_flat_jet_and_d3_keep_the_nested_formulas_bits(field):
         [0.0, 0.0, 0.3], [0.0, -0.0, -0.3], [-0.0, 0.3, 0.2], [0.0] * 3,
         [0.2, -0.1, 0.3], [0.2, -0.1, -0.0]]
     for r in points:
-        jet, d3 = field.jet(r), field.d3(r)
-        assert len(jet) == 13 and len(d3) == 27
-        assert all(type(v) is float for v in jet + d3)
+        jet = field.jet(r)
+        assert len(jet) == 13
+        assert all(type(v) is float for v in jet)
         v, g, h = nested_jet(field, r)
         assert repr(jet) == repr(flattened((v, g, h)))
-        assert repr(d3) == repr(flattened(nested_d3(field, r)))
         # The views read the flat jet.
         assert repr(field.value(r)) == repr(v)
         assert field.gradient(r).tobytes() == np.array(g).tobytes()

@@ -18,7 +18,6 @@ from semiband.models import (
     NeutrinoMetric,
     PhasePoint,
     TwoLevel,
-    _d3,
     _dot,
     _jet,
     _outer,
@@ -26,7 +25,7 @@ from semiband.models import (
     make_model,
     random_points,
 )
-from tests.test_fields import FLAT_FIELDS, FLAT_IDS, nested_d3, nested_jet
+from tests.test_fields import FLAT_FIELDS, FLAT_IDS, nested_jet
 
 
 def p_cross_sigma(P):
@@ -359,42 +358,6 @@ def test_gauge_term_gradient_matches_fd(model):
     assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
 
 
-@pytest.mark.parametrize("model", _second_derivative_models(),
-                         ids=lambda m: m.name)
-def test_d3_hamiltonian_matches_fd(model):
-    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
-    d3 = model.d3_hamiltonian(x)
-    assert d3.shape == (6, 6, 6, model.n, model.n)
-    h = 1e-5
-    fd = np.stack([(model.d2_hamiltonian(x.shifted(c, h))
-                    - model.d2_hamiltonian(x.shifted(c, -h))) / (2 * h)
-                   for c in range(6)])
-    # The default z-only two_level is quadratic; every other model here has
-    # a live third derivative.
-    assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
-    scale = max(1.0, np.max(np.abs(fd)))
-    assert np.max(np.abs(d3 - fd)) <= 1e-7 * scale
-    for perm in ((1, 0, 2, 3, 4), (0, 2, 1, 3, 4)):
-        assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("model", _second_derivative_models(),
-                         ids=lambda m: m.name)
-def test_gauge_term_hessian_matches_fd(model):
-    # Both lift branches of two_level, as for the gradient above.
-    x = PhasePoint.of([0.3, -0.2, 0.4], [0.6, 0.1, 0.9])
-    h = 1e-5
-    fd = np.stack([(model.d_analytic_connections(x.shifted(c, h))
-                    - model.d_analytic_connections(x.shifted(c, -h))) / (2 * h)
-                   for c in range(6)])
-    got = model.d2_analytic_connections(x)
-    assert got.shape == (6, 6, 6, model.n, model.n)
-    assert np.max(np.abs(fd)) > 1e-3 or getattr(model, "z_only", False)
-    assert np.max(np.abs(got - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
-    assert np.max(np.abs(got - got.swapaxes(0, 1))) \
-        <= 1e-14 * max(1.0, np.max(np.abs(got)))
-
-
 # Term-by-term evaluation of the declared terms: the reference the compiled
 # monomial tables must reproduce bit for bit.
 
@@ -510,14 +473,13 @@ def test_monomial_tables_equal_the_term_loops(name, where):
     model = TwoLevel(**_TABLE_MODELS[name])
     x = _table_points()[where]
     # One pass over every order, and one pass per order.
-    together = model._jets(x, range(4))
-    for order in range(4):
+    together = model._jets(x, range(3))
+    for order in range(3):
         ref = reference_jet(model.parts, x, order)
         assert _same_bytes(together[order], ref)
         assert _same_bytes(model._jets(x, (order,))[0], ref)
     assert _same_bytes(model.h_vector(x), reference_values(model.h, x).T)
-    methods = [model.hamiltonian, model.d_hamiltonian, model.d2_hamiltonian,
-               model.d3_hamiltonian]
+    methods = [model.hamiltonian, model.d_hamiltonian, model.d2_hamiltonian]
     for order, method in enumerate(methods):
         assert _same_bytes(method(x),
                            model._sigma(reference_jet(model.parts, x, order)))
@@ -553,18 +515,13 @@ def test_sigma_keeps_the_bits_of_the_seven_operation_sum(shape):
 
 
 def _nested_conversion(field, R):
-    """((value, gradient, hessian), third derivatives) at R (3,) or (N, 3),
-    converted to arrays as `_jet` and `_d3` did before the flat layout: the
-    nested jets by `zip` and `map`, one point without `zip`."""
+    """(value, gradient, hessian) at R (3,) or (N, 3), converted to arrays
+    as `_jet` did before the flat layout: the nested jets by `zip` and
+    `map`, one point without `zip`."""
     if R.ndim == 1:
-        jet = tuple(map(np.array, nested_jet(field, R)))
-    else:
-        jet = tuple(map(np.array,
-                        zip(*[nested_jet(field, r) for r in R.tolist()])))
-    d3 = np.array([nested_d3(field, r)
-                   for r in np.reshape(R, (-1, 3)).tolist()]
-                  ).reshape(R.shape[:-1] + (3, 3, 3))
-    return jet, d3
+        return tuple(map(np.array, nested_jet(field, R)))
+    return tuple(map(np.array,
+                     zip(*[nested_jet(field, r) for r in R.tolist()])))
 
 
 @pytest.mark.parametrize("where", ["point", "batch"])
@@ -574,17 +531,17 @@ def test_field_arrays_equal_the_nested_conversion(field, where):
     R[0] = [0.0, -0.0, 0.3]                     # signed zeros
     if where == "point":
         R = R[0]
-    jet, d3 = _nested_conversion(field, R)
+    jet = _nested_conversion(field, R)
     got = _jet(field, R)
     assert len(got) == 3
     for a, b in zip(got, jet):
         assert _same_bytes(a, b)
-    assert _same_bytes(_d3(field, R), d3)
 
 
 def _reference_gauge(model, x, top):
-    """h, |h|, lift, d, dd, ddd of the gauge term from the term loops, and
-    the singular-gauge error the quotient rule raises."""
+    """h, |h|, lift and the derivatives of h of orders 1 to `top` of the
+    gauge term from the term loops, and the singular-gauge error the
+    quotient rule raises."""
     h = reference_values(model.h, x).T.copy()
     h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
     hn = np.sqrt(_dot(h, h))
@@ -605,17 +562,15 @@ def _reference_gauge(model, x, top):
 def reference_gauge_stacks(model, x):
     """The quotient rule on w = N / Q (N = h1 grad h2 - h2 grad h1,
     Q = 2 |h| lift) with every derivative of h from the term loops:
-    (gauge stack, its gradient, its Hessian)."""
-    h, hn, lift, d, dd, ddd = _reference_gauge(model, x, 3)
+    (gauge stack, its gradient)."""
+    h, hn, lift, d, dd = _reference_gauge(model, x, 2)
     on = lift != 0
     w = ((h[..., 0, None] * d[1] - h[..., 1, None] * d[0])
          / np.where(on, 2 * hn * lift, 1.0)[..., None])
     w[~on] = 0.0
     G = TwoLevel._gauge_stack(w)
     if not on.any():
-        zeros = np.zeros(x.batch_shape + (6, 6, 2, 2), dtype=complex)
-        return G, zeros, np.zeros(x.batch_shape + (6, 6, 6, 2, 2),
-                                  dtype=complex)
+        return G, np.zeros(x.batch_shape + (6, 6, 2, 2), dtype=complex)
     d0, d1, d2 = d
     d = np.ascontiguousarray(np.moveaxis(d, 0, -2))
     lift = np.where(on, lift, 1.0)
@@ -635,42 +590,12 @@ def reference_gauge_stacks(model, x):
     Q_ = Q[..., None, None]
     dQ = 2 * (dn * lift_ + hn_ * dlift)
     dw = dN / Q_ - _outer(dQ, N) / _pow(Q, 2)[..., None, None]
-    dd0, dd1, dd2 = dd
-    ddd0, ddd1 = ddd[:2]
-    hdd = (h[..., None, :] @ np.moveaxis(dd, 0, -3).reshape(
-        x.batch_shape + (3, 36)))[..., 0, :].reshape(dd0.shape)
-    ddn = (d.swapaxes(-1, -2) @ d + hdd - _outer(dn, dn)) / hn_[..., None]
-    ddlift = ddn + dd2
-    if not up.all():
-        dT = dn - d2
-        ddS = 2 * (_outer(d0, d0) + h1[..., None] * dd0
-                   + _outer(d1, d1) + h2[..., None] * dd1)
-        ddlift = np.where(up[..., None], ddlift,
-                          (ddS - _outer(dlift, dT) - _outer(dT, dlift)
-                           - lift_[..., None] * (ddn - dd2))
-                          / below[..., None])
-    ddN = (dd0[..., None] * d1[..., None, None, :]
-           - dd1[..., None] * d0[..., None, None, :]
-           + d0[..., None, :, None] * dd1[..., :, None, :]
-           - d1[..., None, :, None] * dd0[..., :, None, :]
-           + d0[..., :, None, None] * dd1[..., None, :, :]
-           - d1[..., :, None, None] * dd0[..., None, :, :]
-           + h1[..., None, None] * ddd1 - h2[..., None, None] * ddd0)
-    ddQ = 2 * (ddn * lift_[..., None] + _outer(dn, dlift)
-               + _outer(dlift, dn) + hn_[..., None] * ddlift)
-    ddw = (ddN / Q_[..., None]
-           - (dN[..., None, :, :] * dQ[..., :, None, None]
-              + dN[..., :, None, :] * dQ[..., None, :, None])
-           / _pow(Q, 2)[..., None, None, None]
-           + (2 * _outer(dQ, dQ) / _pow(Q, 3)[..., None, None]
-              - ddQ / _pow(Q, 2)[..., None, None])[..., None]
-           * N[..., None, None, :])
 
     def live(v):
         o = on.reshape(on.shape + (1,) * (v.ndim + 2 - on.ndim))
         return np.where(o, TwoLevel._gauge_stack(v), 0.0)
 
-    return G, live(dw), live(ddw)
+    return G, live(dw)
 
 
 _Z_MINUS = [[], [], [{"coef": "-1"}, {"coef": "1/5", "r_exp": [2, 0, 0]}]]
@@ -694,10 +619,9 @@ def test_gauge_term_and_gradients_equal_the_quotient_rule(name, where):
     x = _table_points()[where]
     h3 = model.h_vector(x)[..., 2]
     assert (h3 > 0).all() if name.endswith("up") else (h3 < 0).all()
-    G, dG, ddG = reference_gauge_stacks(model, x)
+    G, dG = reference_gauge_stacks(model, x)
     assert _same_bytes(model.analytic_connections(x), G)
     assert _same_bytes(model.d_analytic_connections(x), dG)
-    assert _same_bytes(model.d2_analytic_connections(x), ddG)
     if model.z_only:
         assert np.signbit(G.real).any() and not G.any()
 
@@ -712,14 +636,12 @@ def test_gauge_term_off_the_generic_branch(h_terms, xs):
     model = TwoLevel(h_terms=h_terms)
     x = PhasePoint.stack([PhasePoint.of([xs[0], 0, 0], [0.1, 0.2, 0.3]),
                           PhasePoint.of([xs[1], 0.1, 0], [0.3, -0.2, 0.5])])
-    G, dG, ddG = reference_gauge_stacks(model, x)
+    G, dG = reference_gauge_stacks(model, x)
     assert _same_bytes(model.analytic_connections(x), G)
     assert _same_bytes(model.d_analytic_connections(x), dG)
-    assert _same_bytes(model.d2_analytic_connections(x), ddG)
 
 
-_GAUGE_METHODS = ("analytic_connections", "d_analytic_connections",
-                  "d2_analytic_connections")
+_GAUGE_METHODS = ("analytic_connections", "d_analytic_connections")
 
 
 @pytest.mark.parametrize("h_terms, R", [

@@ -21,9 +21,8 @@ from tests.test_frames import BENCHMARK_CONFIGS
 from tests.test_models import _gauge_models
 
 HBAR = 0.01
-METHODS = ("hamiltonian", "d_hamiltonian", "d2_hamiltonian", "d3_hamiltonian",
-           "analytic_frame", "analytic_connections", "d_analytic_connections",
-           "d2_analytic_connections")
+METHODS = ("hamiltonian", "d_hamiltonian", "d2_hamiltonian",
+           "analytic_frame", "analytic_connections", "d_analytic_connections")
 
 
 def _points():
@@ -32,9 +31,9 @@ def _points():
 
 
 def _count(monkeypatch):
-    """Counts of the field jets, third derivatives, monomial-table passes (by
-    order) and squared norms (P.P, which the |P| = 0 test of `check_point`
-    reads, or h.h) made from now on."""
+    """Counts of the field jets, monomial-table passes (by order) and squared
+    norms (P.P, which the |P| = 0 test of `check_point` reads, or h.h) made
+    from now on."""
     counts = Counter()
 
     def counting(name, real):
@@ -43,9 +42,7 @@ def _count(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("_jet", "_d3"):
-        monkeypatch.setattr(models, name,
-                            counting(name, getattr(models, name)))
+    monkeypatch.setattr(models, "_jet", counting("_jet", models._jet))
     table_pass = TwoLevel._table_pass
 
     def counting_pass(self, x, order, pw):
@@ -63,13 +60,13 @@ def _count(monkeypatch):
     return counts
 
 
-def _once_per_frame(model, top: int, d3: bool) -> Counter:
+def _once_per_frame(model, top: int) -> Counter:
     """What one frame makes: each of these once, for derivative order `top`
-    of H (3 for the curvature)."""
+    of H (2 for the curvature)."""
     if isinstance(model, TwoLevel):
         want = Counter({f"table{order}": 1 for order in range(top + 1)})
     else:
-        want = Counter({"_jet": 1, "_d3": int(d3)})
+        want = Counter({"_jet": 1})
     want["v.v"] = 1
     return +want
 
@@ -85,11 +82,11 @@ def test_each_shared_intermediate_is_made_once_per_frame(
         for representation in ("canonical", "covariant"):
             counts.clear()
             band_energy(model, x, HBAR, order, representation)
-            assert +counts == _once_per_frame(model, order, False), \
+            assert +counts == _once_per_frame(model, order), \
                 (order, representation)
     counts.clear()
     berry_curvatures(model, x, HBAR)
-    assert +counts == _once_per_frame(model, 3, True)
+    assert +counts == _once_per_frame(model, 2)
 
 
 def test_every_frame_makes_its_own_intermediates(monkeypatch):

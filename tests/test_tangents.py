@@ -5,6 +5,8 @@
 both are checked against stencils over the same fields, and the first-order
 frame (B, hr and W) against the Moyal-product conditions that need no oracle:
 U = (1 + hbar U1) U0 is unitary and U * H * U^+ is block diagonal at O(hbar).
+grad A0 is checked against the flatness of U0 grad U0^+, which the
+curvature pass relies on and which needs no oracle either.
 """
 
 import sys
@@ -74,9 +76,6 @@ class _VariableMassDirac(DiracElectric):
     def d2_hamiltonian(self, x):
         return np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
 
-    def d3_hamiltonian(self, x):
-        return np.zeros(x.batch_shape + (6, 6, 6, 4, 4), dtype=complex)
-
     def analytic_frame(self, x):
         # The free-particle rotation of `DiracElectric` at the local mass.
         m = self._mass(x)
@@ -96,23 +95,6 @@ class _VariableMassDirac(DiracElectric):
         f_P = ((4 * E + 2 * m) / E)[..., None] * P
         df = np.concatenate([f_m[..., None] * k, f_P], axis=-1)
         return 2 * E * (E + m), df
-
-    def _gauge_ddf(self, x):
-        """grad grad f of `_gauge_f` over the six axes."""
-        m, P, k = self._mass(x), x.P, self.k
-        PP = _dot(P, P)
-        E = np.sqrt(PP + m * m)
-        E3 = E * E * E
-        f_mm = 4 + 6 * m / E - 2 * m * m * m / E3
-        f_mP = (2 * PP / E3)[..., None] * P
-        ddf = np.zeros(x.batch_shape + (6, 6))
-        ddf[..., :3, :3] = f_mm[..., None, None] * np.outer(k, k)
-        ddf[..., :3, 3:] = k[:, None] * f_mP[..., None, :]
-        ddf[..., 3:, :3] = f_mP[..., :, None] * k
-        ddf[..., 3:, 3:] = ((4 + 2 * m / E)[..., None, None] * np.eye(3)
-                            - (2 * m / E3)[..., None, None]
-                            * (P[..., :, None] * P[..., None, :]))
-        return ddf
 
 
 def _twisted(model, seed):
@@ -386,6 +368,63 @@ def test_exact_curvature_matches_stencil(case):
                 scale = max(float(np.max(np.abs(want))), 1e-6 * whole)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-6 * scale
+
+
+def flatness_residual(model, x):
+    """(residual, scale) of the flatness of X = U0 grad U0^+ at x, per point.
+
+    grad_c X_a - grad_a X_c = [X_a, X_c] makes the pairing curl of the
+    order-0 connections' gradient dA[c, a] = grad_c A^a equal i [A^c, A^a]
+    in the [R, R], [P, P] and [P, R] blocks:
+      dA[P_i, R_j] - dA[P_j, R_i] = i [A^{R_i}, A^{R_j}],
+      -(dA[R_i, P_j] - dA[R_j, P_i]) = i [A^{P_i}, A^{P_j}],
+      -(dA[R_i, R_j] + dA[P_j, P_i]) = i [A^{P_i}, A^{R_j}].
+    The scale is the larger of |dA| and |[A, A]| at each point.
+    """
+    frame = classical_frame(model, x)
+    conns = berry_connections(frame)
+    A, dA = conns.A, first_order(frame, conns).dA
+    K = 1j * _comm(A[..., :, None, :, :], A[..., None, :, :, :])
+    R, P = slice(0, 3), slice(3, 6)
+    d_PR, d_RP = dA[..., P, R, :, :], dA[..., R, P, :, :]
+    curl = (d_PR - d_PR.swapaxes(-4, -3), -(d_RP - d_RP.swapaxes(-4, -3)),
+            -(dA[..., R, R, :, :] + dA[..., P, P, :, :].swapaxes(-4, -3)))
+    want = (K[..., R, R, :, :], K[..., P, P, :, :], K[..., P, R, :, :])
+    axes = (-4, -3, -2, -1)
+    residual = np.max([np.max(np.abs(c - w), axis=axes)
+                       for c, w in zip(curl, want)], axis=0)
+    scale = np.maximum(np.max(np.abs(dA), axis=axes),
+                       np.max(np.abs(K), axis=axes))
+    return residual, scale
+
+
+@pytest.mark.parametrize("case", sorted(TANGENT_CASES))
+def test_connection_gradient_is_flat(case):
+    # The identity the curvature pass takes the curl of grad grad A0 from,
+    # checked on grad A0 itself at one point and on a batch.  It needs no
+    # oracle, and a declared gauge term that does not match its frame
+    # breaks it.  The frame-less record, in the gauge parallel to the frame
+    # at the point, obeys it too.
+    model = TANGENT_CASES[case]()
+    points = random_points(np.random.default_rng(48), 4, 0.3, 3.0)
+    for x in (points[0], PhasePoint.stack(points)):
+        residual, scale = flatness_residual(model, x)
+        assert residual.shape == x.batch_shape
+        assert (residual <= 1e-13 * scale).all()
+
+
+def test_flatness_sees_a_gauge_term_off_its_frame(monkeypatch):
+    # Guards the guard: a constant within-group term added to the declared
+    # gauge term leaves grad A0 as it is but not [A0, A0].
+    model = TANGENT_CASES["dirac_electric"]()
+    extra = np.zeros((6, 4, 4), dtype=complex)
+    extra[0, :2, :2] = 0.3 * SIGMA[2][:2, :2]
+    real = model.analytic_connections
+    monkeypatch.setattr(model, "analytic_connections",
+                        lambda y: real(y) + extra)
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    residual, scale = flatness_residual(model, x)
+    assert residual > 1e-3 * scale
 
 
 @pytest.mark.parametrize("case", ["dirac_electric", "rotated_dirac",
