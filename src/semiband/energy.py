@@ -2,9 +2,10 @@
 
 The pipeline assembles, at a classical phase point:
 
-* the first-order rotation generator B (off-group blocks of the frame
-  correction, fixed by the gauge condition that the within-group generator
-  part is Hermitian),
+* the first-order rotation generator B of the frame U = (1 + hbar U1) U0,
+  U1 = B + hr with hr = -(i/4) sum_l [A0^{R_l}, A0^{P_l}] (B holds the
+  off-group blocks of the correction, fixed by the gauge condition that the
+  within-group generator part is Hermitian),
 * the corrected connections
   A^X = A0^X + (hbar/8){A0^{X_l}, grad_{X_l} A0^X}
       + (hbar/2)(-+ i grad B + [B, A0^X]),
@@ -46,8 +47,9 @@ M_a = U0 grad_a H U0^+, X = U0 grad U0^+ = i conjugate(A0) and E = diag eps0:
   (1/2) P+[X_a, X_b] without an analytic frame (`frames.connection_gradients`);
 * B and W (`kernel_gradient`) follow by the Leibniz rule, with
   grad inv(V) = inv(grad V - [inv(V), grad E]); B comes from the same
-  K-inversion as grad B, so `rotation_generator` is a value function that
-  the record does not call.
+  K-inversion as grad B, and the record is the one place B is built.  No
+  energy reads U itself; the `verify` residual-scaling suite builds it
+  from the record's B.
 
 The record's sums over a phase axis of products (Y, grad Y, the
 (1/8){A_b, grad_b A} correction, grad T) are block-matrix products
@@ -75,7 +77,6 @@ from semiband.frames import (
     ConnectionSet,
     Tolerances,
     DEFAULT_TOL,
-    _anticomm,
     _anticomm_sum,
     _block_contract,
     _comm,
@@ -92,7 +93,6 @@ from semiband.frames import (
     invert_band_commutator,
     matrix_norms,
 )
-from semiband.stencils import FDDiagnostics
 
 __all__ = [
     "CHUNK",
@@ -101,11 +101,9 @@ __all__ = [
     "band_energy",
     "band_energy_batch",
     "first_order",
-    "rotation_generator",
     "corrected_connections",
     "first_order_kernel",
     "kernel_gradient",
-    "frame_first_order",
 ]
 
 
@@ -169,7 +167,10 @@ class EnergyReport:
         return np.real(np.diagonal(self.eps, 0, -2, -1))
 
     def split(self) -> list:
-        """The per-point reports of a batch report."""
+        """The per-point reports of a batch report; ValueError for a
+        one-point report."""
+        if self.point.batch_shape == ():
+            raise ValueError("split needs a batch report, not one point")
         return [EnergyReport(
             self.order, self.representation, self.eps[i], self.zeroth[i],
             self.first[i], self.second[i], self.bracket_term[i],
@@ -177,6 +178,15 @@ class EnergyReport:
             {k: float(v[i]) if isinstance(v, np.ndarray) else v
              for k, v in self.diagnostics.items()})
             for i in range(len(self.eps))]
+
+
+@dataclass
+class FDDiagnostics:
+    """The stencil record of an order-2 report: constant, as no stencil runs."""
+
+    order: int = 4
+    discrepancy: float = 0.0
+    fallbacks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +216,12 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
     """The first-order record at the frame's point, from its
     `berry_connections` set `conns0`.
 
-    grad A0 and the eps0 Hessian come from `connection_gradients`.  B is
-    built from the same band-commutator inversion and pairing product that
-    its gradient needs (the value of `rotation_generator`, rounded in
-    another order) and differentiated by the Leibniz rule, with
+    grad A0 and the eps0 Hessian come from `connection_gradients`.  The
+    generator
+      B = -[., eps0]^{-1} P-{(1/2) A0^{X_l} grad_{X_l} eps0 + H.C.}
+          + (i/4){P-A0^{R_l} P+A0^{P_l} - P-A0^{P_l} P+A0^{R_l} + H.C.}
+    is built from the band-commutator inversion and pairing product that
+    its gradient needs and differentiated by the Leibniz rule, with
     grad inv(V) = inv(grad V - [inv(V), grad E]) for the inversion.
     D eps0 (`FirstOrder.DE`) is made when the canonical order-2 energy
     first reads it, for W and `kernel_gradient`.  The hbar-free connection
@@ -272,37 +284,10 @@ def kernel_gradient(first: FirstOrder) -> np.ndarray:
     return frame.project(dT + _dagger(dT), "diag")
 
 
-def rotation_generator(frame: BandFrame, conns: ConnectionSet) -> np.ndarray:
-    """The anti-Hermitian off-group generator B of the first-order frame.
-
-    B = -[. , eps0]^{-1} P-{ (1/2) A^{X_l} grad_{X_l} eps0 + H.C. }
-        + (i/4) { P-A^{R_l} P+A^{P_l} - P-A^{P_l} P+A^{R_l} + H.C. }
-    """
-    M = (0.5 * _anticomm(conns.A, _diag(frame.grads))).sum(-3)
-    B = -invert_band_commutator(frame.project(M, "offdiag"), frame)
-    X = (frame.project(conns.A, "offdiag")
-         @ conjugate(frame.project(conns.A, "diag"))).sum(-3)
-    return B + 0.25j * (X + _dagger(X))
-
-
 def corrected_connections(first: FirstOrder, hbar: float) -> ConnectionSet:
     """Connections including the order-hbar correction, A0 + hbar linear."""
     return ConnectionSet(hermitize(first.conns0.A + hbar * first.linear),
                          "corrected")
-
-
-def frame_first_order(frame: BandFrame, conns0: ConnectionSet, hbar: float):
-    """First-order transformation U = (1 + hbar U1) U0.
-
-    U1 = B + hr with hr = -(i/4)[A0^{R_l}, A0^{P_l}]; the gauge choice makes
-    the within-group part of the generator Hermitian (P+ of the anti-Hermitian
-    part vanishes).  Returns (U, U1, B, hr).
-    """
-    B = rotation_generator(frame, conns0)
-    hr = -0.25j * (conns0.A @ conns0.cA).sum(-3)
-    U1 = B + hr
-    U = (np.eye(frame.n) + hbar * U1) @ frame.U0
-    return U, U1, B, hr
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +324,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
     whose arrays and per-point diagnostics carry the point axis in front,
     and raises if any of its points would.
     """
-    if order not in (0, 1, 2):
+    if isinstance(order, bool) or order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     if representation not in ("canonical", "covariant"):
         raise ValueError("representation must be 'canonical' or 'covariant'")

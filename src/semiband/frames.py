@@ -23,11 +23,9 @@ passes take their products over phase axes as block-matrix products
 a stack makes one BLAS call per small matrix, and their products with a
 diagonal matrix elementwise (`_comm_diag`).  The band-commutator inversion is
 one masked divide by the frame's gap matrix, whose first use checks the gaps.
-The finite-difference connections over a gauge-smoothed frame field
-(`connections_fd`, at the fixed stencil base `stencils.DEFAULT_FD_BASE`;
-without an analytic frame, eigenvectors at stencil points are aligned to the
-anchor frame by the unitary polar factor of the per-group overlap matrix) are
-the independent cross-check.
+Nothing here takes a finite difference: the finite-difference connections
+over a gauge-smoothed frame field, their independent cross-check, live in
+`verify` (`connections_fd`), next to the suite that reads them.
 
 A frame holds one point or a batch of N points.  A batch puts its point
 axis in front of every array ((N, n) eps0, (N, 6, n, n) stacks), and the
@@ -43,17 +41,14 @@ import numpy as np
 
 from semiband.fields import _real
 from semiband.models import Model, PhasePoint, _dot
-from semiband.stencils import derivative_along
 
 __all__ = [
     "Tolerances",
     "BandFrame",
     "ConnectionSet",
     "classical_frame",
-    "frame_field",
     "invert_band_commutator",
     "berry_connections",
-    "connections_fd",
     "connection_gradients",
     "hermitize",
     "matrix_norms",
@@ -77,10 +72,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-# The smallest singular value of a group overlap that `_align_to` accepts.
-_OVERLAP_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class _GroupMasks:
@@ -365,27 +356,6 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     return vecs * turn[..., None, :]
 
 
-def _align_to(vecs: np.ndarray, ref: np.ndarray,
-              groups: np.ndarray) -> np.ndarray:
-    """Rotate eigenvector columns within each group to match a reference frame.
-
-    Uses the unitary polar factor of the overlap matrix per band group; raises
-    if an overlap is rank deficient (gauge alignment failure).
-    """
-    out = vecs.copy()
-    for g in np.unique(groups):
-        idx = np.flatnonzero(groups == g)
-        overlap = vecs[:, idx].conj().T @ ref[:, idx]
-        u, s, vh = np.linalg.svd(overlap)
-        if s.min() < _OVERLAP_FLOOR:
-            raise ValueError(
-                f"gauge alignment failure: group {g} overlap is singular "
-                f"(smallest singular value {s.min():.3e})"
-            )
-        out[:, idx] = vecs[:, idx] @ (u @ vh)
-    return out
-
-
 def classical_frame(model: Model, x: PhasePoint,
                     tol: Tolerances = DEFAULT_TOL) -> BandFrame:
     """Gauge-fixed classical diagonalization at x.
@@ -440,28 +410,6 @@ def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
     if i is not None:
         g = frame.groups[np.nonzero(bad[i])[0]].min()
         raise ValueError(f"group {g} eigenvalues exceed degeneracy tolerance")
-
-
-def frame_field(anchor: BandFrame):
-    """Smooth map y -> (eps0(y), U0(y)) of the anchor's model in the anchor's
-    gauge.
-
-    With an analytic frame the model's own smooth gauge is used directly; the
-    numerical path aligns each point's eigenvectors to the anchor frame.
-    """
-    model = anchor.model
-    if model.has_analytic_frame:
-        return model.analytic_frame
-
-    ref = anchor.U0.conj().T
-
-    def at(y: PhasePoint):
-        vals, vecs = _group_eigensystem(model.hamiltonian(y), model, y,
-                                        anchor.tol)
-        aligned = _align_to(vecs, ref, anchor.groups)
-        return vals, aligned.conj().T
-
-    return at
 
 
 def invert_band_commutator(M: np.ndarray, frame: BandFrame) -> np.ndarray:
@@ -547,16 +495,6 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
         dX += 0.5 * frame.project(_swap(XX) - XX, "diag")
         dA = conjugate(1j * dX)
     return hermitize(dA), hess
-
-
-def connections_fd(frame: BandFrame) -> ConnectionSet:
-    """Connections at the frame's point from finite differences of the
-    gauge-smoothed frame field."""
-    x, at = frame.point, frame_field(frame)
-    U0 = at(x)[1]
-    X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis)
-                       for axis in range(6)])
-    return ConnectionSet(hermitize(conjugate(1j * X)), "0")
 
 
 def _group_scalar(diag: np.ndarray, frame: BandFrame) -> np.ndarray:

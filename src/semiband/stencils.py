@@ -2,26 +2,16 @@
 
 Fourth-order five-point stencils with step h = base * (1 + |coordinate|),
 base `DEFAULT_FD_BASE`, and a three-point second-order fallback when a
-stencil point cannot be evaluated.  The pipeline's results run no stencil;
-the finite-difference cross-checks of the tests and `verify` suites do.
+stencil point cannot be evaluated.  The pipeline's results run no stencil,
+and no engine module imports this one; the finite-difference cross-checks
+of the tests and `verify` suites do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["FDDiagnostics", "fd_step", "derivative_along"]
+__all__ = ["fd_step", "derivative_along"]
 
 DEFAULT_FD_BASE = 1e-3
-
-
-@dataclass
-class FDDiagnostics:
-    """The stencil record of an order-2 report: constant, as no stencil runs."""
-
-    order: int = 4
-    discrepancy: float = 0.0
-    fallbacks: int = 0
 
 
 def fd_step(coordinate: float) -> float:

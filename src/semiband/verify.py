@@ -4,6 +4,13 @@ Each suite returns a `SuiteResult` with measured metrics and a pass flag at
 its contract tolerance; the `verify` CLI subcommand and the acceptance test
 module both run these, and `bracket-check` runs `BRACKET_SUITES`.  All randomness is drawn from a caller-supplied seed so
 reports are reproducible bit for bit.
+
+The finite-difference connections over a gauge-smoothed frame field
+(`connections_fd`, at the fixed stencil base `stencils.DEFAULT_FD_BASE`;
+without an analytic frame, eigenvectors at stencil points are aligned to the
+anchor frame by the unitary polar factor of the per-group overlap matrix)
+live here, next to `suite_numerical_plumbing`, which checks the exact
+connections against them: the engine takes no finite difference.
 """
 
 from __future__ import annotations
@@ -29,16 +36,17 @@ from semiband.frames import (
     _comm,
     _dagger,
     _diag,
+    _group_eigensystem,
     berry_connections,
     classical_frame,
-    connections_fd,
+    conjugate,
+    hermitize,
     invert_band_commutator,
 )
 from semiband.energy import (
     _string,
     band_energy,
     first_order,
-    frame_first_order,
 )
 from semiband.dynamics import (
     _rk4,
@@ -365,9 +373,11 @@ def suite_residual_scaling(seed: int = 16,
     first = first_order(frame, conns0)
     hbars = np.array([1e-1, 1e-2, 1e-3])
 
+    # U = (1 + hbar U1) U0, U1 = B + hr, hr = -(i/4) sum_l [A0^{R_l}, A0^{P_l}].
+    U1 = first.B - 0.25j * (conns0.A @ conns0.cA).sum(-3)
     defects = []
     for hb in hbars:
-        U, _U1, _B, _hr = frame_first_order(frame, conns0, hb)
+        U = (np.eye(frame.n) + hb * U1) @ frame.U0
         defects.append(np.linalg.norm(U @ U.conj().T - np.eye(frame.n)))
     slope_u = float(np.polyfit(np.log(hbars), np.log(defects), 1)[0])
 
@@ -412,6 +422,64 @@ def suite_free_field(seed: int = 17, points: int = 20,
             worst = max(worst, float(corr))
     return SuiteResult("free-field-degeneracy", worst <= tolerance,
                        {"max_correction": worst, "tolerance": tolerance})
+
+
+# The smallest singular value of a group overlap that `_align_to` accepts.
+_OVERLAP_FLOOR = 1e-6
+
+
+def _align_to(vecs: np.ndarray, ref: np.ndarray,
+              groups: np.ndarray) -> np.ndarray:
+    """Rotate eigenvector columns within each group to match a reference frame.
+
+    Uses the unitary polar factor of the overlap matrix per band group; raises
+    if an overlap is rank deficient (gauge alignment failure).
+    """
+    out = vecs.copy()
+    for g in np.unique(groups):
+        idx = np.flatnonzero(groups == g)
+        overlap = vecs[:, idx].conj().T @ ref[:, idx]
+        u, s, vh = np.linalg.svd(overlap)
+        if s.min() < _OVERLAP_FLOOR:
+            raise ValueError(
+                f"gauge alignment failure: group {g} overlap is singular "
+                f"(smallest singular value {s.min():.3e})"
+            )
+        out[:, idx] = vecs[:, idx] @ (u @ vh)
+    return out
+
+
+def frame_field(anchor: BandFrame):
+    """Smooth map y -> (eps0(y), U0(y)) of the anchor's model in the anchor's
+    gauge.
+
+    With an analytic frame the model's own smooth gauge is used directly; the
+    numerical path aligns each point's eigenvectors to the anchor frame.
+    """
+    model = anchor.model
+    if model.has_analytic_frame:
+        return model.analytic_frame
+
+    ref = anchor.U0.conj().T
+
+    def at(y: PhasePoint):
+        vals, vecs = _group_eigensystem(model.hamiltonian(y), model, y,
+                                        anchor.tol)
+        aligned = _align_to(vecs, ref, anchor.groups)
+        return vals, aligned.conj().T
+
+    return at
+
+
+def connections_fd(frame: BandFrame) -> ConnectionSet:
+    """Connections at the frame's point from finite differences of the
+    gauge-smoothed frame field: the independent cross-check of the exact
+    `berry_connections`."""
+    x, at = frame.point, frame_field(frame)
+    U0 = at(x)[1]
+    X = U0 @ np.stack([derivative_along(lambda y: at(y)[1].conj().T, x, axis)
+                       for axis in range(6)])
+    return ConnectionSet(hermitize(conjugate(1j * X)), "0")
 
 
 def suite_numerical_plumbing(seed: int = 18) -> SuiteResult:

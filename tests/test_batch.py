@@ -116,6 +116,18 @@ def test_batch_report_carries_the_point_axis():
         [x.R.tolist() for x in points]
 
 
+@pytest.mark.parametrize("name", ["two_level_generic", "dirac_electric"])
+def test_split_refuses_a_one_point_report(name):
+    # A one-point report has no point axis to split along; a one-point
+    # batch has one.
+    model = make_model(BENCHMARK_CONFIGS[name])
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    rep = band_energy(model, x, 0.01, 2)
+    with pytest.raises(ValueError, match="batch"):
+        rep.split()
+    assert len(band_energy(model, PhasePoint.stack([x]), 0.01, 2).split()) == 1
+
+
 def test_batch_raises_if_any_point_would():
     model = make_model(BENCHMARK_CONFIGS["neutrino_metric"])
     points = random_points(np.random.default_rng(13), 5, 0.3, 3.0)

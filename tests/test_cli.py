@@ -673,6 +673,7 @@ def test_verify_is_imported_only_by_the_commands_that_run_it():
     src = Path(semiband.cli.__file__).resolve().parents[1]
     code = ("import sys, semiband, semiband.cli\n"
             "assert 'semiband.verify' not in sys.modules\n"
+            "assert 'semiband.stencils' not in sys.modules\n"
             "from semiband import run_suites\n"
             "assert 'run_suites' in semiband.__all__\n"
             "assert run_suites is sys.modules['semiband.verify'].run_suites\n")

@@ -16,18 +16,10 @@ from semiband.fields import (
 from semiband.models import (
     BETA, DiracElectric, NeutrinoMetric, PhasePoint, TwoLevel, make_model,
 )
-from semiband.frames import (
-    berry_connections, classical_frame, conjugate, connections_fd,
-)
-from semiband.energy import (
-    band_energy,
-    corrected_connections,
-    first_order,
-    frame_first_order,
-    rotation_generator,
-)
+from semiband.frames import berry_connections, classical_frame, conjugate
+from semiband.energy import band_energy, corrected_connections, first_order
 from semiband.dynamics import berry_curvatures
-from semiband.verify import covariant_reexpansion
+from semiband.verify import connections_fd, covariant_reexpansion
 from tests.test_models import p_cross_sigma
 
 GAUSS = GaussianField(0.8, [0.2, -0.1, 0.3], 1.4)
@@ -59,11 +51,21 @@ def corrected(model, hbar):
     return frame, conns0, corrected_connections(first, hbar)
 
 
+def first_order_frame(frame, conns0, hbar):
+    """(U, U1, B, hr) of the first-order frame U = (1 + hbar U1) U0 with
+    U1 = B + hr, hr = -(i/4) sum_l [A0^{R_l}, A0^{P_l}], and B the
+    generator of the first-order record."""
+    B = first_order(frame, conns0).B
+    hr = -0.25j * (conns0.A @ conns0.cA).sum(-3)
+    U1 = B + hr
+    return (np.eye(frame.n) + hbar * U1) @ frame.U0, U1, B, hr
+
+
 def test_rotation_generator_neutrino_vanishes():
     model = neutrino()
     frame = classical_frame(model, X)
     conns = berry_connections(frame)
-    B = rotation_generator(frame, conns)
+    B = first_order(frame, conns).B
     assert np.max(np.abs(B)) <= 1e-13
 
 
@@ -71,7 +73,7 @@ def test_rotation_generator_dirac_closed_form():
     model = dirac()
     frame = classical_frame(model, X)
     conns = berry_connections(frame)
-    B = rotation_generator(frame, conns)
+    B = first_order(frame, conns).B
     E = model.energy_scale(X)
     gV = model.field.gradient(X.R)
     closed = (BETA / (2 * E)) @ sum(
@@ -87,7 +89,7 @@ def test_rotation_generator_uniform_potential_vanishes():
     model = dirac(UniformField(0.4))
     frame = classical_frame(model, X)
     conns = berry_connections(frame)
-    assert np.max(np.abs(rotation_generator(frame, conns))) <= 1e-13
+    assert np.max(np.abs(first_order(frame, conns).B)) <= 1e-13
 
 
 def test_corrected_connections_neutrino_unchanged():
@@ -271,7 +273,7 @@ def test_frame_first_order_gauge_and_unitarity():
     model = dirac()
     frame = classical_frame(model, X)
     conns0 = berry_connections(frame)
-    U, U1, B, hr = frame_first_order(frame, conns0, 0.01)
+    U, U1, B, hr = first_order_frame(frame, conns0, 0.01)
     # hr vanishes when the momentum connection does
     assert np.max(np.abs(hr)) <= 1e-14
     # anti-Hermitian part of the generator is the rotation generator
@@ -279,7 +281,7 @@ def test_frame_first_order_gauge_and_unitarity():
     assert np.max(np.abs(anti - B)) <= 1e-13
     assert np.max(np.abs(frame.project(anti, "diag"))) <= 1e-12
     # hbar -> 0 limit
-    U0_only, *_ = frame_first_order(frame, conns0, 0.0)
+    U0_only, *_ = first_order_frame(frame, conns0, 0.0)
     assert np.allclose(U0_only, frame.U0)
     # (d U / d hbar) U^+ has no within-group anti-Hermitian part; the exact
     # derivative of (1 + hbar U1) U0 is U1 U0.
@@ -292,7 +294,7 @@ def test_frame_first_order_uniform_is_zeroth():
     model = dirac(UniformField(0.0))
     frame = classical_frame(model, X)
     conns0 = berry_connections(frame)
-    U, U1, B, hr = frame_first_order(frame, conns0, 0.1)
+    U, U1, B, hr = first_order_frame(frame, conns0, 0.1)
     assert np.max(np.abs(U1)) <= 1e-13
     assert np.allclose(U, frame.U0)
 
@@ -326,6 +328,10 @@ def test_order_validation():
         band_energy(dirac(), X, 0.01, order=3)
     with pytest.raises(ValueError):
         band_energy(dirac(), X, 0.01, representation="mixed")
+    # True == 1 and False == 0, but a bool is not an order.
+    for order in (True, False):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            band_energy(dirac(), X, 0.01, order=order)
 
 
 def test_unsupported_hamiltonian_bracket_hook():
@@ -432,29 +438,27 @@ def test_conjugate_of_a0_is_built_once_per_point(monkeypatch):
 def test_order2_point_builds_b_from_its_own_inversion(monkeypatch):
     # The first-order record takes B from the K-inversion it performs for
     # grad B: an order-2 point makes four band-commutator inversions (the
-    # connections, their gradients, B and grad B) and no
-    # `rotation_generator` call, in either representation, for one point
-    # and for a batch.
-    counts = {"invert_band_commutator": 0, "rotation_generator": 0}
+    # connections, their gradients, B and grad B), in either
+    # representation, for one point and for a batch.
+    counts = {"invert_band_commutator": 0}
     for name, module in list(sys.modules.items()):
-        for fname in counts:
-            if name.startswith("semiband") and hasattr(module, fname):
-                real = getattr(module, fname)
+        if name.startswith("semiband") and hasattr(module,
+                                                   "invert_band_commutator"):
+            real = module.invert_band_commutator
 
-                def counting(*args, fname=fname, real=real):
-                    counts[fname] += 1
-                    return real(*args)
+            def counting(*args, real=real):
+                counts["invert_band_commutator"] += 1
+                return real(*args)
 
-                monkeypatch.setattr(module, fname, counting)
+            monkeypatch.setattr(module, "invert_band_commutator", counting)
     batch = PhasePoint.stack([X, PhasePoint.of([0.3, -0.5, 0.2],
                                                [-0.6, 0.9, 0.4])])
     for model in (dirac(), neutrino(), make_model(GENERIC_TWO_LEVEL)):
         for x in (X, batch):
             for representation in ("canonical", "covariant"):
-                counts.update(invert_band_commutator=0, rotation_generator=0)
+                counts.update(invert_band_commutator=0)
                 band_energy(model, x, 0.01, 2, representation)
-                assert counts == {"invert_band_commutator": 4,
-                                  "rotation_generator": 0}
+                assert counts == {"invert_band_commutator": 4}
 
 
 def rotated_model(model, D, omega):

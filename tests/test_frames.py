@@ -23,9 +23,7 @@ from semiband.frames import (
     classical_frame,
     conjugate,
     connection_gradients,
-    connections_fd,
     invert_band_commutator,
-    _align_to,
     _anticomm_sum,
     _block_contract,
     _diag,
@@ -36,6 +34,7 @@ from semiband.energy import (
 )
 from semiband.dynamics import berry_curvatures
 from semiband.cli import main
+from semiband.verify import _align_to, connections_fd
 from tests.test_models import p_cross_sigma
 
 

@@ -11,11 +11,12 @@ import pytest
 from semiband import models
 from semiband.dynamics import berry_curvatures
 from semiband.energy import band_energy
-from semiband.frames import classical_frame, connections_fd
+from semiband.frames import classical_frame
 from semiband.models import (
     PhasePoint, TwoLevel, make_model, random_points,
 )
 from semiband.stencils import derivative_along
+from semiband.verify import connections_fd
 from tests.test_batch import CUBIC_TWO_LEVEL
 from tests.test_frames import BENCHMARK_CONFIGS
 from tests.test_models import _gauge_models

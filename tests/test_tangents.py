@@ -24,20 +24,21 @@ from semiband.frames import (
     DEFAULT_TOL,
     BandFrame,
     ConnectionSet,
+    _anticomm,
     _comm,
+    _dagger,
+    _diag,
     berry_connections,
     classical_frame,
     conjugate,
-    frame_field,
     hermitize,
+    invert_band_commutator,
 )
 from semiband.energy import (
     band_energy,
     first_order,
     first_order_kernel,
-    frame_first_order,
     kernel_gradient,
-    rotation_generator,
 )
 from semiband.dynamics import (
     _helicity_spinor,
@@ -46,17 +47,18 @@ from semiband.dynamics import (
     covariant_variables,
 )
 from semiband.stencils import derivative_along
+from semiband.verify import frame_field
 from tests.test_dynamics import positive_block_connection
 from tests.test_energy import (
-    _block_eigenvalues, _group_rotated, rotated_model,
+    _block_eigenvalues, _group_rotated, first_order_frame, rotated_model,
 )
 from tests.test_frames import BENCHMARK_CONFIGS
 
 
 class _VariableMassDirac(DiracElectric):
     """H = alpha.P + beta m(R), m = 1 + k.R: the cross-group frame depends on
-    R, so the B pairing term of `rotation_generator` is live once the frame
-    is turned within the groups.  Takes one point or a batch."""
+    R, so the pairing term of the generator B is live once the frame is
+    turned within the groups.  Takes one point or a batch."""
 
     def __init__(self, k):
         super().__init__(m=1.0, e=0.0)
@@ -160,7 +162,7 @@ def _phase_field(model, y, anchor, hbar):
             derivative_along(lambda z: at(z)[1].conj().T, y, axis)
             for axis in range(6)])
         conns = ConnectionSet(hermitize(conjugate(1j * X)), "0")
-    return np.concatenate([conns.A, [rotation_generator(frame, conns),
+    return np.concatenate([conns.A, [first_order(frame, conns).B,
                                      first_order_kernel(frame, conns)]])
 
 
@@ -210,18 +212,31 @@ def test_exact_field_gradients_match_stencil(case):
             assert np.max(np.abs(exact - want)) <= 1e-6 * scale
 
 
+def _rotation_generator(frame, conns):
+    """B from its closed form, the reference for the first-order record:
+
+    B = -[. , eps0]^{-1} P-{ (1/2) A^{X_l} grad_{X_l} eps0 + H.C. }
+        + (i/4) { P-A^{R_l} P+A^{P_l} - P-A^{P_l} P+A^{R_l} + H.C. }
+    """
+    M = (0.5 * _anticomm(conns.A, _diag(frame.grads))).sum(-3)
+    B = -invert_band_commutator(frame.project(M, "offdiag"), frame)
+    X = (frame.project(conns.A, "offdiag")
+         @ conjugate(frame.project(conns.A, "diag"))).sum(-3)
+    return B + 0.25j * (X + _dagger(X))
+
+
 @pytest.mark.parametrize("case", [*sorted(BENCHMARK_CONFIGS), "twisted_dirac",
                                   "twisted_variable_mass"])
 def test_record_generator_is_rotation_generator(case):
     # The first-order record builds B from its own K-inversion and pairing
-    # product: the value of `rotation_generator`, rounded in another order,
-    # at one point and for a batch.
+    # product: the value of the closed form `_rotation_generator`, rounded
+    # in another order, at one point and for a batch.
     model = TANGENT_CASES[case]()
     points = random_points(np.random.default_rng(42), 4, 0.3, 3.0)
     for x in points + [PhasePoint.stack(points)]:
         frame = classical_frame(model, x)
         conns = berry_connections(frame)
-        want = rotation_generator(frame, conns)
+        want = _rotation_generator(frame, conns)
         got = first_order(frame, conns).B
         assert got.shape == want.shape
         scale = np.max(np.abs(conns.A))
@@ -239,7 +254,7 @@ def moyal_residuals(model, x):
     """
     frame = classical_frame(model, x)
     conns = berry_connections(frame)
-    _U, U1, _B, _hr = frame_first_order(frame, conns, 0.0)
+    _U, U1, _B, _hr = first_order_frame(frame, conns, 0.0)
     X = 1j * conjugate(conns.A)
     M = frame.dH
     E = np.diag(frame.eps0)
@@ -318,7 +333,7 @@ def test_twisted_models_exercise_the_pairing_terms():
         model = MOYAL_CASES[case]()
         frame = classical_frame(model, x)
         conns = berry_connections(frame)
-        _U, _U1, _B, hr = frame_first_order(frame, conns, 0.0)
+        _U, _U1, _B, hr = first_order_frame(frame, conns, 0.0)
         A = conns.A
         pairing = (frame.project(A, "offdiag")
                    @ conjugate(frame.project(A, "diag"))).sum(0)
