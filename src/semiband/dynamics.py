@@ -73,6 +73,7 @@ from semiband.frames import (
     _anticomm,
     _anticomm_sum,
     _dagger,
+    _pair_comm,
     _pair_products,
     _swap,
     berry_connections,
@@ -198,12 +199,6 @@ def _flat_part(cov: CovariantVars) -> np.ndarray:
     W = (0.5 * cov.hbar * hermitize(1j * frame.project(S, "diag"))
          - 1j * _pair_products(a, a))
     return W - _swap(W)
-
-
-def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """[L[l], R[r]] for every pair of a (..., k, n, n) and an (..., m, n, n)
-    stack, (..., k, m, n, n)."""
-    return _pair_products(L, R) - _swap(_pair_products(R, L))
 
 
 def berry_curvatures(model: Model, x: PhasePoint, hbar: float,

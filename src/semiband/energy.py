@@ -83,7 +83,7 @@ from semiband.frames import (
     _comm_diag,
     _dagger,
     _diag,
-    _pair_products,
+    _pair_comm,
     _swap,
     berry_connections,
     classical_frame,
@@ -116,11 +116,9 @@ CHUNK = 64
 def _covariant(grad: np.ndarray, cA: np.ndarray, M: np.ndarray) -> np.ndarray:
     """D_a M = grad_a M + (i/2)[cA_a, M] over the six axes of cA =
     conjugate(A), for one matrix M (..., n, n) per point, i.e.
-    D_R = grad_R + (i/2)[A^P, .] and D_P = grad_P - (i/2)[A^R, .].  Each
-    product of the commutator is one `_pair_products` call per point."""
-    M = M[..., None, :, :]
-    return grad + 0.5j * (_pair_products(cA, M)[..., 0, :, :]
-                          - _pair_products(M, cA)[..., 0, :, :, :])
+    D_R = grad_R + (i/2)[A^P, .] and D_P = grad_P - (i/2)[A^R, .]: one
+    `_pair_comm` of cA and M."""
+    return grad + 0.5j * _pair_comm(cA, M[..., None, :, :])[..., 0, :, :]
 
 
 def _comm_diag_products(V: np.ndarray, d: np.ndarray) -> np.ndarray:

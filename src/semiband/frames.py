@@ -2,7 +2,12 @@
 
 The classical diagonalization produces a `BandFrame`: eigenvalues grouped into
 declared degenerate band groups and the gauge-fixed unitary U0 with U0 H U0^+
-block diagonal.  The frame carries the model, the point and the `Tolerances`
+block diagonal.  An analytic frame and an eigensolver frame (`eigh`, its
+column phases fixed) pass one validator: unitarity, block diagonality,
+eigenvalue agreement and within-group spread when the frame is built
+(`_validate_frame`), the cross-group gaps at its first band-commutator
+inversion (`BandFrame.gaps`), and the group layout where the model makes it
+(`Model.groups`).  The frame carries the model, the point and the `Tolerances`
 it was built with, so every pass at its point takes the frame, or the
 first-order record that holds it, alone.  Its point is a copy of the
 caller's with a memo, where the built-in models make each intermediate
@@ -19,10 +24,10 @@ Hessian (`connection_gradients`).  X is flat, grad_c X_a - grad_a X_c =
 curvature pass (`dynamics.berry_curvatures`) reads their curls from
 [A_c, A_a] and its gradient.  The first- and second-order
 passes take their products over phase axes as block-matrix products
-(`_pair_products`, `_block_contract`, `_anticomm_sum`), because numpy's `@` on
-a stack makes one BLAS call per small matrix, and their products with a
-diagonal matrix elementwise (`_comm_diag`).  The band-commutator inversion is
-one masked divide by the frame's gap matrix, whose first use checks the gaps.
+(`_pair_products`, `_pair_comm`, `_block_contract`, `_anticomm_sum`),
+because numpy's `@` on a stack makes one BLAS call per small matrix, and
+their products with a diagonal matrix elementwise (`_comm_diag`).  The
+band-commutator inversion is one masked divide by the frame's gap matrix.
 Nothing here takes a finite difference: the finite-difference connections
 over a gauge-smoothed frame field, their independent cross-check, live in
 `verify` (`connections_fd`), next to the suite that reads them.
@@ -131,16 +136,6 @@ class BandFrame:
     def cross(self) -> np.ndarray:
         """(n, n) mask of cross-group entries."""
         return self._masks.cross
-
-    @cached_property
-    def _same_f(self) -> np.ndarray:
-        """`same` as floats: `_group_scalar` sums through it."""
-        return self._masks.same_f
-
-    @cached_property
-    def _group_sizes(self) -> np.ndarray:
-        """(n,) size of each state's group."""
-        return self._masks.sizes
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -253,6 +248,12 @@ def _pair_products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return _block_contract(L[..., :, None, :, :], R[..., None, :, :, :])
 
 
+def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """[L[l], R[r]] for every pair of a (..., k, n, n) and an (..., m, n, n)
+    stack, (..., k, m, n, n)."""
+    return _pair_products(L, R) - _swap(_pair_products(R, L))
+
+
 def _block_contract(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     """sum_b L[c, b] @ R[b, a] over a shared phase axis, for L
     (..., C, B, n, n) and R (..., B, A, n, n), as (..., C, A, n, n): one
@@ -312,41 +313,6 @@ def _first(bad: np.ndarray):
     return tuple(np.argwhere(bad)[0])
 
 
-def _at(x: PhasePoint, i: tuple) -> PhasePoint:
-    """Point i of x, from a `_first` index."""
-    return x.point(*i) if i else x
-
-
-def _group_eigensystem(H: np.ndarray, model: Model, x: PhasePoint,
-                       tol: Tolerances):
-    """Eigen-decomposition of H, the model's at x, ascending, checked against
-    the declared group multiplicities; raises when the grouping is
-    inconsistent (naming the first point of a batch where it is)."""
-    scale = np.maximum(matrix_norms(H), 1e-300)
-    vals, vecs = np.linalg.eigh(H)
-    sizes = tuple(model.band_groups)
-    if sum(sizes) != model.n:
-        raise ValueError("band group multiplicities do not sum to the dimension")
-    start = 0
-    for g, size in enumerate(sizes):
-        block = vals[..., start:start + size]
-        i = _first(np.ptp(block, axis=-1) > tol.degeneracy * scale)
-        if i is not None:
-            raise ValueError(
-                f"eigenvalues {block[i]} spread beyond the degeneracy tolerance "
-                f"for declared group {g}"
-            )
-        if start + size < model.n:
-            gap = vals[..., start + size] - vals[..., start + size - 1]
-            i = _first(gap <= tol.gap * scale)
-            if i is not None:
-                raise ValueError(
-                    f"cross-group gap {gap[i]:.3e} below tolerance at {_at(x, i)}"
-                )
-        start += size
-    return vals, vecs
-
-
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     """Deterministic column phases: largest-magnitude entry real positive."""
     k = np.argmax(np.abs(vecs), axis=-2)
@@ -361,8 +327,10 @@ def classical_frame(model: Model, x: PhasePoint,
     """Gauge-fixed classical diagonalization at x.
 
     Prefers the model's analytic frame; otherwise diagonalizes numerically and
-    fixes the gauge deterministically.  Validates unitarity, block diagonality
-    and within-group degeneracy at every point of a batch.
+    fixes the gauge deterministically.  Either frame is validated the same
+    way: unitarity, block diagonality and within-group degeneracy at every
+    point of a batch here, the cross-group gaps at the first band-commutator
+    inversion (`BandFrame.gaps`).
 
     The model is evaluated at a copy of x with a memo of its own, which
     becomes the frame's `point`: the built-in models make each intermediate
@@ -375,9 +343,8 @@ def classical_frame(model: Model, x: PhasePoint,
     if model.has_analytic_frame:
         eps0, U0 = model.analytic_frame(x)
     else:
-        vals, vecs = _group_eigensystem(H, model, x, tol)
-        vecs = _phase_fix(vecs)
-        eps0, U0 = vals, _dagger(vecs)
+        eps0, vecs = np.linalg.eigh(H)
+        U0 = _dagger(_phase_fix(vecs))
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
                       model.groups, x, model, tol)
     _validate_frame(frame, H)
@@ -499,5 +466,5 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
 
 def _group_scalar(diag: np.ndarray, frame: BandFrame) -> np.ndarray:
     """The per-group mean of diagonals (..., n), in the frame layout."""
-    return (diag @ frame._same_f) / frame._group_sizes
+    return (diag @ frame._masks.same_f) / frame._masks.sizes
 

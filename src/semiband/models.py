@@ -187,7 +187,10 @@ class PhasePoint:
 
     @staticmethod
     def stack(points) -> "PhasePoint":
-        """The batch of the given single points, R and P of shape (N, 3)."""
+        """The batch of the given single points, R and P of shape (N, 3);
+        ValueError for no points, whose stack would read as one point."""
+        if len(points) == 0:
+            raise ValueError("stack needs at least one point")
         return PhasePoint(np.array([x.R for x in points]),
                           np.array([x.P for x in points]))
 
@@ -264,7 +267,10 @@ class Model:
     @cached_property
     def groups(self) -> np.ndarray:
         """(n,) group index per state, in the order of `band_groups`; made
-        once per model, read-only."""
+        once per model, read-only.  Raises unless the group sizes sum to n."""
+        if sum(self.band_groups) != self.n:
+            raise ValueError(
+                "band group multiplicities do not sum to the dimension")
         return _frozen(np.repeat(np.arange(len(self.band_groups)),
                                  self.band_groups))
 

@@ -36,7 +36,6 @@ from semiband.frames import (
     _comm,
     _dagger,
     _diag,
-    _group_eigensystem,
     berry_connections,
     classical_frame,
     conjugate,
@@ -463,8 +462,7 @@ def frame_field(anchor: BandFrame):
     ref = anchor.U0.conj().T
 
     def at(y: PhasePoint):
-        vals, vecs = _group_eigensystem(model.hamiltonian(y), model, y,
-                                        anchor.tol)
+        vals, vecs = np.linalg.eigh(model.hamiltonian(y))
         aligned = _align_to(vecs, ref, anchor.groups)
         return vals, aligned.conj().T
 

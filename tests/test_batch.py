@@ -128,6 +128,14 @@ def test_split_refuses_a_one_point_report(name):
     assert len(band_energy(model, PhasePoint.stack([x]), 0.01, 2).split()) == 1
 
 
+def test_stack_refuses_no_points():
+    # An empty stack would have batch_shape () and read as one point.
+    with pytest.raises(ValueError, match="at least one point"):
+        PhasePoint.stack([])
+    model = make_model(BENCHMARK_CONFIGS["two_level_generic"])
+    assert band_energy_batch(model, [], 0.01) == []
+
+
 def test_batch_raises_if_any_point_would():
     model = make_model(BENCHMARK_CONFIGS["neutrino_metric"])
     points = random_points(np.random.default_rng(13), 5, 0.3, 3.0)

@@ -150,8 +150,77 @@ def test_numerical_frame_evaluates_h_once():
 
 
 def test_grouping_inconsistency_raises():
-    with pytest.raises(ValueError, match="gap|degenerac"):
-        classical_frame(_BadGroups(), PhasePoint.of([0, 0, 0], [1, 0, 0]))
+    # An eigensolver frame whose declared groups split a degenerate pair
+    # builds, as an analytic frame does: its order-0 energy returns, and
+    # the first band-commutator inversion refuses the closed gap.
+    model, x = _BadGroups(), PhasePoint.of([0, 0, 0], [1, 0, 0])
+    zeroth = band_energy(model, x, 0.01, order=0).band_values()
+    assert zeroth.tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError, match="near-degenerate"):
+        band_energy(model, x, 0.01, order=1)
+
+
+class _GivenFrame(Model):
+    """A constant H with the analytic frame it is given, right or wrong."""
+
+    name = "given_frame"
+    n = 2
+    has_analytic_frame = True
+
+    def __init__(self, H, eps0, U0, band_groups=(1, 1)):
+        self.H, self.band_groups = np.asarray(H, dtype=complex), band_groups
+        self.frame = (np.asarray(eps0, dtype=float),
+                      np.asarray(U0, dtype=complex))
+
+    def hamiltonian(self, x):
+        return self.H
+
+    def analytic_frame(self, x):
+        return self.frame
+
+
+@pytest.mark.parametrize("H, eps0, U0, band_groups, message", [
+    # A unitary that mixes the bands leaves an off-group residual.
+    (np.diag([2.0, -1.0]), [2.0, -1.0],
+     np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2), (1, 1),
+     "does not block-diagonalize H: residual"),
+    # The right unitary with a wrong eigenvalue.
+    (np.diag([2.0, -1.0]), [2.0, -0.5], np.eye(2), (1, 1),
+     "eigenvalues disagree with the rotated Hamiltonian"),
+    # Two split eigenvalues declared one degenerate group.
+    (np.diag([1.0, 1.5]), [1.0, 1.5], np.eye(2), (2,),
+     "group 0 eigenvalues exceed degeneracy tolerance"),
+])
+def test_wrong_analytic_frame_is_refused(H, eps0, U0, band_groups, message):
+    x = PhasePoint.of([0, 0, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match=message):
+        classical_frame(_GivenFrame(H, eps0, U0, band_groups), x)
+
+
+def test_right_analytic_frame_of_a_given_model_builds():
+    # The control of the test above: the same model with its true frame.
+    x = PhasePoint.of([0, 0, 0], [1, 0, 0])
+    frame = classical_frame(_GivenFrame(np.diag([2.0, -1.0]), [2.0, -1.0],
+                                        np.eye(2)), x)
+    assert frame.eps0.tolist() == [2.0, -1.0]
+
+
+class _MiscountedDirac(DiracElectric):
+    """Dirac with a group layout of three states for its four."""
+
+    band_groups = (1, 2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_group_layout_must_cover_the_dimension(order):
+    # The layout is checked where the model makes it, for an analytic
+    # frame as for an eigensolver one, before any array meets it.
+    x = PhasePoint.of([0.1, 0.2, -0.3], [0.4, -0.5, 0.6])
+    with pytest.raises(ValueError, match="band group multiplicities do not "
+                                         "sum to the dimension"):
+        band_energy(_MiscountedDirac(), x, 0.01, order=order)
+    with pytest.raises(ValueError, match="do not sum to the dimension"):
+        _MiscountedDirac().groups
 
 
 def test_group_masks_are_made_once_per_frame():
@@ -163,18 +232,18 @@ def test_group_masks_are_made_once_per_frame():
     assert not model.groups.flags.writeable
     x = PhasePoint.of([0.1, 0.2, -0.3], [0.4, -0.5, 0.6])
     frame = classical_frame(model, x)
-    same, cross, sizes = frame.same, frame.cross, frame._group_sizes
+    same, cross, sizes = frame.same, frame.cross, frame._masks.sizes
     frame.grads
     connection_gradients(frame, berry_connections(frame))
     assert (frame.same is same and frame.cross is cross
-            and frame._group_sizes is sizes)
+            and frame._masks.sizes is sizes)
     assert sizes.tolist() == [2, 2, 2, 2] and (cross == ~same).all()
     own = BandFrame(np.zeros(3), np.eye(3, dtype=complex),
                     np.array([0, 1, 1]), x, model)
     assert own.same.tolist() == [[True, False, False], [False, True, True],
                                  [False, True, True]]
     assert (own.cross == ~own.same).all()
-    assert own._group_sizes.tolist() == [1, 2, 2]
+    assert own._masks.sizes.tolist() == [1, 2, 2]
 
 
 def test_group_masks_are_shared_by_the_frames_of_a_layout():
@@ -185,15 +254,18 @@ def test_group_masks_are_shared_by_the_frames_of_a_layout():
               PhasePoint.of([-0.2, 0.5, 0.1], [0.9, 0.3, -0.2])]
     one, two = (classical_frame(model, x) for x in points)
     batch = classical_frame(model, PhasePoint.stack(points))
-    names = ("same", "cross", "_same_f", "_group_sizes")
-    for name in names:
-        mask = getattr(one, name)
-        assert getattr(two, name) is mask and getattr(batch, name) is mask
-        assert not mask.flags.writeable
     own = BandFrame(np.zeros(4), np.eye(4, dtype=complex),
                     np.array([0, 0, 1, 1]), points[0])
-    assert all(getattr(own, name) is getattr(one, name) for name in names)
-    assert one._same_f.tolist() == one.same.astype(float).tolist()
+    names = ("same", "cross", "same_f", "sizes")
+    for name in names:
+        mask = getattr(one._masks, name)
+        assert all(getattr(frame._masks, name) is mask
+                   for frame in (two, batch, own))
+        assert not mask.flags.writeable
+    for frame in (one, two, batch, own):
+        assert frame.same is one._masks.same
+        assert frame.cross is one._masks.cross
+    assert one._masks.same_f.tolist() == one.same.astype(float).tolist()
 
 
 def test_project_small_examples():

@@ -1,9 +1,13 @@
 """Closed-form oracles: limiting cases and structural properties."""
 
-import numpy as np
+from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from semiband.energy import band_energy
 from semiband.fields import GaussianField, LinearField, UniformField
-from semiband.models import BETA, NeutrinoMetric, PhasePoint
+from semiband.models import BETA, NeutrinoMetric, PhasePoint, make_model
 from semiband.oracles import (
     dirac_energy_canonical_oracle,
     dirac_energy_covariant_oracle,
@@ -137,3 +141,77 @@ def test_velocity_modulus_limits():
     v = neutrino_velocity_modulus(r, np.array([0, 0, 0.8]), graded, 0.1)
     assert abs(v - 1.0 / n) <= 1e-15
 
+
+
+def _term(coef, r=(0, 0, 0), p=(0, 0, 0)) -> dict:
+    return {"coef": str(coef), "r_exp": list(r), "p_exp": list(p)}
+
+
+def _jaynes_cummings(c: Fraction, delta: Fraction, rotated: bool):
+    """The Jaynes-Cummings model as a two_level config,
+    h0 = (R^2 + P^2)/2 and h = (c R, -c P, delta/2), on (R, P) = (R_x, P_x)
+    or, rotated, on (R, P) = (R_x + P_x, R_y + P_x), whose Poisson bracket
+    is 1 too, expanded into monomials.  Returns the model and the map from
+    a point to its action I = (R^2 + P^2)/2."""
+    half, X, Y = Fraction(1, 2), (1, 0, 0), (0, 1, 0)
+    if rotated:
+        h0 = [_term(half, r=(2, 0, 0)), _term(1, r=X, p=X),
+              _term(1, p=(2, 0, 0)), _term(half, r=(0, 2, 0)),
+              _term(1, r=Y, p=X)]
+        h1 = [_term(c, r=X), _term(c, p=X)]
+        h2 = [_term(-c, r=Y), _term(-c, p=X)]
+
+        def pair(x):
+            return x.R[..., 0] + x.P[..., 0], x.R[..., 1] + x.P[..., 0]
+    else:
+        h0 = [_term(half, r=(2, 0, 0)), _term(half, p=(2, 0, 0))]
+        h1, h2 = [_term(c, r=X)], [_term(-c, p=X)]
+
+        def pair(x):
+            return x.R[..., 0], x.P[..., 0]
+    model = make_model({"model": "two_level", "h0": h0,
+                        "h": [h1, h2, [_term(half * delta)]]})
+
+    def action(x):
+        R, P = pair(x)
+        return (R * R + P * P) / 2
+    return model, action
+
+
+def _jaynes_cummings_symbol(I, c: float, delta: float):
+    """(sigma0, sigma1), each (..., 2) with the upper band first, of the
+    exact band symbols sigma0 + hbar sigma1 + O(hbar^2) of Jaynes-Cummings
+    at action I: with s = sqrt(delta^2/4 + 2 c^2 I) and
+    b = -delta/2 +/- c^2, sigma0 = I +/- s, sigma1 = +/-1/2 +/- b/(2 s)."""
+    sign = np.array([1.0, -1.0])
+    s = np.sqrt(delta ** 2 / 4 + 2 * c ** 2 * I)[..., None]
+    b = -delta / 2 + sign * c ** 2
+    return I[..., None] + sign * s, sign / 2 + sign * b / (2 * s)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("delta", ["1", "2"])
+@pytest.mark.parametrize("c", ["3/10", "3/5", "4/5"])
+def test_jaynes_cummings_energy_through_order_one(c, delta, rotated):
+    # A^P != 0 in both models; the rotated one moves it along two axes.
+    # Orders 0 and 1 of the canonical energy equal the closed form at
+    # 1e-12 of scale; order 2 is left out (its hbar^2 term is off).
+    c, delta, hbar = Fraction(c), Fraction(delta), 0.01
+    model, action = _jaynes_cummings(c, delta, rotated)
+    rng = np.random.default_rng(5)
+    if rotated:
+        R, P = rng.uniform(-1.5, 1.5, (2, 20, 3))
+    else:
+        I, theta = np.meshgrid([0.5, 1.0, 2.0], [0.3, 1.9, 4.1])
+        radius = np.sqrt(2 * I.ravel())
+        R, P = rng.uniform(-1.0, 1.0, (2, I.size, 3))
+        R[:, 0], P[:, 0] = (radius * np.cos(theta.ravel()),
+                            radius * np.sin(theta.ravel()))
+    x = PhasePoint(R, P)
+    report = band_energy(model, x, hbar, order=1)
+    sigma0, sigma1 = _jaynes_cummings_symbol(action(x), float(c), float(delta))
+    scale = np.max(np.abs(sigma0), axis=-1, keepdims=True)
+    zeroth = np.real(np.diagonal(report.zeroth, 0, -2, -1))
+    first = np.real(np.diagonal(report.first, 0, -2, -1)) / hbar
+    assert np.all(np.abs(zeroth - sigma0) <= 1e-12 * scale)
+    assert np.all(np.abs(first - sigma1) <= 1e-12 * scale)
