@@ -11,7 +11,8 @@ bracket-check the verify bracket suites plus the pure-sum bracket check
 
 Configuration is a JSON document (see README for the schema); identical
 config + seed produce byte-identical reports.  Exit codes: 0 success,
-1 configuration/schema error, 2 point-level errors (listed per point).
+1 configuration/schema error, 2 errors of points or rays (listed per point
+or per run, whatever they raised).
 
 The per-point subcommands run their points in chunks of `energy.CHUNK`, one
 batched pass per chunk; a chunk in which any point raises is re-run point by
@@ -354,11 +355,12 @@ def _point_setup(cfg: dict, args):
     return model, hbar, tol, seed, points
 
 
-def _attempt(work, batch: list) -> tuple:
-    """(work on the batch, None), or (None, the error text) if it raised."""
+def _attempt(call) -> tuple:
+    """(call(), None), or (None, "Type: message") if it raised: the one
+    failure capture of a chunk, a point or a ray."""
     try:
-        return work(PhasePoint.stack(batch)), None
-    except Exception as exc:  # noqa: BLE001 - reported per point
+        return call(), None
+    except Exception as exc:  # noqa: BLE001 - reported per item
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -375,10 +377,10 @@ def _run_points(args, stem: str, model, seed: int, points, work,
     rows, records, errors = [], [], []
     for start in range(0, len(points), CHUNK):
         batch = points[start:start + CHUNK]
-        items = [(start, *_attempt(work, batch))]
+        items = [(start, *_attempt(lambda: work(PhasePoint.stack(batch))))]
         if items[0][2] is not None and len(batch) > 1:
             # Point by point, so each failing point is named on its own.
-            items = [(i, *_attempt(work, [x]))
+            items = [(i, *_attempt(lambda: work(PhasePoint.stack([x]))))
                      for i, x in enumerate(batch, start)]
         for idx, got, error in items:
             if error is not None:
@@ -527,10 +529,9 @@ def cmd_trajectory(cfg: dict, args) -> int:
     header = ["t", "r_x", "r_y", "r_z", "P_x", "P_y", "P_z",
               "lambda", "eps", "speed"]
     for lam in lams:
-        try:
-            traj = integrate_ray(model, r0, P0, lam, hbar, dt, steps, method)
-        except (ValueError, RuntimeError, FloatingPointError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
+        traj, error = _attempt(lambda: integrate_ray(
+            model, r0, P0, lam, hbar, dt, steps, method))
+        if error is not None:
             errors.append({"lambda": lam, "error": error})
             print(f"lambda={lam:+d}: {error}", file=sys.stderr)
             continue

@@ -44,10 +44,11 @@ kernel call at a state unpacks F's flat 13-tuple jet (value, gradient,
 hessian row by row) into 13 names in one step and returns its ten rates,
 then eps and |P|, as one flat tuple of plain floats.  The |P0| check and
 the start state are plain floats as well; only the start spinor comes from
-`eigh`, and its bits seed every state.  The one RK4 (`_rk4`) is written
-out over the ten floats of the state and reads the rates; the sample's
-record (eps, speed, helicity) reads the same call, which is also its
-step's first stage.
+`eigh`, and its bits seed every state.  Both steppers take the ten floats
+of the state through the kernel: RK4 (`_rk4`) is written out over them,
+and adaptive RK45 (`_rk45`, Cash-Karp) sums its stages over them in the
+order arrays would.  A sample's record (eps, speed, helicity) reads the
+kernel call at its state, which is also its step's first stage.
 `verify`'s RK4-order check runs through the same stepper, with a rotation in
 the first three slots.  The states of a trajectory take r and P as rows of
 two column copies of one table of the samples and their records.
@@ -335,11 +336,6 @@ def _ray_kernel(F, lam: int, hbar: float):
     return rates
 
 
-def _ray_rates(F, lam: int, hbar: float, y) -> tuple:
-    """The kernel of `_ray_kernel` at one state y."""
-    return _ray_kernel(F, lam, hbar)(y)
-
-
 def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
             hbar: float):
     """(rdot, Pdot) for the fixed-helicity positive band.
@@ -354,7 +350,7 @@ def ray_rhs(r: np.ndarray, P: np.ndarray, lam: int, model: Model,
     # (warn) otherwise.
     y = [*np.asarray(r, dtype=float).tolist(),
          *np.asarray(P, dtype=float).tolist(), 0.0, 0.0, 0.0, 0.0]
-    k = _ray_rates(model.F, lam, hbar, y)
+    k = _ray_kernel(model.F, lam, hbar)(y)
     return np.array(k[0:3]), np.array(k[3:6])
 
 
@@ -439,35 +435,40 @@ _CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
 _CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 
 
-def _rk45_step(f, t, y, dt):
-    ks = [f(t, y)]
-    for i in range(1, 6):
-        yi = y + dt * sum(a * k for a, k in zip(_CK_A[i], ks))
-        ks.append(f(t + dt * sum(_CK_A[i]), yi))
-    y5 = y + dt * sum(b * k for b, k in zip(_CK_B5, ks))
-    y4 = y + dt * sum(b * k for b, k in zip(_CK_B4, ks))
-    return y5, float(np.max(np.abs(y5 - y4)))
+def _ck_state(y, dt: float, coefs, ks) -> tuple:
+    """y + dt sum_i c_i k_i on each float of y, each sum from 0 in stage
+    order, zero weights included, as arrays round it."""
+    out = []
+    for yj, kj in zip(y, zip(*ks)):
+        s = 0.0
+        for c, k in zip(coefs, kj):
+            s += c * k
+        out.append(yj + dt * s)
+    return tuple(out)
 
 
-def _integrate_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
-                    max_rejections=2000):
-    t, y = t0, np.asarray(y0, dtype=float).copy()
-    dt = (t_end - t0) / 100
-    out = [(t, y.tolist())]
-    rejected = 0
+def _rk45(rates, y, t_end: float, rtol: float, atol: float,
+          max_rejections: int) -> tuple:
+    """Adaptive Cash-Karp 5(4) from t = 0 to t_end over a state of floats:
+    ((t, y, k) per accepted sample as `_rk4` gives them, rejected steps).
+    The error is max |y5 - y4|; each accepted k is the next first stage."""
+    t, dt, k = 0.0, t_end / 100, rates(y)
+    out, rejected = [(t, y, k)], 0
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - t)
-        y_new, err = _rk45_step(f, t, y, dt)
-        if not math.isfinite(err):
+        ks = [k]
+        for a in _CK_A[1:]:
+            ks.append(rates(_ck_state(y, dt, a, ks)))
+        y5 = _ck_state(y, dt, _CK_B5, ks)
+        diffs = [abs(a - b) for a, b in zip(y5, _ck_state(y, dt, _CK_B4, ks))]
+        if not all(map(math.isfinite, diffs)):
             raise FloatingPointError(
                 f"ray state turned non-finite at t = {t + dt:g}")
-        scale = atol + rtol * float(np.max(np.abs(y)))
+        err, scale = max(diffs), atol + rtol * max(map(abs, y))
         if err <= scale or dt <= 1e-14:
-            t += dt
-            y = y_new
-            out.append((t, y.tolist()))
-            factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
-            dt *= factor
+            t, y, k = t + dt, y5, rates(y5)
+            out.append((t, y, k))
+            dt *= 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
         else:
             rejected += 1
             if rejected > max_rejections:
@@ -531,13 +532,9 @@ def integrate_ray(model: Model, r0, P0, lam: int, hbar: float, dt: float,
         rates = _ray_kernel(model.F, lam, hbar)
         chi0 = _helicity_spinor(P0, lam)
         y0 = (*r, *P, *chi0.real.tolist(), *chi0.imag.tolist())
-        if method == "rk4":
-            samples, rejected = _rk4(rates, y0, dt, steps), 0
-        else:
-            path, rejected = _integrate_rk45(
-                lambda _t, y: np.array(rates(y.tolist())[:10]),
-                0.0, y0, dt * steps)
-            samples = [(t, y, rates(y)) for t, y in path]
+        samples, rejected = (
+            (_rk4(rates, y0, dt, steps), 0) if method == "rk4"
+            else _rk45(rates, y0, dt * steps, 1e-10, 1e-12, 2000))
         rows = _ray_rows(samples)
     except OverflowError as exc:
         raise FloatingPointError(f"ray state overflowed: {exc}") from exc

@@ -60,6 +60,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _power(value: float, k: int, what: str) -> float:
+    """value ** k; ValueError naming `what` if it overflows or is 0."""
+    try:
+        p = value ** k
+    except OverflowError:
+        p = 0.0
+    if not p:
+        raise ValueError(f"{what} {value!r} is out of range: its power {k} "
+                         "overflows or underflows to 0")
+    return p
+
+
 def _real3(values, what: str) -> tuple:
     """Three `_real` components."""
     try:
@@ -196,10 +208,11 @@ class GaussianField(ScalarField):
         self.s = _real(width, "gaussian width")
         if self.s <= 0:
             raise ValueError("gaussian width must be positive")
-        # What every jet reads, made once: the center's components, s^2
-        # and s^4.
+        # What every jet reads, made once: the center's components, s^4 (a
+        # float above 0, and so is s^2 then) and s^2.
         self._x0, self._y0, self._z0 = self.r0
-        self._s2, self._s4 = self.s ** 2, self.s ** 4
+        self._s4 = _power(self.s, 4, "gaussian width")
+        self._s2 = self.s ** 2
 
     def jet(self, r):
         x, y, z = _xyz(r)
@@ -228,6 +241,8 @@ class CoulombRegularizedField(ScalarField):
         self.a = _real(softening, "coulomb softening")
         if self.a <= 0:
             raise ValueError("softening length must be positive")
+        # Each jet divides by s^5 >= a^5, s = sqrt(|r|^2 + a^2).
+        _power(self.a, 5, "coulomb softening")
 
     def jet(self, r):
         x, y, z = _xyz(r)

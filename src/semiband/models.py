@@ -538,11 +538,11 @@ class ComponentTerm:
                             tuple(((a, e),) for a, e in enumerate(exps) if e)))
         return out
 
-    def factorizations(self, n: int = 1) -> list:
+    def factorizations(self) -> list:
         """The declared ordering as weyl factorizations (sum of products)."""
         c = weyl.QC.of(self.coef)
-        A = weyl.WeylExpr.monomial(self.r_exp, (0, 0, 0), n=n)
-        B = weyl.WeylExpr.monomial((0, 0, 0), self.p_exp, n=n)
+        A = weyl.WeylExpr.monomial(r_exp=self.r_exp)
+        B = weyl.WeylExpr.monomial(p_exp=self.p_exp)
         if self.sym == "rp":
             return [weyl.Factorization([("R", A.scaled(c)), ("P", B)])]
         half = weyl.QC.of(Fraction(1, 2)) * c
@@ -620,15 +620,10 @@ class TwoLevel(Model):
             self._band_brackets = [self._band_bracket(s) for s in (1.0, -1.0)]
 
     def _band_bracket(self, sign: float):
-        expr = weyl.WeylExpr.zero(1)
-        for term in self.h0:
-            for f in term.factorizations():
-                expr = expr + f.bracket()
-        for term in self.h[2]:
-            for f in term.factorizations():
-                b = f.bracket()
-                expr = expr + (b if sign > 0 else -b)
-        return expr
+        """<h0 +/- h3> of the declared forms, summed term by term."""
+        h0, h3 = ([f.bracket() for t in terms for f in t.factorizations()]
+                  for terms in (self.h0, self.h[2]))
+        return weyl.total(h0 + [b if sign > 0 else -b for b in h3], 1)
 
     def _jets(self, x: PhasePoint, orders) -> list:
         """h0, h1, h2, h3 at x for order 0, and their partial derivatives for

@@ -630,9 +630,12 @@ def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
     `overrides` maps a suite name to keyword arguments of its function.
     Before any suite runs, ValueError for an unknown suite, a key that is
     not a parameter of the suite, a value of another kind than the
-    parameter's default (`_integer`, or `_real` for a float), or a sample
-    size or degree that tests nothing (`_HALVED`)."""
+    parameter's default (`_integer`, or `_real` for a float), a sample
+    size or degree that tests nothing (`_HALVED`), or an empty list of
+    names, which runs nothing."""
     names = list(ALL_SUITES) if names is None else names
+    if not names:
+        raise ValueError("the suite list is empty: no suite would run")
     overrides = overrides or {}
     # Deterministic per-suite seed offset (hash() is process randomized).
     cfgs = {name: {"seed": seed + sum(name.encode()) % 1000}

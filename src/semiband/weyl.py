@@ -13,6 +13,9 @@ inserted differentials using dR dP - dP dR = -i dalpha, and return minus the
 sum of the dalpha coefficients.  For the half-symmetrized product
 (A(R)B(P) + B(P)A(R))/2 this reduces to (i/4) sum_i [grad_R_i A, grad_P_i B].
 
+`WeylExpr.monomial` builds every term, and `total` sums expressions in
+order, which is the order in which `WeylExpr.evaluate` adds their terms.
+
 All arithmetic is exact; no floating point enters this module except in
 `WeylExpr.evaluate`, which substitutes classical values.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "QC",
     "WeylExpr",
     "Factorization",
+    "total",
     "bracket_product_residual",
     "invariant_derivative_residual",
     "full_symmetrizations",
@@ -132,19 +136,16 @@ PAULI = {
 # A term key is (r_exponents, p_exponents, hbar_power); the value is a Mat.
 Key = tuple
 
+_MINUS_I_POW = (QC_ONE, -QC_I, -QC_ONE, QC_I)      # (-i)^j for j mod 4
+
 def _mono_mul_1d(k: int, m: int):
     """Normal ordering of P^k R^m on one axis.
 
     P^k R^m = sum_j C(k,j) C(m,j) j! (-i hbar)^j R^(m-j) P^(k-j).
     """
     for j in range(min(k, m) + 1):
-        coef = Fraction(comb(k, j) * comb(m, j) * factorial(j))
-        # (-i)^j
-        phase = (QC_ZERO - QC_I)
-        c = QC.of(coef)
-        for _ in range(j):
-            c = c * phase
-        yield j, c
+        c = comb(k, j) * comb(m, j) * factorial(j)
+        yield j, QC.of(c) * _MINUS_I_POW[j % 4]
 
 
 class WeylExpr:
@@ -162,43 +163,40 @@ class WeylExpr:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def zero(n: int = 1) -> "WeylExpr":
-        return WeylExpr(n)
-
-    @staticmethod
-    def const(mat: Mat) -> "WeylExpr":
-        e = WeylExpr(len(mat))
-        e._accumulate(((0, 0, 0), (0, 0, 0), 0), mat)
-        return e
-
-    @staticmethod
-    def scalar(value, n: int = 1) -> "WeylExpr":
-        c = value if isinstance(value, QC) else QC.of(value)
-        return WeylExpr.const(mat_scale(c, mat_eye(n)))
-
-    @staticmethod
-    def coord(kind: str, axis: int = 0, n: int = 1) -> "WeylExpr":
-        """The generator R_axis or P_axis (kind 'R' or 'P')."""
-        r = [0, 0, 0]
-        p = [0, 0, 0]
-        (r if kind == "R" else p)[axis] = 1
-        e = WeylExpr(n)
-        e._accumulate((tuple(r), tuple(p), 0), mat_eye(n))
-        return e
-
-    @staticmethod
-    def hbar(n: int = 1) -> "WeylExpr":
-        e = WeylExpr(n)
-        e._accumulate(((0, 0, 0), (0, 0, 0), 1), mat_eye(n))
-        return e
-
-    @staticmethod
-    def monomial(r_exp, p_exp, hpow: int = 0, mat: Mat | None = None, n: int = 1) -> "WeylExpr":
+    def monomial(r_exp=(0, 0, 0), p_exp=(0, 0, 0), hpow: int = 0,
+                 mat: Mat | None = None, n: int = 1) -> "WeylExpr":
+        """The one term mat R^r_exp P^p_exp hbar^hpow (mat the n x n
+        identity by default); every constructor below is a case of it."""
         if mat is None:
             mat = mat_eye(n)
         e = WeylExpr(len(mat))
         e._accumulate((tuple(r_exp), tuple(p_exp), hpow), mat)
         return e
+
+    @staticmethod
+    def zero(n: int = 1) -> "WeylExpr":
+        return WeylExpr(n)
+
+    @staticmethod
+    def const(mat: Mat) -> "WeylExpr":
+        return WeylExpr.monomial(mat=mat)
+
+    @staticmethod
+    def scalar(value, n: int = 1) -> "WeylExpr":
+        c = value if isinstance(value, QC) else QC.of(value)
+        return WeylExpr.monomial(mat=mat_scale(c, mat_eye(n)))
+
+    @staticmethod
+    def coord(kind: str, axis: int = 0, n: int = 1) -> "WeylExpr":
+        """The generator R_axis or P_axis (kind 'R' or 'P')."""
+        unit = tuple(int(i == axis) for i in range(3))
+        if kind == "R":
+            return WeylExpr.monomial(r_exp=unit, n=n)
+        return WeylExpr.monomial(p_exp=unit, n=n)
+
+    @staticmethod
+    def hbar(n: int = 1) -> "WeylExpr":
+        return WeylExpr.monomial(hpow=1, n=n)
 
     def _accumulate(self, key: Key, mat: Mat) -> None:
         if key in self.terms:
@@ -298,9 +296,6 @@ class WeylExpr:
             return NotImplemented
         return self.n == other.n and (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("WeylExpr is mutable-by-construction; not hashable")
-
     def uses_only(self, kind: str) -> bool:
         """True if every monomial involves only R (kind 'R') or only P factors."""
         slot = 1 if kind == "R" else 0
@@ -342,9 +337,21 @@ class WeylExpr:
         return "WeylExpr(" + " + ".join(bits) + ")"
 
 
+def total(exprs, n: int) -> WeylExpr:
+    """The expressions summed in order from zero(n): the order in which
+    `evaluate` adds their terms, and so how it rounds."""
+    out = WeylExpr.zero(n)
+    for expr in exprs:
+        out = out + expr
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Ordered factorizations and the bracket
 # ---------------------------------------------------------------------------
+
+# The weight (i/2) of an inserted (dR, dP) pair with dR on the left.
+_HALF_I = QC(Fraction(0), Fraction(1, 2))
 
 class Factorization:
     """Product M_1 M_2 ... with each factor declared pure-R or pure-P.
@@ -378,10 +385,7 @@ class Factorization:
         self.factors = merged
 
     def multiply_out(self) -> WeylExpr:
-        out = self.factors[0][1]
-        for _kind, expr in self.factors[1:]:
-            out = out * expr
-        return out
+        return self._product_with({})
 
     def __mul__(self, other: "Factorization") -> "Factorization":
         return Factorization(self.factors + other.factors)
@@ -402,15 +406,14 @@ class Factorization:
         the position factor sits left of the momentum factor and -(i/2)
         otherwise.
         """
-        total = WeylExpr.zero(self.n)
-        half_i = QC(Fraction(0), Fraction(1, 2))
+        out = WeylExpr.zero(self.n)
         for a, (kind_a, expr_a) in enumerate(self.factors):
             if kind_a != "R":
                 continue
             for b, (kind_b, expr_b) in enumerate(self.factors):
                 if kind_b != "P":
                     continue
-                sign = half_i if a < b else -half_i
+                sign = _HALF_I if a < b else -_HALF_I
                 for axis in range(3):
                     da = expr_a.derivative("R", axis)
                     if da.is_zero():
@@ -419,18 +422,15 @@ class Factorization:
                     if db.is_zero():
                         continue
                     term = self._product_with({a: da, b: db})
-                    total = total + term.scaled(sign)
-        return total
+                    out = out + term.scaled(sign)
+        return out
 
     def hbar_derivative(self) -> WeylExpr:
         """Leibniz derivative of the explicit hbar content of the factors."""
-        total = WeylExpr.zero(self.n)
-        for idx, (_kind, expr) in enumerate(self.factors):
-            d = expr.hbar_derivative()
-            if d.is_zero():
-                continue
-            total = total + self._product_with({idx: d})
-        return total
+        derivs = [expr.hbar_derivative() for _kind, expr in self.factors]
+        return total((self._product_with({idx: d})
+                      for idx, d in enumerate(derivs) if not d.is_zero()),
+                     self.n)
 
     def invariant_derivative(self) -> WeylExpr:
         """The symmetrization-invariant combination d/dhbar F + <F>."""
@@ -448,10 +448,9 @@ def bracket_product_residual(f: Factorization, g: Factorization) -> WeylExpr:
     G = g.multiply_out()
     lhs = (f * g).bracket()
     rhs = f.bracket() * G + F * g.bracket()
-    half_i = QC(Fraction(0), Fraction(1, 2))
     for axis in range(3):
-        rhs = rhs + (F.derivative("P", axis) * G.derivative("R", axis)).scaled(-half_i)
-        rhs = rhs + (F.derivative("R", axis) * G.derivative("P", axis)).scaled(half_i)
+        rhs = rhs + (F.derivative("P", axis) * G.derivative("R", axis)).scaled(-_HALF_I)
+        rhs = rhs + (F.derivative("R", axis) * G.derivative("P", axis)).scaled(_HALF_I)
     return lhs - rhs
 
 
@@ -461,18 +460,12 @@ def _as_form_sum(forms) -> list[Factorization]:
 
 def form_sum_expr(forms) -> WeylExpr:
     forms = _as_form_sum(forms)
-    total = WeylExpr.zero(forms[0].n)
-    for f in forms:
-        total = total + f.multiply_out()
-    return total
+    return total((f.multiply_out() for f in forms), forms[0].n)
 
 
 def form_sum_invariant_derivative(forms) -> WeylExpr:
     forms = _as_form_sum(forms)
-    total = WeylExpr.zero(forms[0].n)
-    for f in forms:
-        total = total + f.invariant_derivative()
-    return total
+    return total((f.invariant_derivative() for f in forms), forms[0].n)
 
 
 def invariant_derivative_residual(forms1, forms2) -> WeylExpr:
@@ -521,13 +514,10 @@ def full_symmetrizations(r_exp, p_exp, mat: Mat | None = None, n: int = 1,
     weight = QC(Fraction(1, len(orderings)), Fraction(0))
     out = []
     for ordering in orderings:
-        factors = []
-        for kind, axis in ordering:
-            factors.append((kind, WeylExpr.coord(kind, axis, n)))
-        weighted = [(factors[0][0], factors[0][1].scaled(weight))] + factors[1:]
-        head_kind = weighted[0][0]
-        head = (head_kind, WeylExpr.const(mat) * weighted[0][1])
-        out.append(Factorization([head] + weighted[1:]))
+        (kind, first), *rest = [(kind, WeylExpr.coord(kind, axis, n))
+                                for kind, axis in ordering]
+        head = (kind, WeylExpr.const(mat) * first.scaled(weight))
+        out.append(Factorization([head, *rest]))
     return out
 
 
@@ -535,10 +525,7 @@ def symmetrized_bracket(r_exp, p_exp, mat: Mat | None = None, n: int = 1,
                         cap: int = 8) -> WeylExpr:
     """Bracket of the fully symmetrized monomial (zero, by the calculus)."""
     pieces = full_symmetrizations(r_exp, p_exp, mat=mat, n=n, cap=cap)
-    total = WeylExpr.zero(pieces[0].n)
-    for piece in pieces:
-        total = total + piece.bracket()
-    return total
+    return total((piece.bracket() for piece in pieces), pieces[0].n)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +536,7 @@ def _random_pure_expr(rng: random.Random, kind: str, n: int,
                       max_degree: int) -> WeylExpr:
     """One or two random pure-R or pure-P terms, each with hbar^0 or
     hbar^1."""
-    out = WeylExpr.zero(n)
-    for _ in range(rng.randint(1, 2)):
+    def term() -> WeylExpr:
         exps = [0, 0, 0]
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(3)] += 1
@@ -559,12 +545,12 @@ def _random_pure_expr(rng: random.Random, kind: str, n: int,
             for _ in range(n)
         )
         hpow = rng.randint(0, 1)
-        key = (tuple(exps), (0, 0, 0), hpow) if kind == "R" else \
-              ((0, 0, 0), tuple(exps), hpow)
-        out._accumulate(key, mat)
-    if out.is_zero():
-        out = WeylExpr.scalar(1, n)
-    return out
+        if kind == "R":
+            return WeylExpr.monomial(exps, (0, 0, 0), hpow, mat)
+        return WeylExpr.monomial((0, 0, 0), exps, hpow, mat)
+
+    out = total([term() for _ in range(rng.randint(1, 2))], n)
+    return WeylExpr.scalar(1, n) if out.is_zero() else out
 
 
 def random_factorization(rng: random.Random, n: int = 1,

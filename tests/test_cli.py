@@ -226,6 +226,18 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("connections", [], {"grid": {
         "R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
         "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
+    # A gaussian width or coulomb softening whose powers, which the jets
+    # divide by, overflow or underflow to 0.
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "gaussian", "width": 1e200}}}),
+    ("curvature", [], {"model": {"model": "dirac_electric", "field": {
+        "kind": "gaussian", "width": 1e-100}}}),
+    ("connections", [], {"model": {"model": "neutrino_metric", "field": {
+        "kind": "coulomb", "softening": 1e-70}}}),
+    ("trajectory", [], {"model": {"model": "neutrino_metric", "field": {
+        "kind": "coulomb", "softening": 1e-70}}}),
+    # An empty suite list runs nothing, which must not read as a pass.
+    ("verify", [], {"suites_to_run": []}),
 ])
 def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
                                            extra):
@@ -480,6 +492,21 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
     assert (out / "trajectory_lam+1.csv").exists()
     assert manifest["errors"] == [
         {"lambda": -1, "error": "RuntimeError: rk45 step rejection overflow"}]
+
+
+def test_trajectory_run_that_raises_anything_is_reported_per_run(tmp_path):
+    # F = 1/n on a profile of constant 1e-110: the reciprocal jet divides by
+    # n^3, which underflows to 0, so each run raises ZeroDivisionError.
+    cfg = write_config(tmp_path, dict(NEUTRINO_RAY_CFG, model={
+        "model": "neutrino_metric",
+        "field": {"kind": "polynomial", "terms": [[1e-110, [0, 0, 0]]]}}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 2
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert manifest["errors"] == [
+        {"lambda": lam, "error": "ZeroDivisionError: float division by zero"}
+        for lam in (1, -1)]
 
 
 @pytest.mark.parametrize("section, top", [

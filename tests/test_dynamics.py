@@ -22,11 +22,13 @@ from semiband.models import (
     make_model,
 )
 from semiband.dynamics import (
+    _CK_A,
+    _CK_B4,
+    _CK_B5,
     _helicity_spinor,
-    _integrate_rk45,
     _ray_kernel,
-    _ray_rates,
     _rk4,
+    _rk45,
     band_curvature_vector,
     berry_curvatures,
     check_ray_inputs,
@@ -257,6 +259,14 @@ def test_rk45_matches_rk4():
                            500, "rk45")
     assert np.max(np.abs(t_rk45.final().r - t_rk4.final().r)) <= 1e-7
     assert t_rk45.final().t == pytest.approx(5.0, abs=1e-12)
+
+
+def test_rk45_rejection_overflow():
+    def stiffish(y):
+        return (y[0] ** 2 + 1.0,)
+
+    with pytest.raises(RuntimeError, match="rejection overflow"):
+        _rk45(stiffish, (1.0,), 1.0, rtol=1e-16, atol=0.0, max_rejections=3)
 
 
 def test_integrate_validation():
@@ -521,7 +531,7 @@ def test_rk4_ray_rate_budget_and_records(profile):
                          1e-2, steps, "rk4")
     assert counting.jets == 4 * steps + 2
     for s in traj.states:
-        k = _ray_rates(model.F, -1, hbar, [*s.r, *s.P, 1, 0, 0, 0])
+        k = _ray_kernel(model.F, -1, hbar)([*s.r, *s.P, 1, 0, 0, 0])
         assert s.eps == k[10]
         assert s.speed == math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
 
@@ -542,9 +552,50 @@ def _numpy_rk4(f, y0, dt, steps):
     return out
 
 
+def _numpy_rk45_step(f, t, y, dt):
+    """One Cash-Karp step on arrays: (y5, max |y5 - y4|)."""
+    ks = [f(t, y)]
+    for i in range(1, 6):
+        yi = y + dt * sum(a * k for a, k in zip(_CK_A[i], ks))
+        ks.append(f(t + dt * sum(_CK_A[i]), yi))
+    y5 = y + dt * sum(b * k for b, k in zip(_CK_B5, ks))
+    y4 = y + dt * sum(b * k for b, k in zip(_CK_B4, ks))
+    return y5, float(np.max(np.abs(y5 - y4)))
+
+
+def _numpy_rk45(f, t0, y0, t_end, rtol=1e-10, atol=1e-12,
+                max_rejections=2000):
+    """Adaptive Cash-Karp on numpy arrays, with the ray's tolerances: the
+    bit-for-bit reference of the float stepper.  Its sums start from 0 and
+    run in stage order, zero weights included."""
+    t, y = t0, np.asarray(y0, dtype=float).copy()
+    dt = (t_end - t0) / 100
+    out = [(t, y.tolist())]
+    rejected = 0
+    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+        dt = min(dt, t_end - t)
+        y_new, err = _numpy_rk45_step(f, t, y, dt)
+        if not math.isfinite(err):
+            raise FloatingPointError(
+                f"ray state turned non-finite at t = {t + dt:g}")
+        scale = atol + rtol * float(np.max(np.abs(y)))
+        if err <= scale or dt <= 1e-14:
+            t += dt
+            y = y_new
+            out.append((t, y.tolist()))
+            factor = 2.0 if err == 0 else min(2.0, 0.9 * (scale / err) ** 0.2)
+            dt *= factor
+        else:
+            rejected += 1
+            if rejected > max_rejections:
+                raise RuntimeError("rk45 step rejection overflow")
+            dt *= max(0.1, 0.9 * (scale / err) ** 0.25)
+    return out, rejected
+
+
 def _reference_ray_rates(F, lam, hbar, y):
     """The ray equations as the array stepper evaluated them on the nested
-    jet, kept apart from `_ray_rates`: ((rdot, Pdot, Re chidot, Im chidot),
+    jet, kept apart from `_ray_kernel`: ((rdot, Pdot, Re chidot, Im chidot),
     eps, |P|)."""
     x, y_, z, px, py, pz, ar, br, ai, bi = y
     E2 = px * px + py * py + pz * pz
@@ -585,7 +636,7 @@ def _numpy_ray(model, r0, P0, lam, hbar, dt, steps, method):
         samples = _numpy_rk4(rhs, y0, dt, steps)
     else:
         samples = [(t, np.array(y))
-                   for t, y in _integrate_rk45(rhs, 0.0, y0, dt * steps)[0]]
+                   for t, y in _numpy_rk45(rhs, 0.0, y0, dt * steps)[0]]
     out = []
     for t, y in samples:
         ydot, eps, E = _reference_ray_rates(F, lam, hbar, y.tolist())

@@ -3,6 +3,7 @@
 import copy
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from semiband.frames import berry_connections, classical_frame, conjugate
 from semiband.energy import band_energy, corrected_connections, first_order
 from semiband.dynamics import berry_curvatures
 from semiband.verify import connections_fd, covariant_reexpansion
+from semiband.weyl import QC, WeylExpr
 from tests.test_models import p_cross_sigma
 
 GAUSS = GaussianField(0.8, [0.2, -0.1, 0.3], 1.4)
@@ -196,6 +198,49 @@ def test_bracket_term_two_level_symbolic_vs_closed_form():
     rep = band_energy(ordered, X, 0.3, order=2)
     assert np.max(np.abs(rep.bracket_term)) == 0.0
     assert rep.diagnostics["hermiticity_defect"] > 0.0
+
+
+# The "half" monomials of ROADMAP item 1c, each as c (A B + B A)/2 in h0 of
+# a z-only model with h3 = 1 and c = 1/10: the exact bracket <eps0> of both
+# bands, and the order-2 bracket term -(hbar/2)<eps0> it gives, Hermitized.
+# These values have the opposite sign of each term's Weyl correction; item
+# 1c decides which sign is right, and a fix that flips them re-pins them
+# here in the same change.
+_C = Fraction(1, 10)
+_HALF_MONOMIAL_BRACKETS = [
+    ([2, 0, 0], [2, 0, 0], WeylExpr.hbar().scaled(QC.of(-_C)),
+     lambda R, P, hbar: 0.1 * hbar ** 2 / 2),
+    ([3, 0, 0], [3, 0, 0],
+     WeylExpr.monomial(hpow=2, mat=((QC.of(0, Fraction(9, 20)),),))
+     + WeylExpr.monomial([1, 0, 0], [1, 0, 0], 1, ((QC.of(-9 * _C),),)),
+     lambda R, P, hbar: 4.5 * 0.1 * hbar ** 2 * R[..., 0] * P[..., 0]),
+    ([1, 1, 0], [1, 1, 0], WeylExpr.hbar().scaled(QC.of(-_C / 2)),
+     lambda R, P, hbar: 0.1 * hbar ** 2 / 4),
+]
+
+
+@pytest.mark.parametrize("r_exp, p_exp, bracket, term",
+                         _HALF_MONOMIAL_BRACKETS,
+                         ids=["RxRxPxPx", "Rx3Px3", "RxRyPxPy"])
+def test_half_monomial_brackets_are_pinned(r_exp, p_exp, bracket, term):
+    model = TwoLevel(
+        h0_terms=[{"coef": "1/10", "r_exp": r_exp, "p_exp": p_exp,
+                   "sym": "half"}],
+        h_terms=[[], [], [{"coef": "1"}]])
+    assert model._band_brackets[0] == bracket
+    assert model._band_brackets[1] == bracket
+    rng = np.random.default_rng(5)
+    x = PhasePoint.stack([PhasePoint.of(rng.uniform(-1, 1, 3),
+                                        rng.uniform(0.3, 1.2, 3))
+                          for _ in range(4)])
+    for hbar in (0.01, 0.05):
+        rep = band_energy(model, x, hbar, order=2)
+        want = np.broadcast_to(term(x.R, x.P, hbar), (4,))
+        for band in (0, 1):
+            got = rep.bracket_term[:, band, band]
+            assert np.allclose(got.real, want, rtol=1e-15, atol=0.0)
+            assert not got.imag.any()
+        assert not rep.bracket_term[:, 0, 1].any()
 
 
 def test_bracket_term_unavailable_flags_partial():

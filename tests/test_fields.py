@@ -108,6 +108,35 @@ def test_gaussian_validates_width():
         GaussianField(width=0.0)
 
 
+OUT_OF_RANGE_FIELDS = [
+    # s^2 overflows: s ** 2 raised OverflowError.
+    ({"kind": "gaussian", "width": 1e200}, "gaussian width"),
+    # s^4 underflows to 0: every jet divided by it.
+    ({"kind": "gaussian", "width": 1e-100}, "gaussian width"),
+    # a^5 underflows to 0: the jet at r = 0 divided by it.
+    ({"kind": "coulomb", "softening": 1e-70}, "coulomb softening"),
+    # a^5 overflows: every jet raised OverflowError from s ** 5.
+    ({"kind": "coulomb", "softening": 1e70}, "coulomb softening"),
+]
+
+
+@pytest.mark.parametrize("cfg, name", OUT_OF_RANGE_FIELDS, ids=repr)
+def test_make_field_refuses_parameters_whose_powers_leave_the_float_range(
+        cfg, name):
+    with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
+        make_field(cfg)
+
+
+@pytest.mark.parametrize("field", [
+    GaussianField(1.0, [0.0, 0.0, 0.0], 1.1e77),
+    GaussianField(1.0, [0.0, 0.0, 0.0], 1.3e-81),
+    CoulombRegularizedField(1.0, 4.4e61),
+    CoulombRegularizedField(1.0, 1.9e-65),
+], ids=repr)
+def test_parameters_at_the_ends_of_the_range_give_jets(field):
+    assert len(field.jet((0.0, 0.0, 0.0))) == 13
+
+
 def _coulomb_hessian(field, r):
     """b r_i r_j + a delta_ij in index form, the reference for the literal,
     row by row."""

@@ -43,14 +43,3 @@ def test_second_order_fallback_on_failure():
 
     d = derivative_along(f, x, 0)
     assert d == pytest.approx(2 * 0.0015, rel=1e-6)
-
-
-def test_rk45_rejection_overflow():
-    from semiband.dynamics import _integrate_rk45
-
-    def stiffish(_t, y):
-        return y ** 2 + 1.0
-
-    with pytest.raises(RuntimeError, match="rejection overflow"):
-        _integrate_rk45(stiffish, 0.0, np.array([1.0]), 1.0, rtol=1e-16,
-                        atol=0.0, max_rejections=3)
