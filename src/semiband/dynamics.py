@@ -140,7 +140,7 @@ def covariant_variables(frame: BandFrame, hbar: float) -> CovariantVars:
     A0 = frame.project(conns0.A, "diag")
     a1 = (2.0 * frame.project(first.linear, "diag")
           + (0.5 * _anticomm(A0[..., :, None, :, :],
-                             frame.project(first.dA, "diag"))).sum(-4))
+                             first.dA_diag)).sum(-4))
     A1 = hermitize(a1)
     canonical = (np.concatenate([x.R, x.P], axis=-1)[..., None, None]
                  * np.eye(frame.n))
@@ -167,7 +167,7 @@ def _shift_gradients(cov: CovariantVars) -> np.ndarray:
     dlin = (0.125 * _anticomm_sum(dA, dA)
             + 0.5 * (_pair_comm(dB, A)
                      + _pair_comm(B[..., None, :, :], flat).reshape(dA.shape)))
-    dA0 = frame.project(dA, "diag")
+    dA0 = first.dA_diag
     dA1 = hermitize(2.0 * frame.project(hermitize(dlin), "diag")
                     + 0.5 * _anticomm_sum(dA0, dA0))
     return dA0 + 0.5 * cov.hbar * dA1

@@ -71,7 +71,7 @@ from functools import cached_property
 
 import numpy as np
 
-from semiband.models import Model, PhasePoint
+from semiband.models import Model, PhasePoint, _frozen
 from semiband.frames import (
     BandFrame,
     ConnectionSet,
@@ -200,6 +200,7 @@ class FirstOrder:
     conns0: ConnectionSet           # order-0 connections A0, (..., 6, n, n)
     B: np.ndarray                   # rotation generator, (..., n, n)
     dA: np.ndarray                  # [b, a] = grad_b A0^a, (..., 6, 6, n, n)
+    dA_diag: np.ndarray             # P+ dA, shared by the curvature pass
     hess: np.ndarray                # grad_b grad_a eps0, (..., 6, 6, n)
     dB: np.ndarray                  # grad B, (..., 6, n, n)
     linear: np.ndarray              # A = A0 + hbar linear, (..., 6, n, n)
@@ -252,16 +253,17 @@ def first_order(frame: BandFrame, conns0: ConnectionSet) -> FirstOrder:
                         cAdiag[..., :, None, :, :])[..., 0, 0, :, :]
     B = -invK + 0.25j * (Y + _dagger(Y))
     # grad_b Y = sum_a (grad_b P-A_a cP+A_a + P-A_a grad_b cP+A_a).
+    dA_diag = frame.project(dA, "diag")
     dY = (_block_contract(frame.project(dA, "offdiag"),
                           cAdiag[..., :, None, :, :])[..., 0, :, :]
           + _block_contract(Aoff[..., None, :, :, :],
-                            _swap(conjugate(frame.project(dA, "diag"))))
-          [..., 0, :, :, :])
+                            _swap(conjugate(dA_diag)))[..., 0, :, :, :])
     dB += 0.25j * (dY + _dagger(dY))
 
     corr = 0.125 * _anticomm_sum(A[..., None, :, :, :], dA)[..., 0, :, :, :]
     corr += 0.5 * (-1j * conjugate(dB) + _comm(B[..., None, :, :], A))
-    return FirstOrder(frame, conns0, B, dA, hess, dB, hermitize(corr))
+    return FirstOrder(frame, conns0, B, dA, dA_diag, hess, dB,
+                      hermitize(corr))
 
 
 def kernel_gradient(first: FirstOrder) -> np.ndarray:
@@ -332,18 +334,15 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         )
     frame = classical_frame(model, x, tol)
     eps0_mat = _diag(frame.eps0)
-    zero = np.zeros(frame.U0.shape, dtype=complex)
+    # Every term that the order leaves out shares one read-only zero.
+    first = second = bracket = _frozen(np.zeros(frame.U0.shape, dtype=complex))
     diagnostics: dict = {}
-
-    first = zero.copy()
-    second = zero.copy()
-    bracket = zero.copy()
     partial = False
-    defects = []                    # discarded anti-Hermitian parts
+    discarded = []                  # anti-Hermitian parts
 
     def hermitized(mat: np.ndarray) -> np.ndarray:
         herm = hermitize(mat)
-        defects.append(matrix_norms(mat - herm))
+        discarded.append(mat - herm)
         return herm
 
     if order >= 1:
@@ -375,13 +374,16 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
     total = eps0_mat + first + second + bracket
     if not np.isfinite(total).all():
         raise FloatingPointError("band energy is not finite")
-    off = matrix_norms(frame.project(total, "offdiag"))
-    defect = np.max(defects, axis=0) if defects else np.zeros(off.shape)
+    # Discarded parts, off-block part and total: each norm as if alone.
+    norms = matrix_norms(np.stack(
+        discarded + [frame.project(total, "offdiag"), total]))
+    off = norms[-2]
+    defect = norms[:-2].max(0, initial=0.0)
     point_values = float if off.ndim == 0 else np.asarray
     diagnostics["offblock_norm"] = point_values(off)
     diagnostics["hermiticity_defect"] = point_values(defect)
     diagnostics["bracket_unavailable"] = partial
-    scale = np.maximum(matrix_norms(total), 1e-300)
+    scale = np.maximum(norms[-1], 1e-300)
     if (off > 1e-10 * scale).any():
         raise ValueError("energy lost block diagonality; inspect the pipeline")
 

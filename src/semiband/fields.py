@@ -72,6 +72,16 @@ def _power(value: float, k: int, what: str) -> float:
     return p
 
 
+def _coefficients(pairs, amplitude: tuple, length: tuple) -> None:
+    """ValueError unless each jet coefficient num / den is finite (inf * 0 is
+    NaN), naming the length if 1 / den overflows alone, else the amplitude."""
+    for num, den in pairs:
+        if not math.isfinite(num / den):
+            name, value = length if not math.isfinite(1.0 / den) else amplitude
+            raise ValueError(f"{name} {value!r} is out of range: the jet "
+                             f"coefficient {num!r} / {den!r} overflows")
+
+
 def _real3(values, what: str) -> tuple:
     """Three `_real` components."""
     try:
@@ -213,6 +223,8 @@ class GaussianField(ScalarField):
         self._x0, self._y0, self._z0 = self.r0
         self._s4 = _power(self.s, 4, "gaussian width")
         self._s2 = self.s ** 2
+        _coefficients(((abs(self.A), self._s2), (abs(self.A), self._s4)),
+                      ("gaussian amplitude", self.A), ("gaussian width", self.s))
 
     def jet(self, r):
         x, y, z = _xyz(r)
@@ -242,7 +254,9 @@ class CoulombRegularizedField(ScalarField):
         if self.a <= 0:
             raise ValueError("softening length must be positive")
         # Each jet divides by s^5 >= a^5, s = sqrt(|r|^2 + a^2).
-        _power(self.a, 5, "coulomb softening")
+        a5 = _power(self.a, 5, "coulomb softening")
+        _coefficients(((abs(self.q), self.a ** 3), (3 * abs(self.q), a5)),
+                      ("coulomb charge", self.q), ("coulomb softening", self.a))
 
     def jet(self, r):
         x, y, z = _xyz(r)
@@ -271,7 +285,11 @@ class ReciprocalField(ScalarField):
             self.base.jet(r)
         if n <= 0:
             raise ValueError("profile must stay positive")
-        a, b = -1.0 / n ** 2, 2.0 / n ** 3
+        try:
+            a, b = -1.0 / n ** 2, 2.0 / n ** 3
+        except ZeroDivisionError:
+            raise ValueError(f"profile value {n!r} is out of range: its "
+                             "square or cube underflows to 0") from None
         bx, by, bz = b * gx, b * gy, b * gz
         return (1.0 / n, a * gx, a * gy, a * gz,
                 a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz,

@@ -48,6 +48,7 @@ from semiband.fields import _real
 from semiband.models import Model, PhasePoint, _dot
 
 __all__ = [
+    "GapError", "GaugeAlignmentError",
     "Tolerances",
     "BandFrame",
     "ConnectionSet",
@@ -59,6 +60,14 @@ __all__ = [
     "matrix_norms",
     "conjugate",
 ]
+
+
+class GapError(ValueError):
+    """Bands too close to invert the band commutator or to fix a frame."""
+
+
+class GaugeAlignmentError(ValueError):
+    """A singular overlap with a reference frame: no gauge alignment."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class _GroupMasks:
     cross: np.ndarray               # (n, n) cross-group entries
     same_f: np.ndarray              # `same` as floats
     sizes: np.ndarray               # (n,) size of each state's group
+    eye: np.ndarray                 # (n, n) identity, for the unitarity check
 
 
 @lru_cache(maxsize=64)
@@ -94,7 +104,7 @@ def _group_masks(groups: tuple) -> _GroupMasks:
     per layout and shared by every frame of it."""
     g = np.array(groups)
     same = g[:, None] == g[None, :]
-    masks = (same, ~same, same.astype(float), same.sum(0))
+    masks = (same, ~same, same.astype(float), same.sum(0), np.eye(len(g)))
     for mask in masks:
         mask.flags.writeable = False
     return _GroupMasks(*masks)
@@ -127,15 +137,11 @@ class BandFrame:
         """The masks of the frame's group layout, shared by its frames."""
         return _group_masks(tuple(self.groups.tolist()))
 
-    @cached_property
-    def same(self) -> np.ndarray:
-        """(n, n) mask of within-group entries."""
-        return self._masks.same
+    same = property(lambda self: self._masks.same)      # (n, n) within-group
+    cross = property(lambda self: self._masks.cross)    # (n, n) cross-group
 
-    @cached_property
-    def cross(self) -> np.ndarray:
-        """(n, n) mask of cross-group entries."""
-        return self._masks.cross
+    # U0^+, shared by the validator and every rotation by U0.
+    U0_dag = cached_property(lambda self: _dagger(self.U0))
 
     @cached_property
     def gaps(self) -> np.ndarray:
@@ -145,17 +151,17 @@ class BandFrame:
         the band commutator need the bands apart."""
         eps = self.eps0
         gaps = eps[..., None, :] - eps[..., :, None]
-        scale = np.maximum(np.max(np.abs(eps), axis=-1), 1e-300)
+        scale = np.maximum(np.abs(eps).max(-1), 1e-300)
         if ((np.abs(gaps) <= self.tol.gap * scale[..., None, None])
-                & self.cross).any():
-            raise ValueError("near-degenerate bands: cross-group gap below tolerance")
+                & self._masks.cross).any():
+            raise GapError("near-degenerate bands: cross-group gap below tolerance")
         return gaps
 
     @cached_property
     def dH(self) -> np.ndarray:
         """U0 grad_a H U0^+ over the six phase axes, (..., 6, n, n), shared
         by the connections and the eps0 gradients."""
-        return _rotate(self.U0, self.model.d_hamiltonian(self.point))
+        return _rotate(self, self.model.d_hamiltonian(self.point))
 
     @cached_property
     def grads(self) -> np.ndarray:
@@ -166,10 +172,10 @@ class BandFrame:
         U dH U^+ is a multiple of the identity per group (asserted), whose
         scalar is the common gradient of the group's eigenvalues.
         """
-        diag = np.real(np.diagonal(self.dH, 0, -2, -1))
+        diag = self.dH.diagonal(0, -2, -1).real
         mean = _group_scalar(diag, self)
-        scale = np.maximum(np.max(np.abs(self.eps0), axis=-1), 1.0)
-        if (np.max(np.abs(diag - mean), axis=(-2, -1)) > 1e-8 * scale).any():
+        scale = np.maximum(np.abs(self.eps0).max(-1), 1.0)
+        if (np.abs(diag - mean).max((-2, -1)) > 1e-8 * scale).any():
             raise ValueError(
                 "within-group gradient is not scalar; degeneracy is not structural"
             )
@@ -178,9 +184,9 @@ class BandFrame:
     def project(self, mat: np.ndarray, part: str = "diag") -> np.ndarray:
         """Block projectors P+ ('diag': within-group) and P- ('offdiag')."""
         if part == "diag":
-            return np.where(self.same, mat, 0.0)
+            return np.where(self._masks.same, mat, 0.0)
         if part == "offdiag":
-            return np.where(self.same, 0.0, mat)
+            return np.where(self._masks.same, 0.0, mat)
         raise ValueError("part must be 'diag' or 'offdiag'")
 
 
@@ -244,8 +250,12 @@ def _anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pair_products(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     """All products L[l] @ R[r] of two stacks (..., k, n, n) and
     (..., m, n, n), as (..., k, m, n, n): one (k n x n) @ (n x m n)
-    product, `_block_contract` over a shared phase axis of length 1."""
-    return _block_contract(L[..., :, None, :, :], R[..., None, :, :, :])
+    product, laid out as in `_block_contract`."""
+    k, n, m = L.shape[-3], L.shape[-1], R.shape[-3]
+    left = L.reshape(L.shape[:-3] + (k * n, n))
+    right = R.swapaxes(-3, -2).reshape(R.shape[:-3] + (n, m * n))
+    out = _matmul(left, right)
+    return out.reshape(out.shape[:-2] + (k, n, m, n)).swapaxes(-3, -2)
 
 
 def _pair_comm(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -265,8 +275,13 @@ def _block_contract(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     C, B, n, A = L.shape[-4], L.shape[-3], L.shape[-1], R.shape[-3]
     left = L.swapaxes(-3, -2).reshape(L.shape[:-4] + (C * n, B * n))
     right = R.swapaxes(-3, -2).reshape(R.shape[:-4] + (B * n, A * n))
-    out = left @ right
+    out = _matmul(left, right)
     return out.reshape(out.shape[:-2] + (C, n, A, n)).swapaxes(-3, -2)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, by the cheaper `ndarray.dot` for two matrices."""
+    return a.dot(b) if a.ndim == 2 == b.ndim else a @ b
 
 
 def _swap(S: np.ndarray) -> np.ndarray:
@@ -282,10 +297,10 @@ def _anticomm_sum(L: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def _diag(d: np.ndarray) -> np.ndarray:
     """Diagonal matrices (..., n, n) from their diagonals (..., n)."""
-    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
-    idx = np.arange(d.shape[-1])
-    out[..., idx, idx] = d
-    return out
+    n = d.shape[-1]
+    out = np.zeros(d.shape[:-1] + (n * n,), dtype=complex)
+    out[..., ::n + 1] = d
+    return out.reshape(d.shape + (n,))
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -297,9 +312,8 @@ def matrix_norms(mat: np.ndarray) -> np.ndarray:
     """Frobenius norms over the last two axes, (...), each rounded as
     `np.linalg.norm` rounds one matrix (the norm over axes sums in another
     order)."""
-    if mat.ndim == 2:
-        return np.linalg.norm(mat)
-    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    flat = (mat.ravel(order="K") if mat.ndim == 2     # as np.linalg.norm
+            else mat.reshape(mat.shape[:-2] + (-1,)))
     if np.iscomplexobj(flat):
         return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
     return np.sqrt(_dot(flat, flat))
@@ -354,25 +368,25 @@ def classical_frame(model: Model, x: PhasePoint,
 def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
     tol = frame.tol
     scale = np.maximum(matrix_norms(H), 1e-300)
-    U0, U0_dag = frame.U0, _dagger(frame.U0)
-    unit = matrix_norms(U0 @ U0_dag - np.eye(frame.n))
+    U0, U0_dag = frame.U0, frame.U0_dag
+    unit = matrix_norms(_matmul(U0, U0_dag) - frame._masks.eye)
     i = _first(unit > tol.unitarity)
     if i is not None:
         raise ValueError(f"frame unitarity defect {unit[i]:.3e}")
-    rotated = U0 @ H @ U0_dag
+    rotated = _matmul(_matmul(U0, H), U0_dag)
     off = matrix_norms(frame.project(rotated, "offdiag"))
     i = _first(off > tol.block * scale)
     if i is not None:
         raise ValueError(
             f"frame does not block-diagonalize H: residual {off[i]:.3e}"
         )
-    diag = np.real(np.diagonal(rotated, 0, -2, -1))
-    if (np.max(np.abs(diag - frame.eps0), axis=-1) > 1e-8 * scale).any():
+    diag = rotated.diagonal(0, -2, -1).real
+    if (np.abs(diag - frame.eps0).max(-1) > 1e-8 * scale).any():
         raise ValueError("frame eigenvalues disagree with the rotated Hamiltonian")
     # The largest within-group |eps_m - eps_n| is the group's spread.
     eps = frame.eps0
     spread = np.abs(eps[..., None, :] - eps[..., :, None])
-    bad = (spread > tol.degeneracy * scale[..., None, None]) & frame.same
+    bad = (spread > tol.degeneracy * scale[..., None, None]) & frame._masks.same
     i = _first(bad.any(axis=(-2, -1)))
     if i is not None:
         g = frame.groups[np.nonzero(bad[i])[0]].min()
@@ -392,7 +406,7 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame) -> np.ndarray:
     gaps = gaps.reshape(gaps.shape[:-2] + (1,) * (M.ndim - gaps.ndim)
                         + gaps.shape[-2:])
     return np.divide(M, gaps, out=np.zeros(M.shape, dtype=complex),
-                     where=frame.cross)
+                     where=frame._masks.cross)
 
 
 def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -401,13 +415,12 @@ def _comm_diag(V: np.ndarray, d: np.ndarray) -> np.ndarray:
     return V * (d[..., None, :] - d[..., :, None])
 
 
-def _rotate(U0: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """U0 S_k U0^+ for every matrix of a stack S (..., k, n, n), with U0
-    (..., n, n): each side's product is one `_pair_products` call per
-    point."""
-    U0 = U0[..., None, :, :]
-    left = _pair_products(U0, S)[..., 0, :, :, :]
-    return _pair_products(left, _dagger(U0))[..., 0, :, :]
+def _rotate(frame: BandFrame, S: np.ndarray) -> np.ndarray:
+    """U0 S_k U0^+ for every matrix of a stack S (..., k, n, n), with the
+    frame's U0 (..., n, n): each side's product is one `_pair_products`
+    call per point."""
+    left = _pair_products(frame.U0[..., None, :, :], S)[..., 0, :, :, :]
+    return _pair_products(left, frame.U0_dag[..., None, :, :])[..., 0, :, :]
 
 
 def berry_connections(frame: BandFrame) -> ConnectionSet:
@@ -445,13 +458,13 @@ def connection_gradients(frame: BandFrame, conns: ConnectionSet):
     n, model, M = frame.n, frame.model, frame.dH
     X = 1j * conns.cA
     d2H = model.d2_hamiltonian(frame.point)
-    N = _rotate(frame.U0, d2H.reshape(d2H.shape[:-4] + (36, n, n)))
+    N = _rotate(frame, d2H.reshape(d2H.shape[:-4] + (36, n, n)))
     N = N.reshape(N.shape[:-3] + (6, 6, n, n))
     # Sums of commutators stay written out: grouping the terms through
     # `_comm` would round them in another order.
     # [b, a] stacks: _pair_products(L, R) is [l, r] = L_l R_r.
     dM = N + _swap(_pair_products(M, X)) - _pair_products(X, M)
-    hess = _group_scalar(np.real(np.diagonal(dM, 0, -2, -1)), frame)
+    hess = _group_scalar(dM.diagonal(0, -2, -1).real, frame)
     dX = invert_band_commutator(
         dM - _comm_diag(X[..., None, :, :, :], frame.grads[..., :, None, :]),
         frame)

@@ -23,8 +23,8 @@ from the flatness of U0 grad U0^+ (see `dynamics`).
 A frame (`frames.classical_frame`) evaluates its model at a copy of its
 point that carries a memo.  The built-in models keep there, keyed by the
 model, the intermediates that their methods share (P.P, field jets,
-alpha.P, P x Sigma, the gauge scalar f and its gradient, monomial
-tables, h, |h| and the lift of the two-level gauge term), so each is made
+alpha.P, Dirac's E, P x Sigma, the gauge scalar f and its gradient,
+monomial tables, h, |h| and the lift of the two-level gauge term), so each is made
 once per frame; at a point without a memo every method computes what it
 needs itself.  A custom model needs nothing of this.
 """
@@ -81,13 +81,15 @@ def p_cross_sigma(P: np.ndarray, sigma) -> list:
 
 # [b, l] = (e_b x Sigma)_l, the P_b derivative of (P x Sigma)_l.
 _E_CROSS_SIGMA = np.array([p_cross_sigma(e, SIGMA) for e in np.eye(3)])
+_CYC_J, _CYC_K = [1, 2, 0], [2, 0, 1]       # (P x S)_l = P_j S_k - P_k S_j
+_SIGMA_K, _SIGMA_J = np.array(SIGMA)[_CYC_K], np.array(SIGMA)[_CYC_J]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis, rounded like the 1-d `a @ b` of one point
     (einsum sums in another order)."""
     if a.ndim == 1:
-        return a @ b
+        return a.dot(b)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -106,8 +108,10 @@ def _pow(a, e: int) -> np.ndarray:
 
 
 _EYE4 = np.eye(4)
+_EYE4C = np.eye(4, dtype=complex)
 # eps0 = E (1, 1, -1, -1) + W: the products with +-1 are exact.
 _SIGNS4, _SIGNS2 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0])
+_BETA_ROWS = _SIGNS4[:, None]               # beta M, exact, as a row flip
 
 
 def _ap(P: np.ndarray) -> np.ndarray:
@@ -125,7 +129,7 @@ def _jet(field: ScalarField, R: np.ndarray) -> tuple:
 
 def _rows(f, R: np.ndarray) -> np.ndarray:
     """f's flat tuple at each point of R (3,) or (N, 3), a row per point."""
-    return np.array([f(r) for r in np.reshape(R, (-1, 3)).tolist()]
+    return np.array([f(r) for r in R.reshape(-1, 3).tolist()]
                     ).reshape(R.shape[:-1] + (-1,))
 
 
@@ -330,14 +334,20 @@ class PxSigmaGauge(Model):
         """(f, grad f), once per frame."""
         return _shared(x, (self, "f"), lambda: self._gauge_f(x))
 
+    def _alpha_p(self, x: PhasePoint) -> np.ndarray:
+        """alpha.P, (..., 4, 4), once per frame."""
+        return _shared(x, (self, "a.P"), lambda: _ap(x.P))
+
     def _pxs(self, x: PhasePoint) -> np.ndarray:
         """P x Sigma as a (..., 3, 4, 4) stack, once per frame."""
         return _shared(x, (self, "PxS"),
-                       lambda: np.stack(p_cross_sigma(x.P, SIGMA), axis=-3))
+                       lambda: (x.P[..., _CYC_J, None, None] * _SIGMA_K
+                                - x.P[..., _CYC_K, None, None] * _SIGMA_J))
 
     def analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        A_R = self._pxs(x) / self._f(x)[0][..., None, None, None]
-        return np.concatenate([A_R, np.zeros_like(A_R)], axis=-3)
+        out = np.zeros(x.batch_shape + (6, 4, 4), dtype=complex)
+        out[..., :3, :, :] = self._pxs(x) / self._f(x)[0][..., None, None, None]
+        return out
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
         return _pxs_gauge_gradient(self._pxs(x), *self._f(x))
@@ -358,6 +368,7 @@ class DiracElectric(PxSigmaGauge):
         if self.m <= 0:
             raise ValueError("mass must be positive")
         self.field = field if field is not None else UniformField(0.0)
+        self._m_beta = self.m * BETA
 
     def _field_jet(self, x: PhasePoint) -> tuple:
         """(V, grad V, grad grad V) at x, from one field jet per frame."""
@@ -365,15 +376,15 @@ class DiracElectric(PxSigmaGauge):
                        lambda: _jet(self.field, x.R))
 
     def energy_scale(self, x: PhasePoint):
-        return np.sqrt(self._p2(x) + self.m ** 2)
+        return _shared(x, (self, "E"),                 # once per frame
+                       lambda: np.sqrt(self._p2(x) + self.m ** 2))
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
+        # One nonzero alpha.P term per entry and part: bits as term by term.
         self.check_point(x)
         V = self._field_jet(x)[0]
-        H = self.m * BETA + (self.e * V)[..., None, None] * _EYE4
-        for i in range(3):
-            H = H + x.P[..., i, None, None] * ALPHA[i]
-        return H
+        return (self._m_beta + (self.e * V)[..., None, None] * _EYE4
+                + self._alpha_p(x))
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
         g = self._field_jet(x)[1]
@@ -391,9 +402,9 @@ class DiracElectric(PxSigmaGauge):
     def analytic_frame(self, x: PhasePoint):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
-        bap = BETA @ _ap(x.P)
-        U0 = (((E + self.m)[..., None, None] * _EYE4 + bap)
-              / np.sqrt(2 * E * (E + self.m))[..., None, None])
+        Em = E + self.m
+        U0 = ((Em[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
+              / np.sqrt(2 * E * Em)[..., None, None])
         W = self.e * self._field_jet(x)[0]
         return E[..., None] * _SIGNS4 + W[..., None], U0
 
@@ -438,10 +449,6 @@ class NeutrinoMetric(PxSigmaGauge):
         return _shared(x, (self, "jet"),
                        lambda: _jet(self.F, x.R))
 
-    def _alpha_p(self, x: PhasePoint) -> np.ndarray:
-        """alpha.P, (..., 4, 4), once per frame."""
-        return _shared(x, (self, "a.P"), lambda: _ap(x.P))
-
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self.check_point(x)
         return self._F_jet(x)[0][..., None, None] * self._alpha_p(x)
@@ -466,8 +473,7 @@ class NeutrinoMetric(PxSigmaGauge):
     def analytic_frame(self, x: PhasePoint):
         self.check_point(x)
         E = np.sqrt(self._p2(x))
-        bap = BETA @ self._alpha_p(x)
-        U0 = ((E[..., None, None] * _EYE4 + bap)
+        U0 = ((E[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
               / np.sqrt(2 * _pow(E, 2))[..., None, None])
         return (self._F_jet(x)[0] * E)[..., None] * _SIGNS4, U0
 
@@ -483,7 +489,7 @@ class NeutrinoMetric(PxSigmaGauge):
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
         E = np.sqrt(self._p2(x))
         val = -(hbar ** 2) / (4 * E) * _dot(x.P, self._F_jet(x)[1])
-        return val[..., None, None] * np.eye(4, dtype=complex)
+        return val[..., None, None] * _EYE4C
 
     def to_config(self) -> dict:
         return {"model": self.name, "field": self.profile.to_config()}
@@ -684,7 +690,8 @@ class TwoLevel(Model):
     def analytic_frame(self, x: PhasePoint):
         h0, h, hn = self._h(x)
         if (hn == 0.0).any():
-            raise ValueError("two_level bands are degenerate where |h| = 0")
+            from semiband.frames import GapError    # frames imports models
+            raise GapError("two_level bands are degenerate where |h| = 0")
         eps0 = h0[..., None] + hn[..., None] * _SIGNS2
         h1, h2, h3 = h[..., 0], h[..., 1], h[..., 2]
         ct = h3 / hn                         # cos(theta)
@@ -760,10 +767,8 @@ class TwoLevel(Model):
         return self._gauge_stack(w)
 
     def d_analytic_connections(self, x: PhasePoint) -> np.ndarray:
-        return self._live_stack(*self._gauge_gradient(x))
-
-    def _live_stack(self, w, on) -> np.ndarray:
-        """`_gauge_stack(w)` where the gauge term lives, 0 where lift = 0."""
+        # `_gauge_stack(grad w)` where the gauge term lives, 0 where lift = 0.
+        w, on = self._gauge_gradient(x)
         on = on.reshape(on.shape + (1,) * (w.ndim + 2 - on.ndim))
         return np.where(on, self._gauge_stack(w), 0.0)
 
@@ -778,7 +783,7 @@ class TwoLevel(Model):
             return np.zeros(x.batch_shape + (6, 6)), on
         d, dd = jets
         d0, d1, d2 = d
-        d = np.ascontiguousarray(np.moveaxis(d, 0, -2))         # (..., 3, 6)
+        d = np.ascontiguousarray(d.swapaxes(0, -2))             # (..., 3, 6)
         lift = np.where(on, lift, 1.0)
         h1, h2, h3 = h[..., 0, None], h[..., 1, None], h[..., 2, None]
         hn_, lift_ = hn[..., None], lift[..., None]

@@ -32,6 +32,7 @@ from semiband.models import (
 from semiband.frames import (
     BandFrame,
     ConnectionSet,
+    GaugeAlignmentError,
     _anticomm,
     _comm,
     _dagger,
@@ -440,7 +441,7 @@ def _align_to(vecs: np.ndarray, ref: np.ndarray,
         overlap = vecs[:, idx].conj().T @ ref[:, idx]
         u, s, vh = np.linalg.svd(overlap)
         if s.min() < _OVERLAP_FLOOR:
-            raise ValueError(
+            raise GaugeAlignmentError(
                 f"gauge alignment failure: group {g} overlap is singular "
                 f"(smallest singular value {s.min():.3e})"
             )

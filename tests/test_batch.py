@@ -163,7 +163,7 @@ BAD_CASES = {
                             [{"coef": "1/5", "r_exp": [0, 1, 0]}],
                             [{"coef": "1", "r_exp": [0, 0, 1]}]]},
                      {"R": [0.4, 0.0, 0.0], "P": [0.0, 1.0, 1.0]},
-                     "ValueError: two_level bands are degenerate"),
+                     "GapError: two_level bands are degenerate"),
 }
 COMMANDS = {
     "diagonalize": ("energies", {"order": 1}),

@@ -496,7 +496,8 @@ def test_trajectory_integrator_failure_reported_per_run(tmp_path, monkeypatch):
 
 def test_trajectory_run_that_raises_anything_is_reported_per_run(tmp_path):
     # F = 1/n on a profile of constant 1e-110: the reciprocal jet divides by
-    # n^3, which underflows to 0, so each run raises ZeroDivisionError.
+    # n^3, which underflows to 0, so each run raises a ValueError naming the
+    # profile value.
     cfg = write_config(tmp_path, dict(NEUTRINO_RAY_CFG, model={
         "model": "neutrino_metric",
         "field": {"kind": "polynomial", "terms": [[1e-110, [0, 0, 0]]]}}))
@@ -505,7 +506,8 @@ def test_trajectory_run_that_raises_anything_is_reported_per_run(tmp_path):
     manifest = json.loads((out / "trajectory_manifest.json").read_text())
     assert manifest["runs"] == []
     assert manifest["errors"] == [
-        {"lambda": lam, "error": "ZeroDivisionError: float division by zero"}
+        {"lambda": lam, "error": "ValueError: profile value 1e-110 is out of "
+         "range: its square or cube underflows to 0"}
         for lam in (1, -1)]
 
 

@@ -22,6 +22,7 @@ from semiband.energy import band_energy, corrected_connections, first_order
 from semiband.dynamics import berry_curvatures
 from semiband.verify import connections_fd, covariant_reexpansion
 from semiband.weyl import QC, WeylExpr
+from tests.test_frames import BENCHMARK_CONFIGS
 from tests.test_models import p_cross_sigma
 
 GAUSS = GaussianField(0.8, [0.2, -0.1, 0.3], 1.4)
@@ -593,3 +594,33 @@ def test_energy_is_invariant_under_constant_group_rotation():
                 got_vals = _block_eigenvalues(got, model.groups)
                 assert np.max(np.abs(got_vals - ref_vals)) \
                     <= 1e-10 * np.max(np.abs(ref_vals))
+
+
+_MODEL_METHODS = ("hamiltonian", "analytic_frame", "d_hamiltonian",
+                  "d2_hamiltonian", "analytic_connections",
+                  "d_analytic_connections", "ordering_bracket_term")
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CONFIGS))
+def test_one_call_per_model_method_per_point(name, monkeypatch):
+    # A frame's methods share what they have in common through the frame's
+    # memo, so one order-2 energy or curvature point calls each model method
+    # and the field's jet once; only the energy adds the bracket term.
+    model = make_model(BENCHMARK_CONFIGS[name])
+    field = getattr(model, "field", None) or getattr(model, "F", None)
+    calls = {}
+    for owner, attr in ([(model, attr) for attr in _MODEL_METHODS]
+                        + ([(field, "jet")] if field is not None else [])):
+        def counting(*args, _real=getattr(owner, attr), _attr=attr):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    once = dict.fromkeys(_MODEL_METHODS[:-1] + (("jet",) if field else ()), 1)
+    x = PhasePoint.of([0.3, -0.2, 0.5], [0.6, 0.4, -0.9])
+    for representation in ("canonical", "covariant"):
+        calls.clear()
+        band_energy(model, x, 0.01, 2, representation)
+        assert calls == {**once, "ordering_bracket_term": 1}
+    calls.clear()
+    berry_curvatures(model, x, 0.01)
+    assert calls == once

@@ -117,6 +117,12 @@ OUT_OF_RANGE_FIELDS = [
     ({"kind": "coulomb", "softening": 1e-70}, "coulomb softening"),
     # a^5 overflows: every jet raised OverflowError from s ** 5.
     ({"kind": "coulomb", "softening": 1e70}, "coulomb softening"),
+    # A / s^4 overflows: the hessian at the center was inf * 0 = NaN.
+    ({"kind": "gaussian", "width": 1e-78}, "gaussian width"),
+    ({"kind": "gaussian", "amplitude": 1e301, "width": 1e-2},
+     "gaussian amplitude"),
+    # 3 q / a^5 overflows: the hessian at r = 0 was NaN.
+    ({"kind": "coulomb", "softening": 1e-63}, "coulomb softening"),
 ]
 
 
@@ -129,12 +135,13 @@ def test_make_field_refuses_parameters_whose_powers_leave_the_float_range(
 
 @pytest.mark.parametrize("field", [
     GaussianField(1.0, [0.0, 0.0, 0.0], 1.1e77),
-    GaussianField(1.0, [0.0, 0.0, 0.0], 1.3e-81),
+    GaussianField(1.0, [0.0, 0.0, 0.0], 8.7e-78),
     CoulombRegularizedField(1.0, 4.4e61),
-    CoulombRegularizedField(1.0, 1.9e-65),
+    CoulombRegularizedField(1.0, 2.8e-62),
 ], ids=repr)
 def test_parameters_at_the_ends_of_the_range_give_jets(field):
-    assert len(field.jet((0.0, 0.0, 0.0))) == 13
+    jet = field.jet((0.0, 0.0, 0.0))
+    assert len(jet) == 13 and all(map(math.isfinite, jet))
 
 
 def _coulomb_hessian(field, r):

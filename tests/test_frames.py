@@ -18,6 +18,8 @@ from semiband.models import (
 )
 from semiband.frames import (
     BandFrame,
+    GapError,
+    GaugeAlignmentError,
     Tolerances,
     berry_connections,
     classical_frame,
@@ -346,9 +348,9 @@ def test_configured_gap_tolerance_reaches_the_inversion(tmp_path):
     tol = Tolerances(gap=3.0)
     assert band_energy(model, x, 0.01, order=0, tol=tol).eps.shape == (2, 2)
     for order in (1, 2):
-        with pytest.raises(ValueError, match="near-degenerate"):
+        with pytest.raises(GapError, match="near-degenerate"):
             band_energy(model, x, 0.01, order=order, tol=tol)
-    with pytest.raises(ValueError, match="near-degenerate"):
+    with pytest.raises(GapError, match="near-degenerate"):
         berry_curvatures(model, x, 0.01, tol)
 
     points = [{"R": [0.3, 0.5, -0.2], "P": [0.7, -0.4, 1.1]},
@@ -365,7 +367,7 @@ def test_configured_gap_tolerance_reaches_the_inversion(tmp_path):
         if code == 0:
             assert errors == [] and len(report["records"]) == 2
         else:
-            assert errors == [(i, "ValueError: near-degenerate bands: "
+            assert errors == [(i, "GapError: near-degenerate bands: "
                                   "cross-group gap below tolerance")
                               for i in range(2)]
 
@@ -526,10 +528,44 @@ def test_numerical_path_cross_block_content():
         assert np.allclose(got, want, atol=1e-6)
 
 
+def _gap_outcome(call) -> str:
+    """"gap" if call() raises GapError, else "finite", asserting that its
+    energy is finite; any other error fails the test."""
+    try:
+        report = call()
+    except GapError:
+        return "gap"
+    assert np.isfinite(report.eps).all()
+    return "finite"
+
+
+def test_closing_gap_gives_finite_energies_or_gap_error():
+    # h0 = 1, h3 = c: eps0 = 1 +- |c|, a cross-group gap 2|c| against the
+    # scale 1 + |c|, and c = 0 is the degeneracy |h| = 0 of the frame.
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    assert issubclass(GapError, ValueError)
+    assert issubclass(GaugeAlignmentError, ValueError)
+
+    def model(c):
+        return make_model({"model": "two_level", "h0": [{"coef": "1"}],
+                           "h": [[], [], [{"coef": c}]]})
+
+    for order in (1, 2):
+        walk = [_gap_outcome(lambda: band_energy(model(c), x, 0.01, order))
+                for c in [f"1e-{k}" for k in range(0, 17)] + ["0"]]
+        # 2c <= 1e-6 (1 + c) from c = 1e-7 on.
+        assert walk == ["finite"] * 7 + ["gap"] * 11
+        # The gap 0.2 of c = 1/10 is 0.18 of the scale 1.1.
+        walk = [_gap_outcome(lambda: band_energy(
+                    model("1/10"), x, 0.01, order, tol=Tolerances(gap=g)))
+                for g in (1e-6, 0.1, 0.18, 0.182, 0.5, 1.0, 3.0)]
+        assert walk == ["finite"] * 3 + ["gap"] * 4
+
+
 def test_alignment_rejects_singular_overlap():
     vecs = np.eye(2, dtype=complex)
     ref = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # swapped bands
-    with pytest.raises(ValueError, match="alignment"):
+    with pytest.raises(GaugeAlignmentError, match="alignment"):
         _align_to(vecs[:, :1] @ np.zeros((1, 1)) + vecs, ref,
                   np.array([0, 1]))
 
