@@ -14,12 +14,14 @@ config + seed produce byte-identical reports.  Exit codes: 0 success,
 1 configuration/schema error, 2 errors of points or rays (listed per point
 or per run, whatever they raised).
 
-The per-point subcommands run their points in chunks of `energy.CHUNK`, one
-batched pass per chunk; a chunk in which any point raises is re-run point by
-point, so every failing point gets its own error record.  Every JSON file is
-the bytes of `json.dumps(payload, indent=1, sort_keys=True)`; per-point records
-come from per-chunk `%`-templates, cut from that text of the record's layout,
-filled with the texts of the chunk's columns, made once per distinct column.
+The per-point subcommands take their points as one batch and run it in
+chunks of `energy.chunk_points`, one batched pass per chunk; a chunk in which
+any point raises is re-run point by point, so every failing point gets its
+own error record.  Every JSON file is the bytes of
+`json.dumps(payload, indent=1, sort_keys=True)`; per-point records come from
+per-chunk `%`-templates, cut from that text of the record's layout, filled
+with the texts of the chunk's columns, made once per distinct column, and
+spliced into the one dump of the file's envelope.
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ import numpy as np
 
 from semiband.fields import _integer, _real, _real3
 from semiband.models import (
-    NeutrinoMetric, PhasePoint, make_model, random_points,
+    NeutrinoMetric, PhasePoint, make_model, random_batch,
 )
 from semiband.frames import (
     DEFAULT_TOL, Tolerances, berry_connections, classical_frame, matrix_norms,
 )
 from semiband.energy import (
-    CHUNK,
     band_energy,
+    chunk_points,
     corrected_connections,
     first_order,
 )
@@ -101,7 +103,9 @@ def _section(cfg: dict, key: str, default=None, kind: type = dict):
     return value
 
 
-def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
+def _resolve_points(cfg: dict, rng: np.random.Generator) -> PhasePoint:
+    """The config's points, in order, as one batch (R and P of shape
+    (N, 3), N = 0 for no points)."""
     sources = [k for k in ("points", "grid", "random_points") if k in cfg]
     if len(sources) != 1:
         raise ConfigError("config needs exactly one of 'points', 'grid' or "
@@ -113,7 +117,8 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                 pts.append(PhasePoint.of(rec["R"], rec["P"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad point #{i}: {exc}") from exc
-        return pts
+        return PhasePoint(np.reshape([x.R for x in pts], (-1, 3)),
+                          np.reshape([x.P for x in pts], (-1, 3)))
     if "grid" in cfg:
         section = _section(cfg, "grid")
         axes = []
@@ -129,18 +134,16 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> list:
                     raise ConfigError("grid counts must be >= 1")
                 lo, hi = (_real(v, f"grid.{key} bound") for v in (lo, hi))
                 axes.append(np.linspace(lo, hi, count))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        return [PhasePoint.of([flat[0][i], flat[1][i], flat[2][i]],
-                              [flat[3][i], flat[4][i], flat[5][i]])
-                for i in range(flat[0].size)]
+        flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+        return PhasePoint(np.stack(flat[:3], axis=-1),
+                          np.stack(flat[3:], axis=-1))
     section = _section(cfg, "random_points")
     p_range = section.get("p_range", [0.3, 3.0])
     if not (isinstance(p_range, list) and len(p_range) == 2):
         raise ConfigError("random_points.p_range must be [pmin, pmax]")
     pmin, pmax = p_range
     count = _integer(section.get("count", 10), "random_points.count")
-    return random_points(rng, count, pmin, pmax)
+    return random_batch(rng, count, pmin, pmax)
 
 
 def _tolerances(cfg: dict) -> Tolerances:
@@ -331,14 +334,22 @@ def _render(chunk: _Chunk, level: int) -> tuple:
     return _fill(_record_template(chunk.record, level), texts, n), lines
 
 
+# The "records" value of the one dump of a file's envelope.  Its entry as
+# `_dumps` writes it, '"records": "\u0000records"', is in no string value,
+# whose quotes would be escaped.
+_PLACEHOLDER = "\0records"
+
+
 def _file_text(envelope: dict, records: list) -> str:
     """The text `_dumps` gives `envelope` with a "records" list of the record
-    texts (laid out at depth 2): a layout whose one column is that list."""
+    texts (laid out at depth 2): the envelope dumped once with
+    `_PLACEHOLDER`, and the joined texts spliced in for its entry."""
     sep = "\n  "
     listed = ("[" + sep + ("," + sep).join(records) + "\n ]" if records
               else "[]")
-    layout = {**envelope, "records": np.array(0)}
-    return _record_template(layout, 0)[0] % (listed,)
+    entry = '"records": '
+    return _dumps({**envelope, "records": _PLACEHOLDER}).replace(
+        entry + json.dumps(_PLACEHOLDER), entry + listed, 1)
 
 
 def _point_setup(cfg: dict, args):
@@ -350,7 +361,7 @@ def _point_setup(cfg: dict, args):
     tol = _tolerances(cfg)
     seed = _seed(cfg, args, 0)
     points = _resolve_points(cfg, np.random.default_rng(seed))
-    if not points:
+    if not len(points.R):
         raise ConfigError("the point list is empty")
     return model, hbar, tol, seed, points
 
@@ -364,24 +375,26 @@ def _attempt(call) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(args, stem: str, model, seed: int, points, work,
-                header: list) -> int:
-    """Apply work to the points in chunks of `CHUNK` (order kept, errors
-    captured per point) and write <stem>.csv and <stem>.json; exit 2 if any
-    point failed.
+def _run_points(args, stem: str, model, seed: int, points: PhasePoint, work,
+                header: list, stacks: bool) -> int:
+    """Apply work to the batch `points` in chunks of `chunk_points(model.n,
+    stacks)` (order kept, errors captured per point) and write <stem>.csv
+    and <stem>.json; exit 2 if any point failed.
 
     work(x) takes a batch `PhasePoint` and returns its `_Chunk`, rendered
-    into one CSV row and one JSON record per point.  A chunk that raises is
-    re-run point by point.
+    into one CSV row and one JSON record per point; `stacks` says whether it
+    builds the (6, 6, n, n) stacks of the first-order record.  A chunk that
+    raises is re-run point by point, each point a one-point batch.
     """
     rows, records, errors = [], [], []
-    for start in range(0, len(points), CHUNK):
-        batch = points[start:start + CHUNK]
-        items = [(start, *_attempt(lambda: work(PhasePoint.stack(batch))))]
-        if items[0][2] is not None and len(batch) > 1:
+    count, size = len(points.R), chunk_points(model.n, stacks)
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        items = [(start, *_attempt(lambda: work(points.points(start, stop))))]
+        if items[0][2] is not None and stop - start > 1:
             # Point by point, so each failing point is named on its own.
-            items = [(i, *_attempt(lambda: work(PhasePoint.stack([x]))))
-                     for i, x in enumerate(batch, start)]
+            items = [(i, *_attempt(lambda: work(points.points(i, i + 1))))
+                     for i in range(start, stop)]
         for idx, got, error in items:
             if error is not None:
                 errors.append({"index": idx, "error": error})
@@ -448,7 +461,8 @@ def cmd_diagonalize(cfg: dict, args) -> int:
               + [f"band{i}_{part}" for i in range(n)
                  for part in ("total", "order0", "order1", "order2", "bracket")]
               + ["hermiticity_defect", "offblock_norm", "bracket_unavailable"])
-    return _run_points(args, "energies", model, seed, points, work, header)
+    return _run_points(args, "energies", model, seed, points, work, header,
+                       order == 2)
 
 
 def cmd_connections(cfg: dict, args) -> int:
@@ -470,7 +484,8 @@ def cmd_connections(cfg: dict, args) -> int:
 
     header = _POINT_HEADER + ["order"] + \
         [f"norm_A_{kind}{l}" for kind in ("R", "P") for l in range(3)]
-    return _run_points(args, "connections", model, seed, points, work, header)
+    return _run_points(args, "connections", model, seed, points, work, header,
+                       order != "0")
 
 
 def cmd_curvature(cfg: dict, args) -> int:
@@ -497,7 +512,8 @@ def cmd_curvature(cfg: dict, args) -> int:
 
     header = _POINT_HEADER + ["norm_theta_rr", "norm_theta_pp",
                               "norm_theta_pr", "antisym_defect"]
-    return _run_points(args, "curvature", model, seed, points, work, header)
+    return _run_points(args, "curvature", model, seed, points, work, header,
+                       True)
 
 
 def cmd_trajectory(cfg: dict, args) -> int:

@@ -26,7 +26,7 @@ P_1, P_2, P_3), and every contraction over the axes pairs R_l with P_l through
 points puts its point axis in front of every array, (N, 6, n, n), and the
 assembly indexes phase axes from the end, so `band_energy` runs one point or
 a batch through the same code; `band_energy_batch` feeds it chunks of
-`CHUNK` points.
+`chunk_points` points.
 
 Every pass below `band_energy` takes the point's `frames.BandFrame`, which
 carries the model and the tolerances, or the record built on it.  Everything
@@ -96,10 +96,12 @@ from semiband.frames import (
 
 __all__ = [
     "CHUNK",
+    "LIGHT_CHUNK",
     "EnergyReport",
     "FirstOrder",
     "band_energy",
     "band_energy_batch",
+    "chunk_points",
     "first_order",
     "corrected_connections",
     "first_order_kernel",
@@ -107,10 +109,27 @@ __all__ = [
 ]
 
 
-# Points per batched pass of `band_energy_batch` and the CLI sweeps; the
-# largest chunk arrays, the (6, 6, n, n) stacks of the first-order record
-# and the curvature pass, are 0.6 MB each for n = 4.
+# Points per batched pass that builds the (6, 6, n, n) stacks of the
+# first-order record: order-2 energies, corrected connections and the
+# curvature pass.  The curvature pass is the largest: tracemalloc peaks of
+# one 64-point Dirac chunk are 0.9 MB at order 1, 4.9 MB at order 2 and
+# 13.6 MB for the curvatures.
 CHUNK = 64
+# Points per batched pass of a two-band model without those stacks
+# (order-0 and order-1 energies, order-0 connections), whose fixed cost per
+# chunk is a larger share of the work.  Four-band passes keep CHUNK: at 128
+# points the Dirac order-1 pass of `band_energy_batch` ran 7-21 % slower per
+# point over 1024 points, as the allocator returned and re-faulted the pages
+# of its larger temporaries.
+LIGHT_CHUNK = 512
+
+
+def chunk_points(n: int, stacks: bool) -> int:
+    """Points per batched pass for n bands: `LIGHT_CHUNK` for a two-band
+    pass that builds no (6, 6, n, n) stack of the first-order record,
+    `CHUNK` for any other.  A batch equals its single points bit for bit,
+    so the chunk size moves no output."""
+    return LIGHT_CHUNK if n == 2 and not stacks else CHUNK
 
 
 def _covariant(grad: np.ndarray, cA: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -461,12 +480,13 @@ def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
                       representation: str = "canonical",
                       tol: Tolerances = DEFAULT_TOL) -> list:
     """Energy reports for a list of phase points (order preserved), from one
-    batched `band_energy` pass per chunk of `CHUNK` points.  Each report
-    equals the single-point `band_energy` at its point bit for bit; a point
-    that fails makes the whole call raise."""
+    batched `band_energy` pass per chunk of `chunk_points` points.  Each
+    report equals the single-point `band_energy` at its point bit for bit; a
+    point that fails makes the whole call raise."""
     reports = []
-    for start in range(0, len(points), CHUNK):
-        batch = PhasePoint.stack(points[start:start + CHUNK])
+    size = chunk_points(model.n, order == 2)
+    for start in range(0, len(points), size):
+        batch = PhasePoint.stack(points[start:start + size])
         reports += band_energy(model, batch, hbar, order, representation,
                                tol).split()
     return reports

@@ -287,9 +287,11 @@ class ReciprocalField(ScalarField):
             raise ValueError("profile must stay positive")
         try:
             a, b = -1.0 / n ** 2, 2.0 / n ** 3
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError) as exc:
+            how = ("underflows to 0" if isinstance(exc, ZeroDivisionError)
+                   else "overflows")
             raise ValueError(f"profile value {n!r} is out of range: its "
-                             "square or cube underflows to 0") from None
+                             f"square or cube {how}") from None
         bx, by, bz = b * gx, b * gy, b * gz
         return (1.0 / n, a * gx, a * gy, a * gz,
                 a * hxx + bx * gx, a * hxy + bx * gy, a * hxz + bx * gz,

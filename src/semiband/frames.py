@@ -144,14 +144,21 @@ class BandFrame:
     U0_dag = cached_property(lambda self: _dagger(self.U0))
 
     @cached_property
+    def _differences(self) -> tuple:
+        """(eps_m - eps_n at entry (n, m), (..., n, n); max |eps0|, (...)),
+        unchecked, shared by the validator's group spread, `gaps` and
+        `grads`."""
+        eps = self.eps0
+        return eps[..., None, :] - eps[..., :, None], np.abs(eps).max(-1)
+
+    @cached_property
     def gaps(self) -> np.ndarray:
         """eps_m - eps_n at entry (n, m), (..., n, n); `cross` marks the
         entries that are band gaps.  Raises on a cross-group gap below the
         frame's gap tolerance at any point, so only the passes that invert
         the band commutator need the bands apart."""
-        eps = self.eps0
-        gaps = eps[..., None, :] - eps[..., :, None]
-        scale = np.maximum(np.abs(eps).max(-1), 1e-300)
+        gaps, top = self._differences
+        scale = np.maximum(top, 1e-300)
         if ((np.abs(gaps) <= self.tol.gap * scale[..., None, None])
                 & self._masks.cross).any():
             raise GapError("near-degenerate bands: cross-group gap below tolerance")
@@ -174,7 +181,7 @@ class BandFrame:
         """
         diag = self.dH.diagonal(0, -2, -1).real
         mean = _group_scalar(diag, self)
-        scale = np.maximum(np.abs(self.eps0).max(-1), 1.0)
+        scale = np.maximum(self._differences[1], 1.0)
         if (np.abs(diag - mean).max((-2, -1)) > 1e-8 * scale).any():
             raise ValueError(
                 "within-group gradient is not scalar; degeneracy is not structural"
@@ -352,7 +359,7 @@ def classical_frame(model: Model, x: PhasePoint,
     caller's x is left without one.
     """
     x = x._with_memo()
-    model.check_point(x)
+    model._check_once(x)
     H = model.hamiltonian(x)
     if model.has_analytic_frame:
         eps0, U0 = model.analytic_frame(x)
@@ -384,8 +391,7 @@ def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
     if (np.abs(diag - frame.eps0).max(-1) > 1e-8 * scale).any():
         raise ValueError("frame eigenvalues disagree with the rotated Hamiltonian")
     # The largest within-group |eps_m - eps_n| is the group's spread.
-    eps = frame.eps0
-    spread = np.abs(eps[..., None, :] - eps[..., :, None])
+    spread = np.abs(frame._differences[0])
     bad = (spread > tol.degeneracy * scale[..., None, None]) & frame._masks.same
     i = _first(bad.any(axis=(-2, -1)))
     if i is not None:

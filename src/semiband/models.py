@@ -53,6 +53,7 @@ __all__ = [
     "TwoLevel",
     "make_model",
     "p_cross_sigma",
+    "random_batch",
     "random_points",
     "SX", "SY", "SZ", "S0", "BETA", "ALPHA", "SIGMA",
 ]
@@ -213,6 +214,10 @@ class PhasePoint:
         """Point i of a batch."""
         return PhasePoint(self.R[i], self.P[i])
 
+    def points(self, start: int, stop: int) -> "PhasePoint":
+        """Points start to stop - 1 of a batch, as a batch."""
+        return PhasePoint(self.R[start:stop], self.P[start:stop])
+
     def shifted(self, axis: int, delta: float) -> "PhasePoint":
         """New point displaced along one of the six phase axes (0-2: R, 3-5: P)."""
         R, P = self.R.copy(), self.P.copy()
@@ -228,8 +233,16 @@ class PhasePoint:
 
 def random_points(rng: np.random.Generator, count: int, pmin: float,
                   pmax: float) -> list:
-    """`count` points with R uniform in [-1, 1]^3 and a uniformly drawn
-    direction of P rescaled to a length uniform in [pmin, pmax].
+    """The points of `random_batch`, one by one."""
+    batch = random_batch(rng, count, pmin, pmax)
+    return [batch.point(i) for i in range(len(batch.R))]
+
+
+def random_batch(rng: np.random.Generator, count: int, pmin: float,
+                 pmax: float) -> PhasePoint:
+    """One batch of `count` points (none for count <= 0) with R uniform in
+    [-1, 1]^3 and a uniformly drawn direction of P rescaled to a length
+    uniform in [pmin, pmax].
 
     One draw of count x 7 doubles gives, bit for bit, the points and the
     generator state of drawing R, P and the length point by point with
@@ -246,7 +259,7 @@ def random_points(rng: np.random.Generator, count: int, pmin: float,
     P *= (length / np.sqrt(_dot(P, P)))[:, None]
     if not (np.isfinite(R).all() and np.isfinite(P).all()):
         raise ValueError("phase point must have finite components")
-    return [PhasePoint(r, p) for r, p in zip(R, P)]
+    return PhasePoint(R, P)
 
 
 class Model:
@@ -313,6 +326,11 @@ class Model:
     def check_point(self, x: PhasePoint) -> None:
         if self.massless and (self._p2(x) == 0.0).any():
             raise ValueError(f"|P| = 0 is not allowed for massless model {self.name}")
+
+    def _check_once(self, x: PhasePoint) -> None:
+        """`check_point`, once per frame: a frame's point keeps in its memo
+        that it passed; a point without a memo is checked on every call."""
+        _shared(x, (self, "checked"), lambda: self.check_point(x))
 
     def _p2(self, x: PhasePoint):
         """P . P, once per frame."""
@@ -450,7 +468,7 @@ class NeutrinoMetric(PxSigmaGauge):
                        lambda: _jet(self.F, x.R))
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        self.check_point(x)
+        self._check_once(x)
         return self._F_jet(x)[0][..., None, None] * self._alpha_p(x)
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
@@ -471,7 +489,7 @@ class NeutrinoMetric(PxSigmaGauge):
         return out
 
     def analytic_frame(self, x: PhasePoint):
-        self.check_point(x)
+        self._check_once(x)
         E = np.sqrt(self._p2(x))
         U0 = ((E[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
               / np.sqrt(2 * _pow(E, 2))[..., None, None])
@@ -480,7 +498,7 @@ class NeutrinoMetric(PxSigmaGauge):
     def _gauge_f(self, x: PhasePoint) -> tuple:
         """The massless limit of the free-particle rotation: f = 2|P|^2 and
         grad f = 4 P."""
-        self.check_point(x)
+        self._check_once(x)
         df = np.zeros(x.batch_shape + (6,))
         df[..., 3:] = 4 * x.P
         return 2 * self._p2(x), df

@@ -1,16 +1,19 @@
 """Point batches: one (N, ...) pass per chunk equals the single-point path
-bit for bit, for energies and for curvatures, and a failing point in a chunk
-is reported on its own."""
+bit for bit, for energies and for curvatures, across a chunk boundary at
+each pass's chunk size, and a failing point in a chunk is reported on its
+own."""
 
 import json
 
 import numpy as np
 import pytest
 
-import semiband.cli
+import semiband.energy
 from semiband.cli import main
 from semiband.dynamics import band_curvature_vector, berry_curvatures
-from semiband.energy import CHUNK, band_energy, band_energy_batch
+from semiband.energy import (
+    CHUNK, band_energy, band_energy_batch, chunk_points,
+)
 from semiband.models import PhasePoint, make_model, random_points
 from tests.test_cli import write_config
 from tests.test_energy import _group_rotated
@@ -79,6 +82,40 @@ def test_batch_equals_point_bit_for_bit(name):
                         == want.diagnostics["bracket_unavailable"])
 
 
+def test_chunk_points_follow_the_pass_and_the_band_count(monkeypatch):
+    # LIGHT_CHUNK points for a two-band pass without (6, 6, n, n) stacks,
+    # CHUNK for every other pass.
+    assert [chunk_points(n, False) for n in (2, 4)] == [512, CHUNK]
+    assert [chunk_points(n, True) for n in (2, 4)] == [CHUNK, CHUNK] == [64, 64]
+    monkeypatch.setattr(semiband.energy, "LIGHT_CHUNK", 8)
+    assert chunk_points(2, False) == 8
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", ["two_level_generic", "dirac_electric"])
+def test_batch_equals_point_across_a_chunk_boundary(monkeypatch, name, order):
+    # Six points past one chunk of the order's size, for n = 2 and n = 4:
+    # two batched passes, and every point of both equals its single point.
+    model = make_model(BENCHMARK_CONFIGS[name])
+    size = chunk_points(model.n, order == 2)
+    points = random_points(np.random.default_rng(16), size + 6, 0.3, 3.0)
+    passes = []
+
+    def counting(model, x, *args):
+        passes.append(x.batch_shape)
+        return band_energy(model, x, *args)
+
+    monkeypatch.setattr(semiband.energy, "band_energy", counting)
+    batch = band_energy_batch(model, points, 0.01, order)
+    assert passes == [(size,), (6,)]
+    for x, got in zip(points, batch):
+        want = band_energy(model, x, 0.01, order)
+        for field in FIELDS:
+            assert_same_bits(getattr(got, field), getattr(want, field))
+        for key in ("offblock_norm", "hermiticity_defect"):
+            assert_same_bits(got.diagnostics[key], want.diagnostics[key])
+
+
 CURVATURE_BLOCKS = ("theta_rr", "theta_pp", "theta_pr")
 
 
@@ -144,11 +181,11 @@ def test_batch_raises_if_any_point_would():
         band_energy_batch(model, points, 0.01, 1)
 
 
-def _bad_points(bad: dict, count: int) -> list:
+def _bad_points(bad: dict, count: int, where: int) -> list:
     rng = np.random.default_rng(14)
     pts = [{"R": rng.uniform(-1, 1, 3).tolist(),
             "P": rng.uniform(-2, 2, 3).tolist()} for _ in range(count)]
-    pts[CHUNK + 3] = bad
+    pts[where] = bad
     return pts
 
 
@@ -165,10 +202,11 @@ BAD_CASES = {
                      {"R": [0.4, 0.0, 0.0], "P": [0.0, 1.0, 1.0]},
                      "GapError: two_level bands are degenerate"),
 }
+# (file stem, config keys, whether the pass builds (6, 6, n, n) stacks).
 COMMANDS = {
-    "diagonalize": ("energies", {"order": 1}),
-    "connections": ("connections", {"connection_order": "0"}),
-    "curvature": ("curvature", {}),
+    "diagonalize": ("energies", {"order": 1}, False),
+    "connections": ("connections", {"connection_order": "0"}, False),
+    "curvature": ("curvature", {}, True),
 }
 
 
@@ -176,21 +214,26 @@ COMMANDS = {
 @pytest.mark.parametrize("case", sorted(BAD_CASES))
 def test_failing_point_in_a_chunk_is_reported_alone(tmp_path, monkeypatch,
                                                      case, command):
+    # The bad point sits in the second of three chunks of the command's
+    # chunk size; one-point chunks must write the same files.
     model, bad, message = BAD_CASES[case]
-    stem, extra = COMMANDS[command]
-    points = _bad_points(bad, 2 * CHUNK + 5)
+    stem, extra, stacks = COMMANDS[command]
+    size = chunk_points(make_model(model).n, stacks)
+    points = _bad_points(bad, 2 * size + 5, size + 3)
     cfg = write_config(tmp_path, {"model": model, "hbar": 0.01,
                                   "points": points, **extra})
     chunked, single = tmp_path / "chunked", tmp_path / "single"
     assert main(["--config", cfg, "--out", str(chunked), command]) == 2
-    monkeypatch.setattr(semiband.cli, "CHUNK", 1)
+    monkeypatch.setattr(semiband.energy, "CHUNK", 1)
+    monkeypatch.setattr(semiband.energy, "LIGHT_CHUNK", 1)
+    assert chunk_points(make_model(model).n, stacks) == 1
     assert main(["--config", cfg, "--out", str(single), command]) == 2
     for suffix in (".json", ".csv"):
         assert (chunked / (stem + suffix)).read_bytes() == \
             (single / (stem + suffix)).read_bytes()
     report = json.loads((chunked / f"{stem}.json").read_text())
-    assert [e["index"] for e in report["errors"]] == [CHUNK + 3]
+    assert [e["index"] for e in report["errors"]] == [size + 3]
     assert report["errors"][0]["error"].startswith(message)
-    good = [p for i, p in enumerate(points) if i != CHUNK + 3]
+    good = [p for i, p in enumerate(points) if i != size + 3]
     assert [(r["R"], r["P"]) for r in report["records"]] == \
         [(p["R"], p["P"]) for p in good]

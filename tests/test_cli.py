@@ -511,6 +511,23 @@ def test_trajectory_run_that_raises_anything_is_reported_per_run(tmp_path):
         for lam in (1, -1)]
 
 
+@pytest.mark.parametrize("value", [1e110, 1e160])
+def test_trajectory_lists_an_overflowing_profile_per_run(tmp_path, value):
+    # F = 1/n on a constant profile whose cube (1e110) or square (1e160)
+    # overflows: each run names the profile value, as for an underflow.
+    cfg = write_config(tmp_path, dict(NEUTRINO_RAY_CFG, model={
+        "model": "neutrino_metric",
+        "field": {"kind": "uniform", "value": value}}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "trajectory"]) == 2
+    manifest = json.loads((out / "trajectory_manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert manifest["errors"] == [
+        {"lambda": lam, "error": f"ValueError: profile value {value!r} is out "
+         "of range: its square or cube overflows"}
+        for lam in (1, -1)]
+
+
 @pytest.mark.parametrize("section, top", [
     ({"steps": -3, "dt": math.nan}, {}),
     ({"dt": math.inf}, {}),
@@ -882,8 +899,11 @@ def test_chunk_renderer_matches_the_stdlib_writers_on_layout_edges():
     buf = io.StringIO()
     csv.writer(buf).writerows([[x[i, 0], mark, *x[i]] for i in range(N)])
     assert "".join(lines) == buf.getvalue()
+    # An error that quotes the placeholder of the records list stays text.
     envelope = {"schema_version": 1, "model": {"model": key}, "seed": 7,
-                "errors": [{"index": 1, "error": mark}]}
+                "errors": [{"index": 1, "error": mark},
+                           {"index": 2, "error": '"records": "\x00records"'},
+                           {"index": 3, "error": "\x00records"}]}
     texts = semiband.cli._render(chunk, 2)[0]
     assert semiband.cli._file_text(envelope, texts) == json.dumps(
         {**envelope, "records": records}, indent=1, sort_keys=True)

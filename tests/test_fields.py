@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ def test_reciprocal_rejects_nonpositive_profile():
     f = ReciprocalField(LinearField([1.0, 0.0, 0.0], 0.0))
     with pytest.raises(ValueError):
         f.value(np.array([-1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("value, power", [(1e110, "cube"), (1e160, "square")])
+def test_reciprocal_names_a_profile_value_whose_powers_overflow(value, power):
+    # 1e110 ** 3 and 1e160 ** 2 overflow a float; the jet names the value,
+    # as it does when the powers underflow to 0.
+    f = ReciprocalField(UniformField(value))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"profile value {value!r} is out of range: its square or cube "
+            "overflows") + "$"):
+        f.jet((0.0, 0.0, 0.0))
 
 
 def test_make_field_round_trip():

@@ -23,6 +23,7 @@ from semiband.models import (
     _outer,
     _pow,
     make_model,
+    random_batch,
     random_points,
 )
 from tests.test_fields import FLAT_FIELDS, FLAT_IDS, nested_jet
@@ -283,14 +284,18 @@ def _random_points_loop(rng, count, pmin, pmax):
 def test_random_points_equal_the_per_point_loop(seed, p_range):
     for count in (0, 1, 500):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch_rng = np.random.default_rng(seed)
         got = random_points(rng, count, *p_range)
         ref = _random_points_loop(ref_rng, count, *p_range)
+        # The CLI's one batch of the same draw.
+        batch = random_batch(batch_rng, count, *p_range)
         assert len(got) == len(ref) == count
-        for x, y in zip(got, ref):
-            assert x.R.tobytes() == y.R.tobytes()
-            assert x.P.tobytes() == y.P.tobytes()
+        assert batch.R.shape == batch.P.shape == (count, 3)
+        for i, (x, y) in enumerate(zip(got, ref)):
+            assert x.R.tobytes() == y.R.tobytes() == batch.R[i].tobytes()
+            assert x.P.tobytes() == y.P.tobytes() == batch.P[i].tobytes()
         # The generator is left where the loop leaves it.
-        assert rng.random() == ref_rng.random()
+        assert rng.random() == ref_rng.random() == batch_rng.random()
 
 
 @pytest.mark.parametrize("p_range", [("a", 3.0), (None, 3.0), (True, 3.0),

@@ -90,6 +90,45 @@ def test_each_shared_intermediate_is_made_once_per_frame(
     assert +counts == _once_per_frame(model, 2)
 
 
+@pytest.mark.parametrize("where", ["point", "batch"])
+def test_the_massless_point_check_runs_once_per_frame(monkeypatch, where):
+    # The frame, H, the analytic frame and the gauge scalar each guard
+    # against |P| = 0; at a frame's point the memo keeps that the check
+    # passed, so an evaluation runs it once.
+    model = make_model(BENCHMARK_CONFIGS["neutrino_metric"])
+    x = _points()[where]
+    calls = []
+    check = models.Model.check_point
+
+    def counting(self, y):
+        calls.append(y)
+        return check(self, y)
+
+    monkeypatch.setattr(models.Model, "check_point", counting)
+    for order in (0, 1, 2):
+        for representation in ("canonical", "covariant"):
+            calls.clear()
+            band_energy(model, x, HBAR, order, representation)
+            assert len(calls) == 1, (order, representation)
+    calls.clear()
+    berry_curvatures(model, x, HBAR)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["hamiltonian", "analytic_frame",
+                                    "analytic_connections",
+                                    "d_analytic_connections"])
+def test_massless_methods_refuse_p0_at_points_without_a_memo(method):
+    # Away from a frame every call checks its point: a point with P = 0,
+    # alone or in a batch, is refused on each call.
+    model = make_model(BENCHMARK_CONFIGS["neutrino_metric"])
+    bad = PhasePoint.of([0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
+    for x in (bad, bad, PhasePoint.stack([_points()["point"], bad])):
+        with pytest.raises(ValueError, match=r"\|P\| = 0"):
+            getattr(model, method)(x)
+        assert x._memo is None
+
+
 def test_every_frame_makes_its_own_intermediates(monkeypatch):
     # Two evaluations at one caller's point share nothing: the memo is the
     # frame's, and the caller's point never gets one.
