@@ -11,12 +11,13 @@
 # differently) and on two z-only two_level models, whose gauge term is a
 # structural zero: the default (h3 > 0) and one with h3 < 0 (the lower branch
 # of the gauge term's lift); on a z-only two_level model with "half" R_x^2
-# P_x^2 and R_x^3 P_x^3 terms, whose nonzero ordering bracket the per-point
-# WeylExpr.evaluate path writes into the band*_bracket columns; on a z-only
-# two_level model with "half" R_x R_y P_x P_y and R_x^2 R_z P_x P_z^2 terms,
-# whose brackets sum over more than one axis; and on a Dirac model in a coulomb
-# potential and a neutrino model on a polynomial profile, whose field jets a
-# frame makes once and shares between H and its derivatives.  diagonalize runs
+# P_x^2 and R_x^3 P_x^3 terms, whose nonzero ordering bracket the batched
+# WeylExpr.evaluate path (one call per band for a whole chunk) writes into
+# the band*_bracket columns; on a z-only two_level model with "half" R_x R_y
+# P_x P_y and R_x^2 R_z P_x P_z^2 terms, whose brackets sum over more than one
+# axis; and on a Dirac model in a coulomb potential and a neutrino model on a
+# polynomial profile, whose field jets a frame makes once and shares between H
+# and its derivatives.  diagonalize runs
 # at order 2 in both representations and at orders 0 and 1, connections at
 # connection orders "corrected" and "0".  A chunk is 64 points, so 130 points
 # make three chunks, except in a two-band pass that builds no (6, 6, n, n)

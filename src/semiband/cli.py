@@ -621,38 +621,41 @@ def cmd_bracket_check(cfg: dict, args) -> int:
     return _write_report(Path(args.out), "bracket_report.json", report)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="semiband",
-        description="Block-diagonal band energies, Berry data and ray tracing "
-                    "for matrix-valued Hamiltonians.",
-    )
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--order", type=int, help="expansion order (0, 1, 2)")
-    parser.add_argument("--hbar", type=float, help="value of hbar")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", default="semiband_out", help="output directory")
-    parser.add_argument("--suite", help="verification suite name (verify)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; points always run "
-                             "in order, in chunks, in one thread")
-    parser.add_argument("command", choices=[
-        "diagonalize", "connections", "curvature", "trajectory",
-        "verify", "bracket-check",
-    ])
-    args = parser.parse_args(argv)
+# The one subcommand table: argparse's choices and the dispatch of `main`.
+_COMMANDS = {
+    "diagonalize": cmd_diagonalize,
+    "connections": cmd_connections,
+    "curvature": cmd_curvature,
+    "trajectory": cmd_trajectory,
+    "verify": cmd_verify,
+    "bracket-check": cmd_bracket_check,
+}
 
-    handlers = {
-        "diagonalize": cmd_diagonalize,
-        "connections": cmd_connections,
-        "curvature": cmd_curvature,
-        "trajectory": cmd_trajectory,
-        "verify": cmd_verify,
-        "bracket-check": cmd_bracket_check,
-    }
+
+# Built once, at import: each `parse_args` call reads only its own argv into
+# a fresh namespace, so no call leaves state behind for the next.
+_PARSER = argparse.ArgumentParser(
+    prog="semiband",
+    description="Block-diagonal band energies, Berry data and ray tracing "
+                "for matrix-valued Hamiltonians.",
+)
+_PARSER.add_argument("--config", help="JSON configuration file")
+_PARSER.add_argument("--order", type=int, help="expansion order (0, 1, 2)")
+_PARSER.add_argument("--hbar", type=float, help="value of hbar")
+_PARSER.add_argument("--seed", type=int, help="random seed")
+_PARSER.add_argument("--out", default="semiband_out", help="output directory")
+_PARSER.add_argument("--suite", help="verification suite name (verify)")
+_PARSER.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; points always run "
+                          "in order, in chunks, in one thread")
+_PARSER.add_argument("command", choices=list(_COMMANDS))
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return handlers[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -180,9 +180,6 @@ class EnergyReport:
     partial: bool = False           # bracket term unavailable
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def band_values(self) -> np.ndarray:
-        return np.real(np.diagonal(self.eps, 0, -2, -1))
-
     def split(self) -> list:
         """The per-point reports of a batch report; ValueError for a
         one-point report."""

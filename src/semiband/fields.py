@@ -72,6 +72,15 @@ def _power(value: float, k: int, what: str) -> float:
     return p
 
 
+def _pow(a, e: int) -> np.ndarray:
+    """a ** e elementwise with the scalar pow of per-point code; numpy's array
+    power rounds differently for e >= 2."""
+    a = np.asarray(a, dtype=float)
+    if not a.ndim:
+        return np.float64(float(a) ** e)
+    return np.array([v ** e for v in a.ravel().tolist()]).reshape(a.shape)
+
+
 def _coefficients(pairs, amplitude: tuple, length: tuple) -> None:
     """ValueError unless each jet coefficient num / den is finite (inf * 0 is
     NaN), naming the length if 1 / den overflows alone, else the amplitude."""

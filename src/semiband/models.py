@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from semiband.fields import (
-    ScalarField, ReciprocalField, UniformField, _exponent, _real,
+    ScalarField, ReciprocalField, UniformField, _exponent, _pow, _real,
     make_field,
 )
 from semiband import weyl
@@ -82,8 +82,6 @@ def p_cross_sigma(P: np.ndarray, sigma) -> list:
 
 # [b, l] = (e_b x Sigma)_l, the P_b derivative of (P x Sigma)_l.
 _E_CROSS_SIGMA = np.array([p_cross_sigma(e, SIGMA) for e in np.eye(3)])
-_CYC_J, _CYC_K = [1, 2, 0], [2, 0, 1]       # (P x S)_l = P_j S_k - P_k S_j
-_SIGMA_K, _SIGMA_J = np.array(SIGMA)[_CYC_K], np.array(SIGMA)[_CYC_J]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,15 +95,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Outer product over the last axes: (..., k), (..., l) -> (..., k, l)."""
     return a[..., :, None] * b[..., None, :]
-
-
-def _pow(a, e: int) -> np.ndarray:
-    """a ** e elementwise with the scalar pow of per-point code; numpy's array
-    power rounds differently for e >= 2."""
-    a = np.asarray(a, dtype=float)
-    if not a.ndim:
-        return np.float64(float(a) ** e)
-    return np.array([v ** e for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 _EYE4 = np.eye(4)
@@ -342,7 +331,20 @@ class Model:
 
 class PxSigmaGauge(Model):
     """A four-band model whose within-group gauge term is ((P x Sigma)/f, 0)
-    for a scalar f(R, P), given with its gradient by `_gauge_f`."""
+    for a scalar f(R, P), given with its gradient by `_gauge_f`, and whose
+    frame is a free Foldy-Wouthuysen rotation; H reads one scalar field,
+    `_scalar` (Dirac's V, the neutrino's F)."""
+
+    def _field_jet(self, x: PhasePoint) -> tuple:
+        """(value, gradient, hessian) of `_scalar` at x, from one field jet
+        per frame."""
+        return _shared(x, (self, "jet"), lambda: _jet(self._scalar, x.R))
+
+    def _fw_rotation(self, x: PhasePoint, c, d) -> np.ndarray:
+        """The free Foldy-Wouthuysen rotation (c 1 + beta alpha.P)/sqrt(d),
+        (..., 4, 4)."""
+        return ((c[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
+                / np.sqrt(d)[..., None, None])
 
     def _gauge_f(self, x: PhasePoint) -> tuple:
         """(f, grad f) over the six axes."""
@@ -359,8 +361,7 @@ class PxSigmaGauge(Model):
     def _pxs(self, x: PhasePoint) -> np.ndarray:
         """P x Sigma as a (..., 3, 4, 4) stack, once per frame."""
         return _shared(x, (self, "PxS"),
-                       lambda: (x.P[..., _CYC_J, None, None] * _SIGMA_K
-                                - x.P[..., _CYC_K, None, None] * _SIGMA_J))
+                       lambda: np.stack(p_cross_sigma(x.P, SIGMA), axis=-3))
 
     def analytic_connections(self, x: PhasePoint) -> np.ndarray:
         out = np.zeros(x.batch_shape + (6, 4, 4), dtype=complex)
@@ -385,13 +386,9 @@ class DiracElectric(PxSigmaGauge):
         self.e = _real(e, "charge")
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        self.field = field if field is not None else UniformField(0.0)
+        self.field = self._scalar = (field if field is not None
+                                     else UniformField(0.0))
         self._m_beta = self.m * BETA
-
-    def _field_jet(self, x: PhasePoint) -> tuple:
-        """(V, grad V, grad grad V) at x, from one field jet per frame."""
-        return _shared(x, (self, "jet"),
-                       lambda: _jet(self.field, x.R))
 
     def energy_scale(self, x: PhasePoint):
         return _shared(x, (self, "E"),                 # once per frame
@@ -399,7 +396,6 @@ class DiracElectric(PxSigmaGauge):
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         # One nonzero alpha.P term per entry and part: bits as term by term.
-        self.check_point(x)
         V = self._field_jet(x)[0]
         return (self._m_beta + (self.e * V)[..., None, None] * _EYE4
                 + self._alpha_p(x))
@@ -421,10 +417,9 @@ class DiracElectric(PxSigmaGauge):
         # Free-particle Foldy-Wouthuysen rotation; the scalar potential rides along.
         E = self.energy_scale(x)
         Em = E + self.m
-        U0 = ((Em[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
-              / np.sqrt(2 * E * Em)[..., None, None])
         W = self.e * self._field_jet(x)[0]
-        return E[..., None] * _SIGNS4 + W[..., None], U0
+        return (E[..., None] * _SIGNS4 + W[..., None],
+                self._fw_rotation(x, Em, 2 * E * Em))
 
     def _gauge_f(self, x: PhasePoint) -> tuple:
         """The free-particle rotation gives f = 2E(E+m), R-free, with
@@ -457,22 +452,14 @@ class NeutrinoMetric(PxSigmaGauge):
 
     def __init__(self, profile: ScalarField | None = None):
         self.profile = profile if profile is not None else UniformField(1.0)
-        self.F = ReciprocalField(self.profile)
-
-    def index_value(self, r) -> float:
-        return self.profile.value(r)
-
-    def _F_jet(self, x: PhasePoint) -> tuple:
-        """(F, grad F, grad grad F) at x, from one F jet per frame."""
-        return _shared(x, (self, "jet"),
-                       lambda: _jet(self.F, x.R))
+        self.F = self._scalar = ReciprocalField(self.profile)
 
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         self._check_once(x)
-        return self._F_jet(x)[0][..., None, None] * self._alpha_p(x)
+        return self._field_jet(x)[0][..., None, None] * self._alpha_p(x)
 
     def d_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        Fv, g = self._F_jet(x)[:2]
+        Fv, g = self._field_jet(x)[:2]
         out = np.empty(x.batch_shape + (6, 4, 4), dtype=complex)
         out[..., :3, :, :] = (g[..., None, None]
                               * self._alpha_p(x)[..., None, :, :])
@@ -480,7 +467,7 @@ class NeutrinoMetric(PxSigmaGauge):
         return out
 
     def d2_hamiltonian(self, x: PhasePoint) -> np.ndarray:
-        _F, g, h = self._F_jet(x)
+        _F, g, h = self._field_jet(x)
         ap = self._alpha_p(x)[..., None, None, :, :]
         out = np.zeros(x.batch_shape + (6, 6, 4, 4), dtype=complex)
         out[..., :3, :3, :, :] = h[..., None, None] * ap
@@ -491,9 +478,8 @@ class NeutrinoMetric(PxSigmaGauge):
     def analytic_frame(self, x: PhasePoint):
         self._check_once(x)
         E = np.sqrt(self._p2(x))
-        U0 = ((E[..., None, None] * _EYE4 + _BETA_ROWS * self._alpha_p(x))
-              / np.sqrt(2 * _pow(E, 2))[..., None, None])
-        return (self._F_jet(x)[0] * E)[..., None] * _SIGNS4, U0
+        return ((self._field_jet(x)[0] * E)[..., None] * _SIGNS4,
+                self._fw_rotation(x, E, 2 * _pow(E, 2)))
 
     def _gauge_f(self, x: PhasePoint) -> tuple:
         """The massless limit of the free-particle rotation: f = 2|P|^2 and
@@ -506,7 +492,7 @@ class NeutrinoMetric(PxSigmaGauge):
     def ordering_bracket_term(self, x: PhasePoint, hbar: float) -> np.ndarray:
         # Closed form declared by the model: -(hbar^2 / 4|P|) P.grad F, times 1.
         E = np.sqrt(self._p2(x))
-        val = -(hbar ** 2) / (4 * E) * _dot(x.P, self._F_jet(x)[1])
+        val = -(hbar ** 2) / (4 * E) * _dot(x.P, self._field_jet(x)[1])
         return val[..., None, None] * _EYE4C
 
     def to_config(self) -> dict:
@@ -683,9 +669,6 @@ class TwoLevel(Model):
             arr[slot] = v
         return arr
 
-    def h_vector(self, x: PhasePoint) -> np.ndarray:
-        return self._jets(x, (0,))[0][1:].T.copy()
-
     def hamiltonian(self, x: PhasePoint) -> np.ndarray:
         return self._sigma(self._jets(x, (0,))[0])
 
@@ -826,13 +809,10 @@ class TwoLevel(Model):
             raise NotImplementedError(
                 "bracket term unavailable: h is not purely along sigma_z"
             )
-        # The exact bracket evaluates one point at a time.
-        points = [x.point(i) for i in range(len(x.R))] if x.batch_shape else [x]
-        out = np.zeros((len(points), 2, 2), dtype=complex)
+        out = np.zeros(x.batch_shape + (2, 2), dtype=complex)
         for band, expr in enumerate(self._band_brackets):
-            out[:, band, band] = [complex(expr.evaluate(y.R, y.P, hbar)[0, 0])
-                                  for y in points]
-        return -(hbar / 2.0) * out.reshape(x.batch_shape + (2, 2))
+            out[..., band, band] = expr.evaluate(x.R, x.P, hbar)[..., 0, 0]
+        return -(hbar / 2.0) * out
 
     def to_config(self) -> dict:
         def dump(terms):

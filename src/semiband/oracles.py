@@ -140,7 +140,7 @@ def neutrino_velocity_modulus(r: np.ndarray, P: np.ndarray,
                               model: NeutrinoMetric, hbar: float,
                               lam: float = 1.0) -> float:
     """|v| = (c/n)(1 + hbar^2 lam^2/P^2 [(grad ln n)^2 - (P.grad ln n)^2/P^2])^(1/2)."""
-    n = model.index_value(r)
+    n = model.profile.value(r)
     gn = model.profile.gradient(r)
     glog = gn / n
     p2 = float(P @ P)

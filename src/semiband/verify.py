@@ -46,6 +46,7 @@ from semiband.frames import (
 from semiband.energy import (
     _string,
     band_energy,
+    band_energy_batch,
     first_order,
 )
 from semiband.dynamics import (
@@ -176,8 +177,8 @@ def suite_dirac_canonical(seed: int = 10, points: int = 100,
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     worst = 0.0
-    for x in random_points(rng, points, 0.1, 10.0):
-        rep = band_energy(model, x, hbar, order=2, representation="canonical")
+    xs = random_points(rng, points, 0.1, 10.0)
+    for x, rep in zip(xs, band_energy_batch(model, xs, hbar, 2, "canonical")):
         ref = dirac_energy_canonical_oracle(x, model.m, model.e, model.field, hbar)
         worst = max(worst, _rel_err(rep.eps, ref))
     return SuiteResult("dirac-canonical-oracle", worst <= tolerance,
@@ -193,8 +194,8 @@ def suite_dirac_covariant(seed: int = 11, points: int = 100,
     model = _dirac_model()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for x in random_points(rng, points, 0.1, 10.0):
-        rep = band_energy(model, x, hbar, order=2, representation="covariant")
+    xs = random_points(rng, points, 0.1, 10.0)
+    for x, rep in zip(xs, band_energy_batch(model, xs, hbar, 2, "covariant")):
         ref = dirac_energy_covariant_oracle(x, model.m, model.e, model.field, hbar)
         worst = max(worst, _rel_err(rep.eps, ref))
     return SuiteResult("dirac-covariant-oracle", worst <= tolerance,
@@ -286,15 +287,15 @@ def suite_neutrino_energy(seed: int = 13, points: int = 100,
     points -= points % 2  # half per profile: an odd count runs one fewer
     worst_cov = worst_can = 0.0
     for label, model in _neutrino_profiles().items():
-        for x in random_points(rng, points // 2, 0.3, 5.0):
-            rep = band_energy(model, x, hbar, order=2,
-                              representation="covariant")
+        xs = random_points(rng, points // 2, 0.3, 5.0)
+        cov, can = (band_energy_batch(model, xs, hbar, order=2,
+                                      representation=representation)
+                    for representation in ("covariant", "canonical"))
+        for x, rep_cov, rep_can in zip(xs, cov, can):
             ref = neutrino_energy_oracle(x, model, hbar)
-            worst_cov = max(worst_cov, _rel_err(rep.eps, ref))
-            rep = band_energy(model, x, hbar, order=2,
-                              representation="canonical")
+            worst_cov = max(worst_cov, _rel_err(rep_cov.eps, ref))
             ref = neutrino_energy_canonical_oracle(x, model, hbar)
-            worst_can = max(worst_can, _rel_err(rep.eps, ref))
+            worst_can = max(worst_can, _rel_err(rep_can.eps, ref))
     passed = worst_cov <= tolerance and worst_can <= tolerance
     return SuiteResult("neutrino-energy-oracle", passed,
                        {"points": points, "max_rel_err_covariant": worst_cov,
@@ -415,8 +416,8 @@ def suite_free_field(seed: int = 17, points: int = 20,
               NeutrinoMetric(profile=UniformField(1.0))]
     worst = 0.0
     for model in models:
-        for x in random_points(rng, points, 0.3, 3.0):
-            rep = band_energy(model, x, 0.1, order=2)
+        xs = random_points(rng, points, 0.3, 3.0)
+        for rep in band_energy_batch(model, xs, 0.1, order=2):
             corr = np.max(np.abs(rep.first)) + np.max(np.abs(rep.second)) \
                 + np.max(np.abs(rep.bracket_term))
             worst = max(worst, float(corr))
@@ -588,8 +589,8 @@ def suite_consistency(seed: int = 19) -> SuiteResult:
 
     herm = offb = 0.0
     for mdl in [model, _neutrino_profiles()["gaussian"]]:
-        for x in random_points(rng, 25, 0.3, 3.0):
-            rep = band_energy(mdl, x, 0.02, order=2)
+        xs = random_points(rng, 25, 0.3, 3.0)
+        for rep in band_energy_batch(mdl, xs, 0.02, order=2):
             herm = max(herm, float(np.max(np.abs(rep.eps - rep.eps.conj().T))))
             offb = max(offb, rep.diagnostics["offblock_norm"])
     passed = bounded and herm <= 1e-12 and offb <= 1e-10

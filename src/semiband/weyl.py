@@ -113,13 +113,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def mat_is_zero(a: Mat) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
-def mat_kron(a: Mat, b: Mat) -> Mat:
-    na, nb = len(a), len(b)
-    return tuple(
-        tuple(a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb))
-        for i in range(na * nb)
-    )
-
 
 PAULI = {
     "x": ((QC_ZERO, QC_ONE), (QC_ONE, QC_ZERO)),
@@ -302,15 +295,19 @@ class WeylExpr:
         return all(sum(key[slot]) == 0 for key in self.terms)
 
     def evaluate(self, R, P, hbar: float):
-        """Classical evaluation at commuting values; returns a complex ndarray."""
+        """Classical evaluation at commuting values R, P (3,) or (N, 3), as
+        a complex ndarray (..., n, n); a batch equals its points bit for bit,
+        each power the scalar pow of one point (`fields._pow`)."""
         import numpy as np
+        from semiband.fields import _pow
 
-        out = np.zeros((self.n, self.n), dtype=complex)
+        R, P = np.asarray(R, dtype=float), np.asarray(P, dtype=float)
+        out = np.zeros(R.shape[:-1] + (self.n, self.n), dtype=complex)
         for (r, p, h), mat in self.terms.items():
             scal = hbar ** h
             for i in range(3):
-                scal *= R[i] ** r[i] * P[i] ** p[i]
-            out += scal * np.array(
+                scal = scal * (_pow(R[..., i], r[i]) * _pow(P[..., i], p[i]))
+            out += scal[..., None, None] * np.array(
                 [[x.to_complex() for x in row] for row in mat]
             )
         return out

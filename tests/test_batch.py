@@ -17,8 +17,10 @@ from semiband.energy import (
 from semiband.models import PhasePoint, make_model, random_points
 from tests.test_cli import write_config
 from tests.test_energy import _group_rotated
-from tests.test_frames import BENCHMARK_CONFIGS
+from tests.test_frames import BENCHMARK_CONFIGS, band_values
+from tests.test_models import h_vector
 from tests.test_tangents import _FrameLess, _VariableMassDirac, _twisted
+from tests.test_weyl import MIXED_TWO_LEVEL
 
 # Polynomial terms with exponents 2 and 3, whose array power would round
 # differently from the per-point scalar power; h3 = 1/5 - R_z^3 changes sign,
@@ -38,6 +40,8 @@ MODELS = {**{name: (lambda cfg=cfg: make_model(cfg))
           "frameless_two_level": lambda: _FrameLess(
               make_model(BENCHMARK_CONFIGS["two_level_generic"])),
           "two_level_cubic": lambda: make_model(CUBIC_TWO_LEVEL),
+          # A nonzero exact ordering bracket, evaluated for a whole batch.
+          "two_level_mixed": lambda: make_model(MIXED_TWO_LEVEL),
           # The gauge-turned models carry a nonzero within-group A^P, so
           # every pairing product of the first-order record is live.
           "rotated_dirac": lambda: _group_rotated(
@@ -66,6 +70,8 @@ def test_batch_equals_point_bit_for_bit(name):
             batch = band_energy_batch(model, points, 0.01, order,
                                       representation)
             assert len(batch) == len(points)
+            if name == "two_level_mixed" and order == 2:
+                assert all(rep.bracket_term.any() for rep in batch)
             for x, got in zip(points, batch):
                 want = band_energy(model, x, 0.01, order, representation)
                 assert_same_bits(got.point.R, x.R)
@@ -129,7 +135,7 @@ def test_batch_curvatures_equal_point_bit_for_bit(name):
             berry_curvatures(model, x, 0.05)
         return
     if name == "two_level_cubic":
-        h3 = model.h_vector(x)[:, 2]
+        h3 = h_vector(model, x)[:, 2]
         assert (h3 >= 0).any() and (h3 < 0).any()
     cset = berry_curvatures(model, x, 0.05)
     bands = {lam: band_curvature_vector(model, x, lam)
@@ -147,7 +153,7 @@ def test_batch_report_carries_the_point_axis():
     points = random_points(np.random.default_rng(12), 3, 0.3, 3.0)
     rep = band_energy(model, PhasePoint.stack(points), 0.01, 2)
     assert rep.eps.shape == (3, 4, 4)
-    assert rep.band_values().shape == (3, 4)
+    assert band_values(rep).shape == (3, 4)
     assert rep.diagnostics["offblock_norm"].shape == (3,)
     assert [r.point.R.tolist() for r in rep.split()] == \
         [x.R.tolist() for x in points]

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes and determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -44,6 +45,67 @@ def test_diagonalize_single_point(tmp_path):
     assert report["schema_version"] == 1
     assert len(report["records"]) == 1
     assert report["errors"] == []
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    # The parser is built once, at import; a call only parses its argv.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = write_config(tmp_path, DIRAC_CFG)
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["--config", cfg, "--out", str(out), "--order", "0",
+                     "diagonalize"]) == 0
+    assert built == []
+
+
+def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path):
+    # --order 0, then no --order: the second call takes the config's order
+    # (2 by default), and its files are those of a call without the first.
+    cfg = write_config(tmp_path, DIRAC_CFG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "zero"),
+                 "--order", "0", "diagonalize"]) == 0
+    for run in ("after", "fresh"):
+        assert main(["--config", cfg, "--out", str(tmp_path / run),
+                     "diagonalize"]) == 0
+    report = json.loads((tmp_path / "after" / "energies.json").read_text())
+    assert [rec["order"] for rec in report["records"]] == [2]
+    for name in ("energies.json", "energies.csv"):
+        assert ((tmp_path / "after" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes())
+
+
+def test_help_text_and_unknown_command(capsys):
+    commands = ["diagonalize", "connections", "curvature", "trajectory",
+                "verify", "bracket-check"]
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith("usage: semiband [-h] [--config CONFIG]")
+    for line in ["{" + ",".join(commands) + "}",
+                 "Block-diagonal band energies, Berry data and ray tracing "
+                 "for matrix-valued Hamiltonians.",
+                 "--config CONFIG JSON configuration file",
+                 "--order ORDER expansion order (0, 1, 2)",
+                 "--hbar HBAR value of hbar", "--seed SEED random seed",
+                 "--out OUT output directory",
+                 "--suite SUITE verification suite name (verify)",
+                 "--jobs JOBS accepted for compatibility; points always run "
+                 "in order, in chunks, in one thread"]:
+        assert line in text
+    with pytest.raises(SystemExit) as stop:
+        main(["nope"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(command in err for command in commands)
 
 
 def test_diagonalize_grid_row_count(tmp_path):

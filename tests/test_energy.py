@@ -22,7 +22,7 @@ from semiband.energy import band_energy, corrected_connections, first_order
 from semiband.dynamics import berry_curvatures
 from semiband.verify import connections_fd, covariant_reexpansion
 from semiband.weyl import QC, WeylExpr
-from tests.test_frames import BENCHMARK_CONFIGS
+from tests.test_frames import BENCHMARK_CONFIGS, band_values
 from tests.test_models import p_cross_sigma
 
 GAUSS = GaussianField(0.8, [0.2, -0.1, 0.3], 1.4)
@@ -287,7 +287,7 @@ def test_generic_two_level_order2_is_pinned():
     hbar = 0.05
     for representation, (bands, second) in TWO_LEVEL_PINNED_BANDS.items():
         rep = band_energy(model, X, hbar, 2, representation)
-        assert np.max(np.abs(rep.band_values() - bands)) \
+        assert np.max(np.abs(band_values(rep) - bands)) \
             <= 1e-12 * np.max(np.abs(bands))
         # The order-2 part alone, relative to its own size: a sign error in
         # the pairing moves it at the 1e-8 level.

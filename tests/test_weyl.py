@@ -17,10 +17,44 @@ from semiband.weyl import (
     symmetrized_bracket,
     random_factorization,
     random_resymmetrization,
+    Mat,
     mat_eye,
-    mat_kron,
     mat_scale,
 )
+
+
+# The z-only two_level models of the byte-identity CI step with "half"
+# mixed terms, whose ordering brackets are nonzero: R_x^2 P_x^2 and
+# R_x^3 P_x^3 on one axis, and R_x R_y P_x P_y and R_x^2 R_z P_x P_z^2,
+# which sum over more than one axis.
+MIXED_TWO_LEVEL = {
+    "model": "two_level",
+    "h0": [{"coef": "1/2", "r_exp": [2, 0, 0]},
+           {"coef": "1/2", "p_exp": [2, 0, 0]},
+           {"coef": "1/10", "r_exp": [2, 0, 0], "p_exp": [2, 0, 0],
+            "sym": "half"}],
+    "h": [[], [], [{"coef": "1"},
+                   {"coef": "1/20", "r_exp": [3, 0, 0], "p_exp": [3, 0, 0],
+                    "sym": "half"}]],
+}
+AXES_TWO_LEVEL = {
+    "model": "two_level",
+    "h0": [{"coef": "1/2", "r_exp": [2, 0, 0]},
+           {"coef": "1/2", "p_exp": [2, 0, 0]},
+           {"coef": "1/10", "r_exp": [1, 1, 0], "p_exp": [1, 1, 0],
+            "sym": "half"}],
+    "h": [[], [], [{"coef": "1"},
+                   {"coef": "1/20", "r_exp": [2, 0, 1], "p_exp": [1, 0, 2],
+                    "sym": "half"}]],
+}
+
+
+def mat_kron(a: Mat, b: Mat) -> Mat:
+    na, nb = len(a), len(b)
+    return tuple(
+        tuple(a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb))
+        for i in range(na * nb)
+    )
 
 
 def R(axis=0, n=1):
@@ -240,3 +274,39 @@ def test_classical_evaluation():
     expr = R() * P() - WeylExpr.hbar().scaled(QC_I)
     val = expr.evaluate([2.0, 0, 0], [3.0, 0, 0], hbar=0.5)
     assert np.allclose(val, np.array([[6.0 - 0.5j]]))
+
+
+def _nonzero_random_bracket() -> WeylExpr:
+    """The bracket of the first random n = 2 factorization whose bracket is
+    not zero."""
+    rng = random.Random(23)
+    while True:
+        expr = random_factorization(rng, n=2, max_degree=6).bracket()
+        if not expr.is_zero():
+            return expr
+
+
+@pytest.mark.parametrize("hbar", [0.01, 0.1, 0.37])
+@pytest.mark.parametrize("case", ["two_level_mixed", "two_level_axes",
+                                  "random"])
+def test_batch_evaluation_equals_its_points_bit_for_bit(case, hbar):
+    # A batch (N, 3) is evaluated in one call, and equals the loop of its
+    # one-point calls bit for bit (bytes compared, so signed zeros count),
+    # also where a coordinate is +0.0 or -0.0.
+    import numpy as np
+    from semiband.models import make_model
+
+    if case == "random":
+        exprs = [_nonzero_random_bracket()]
+    else:
+        cfg = MIXED_TWO_LEVEL if case == "two_level_mixed" else AXES_TWO_LEVEL
+        exprs = make_model(cfg)._band_brackets
+    R, P = np.random.default_rng(31).uniform(-2.0, 2.0, (2, 50, 3))
+    R[:5, 0], P[3:8, 0] = -0.0, 0.0
+    R[6:9, 1:], P[8:12, 1:] = 0.0, -0.0
+    for expr in exprs:
+        assert not expr.is_zero()
+        got = expr.evaluate(R, P, hbar)
+        want = np.array([expr.evaluate(r, p, hbar) for r, p in zip(R, P)])
+        assert got.shape == want.shape == (50, expr.n, expr.n)
+        assert got.tobytes() == want.tobytes()
