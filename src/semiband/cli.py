@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from semiband.fields import _integer, _real, _real3
+from semiband.fields import REQUIRED, _integer, _real, parameters, read_config
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_batch,
 )
@@ -103,6 +103,21 @@ def _section(cfg: dict, key: str, default=None, kind: type = dict):
     return value
 
 
+def _object(cfg: dict, key: str, keys: dict, noun: str = "key") -> dict:
+    """The config object cfg[key] ({} if absent) over its declared keys."""
+    return read_config(cfg.get(key, {}), keys, key, noun)
+
+
+# The declared keys of each config object of the CLI, with their defaults:
+# a point's and the grid's, the random draw's, the tolerances' and a ray's.
+_PHASE_KEYS = {"R": REQUIRED, "P": REQUIRED}
+_RANDOM_KEYS = {"count": 10, "p_range": [0.3, 3.0]}
+_TOLERANCE_KEYS = vars(DEFAULT_TOL)
+_TRAJECTORY_KEYS = {"method": parameters(integrate_ray)["method"],
+                    "pair_lambdas": True, "lambda": 1, "steps": 1000,
+                    "dt": 1e-2, "r0": [0.0, 0.0, 0.0], "P0": [0.0, 0.0, 1.0]}
+
+
 def _resolve_points(cfg: dict, rng: np.random.Generator) -> PhasePoint:
     """The config's points, in order, as one batch (R and P of shape
     (N, 3), N = 0 for no points)."""
@@ -113,17 +128,16 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> PhasePoint:
     if "points" in cfg:
         pts = []
         for i, rec in enumerate(_section(cfg, "points", kind=list)):
+            rec = read_config(rec, _PHASE_KEYS, f"point #{i}")
             try:
                 pts.append(PhasePoint.of(rec["R"], rec["P"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad point #{i}: {exc}") from exc
         return PhasePoint(np.reshape([x.R for x in pts], (-1, 3)),
                           np.reshape([x.P for x in pts], (-1, 3)))
     if "grid" in cfg:
-        section = _section(cfg, "grid")
         axes = []
-        for key in ("R", "P"):
-            rows = section.get(key)
+        for key, rows in _object(cfg, "grid", _PHASE_KEYS).items():
             if not (isinstance(rows, list) and len(rows) == 3 and all(
                     isinstance(row, list) and len(row) == 3 for row in rows)):
                 raise ConfigError(f"grid.{key} must give [min, max, count] x 3")
@@ -137,24 +151,17 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> PhasePoint:
         flat = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
         return PhasePoint(np.stack(flat[:3], axis=-1),
                           np.stack(flat[3:], axis=-1))
-    section = _section(cfg, "random_points")
-    p_range = section.get("p_range", [0.3, 3.0])
+    count, p_range = _object(cfg, "random_points", _RANDOM_KEYS).values()
     if not (isinstance(p_range, list) and len(p_range) == 2):
         raise ConfigError("random_points.p_range must be [pmin, pmax]")
-    pmin, pmax = p_range
-    count = _integer(section.get("count", 10), "random_points.count")
-    return random_batch(rng, count, pmin, pmax)
+    return random_batch(rng, _integer(count, "random_points.count"), *p_range)
 
 
 def _tolerances(cfg: dict) -> Tolerances:
     """The "tolerances" section over the defaults, names and values checked."""
-    section = _section(cfg, "tolerances", {})
-    for name in section:
-        if name not in vars(DEFAULT_TOL):
-            raise ConfigError(f"tolerances: unknown tolerance {name!r}")
+    section = _object(cfg, "tolerances", _TOLERANCE_KEYS, "tolerance")
     try:
-        return Tolerances(**{name: _real(value, f"tolerance {name}")
-                             for name, value in section.items()})
+        return Tolerances(**section)
     except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
 
@@ -476,6 +483,8 @@ def cmd_connections(cfg: dict, args) -> int:
         conns = berry_connections(frame)
         if order != "0":
             conns = corrected_connections(first_order(frame, conns), hbar)
+        if not np.isfinite(conns.A).all():
+            raise FloatingPointError("connection set is not finite")
         values, (R, P, norms, A) = _pack(x.R, x.P, matrix_norms(conns.A),
                                          _mat_json(conns.A))
         record = {"R": R, "P": P, "hbar": hbar, "order": conns.order,
@@ -520,26 +529,24 @@ def cmd_trajectory(cfg: dict, args) -> int:
     model = make_model(cfg.get("model", {}))
     if not isinstance(model, NeutrinoMetric):
         raise ConfigError("trajectory supports only the neutrino_metric model")
-    section = _section(cfg, "trajectory", {})
+    section = _object(cfg, "trajectory", _TRAJECTORY_KEYS)
     hbar = _hbar(cfg, args, 1e-3)
-    method = section.get("method", "rk4")
-    pair = _section(section, "pair_lambdas", True, bool)
+    method = section["method"]
+    pair = _section(section, "pair_lambdas", kind=bool)
     try:
-        steps = _integer(section.get("steps", 1000), "steps")
-        dt = _real(section.get("dt", 1e-2), "dt")
-        r0 = list(_real3(section.get("r0", [0.0, 0.0, 0.0]), "r0"))
-        P0 = list(_real3(section.get("P0", [0.0, 0.0, 1.0]), "P0"))
-        lams = ([+1, -1] if pair
-                else [_integer(section.get("lambda", 1), "lambda")])
+        steps = _integer(section["steps"], "steps")
+        dt = _real(section["dt"], "dt")
+        lams = [+1, -1] if pair else [_integer(section["lambda"], "lambda")]
         for lam in lams:
-            check_ray_inputs(hbar, dt, steps, r0, P0, lam, method)
+            r0, P0 = check_ray_inputs(hbar, dt, steps, section["r0"],
+                                      section["P0"], lam, method)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trajectory: {exc}") from exc
     out = Path(args.out)
 
     manifest = {"schema_version": SCHEMA_VERSION, "model": model.to_config(),
                 "hbar": hbar, "dt": dt, "steps": steps, "method": method,
-                "r0": r0, "P0": P0,
+                "r0": r0.tolist(), "P0": P0.tolist(),
                 "lambdas": lams, "runs": []}
     errors = []
     header = ["t", "r_x", "r_y", "r_z", "P_x", "P_y", "P_z",
@@ -593,8 +600,6 @@ def cmd_verify(cfg: dict, args) -> int:
     if args.suite == "bracket":
         names = BRACKET_SUITES
     overrides = _section(cfg, "suites", {})
-    for name in overrides:
-        _section(overrides, name)
     report = run_suites(names, seed=seed, overrides=overrides)
     return _write_report(Path(args.out), "verify_report.json", report)
 

@@ -14,6 +14,7 @@ refractive-index profile enters the massless model.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 
@@ -32,6 +33,30 @@ __all__ = [
 
 
 _ZERO9, _ZERO12 = (0.0,) * 9, (0.0,) * 12
+
+REQUIRED = inspect.Parameter.empty     # the default of a key to be given
+
+
+def read_config(cfg, keys: dict, what: str, noun: str = "key") -> dict:
+    """The one config reader: the declared `keys` (name -> default, in
+    order) updated by the config object `cfg`; ValueError naming `what`
+    unless cfg is a dict, for its first undeclared key, else for the first
+    REQUIRED key it does not give."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be an object, not {cfg!r}")
+    bad = [k for k in cfg if k not in keys] or [
+        k for k, v in keys.items() if v is REQUIRED and k not in cfg]
+    if bad:
+        how = "missing" if bad[0] in keys else "unknown"
+        raise ValueError(f"{what}: {how} {noun} {bad[0]!r}")
+    return {**keys, **cfg}
+
+
+def parameters(func) -> dict:
+    """The parameters of a function or constructor with their defaults
+    (REQUIRED for none): the declared keys of what it builds."""
+    params = inspect.signature(func).parameters
+    return {name: p.default for name, p in params.items()}
 
 
 def _xyz(r) -> tuple:
@@ -157,7 +182,7 @@ class LinearField(ScalarField):
 
     kind = "linear"
 
-    def __init__(self, gradient, offset: float = 0.0):
+    def __init__(self, gradient=(0.0, 0.0, 0.0), offset: float = 0.0):
         self.g = _real3(gradient, "linear field gradient")
         self.c = _real(offset, "linear field offset")
 
@@ -175,8 +200,9 @@ class PolynomialField(ScalarField):
 
     kind = "polynomial"
 
-    def __init__(self, terms):
-        # terms: list of (coefficient, (a, b, c))
+    def __init__(self, terms=None):
+        # terms: list of (coefficient, (a, b, c)); the default None is no
+        # such list, so a config without "terms" is refused.
         try:
             self.terms = [(_real(c, "polynomial coefficient"),
                            tuple(_exponent(e) for e in exps))
@@ -311,27 +337,26 @@ class ReciprocalField(ScalarField):
         return {"kind": "reciprocal", "base": self.base.to_config()}
 
 
-_FIELD_KINDS = {
-    "uniform": lambda cfg: UniformField(cfg.get("value", 0.0)),
-    "linear": lambda cfg: LinearField(cfg.get("gradient", [0, 0, 0]),
-                                      cfg.get("offset", 0.0)),
-    "polynomial": lambda cfg: PolynomialField(cfg.get("terms")),
-    "gaussian": lambda cfg: GaussianField(cfg.get("amplitude", 1.0),
-                                          cfg.get("center", [0, 0, 0]),
-                                          cfg.get("width", 1.0)),
-    "coulomb": lambda cfg: CoulombRegularizedField(cfg.get("charge", 1.0),
-                                                   cfg.get("softening", 0.5)),
-}
+# A field kind registers by its class: a config's keys other than "kind"
+# are its constructor's parameters, and the constructor holds each default.
+_FIELD_KINDS = {cls.kind: cls for cls in (
+    UniformField, LinearField, PolynomialField, GaussianField,
+    CoulombRegularizedField, ReciprocalField)}
+_FIELD_KEYS = {kind: {"kind": kind, **parameters(cls)}
+               for kind, cls in _FIELD_KINDS.items()}
 
 
 def make_field(cfg: dict) -> ScalarField:
     """Build a field from its JSON configuration ({"kind": ..., ...});
-    ValueError for a parameter that is not a finite real number."""
+    ValueError for an undeclared key or a parameter that is not a finite
+    real number."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("field config must be a dict with a 'kind' key")
     kind = cfg["kind"]
-    if kind == "reciprocal":
-        return ReciprocalField(make_field(cfg.get("base")))
-    if kind not in _FIELD_KINDS:
+    if not isinstance(kind, str) or kind not in _FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
-    return _FIELD_KINDS[kind](cfg)
+    values = read_config(cfg, _FIELD_KEYS[kind], f"{kind} field")
+    del values["kind"]
+    if kind == "reciprocal":
+        values["base"] = make_field(values["base"])
+    return _FIELD_KINDS[kind](**values)

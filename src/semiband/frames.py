@@ -349,9 +349,10 @@ def classical_frame(model: Model, x: PhasePoint,
 
     Prefers the model's analytic frame; otherwise diagonalizes numerically and
     fixes the gauge deterministically.  Either frame is validated the same
-    way: unitarity, block diagonality and within-group degeneracy at every
-    point of a batch here, the cross-group gaps at the first band-commutator
-    inversion (`BandFrame.gaps`).
+    way: a finite H, eps0 and U0 (else FloatingPointError), unitarity, block
+    diagonality and within-group degeneracy at every point of a batch here,
+    the cross-group gaps at the first band-commutator inversion
+    (`BandFrame.gaps`).
 
     The model is evaluated at a copy of x with a memo of its own, which
     becomes the frame's `point`: the built-in models make each intermediate
@@ -366,6 +367,8 @@ def classical_frame(model: Model, x: PhasePoint,
     else:
         eps0, vecs = np.linalg.eigh(H)
         U0 = _dagger(_phase_fix(vecs))
+    if not all(np.isfinite(a).all() for a in (H, eps0, U0)):
+        raise FloatingPointError("frame is not finite: H, eps0 or U0")
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
                       model.groups, x, model, tol)
     _validate_frame(frame, H)

@@ -40,7 +40,7 @@ import numpy as np
 
 from semiband.fields import (
     ScalarField, ReciprocalField, UniformField, _exponent, _pow, _real,
-    make_field,
+    make_field, parameters, read_config,
 )
 from semiband import weyl
 
@@ -521,8 +521,8 @@ class ComponentTerm:
     """
 
     coef: Fraction
-    r_exp: tuple
-    p_exp: tuple
+    r_exp: tuple = (0, 0, 0)
+    p_exp: tuple = (0, 0, 0)
     sym: str = "half"
 
     def _monomials(self, order: int) -> list:
@@ -562,18 +562,18 @@ class ComponentTerm:
         ]
 
 
+# A term's config keys are the fields of `ComponentTerm`, with its defaults.
+_TERM_KEYS = parameters(ComponentTerm)
+
+
 def _term_from_config(t) -> ComponentTerm:
-    if not isinstance(t, dict) or "coef" not in t:
-        raise ValueError(f"a term must be an object with a coef, not {t!r}")
-    exps = [tuple(_exponent(v) for v in t.get(key, [0, 0, 0]))
-            for key in ("r_exp", "p_exp")]
+    coef, r_exp, p_exp, sym = read_config(t, _TERM_KEYS, "term").values()
+    exps = [tuple(_exponent(v) for v in e) for e in (r_exp, p_exp)]
     if any(len(e) != 3 for e in exps):
         raise ValueError("r_exp and p_exp must have three entries")
-    sym = t.get("sym", "half")
     if sym not in ("half", "rp"):
         raise ValueError(f"sym must be 'half' or 'rp', not {sym!r}")
-    return ComponentTerm(coef=Fraction(str(t["coef"])), r_exp=exps[0],
-                         p_exp=exps[1], sym=sym)
+    return ComponentTerm(Fraction(str(coef)), *exps, sym)
 
 
 def _terms_from_config(terms_cfg) -> tuple:
@@ -822,17 +822,27 @@ class TwoLevel(Model):
                 "h": [dump(part) for part in self.h]}
 
 
+# Each model's config keys, mapped to its constructor's parameters, whose
+# defaults are the keys' defaults; "field" is a field config.
+_MODELS = {cls.name: (cls, params) for cls, params in (
+    (DiracElectric, {"m": "m", "e": "e", "field": "field"}),
+    (NeutrinoMetric, {"field": "profile"}),
+    (TwoLevel, {"h0": "h0_terms", "h": "h_terms"}))}
+_MODEL_KEYS = {name: {"model": name, **{key: parameters(cls)[param]
+                                        for key, param in params.items()}}
+               for name, (cls, params) in _MODELS.items()}
+
+
 def make_model(cfg: dict) -> Model:
-    """Build a model from its JSON configuration (see README for the schema)."""
+    """Build a model from its JSON configuration (see README for the schema);
+    ValueError for an undeclared key."""
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise ValueError("model config must be a dict with a 'model' key")
     name = cfg["model"]
-    if name == "dirac_electric":
-        field = make_field(cfg["field"]) if "field" in cfg else None
-        return DiracElectric(m=cfg.get("m", 1.0), e=cfg.get("e", 1.0), field=field)
-    if name == "neutrino_metric":
-        profile = make_field(cfg["field"]) if "field" in cfg else None
-        return NeutrinoMetric(profile=profile)
-    if name == "two_level":
-        return TwoLevel(h0_terms=cfg.get("h0"), h_terms=cfg.get("h"))
-    raise ValueError(f"unknown model {name!r}")
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    cls, params = _MODELS[name]
+    values = read_config(cfg, _MODEL_KEYS[name], f"{name} model")
+    if "field" in cfg:
+        values["field"] = make_field(values["field"])
+    return cls(**{param: values[key] for key, param in params.items()})

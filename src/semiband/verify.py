@@ -15,7 +15,6 @@ connections against them: the engine takes no finite difference.
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -24,7 +23,8 @@ import numpy as np
 
 from semiband import weyl
 from semiband.fields import (
-    GaussianField, LinearField, UniformField, _integer, _real,
+    GaussianField, LinearField, UniformField, _integer, _real, parameters,
+    read_config,
 )
 from semiband.models import (
     SX, SY, SZ, DiracElectric, NeutrinoMetric, PhasePoint, random_points,
@@ -646,11 +646,10 @@ def run_suites(names=None, seed: int = 0, overrides: dict | None = None):
         if not isinstance(name, str) or name not in ALL_SUITES:
             raise ValueError(f"unknown suite {name!r}")
     for name, override in overrides.items():
-        params = inspect.signature(ALL_SUITES[name]).parameters
+        params = parameters(ALL_SUITES[name])
+        read_config(override, params, f"suite {name}", "parameter")
         for key, value in override.items():
-            if key not in params:
-                raise ValueError(f"suite {name} has no parameter {key!r}")
-            cast = _real if isinstance(params[key].default, float) else _integer
+            cast = _real if isinstance(params[key], float) else _integer
             cfgs[name][key] = cast(value, f"suite {name} parameter {key}")
             least = 1 + (name in _HALVED and key != "max_degree")
             if (key in ("points", "cases", "max_degree")

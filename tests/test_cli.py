@@ -481,6 +481,51 @@ def test_curvature_reports_a_non_finite_point(tmp_path):
     assert "nan" not in (out / "curvature.csv").read_text().lower()
 
 
+@pytest.mark.parametrize("command,stem", [
+    ("connections", "connections"), ("diagonalize", "energies"),
+    ("curvature", "curvature")])
+def test_a_non_finite_frame_is_reported_per_point(tmp_path, command, stem):
+    # V = 1e300 x overflows at x = 1e10, so H is not finite there.  Every
+    # per-point command lists the point as a FloatingPointError of its
+    # frame, and none writes a NaN.
+    cfg = write_config(tmp_path, {
+        "model": {"model": "dirac_electric", "field": {
+            "kind": "linear", "gradient": [1e300, 0, 0]}},
+        "points": [{"R": [1e10, 0, 0], "P": [0.3, 0.2, 0.1]}],
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # numpy's overflow warnings, as a run outside the tests shows them.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
+    report = json.loads((out / f"{stem}.json").read_text())
+    assert report["errors"] == [{"index": 0, "error": "FloatingPointError: "
+                                 "frame is not finite: H, eps0 or U0"}]
+    assert report["records"] == []
+    for name in (f"{stem}.json", f"{stem}.csv"):
+        assert "nan" not in (out / name).read_text().lower()
+
+
+def test_connections_refuse_a_non_finite_set(tmp_path):
+    # At x = 0 the frame is finite (V = 0), but the corrected connections
+    # of grad V = 1e300 overflow: the point is listed, as band energies and
+    # curvatures are, and no NaN is written.
+    cfg = write_config(tmp_path, {
+        "model": {"model": "dirac_electric", "field": {
+            "kind": "linear", "gradient": [1e300, 0, 0]}},
+        "points": [{"R": [0, 0.5, 0], "P": [0.3, 0.2, 0.1]}],
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", cfg, "--out", str(out), "connections"]) == 2
+    report = json.loads((out / "connections.json").read_text())
+    assert report["errors"] == [{"index": 0, "error": "FloatingPointError: "
+                                 "connection set is not finite"}]
+    assert report["records"] == []
+    assert "nan" not in (out / "connections.csv").read_text().lower()
+
+
 def test_trajectory_outputs_and_bad_dt(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"model": "neutrino_metric",

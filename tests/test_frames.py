@@ -1,6 +1,7 @@
 """Band frames, projections, commutator inversion and connections."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -668,3 +669,33 @@ def test_diagonal_products_keep_the_bits_of_matrix_products(n):
     assert got.tobytes() == (V @ E - E @ V).tobytes()
     assert (_D_eps0(g, V, eps).tobytes()
             == _covariant(_diag(g), V, _diag(eps)).tobytes())
+
+
+class _NaNFrame(TwoLevel):
+    """The default two_level model with a frame that is NaN at R_x > 1."""
+
+    def analytic_frame(self, x):
+        eps0, U0 = super().analytic_frame(x)
+        bad = np.asarray(x.R)[..., 0] > 1
+        return (np.where(bad[..., None], np.nan, eps0),
+                np.where(bad[..., None, None], np.nan, U0))
+
+
+def test_a_non_finite_frame_is_refused():
+    # Every tolerance comparison with NaN is False: without its own check a
+    # frame whose H, eps0 or U0 is not finite passes the validator.
+    big = DiracElectric(field=LinearField([1e300, 0.0, 0.0]))
+    points = [PhasePoint.of([1e10, 0, 0], [0.3, 0.2, 0.1]),
+              PhasePoint.of([0, 0.5, 0], [0.3, 0.2, 0.1])]   # V = 0
+    with warnings.catch_warnings():
+        # numpy's overflow warnings, as a run outside the tests shows them.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in (points[0], PhasePoint.stack(points)):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                classical_frame(big, x)
+    classical_frame(big, points[1])
+    # A finite H with a non-finite frame.
+    model = _NaNFrame()
+    with pytest.raises(FloatingPointError, match="not finite"):
+        classical_frame(model, PhasePoint.of([2.0, 0, 0], [0.3, 0.2, 0.1]))
+    classical_frame(model, PhasePoint.of([0.5, 0, 0], [0.3, 0.2, 0.1]))
