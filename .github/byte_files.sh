@@ -35,7 +35,13 @@
 # dirac-canonical-oracle suite once more on 7 points, set in the config's
 # "suites" table.  bracket-check runs at --seed 3 with its defaults, and
 # once more with a config whose "suites" table sets cases and max_degree of
-# the two random bracket suites.
+# the two random bracket suites.  Last, a z-only two_level model with h0 = 1
+# and h3 = R_x, whose gap closes at R_x = 0, runs at six explicit points,
+# R_x = 1e-6, 1e-7, 0, -1e-7, -1e-6 and 0.5: diagonalize at orders 0, 1 and
+# 2, connections and curvature.  The frame refuses R_x = 0 (|h| = 0) at every
+# order, and the band-commutator inversion the two points within the
+# constant gap threshold, so these five commands list GapError points and
+# exit 2, the one failing status the script accepts, and only from them.
 set -euo pipefail
 
 out=$1
@@ -74,6 +80,7 @@ for model in dirac two_level; do
 done
 echo "{\"model\": $dirac, \"hbar\": 0.01, \"order\": 1, \"grid\": {\"R\": [[-0.6, 0.4, 3], [-0.2, 0.3, 2], [0.1, 0.7, 2]], \"P\": [[0.3, 1.5, 3], [-0.8, 0.5, 3], [0.6, 1.2, 2]]}}" > "$cfgs/bytes-grid.json"
 echo "{\"model\": $two_level, \"hbar\": 0.01, \"points\": [{\"R\": [0.1, -0.2, 0.3], \"P\": [0.5, 0.4, -1.1]}, {\"R\": [-0.0, 0.0, 1e-3], \"P\": [1.0, 0.0, 0.0]}, {\"R\": [0.7, 0.2, -0.5], \"P\": [-0.3, 2.5, 0.9]}]}" > "$cfgs/bytes-points.json"
+echo "{\"model\": {\"model\": \"two_level\", \"h0\": [{\"coef\": \"1\"}], \"h\": [[], [], [{\"coef\": \"1\", \"r_exp\": [1, 0, 0]}]]}, \"hbar\": 0.01, \"points\": [{\"R\": [1e-6, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}, {\"R\": [1e-7, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}, {\"R\": [0, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}, {\"R\": [-1e-7, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}, {\"R\": [-1e-6, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}, {\"R\": [0.5, 0.2, 0.3], \"P\": [0.4, -0.5, 0.6]}]}" > "$cfgs/bytes-near.json"
 
 for model in $models; do
   dir="$out/$model"
@@ -100,10 +107,17 @@ PYTHONPATH=src python -m semiband.cli --config "$cfgs/bytes-bracket.json" --seed
 for ray in $rays; do
   PYTHONPATH=src python -m semiband.cli --config "$cfgs/bytes-$ray.json" --out "$out/$ray" trajectory
 done
+for order in 0 1 2; do
+  PYTHONPATH=src python -m semiband.cli --config "$cfgs/bytes-near.json" --order "$order" --out "$out/near/order$order" diagonalize || [ $? -eq 2 ]
+done
+for cmd in connections curvature; do
+  PYTHONPATH=src python -m semiband.cli --config "$cfgs/bytes-near.json" --out "$out/near" "$cmd" || [ $? -eq 2 ]
+done
 
 {
   printf '%s\n' verify_report.json verify/verify_report.json bracket_report.json bracket/bracket_report.json
   printf '%s\n' grid/energies.csv grid/energies.json points/energies.csv points/energies.json
+  printf 'near/%s\n' order0/energies.csv order0/energies.json order1/energies.csv order1/energies.json order2/energies.csv order2/energies.json connections.csv connections.json curvature.csv curvature.json
   for model in dirac two_level; do
     printf "$model/%s\n" order0-600/energies.csv order0-600/energies.json order1-600/energies.csv order1-600/energies.json
   done

@@ -13,7 +13,6 @@ from semiband.models import PhasePoint, make_model
 from semiband.frames import (
     BandFrame,
     ConnectionSet,
-    Tolerances,
     berry_connections,
     classical_frame,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "make_model",
     "BandFrame",
     "ConnectionSet",
-    "Tolerances",
     "berry_connections",
     "classical_frame",
     "EnergyReport",

@@ -43,9 +43,7 @@ from semiband.fields import REQUIRED, _integer, _real, parameters, read_config
 from semiband.models import (
     NeutrinoMetric, PhasePoint, make_model, random_batch,
 )
-from semiband.frames import (
-    DEFAULT_TOL, Tolerances, berry_connections, classical_frame, matrix_norms,
-)
+from semiband.frames import berry_connections, classical_frame, matrix_norms
 from semiband.energy import (
     band_energy,
     chunk_points,
@@ -105,22 +103,21 @@ def _section(cfg: dict, key: str, default=None, kind: type = dict):
     return value
 
 
-def _object(cfg: dict, key: str, keys: dict, noun: str = "key") -> dict:
+def _object(cfg: dict, key: str, keys: dict) -> dict:
     """The config object cfg[key] ({} if absent) over its declared keys."""
-    return read_config(cfg.get(key, {}), keys, key, noun)
+    return read_config(cfg.get(key, {}), keys, key)
 
 
 # The top-level keys that any subcommand reads: one file may serve several.
 _CONFIG_KEYS = dict.fromkeys((
     "model", "hbar", "seed", "order", "representation", "connection_order",
-    "tolerances", "points", "grid", "random_points", "trajectory", "suites",
+    "points", "grid", "random_points", "trajectory", "suites",
     "suites_to_run"))
 
 # The declared keys of each config object of the CLI, with their defaults:
-# a point's and the grid's, the random draw's, the tolerances' and a ray's.
+# a point's and the grid's, the random draw's and a ray's.
 _PHASE_KEYS = {"R": REQUIRED, "P": REQUIRED}
 _RANDOM_KEYS = {"count": 10, "p_range": [0.3, 3.0]}
-_TOLERANCE_KEYS = vars(DEFAULT_TOL)
 _TRAJECTORY_KEYS = {"method": parameters(integrate_ray)["method"],
                     "pair_lambdas": True, "lambda": 1, "steps": 1000,
                     "dt": 1e-2, "r0": [0.0, 0.0, 0.0], "P0": [0.0, 0.0, 1.0]}
@@ -163,15 +160,6 @@ def _resolve_points(cfg: dict, rng: np.random.Generator) -> PhasePoint:
     if not (isinstance(p_range, list) and len(p_range) == 2):
         raise ConfigError("random_points.p_range must be [pmin, pmax]")
     return random_batch(rng, _integer(count, "random_points.count"), *p_range)
-
-
-def _tolerances(cfg: dict) -> Tolerances:
-    """The "tolerances" section over the defaults, names and values checked."""
-    section = _object(cfg, "tolerances", _TOLERANCE_KEYS, "tolerance")
-    try:
-        return Tolerances(**section)
-    except ValueError as exc:
-        raise ConfigError(f"tolerances: {exc}") from exc
 
 
 def _mat_json(mat: np.ndarray) -> np.ndarray:
@@ -368,17 +356,16 @@ def _file_text(envelope: dict, records: list) -> str:
 
 
 def _point_setup(cfg: dict, args):
-    """(model, hbar, tol, seed, points) shared by the per-point subcommands."""
+    """(model, hbar, seed, points) shared by the per-point subcommands."""
     model = make_model(cfg.get("model", {}))
     hbar = _hbar(cfg, args, 0.01)
     if not hbar > 0:
         raise ConfigError("hbar must be positive")
-    tol = _tolerances(cfg)
     seed = _seed(cfg, args, 0)
     points = _resolve_points(cfg, np.random.default_rng(seed))
     if not len(points.R):
         raise ConfigError("the point list is empty")
-    return model, hbar, tol, seed, points
+    return model, hbar, seed, points
 
 
 def _attempt(call) -> tuple:
@@ -439,7 +426,7 @@ _POINT_HEADER = ["R_x", "R_y", "R_z", "P_x", "P_y", "P_z", "hbar"]
 
 
 def cmd_diagonalize(cfg: dict, args) -> int:
-    model, hbar, tol, seed, points = _point_setup(cfg, args)
+    model, hbar, seed, points = _point_setup(cfg, args)
     order = _integer(args.order if args.order is not None
                      else cfg.get("order", 2), "order")
     if order not in (0, 1, 2):
@@ -451,7 +438,7 @@ def cmd_diagonalize(cfg: dict, args) -> int:
 
     def work(x: PhasePoint) -> _Chunk:
         rep = band_energy(model, x, hbar, order=order,
-                          representation=representation, tol=tol)
+                          representation=representation)
         diag = rep.diagnostics
         # Per band: total, order0, order1, order2, bracket; the totals are
         # the record's "bands".
@@ -481,13 +468,13 @@ def cmd_diagonalize(cfg: dict, args) -> int:
 
 
 def cmd_connections(cfg: dict, args) -> int:
-    model, hbar, tol, seed, points = _point_setup(cfg, args)
-    order = str(cfg.get("connection_order", "corrected"))
+    model, hbar, seed, points = _point_setup(cfg, args)
+    order = cfg.get("connection_order", "corrected")
     if order not in ("0", "corrected"):
         raise ConfigError("connection_order must be '0' or 'corrected'")
 
     def work(x: PhasePoint) -> _Chunk:
-        frame = classical_frame(model, x, tol)
+        frame = classical_frame(model, x)
         conns = berry_connections(frame)
         if order != "0":
             conns = corrected_connections(first_order(frame, conns), hbar)
@@ -506,14 +493,14 @@ def cmd_connections(cfg: dict, args) -> int:
 
 
 def cmd_curvature(cfg: dict, args) -> int:
-    model, hbar, tol, seed, points = _point_setup(cfg, args)
+    model, hbar, seed, points = _point_setup(cfg, args)
 
     names = ["R", "P", "theta_rr", "theta_pp", "theta_pr"]
     lams = (+1, -1) if model.name == "neutrino_metric" else ()
     names += [f"band_theta_lam{lam:+d}" for lam in lams]
 
     def work(x: PhasePoint) -> _Chunk:
-        cset = berry_curvatures(model, x, hbar, tol)
+        cset = berry_curvatures(model, x, hbar)
         blocks = (cset.theta_rr, cset.theta_pp, cset.theta_pr)
         # Each point's three blocks as one matrix, for its Frobenius norm.
         norms = [matrix_norms(b.reshape(b.shape[:-4] + (-1, model.n)))

@@ -69,8 +69,6 @@ from semiband.models import (
 )
 from semiband.frames import (
     BandFrame,
-    Tolerances,
-    DEFAULT_TOL,
     _anticomm,
     _anticomm_sum,
     _dagger,
@@ -202,8 +200,8 @@ def _flat_part(cov: CovariantVars) -> np.ndarray:
     return W - _swap(W)
 
 
-def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
-                     tol: Tolerances = DEFAULT_TOL) -> CurvatureSet:
+def berry_curvatures(model: Model, x: PhasePoint,
+                     hbar: float) -> CurvatureSet:
     """Curvature set from the covariant shift a and its exact gradient.
 
     One `covariant_variables` call at x gives a and the first-order record
@@ -221,7 +219,7 @@ def berry_curvatures(model: Model, x: PhasePoint, hbar: float,
             f"model {model.name} has no analytic frame: the O(hbar) "
             "curvature depends on the within-group gauge, which it does not "
             "declare")
-    cov = covariant_variables(classical_frame(model, x, tol), hbar)
+    cov = covariant_variables(classical_frame(model, x), hbar)
     d = _shift_gradients(cov)
     K = _flat_part(cov)
     R, P = slice(0, 3), slice(3, 6)

@@ -29,7 +29,7 @@ a batch through the same code; `band_energy_batch` feeds it chunks of
 `chunk_points` points.
 
 Every pass below `band_energy` takes the point's `frames.BandFrame`, which
-carries the model and the tolerances, or the record built on it.  Everything
+carries the model, or the record built on it.  Everything
 first-order is one record, `first_order(frame, conns0)` -> `FirstOrder`: the
 frame, the generator B, the hbar-free connection correction `linear` and the
 exact gradients grad A0 and grad B, with no stencil.  The order-2 energy,
@@ -75,8 +75,6 @@ from semiband.models import Model, PhasePoint, _frozen
 from semiband.frames import (
     BandFrame,
     ConnectionSet,
-    Tolerances,
-    DEFAULT_TOL,
     _anticomm_sum,
     _block_contract,
     _comm,
@@ -332,8 +330,7 @@ def _bracket_term(frame: BandFrame, hbar: float):
 
 
 def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
-                representation: str = "canonical",
-                tol: Tolerances = DEFAULT_TOL) -> EnergyReport:
+                representation: str = "canonical") -> EnergyReport:
     """Effective band energy at x through the requested order in hbar.
 
     x is one point or a batch (`PhasePoint.stack`); a batch gives one report
@@ -348,7 +345,7 @@ def band_energy(model: Model, x: PhasePoint, hbar: float, order: int = 2,
         raise NotImplementedError(
             "unsupported model: the Hamiltonian bracket <H> does not vanish"
         )
-    frame = classical_frame(model, x, tol)
+    frame = classical_frame(model, x)
     eps0_mat = _diag(frame.eps0)
     # Every term that the order leaves out shares one read-only zero.
     first = second = bracket = _frozen(np.zeros(frame.U0.shape, dtype=complex))
@@ -474,8 +471,7 @@ def _first_order_covariant(frame: BandFrame, conns0: ConnectionSet,
 
 
 def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
-                      representation: str = "canonical",
-                      tol: Tolerances = DEFAULT_TOL) -> list:
+                      representation: str = "canonical") -> list:
     """Energy reports for a list of phase points (order preserved), from one
     batched `band_energy` pass per chunk of `chunk_points` points.  Each
     report equals the single-point `band_energy` at its point bit for bit; a
@@ -484,7 +480,7 @@ def band_energy_batch(model: Model, points, hbar: float, order: int = 2,
     size = chunk_points(model.n, order == 2)
     for start in range(0, len(points), size):
         batch = PhasePoint.stack(points[start:start + size])
-        reports += band_energy(model, batch, hbar, order, representation,
-                               tol).split()
+        reports += band_energy(model, batch, hbar, order,
+                               representation).split()
     return reports
 

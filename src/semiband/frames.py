@@ -7,8 +7,9 @@ column phases fixed) pass one validator: unitarity, block diagonality,
 eigenvalue agreement and within-group spread when the frame is built
 (`_validate_frame`), the cross-group gaps at its first band-commutator
 inversion (`BandFrame.gaps`), and the group layout where the model makes it
-(`Model.groups`).  The frame carries the model, the point and the `Tolerances`
-it was built with, so every pass at its point takes the frame, or the
+(`Model.groups`).  Its thresholds are the contract constants `DEGENERACY`,
+`GAP`, `BLOCK` and `UNITARITY`, which nothing sets.  The frame carries the
+model and the point, so every pass at its point takes the frame, or the
 first-order record that holds it, alone.  Its point is a copy of the
 caller's with a memo, where the built-in models make each intermediate
 that their methods share once per frame (see `models`).  It caches
@@ -44,12 +45,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from semiband.fields import _real
 from semiband.models import Model, PhasePoint, _dot
 
 __all__ = [
     "GapError", "GaugeAlignmentError",
-    "Tolerances",
+    "DEGENERACY", "GAP", "BLOCK", "UNITARITY",
     "BandFrame",
     "ConnectionSet",
     "classical_frame",
@@ -70,22 +70,12 @@ class GaugeAlignmentError(ValueError):
     """A singular overlap with a reference frame: no gauge alignment."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances; defaults are the contract values."""
+# The frame thresholds, contract constants.
+DEGENERACY = 1e-8       # within-group eigenvalue spread, relative to ||H||_F
+GAP = 1e-6              # minimum cross-group gap, relative to max|eps0|
+BLOCK = 1e-10           # off-group residual of U0 H U0^+, relative to ||H||_F
+UNITARITY = 1e-12       # ||U0 U0^+ - 1|| of a validated frame
 
-    degeneracy: float = 1e-8        # within-group eigenvalue spread, relative
-    gap: float = 1e-6               # minimum cross-group gap, relative
-    block: float = 1e-10            # off-group residual of U0 H U0^+
-    unitarity: float = 1e-12        # ||U0 U0^+ - 1|| of a validated frame
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not _real(value, f"tolerance {name}") > 0:
-                raise ValueError(f"tolerance {name} must be finite and > 0")
-
-
-DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class _GroupMasks:
@@ -114,8 +104,8 @@ def _group_masks(groups: tuple) -> _GroupMasks:
 class BandFrame:
     """Gauge-fixed classical diagonalization at one phase point or a batch.
 
-    The frame carries the model and the tolerances it was built with, so
-    every pass at its point takes the frame alone.  The fixed per-frame data
+    The frame carries the model, so every pass at its point takes the
+    frame alone.  The fixed per-frame data
     of the helpers (the checked gap matrix, U0 grad H U0^+ and the eps0
     gradients) is computed on first use and kept on the frame; its group
     masks are made once per group layout and shared.
@@ -126,7 +116,6 @@ class BandFrame:
     groups: np.ndarray              # (n,) group index per state
     point: PhasePoint
     model: Model | None = dc_field(default=None, repr=False)
-    tol: Tolerances = DEFAULT_TOL
 
     @property
     def n(self) -> int:
@@ -154,14 +143,22 @@ class BandFrame:
     @cached_property
     def gaps(self) -> np.ndarray:
         """eps_m - eps_n at entry (n, m), (..., n, n); `cross` marks the
-        entries that are band gaps.  Raises on a cross-group gap below the
-        frame's gap tolerance at any point, so only the passes that invert
-        the band commutator need the bands apart."""
+        entries that are band gaps.  Raises on a cross-group gap at or under
+        `GAP` max|eps0| at any point, so only the passes that invert the band
+        commutator need the bands apart.  The error names the first such
+        point's smallest cross-group gap over max|eps0|, computed only
+        then."""
         gaps, top = self._differences
         scale = np.maximum(top, 1e-300)
-        if ((np.abs(gaps) <= self.tol.gap * scale[..., None, None])
-                & self._masks.cross).any():
-            raise GapError("near-degenerate bands: cross-group gap below tolerance")
+        cross = self._masks.cross
+        low = (np.abs(gaps) <= GAP * scale[..., None, None]) & cross
+        if low.any():
+            i = _first(low.any(axis=(-2, -1)))
+            margin = np.abs(gaps[i])[cross].min() / scale[i]
+            raise GapError(
+                "near-degenerate bands: cross-group gap below tolerance: "
+                f"min |eps_m - eps_n| / max|eps0| = {margin:.3e} "
+                f"<= GAP = {GAP:g}")
         return gaps
 
     @cached_property
@@ -343,8 +340,7 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     return vecs * turn[..., None, :]
 
 
-def classical_frame(model: Model, x: PhasePoint,
-                    tol: Tolerances = DEFAULT_TOL) -> BandFrame:
+def classical_frame(model: Model, x: PhasePoint) -> BandFrame:
     """Gauge-fixed classical diagonalization at x.
 
     Prefers the model's analytic frame; otherwise diagonalizes numerically and
@@ -370,22 +366,21 @@ def classical_frame(model: Model, x: PhasePoint,
     if not all(np.isfinite(a).all() for a in (H, eps0, U0)):
         raise FloatingPointError("frame is not finite: H, eps0 or U0")
     frame = BandFrame(np.asarray(eps0, dtype=float), np.asarray(U0, dtype=complex),
-                      model.groups, x, model, tol)
+                      model.groups, x, model)
     _validate_frame(frame, H)
     return frame
 
 
 def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
-    tol = frame.tol
     scale = np.maximum(matrix_norms(H), 1e-300)
     U0, U0_dag = frame.U0, frame.U0_dag
     unit = matrix_norms(_matmul(U0, U0_dag) - frame._masks.eye)
-    i = _first(unit > tol.unitarity)
+    i = _first(unit > UNITARITY)
     if i is not None:
         raise ValueError(f"frame unitarity defect {unit[i]:.3e}")
     rotated = _matmul(_matmul(U0, H), U0_dag)
     off = matrix_norms(frame.project(rotated, "offdiag"))
-    i = _first(off > tol.block * scale)
+    i = _first(off > BLOCK * scale)
     if i is not None:
         raise ValueError(
             f"frame does not block-diagonalize H: residual {off[i]:.3e}"
@@ -395,7 +390,7 @@ def _validate_frame(frame: BandFrame, H: np.ndarray) -> None:
         raise ValueError("frame eigenvalues disagree with the rotated Hamiltonian")
     # The largest within-group |eps_m - eps_n| is the group's spread.
     spread = np.abs(frame._differences[0])
-    bad = (spread > tol.degeneracy * scale[..., None, None]) & frame._masks.same
+    bad = (spread > DEGENERACY * scale[..., None, None]) & frame._masks.same
     i = _first(bad.any(axis=(-2, -1)))
     if i is not None:
         g = frame.groups[np.nonzero(bad[i])[0]].min()
@@ -408,8 +403,8 @@ def invert_band_commutator(M: np.ndarray, frame: BandFrame) -> np.ndarray:
     V_nm = M_nm / (eps_m - eps_n) across groups; within-group components are
     +0.0 (the kernel of the commutator), so only the cross-group entries of
     M are read.  M may be a stack (..., n, n), with the frame's point axis,
-    if any, in front.  Raises on a cross-group gap below the frame's
-    tolerance.
+    if any, in front.  Raises `GapError` on a cross-group gap at or under
+    `GAP` max|eps0| (`BandFrame.gaps`).
     """
     gaps = frame.gaps
     gaps = gaps.reshape(gaps.shape[:-2] + (1,) * (M.ndim - gaps.ndim)

@@ -1,4 +1,5 @@
-"""Closed-form reference energies for the two shipped applications.
+"""Closed-form reference energies for the two shipped applications, and the
+band symbols of the Jaynes-Cummings `two_level` config.
 
 These evaluate the final displayed formulas verbatim with the field's own
 analytic derivatives; any disagreement with the generic pipeline is attributed
@@ -22,6 +23,7 @@ __all__ = [
     "neutrino_energy_oracle",
     "neutrino_energy_canonical_oracle",
     "neutrino_velocity_modulus",
+    "jaynes_cummings_symbol",
 ]
 
 
@@ -148,3 +150,23 @@ def neutrino_velocity_modulus(r: np.ndarray, P: np.ndarray,
         float(glog @ glog) - float(P @ glog) ** 2 / p2
     )
     return (1.0 / n) * float(np.sqrt(1.0 + corr))
+
+
+def jaynes_cummings_symbol(I, c: float, delta: float) -> tuple:
+    """(sigma0, sigma1, sigma2), each (..., 2) with the upper band first: the
+    hbar^0, hbar^1 and hbar^2 coefficients of the exact band symbols of the
+    Jaynes-Cummings `two_level` config h0 = (R^2 + P^2)/2,
+    h = (c R, -c P, delta/2), at the action I = (R^2 + P^2)/2.
+
+    With s = sqrt(delta^2/4 + 2 c^2 I), b = -delta/2 +/- c^2 and the upper
+    sign for the upper band:
+    sigma0 = I +/- s,  sigma1 = +/-1/2 +/- b/(2 s),
+    sigma2 = +/-[1/(8 s) - b^2/(8 s^3)] +/- c^4/(8 s^3) -/+ c^6 I/(4 s^5).
+    """
+    sign = np.array([1.0, -1.0])
+    I = np.asarray(I, dtype=float)[..., None]
+    s = np.sqrt(delta ** 2 / 4 + 2 * c ** 2 * I)
+    b = -delta / 2 + sign * c ** 2
+    sigma2 = sign * (1 / (8 * s) - b ** 2 / (8 * s ** 3)
+                     + c ** 4 / (8 * s ** 3) - c ** 6 * I / (4 * s ** 5))
+    return I + sign * s, sign / 2 + sign * b / (2 * s), sigma2

@@ -206,12 +206,12 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", ["--order", "3"], {}),
     ("diagonalize", [], {"representation": "covarient"}),
     ("connections", [], {"connection_order": "1"}),
-    # fd_base and overlap are no tolerances: unknown names, whatever the value.
-    ("diagonalize", [], {"tolerances": {"fd_base": math.nan}}),
-    ("diagonalize", [], {"tolerances": {"fd_base": 0}}),
-    ("diagonalize", [], {"tolerances": {"gap": -1, "degeneracy": "nan"}}),
-    ("connections", [], {"tolerances": {"overlap": math.inf}}),
-    ("diagonalize", [], {"tolerances": {"gap": None}}),
+    ("diagonalize", [], {"order": 3}),
+    ("diagonalize", [], {"model": {"model": "dirac_electric", "m": 0.0}}),
+    ("diagonalize", [], {"points": None}),
+    # A choice is the JSON string, not a number that reads as it.
+    ("connections", [], {"connection_order": 0}),
+    ("diagonalize", [], {"points": [{"R": [0.1, 0.2], "P": [0.5, 0.4, 0.8]}]}),
     ("diagonalize", [], {"points": []}),
     ("diagonalize", [], {"points": None, "random_points": {"count": 0}}),
     ("curvature", [], {"points": None, "random_points": {"count": -2}}),
@@ -242,9 +242,12 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("diagonalize", [], {"model": {"model": "two_level", "h0": [3]}}),
     ("curvature", [], {"model": {"model": "two_level", "h0": [
         {"coef": "1", "r_exp": None}]}}),
-    # Tolerances and grid bounds must be finite real numbers.
-    ("diagonalize", [], {"tolerances": {"gap": True}}),
-    ("connections", [], {"tolerances": {"gap": "1e-6"}}),
+    # Grid counts must be >= 1, and grid bounds finite real numbers.
+    ("diagonalize", [], {"points": None, "grid": {
+        "R": [[0, 0, 0], [0, 0, 1], [0, 0, 1]],
+        "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
+    ("connections", [], {"points": None, "random_points": {
+        "p_range": [3.0, 0.3]}}),
     ("diagonalize", [], {"points": None, "grid": {
         "R": [[True, 1, 1], [0, 0, 1], [0, 0, 1]],
         "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
@@ -252,7 +255,7 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
         "R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
         "P": [["0.5", 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
     # Config sections of the wrong JSON type.
-    ("diagonalize", [], {"tolerances": 5}),
+    ("diagonalize", [], {"model": 5}),
     ("diagonalize", [], {"points": None, "random_points": 3}),
     ("diagonalize", [], {"points": None, "grid": 5}),
     ("trajectory", [], {"model": {"model": "neutrino_metric"},
@@ -266,8 +269,10 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
                     "suites": {"free-field-degeneracy": 5}}),
     ("verify", [], {"suites_to_run": 5}),
     ("verify", [], {"suites_to_run": [["free-field-degeneracy"]]}),
-    # An unknown tolerance name.
-    ("diagonalize", [], {"tolerances": {"gapp": 0.5}}),
+    # A grid row that is not [min, max, count].
+    ("diagonalize", [], {"points": None, "grid": {
+        "R": [[0, 1], [0, 0, 1], [0, 0, 1]],
+        "P": [[0.5, 0.5, 1], [0.2, 0.2, 1], [0.3, 0.3, 1]]}}),
     # Suite overrides name parameters of the suite, with values of the kind
     # of the parameter's default.
     ("verify", [], {"suites_to_run": ["free-field-degeneracy"],
@@ -285,10 +290,10 @@ def test_point_commands_reject_non_number_hbar(tmp_path, capsys, command,
     ("verify", [], {"suites_to_run": ["neutrino-curvature"],
                     "suites": {"neutrino-curvature": {"tolerance": math.nan}}}),
     ("verify", [], {"suites": {"symmetrized-bracket": {"seed": False}}}),
-    # Every tolerance must be finite and > 0.
-    ("diagonalize", [], {"tolerances": {"block": math.nan}}),
-    ("connections", [], {"tolerances": {"unitarity": 0}}),
-    ("curvature", [], {"tolerances": {"degeneracy": math.inf}}),
+    # The frame thresholds are constants of `frames`: "tolerances" is no
+    # config key, whatever it holds.
+    *((command, [], {"tolerances": {"gap": 1e-6}})
+      for command in ("diagonalize", "connections", "curvature")),
     # Exactly one point source: the base config's "points" and a second one.
     ("diagonalize", [], {"random_points": {"count": 5}}),
     ("connections", [], {"grid": {
@@ -324,12 +329,15 @@ def test_invalid_choices_are_config_errors(tmp_path, capsys, command, argv,
 def test_fixed_stencil_base_and_overlap_floor_are_no_tolerances(
         tmp_path, capsys, name, value):
     # The stencil base and the gauge-overlap floor are constants of the
-    # finite-difference cross-check: a config cannot set them.
+    # finite-difference cross-check, as the frame thresholds are of the
+    # frames: a config cannot set them, as it has no "tolerances" section.
     cfg = write_config(tmp_path, dict(DIRAC_CFG, tolerances={name: value}))
     out = tmp_path / "o"
-    assert main(["--config", cfg, "--out", str(out), "diagonalize"]) == 1
-    assert not out.exists()
-    assert f"unknown tolerance {name!r}" in capsys.readouterr().err
+    for command in ("diagonalize", "connections", "curvature"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: config: unknown key 'tolerances'\n")
 
 
 GRID = {"R": [[0, 0, 1], [0, 0, 1], [0, 0, 1]],
@@ -1141,3 +1149,23 @@ def test_each_distinct_column_is_turned_into_text_once(monkeypatch):
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     assert "".join(lines) == buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["diagonalize", "connections",
+                                     "curvature"])
+def test_point_commands_list_the_gap_margin(tmp_path, command):
+    # h0 = 1, h3 = R_x: at R_x = 1e-7 the relative gap 2e-7 is under GAP, so
+    # each command that inverts the band commutator lists the point with its
+    # margin and exits 2, and writes the point at R_x = 0.5.
+    model = {"model": "two_level", "h0": [{"coef": "1"}],
+             "h": [[], [], [{"coef": "1", "r_exp": [1, 0, 0]}]]}
+    points = [{"R": [r, 0.2, 0.3], "P": [0.4, -0.5, 0.6]} for r in (1e-7, 0.5)]
+    cfg = write_config(tmp_path, {"model": model, "points": points})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
+    stem = {"diagonalize": "energies"}.get(command, command)
+    report = json.loads((out / f"{stem}.json").read_text())
+    assert report["errors"] == [{"index": 0, "error": (
+        "GapError: near-degenerate bands: cross-group gap below tolerance: "
+        "min |eps_m - eps_n| / max|eps0| = 2.000e-07 <= GAP = 1e-06")}]
+    assert [r["R"][0] for r in report["records"]] == [0.5]

@@ -9,7 +9,6 @@ import pytest
 import semiband.cli
 from semiband.cli import main
 from semiband.fields import REQUIRED, make_field, parameters, read_config
-from semiband.frames import Tolerances
 from semiband.models import (
     ComponentTerm, _term_from_config, make_model, random_batch,
 )
@@ -97,9 +96,6 @@ UNDECLARED = {
     "trajectory": ("trajectory", {
         "model": {"model": "neutrino_metric"},
         "trajectory": {"steps": 5, **BOGUS}}, "trajectory"),
-    "tolerances": ("diagonalize", {
-        "model": {"model": "dirac_electric"}, "points": [POINT],
-        "tolerances": {"gap": 1e-6, **BOGUS}}, "tolerances"),
     "suite override": ("verify", {
         "suites_to_run": ["free-field-degeneracy"],
         "suites": {"free-field-degeneracy": {"points": 2, **BOGUS}}},
@@ -135,9 +131,9 @@ def test_an_undeclared_key_is_refused(tmp_path, capsys, case):
     ("diagonalize", {"model": {"model": "dirac_electric"},
                      "random_points": {"cout": 3}},
      "random_points: unknown key 'cout'"),
-    ("diagonalize", {"model": {"model": "dirac_electric"},
-                     "points": [POINT], "tolerances": {"gapp": 1e-6}},
-     "tolerances: unknown tolerance 'gapp'"),
+    # The frame thresholds are constants of `frames`, not a config section.
+    ("diagonalize", {**DIRAC_POINTS, "tolerances": {"gap": 1e-6}},
+     "config: unknown key 'tolerances'"),
     ("verify", {"suites": {"free-field-degeneracy": {"point": 2}}},
      "suite free-field-degeneracy: unknown parameter 'point'"),
     # The top level declares the keys that some subcommand reads.
@@ -302,10 +298,6 @@ def test_term_defaults():
 
 
 def test_cli_section_defaults(tmp_path):
-    assert semiband.cli._tolerances({}) == Tolerances(
-        degeneracy=1e-8, gap=1e-6, block=1e-10, unitarity=1e-12)
-    assert semiband.cli._tolerances({"tolerances": {"gap": 1}}) == \
-        Tolerances(gap=1.0)
     got = semiband.cli._resolve_points({"random_points": {}},
                                        np.random.default_rng(3))
     ref = random_batch(np.random.default_rng(3), 10, 0.3, 3.0)

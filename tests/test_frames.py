@@ -1,11 +1,16 @@
 """Band frames, projections, commutator inversion and connections."""
 
+import dataclasses
+import inspect
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import semiband
+from semiband import frames
 from semiband.fields import GaussianField, LinearField, UniformField
 from semiband.models import (
     DiracElectric,
@@ -21,7 +26,6 @@ from semiband.frames import (
     BandFrame,
     GapError,
     GaugeAlignmentError,
-    Tolerances,
     berry_connections,
     classical_frame,
     conjugate,
@@ -33,7 +37,7 @@ from semiband.frames import (
     _pair_products,
 )
 from semiband.energy import (
-    _D_eps0, _comm_diag_products, _covariant, band_energy,
+    _D_eps0, _comm_diag_products, _covariant, band_energy, band_energy_batch,
 )
 from semiband.dynamics import berry_curvatures
 from semiband.cli import main
@@ -60,21 +64,16 @@ def test_classical_frame_dirac_free():
     assert np.allclose(rot, BETA * E, atol=1e-13)
 
 
-def test_classical_frame_unitarity_tolerance():
+def test_classical_frame_unitarity_tolerance(monkeypatch):
     model = dirac()
     x = PhasePoint.of([0.1, 0.2, 0.3], [0.4, -0.5, 0.6])
     eps0, U0 = model.analytic_frame(x)
     model.analytic_frame = lambda _x: (eps0, (1 + 5e-12) * U0)
     with pytest.raises(ValueError, match="unitarity"):
         classical_frame(model, x)
-    frame = classical_frame(model, x, Tolerances(unitarity=1e-9))
+    monkeypatch.setattr(frames, "UNITARITY", 1e-9)
+    frame = classical_frame(model, x)
     assert np.allclose(frame.U0, U0)
-
-
-@pytest.mark.parametrize("value", [True, "1e-6", None, 0.0, -1.0, np.nan])
-def test_tolerances_must_be_positive_real_numbers(value):
-    with pytest.raises(ValueError, match="tolerance gap"):
-        Tolerances(gap=value)
 
 
 def test_classical_frame_neutrino_flat():
@@ -345,25 +344,35 @@ def test_invert_band_commutator_near_degenerate_raises():
         invert_band_commutator(M, frame)
 
 
-def test_configured_gap_tolerance_reaches_the_inversion(tmp_path):
+def _gap_margin(frame) -> float:
+    """The smallest cross-group |eps_m - eps_n| / max|eps0| of a
+    one-point frame."""
+    gaps = np.abs(frame.eps0[None, :] - frame.eps0[:, None])[frame.cross]
+    return gaps.min() / np.abs(frame.eps0).max()
+
+
+def test_configured_gap_tolerance_reaches_the_inversion(tmp_path,
+                                                        monkeypatch):
     # Gap 3.0 is wider than any two_level gap relative to its energies, so
     # every band-commutator inversion raises, while order 0 inverts nothing
-    # and returns.  A frame that lost its tolerances would invert silently.
+    # and returns: the gap check reads `frames.GAP` when it runs.
     model = make_model({"model": "two_level"})
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
-    tol = Tolerances(gap=3.0)
-    assert band_energy(model, x, 0.01, order=0, tol=tol).eps.shape == (2, 2)
+    monkeypatch.setattr(frames, "GAP", 3.0)
+    assert band_energy(model, x, 0.01, order=0).eps.shape == (2, 2)
     for order in (1, 2):
         with pytest.raises(GapError, match="near-degenerate"):
-            band_energy(model, x, 0.01, order=order, tol=tol)
+            band_energy(model, x, 0.01, order=order)
     with pytest.raises(GapError, match="near-degenerate"):
-        berry_curvatures(model, x, 0.01, tol)
+        berry_curvatures(model, x, 0.01)
 
     points = [{"R": [0.3, 0.5, -0.2], "P": [0.7, -0.4, 1.1]},
               {"R": [-0.1, 0.2, 0.4], "P": [0.5, 0.9, -0.3]}]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"model": "two_level"},
-                               "tolerances": {"gap": 3.0}, "points": points}))
+                               "points": points}))
+    margins = [_gap_margin(classical_frame(model, PhasePoint.of(**p)))
+               for p in points]
     for order, code in (("0", 0), ("1", 2)):
         out = tmp_path / f"order{order}"
         assert main(["--config", str(cfg), "--order", order, "--out", str(out),
@@ -374,7 +383,9 @@ def test_configured_gap_tolerance_reaches_the_inversion(tmp_path):
             assert errors == [] and len(report["records"]) == 2
         else:
             assert errors == [(i, "GapError: near-degenerate bands: "
-                                  "cross-group gap below tolerance")
+                                  "cross-group gap below tolerance: "
+                                  "min |eps_m - eps_n| / max|eps0| = "
+                                  f"{margins[i]:.3e} <= GAP = 3")
                               for i in range(2)]
 
 
@@ -545,7 +556,7 @@ def _gap_outcome(call) -> str:
     return "finite"
 
 
-def test_closing_gap_gives_finite_energies_or_gap_error():
+def test_closing_gap_gives_finite_energies_or_gap_error(monkeypatch):
     # h0 = 1, h3 = c: eps0 = 1 +- |c|, a cross-group gap 2|c| against the
     # scale 1 + |c|, and c = 0 is the degeneracy |h| = 0 of the frame.
     x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
@@ -562,10 +573,46 @@ def test_closing_gap_gives_finite_energies_or_gap_error():
         # 2c <= 1e-6 (1 + c) from c = 1e-7 on.
         assert walk == ["finite"] * 7 + ["gap"] * 11
         # The gap 0.2 of c = 1/10 is 0.18 of the scale 1.1.
-        walk = [_gap_outcome(lambda: band_energy(
-                    model("1/10"), x, 0.01, order, tol=Tolerances(gap=g)))
-                for g in (1e-6, 0.1, 0.18, 0.182, 0.5, 1.0, 3.0)]
+        walk = []
+        with monkeypatch.context() as patch:
+            for g in (1e-6, 0.1, 0.18, 0.182, 0.5, 1.0, 3.0):
+                patch.setattr(frames, "GAP", g)
+                walk.append(_gap_outcome(lambda: band_energy(
+                    model("1/10"), x, 0.01, order)))
         assert walk == ["finite"] * 3 + ["gap"] * 4
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_gap_error_names_its_margin(order):
+    # The walk above: h0 = 1, h3 = c has the relative gap 2c / (1 + c), which
+    # the error of each point under GAP names, to the rounding of eps0 = 1 +- c
+    # (an ulp of 1 against the gap) and of the three printed digits.  (c = 0
+    # is refused when its frame is built.)
+    x = PhasePoint.of([0.3, 0.5, -0.2], [0.7, -0.4, 1.1])
+    named = re.compile(r"near-degenerate bands: cross-group gap below "
+                       r"tolerance: min \|eps_m - eps_n\| / max\|eps0\| = "
+                       r"(\S+) <= GAP = 1e-06$")
+    for c in [f"1e-{k}" for k in range(7, 17)]:
+        model = make_model({"model": "two_level", "h0": [{"coef": "1"}],
+                            "h": [[], [], [{"coef": c}]]})
+        with pytest.raises(GapError) as info:
+            band_energy(model, x, 0.01, order)
+        margin = float(named.match(str(info.value))[1])
+        want = 2 * float(c) / (1 + float(c))
+        assert abs(margin - want) <= 5e-4 * want + 2.3e-16
+
+
+def test_frame_thresholds_are_constants():
+    # No frame, argument or config carries a threshold of its own.
+    assert (frames.DEGENERACY, frames.GAP, frames.BLOCK,
+            frames.UNITARITY) == (1e-8, 1e-6, 1e-10, 1e-12)
+    assert [f.name for f in dataclasses.fields(BandFrame)] == [
+        "eps0", "U0", "groups", "point", "model"]
+    for func in (classical_frame, band_energy, band_energy_batch,
+                 berry_curvatures):
+        assert "tol" not in inspect.signature(func).parameters
+    assert not hasattr(semiband, "Tolerances")
+    assert not hasattr(frames, "Tolerances")
 
 
 def test_alignment_rejects_singular_overlap():

@@ -11,6 +11,7 @@ from semiband.models import BETA, NeutrinoMetric, PhasePoint, make_model
 from semiband.oracles import (
     dirac_energy_canonical_oracle,
     dirac_energy_covariant_oracle,
+    jaynes_cummings_symbol,
     neutrino_energy_canonical_oracle,
     neutrino_energy_oracle,
     neutrino_velocity_modulus,
@@ -178,17 +179,6 @@ def _jaynes_cummings(c: Fraction, delta: Fraction, rotated: bool):
     return model, action
 
 
-def _jaynes_cummings_symbol(I, c: float, delta: float):
-    """(sigma0, sigma1), each (..., 2) with the upper band first, of the
-    exact band symbols sigma0 + hbar sigma1 + O(hbar^2) of Jaynes-Cummings
-    at action I: with s = sqrt(delta^2/4 + 2 c^2 I) and
-    b = -delta/2 +/- c^2, sigma0 = I +/- s, sigma1 = +/-1/2 +/- b/(2 s)."""
-    sign = np.array([1.0, -1.0])
-    s = np.sqrt(delta ** 2 / 4 + 2 * c ** 2 * I)[..., None]
-    b = -delta / 2 + sign * c ** 2
-    return I[..., None] + sign * s, sign / 2 + sign * b / (2 * s)
-
-
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("delta", ["1", "2"])
 @pytest.mark.parametrize("c", ["3/10", "3/5", "4/5"])
@@ -209,9 +199,43 @@ def test_jaynes_cummings_energy_through_order_one(c, delta, rotated):
                             radius * np.sin(theta.ravel()))
     x = PhasePoint(R, P)
     report = band_energy(model, x, hbar, order=1)
-    sigma0, sigma1 = _jaynes_cummings_symbol(action(x), float(c), float(delta))
+    sigma0, sigma1, _ = jaynes_cummings_symbol(action(x), float(c),
+                                               float(delta))
     scale = np.max(np.abs(sigma0), axis=-1, keepdims=True)
     zeroth = np.real(np.diagonal(report.zeroth, 0, -2, -1))
     first = np.real(np.diagonal(report.first, 0, -2, -1)) / hbar
     assert np.all(np.abs(zeroth - sigma0) <= 1e-12 * scale)
     assert np.all(np.abs(first - sigma1) <= 1e-12 * scale)
+
+
+def _jaynes_cummings_exact(I: float, c: float, delta: float, hbar: float):
+    """The exact Weyl symbols (upper band first) of the Jaynes-Cummings
+    bands g_+ = I + hbar/2 + sqrt(u_+) and g_- = I - hbar/2 - sqrt(u_-),
+    u_+- = (delta - hbar)^2/4 + 2 c^2 (I +- hbar/2), functions of the
+    oscillator I: sigma = g - (hbar^2/8) g'' - (hbar^2/12) I g''' + O(hbar^4),
+    with the derivatives in I in closed form."""
+    sign = np.array([1.0, -1.0])
+    k = 2 * c * c
+    u = (delta - hbar) ** 2 / 4 + k * (I + sign * hbar / 2)
+    g = I + sign * (hbar / 2 + np.sqrt(u))
+    g2 = -sign * k ** 2 / (4 * u ** 1.5)
+    g3 = sign * 3 * k ** 3 / (8 * u ** 2.5)
+    return g - hbar ** 2 / 8 * g2 - hbar ** 2 / 12 * I * g3
+
+
+@pytest.mark.parametrize("c,delta,I", [(0.6, 1.0, 1.0), (0.3, 2.0, 0.5),
+                                       (0.8, 1.0, 2.0)])
+def test_jaynes_cummings_symbol_is_the_exact_expansion(c, delta, I):
+    # F(hbar) = (sigma - sigma0 - hbar sigma1) / hbar^2 is sigma2 + O(hbar).
+    # Richardson over hbar and hbar/2 leaves O(hbar^2) of the hbar^4
+    # coefficient and the roundoff of sigma over hbar^2, both under 1e-8
+    # here, against sigma2 terms of 1e-3 to 1e-1.
+    sigma0, sigma1, sigma2 = jaynes_cummings_symbol(I, c, delta)
+    assert sigma0.shape == sigma1.shape == sigma2.shape == (2,)
+
+    def F(hbar):
+        return (_jaynes_cummings_exact(I, c, delta, hbar) - sigma0
+                - hbar * sigma1) / hbar ** 2
+
+    hbar = 1e-3
+    assert np.all(np.abs(2 * F(hbar / 2) - F(hbar) - sigma2) <= 1e-7)

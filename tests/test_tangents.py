@@ -21,7 +21,6 @@ from semiband.models import (
     make_model, random_points,
 )
 from semiband.frames import (
-    DEFAULT_TOL,
     BandFrame,
     ConnectionSet,
     _anticomm,
@@ -342,12 +341,12 @@ def test_twisted_models_exercise_the_pairing_terms():
             assert np.max(np.abs(pairing + pairing.conj().T)) > 1e-2
 
 
-def stencil_curvatures(model, x, hbar, tol=DEFAULT_TOL):
+def stencil_curvatures(model, x, hbar):
     """(theta_rr, theta_pp, theta_pr) with grad a from a 4th-order stencil
     over `covariant_variables`: the finite-difference reference for the exact
     curvature pass."""
     def shifts(y):
-        return covariant_variables(classical_frame(model, y, tol),
+        return covariant_variables(classical_frame(model, y),
                                    hbar).shift_per_hbar()
 
     a = shifts(x)
